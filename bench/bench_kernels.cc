@@ -30,15 +30,7 @@
 #else
 #define BENCH_HAVE_OBS 0
 #endif
-// Same deal for the certify layer: the baseline worktree predates
-// certify/trace.h, and trace emission may be configured off — in either
-// case the traced bench degrades to the plain shape (ratio reads 1.0).
-#if __has_include("certify/trace.h")
 #include "certify/trace.h"
-#define BENCH_HAVE_TRACE TBC_CERTIFY_TRACE_ON
-#else
-#define BENCH_HAVE_TRACE 0
-#endif
 #include "compiler/ddnnf_compiler.h"
 #include "nnf/nnf.h"
 #include "nnf/queries.h"
@@ -139,7 +131,6 @@ void BenchCertifyFig8Plain() {
 }
 
 void BenchCertifyFig8Traced() {
-#if BENCH_HAVE_TRACE
   for (size_t n : {16, 20, 24, 28}) {
     const Cnf cnf = RandomCnf(n, n * 3, 7 + n);
     NnfManager mgr;
@@ -150,9 +141,6 @@ void BenchCertifyFig8Traced() {
     g_sink += ModelCount(mgr, root, n).ToDouble();
     g_sink += static_cast<double>(trace.comps.size());
   }
-#else
-  BenchCertifyFig8Plain();
-#endif
 }
 
 // Fig 22 shape: hierarchical map compilation (OBDD/SDD apply churn through

@@ -27,9 +27,10 @@
 // exits with code 3 (distinct from usage errors and bad input).
 //
 // Exit codes (unified across kc_cli / tbc_lint / tbc_certify, see the
-// README table): 0 = ok, 1 = usage or input/IO error, 2 = circuit store
-// rejected (failed validation: corrupt, truncated, or foreign bytes),
-// 3 = typed resource refusal, 4 = certificate rejected by the checker.
+// README table): 0 = ok, 1 = usage or input/IO error, 2 = input rejected
+// (unparseable CNF, including an empty file, or a circuit store that
+// failed validation: corrupt, truncated, or foreign bytes), 3 = typed
+// resource refusal, 4 = certificate rejected by the checker.
 //
 // --wmc runs an exact weighted model count after compilation (every
 // literal weighted W, default 1.0) and reports the log-space rescue
@@ -40,15 +41,12 @@
 // --certify verifies the compilation in-process through the independent
 // certificate checker (src/certify/) and exits 4 if the certificate is
 // rejected; --certify-out=OUT additionally writes the certificate text for
-// offline checking with tbc_certify. When the library was built without
-// TBC_CERTIFY_TRACE, certificates carry no derivation trace and the
-// checker falls back to its (slower) semantic entailment proof.
+// offline checking with tbc_certify. d-DNNF and OBDD certificates carry
+// the compiler's derivation trace, which the checker replays.
 
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analysis/structure/forecast.h"
@@ -59,6 +57,7 @@
 #include "certify/certificate.h"
 #include "certify/checker.h"
 #include "certify/emit.h"
+#include "cli.h"
 #include "compiler/ddnnf_compiler.h"
 #include "compiler/model_counter.h"
 #include "nnf/io.h"
@@ -74,54 +73,29 @@
 
 namespace {
 
-std::string ReadFile(const char* path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   out << content;
   return static_cast<bool>(out);
 }
 
-const char* Arg(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool Flag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Piping output into a closed reader (e.g. `kc_cli ... | head`) must
-  // surface as a short write, not a SIGPIPE abort.
-  std::signal(SIGPIPE, SIG_IGN);
+  tbc::cli::IgnoreSigpipe();
   using namespace tbc;
+  // argv[1] is the input (a CNF path or --load-circuit=), never an option.
+  auto arg = [&](const char* name) { return cli::Arg(argc, argv, name, 2); };
+  auto flag = [&](const char* name) { return cli::Flag(argc, argv, name, 2); };
   if (argc < 2) {
     std::printf(
         "usage: kc_cli FILE.cnf [--target=ddnnf|sdd|obdd]\n"
         "       kc_cli --load-circuit=STORE.tbc [--wmc[=W]] [--samples=N]\n"
         "              [--vtree=balanced|right|random|minfill] [--force-order]\n"
-        "              [--minimize=N] [--minimize-recompile=N]\n"
+        "              [--minimize=N]\n"
         "              [--sdd-minimize=off|auto|aggressive]\n"
         "              [--sdd-minimize-threshold=R] [--samples=N]\n"
         "              [--timeout-ms=N] [--max-nodes=N]\n"
-        "              [--write-nnf=OUT] [--write-sdd=OUT] [--write-vtree=OUT]\n"
         "              [--write-nnf=OUT] [--write-sdd=OUT] [--write-vtree=OUT]\n"
         "              [--save-circuit=OUT.tbc] [--wmc[=W]] [--stats[=json]]\n"
         "              [--certify] [--certify-out=OUT]\n");
@@ -131,7 +105,7 @@ int main(int argc, char** argv) {
   // Shared by compile and load modes: uniform literal weight for --wmc.
   auto parse_wmc_weight = [&](double* lit_weight) -> bool {
     *lit_weight = 1.0;
-    if (const char* ws = Arg(argc, argv, "--wmc")) {
+    if (const char* ws = arg("--wmc")) {
       if (!ParseDouble(ws, lit_weight)) {
         std::fprintf(stderr, "kc_cli: --wmc needs a number, got '%s'\n", ws);
         return false;
@@ -140,13 +114,13 @@ int main(int argc, char** argv) {
     return true;
   };
   auto dump_stats = [&]() -> int {
-    if (const char* mode = Arg(argc, argv, "--stats")) {
+    if (const char* mode = arg("--stats")) {
       if (std::strcmp(mode, "json") != 0) {
         std::fprintf(stderr, "kc_cli: unknown stats mode '%s'\n", mode);
         return 1;
       }
       std::fputs(Observability::Global().RenderJson().c_str(), stdout);
-    } else if (Flag(argc, argv, "--stats")) {
+    } else if (flag("--stats")) {
       std::fputs(Observability::Global().RenderText().c_str(), stdout);
     }
     return 0;
@@ -181,7 +155,7 @@ int main(int argc, char** argv) {
                                ? loaded->store->model_count()
                                : ModelCount(mgr, root, num_vars);
     std::printf("c models: %s\n", models.ToString().c_str());
-    if (Flag(argc, argv, "--wmc") || Arg(argc, argv, "--wmc") != nullptr) {
+    if (flag("--wmc") || arg("--wmc") != nullptr) {
       double lit_weight = 1.0;
       if (!parse_wmc_weight(&lit_weight)) return 1;
       WeightMap weights(num_vars);
@@ -193,7 +167,7 @@ int main(int argc, char** argv) {
       std::printf("c wmc: %.12g\n", wmc);
       std::printf("c wmc_hex: %s\n", FormatDoubleHex(wmc).c_str());
     }
-    const char* samples_arg = Arg(argc, argv, "--samples");
+    const char* samples_arg = arg("--samples");
     const size_t samples =
         samples_arg != nullptr ? std::strtoull(samples_arg, nullptr, 10) : 0;
     Rng rng(2026);
@@ -208,43 +182,43 @@ int main(int argc, char** argv) {
     return dump_stats();
   }
 
-  const std::string text = ReadFile(argv[1]);
-  if (text.empty()) {
+  std::string text;
+  if (!cli::ReadFile(argv[1], &text)) {
     std::fprintf(stderr, "kc_cli: cannot read %s\n", argv[1]);
     return 1;
   }
   auto parsed = Cnf::ParseDimacs(text);
   if (!parsed.ok()) {
     std::fprintf(stderr, "kc_cli: %s\n", parsed.status().message().c_str());
-    return 1;
+    return 2;
   }
   const Cnf cnf = std::move(parsed).value();
   std::printf("c input: %zu vars, %zu clauses\n", cnf.num_vars(),
               cnf.num_clauses());
 
-  const char* target_arg = Arg(argc, argv, "--target");
+  const char* target_arg = arg("--target");
   const std::string target = target_arg != nullptr ? target_arg : "ddnnf";
-  if (Arg(argc, argv, "--save-circuit") != nullptr && target != "ddnnf") {
+  if (arg("--save-circuit") != nullptr && target != "ddnnf") {
     std::fprintf(stderr,
                  "kc_cli: --save-circuit is only supported for "
                  "--target=ddnnf\n");
     return 1;
   }
-  const char* samples_arg = Arg(argc, argv, "--samples");
+  const char* samples_arg = arg("--samples");
   const size_t samples = samples_arg != nullptr ? std::strtoull(samples_arg, nullptr, 10) : 0;
 
-  std::vector<Var> order = Flag(argc, argv, "--force-order")
+  std::vector<Var> order = flag("--force-order")
                                ? ForceOrder(cnf, 20)
                                : Vtree::IdentityOrder(cnf.num_vars());
 
   Budget budget;
-  if (const char* t = Arg(argc, argv, "--timeout-ms")) {
+  if (const char* t = arg("--timeout-ms")) {
     if (!ParseDouble(t, &budget.timeout_ms) || budget.timeout_ms < 0.0) {
       std::fprintf(stderr, "kc_cli: --timeout-ms needs a number, got '%s'\n", t);
       return 1;
     }
   }
-  if (const char* n = Arg(argc, argv, "--max-nodes")) {
+  if (const char* n = arg("--max-nodes")) {
     if (!ParseUint64(n, &budget.max_nodes)) {
       std::fprintf(stderr, "kc_cli: --max-nodes needs an integer, got '%s'\n", n);
       return 1;
@@ -253,7 +227,7 @@ int main(int argc, char** argv) {
   // Size-triggered in-place SDD minimization: set the process-wide default
   // so every manager the run creates (direct compiles, portfolio arms)
   // picks the policy up at construction.
-  if (const char* m = Arg(argc, argv, "--sdd-minimize")) {
+  if (const char* m = arg("--sdd-minimize")) {
     SddMinimizeMode mode;
     if (std::strcmp(m, "off") == 0) {
       mode = SddMinimizeMode::kOff;
@@ -269,7 +243,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     SddAutoMinimizeOptions opts = SddAutoMinimizeOptions::ForMode(mode);
-    if (const char* t = Arg(argc, argv, "--sdd-minimize-threshold")) {
+    if (const char* t = arg("--sdd-minimize-threshold")) {
       if (!ParseDouble(t, &opts.growth_ratio) || opts.growth_ratio < 1.0) {
         std::fprintf(stderr,
                      "kc_cli: --sdd-minimize-threshold needs a ratio >= 1, "
@@ -279,7 +253,7 @@ int main(int argc, char** argv) {
       }
     }
     SddManager::SetDefaultAutoMinimize(opts);
-  } else if (Arg(argc, argv, "--sdd-minimize-threshold") != nullptr) {
+  } else if (arg("--sdd-minimize-threshold") != nullptr) {
     std::fprintf(stderr,
                  "kc_cli: --sdd-minimize-threshold requires --sdd-minimize\n");
     return 1;
@@ -295,9 +269,9 @@ int main(int argc, char** argv) {
     return 3;
   };
 
-  const char* certify_out = Arg(argc, argv, "--certify-out");
+  const char* certify_out = arg("--certify-out");
   const bool certifying =
-      Flag(argc, argv, "--certify") || certify_out != nullptr;
+      flag("--certify") || certify_out != nullptr;
   // Writes and/or checks a freshly built certificate; returns 0, or 4 when
   // the checker rejects it (distinct from usage/input/refusal codes).
   auto finish_cert = [&](const Certificate& cert) -> int {
@@ -306,7 +280,7 @@ int main(int argc, char** argv) {
       WriteFile(certify_out, cert_text);
       std::printf("c wrote certificate %s\n", certify_out);
     }
-    if (Flag(argc, argv, "--certify")) {
+    if (flag("--certify")) {
       // Check what would be written, not the in-memory struct: the text
       // round-trip is part of what is being verified.
       auto reparsed = ParseCertificate(cert_text);
@@ -331,10 +305,8 @@ int main(int argc, char** argv) {
   if (target == "ddnnf") {
     NnfManager mgr;
     DdnnfCompiler compiler;
-#if TBC_CERTIFY_TRACE_ON
     DdnnfTrace trace;
     if (certifying) compiler.set_trace(&trace);
-#endif
     NnfId root = kInvalidNnf;
     if (governed) {
       auto compiled = compiler.CompileBounded(cnf, mgr, guard);
@@ -352,19 +324,15 @@ int main(int argc, char** argv) {
     std::printf("c models: %s\n",
                 ModelCount(mgr, root, cnf.num_vars()).ToString().c_str());
     if (certifying) {
-      const DdnnfTrace* tp = nullptr;
-#if TBC_CERTIFY_TRACE_ON
-      tp = &trace;
-#endif
       const int rc = finish_cert(BuildDdnnfCertificate(
-          cnf, mgr, root, tp, ModelCount(mgr, root, cnf.num_vars())));
+          cnf, mgr, root, &trace, ModelCount(mgr, root, cnf.num_vars())));
       if (rc != 0) return rc;
     }
-    if (const char* out = Arg(argc, argv, "--write-nnf")) {
+    if (const char* out = arg("--write-nnf")) {
       WriteFile(out, WriteNnf(mgr, root, cnf.num_vars()));
       std::printf("c wrote %s\n", out);
     }
-    if (const char* out = Arg(argc, argv, "--save-circuit")) {
+    if (const char* out = arg("--save-circuit")) {
       const BigUint count = ModelCount(mgr, root, cnf.num_vars());
       StoreWriteOptions wopts;
       wopts.cnf_text = text;
@@ -377,7 +345,7 @@ int main(int argc, char** argv) {
       }
       std::printf("c wrote circuit store %s\n", out);
     }
-    if (Flag(argc, argv, "--wmc") || Arg(argc, argv, "--wmc") != nullptr) {
+    if (flag("--wmc") || arg("--wmc") != nullptr) {
       // Circuit-evaluated WMC in exact hexfloat: the cross-process anchor
       // a --load-circuit run of the saved store reproduces bit-identically
       // (the store's id compaction preserves evaluation order).
@@ -401,7 +369,7 @@ int main(int argc, char** argv) {
       std::printf(" 0\n");
     }
   } else if (target == "sdd") {
-    const char* shape_arg = Arg(argc, argv, "--vtree");
+    const char* shape_arg = arg("--vtree");
     const std::string shape = shape_arg != nullptr ? shape_arg : "balanced";
     Rng rng(1);
     Vtree vt;
@@ -424,26 +392,18 @@ int main(int argc, char** argv) {
            : shape == "random" ? Vtree::Random(order, rng)
                                : Vtree::Balanced(order);
     }
-    const char* min_inplace = Arg(argc, argv, "--minimize");
-    const char* min_recompile = Arg(argc, argv, "--minimize-recompile");
-    if (min_inplace != nullptr || min_recompile != nullptr) {
-      // --minimize searches with in-place edits on the live SDD;
-      // --minimize-recompile keeps the recompilation-based search around
-      // as the cross-check oracle.
-      const char* iters = min_inplace != nullptr ? min_inplace : min_recompile;
+    if (const char* iters = arg("--minimize")) {
+      // Vtree search by in-place edits on the live SDD.
       const size_t iter_budget = std::strtoull(iters, nullptr, 10);
-      const MinimizeResult r =
-          min_inplace != nullptr
-              ? MinimizeVtree(cnf, vt, iter_budget, 7, guard)
-              : MinimizeVtreeByRecompile(cnf, vt, iter_budget, 7, guard);
+      const MinimizeResult r = MinimizeVtree(cnf, vt, iter_budget, 7, guard);
       if (r.interrupted && r.size == 0) return refuse(r.interrupt_status);
       if (r.interrupted) {
         std::printf("c vtree search stopped early [%s]\n",
                     StatusCodeName(r.interrupt_status.code()));
       }
-      std::printf("c vtree search (%s): size %zu -> %zu in %zu iterations\n",
-                  min_inplace != nullptr ? "in-place" : "recompile",
-                  r.initial_size, r.size, r.iterations);
+      std::printf(
+          "c vtree search (in-place): size %zu -> %zu in %zu iterations\n",
+          r.initial_size, r.size, r.iterations);
       vt = r.vtree;
     }
     SddManager mgr(vt);
@@ -470,11 +430,11 @@ int main(int argc, char** argv) {
           cnf, mgr, f, ModelCount(scratch, nroot, cnf.num_vars())));
       if (rc != 0) return rc;
     }
-    if (const char* out = Arg(argc, argv, "--write-sdd")) {
+    if (const char* out = arg("--write-sdd")) {
       WriteFile(out, WriteSdd(mgr, f));
       std::printf("c wrote %s\n", out);
     }
-    if (const char* out = Arg(argc, argv, "--write-vtree")) {
+    if (const char* out = arg("--write-vtree")) {
       WriteFile(out, mgr.vtree().ToFileString());
       std::printf("c wrote %s\n", out);
     }
@@ -484,14 +444,9 @@ int main(int argc, char** argv) {
                   "into the OBDD compiler; running unbounded\n");
     }
     ObddManager mgr(order);
-    ObddId f = 0;
-#if TBC_CERTIFY_TRACE_ON
     ObddTrace obdd_trace;
-    f = certifying ? mgr.CompileCnfTraced(cnf, &obdd_trace)
-                   : mgr.CompileCnf(cnf);
-#else
-    f = mgr.CompileCnf(cnf);
-#endif
+    const ObddId f = certifying ? mgr.CompileCnfTraced(cnf, &obdd_trace)
+                                : mgr.CompileCnf(cnf);
     std::printf("c compiled OBDD: %zu nodes in %.2f ms\n", mgr.Size(f),
                 timer.Millis());
     std::printf("s %s\n", f != mgr.False() ? "SATISFIABLE" : "UNSATISFIABLE");
@@ -500,18 +455,11 @@ int main(int argc, char** argv) {
       NnfManager scratch;
       const NnfId nroot = mgr.ToNnf(f, scratch);
       const BigUint claimed = ModelCount(scratch, nroot, cnf.num_vars());
-#if TBC_CERTIFY_TRACE_ON
       const int rc =
           finish_cert(BuildObddCertificate(cnf, std::move(obdd_trace), claimed));
-#else
-      // No apply trace available: fall back to a semantic (trace-free)
-      // certificate over the Decision-DNNF export.
-      const int rc = finish_cert(
-          BuildDdnnfCertificate(cnf, scratch, nroot, nullptr, claimed));
-#endif
       if (rc != 0) return rc;
     }
-    if (const char* out = Arg(argc, argv, "--write-nnf")) {
+    if (const char* out = arg("--write-nnf")) {
       NnfManager nnf;
       WriteFile(out, WriteNnf(nnf, mgr.ToNnf(f, nnf), cnf.num_vars()));
       std::printf("c wrote %s\n", out);
@@ -521,7 +469,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (Flag(argc, argv, "--wmc") || Arg(argc, argv, "--wmc") != nullptr) {
+  if (flag("--wmc") || arg("--wmc") != nullptr) {
     double lit_weight = 1.0;
     if (!parse_wmc_weight(&lit_weight)) return 1;
     WeightMap weights(cnf.num_vars());

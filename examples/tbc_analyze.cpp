@@ -30,11 +30,8 @@
 // 1 over 2 over 3. Every listed file is analyzed and reported even when
 // an earlier one fails, so --format=json always emits a complete array.
 
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,38 +40,9 @@
 #include "analysis/structure/forecast.h"
 #include "base/observability.h"
 #include "base/strings.h"
+#include "cli.h"
 
 namespace {
-
-// True iff `path` was read successfully; an empty (but readable) file
-// yields true with `*out` empty — it then fails CNF *parsing* (exit 2),
-// which is a different contract than an unreadable file (exit 1).
-bool ReadFile(const char* path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return false;
-  *out = buffer.str();
-  return true;
-}
-
-const char* Arg(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool Flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 // A quoted JSON string (paths can hold quotes/backslashes/control bytes).
 std::string JsonString(const std::string& s) {
@@ -110,10 +78,10 @@ void Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Piping into a closed reader (`tbc_analyze ... | head`) must surface as
-  // a short write, not a SIGPIPE abort.
-  std::signal(SIGPIPE, SIG_IGN);
+  tbc::cli::IgnoreSigpipe();
   using namespace tbc;
+  using cli::Arg;
+  using cli::Flag;
 
   if (Flag(argc, argv, "--list-rules")) {
     size_t count = 0;
@@ -173,7 +141,7 @@ int main(int argc, char** argv) {
     std::string structure_text;
     bool refused = false;
     std::string text;
-    if (!ReadFile(path, &text)) {
+    if (!cli::ReadFile(path, &text)) {
       // Diagnose in place and keep going: every listed file gets its
       // entry, so --format=json always emits a complete, valid array.
       any_io_error = true;

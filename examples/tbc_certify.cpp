@@ -16,13 +16,11 @@
 //     --stats            dump the observability registry to stderr
 //
 // Exit codes: 0 = every certificate verified, 1 = usage or I/O error,
-// 2 = at least one certificate rejected.
+// 2 = at least one certificate rejected (an empty or unparseable file
+// included).
 
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,33 +30,9 @@
 #include "base/strings.h"
 #include "certify/certificate.h"
 #include "certify/checker.h"
+#include "cli.h"
 
 namespace {
-
-std::string ReadFile(const char* path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-const char* Arg(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool Flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 void Usage() {
   std::printf(
@@ -86,10 +60,10 @@ void ListRules() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Piping output into a closed reader (e.g. `tbc_certify ... | head`) must
-  // surface as a short write, not a SIGPIPE abort.
-  std::signal(SIGPIPE, SIG_IGN);
+  tbc::cli::IgnoreSigpipe();
   using namespace tbc;
+  using cli::Arg;
+  using cli::Flag;
 
   if (Flag(argc, argv, "--list-rules")) {
     ListRules();
@@ -125,8 +99,8 @@ int main(int argc, char** argv) {
   bool first_json = true;
 
   for (const char* path : files) {
-    const std::string text = ReadFile(path);
-    if (text.empty()) {
+    std::string text;
+    if (!cli::ReadFile(path, &text)) {
       std::fprintf(stderr, "tbc_certify: cannot read %s\n", path);
       return 1;
     }

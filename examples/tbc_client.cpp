@@ -20,29 +20,20 @@
 // typed kInvalidInput (the input is wrong; retrying cannot help),
 // 3 = typed refusal (budget exhausted, overloaded, draining, deadline).
 
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "base/result.h"
 #include "base/strings.h"
+#include "cli.h"
 #include "serve/client.h"
 
 namespace {
 
-const char* Arg(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
+using tbc::cli::Arg;
 
 void Usage() {
   std::fprintf(
@@ -53,17 +44,13 @@ void Usage() {
       "                  [--deadline-ms=N] [--retries=N]\n");
 }
 
-std::string ReadInput(const char* path) {
-  if (std::strcmp(path, "-") == 0) {
-    std::stringstream buffer;
-    buffer << std::cin.rdbuf();
-    return buffer.str();
-  }
-  std::ifstream in(path);
-  if (!in) return "";
+// Reads the CNF from `path`, or from stdin when `path` is "-".
+bool ReadInput(const char* path, std::string* out) {
+  if (std::strcmp(path, "-") != 0) return tbc::cli::ReadFile(path, out);
   std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  buffer << std::cin.rdbuf();
+  *out = buffer.str();
+  return true;
 }
 
 }  // namespace
@@ -71,7 +58,7 @@ std::string ReadInput(const char* path) {
 int main(int argc, char** argv) {
   using namespace tbc;
   using namespace tbc::serve;
-  std::signal(SIGPIPE, SIG_IGN);  // `tbc_client ... | head` must not abort
+  cli::IgnoreSigpipe();  // `tbc_client ... | head` must not abort
 
   const char* connect_arg = Arg(argc, argv, "--connect");
   const char* op_arg = Arg(argc, argv, "--op");
@@ -108,8 +95,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "tbc_client: --op=%s needs a CNF file\n", op_arg);
       return 1;
     }
-    req.cnf_text = ReadInput(cnf_path);
-    if (req.cnf_text.empty()) {
+    if (!ReadInput(cnf_path, &req.cnf_text)) {
       std::fprintf(stderr, "tbc_client: cannot read %s\n", cnf_path);
       return 1;
     }

@@ -22,13 +22,11 @@
 //                        JSON diagnostic stream on stdout stays parseable)
 //
 // Exit codes: 0 = all files clean (warnings allowed), 1 = usage or I/O
-// error, 2 = at least one error-severity violation.
+// error, 2 = at least one error-severity violation (an empty or
+// unparseable file included).
 
-#include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,36 +37,12 @@
 #include "analysis/sdd_analyzer.h"
 #include "base/observability.h"
 #include "base/strings.h"
+#include "cli.h"
 #include "nnf/io.h"
 #include "nnf/nnf.h"
 #include "vtree/vtree.h"
 
 namespace {
-
-std::string ReadFile(const char* path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-const char* Arg(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool Flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
 
 void Usage() {
   std::printf(
@@ -102,10 +76,10 @@ size_t NnfHeaderVars(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Piping output into a closed reader (e.g. `tbc_lint ... | head`) must
-  // surface as a short write, not a SIGPIPE abort.
-  std::signal(SIGPIPE, SIG_IGN);
+  tbc::cli::IgnoreSigpipe();
   using namespace tbc;
+  using cli::Arg;
+  using cli::Flag;
 
   if (Flag(argc, argv, "--list-rules")) {
     size_t count = 0;
@@ -145,8 +119,8 @@ int main(int argc, char** argv) {
   Vtree vtree = Vtree::Balanced(Vtree::IdentityOrder(1));
   bool have_vtree = false;
   if (const char* vtree_path = Arg(argc, argv, "--vtree")) {
-    const std::string text = ReadFile(vtree_path);
-    if (text.empty()) {
+    std::string text;
+    if (!cli::ReadFile(vtree_path, &text)) {
       std::fprintf(stderr, "tbc_lint: cannot read vtree %s\n", vtree_path);
       return 1;
     }
@@ -179,8 +153,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const std::string text = ReadFile(path);
-    if (text.empty()) {
+    std::string text;
+    if (!cli::ReadFile(path, &text)) {
       std::fprintf(stderr, "tbc_lint: cannot read %s\n", path);
       return 1;
     }

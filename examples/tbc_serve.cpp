@@ -28,8 +28,8 @@
 //     --idle-timeout-ms=N  close connections idle this long (0 = keep)
 //     --port-file=PATH     write the bound TCP port (scripts + tests use
 //                          this with :0 ephemeral listening)
-//     --fault-seed=N       arm the deterministic fault plan (TBC_FAULTS
-//                          builds only; see src/base/fault.h)
+//     --fault-seed=N       arm the deterministic fault plan (see
+//                          src/base/fault.h)
 //     --fault-prob=P       per-hit fire probability for every point under
 //                          --fault-seed (default 0.02)
 //     --sdd-minimize=MODE  off|auto|aggressive: process-wide size-triggered
@@ -56,27 +56,14 @@
 #include "base/fault.h"
 #include "base/observability.h"
 #include "base/strings.h"
+#include "cli.h"
 #include "sdd/sdd.h"
 #include "serve/server.h"
 
 namespace {
 
-const char* Arg(int argc, char** argv, const char* name) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool Flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
+using tbc::cli::Arg;
+using tbc::cli::Flag;
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
@@ -108,7 +95,7 @@ bool ParseDoubleFlag(int argc, char** argv, const char* name, double* out) {
 int main(int argc, char** argv) {
   using namespace tbc;
   using namespace tbc::serve;
-  std::signal(SIGPIPE, SIG_IGN);  // broken pipes are typed errors, not death
+  cli::IgnoreSigpipe();  // broken pipes are typed errors, not death
 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
@@ -194,8 +181,6 @@ int main(int argc, char** argv) {
   }
 
   // Deterministic fault plan for soak/chaos runs from the command line.
-  // In a TBC_FAULTS=OFF build the plan is inert (every point compiles to
-  // `false`), so arming it is a no-op rather than an error.
   std::unique_ptr<fault::FaultPlan> fault_plan;
   std::unique_ptr<fault::ScopedFaultPlan> plan_scope;
   if (const char* seed_arg = Arg(argc, argv, "--fault-seed")) {

@@ -29,9 +29,8 @@ namespace tbc::fault {
 /// typo at a call site into an immediate abort instead of a silently dead
 /// fault hook.
 ///
-/// Build switch: with the CMake option TBC_FAULTS=OFF the macro compiles
-/// to `false` — zero code on every hot path. With faults compiled in but
-/// no plan installed, the cost is one relaxed atomic load per point hit.
+/// Injection points are always compiled in: with no plan installed, the
+/// cost is one atomic load per point hit.
 
 /// Every injection point in the codebase. Append only; tests iterate this.
 inline constexpr const char* kPointNames[] = {
@@ -124,8 +123,6 @@ bool FireAt(std::string_view name, std::atomic<size_t>* cached_index);
 
 }  // namespace tbc::fault
 
-#if defined(TBC_FAULTS_ENABLED) && TBC_FAULTS_ENABLED
-
 /// True when the installed FaultPlan injects a failure at this site for
 /// this hit. `name` must be a string literal declared in kPointNames.
 #define TBC_FAULT_POINT(name)                                              \
@@ -134,11 +131,5 @@ bool FireAt(std::string_view name, std::atomic<size_t>* cached_index);
      static std::atomic<size_t> tbc_fault_index_{~size_t{0}};              \
      return ::tbc::fault::internal::FireAt(name, &tbc_fault_index_);       \
    }()))
-
-#else  // faults compiled out: zero code.
-
-#define TBC_FAULT_POINT(name) false
-
-#endif  // TBC_FAULTS_ENABLED
 
 #endif  // TBC_BASE_FAULT_H_

@@ -7,16 +7,6 @@
 #include "logic/lit.h"
 #include "nnf/nnf.h"
 
-// Canonical on/off switch for trace-emission sites in the compilers
-// (mirrors TBC_OBSERVE_ON in base/observability.h). The CMake option
-// TBC_CERTIFY_TRACE defines TBC_CERTIFY_TRACE_ENABLED; with it off, every
-// emission site compiles away entirely.
-#if defined(TBC_CERTIFY_TRACE_ENABLED) && TBC_CERTIFY_TRACE_ENABLED
-#define TBC_CERTIFY_TRACE_ON 1
-#else
-#define TBC_CERTIFY_TRACE_ON 0
-#endif
-
 namespace tbc {
 
 /// Raw derivation traces recorded by the compilers while they run. These
@@ -25,9 +15,8 @@ namespace tbc {
 /// checker (certify/checker.h) replays them with its own unit-propagation
 /// engine; nothing in a trace is trusted until it survives that replay.
 ///
-/// Trace emission sites in the compilers are compiled behind
-/// TBC_CERTIFY_TRACE_ENABLED; with the switch off the structs still exist
-/// (they are cheap) but no compiler references them.
+/// Emission is always compiled in and dormant until a sink is attached: a
+/// detached sink costs the compilers one null-pointer test per site.
 
 /// One DPLL search-tree edge of the d-DNNF compiler: the result of
 /// compiling a clause set (under the assumptions accumulated on the path).

@@ -31,23 +31,20 @@ using compiler_internal::SplitComponents;
 
 class Compilation {
  public:
+  // `trace` (borrowed, nullable) collects the component records that the
+  // CertBranch arguments below index into.
   Compilation(const DdnnfOptions& options, NnfManager& mgr, DdnnfStats& stats,
-              Guard& guard)
-      : options_(options), mgr_(mgr), stats_(stats), guard_(guard) {}
+              Guard& guard, DdnnfTrace* trace)
+      : options_(options),
+        mgr_(mgr),
+        stats_(stats),
+        guard_(guard),
+        trace_(trace) {}
 
-#if TBC_CERTIFY_TRACE_ON
-  void set_trace(DdnnfTrace* trace) { trace_ = trace; }
-#endif
-
-  // When tracing, `branch` (non-null iff a trace is attached) receives this
-  // subproblem's derivation: the BCP conflict, or the result node plus the
-  // component records it conjoins.
-  Result<NnfId> CompileClauses(Clauses clauses
-#if TBC_CERTIFY_TRACE_ON
-                               ,
-                               CertBranch* branch = nullptr
-#endif
-  ) {
+  // `branch` (non-null iff a trace is attached) receives this subproblem's
+  // derivation: the BCP conflict, or the result node plus the component
+  // records it conjoins.
+  Result<NnfId> CompileClauses(Clauses clauses, CertBranch* branch) {
     // No Canonicalize here: BCP closure and the component partition are
     // insensitive to clause order and duplicates, and CompileComponent
     // canonicalizes before keying the cache, so the result is identical.
@@ -55,52 +52,34 @@ class Compilation {
     Clauses remaining;
     if (Propagate(std::move(clauses), &implied, &remaining) ==
         BcpOutcome::kConflict) {
-#if TBC_CERTIFY_TRACE_ON
       if (branch != nullptr) branch->conflict = true;
-#endif
       return mgr_.False();
     }
     std::vector<NnfId> conjuncts;
     for (Lit l : implied) conjuncts.push_back(mgr_.Literal(l));
     if (!remaining.empty()) {
+      std::vector<Clauses> components;
       if (options_.use_components) {
-        std::vector<Clauses> components = SplitComponents(std::move(remaining));
+        components = SplitComponents(std::move(remaining));
         if (components.size() > 1) {
           ++stats_.components_split;
           TBC_COUNT("ddnnf.components_split");
         }
-        for (Clauses& comp : components) {
-#if TBC_CERTIFY_TRACE_ON
-          uint32_t comp_index = 0;
-          TBC_ASSIGN_OR_RETURN(
-              const NnfId sub,
-              CompileComponent(std::move(comp),
-                               branch != nullptr ? &comp_index : nullptr));
-          if (branch != nullptr) branch->comps.push_back(comp_index);
-#else
-          TBC_ASSIGN_OR_RETURN(const NnfId sub, CompileComponent(std::move(comp)));
-#endif
-          conjuncts.push_back(sub);
-        }
       } else {
-#if TBC_CERTIFY_TRACE_ON
+        components.push_back(std::move(remaining));
+      }
+      for (Clauses& comp : components) {
         uint32_t comp_index = 0;
         TBC_ASSIGN_OR_RETURN(
             const NnfId sub,
-            CompileComponent(std::move(remaining),
+            CompileComponent(std::move(comp),
                              branch != nullptr ? &comp_index : nullptr));
         if (branch != nullptr) branch->comps.push_back(comp_index);
-#else
-        TBC_ASSIGN_OR_RETURN(const NnfId sub,
-                             CompileComponent(std::move(remaining)));
-#endif
         conjuncts.push_back(sub);
       }
     }
     const NnfId result = mgr_.And(std::move(conjuncts));
-#if TBC_CERTIFY_TRACE_ON
     if (branch != nullptr) branch->node = result;
-#endif
     return result;
   }
 
@@ -108,12 +87,7 @@ class Compilation {
   // Compiles a single component (no unit clauses after propagation). When
   // tracing, `comp_out` receives the index of this component's CertComp
   // record (a cache hit re-references the original record).
-  Result<NnfId> CompileComponent(Clauses clauses
-#if TBC_CERTIFY_TRACE_ON
-                                 ,
-                                 uint32_t* comp_out = nullptr
-#endif
-  ) {
+  Result<NnfId> CompileComponent(Clauses clauses, uint32_t* comp_out) {
     Canonicalize(clauses);
     std::string key;
     if (options_.use_cache) {
@@ -123,13 +97,11 @@ class Compilation {
       if (const NnfId* hit = cache_.Find(probe_)) {
         ++stats_.cache_hits;
         TBC_COUNT("ddnnf.cache_hits");
-#if TBC_CERTIFY_TRACE_ON
         if (comp_out != nullptr) {
           const uint32_t* comp_hit = comp_cache_.Find(probe_);
           TBC_DCHECK(comp_hit != nullptr);
           *comp_out = *comp_hit;
         }
-#endif
         return *hit;
       }
       TBC_COUNT("ddnnf.cache_misses");
@@ -144,7 +116,6 @@ class Compilation {
     TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
     const Var v = PickBranchVar(clauses);
     TBC_DCHECK(v != kInvalidVar);
-#if TBC_CERTIFY_TRACE_ON
     CertComp comp;
     comp.decision = v;
     TBC_ASSIGN_OR_RETURN(
@@ -155,21 +126,13 @@ class Compilation {
         const NnfId lo,
         CompileClauses(ConditionClauses(clauses, Neg(v)),
                        comp_out != nullptr ? &comp.lo : nullptr));
-#else
-    TBC_ASSIGN_OR_RETURN(const NnfId hi,
-                         CompileClauses(ConditionClauses(clauses, Pos(v))));
-    TBC_ASSIGN_OR_RETURN(const NnfId lo,
-                         CompileClauses(ConditionClauses(clauses, Neg(v))));
-#endif
     const NnfId result = mgr_.Decision(v, hi, lo);
-#if TBC_CERTIFY_TRACE_ON
     if (comp_out != nullptr) {
       comp.node = result;
       *comp_out = static_cast<uint32_t>(trace_->comps.size());
       trace_->comps.push_back(std::move(comp));
       if (options_.use_cache) comp_cache_.Insert(key, *comp_out);
     }
-#endif
     if (options_.use_cache) cache_.Insert(key, result);
     return result;
   }
@@ -178,12 +141,10 @@ class Compilation {
   NnfManager& mgr_;
   DdnnfStats& stats_;
   Guard& guard_;
+  DdnnfTrace* const trace_;
   FlatMap<std::string, NnfId> cache_;
   std::string probe_;
-#if TBC_CERTIFY_TRACE_ON
-  DdnnfTrace* trace_ = nullptr;
   FlatMap<std::string, uint32_t> comp_cache_;  // cache_'s keys -> comp index
-#endif
 };
 
 }  // namespace
@@ -200,8 +161,6 @@ Result<NnfId> DdnnfCompiler::CompileBounded(const Cnf& cnf, NnfManager& mgr,
   TBC_RETURN_IF_ERROR(guard.Check());
   Clauses clauses(cnf.clauses().begin(), cnf.clauses().end());
   compiler_internal::SortEachClause(clauses);  // invariant for Canonicalize
-  Compilation run(options_, mgr, stats_, guard);
-#if TBC_CERTIFY_TRACE_ON
 #ifdef TBC_CERTIFY
   // Certify-every-compile mode: record a trace even when the caller did not
   // attach one, so the checker replays the search instead of re-solving.
@@ -210,15 +169,10 @@ Result<NnfId> DdnnfCompiler::CompileBounded(const Cnf& cnf, NnfManager& mgr,
 #else
   DdnnfTrace* trace = trace_;
 #endif
-  if (trace != nullptr) {
-    trace->Clear();
-    run.set_trace(trace);
-  }
+  if (trace != nullptr) trace->Clear();
+  Compilation run(options_, mgr, stats_, guard, trace);
   Result<NnfId> root = run.CompileClauses(
       std::move(clauses), trace != nullptr ? &trace->top : nullptr);
-#else
-  Result<NnfId> root = run.CompileClauses(std::move(clauses));
-#endif
 #ifdef TBC_VALIDATE
   if (root.ok()) {
     ValidateNnfOrDie(mgr, *root, NnfDialect::kDecisionDnnf, cnf.num_vars(),

@@ -55,21 +55,17 @@ class DdnnfCompiler {
 
   const DdnnfStats& stats() const { return stats_; }
 
-#if TBC_CERTIFY_TRACE_ON
   /// Attaches a derivation-trace sink (borrowed; nullptr detaches). While
   /// attached, each CompileBounded clears and refills it with the search
   /// tree — decisions, component splits, BCP conflicts — in the form the
-  /// certificate checker replays (certify/checker.h). Only available when
-  /// the library is built with TBC_CERTIFY_TRACE=ON.
+  /// certificate checker replays (certify/checker.h). Attaching changes
+  /// nothing about the compile itself: same root, same circuit, same stats.
   void set_trace(DdnnfTrace* trace) { trace_ = trace; }
-#endif
 
  private:
   DdnnfOptions options_;
   DdnnfStats stats_;
-#if TBC_CERTIFY_TRACE_ON
   DdnnfTrace* trace_ = nullptr;
-#endif
 };
 
 }  // namespace tbc

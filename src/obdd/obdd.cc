@@ -104,13 +104,11 @@ ObddId ObddManager::Apply(Op op, ObddId f, ObddId g) {
   const ObddId g1 = lg == top ? nodes_[g].hi : g;
   const ObddId r = MakeNode(v, Apply(op, f0, g0), Apply(op, f1, g1));
   op_cache_.Insert(key, r);
-#if TBC_CERTIFY_TRACE_ON
   // Record after the recursion so a step's operands always precede it in
   // the sink (the checker verifies steps in order). Only conjunctions are
   // certified; CompileCnf builds clause OBDDs literal-by-literal with Or,
   // and the checker derives those directly from the input clause instead.
   if (trace_ != nullptr && op == Op::kAnd) trace_->steps.push_back({f, g, r});
-#endif
   return r;
 }
 
@@ -321,11 +319,12 @@ NnfId ObddManager::ToNnf(ObddId f, NnfManager& nnf) const {
   return memo[f];
 }
 
-// Clause indices sorted by their deepest variable so conjunction grows
-// locally. Shared by the plain and traced compile paths so both conjoin in
-// the same order.
-static std::vector<size_t> SortClausesByMaxLevel(const ObddManager& mgr,
-                                                 const Cnf& cnf) {
+// Conjoins the clause OBDDs, clauses sorted by their deepest variable so
+// the conjunction grows locally. The plain and traced compile paths share
+// this loop so both conjoin in the same order; `chain` (nullable) receives
+// one link per conjoined clause.
+static ObddId ConjoinClauses(ObddManager& mgr, const Cnf& cnf,
+                             std::vector<ObddChainLink>* chain) {
   std::vector<size_t> idx(cnf.num_clauses());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   auto max_level = [&](size_t i) {
@@ -335,7 +334,17 @@ static std::vector<size_t> SortClausesByMaxLevel(const ObddManager& mgr,
   };
   std::sort(idx.begin(), idx.end(),
             [&](size_t a, size_t b) { return max_level(a) < max_level(b); });
-  return idx;
+  ObddId acc = mgr.True();
+  for (size_t i : idx) {
+    ObddId clause = mgr.False();
+    for (Lit l : cnf.clause(i)) clause = mgr.Or(clause, mgr.LiteralNode(l));
+    acc = mgr.And(acc, clause);
+    if (chain != nullptr) {
+      chain->push_back({static_cast<uint32_t>(i), clause, acc});
+    }
+    if (acc == mgr.False()) break;
+  }
+  return acc;
 }
 
 ObddId ObddManager::CompileCnf(const Cnf& cnf) {
@@ -347,32 +356,15 @@ ObddId ObddManager::CompileCnf(const Cnf& cnf) {
   CertifyObddOrDie(cnf, *this, std::move(trace), "ObddManager::CompileCnf");
   return root;
 #else
-  const std::vector<size_t> idx = SortClausesByMaxLevel(*this, cnf);
-  ObddId acc = True();
-  for (size_t i : idx) {
-    ObddId clause = False();
-    for (Lit l : cnf.clause(i)) clause = Or(clause, LiteralNode(l));
-    acc = And(acc, clause);
-    if (acc == False()) break;
-  }
-  return acc;
+  return ConjoinClauses(*this, cnf, nullptr);
 #endif
 }
 
-#if TBC_CERTIFY_TRACE_ON
 ObddId ObddManager::CompileCnfTraced(const Cnf& cnf, ObddTrace* trace) {
   ObddTraceSink sink;
   ObddTraceSink* const saved = trace_;
   set_trace(&sink);
-  const std::vector<size_t> idx = SortClausesByMaxLevel(*this, cnf);
-  ObddId acc = True();
-  for (size_t i : idx) {
-    ObddId clause = False();
-    for (Lit l : cnf.clause(i)) clause = Or(clause, LiteralNode(l));
-    acc = And(acc, clause);
-    trace->chain.push_back({static_cast<uint32_t>(i), clause, acc});
-    if (acc == False()) break;
-  }
+  const ObddId acc = ConjoinClauses(*this, cnf, &trace->chain);
   set_trace(saved);
   trace->order = order_;
   trace->nodes.resize(nodes_.size());
@@ -383,7 +375,6 @@ ObddId ObddManager::CompileCnfTraced(const Cnf& cnf, ObddTrace* trace) {
   trace->root = acc;
   return acc;
 }
-#endif
 
 ObddId ObddManager::CompileFormula(const FormulaStore& store, FormulaId f) {
   FlatMap<FormulaId, ObddId> memo;

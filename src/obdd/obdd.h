@@ -102,7 +102,6 @@ class ObddManager {
   /// True iff f is monotone (non-decreasing) in variable v: f|¬v ⇒ f|v.
   bool IsMonotoneIn(ObddId f, Var v);
 
-#if TBC_CERTIFY_TRACE_ON
   /// Attaches an apply-step sink (borrowed; nullptr detaches). While
   /// attached, every conjunction computed by Apply is recorded. Attaching
   /// clears the op cache, so conjunctions answered from the cache always
@@ -116,7 +115,6 @@ class ObddManager {
   /// checker needs: order, node-table snapshot, apply steps, and the
   /// clause-conjunction chain ending at the returned root.
   ObddId CompileCnfTraced(const Cnf& cnf, ObddTrace* trace);
-#endif
 
  private:
   struct Node {
@@ -147,9 +145,7 @@ class ObddManager {
   std::vector<Node> nodes_;
   UniqueTable unique_;
   LossyCache<OpKey, ObddId> op_cache_;
-#if TBC_CERTIFY_TRACE_ON
   ObddTraceSink* trace_ = nullptr;
-#endif
 };
 
 }  // namespace tbc

@@ -80,8 +80,8 @@ MinimizeResult MinimizeVtree(const Cnf& cnf, const Vtree& initial,
 
 /// Recompilation-based search over the same neighborhood: every candidate
 /// vtree is evaluated by compiling the CNF from scratch. Kept as the
-/// cross-check oracle for the in-place path — tests compare the two and
-/// `kc_cli --minimize-recompile` exposes it — and as the reference
+/// cross-check oracle for the in-place path — tests and
+/// bench_vtree_shapes compare the two — and as the reference
 /// implementation of the search itself.
 MinimizeResult MinimizeVtreeByRecompile(const Cnf& cnf, const Vtree& initial,
                                         size_t budget, uint64_t seed,

@@ -28,11 +28,37 @@ std::string KeyOf(const std::string& cnf_text) {
   return buf;
 }
 
+/// Warms every lazily-written cache of a freshly built or restored
+/// artifact's manager single-threaded — varsets, level schedule, count
+/// memo, smoothed root — and fills the counts, so queries on the shared
+/// artifact are pure reads (see the Artifact doc comment). `known_count`
+/// is the model count when the caller already has it (a store that embeds
+/// one); otherwise it is computed under `guard`.
+Status WarmArtifact(Artifact& artifact, const BigUint* known_count,
+                    Guard& guard) {
+  NnfManager& mgr = *artifact.mgr;
+  mgr.VarSet(artifact.root);
+  mgr.ScheduleCached(artifact.root);
+  if (known_count != nullptr) {
+    artifact.count = *known_count;
+    mgr.StoreModelCount(artifact.root, artifact.num_vars, artifact.count);
+  } else {
+    TBC_ASSIGN_OR_RETURN(
+        artifact.count,
+        ModelCountBounded(mgr, artifact.root, artifact.num_vars, guard));
+  }
+  artifact.smooth_root = Smooth(mgr, artifact.root, artifact.num_vars);
+  mgr.VarSet(artifact.smooth_root);
+  artifact.nodes = mgr.NumNodesBelow(artifact.root);
+  artifact.edges = mgr.CircuitSize(artifact.root);
+  return Status::Ok();
+}
+
 /// Restores one spilled artifact from a `.tbc` file. Returns nullptr (with
 /// the reason counted) if the file fails store validation, lacks the
-/// embedded CNF, or does not hash to its own filename key. Warms the
-/// mapped manager's side caches exactly as Build() does, so the restored
-/// artifact honours the same share-after-warm contract.
+/// embedded CNF, or does not hash to its own filename key. Warms it with
+/// the same WarmArtifact as Build(), so the restored artifact honours the
+/// same share-after-warm contract.
 std::shared_ptr<const Artifact> RestoreFromStore(const std::string& path,
                                                  const std::string& stem) {
   auto loaded = LoadCircuitStore(path);
@@ -53,20 +79,15 @@ std::shared_ptr<const Artifact> RestoreFromStore(const std::string& path,
   artifact->root = loaded->root;
   artifact->num_vars = loaded->store->num_vars();
   artifact->from_store = true;
-  NnfManager& mgr = *loaded->mgr;
-  artifact->count = loaded->store->has_model_count()
-                        ? loaded->store->model_count()
-                        : ModelCount(mgr, artifact->root, artifact->num_vars);
-  // Same warm sequence as Build(): varsets, level schedule, count memo,
-  // smoothed root (appended to the overlay past the mapped range).
-  mgr.VarSet(artifact->root);
-  mgr.ScheduleCached(artifact->root);
-  mgr.StoreModelCount(artifact->root, artifact->num_vars, artifact->count);
-  artifact->smooth_root = Smooth(mgr, artifact->root, artifact->num_vars);
-  mgr.VarSet(artifact->smooth_root);
-  artifact->nodes = mgr.NumNodesBelow(artifact->root);
-  artifact->edges = mgr.CircuitSize(artifact->root);
   artifact->mgr = std::move(loaded->mgr);
+  const BigUint* stored_count = loaded->store->has_model_count()
+                                    ? &loaded->store->model_count()
+                                    : nullptr;
+  // Unbounded, like the rest of warm start. The smoothed root is appended
+  // to the overlay past the mapped range.
+  if (!WarmArtifact(*artifact, stored_count, Guard::Unlimited()).ok()) {
+    return nullptr;
+  }
   TBC_COUNT("serve.store.restores");
   return artifact;
 }
@@ -145,20 +166,7 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::Build(
   auto compiled = compiler.CompileBounded(cnf, *artifact->mgr, guard);
   if (!compiled.ok()) return compiled.status();
   artifact->root = *compiled;
-
-  // Warm every lazily-written manager cache single-threaded, so queries on
-  // the shared artifact are pure reads (see Artifact doc comment).
-  NnfManager& mgr = *artifact->mgr;
-  mgr.VarSet(artifact->root);
-  mgr.ScheduleCached(artifact->root);
-  auto count =
-      ModelCountBounded(mgr, artifact->root, artifact->num_vars, guard);
-  if (!count.ok()) return count.status();
-  artifact->count = std::move(count).value();
-  artifact->smooth_root = Smooth(mgr, artifact->root, artifact->num_vars);
-  mgr.VarSet(artifact->smooth_root);
-  artifact->nodes = mgr.NumNodesBelow(artifact->root);
-  artifact->edges = mgr.CircuitSize(artifact->root);
+  TBC_RETURN_IF_ERROR(WarmArtifact(*artifact, nullptr, guard));
   return std::shared_ptr<const Artifact>(std::move(artifact));
 }
 

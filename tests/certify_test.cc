@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "base/bigint.h"
+#include "base/random.h"
 #include "certify/certificate.h"
 #include "certify/checker.h"
 #include "certify/emit.h"
@@ -86,22 +88,17 @@ TEST(CertifyDdnnf, TracedCompilationsVerify) {
     const Cnf cnf = ParseCnf(dimacs);
     NnfManager mgr;
     DdnnfCompiler compiler;
-#if TBC_CERTIFY_TRACE_ON
     DdnnfTrace trace;
     compiler.set_trace(&trace);
-    const DdnnfTrace* tp = &trace;
-#else
-    const DdnnfTrace* tp = nullptr;
-#endif
     const NnfId root = compiler.Compile(cnf, mgr);
-    ExpectVerified(BuildDdnnfCertificate(cnf, mgr, root, tp,
+    ExpectVerified(BuildDdnnfCertificate(cnf, mgr, root, &trace,
                                          ModelCount(mgr, root, cnf.num_vars())),
                    cnf);
   }
 }
 
 TEST(CertifyDdnnf, TraceFreeCertificateVerifiesSemantically) {
-  // Emission disabled (or a foreign circuit): the checker must fall back to
+  // No trace attached (or a foreign circuit): the checker must fall back to
   // its own DPLL for CNF |= circuit instead of replaying a trace.
   const Cnf cnf = ParseCnf(kCnfs[0]);
   NnfManager mgr;
@@ -112,7 +109,6 @@ TEST(CertifyDdnnf, TraceFreeCertificateVerifiesSemantically) {
                  cnf);
 }
 
-#if TBC_CERTIFY_TRACE_ON
 TEST(CertifyDdnnf, ManagerReuseLeavesStaleNodesOutOfTheArgument) {
   // Compile two different CNFs into the same manager: the second
   // certificate's table snapshot contains the first compile's nodes
@@ -131,6 +127,62 @@ TEST(CertifyDdnnf, ManagerReuseLeavesStaleNodesOutOfTheArgument) {
       BuildDdnnfCertificate(small, mgr, root, &trace,
                             ModelCount(mgr, root, small.num_vars())),
       small);
+}
+
+// Seeded random k-CNF over `n` variables (duplicate literals removed).
+Cnf RandomCnf(size_t n, size_t m, size_t k, uint64_t seed) {
+  Rng rng(seed);
+  Cnf cnf(n);
+  for (size_t i = 0; i < m; ++i) {
+    std::set<Var> vars;
+    while (vars.size() < k) vars.insert(static_cast<Var>(rng.Below(n)));
+    Clause c;
+    for (Var v : vars) c.push_back(Lit(v, rng.Flip(0.5)));
+    cnf.AddClause(c);
+  }
+  return cnf;
+}
+
+TEST(CertifyDdnnf, AttachedTraceChangesNothing) {
+  // Trace emission is always compiled in, so an attached sink must be a
+  // pure observer: the same circuit and the same search statistics as the
+  // untraced compile, on instances whose compile hits the component cache
+  // (where a hit re-references an earlier trace record). Covers both
+  // component modes, since the unsplit mode feeds the same loop.
+  size_t with_cache_hits = 0;
+  for (const bool use_components : {true, false}) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      const Cnf cnf = RandomCnf(14, 30, 3, seed + 4100);
+      DdnnfOptions options;
+      options.use_components = use_components;
+
+      NnfManager plain_mgr;
+      DdnnfCompiler plain(options);
+      const NnfId plain_root = plain.Compile(cnf, plain_mgr);
+
+      NnfManager traced_mgr;
+      DdnnfCompiler traced(options);
+      DdnnfTrace trace;
+      traced.set_trace(&trace);
+      const NnfId traced_root = traced.Compile(cnf, traced_mgr);
+
+      EXPECT_EQ(traced_root, plain_root) << "seed " << seed;
+      EXPECT_EQ(traced_mgr.CircuitSize(traced_root),
+                plain_mgr.CircuitSize(plain_root))
+          << "seed " << seed;
+      EXPECT_EQ(traced.stats().decisions, plain.stats().decisions)
+          << "seed " << seed;
+      EXPECT_EQ(traced.stats().cache_hits, plain.stats().cache_hits)
+          << "seed " << seed;
+      if (plain.stats().cache_hits == 0) continue;
+      ++with_cache_hits;
+      ExpectVerified(
+          BuildDdnnfCertificate(cnf, traced_mgr, traced_root, &trace,
+                                ModelCount(traced_mgr, traced_root, 14)),
+          cnf);
+    }
+  }
+  EXPECT_GE(with_cache_hits, 20u);
 }
 
 TEST(CertifyObdd, TracedCompilationsVerify) {
@@ -171,7 +223,6 @@ TEST(CertifyObdd, ReusedManagerVerifies) {
                            ModelCount(s2, mgr.ToNnf(t2.root, s2), 4)),
       second);
 }
-#endif  // TBC_CERTIFY_TRACE_ON
 
 TEST(CertifySdd, CompilationsVerify) {
   for (const char* dimacs : kCnfs) {

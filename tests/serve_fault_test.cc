@@ -28,8 +28,6 @@
 namespace tbc::serve {
 namespace {
 
-#if defined(TBC_FAULTS_ENABLED) && TBC_FAULTS_ENABLED
-
 constexpr int kSeedsPerPoint = 50;
 
 ServerOptions LoopbackOptions() {
@@ -309,14 +307,6 @@ TEST(ServeFaults, SoakResultsBitIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(got, baseline) << "workers=" << workers;
   }
 }
-
-#else  // TBC_FAULTS disabled: the matrix has nothing to inject.
-
-TEST(ServeFaults, SkippedWithoutFaultBuild) {
-  GTEST_SKIP() << "built with TBC_FAULTS=OFF";
-}
-
-#endif  // TBC_FAULTS_ENABLED
 
 }  // namespace
 }  // namespace tbc::serve

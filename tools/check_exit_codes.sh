@@ -4,7 +4,9 @@
 #   0  success
 #   1  usage error or input/IO error
 #   2  lint reject (tbc_lint) / certificate reject (tbc_certify) /
-#      circuit store reject (kc_cli --load-circuit on corrupt bytes)
+#      unparseable input, an empty file included (kc_cli, tbc_lint,
+#      tbc_certify, tbc_analyze) / circuit store reject (kc_cli
+#      --load-circuit on corrupt bytes)
 #   3  typed resource refusal (budget/deadline/overload/unavailable)
 #   4  certificate reject during an in-process kc_cli --certify run
 #
@@ -46,6 +48,10 @@ expect() {
 }
 
 printf 'p cnf 3 2\n1 2 0\n-1 3 0\n' > "$TMP/good.cnf"
+# Empty but readable: every tool must call it unparseable input (2), not
+# an I/O error (1).
+: > "$TMP/empty"
+printf 'p cnf oops\n' > "$TMP/bad.cnf"
 # A hard random 3-CNF at the phase transition: guaranteed to blow a
 # 50-node budget, so kc_cli must answer a typed refusal (3).
 python3 - "$TMP/hard.cnf" <<'PY'
@@ -59,11 +65,13 @@ with open(sys.argv[1], "w") as f:
         f.write(" ".join(str(v if random.random() < 0.5 else -v) for v in vs) + " 0\n")
 PY
 
-# kc_cli: 0 / 1 / 3 / (4 via --certify on a reject, not reachable from
+# kc_cli: 0 / 1 / 2 / 3 / (4 via --certify on a reject, not reachable from
 # well-formed input — the tamper path is covered through tbc_certify).
 expect 0 "kc_cli compiles"              "$KC" "$TMP/good.cnf"
 expect 1 "kc_cli no args"               "$KC"
 expect 1 "kc_cli missing file"          "$KC" "$TMP/nope.cnf"
+expect 2 "kc_cli empty file"            "$KC" "$TMP/empty"
+expect 2 "kc_cli bad cnf"               "$KC" "$TMP/bad.cnf"
 expect 1 "kc_cli bad flag value"        "$KC" "$TMP/good.cnf" --timeout-ms=banana
 expect 1 "kc_cli unknown target"        "$KC" "$TMP/good.cnf" --target=dnf
 expect 3 "kc_cli budget refusal"        "$KC" "$TMP/hard.cnf" --max-nodes=50
@@ -82,8 +90,6 @@ expect 0 "kc_cli sdd-minimize aggressive" "$KC" "$TMP/good.cnf" --target=sdd \
            --sdd-minimize=aggressive --sdd-minimize-threshold=1.25
 expect 0 "kc_cli in-place minimize"     "$KC" "$TMP/good.cnf" --target=sdd \
            --minimize=32
-expect 0 "kc_cli recompile minimize"    "$KC" "$TMP/good.cnf" --target=sdd \
-           --minimize-recompile=32
 expect 3 "kc_cli minimize under budget" "$KC" "$TMP/hard.cnf" --target=sdd \
            --minimize=1000 --sdd-minimize=aggressive --max-nodes=50
 
@@ -106,6 +112,7 @@ printf 'nnf 4 4 2\nL 1\nL 2\nA 2 0 1\nO 1 2 2 1\n' > "$TMP/nondet.nnf"
 expect 0 "tbc_lint clean circuit"       "$LINT" "$TMP/good.nnf"
 expect 1 "tbc_lint no args"             "$LINT"
 expect 1 "tbc_lint missing file"        "$LINT" "$TMP/nope.nnf"
+expect 2 "tbc_lint empty file"          "$LINT" "$TMP/empty"
 expect 2 "tbc_lint determinism reject"  "$LINT" "$TMP/nondet.nnf"
 
 # tbc_certify: 0 / 1 / 2 (tampered certificate must be *rejected*, not
@@ -115,6 +122,7 @@ sed 's/^count 4$/count 5/' "$TMP/cert.txt" > "$TMP/tampered.txt"
 expect 0 "tbc_certify valid cert"       "$CERTIFY" "$TMP/cert.txt"
 expect 1 "tbc_certify no args"          "$CERTIFY"
 expect 1 "tbc_certify missing file"     "$CERTIFY" "$TMP/nope.txt"
+expect 2 "tbc_certify empty file"       "$CERTIFY" "$TMP/empty"
 expect 2 "tbc_certify tampered cert"    "$CERTIFY" "$TMP/tampered.txt"
 
 # tbc_client: 0 ok / 1 usage / 3 typed refusal. A dead server is a typed
@@ -132,7 +140,6 @@ fi
 # 30-clique (predicted width 29).
 if [[ -x "$ANALYZE" ]]; then
   printf 'p cnf 30 1\n%s0\n' "$(seq -s' ' 1 30) " > "$TMP/wide.cnf"
-  printf 'p cnf oops\n' > "$TMP/bad.cnf"
   expect 0 "tbc_analyze clean"          "$ANALYZE" "$TMP/good.cnf"
   expect 1 "tbc_analyze no args"        "$ANALYZE"
   expect 1 "tbc_analyze missing file"   "$ANALYZE" "$TMP/nope.cnf"
@@ -143,8 +150,7 @@ if [[ -x "$ANALYZE" ]]; then
   # An empty-but-readable file is unparseable CNF (2), not an I/O error
   # (1); an unreadable file among good ones still exits 1 but must not
   # truncate the JSON array mid-list.
-  : > "$TMP/empty.cnf"
-  expect 2 "tbc_analyze empty file"     "$ANALYZE" "$TMP/empty.cnf"
+  expect 2 "tbc_analyze empty file"     "$ANALYZE" "$TMP/empty"
   expect 1 "tbc_analyze missing among good" \
     "$ANALYZE" --format=json "$TMP/nope.cnf" "$TMP/good.cnf"
   # Capture first: tbc_analyze exits 1 here by design, which would trip
