@@ -4,16 +4,18 @@
 // raw SDD/OBDD apply loops underneath them.
 //
 // This file is deliberately restricted to APIs that exist both before and
-// after the kernel layer (compile, ModelCount/Wmc, Psdd evaluation, map
-// compilation): tools/run_bench.sh compiles this exact source against the
-// pre-PR baseline in a git worktree and against the current tree, runs
-// both, and writes the before/after medians to BENCH_kernels.json. Seeds
-// are pinned; every workload reports the median of 5 runs.
+// after the kernel layer (compile, ModelCount/Wmc, MarginalWmc/MaxWmc,
+// Psdd evaluation, map compilation): tools/run_bench.sh compiles this
+// exact source against the pre-PR baseline in a git worktree and against
+// the current tree, runs both, and writes the before/after medians to
+// BENCH_kernels.json. Seeds are pinned; every workload reports the median
+// of 5 runs, and the query kernels also report ns per circuit edge.
 //
 // Usage: bench_kernels [output.json]   (default: stdout)
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -85,6 +87,67 @@ void BenchDdnnfCountWmc() {
     for (int i = 0; i < 20; ++i) {
       g_sink += ModelCount(mgr, root, n).ToDouble();
       g_sink += Wmc(mgr, root, w);
+    }
+  }
+}
+
+// Warmed d-DNNF query kernels: circuits compiled once, outside the timed
+// region, then each run answers kQueryReps queries per circuit. The first
+// (untimed) run warms whatever the library caches per root, so the timed
+// runs price a cache-hit query, the serving path's steady state. Reported
+// per edge of the compiled circuit (before any smoothing), so the three
+// kernels compare on one scale across sizes.
+constexpr int kQueryReps = 20;
+
+struct QueryCircuit {
+  QueryCircuit(size_t num_vars, uint64_t seed)
+      : n(num_vars), w(RandomWeights(num_vars, seed + 1)) {
+    DdnnfCompiler compiler;
+    root = compiler.Compile(RandomCnf(n, n * 3, seed), mgr);
+  }
+  size_t n;
+  WeightMap w;
+  NnfManager mgr;
+  NnfId root = kInvalidNnf;
+};
+
+std::vector<std::unique_ptr<QueryCircuit>>& QueryCircuits() {
+  static auto* circuits = [] {
+    auto* out = new std::vector<std::unique_ptr<QueryCircuit>>;
+    for (size_t n : {24, 32, 40}) {
+      out->push_back(std::make_unique<QueryCircuit>(n, 300 + n));
+    }
+    return out;
+  }();
+  return *circuits;
+}
+
+double QueryEdgesPerRun() {
+  double edges = 0.0;
+  for (const auto& c : QueryCircuits()) {
+    edges += static_cast<double>(c->mgr.CircuitSize(c->root));
+  }
+  return edges * kQueryReps;
+}
+
+void BenchNnfWmc() {
+  for (const auto& c : QueryCircuits()) {
+    for (int i = 0; i < kQueryReps; ++i) g_sink += Wmc(c->mgr, c->root, c->w);
+  }
+}
+
+void BenchNnfMarginals() {
+  for (const auto& c : QueryCircuits()) {
+    for (int i = 0; i < kQueryReps; ++i) {
+      g_sink += MarginalWmc(c->mgr, c->root, c->w)[0];
+    }
+  }
+}
+
+void BenchNnfMpe() {
+  for (const auto& c : QueryCircuits()) {
+    for (int i = 0; i < kQueryReps; ++i) {
+      g_sink += MaxWmc(c->mgr, c->root, c->w, c->n).weight;
     }
   }
 }
@@ -219,12 +282,14 @@ struct Entry {
   std::string name;
   std::vector<double> runs_ms;
   double median_ms = 0.0;
+  double edges_per_run = 0.0;  // > 0: also report ns per circuit edge
 };
 
 template <typename Fn>
-Entry Measure(const std::string& name, Fn&& fn) {
+Entry Measure(const std::string& name, Fn&& fn, double edges_per_run = 0.0) {
   Entry e;
   e.name = name;
+  e.edges_per_run = edges_per_run;
   fn();  // warm-up: page in code, fill allocator pools
   for (int r = 0; r < 5; ++r) {
     Timer t;
@@ -242,6 +307,10 @@ Entry Measure(const std::string& name, Fn&& fn) {
 int main(int argc, char** argv) {
   std::vector<Entry> entries;
   entries.push_back(Measure("ddnnf_count_wmc", BenchDdnnfCountWmc));
+  const double query_edges = QueryEdgesPerRun();
+  entries.push_back(Measure("nnf_wmc", BenchNnfWmc, query_edges));
+  entries.push_back(Measure("nnf_marginals", BenchNnfMarginals, query_edges));
+  entries.push_back(Measure("nnf_mpe", BenchNnfMpe, query_edges));
   entries.push_back(Measure("certify_fig8_plain", BenchCertifyFig8Plain));
   entries.push_back(Measure("certify_fig8_traced", BenchCertifyFig8Traced));
   entries.push_back(Measure("psdd_eval", BenchPsddEval));
@@ -267,7 +336,12 @@ int main(int argc, char** argv) {
     for (size_t r = 0; r < e.runs_ms.size(); ++r) {
       std::fprintf(out, "%s%.3f", r ? ", " : "", e.runs_ms[r]);
     }
-    std::fprintf(out, "]}%s\n", i + 1 < entries.size() ? "," : "");
+    std::fprintf(out, "]");
+    if (e.edges_per_run > 0.0) {
+      std::fprintf(out, ", \"ns_per_edge\": %.3f",
+                   e.median_ms * 1e6 / e.edges_per_run);
+    }
+    std::fprintf(out, "}%s\n", i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   // The observability registry accumulated over every run above: the same

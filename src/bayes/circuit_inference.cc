@@ -40,10 +40,9 @@ Result<std::vector<double>> CompiledBayesNet::ProbEvidenceBatch(
     const std::vector<BnInstantiation>& evidence, Guard& guard,
     ThreadPool* pool) {
   TBC_RETURN_IF_ERROR(guard.Check());
-  // Warm the var-set and schedule caches once: afterwards every WMC pass
-  // only reads the manager, so concurrent lanes are race-free.
-  mgr_.VarSet(root_);
-  mgr_.ScheduleCached(root_);
+  // Warm the root's gap plan (varsets and schedule with it) once: afterwards
+  // every WMC pass only reads the manager, so concurrent lanes are race-free.
+  mgr_.GapPlanCached(root_);
   std::vector<double> out(evidence.size(), 0.0);
   const std::function<void(size_t)> body = [&](size_t i) {
     const Result<double> r =

@@ -8,6 +8,19 @@
 
 namespace tbc {
 
+std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
+                             const std::vector<uint64_t>& small) {
+  std::vector<Var> out;
+  for (size_t w = 0; w < big.size(); ++w) {
+    uint64_t diff = big[w] & ~(w < small.size() ? small[w] : 0);
+    while (diff != 0) {
+      out.push_back(static_cast<Var>(64 * w + __builtin_ctzll(diff)));
+      diff &= diff - 1;
+    }
+  }
+  return out;
+}
+
 NnfManager::NnfManager() {
   nodes_.push_back({Kind::kFalse, 0, {}});  // id 0
   nodes_.push_back({Kind::kTrue, 0, {}});   // id 1
@@ -129,6 +142,33 @@ const LevelSchedule& NnfManager::ScheduleCached(NnfId root) {
   schedules_.push_back(std::make_unique<LevelSchedule>(Schedule(root)));
   schedule_index_.Insert(root, static_cast<uint32_t>(schedules_.size() - 1));
   return *schedules_.back();
+}
+
+const GapPlan& NnfManager::GapPlanCached(NnfId root) {
+  if (const uint32_t* slot = gap_plan_index_.Find(root)) {
+    return *gap_plans_[*slot];
+  }
+  auto plan = std::make_unique<GapPlan>();
+  plan->root_vars = VarSet(root);  // warms every varset below root
+  plan->schedule = &ScheduleCached(root);
+  const LevelSchedule& s = *plan->schedule;
+  plan->edge_begin.reserve(s.order.size() + 1);
+  plan->gap_begin.push_back(0);
+  for (NnfId n : s.order) {
+    plan->edge_begin.push_back(static_cast<uint32_t>(plan->gap_begin.size() - 1));
+    if (kind(n) != Kind::kOr) continue;
+    const std::vector<uint64_t>& gate_vars = VarSet(n);
+    for (NnfId c : children(n)) {
+      const std::vector<Var> gap = MissingVars(gate_vars, VarSet(c));
+      plan->gap_vars.insert(plan->gap_vars.end(), gap.begin(), gap.end());
+      TBC_CHECK_MSG(plan->gap_vars.size() <= UINT32_MAX, "gap plan too large");
+      plan->gap_begin.push_back(static_cast<uint32_t>(plan->gap_vars.size()));
+    }
+  }
+  plan->edge_begin.push_back(static_cast<uint32_t>(plan->gap_begin.size() - 1));
+  gap_plans_.push_back(std::move(plan));
+  gap_plan_index_.Insert(root, static_cast<uint32_t>(gap_plans_.size() - 1));
+  return *gap_plans_.back();
 }
 
 size_t NnfManager::CircuitSize(NnfId root) const {

@@ -41,6 +41,30 @@ struct MappedCircuit {
   std::shared_ptr<const void> owner;
 };
 
+/// Variables present in bitset `big` but not in `small` (missing words of
+/// `small` count as empty), in ascending order. The "gap" of an or-gate
+/// input: the gate's variables the input does not mention.
+std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
+                             const std::vector<uint64_t>& small);
+
+/// Per-root evaluation plan of the gap-factor kernels in nnf/queries.cc
+/// (counting, weighted counting, MPE and sampling): the root's level
+/// schedule plus the gap of every or-gate input edge, flattened into CSR
+/// arrays, so a query reads gaps without touching varsets or allocating.
+struct GapPlan {
+  /// Owned by the manager's schedule cache.
+  const LevelSchedule* schedule = nullptr;
+  /// The or-gate at rank i owns edge slots [edge_begin[i], edge_begin[i+1]),
+  /// one per child in child order; other gates own none.
+  std::vector<uint32_t> edge_begin;
+  /// Edge slot e's gap is gap_vars[gap_begin[e] .. gap_begin[e+1]), in the
+  /// ascending order MissingVars() yields.
+  std::vector<uint32_t> gap_begin;
+  std::vector<Var> gap_vars;
+  /// Variables below the root, as a VarSet() bitset.
+  std::vector<uint64_t> root_vars;
+};
+
 /// A store of circuits in Negation Normal Form (paper §3, Fig 5).
 ///
 /// NNF circuits have and-gates, or-gates, literal inputs and the constants
@@ -162,11 +186,31 @@ class NnfManager {
   /// Returns nullptr on a miss; ModelCountBounded() populates it. Same
   /// warm-before-sharing contract as VarSet()/ScheduleCached().
   const BigUint* FindModelCount(NnfId root, size_t num_vars) const {
-    return count_cache_.Find(CountCacheKey(root, num_vars));
+    return count_cache_.Find(RootVarsKey(root, num_vars));
   }
   void StoreModelCount(NnfId root, size_t num_vars, const BigUint& count) {
-    count_cache_.Insert(CountCacheKey(root, num_vars), count);
+    count_cache_.Insert(RootVarsKey(root, num_vars), count);
   }
+
+  /// Memoized Smooth() results (nnf/properties.h), keyed like the count
+  /// memo: a smoothed root over a fixed universe is a pure function of the
+  /// append-only store, so it never goes stale. FindSmoothed returns
+  /// kInvalidNnf on a miss; Smooth() populates the memo. Same
+  /// warm-before-sharing contract as VarSet()/ScheduleCached().
+  NnfId FindSmoothed(NnfId root, size_t num_vars) const {
+    const NnfId* hit = smooth_cache_.Find(RootVarsKey(root, num_vars));
+    return hit != nullptr ? *hit : kInvalidNnf;
+  }
+  void StoreSmoothed(NnfId root, size_t num_vars, NnfId smooth) {
+    smooth_cache_.Insert(RootVarsKey(root, num_vars), smooth);
+  }
+
+  /// Cached GapPlan for `root`, built on the first call per root (which
+  /// also warms the subcircuit's varsets and schedule). Gaps are sets of
+  /// variables, so a plan never goes stale; the reference stays valid for
+  /// the manager's lifetime. Same warm-before-sharing contract as
+  /// ScheduleCached().
+  const GapPlan& GapPlanCached(NnfId root);
 
   /// Pre-sizes the unique table for `n` expected nodes.
   void Reserve(size_t n) { index_.Reserve(n); }
@@ -195,13 +239,16 @@ class NnfManager {
   UniqueTable index_;
   std::vector<std::vector<uint64_t>> varset_cache_;  // parallel to nodes_
   std::vector<int8_t> varset_ready_;
-  static uint64_t CountCacheKey(NnfId root, size_t num_vars) {
+  static uint64_t RootVarsKey(NnfId root, size_t num_vars) {
     return (uint64_t{root} << 32) | static_cast<uint32_t>(num_vars);
   }
 
   FlatMap<NnfId, uint32_t> schedule_index_;  // root -> schedules_ slot
   std::vector<std::unique_ptr<LevelSchedule>> schedules_;
+  FlatMap<NnfId, uint32_t> gap_plan_index_;  // root -> gap_plans_ slot
+  std::vector<std::unique_ptr<GapPlan>> gap_plans_;
   FlatMap<uint64_t, BigUint> count_cache_;
+  FlatMap<uint64_t, NnfId> smooth_cache_;
   size_t num_vars_ = 0;
 };
 

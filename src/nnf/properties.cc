@@ -16,20 +16,6 @@ NnfId AttachMissing(NnfManager& mgr, NnfId node, const std::vector<Var>& missing
   return mgr.And(std::move(parts));
 }
 
-std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
-                             const std::vector<uint64_t>& small) {
-  std::vector<Var> out;
-  for (size_t w = 0; w < big.size(); ++w) {
-    uint64_t diff = big[w] & ~(w < small.size() ? small[w] : 0);
-    while (diff != 0) {
-      const int bit = __builtin_ctzll(diff);
-      out.push_back(static_cast<Var>(64 * w + bit));
-      diff &= diff - 1;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 bool IsDecomposable(NnfManager& mgr, NnfId root) {
@@ -146,6 +132,9 @@ bool IsDecision(NnfManager& mgr, NnfId root) {
 }
 
 NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
+  // A memo hit only reads the manager, so a warmed smoothing is shareable.
+  const NnfId memo_hit = mgr.FindSmoothed(root, num_vars);
+  if (memo_hit != kInvalidNnf) return memo_hit;
   mgr.VarSet(root);
   // Dense memo indexed by original node id; And/Or below may append nodes,
   // but only pre-existing ids are ever looked up.
@@ -183,6 +172,7 @@ NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
     for (size_t v = 0; v < num_vars; ++v) all[v / 64] |= 1ull << (v % 64);
     result = AttachMissing(mgr, result, MissingVars(all, mgr.VarSet(root)));
   }
+  mgr.StoreSmoothed(root, num_vars, result);
   return result;
 }
 

@@ -12,26 +12,6 @@ namespace tbc {
 
 namespace {
 
-// Variables present in `big` but not in `small`.
-std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
-                             const std::vector<uint64_t>& small) {
-  std::vector<Var> out;
-  for (size_t w = 0; w < big.size(); ++w) {
-    uint64_t diff = big[w] & ~(w < small.size() ? small[w] : 0);
-    while (diff != 0) {
-      out.push_back(static_cast<Var>(64 * w + __builtin_ctzll(diff)));
-      diff &= diff - 1;
-    }
-  }
-  return out;
-}
-
-size_t PopCount(const std::vector<uint64_t>& set) {
-  size_t c = 0;
-  for (uint64_t w : set) c += static_cast<size_t>(__builtin_popcountll(w));
-  return c;
-}
-
 // Indices per chunk claimed off the pool; also the serial poll period.
 constexpr size_t kGrain = 64;
 
@@ -50,25 +30,34 @@ Status ForRange(ThreadPool* pool, Guard& guard, size_t begin, size_t end,
   return Status::Ok();
 }
 
-// Warms the manager's varset cache for the whole subcircuit (serially —
-// VarSet mutates its cache, so parallel pass bodies may only read it), then
-// snapshots the level schedule and per-rank variable counts.
-struct EvalPlan {
-  // Owned by the manager's schedule cache (valid for its lifetime), so
-  // repeated queries on one root levelize once.
-  const LevelSchedule* schedule = nullptr;
-  std::vector<uint32_t> nvars;  // |VarSet| per rank
-};
+// Number of variables in the gap of GapPlan edge slot `e` (the counting
+// kernels' exponent of 2).
+unsigned GapSize(const GapPlan& plan, uint32_t e) {
+  return plan.gap_begin[e + 1] - plan.gap_begin[e];
+}
 
-EvalPlan MakePlan(NnfManager& mgr, NnfId root) {
-  mgr.VarSet(root);
-  EvalPlan plan;
-  plan.schedule = &mgr.ScheduleCached(root);
-  plan.nvars.resize(plan.schedule->order.size());
-  for (size_t i = 0; i < plan.schedule->order.size(); ++i) {
-    plan.nvars[i] = static_cast<uint32_t>(PopCount(mgr.VarSet(plan.schedule->order[i])));
+// Product of `factor` over the gap of GapPlan edge slot `e`, multiplied in
+// ascending variable order.
+double GapProduct(const GapPlan& plan, uint32_t e,
+                  const std::vector<double>& factor) {
+  double f = 1.0;
+  for (uint32_t k = plan.gap_begin[e]; k < plan.gap_begin[e + 1]; ++k) {
+    f *= factor[plan.gap_vars[k]];
   }
-  return plan;
+  return f;
+}
+
+// Product of `factor` over variables 0..factor.size()-1 outside the root.
+double OutsideRootProduct(const GapPlan& plan,
+                          const std::vector<double>& factor) {
+  double f = 1.0;
+  for (size_t v = 0; v < factor.size(); ++v) {
+    const size_t w = v / 64;
+    const bool below =
+        w < plan.root_vars.size() && ((plan.root_vars[w] >> (v % 64)) & 1) != 0;
+    if (!below) f *= factor[v];
+  }
+  return f;
 }
 
 }  // namespace
@@ -107,7 +96,7 @@ Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
   // The store is append-only, so a root's count over a fixed universe never
   // changes; repeated counts on the same root hit the manager's cache.
   if (const BigUint* hit = mgr.FindModelCount(root, num_vars)) return *hit;
-  const EvalPlan plan = MakePlan(mgr, root);
+  const GapPlan& plan = mgr.GapPlanCached(root);
   const LevelSchedule& s = *plan.schedule;
   std::vector<BigUint> count(s.order.size());
   for (size_t l = 0; l < s.num_levels(); ++l) {
@@ -129,11 +118,11 @@ Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
             }
             case NnfManager::Kind::kOr: {
               BigUint sum(0);
+              uint32_t e = plan.edge_begin[i];
               for (NnfId c : mgr.children(n)) {
                 // Gap factor: each variable of the gate missing from this
                 // input is free, doubling the input's count.
-                sum += count[s.rank[c]] *
-                       BigUint::PowerOfTwo(plan.nvars[i] - plan.nvars[s.rank[c]]);
+                sum += count[s.rank[c]] * BigUint::PowerOfTwo(GapSize(plan, e++));
               }
               count[i] = std::move(sum);
               break;
@@ -141,7 +130,8 @@ Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
           }
         }));
   }
-  const size_t root_vars = plan.nvars[s.rank[root]];
+  size_t root_vars = 0;
+  for (uint64_t w : plan.root_vars) root_vars += __builtin_popcountll(w);
   TBC_CHECK_MSG(root_vars <= num_vars, "num_vars smaller than circuit variables");
   BigUint result = count[s.rank[root]] *
                    BigUint::PowerOfTwo(static_cast<unsigned>(num_vars - root_vars));
@@ -157,14 +147,13 @@ BigUint ModelCount(NnfManager& mgr, NnfId root, size_t num_vars) {
 Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
                           Guard& guard, ThreadPool* pool) {
   TBC_RETURN_IF_ERROR(guard.Check());
-  const EvalPlan plan = MakePlan(mgr, root);
+  const GapPlan& plan = mgr.GapPlanCached(root);
   const LevelSchedule& s = *plan.schedule;
-  auto gap_factor = [&](const std::vector<uint64_t>& big,
-                        const std::vector<uint64_t>& small) {
-    double f = 1.0;
-    for (Var v : MissingVars(big, small)) f *= weights[Pos(v)] + weights[Neg(v)];
-    return f;
-  };
+  // A variable free under a gate contributes W(x)+W(¬x).
+  std::vector<double> free_weight(weights.num_vars());
+  for (Var v = 0; v < free_weight.size(); ++v) {
+    free_weight[v] = weights[Pos(v)] + weights[Neg(v)];
+  }
   std::vector<double> value(s.order.size(), 0.0);
   for (size_t l = 0; l < s.num_levels(); ++l) {
     TBC_RETURN_IF_ERROR(ForRange(
@@ -188,8 +177,9 @@ Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
             }
             case NnfManager::Kind::kOr: {
               double sum = 0.0;
+              uint32_t e = plan.edge_begin[i];
               for (NnfId c : mgr.children(n)) {
-                sum += value[s.rank[c]] * gap_factor(mgr.VarSet(n), mgr.VarSet(c));
+                sum += value[s.rank[c]] * GapProduct(plan, e++, free_weight);
               }
               value[i] = sum;
               break;
@@ -198,11 +188,7 @@ Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
         }));
   }
   // Variables outside the circuit contribute (W(x)+W(¬x)) each.
-  double result = value[s.rank[root]];
-  std::vector<uint64_t> all((weights.num_vars() + 63) / 64, 0);
-  for (size_t v = 0; v < weights.num_vars(); ++v) all[v / 64] |= 1ull << (v % 64);
-  result *= gap_factor(all, mgr.VarSet(root));
-  return result;
+  return value[s.rank[root]] * OutsideRootProduct(plan, free_weight);
 }
 
 double Wmc(NnfManager& mgr, NnfId root, const WeightMap& weights) {
@@ -213,7 +199,7 @@ std::vector<double> MarginalWmc(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights) {
   const size_t num_vars = weights.num_vars();
   const NnfId smooth = Smooth(mgr, root, num_vars);
-  const LevelSchedule s = mgr.Schedule(smooth);
+  const LevelSchedule& s = mgr.ScheduleCached(smooth);
 
   // Upward pass: WMC value of every node.
   std::vector<double> value(s.order.size(), 0.0);
@@ -330,17 +316,13 @@ Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights, size_t num_vars,
                                 Guard& guard, ThreadPool* pool) {
   TBC_RETURN_IF_ERROR(guard.Check());
-  const EvalPlan plan = MakePlan(mgr, root);
+  const GapPlan& plan = mgr.GapPlanCached(root);
   const LevelSchedule& s = *plan.schedule;
-  auto best_lit_weight = [&](Var v) {
-    return std::max(weights[Pos(v)], weights[Neg(v)]);
-  };
-  auto gap_max = [&](const std::vector<uint64_t>& big,
-                     const std::vector<uint64_t>& small) {
-    double f = 1.0;
-    for (Var v : MissingVars(big, small)) f *= best_lit_weight(v);
-    return f;
-  };
+  // A variable free under a gate takes its heavier literal.
+  std::vector<double> best_weight(weights.num_vars());
+  for (Var v = 0; v < best_weight.size(); ++v) {
+    best_weight[v] = std::max(weights[Pos(v)], weights[Neg(v)]);
+  }
 
   std::vector<double> value(s.order.size(), 0.0);
   for (size_t l = 0; l < s.num_levels(); ++l) {
@@ -371,10 +353,12 @@ Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
             }
             case NnfManager::Kind::kOr: {
               double best = -1.0;
+              uint32_t e = plan.edge_begin[i];
               for (NnfId c : mgr.children(n)) {
+                const uint32_t edge = e++;
                 if (value[s.rank[c]] < 0.0) continue;
                 best = std::max(best, value[s.rank[c]] *
-                                          gap_max(mgr.VarSet(n), mgr.VarSet(c)));
+                                          GapProduct(plan, edge, best_weight));
               }
               value[i] = best;
               break;
@@ -391,8 +375,8 @@ Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
     result.assignment[v] = val;
     assigned[v] = 1;
   };
-  auto set_free_max = [&](const std::vector<Var>& vars) {
-    for (Var v : vars) set_var(v, weights[Pos(v)] >= weights[Neg(v)]);
+  auto set_free_max = [&](Var v) {
+    set_var(v, weights[Pos(v)] >= weights[Neg(v)]);
   };
 
   // Traceback (serial; ties break on child order, independent of threads).
@@ -412,29 +396,33 @@ Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
         break;
       case NnfManager::Kind::kOr: {
         NnfId best_child = kInvalidNnf;
+        uint32_t best_edge = 0;
         double best = -1.0;
+        uint32_t e = plan.edge_begin[s.rank[n]];
         for (NnfId c : mgr.children(n)) {
+          const uint32_t edge = e++;
           if (value[s.rank[c]] < 0.0) continue;
-          const double v =
-              value[s.rank[c]] * gap_max(mgr.VarSet(n), mgr.VarSet(c));
+          const double v = value[s.rank[c]] * GapProduct(plan, edge, best_weight);
           if (v > best) {
             best = v;
             best_child = c;
+            best_edge = edge;
           }
         }
         TBC_DCHECK(best_child != kInvalidNnf);
-        set_free_max(MissingVars(mgr.VarSet(n), mgr.VarSet(best_child)));
+        for (uint32_t k = plan.gap_begin[best_edge];
+             k < plan.gap_begin[best_edge + 1]; ++k) {
+          set_free_max(plan.gap_vars[k]);
+        }
         stack.push_back(best_child);
         break;
       }
     }
   }
   // Variables never mentioned along the chosen path.
-  std::vector<Var> leftover;
   for (Var v = 0; v < num_vars; ++v) {
-    if (!assigned[v]) leftover.push_back(v);
+    if (!assigned[v]) set_free_max(v);
   }
-  set_free_max(leftover);
 
   double w = 1.0;
   for (Var v = 0; v < num_vars; ++v) {
@@ -442,6 +430,11 @@ Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
   }
   result.weight = w;
   return result;
+}
+
+void WarmQueries(NnfManager& mgr, NnfId root, size_t num_vars) {
+  mgr.GapPlanCached(root);
+  mgr.ScheduleCached(Smooth(mgr, root, num_vars));
 }
 
 MpeResult MaxWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,
@@ -454,7 +447,7 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
                            Rng& rng) {
   TBC_CHECK_MSG(IsSatDnnf(mgr, root), "cannot sample an unsatisfiable circuit");
   // Counting pass (same recurrence as ModelCount).
-  const EvalPlan plan = MakePlan(mgr, root);
+  const GapPlan& plan = mgr.GapPlanCached(root);
   const LevelSchedule& s = *plan.schedule;
   std::vector<BigUint> count(s.order.size());
   for (size_t i = 0; i < s.order.size(); ++i) {
@@ -474,9 +467,9 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
       }
       case NnfManager::Kind::kOr: {
         BigUint sum(0);
+        uint32_t e = plan.edge_begin[i];
         for (NnfId c : mgr.children(n)) {
-          sum += count[s.rank[c]] *
-                 BigUint::PowerOfTwo(plan.nvars[i] - plan.nvars[s.rank[c]]);
+          sum += count[s.rank[c]] * BigUint::PowerOfTwo(GapSize(plan, e++));
         }
         count[i] = std::move(sum);
         break;
@@ -486,11 +479,9 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
 
   Assignment x(num_vars, false);
   std::vector<int8_t> assigned(num_vars, 0);
-  auto set_free = [&](const std::vector<Var>& vars) {
-    for (Var v : vars) {
-      x[v] = rng.Flip(0.5);
-      assigned[v] = 1;
-    }
+  auto set_free = [&](Var v) {
+    x[v] = rng.Flip(0.5);
+    assigned[v] = 1;
   };
   // Descent. Branch probabilities use double ratios of the exact counts;
   // the bias is bounded by double rounding (~1e-16 relative).
@@ -512,15 +503,18 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
         for (NnfId c : mgr.children(n)) stack.push_back(c);
         break;
       case NnfManager::Kind::kOr: {
-        const uint32_t nv = plan.nvars[s.rank[n]];
+        const uint32_t first_edge = plan.edge_begin[s.rank[n]];
         double u = rng.Uniform() * count[s.rank[n]].ToDouble();
         NnfId chosen = kInvalidNnf;
+        uint32_t chosen_edge = first_edge;
+        uint32_t e = first_edge;
         for (NnfId c : mgr.children(n)) {
-          const double w =
-              count[s.rank[c]].ToDouble() *
-              std::ldexp(1.0, static_cast<int>(nv - plan.nvars[s.rank[c]]));
+          const uint32_t edge = e++;
+          const double w = count[s.rank[c]].ToDouble() *
+                           std::ldexp(1.0, static_cast<int>(GapSize(plan, edge)));
           if (u < w || c == mgr.children(n).back()) {
             chosen = c;
+            chosen_edge = edge;
             break;
           }
           u -= w;
@@ -528,22 +522,28 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
         // Pick only children with nonzero count (⊥ children have w = 0 and
         // can only be reached via the fallback; skip them).
         if (count[s.rank[chosen]].IsZero()) {
+          e = first_edge;
           for (NnfId c : mgr.children(n)) {
-            if (!count[s.rank[c]].IsZero()) chosen = c;
+            const uint32_t edge = e++;
+            if (!count[s.rank[c]].IsZero()) {
+              chosen = c;
+              chosen_edge = edge;
+            }
           }
         }
-        set_free(MissingVars(mgr.VarSet(n), mgr.VarSet(chosen)));
+        for (uint32_t k = plan.gap_begin[chosen_edge];
+             k < plan.gap_begin[chosen_edge + 1]; ++k) {
+          set_free(plan.gap_vars[k]);
+        }
         stack.push_back(chosen);
         break;
       }
     }
   }
   // Variables outside the circuit.
-  std::vector<Var> leftover;
   for (Var v = 0; v < num_vars; ++v) {
-    if (!assigned[v]) leftover.push_back(v);
+    if (!assigned[v]) set_free(v);
   }
-  set_free(leftover);
   return x;
 }
 

@@ -35,8 +35,10 @@ BigUint ModelCount(NnfManager& mgr, NnfId root, size_t num_vars);
 double Wmc(NnfManager& mgr, NnfId root, const WeightMap& weights);
 
 /// Resource-governed variants of the counting kernels. All three walk the
-/// circuit's level schedule over dense rank-indexed arrays; when `pool` is
-/// non-null each level's node batch is distributed over its lanes. The
+/// circuit's level schedule over dense rank-indexed arrays and read their
+/// or-gate gaps from the root's cached GapPlan (NnfManager::GapPlanCached);
+/// when `pool` is non-null each level's node batch is distributed over its
+/// lanes. The
 /// per-node recurrences read only completed earlier levels and iterate
 /// children in a fixed order, so results are bit-identical to the serial
 /// pass at every thread count (the determinism contract of
@@ -49,9 +51,20 @@ Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
 
 /// All marginal weighted model counts in one bottom-up + top-down pass
 /// [Darwiche 2001, 2003]: returns m with m[l.code()] = WMC(Δ ∧ l) for every
-/// literal l over 0..num_vars-1. The circuit is smoothed internally.
+/// literal l over 0..num_vars-1, where num_vars = weights.num_vars(). The
+/// passes run over Smooth(mgr, root, num_vars) and its cached schedule; the
+/// manager memoizes both, so only the first call per (root, num_vars)
+/// smooths.
 std::vector<double> MarginalWmc(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights);
+
+/// Warms every lazily written manager cache that WmcBounded, MaxWmcBounded
+/// and MarginalWmc read for `root` with weights over `num_vars` variables:
+/// the root's GapPlan (with its varsets and schedule), the smoothing memo
+/// and the smoothed root's schedule. Afterwards those queries perform no
+/// write to `mgr`, so they may run concurrently on one shared manager.
+/// Call it single-threaded, before sharing.
+void WarmQueries(NnfManager& mgr, NnfId root, size_t num_vars);
 
 /// Minimum number of positive literals over models (minimum cardinality);
 /// returns SIZE_MAX if unsatisfiable. Variables not mentioned count 0.

@@ -13,7 +13,6 @@
 #include "base/observability.h"
 #include "compiler/ddnnf_compiler.h"
 #include "logic/cnf.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "store/store.h"
 
@@ -29,16 +28,14 @@ std::string KeyOf(const std::string& cnf_text) {
 }
 
 /// Warms every lazily-written cache of a freshly built or restored
-/// artifact's manager single-threaded — varsets, level schedule, count
-/// memo, smoothed root — and fills the counts, so queries on the shared
-/// artifact are pure reads (see the Artifact doc comment). `known_count`
-/// is the model count when the caller already has it (a store that embeds
-/// one); otherwise it is computed under `guard`.
+/// artifact's manager single-threaded — the count memo, then WarmQueries'
+/// gap plan, smoothing memo and schedules — and fills the counts, so
+/// queries on the shared artifact are pure reads (see the Artifact doc
+/// comment). `known_count` is the model count when the caller already has
+/// it (a store that embeds one); otherwise it is computed under `guard`.
 Status WarmArtifact(Artifact& artifact, const BigUint* known_count,
                     Guard& guard) {
   NnfManager& mgr = *artifact.mgr;
-  mgr.VarSet(artifact.root);
-  mgr.ScheduleCached(artifact.root);
   if (known_count != nullptr) {
     artifact.count = *known_count;
     mgr.StoreModelCount(artifact.root, artifact.num_vars, artifact.count);
@@ -47,8 +44,7 @@ Status WarmArtifact(Artifact& artifact, const BigUint* known_count,
         artifact.count,
         ModelCountBounded(mgr, artifact.root, artifact.num_vars, guard));
   }
-  artifact.smooth_root = Smooth(mgr, artifact.root, artifact.num_vars);
-  mgr.VarSet(artifact.smooth_root);
+  WarmQueries(mgr, artifact.root, artifact.num_vars);
   artifact.nodes = mgr.NumNodesBelow(artifact.root);
   artifact.edges = mgr.CircuitSize(artifact.root);
   return Status::Ok();
@@ -83,8 +79,8 @@ std::shared_ptr<const Artifact> RestoreFromStore(const std::string& path,
   const BigUint* stored_count = loaded->store->has_model_count()
                                     ? &loaded->store->model_count()
                                     : nullptr;
-  // Unbounded, like the rest of warm start. The smoothed root is appended
-  // to the overlay past the mapped range.
+  // Unbounded, like the rest of warm start. The smoothed circuit is
+  // appended to the overlay past the mapped range.
   if (!WarmArtifact(*artifact, stored_count, Guard::Unlimited()).ok()) {
     return nullptr;
   }
@@ -205,6 +201,7 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::GetOrCompile(
         // an uncached compile — never alias.
         TBC_COUNT("serve.cache.collisions");
         lock.unlock();
+        compiles_.fetch_add(1, std::memory_order_relaxed);
         return Build(cnf_text, guard, parsed);
       }
       slot->last_use = ++use_clock_;
@@ -216,6 +213,7 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::GetOrCompile(
   }
 
   // This thread owns the compile; no lock held while it runs.
+  compiles_.fetch_add(1, std::memory_order_relaxed);
   auto built = Build(cnf_text, guard, parsed);
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -1,6 +1,7 @@
 #ifndef TBC_SERVE_ARTIFACT_CACHE_H_
 #define TBC_SERVE_ARTIFACT_CACHE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -21,17 +22,17 @@ namespace tbc::serve {
 /// An immutable compiled circuit shared by concurrent queries.
 ///
 /// Built once (single-threaded) by ArtifactCache::GetOrCompile, then only
-/// read. Build() warms every lazily-populated manager cache — varsets, the
-/// level schedule, the model-count memo, and the smoothed root used by the
-/// marginals query — so the "warm single-threaded before sharing" contract
-/// of NnfManager holds and concurrent WMC/MAR/MPE queries on one artifact
-/// are data-race-free (asserted by the serve soak test under TSan).
+/// read. Build() warms every lazily-populated manager cache — the
+/// model-count memo, plus WarmQueries' gap plan, smoothing memo and level
+/// schedules (nnf/queries.h) — so the "warm single-threaded before
+/// sharing" contract of NnfManager holds: WMC/MAR/MPE queries perform no
+/// write to `mgr` and run concurrently on one artifact data-race-free
+/// (asserted by the serve soak test under TSan).
 struct Artifact {
   std::string cnf_text;   // exact bytes the key was hashed from
   std::string key;        // 32-hex content hash
   std::unique_ptr<NnfManager> mgr;
   NnfId root = kInvalidNnf;
-  NnfId smooth_root = kInvalidNnf;  // pre-smoothed for MarginalWmc
   size_t num_vars = 0;
   BigUint count;          // exact model count (warms the count memo)
   size_t nodes = 0;       // circuit nodes below root
@@ -89,6 +90,11 @@ class ArtifactCache {
   /// Number of cached (completed) artifacts.
   size_t size() const;
 
+  /// Number of compiles this cache has started (misses plus collision
+  /// fallbacks; warm-start restores are not compiles). A plain atomic, so
+  /// it counts with observability compiled out too.
+  uint64_t compiles() const { return compiles_.load(std::memory_order_relaxed); }
+
   /// Builds an artifact without touching the cache (also the compile step
   /// of GetOrCompile). Exposed for tests and the collision fallback.
   /// `parsed`, when non-null, must be the parse of exactly `cnf_text`.
@@ -124,6 +130,7 @@ class ArtifactCache {
   mutable std::mutex mu_;
   std::condition_variable done_cv_;  // broadcast when any compile finishes
   uint64_t use_clock_ = 0;
+  std::atomic<uint64_t> compiles_{0};
   std::map<std::string, std::shared_ptr<Slot>> slots_;
 };
 

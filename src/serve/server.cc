@@ -367,9 +367,6 @@ Response Server::Execute(const Request& req, Guard& guard) {
       return resp;
     }
     case Op::kMar: {
-      // The artifact's smooth root was built (and its caches warmed) at
-      // compile time; MarginalWmc re-smooths internally, which is a pure
-      // cache replay here.
       const std::vector<double> m =
           MarginalWmc(*art.mgr, art.root, weights);
       Status st = guard.Check();

@@ -89,6 +89,12 @@ class Server {
   size_t active_connections() const;
   size_t executing_requests() const;
   size_t cached_artifacts() const { return cache_.size(); }
+  /// Compiles started by this server's cache (ArtifactCache::compiles()).
+  uint64_t compiles() const { return cache_.compiles(); }
+  /// The cached artifact for `cnf_text`, or nullptr (ArtifactCache::Lookup).
+  std::shared_ptr<const Artifact> LookupArtifact(const std::string& cnf_text) {
+    return cache_.Lookup(cnf_text);
+  }
 
  private:
   explicit Server(const ServerOptions& opts);

@@ -414,6 +414,22 @@ TEST(NnfQueriesTest, SamplingWithNonSmoothCircuit) {
   for (const auto& [x, c] : counts) {
     EXPECT_NEAR(c / 9000.0, 1.0 / 3.0, 0.02);
   }
+
+  // Three inputs with gaps of 2, 1 and 0 variables, so every branch weight
+  // depends on its own gap whatever the child order:
+  // (x0 ∧ x1) ∨ (¬x0 ∧ ¬x1 ∧ x2) ∨ (¬x0 ∧ x1 ∧ x2 ∧ x3) has 4 + 2 + 1 = 7
+  // models.
+  const NnfId n0 = m.Literal(Neg(0));
+  const NnfId g = m.Or({m.And(m.Literal(Pos(0)), m.Literal(Pos(1))),
+                        m.And({n0, m.Literal(Neg(1)), m.Literal(Pos(2))}),
+                        m.And({n0, m.Literal(Pos(1)), m.Literal(Pos(2)),
+                               m.Literal(Pos(3))})});
+  counts.clear();
+  for (int i = 0; i < 14000; ++i) ++counts[SampleModelDnnf(m, g, 4, rng)];
+  EXPECT_EQ(counts.size(), 7u);
+  for (const auto& [x, c] : counts) {
+    EXPECT_NEAR(c / 14000.0, 1.0 / 7.0, 0.02);
+  }
 }
 
 TEST(NnfQueriesTest, ClausalEntailment) {

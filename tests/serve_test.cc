@@ -381,19 +381,24 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
   }
   ASSERT_EQ(spilled, 1u);
 
-  const uint64_t misses_before =
+  [[maybe_unused]] const uint64_t misses_before =
       Observability::Global().CounterValue("serve.cache.misses");
-  const uint64_t restores_before =
+  [[maybe_unused]] const uint64_t restores_before =
       Observability::Global().CounterValue("serve.store.restores");
-  const uint64_t hits_before =
+  [[maybe_unused]] const uint64_t hits_before =
       Observability::Global().CounterValue("serve.store.hits");
 
   // "Restart": a brand-new server process image over the same directory.
   auto server = Server::Start(opts);
   ASSERT_TRUE(server.ok()) << server.status().message();
   EXPECT_EQ((*server)->cached_artifacts(), 1u);  // warm before accept
+  const auto restored = (*server)->LookupArtifact(kSmallCnf);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_TRUE(restored->from_store);
+#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.store.restores"),
             restores_before + 1);
+#endif
 
   Client client(ClientFor(**server));
   auto c = client.Call(count);
@@ -406,14 +411,62 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
   ASSERT_TRUE(w->ok()) << w->message;
   EXPECT_EQ(w->wmc, first_wmc);  // bit-identical, not just approximately
 
-  // Zero compile activity after restart: no cache miss ever happened, and
-  // both queries were served off the restored (mapped) artifact.
+  // Zero compile activity after restart: the cache never compiled, and
+  // both queries were served off the restored (mapped) artifact. The
+  // compile count is a plain atomic, so this holds with TBC_OBSERVE=OFF.
+  EXPECT_EQ((*server)->compiles(), 0u);
+  EXPECT_EQ((*server)->LookupArtifact(kSmallCnf), restored);
+#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.cache.misses"),
             misses_before);
   EXPECT_EQ(Observability::Global().CounterValue("serve.store.hits"),
             hits_before + 2);
+#endif
   (*server)->Shutdown();
   std::filesystem::remove_all(store_dir);
+}
+
+// Queries on a warmed artifact are pure reads of its shared manager (the
+// contract that makes concurrent queries race-free): the compile already
+// filled the smoothing memo that `mar` reads, and no op may intern a node
+// or widen the variable range. The CNF leaves variable 4 unmentioned, so
+// smoothing over all four variables has to create nodes — at warm-up,
+// never per query.
+TEST(Server, QueriesDoNotWriteWarmedArtifact) {
+  constexpr const char* kCnf = "p cnf 4 2\n1 2 0\n-1 3 0\n";
+  auto server = Server::Start(LoopbackOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  Client client(ClientFor(**server));
+
+  Request compile;
+  compile.op = Op::kCompile;
+  compile.cnf_text = kCnf;
+  auto compiled = client.Call(compile);
+  ASSERT_TRUE(compiled.ok());
+  ASSERT_TRUE(compiled->ok()) << compiled->message;
+  const auto art = (*server)->LookupArtifact(kCnf);
+  ASSERT_NE(art, nullptr);
+  const NnfId smooth = art->mgr->FindSmoothed(art->root, art->num_vars);
+  ASSERT_NE(smooth, kInvalidNnf);  // warmed before publication
+  const size_t nodes = art->mgr->num_nodes();
+  const size_t vars = art->mgr->num_vars();
+  EXPECT_EQ(vars, 4u);  // the warm-up smoothing already reached variable 4
+
+  for (Op op : {Op::kWmc, Op::kMar, Op::kMpe, Op::kWmc, Op::kMar, Op::kMpe}) {
+    Request req;
+    req.op = op;
+    req.cnf_text = kCnf;
+    req.weights = {{1, 0.25}, {-1, 0.75}, {3, 0.0}, {4, 0.5}, {-4, 2.0}};
+    auto resp = client.Call(req);
+    ASSERT_TRUE(resp.ok());
+    ASSERT_TRUE(resp->ok()) << OpName(op) << ": " << resp->message;
+    EXPECT_TRUE(resp->cache_hit);
+  }
+  EXPECT_EQ(art->mgr->FindSmoothed(art->root, art->num_vars), smooth);
+  EXPECT_EQ(art->mgr->num_nodes(), nodes);
+  EXPECT_EQ(art->mgr->num_vars(), vars);
+  EXPECT_EQ((*server)->compiles(), 1u);
+  (*server)->Shutdown();
 }
 
 TEST(Server, WarmStartSkipsCorruptAndForeignStoreFiles) {
@@ -472,9 +525,9 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   for (int v = 1; v <= 30; ++v) wide += std::to_string(v) + " ";
   wide += "0\n";
 
-  const uint64_t misses_before =
+  [[maybe_unused]] const uint64_t misses_before =
       Observability::Global().CounterValue("serve.cache.misses");
-  const uint64_t refused_before =
+  [[maybe_unused]] const uint64_t refused_before =
       Observability::Global().CounterValue("serve.requests.forecast_refused");
 
   Request req;
@@ -486,19 +539,23 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   EXPECT_FALSE(resp->message.empty());
   EXPECT_TRUE(IsRefusal(resp->status));
 
-  // The refusal happened before any compile: nothing was cached, the
-  // cache never even saw a miss, and the typed counter ticked.
+  // The refusal happened before any compile: nothing was compiled or
+  // cached, the cache never even saw a miss, and the typed counter ticked.
+  EXPECT_EQ((*server)->compiles(), 0u);
   EXPECT_EQ((*server)->cached_artifacts(), 0u);
+#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.cache.misses"),
             misses_before);
   EXPECT_EQ(
       Observability::Global().CounterValue("serve.requests.forecast_refused"),
       refused_before + 1);
+#endif
 
   // Retrying the identical request is deterministic: refused again.
   auto again = client.Call(req);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->status, StatusCode::kRefusedByForecast);
+  EXPECT_EQ((*server)->compiles(), 0u);
 
   // Low-width work on the same server is admitted and answered.
   Request small;
@@ -508,12 +565,14 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   ASSERT_TRUE(ok.ok());
   ASSERT_TRUE(ok->ok()) << ok->message;
   EXPECT_EQ(ok->count, "4");
+  EXPECT_EQ((*server)->compiles(), 1u);
 
   // And once an artifact is cached, repeat requests bypass the forecast
   // path entirely (cache_hit short-circuit).
   auto cached = client.Call(small);
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached->cache_hit);
+  EXPECT_EQ((*server)->compiles(), 1u);
   (*server)->Shutdown();
 }
 

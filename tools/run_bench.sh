@@ -148,6 +148,9 @@ for name in kb:
         "before_runs_ms": kb[name]["runs_ms"],
         "after_runs_ms": kc[name]["runs_ms"],
     }
+    if "ns_per_edge" in kc[name]:
+        kernels[name]["before_ns_per_edge"] = kb[name].get("ns_per_edge")
+        kernels[name]["after_ns_per_edge"] = kc[name]["ns_per_edge"]
 
 with open(vtree_shapes_path) as f:
     vtree_shapes = json.load(f)
