@@ -6,10 +6,11 @@
 // This file is deliberately restricted to APIs that exist both before and
 // after the kernel layer (compile, ModelCount/Wmc, MarginalWmc/MaxWmc,
 // Psdd evaluation, map compilation): tools/run_bench.sh compiles this
-// exact source against the pre-PR baseline in a git worktree and against
-// the current tree, runs both, and writes the before/after medians to
+// exact source against an export of the pre-PR baseline and against the
+// current tree, runs both, and writes the before/after medians to
 // BENCH_kernels.json. Seeds are pinned; every workload reports the median
-// of 5 runs, and the query kernels also report ns per circuit edge.
+// of 5 runs, the query kernels also report ns per circuit edge, and the
+// BN compile ns per decision.
 //
 // Usage: bench_kernels [output.json]   (default: stdout)
 
@@ -22,9 +23,11 @@
 
 #include "base/random.h"
 #include "base/timer.h"
+#include "bayes/network.h"
+#include "bayes/wmc_encoding.h"
 
 // run_bench.sh compiles this exact source against the pre-observability
-// baseline worktree, which has no base/observability.h — gate on the
+// baseline, which has no base/observability.h — gate on the
 // header so both builds succeed and the report degrades to "stats": null.
 #if __has_include("base/observability.h")
 #include "base/observability.h"
@@ -75,8 +78,8 @@ WeightMap RandomWeights(size_t n, uint64_t seed) {
 // Sink defeating dead-code elimination across runs.
 double g_sink = 0.0;
 
-// Fig 8 shape: top-down d-DNNF compilation (component cache under string
-// keys) followed by repeated linear counting passes.
+// Fig 8 shape: top-down d-DNNF compilation (flat subproblems, fingerprinted
+// component cache) followed by repeated linear counting passes.
 void BenchDdnnfCountWmc() {
   for (size_t n : {16, 20, 24, 28}) {
     const Cnf cnf = RandomCnf(n, n * 3, 7 + n);
@@ -88,6 +91,54 @@ void BenchDdnnfCountWmc() {
       g_sink += ModelCount(mgr, root, n).ToDouble();
       g_sink += Wmc(mgr, root, w);
     }
+  }
+}
+
+// The compile behind every cold tbc_serve request: the WMC encoding of
+// servebench's banded Bayesian network (servebench/serve_bench.cc,
+// BandedNetwork: 24 binary variables, parents among the 4 predecessors;
+// 214 Boolean variables, 736 clauses). Reported per decision, the unit of
+// DPLL work, so it compares with ddnnf_count_wmc's random CNFs.
+constexpr int kBnCompileReps = 20;
+
+const Cnf& BandedBnCnf() {
+  static const Cnf* cnf = [] {
+    Rng shape(0x5e7eb0c4ull);
+    Rng params(1);
+    BayesianNetwork net;
+    for (size_t v = 0; v < 24; ++v) {
+      const size_t window = std::min<size_t>(v, 4);
+      const size_t count =
+          window == 0 ? 0 : shape.Below(std::min<size_t>(window, 3) + 1);
+      std::vector<BnVar> parents;
+      while (parents.size() < count) {
+        const BnVar p = static_cast<BnVar>(v - 1 - shape.Below(window));
+        if (std::find(parents.begin(), parents.end(), p) == parents.end()) {
+          parents.push_back(p);
+        }
+      }
+      std::vector<double> cpt_true(size_t{1} << parents.size());
+      for (double& x : cpt_true) x = 0.05 + 0.9 * params.Uniform();
+      net.AddBinary("x" + std::to_string(v), std::move(parents),
+                    std::move(cpt_true));
+    }
+    return new Cnf(WmcEncoding(net).cnf());
+  }();
+  return *cnf;
+}
+
+double BnCompileDecisionsPerRun() {
+  NnfManager mgr;
+  DdnnfCompiler compiler;
+  compiler.Compile(BandedBnCnf(), mgr);
+  return static_cast<double>(compiler.stats().decisions) * kBnCompileReps;
+}
+
+void BenchDdnnfCompileBn() {
+  for (int i = 0; i < kBnCompileReps; ++i) {
+    NnfManager mgr;
+    DdnnfCompiler compiler;
+    g_sink += static_cast<double>(compiler.Compile(BandedBnCnf(), mgr));
   }
 }
 
@@ -283,6 +334,7 @@ struct Entry {
   std::vector<double> runs_ms;
   double median_ms = 0.0;
   double edges_per_run = 0.0;  // > 0: also report ns per circuit edge
+  double decisions_per_run = 0.0;  // > 0: also report ns per decision
 };
 
 template <typename Fn>
@@ -307,6 +359,9 @@ Entry Measure(const std::string& name, Fn&& fn, double edges_per_run = 0.0) {
 int main(int argc, char** argv) {
   std::vector<Entry> entries;
   entries.push_back(Measure("ddnnf_count_wmc", BenchDdnnfCountWmc));
+  Entry compile_bn = Measure("ddnnf_compile_bn", BenchDdnnfCompileBn);
+  compile_bn.decisions_per_run = BnCompileDecisionsPerRun();
+  entries.push_back(compile_bn);
   const double query_edges = QueryEdgesPerRun();
   entries.push_back(Measure("nnf_wmc", BenchNnfWmc, query_edges));
   entries.push_back(Measure("nnf_marginals", BenchNnfMarginals, query_edges));
@@ -340,6 +395,10 @@ int main(int argc, char** argv) {
     if (e.edges_per_run > 0.0) {
       std::fprintf(out, ", \"ns_per_edge\": %.3f",
                    e.median_ms * 1e6 / e.edges_per_run);
+    }
+    if (e.decisions_per_run > 0.0) {
+      std::fprintf(out, ", \"ns_per_decision\": %.1f",
+                   e.median_ms * 1e6 / e.decisions_per_run);
     }
     std::fprintf(out, "}%s\n", i + 1 < entries.size() ? "," : "");
   }

@@ -1,11 +1,9 @@
 #include "compiler/ddnnf_compiler.h"
 
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "base/check.h"
-#include "base/flat_table.h"
 #include "base/observability.h"
 #include "compiler/subproblem.h"
 
@@ -21,13 +19,23 @@ namespace tbc {
 namespace {
 
 using compiler_internal::BcpOutcome;
-using compiler_internal::CacheKey;
+using compiler_internal::CacheKeyInto;
 using compiler_internal::Canonicalize;
-using compiler_internal::Clauses;
+using compiler_internal::ClauseRange;
+using compiler_internal::ClauseSet;
+using compiler_internal::ComponentCache;
+using compiler_internal::ComponentOf;
 using compiler_internal::ConditionClauses;
 using compiler_internal::PickBranchVar;
 using compiler_internal::Propagate;
 using compiler_internal::SplitComponents;
+
+// A compiled component: its circuit node, and (when tracing) the index of
+// its CertComp record, which a cache hit re-references.
+struct CachedComponent {
+  NnfId node;
+  uint32_t comp;
+};
 
 class Compilation {
  public:
@@ -41,71 +49,70 @@ class Compilation {
         guard_(guard),
         trace_(trace) {}
 
-  // `branch` (non-null iff a trace is attached) receives this subproblem's
-  // derivation: the BCP conflict, or the result node plus the component
-  // records it conjoins.
-  Result<NnfId> CompileClauses(Clauses clauses, CertBranch* branch) {
+  // Compiles `clauses` (consumed: propagation rewrites them in place) at
+  // recursion depth `depth`. `branch` (non-null iff a trace is attached)
+  // receives this subproblem's derivation: the BCP conflict, or the result
+  // node plus the component records it conjoins.
+  Result<NnfId> CompileClauses(ClauseSet& clauses, size_t depth,
+                               CertBranch* branch) {
     // No Canonicalize here: BCP closure and the component partition are
     // insensitive to clause order and duplicates, and CompileComponent
     // canonicalizes before keying the cache, so the result is identical.
-    std::vector<Lit> implied;
-    Clauses remaining;
-    if (Propagate(std::move(clauses), &implied, &remaining) ==
-        BcpOutcome::kConflict) {
+    Frame& frame = frames_.at(depth);
+    if (Propagate(&clauses, &frame.implied) == BcpOutcome::kConflict) {
       if (branch != nullptr) branch->conflict = true;
       return mgr_.False();
     }
-    std::vector<NnfId> conjuncts;
-    for (Lit l : implied) conjuncts.push_back(mgr_.Literal(l));
-    if (!remaining.empty()) {
-      std::vector<Clauses> components;
+    std::vector<NnfId>& conjuncts = frame.extra;
+    conjuncts.clear();
+    for (Lit l : frame.implied) conjuncts.push_back(mgr_.Literal(l));
+    if (!clauses.empty()) {
+      const ClauseSet* groups = &clauses;
       if (options_.use_components) {
-        components = SplitComponents(std::move(remaining));
-        if (components.size() > 1) {
+        groups = &SplitComponents(clauses, &frame.split, &frame.comp_ends);
+        if (frame.comp_ends.size() > 1) {
           ++stats_.components_split;
           TBC_COUNT("ddnnf.components_split");
         }
       } else {
-        components.push_back(std::move(remaining));
+        frame.comp_ends.assign(1, static_cast<uint32_t>(clauses.size()));
       }
-      for (Clauses& comp : components) {
+      for (size_t k = 0; k < frame.comp_ends.size(); ++k) {
         uint32_t comp_index = 0;
         TBC_ASSIGN_OR_RETURN(
             const NnfId sub,
-            CompileComponent(std::move(comp),
+            CompileComponent(ComponentOf(*groups, frame.comp_ends, k), depth,
                              branch != nullptr ? &comp_index : nullptr));
         if (branch != nullptr) branch->comps.push_back(comp_index);
         conjuncts.push_back(sub);
       }
     }
-    const NnfId result = mgr_.And(std::move(conjuncts));
+    const NnfId result = mgr_.And(conjuncts);
     if (branch != nullptr) branch->node = result;
     return result;
   }
 
  private:
+  using Frame = compiler_internal::Frame<std::vector<NnfId>>;  // conjuncts
+
   // Compiles a single component (no unit clauses after propagation). When
   // tracing, `comp_out` receives the index of this component's CertComp
   // record (a cache hit re-references the original record).
-  Result<NnfId> CompileComponent(Clauses clauses, uint32_t* comp_out) {
-    Canonicalize(clauses);
-    std::string key;
+  Result<NnfId> CompileComponent(ClauseRange component, size_t depth,
+                                 uint32_t* comp_out) {
+    Frame& frame = frames_.at(depth);
+    ClauseSet& clauses = frame.canonical;
+    Canonicalize(component, &frame.order, &clauses);
+    uint64_t fingerprint = 0;
     if (options_.use_cache) {
-      // Probe with a reusable buffer; only a miss pays for an owned copy
-      // (the copy must survive the recursion below, which reuses probe_).
-      compiler_internal::CacheKeyInto(clauses, &probe_);
-      if (const NnfId* hit = cache_.Find(probe_)) {
+      fingerprint = CacheKeyInto(clauses, &frame.key);
+      if (const CachedComponent* hit = cache_.Find(frame.key, fingerprint)) {
         ++stats_.cache_hits;
         TBC_COUNT("ddnnf.cache_hits");
-        if (comp_out != nullptr) {
-          const uint32_t* comp_hit = comp_cache_.Find(probe_);
-          TBC_DCHECK(comp_hit != nullptr);
-          *comp_out = *comp_hit;
-        }
-        return *hit;
+        if (comp_out != nullptr) *comp_out = hit->comp;
+        return hit->node;
       }
       TBC_COUNT("ddnnf.cache_misses");
-      key = probe_;
     }
     ++stats_.decisions;
     TBC_COUNT("ddnnf.decisions");
@@ -118,22 +125,27 @@ class Compilation {
     TBC_DCHECK(v != kInvalidVar);
     CertComp comp;
     comp.decision = v;
+    // Both branches are conditioned into the same per-depth buffer: the
+    // high branch is fully compiled before the low one is built.
+    ConditionClauses(clauses, Pos(v), &frame.branch);
     TBC_ASSIGN_OR_RETURN(
         const NnfId hi,
-        CompileClauses(ConditionClauses(clauses, Pos(v)),
+        CompileClauses(frame.branch, depth + 1,
                        comp_out != nullptr ? &comp.hi : nullptr));
+    ConditionClauses(clauses, Neg(v), &frame.branch);
     TBC_ASSIGN_OR_RETURN(
         const NnfId lo,
-        CompileClauses(ConditionClauses(clauses, Neg(v)),
+        CompileClauses(frame.branch, depth + 1,
                        comp_out != nullptr ? &comp.lo : nullptr));
     const NnfId result = mgr_.Decision(v, hi, lo);
+    CachedComponent cached{result, 0};
     if (comp_out != nullptr) {
       comp.node = result;
-      *comp_out = static_cast<uint32_t>(trace_->comps.size());
+      cached.comp = static_cast<uint32_t>(trace_->comps.size());
+      *comp_out = cached.comp;
       trace_->comps.push_back(std::move(comp));
-      if (options_.use_cache) comp_cache_.Insert(key, *comp_out);
     }
-    if (options_.use_cache) cache_.Insert(key, result);
+    if (options_.use_cache) cache_.Insert(frame.key, fingerprint, cached);
     return result;
   }
 
@@ -142,9 +154,8 @@ class Compilation {
   DdnnfStats& stats_;
   Guard& guard_;
   DdnnfTrace* const trace_;
-  FlatMap<std::string, NnfId> cache_;
-  std::string probe_;
-  FlatMap<std::string, uint32_t> comp_cache_;  // cache_'s keys -> comp index
+  compiler_internal::FrameStack<std::vector<NnfId>> frames_;
+  ComponentCache<CachedComponent> cache_;
 };
 
 }  // namespace
@@ -159,8 +170,8 @@ Result<NnfId> DdnnfCompiler::CompileBounded(const Cnf& cnf, NnfManager& mgr,
   TBC_SPAN("ddnnf.compile");
   stats_ = DdnnfStats();
   TBC_RETURN_IF_ERROR(guard.Check());
-  Clauses clauses(cnf.clauses().begin(), cnf.clauses().end());
-  compiler_internal::SortEachClause(clauses);  // invariant for Canonicalize
+  ClauseSet clauses;
+  compiler_internal::LoadCnf(cnf, &clauses);
 #ifdef TBC_CERTIFY
   // Certify-every-compile mode: record a trace even when the caller did not
   // attach one, so the checker replays the search instead of re-solving.
@@ -172,7 +183,7 @@ Result<NnfId> DdnnfCompiler::CompileBounded(const Cnf& cnf, NnfManager& mgr,
   if (trace != nullptr) trace->Clear();
   Compilation run(options_, mgr, stats_, guard, trace);
   Result<NnfId> root = run.CompileClauses(
-      std::move(clauses), trace != nullptr ? &trace->top : nullptr);
+      clauses, 0, trace != nullptr ? &trace->top : nullptr);
 #ifdef TBC_VALIDATE
   if (root.ok()) {
     ValidateNnfOrDie(mgr, *root, NnfDialect::kDecisionDnnf, cnf.num_vars(),

@@ -1,6 +1,8 @@
 #include "logic/cnf.h"
 
 #include <algorithm>
+#include <cctype>
+#include <string_view>
 
 #include "base/strings.h"
 
@@ -81,45 +83,77 @@ uint64_t Cnf::CountModelsBruteForce() const {
   return count;
 }
 
+namespace {
+
+bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
+// Splits the next whitespace-delimited token off the front of `rest`;
+// empty once `rest` holds only whitespace.
+std::string_view NextToken(std::string_view& rest) {
+  size_t b = 0;
+  while (b < rest.size() && IsSpace(rest[b])) ++b;
+  size_t e = b;
+  while (e < rest.size() && !IsSpace(rest[e])) ++e;
+  const std::string_view token = rest.substr(b, e - b);
+  rest.remove_prefix(e);
+  return token;
+}
+
+}  // namespace
+
+// One pass over the text through string_views: no per-line or per-token
+// strings, so a request's DIMACS costs its tokens and its clauses only.
 Result<Cnf> Cnf::ParseDimacs(const std::string& text) {
   Cnf cnf;
   bool saw_header = false;
   uint64_t declared_vars = 0;
-  std::vector<int> pending;
+  Clause pending;
   size_t line_no = 0;
-  for (const std::string& line : SplitChar(text, '\n')) {
+  const std::string_view all(text);
+  // Lines are the '\n'-separated fields, the (possibly empty) one after
+  // the last '\n' included.
+  for (size_t pos = 0; pos <= all.size();) {
+    size_t newline = all.find('\n', pos);
+    if (newline == std::string_view::npos) newline = all.size();
+    const std::string_view line = all.substr(pos, newline - pos);
+    pos = newline + 1;
     ++line_no;
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped[0] == 'c' || stripped[0] == '%') continue;
-    if (stripped[0] == 'p') {
-      std::vector<std::string> tok = SplitWhitespace(stripped);
-      if (tok.size() < 4 || tok[1] != "cnf") {
+    std::string_view rest = StripWhitespace(line);
+    if (rest.empty() || rest[0] == 'c' || rest[0] == '%') continue;
+    if (rest[0] == 'p') {
+      std::string_view tok[4];
+      size_t count = 0;
+      while (count < 4 && !(tok[count] = NextToken(rest)).empty()) ++count;
+      if (count < 4 || tok[1] != "cnf") {
         return Status::InvalidInput("line " + std::to_string(line_no) +
-                                    ": bad DIMACS header: " + line);
+                                    ": bad DIMACS header: " +
+                                    std::string(line));
       }
       if (!ParseUint64(tok[2], &declared_vars) ||
           declared_vars > (1u << 28)) {
         return Status::InvalidInput("line " + std::to_string(line_no) +
-                                    ": bad variable count '" + tok[2] + "'");
+                                    ": bad variable count '" +
+                                    std::string(tok[2]) + "'");
       }
       saw_header = true;
       continue;
     }
-    for (const std::string& tok : SplitWhitespace(stripped)) {
+    for (std::string_view tok = NextToken(rest); !tok.empty();
+         tok = NextToken(rest)) {
       int v = 0;
       if (!ParseInt(tok, &v) || v < -(1 << 28) || v > (1 << 28)) {
         return Status::InvalidInput("line " + std::to_string(line_no) +
-                                    ": bad DIMACS token: " + tok);
+                                    ": bad DIMACS token: " + std::string(tok));
       }
       if (v == 0) {
-        cnf.AddClauseDimacs(pending);
+        cnf.AddClause(pending);
         pending.clear();
       } else {
-        pending.push_back(v);
+        pending.push_back(Lit::FromDimacs(v));
       }
     }
   }
-  if (!pending.empty()) cnf.AddClauseDimacs(pending);
+  if (!pending.empty()) cnf.AddClause(std::move(pending));
   if (!saw_header) return Status::InvalidInput("missing DIMACS header");
   cnf.EnsureVars(declared_vars);
   return cnf;

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/observability.h"
 #include "base/random.h"
+#include "bayes/network.h"
+#include "bayes/wmc_encoding.h"
 #include "compiler/ddnnf_compiler.h"
 #include "compiler/model_counter.h"
 #include "compiler/subproblem.h"
@@ -242,58 +247,396 @@ TEST(ModelCounterTest, WmcUnrepresentableResultSaturates) {
   EXPECT_GE(counter.stats().underflow_rescues, 1u);
 }
 
+compiler_internal::ClauseSet MakeClauseSet(
+    const std::vector<std::vector<Lit>>& clauses) {
+  compiler_internal::ClauseSet set;
+  for (const auto& c : clauses) set.Append(c);
+  return set;
+}
+
+std::vector<uint32_t> KeyOf(const std::vector<std::vector<Lit>>& clauses) {
+  std::vector<uint32_t> key;
+  compiler_internal::CacheKeyInto(MakeClauseSet(clauses), &key);
+  return key;
+}
+
 TEST(SubproblemTest, CacheKeyPinnedEncoding) {
-  using compiler_internal::CacheKey;
-  using compiler_internal::Clauses;
-  // Pins the length-prefixed byte layout: uint32 literal count, then the
-  // literal codes, per clause. Changing the encoding silently invalidates
-  // nothing (the cache is per-run) but must be a conscious decision — it
-  // is the injectivity proof the component cache rests on.
-  const Clauses clauses = {{Pos(0), Neg(1)}, {Pos(2)}};
-  std::string expected;
-  const auto append_u32 = [&expected](uint32_t v) {
-    expected.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  append_u32(2);
-  append_u32(Pos(0).code());
-  append_u32(Neg(1).code());
-  append_u32(1);
-  append_u32(Pos(2).code());
-  EXPECT_EQ(CacheKey(clauses), expected);
-  EXPECT_EQ(CacheKey(clauses).size(), 5 * sizeof(uint32_t));
-  EXPECT_EQ(CacheKey({}), std::string());
+  // Pins the length-prefixed layout: literal count, then the literal
+  // codes, per clause. Changing the encoding silently invalidates nothing
+  // (the cache is per-run) but must be a conscious decision — it is the
+  // injectivity proof the component cache rests on.
+  const std::vector<uint32_t> expected = {
+      2, Pos(0).code(), Neg(1).code(), 1, Pos(2).code()};
+  EXPECT_EQ(KeyOf({{Pos(0), Neg(1)}, {Pos(2)}}), expected);
+  EXPECT_EQ(KeyOf({}), std::vector<uint32_t>());
+  // The fingerprint returned alongside is the key's.
+  std::vector<uint32_t> key;
+  const uint64_t fingerprint = compiler_internal::CacheKeyInto(
+      MakeClauseSet({{Pos(0), Neg(1)}, {Pos(2)}}), &key);
+  EXPECT_EQ(fingerprint, compiler_internal::Fingerprint(expected));
 }
 
 TEST(SubproblemTest, CacheKeyIsInjectiveOnSentinelLiteral) {
-  using compiler_internal::CacheKey;
-  using compiler_internal::Clauses;
-  // The old encoding terminated each clause with 0xFFFFFFFF — which is
-  // also the literal code of Neg(2^31 - 1), reachable through the public
-  // Lit constructor. Under that scheme the two clause sets below
-  // serialized to identical bytes (A S S B S), so the component cache
+  // A sentinel scheme that terminated each clause with 0xFFFFFFFF is not
+  // injective: that is also the literal code of Neg(2^31 - 1), reachable
+  // through the public Lit constructor, so the two clause sets below
+  // serialized to identical words (A S S B S) and the component cache
   // could serve one's count for the other. Length prefixes keep every
   // distinct clause set distinct.
   const Lit a = Pos(0);
   const Lit b = Pos(1);
   const Lit s = Neg(0x7FFFFFFFu);
   ASSERT_EQ(s.code(), 0xFFFFFFFFu);
-  const Clauses lhs = {{a, s}, {b}};
-  const Clauses rhs = {{a}, {s, b}};
-  // Demonstrate the historical collision with the old sentinel scheme.
-  const auto old_key = [](const Clauses& cs) {
-    std::string key;
+  const std::vector<std::vector<Lit>> lhs = {{a, s}, {b}};
+  const std::vector<std::vector<Lit>> rhs = {{a}, {s, b}};
+  const auto sentinel_key = [](const std::vector<std::vector<Lit>>& cs) {
+    std::vector<uint32_t> key;
     for (const auto& c : cs) {
-      for (const Lit l : c) {
-        const uint32_t code = l.code();
-        key.append(reinterpret_cast<const char*>(&code), sizeof(code));
-      }
-      const uint32_t sep = 0xFFFFFFFFu;
-      key.append(reinterpret_cast<const char*>(&sep), sizeof(sep));
+      for (const Lit l : c) key.push_back(l.code());
+      key.push_back(0xFFFFFFFFu);
     }
     return key;
   };
-  EXPECT_EQ(old_key(lhs), old_key(rhs));  // the bug
-  EXPECT_NE(CacheKey(lhs), CacheKey(rhs));  // the fix
+  EXPECT_EQ(sentinel_key(lhs), sentinel_key(rhs));  // the bug
+  EXPECT_NE(KeyOf(lhs), KeyOf(rhs));                // the fix
+}
+
+TEST(SubproblemTest, ComponentCacheVerifiesKeysOnFingerprintCollision) {
+  // Three distinct keys forced onto one fingerprint, so they share one
+  // probe chain: every lookup must still answer by the full key.
+  compiler_internal::ComponentCache<int> cache;
+  const std::vector<uint32_t> k1 = KeyOf({{Pos(0), Neg(1)}});
+  const std::vector<uint32_t> k2 = KeyOf({{Pos(0), Pos(1)}});
+  const std::vector<uint32_t> k3 = KeyOf({{Pos(0)}, {Neg(1)}});
+  const std::vector<uint32_t> prefix_of_k3 = KeyOf({{Pos(0)}});
+  constexpr uint64_t kSlot = 42;
+  cache.Insert(k1, kSlot, 1);
+  EXPECT_EQ(cache.Find(k2, kSlot), nullptr);
+  cache.Insert(k2, kSlot, 2);
+  cache.Insert(k3, kSlot, 3);
+  ASSERT_NE(cache.Find(k1, kSlot), nullptr);
+  ASSERT_NE(cache.Find(k2, kSlot), nullptr);
+  ASSERT_NE(cache.Find(k3, kSlot), nullptr);
+  EXPECT_EQ(*cache.Find(k1, kSlot), 1);
+  EXPECT_EQ(*cache.Find(k2, kSlot), 2);
+  EXPECT_EQ(*cache.Find(k3, kSlot), 3);
+  EXPECT_EQ(cache.Find(prefix_of_k3, kSlot), nullptr);
+  EXPECT_EQ(cache.Find(std::vector<uint32_t>(), kSlot), nullptr);
+  // The fingerprint narrows the probe: a key under another one is absent.
+  EXPECT_EQ(cache.Find(k1, kSlot + 1), nullptr);
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(SubproblemTest, TransformsAreOrderPreservingFilters) {
+  using compiler_internal::ClauseSet;
+  // Propagate: x0 is forced, which satisfies the second clause and
+  // shrinks the third; the survivors keep their order.
+  ClauseSet set = MakeClauseSet({{Pos(0)},
+                                 {Pos(0), Pos(1)},
+                                 {Neg(0), Pos(2), Pos(3)},
+                                 {Pos(4), Pos(5)}});
+  std::vector<Lit> implied;
+  ASSERT_EQ(compiler_internal::Propagate(&set, &implied),
+            compiler_internal::BcpOutcome::kOk);
+  EXPECT_EQ(implied, std::vector<Lit>{Pos(0)});
+  ClauseSet expected = MakeClauseSet({{Pos(2), Pos(3)}, {Pos(4), Pos(5)}});
+  EXPECT_EQ(set.lits, expected.lits);
+  EXPECT_EQ(set.ends, expected.ends);
+  ClauseSet conflict = MakeClauseSet({{Pos(0)}, {Neg(0)}});
+  EXPECT_EQ(compiler_internal::Propagate(&conflict, &implied),
+            compiler_internal::BcpOutcome::kConflict);
+
+  // SplitComponents: components ordered by their first clause, clause
+  // order kept within each.
+  const ClauseSet mixed = MakeClauseSet({{Pos(0), Pos(1)},
+                                         {Pos(5), Pos(6)},
+                                         {Neg(1), Pos(2)},
+                                         {Neg(6), Pos(7)}});
+  ClauseSet scratch;
+  std::vector<uint32_t> comp_ends;
+  const ClauseSet& groups =
+      compiler_internal::SplitComponents(mixed, &scratch, &comp_ends);
+  EXPECT_EQ(comp_ends, (std::vector<uint32_t>{2, 4}));
+  expected = MakeClauseSet({{Pos(0), Pos(1)},
+                            {Neg(1), Pos(2)},
+                            {Pos(5), Pos(6)},
+                            {Neg(6), Pos(7)}});
+  EXPECT_EQ(groups.lits, expected.lits);
+  EXPECT_EQ(groups.ends, expected.ends);
+  EXPECT_EQ(&compiler_internal::SplitComponents(expected, &scratch,
+                                                &comp_ends),
+            &scratch);  // two components: scattered into the scratch set
+  const ClauseSet one = MakeClauseSet({{Pos(0), Pos(1)}, {Neg(1), Pos(2)}});
+  EXPECT_EQ(&compiler_internal::SplitComponents(one, &scratch, &comp_ends),
+            &one);  // one component: passed through
+  EXPECT_EQ(comp_ends, std::vector<uint32_t>{2});
+
+  // Canonicalize: lexicographic clause order (a clause sorts before its
+  // extensions), duplicates dropped.
+  const ClauseSet messy = MakeClauseSet({{Pos(1), Pos(2)},
+                                         {Pos(0), Pos(3)},
+                                         {Pos(0)},
+                                         {Pos(1), Pos(2)},
+                                         {Pos(0), Pos(1), Pos(2)}});
+  std::vector<compiler_internal::SortEntry> order;
+  ClauseSet canonical;
+  compiler_internal::Canonicalize({&messy, 0, 5}, &order, &canonical);
+  expected = MakeClauseSet(
+      {{Pos(0)}, {Pos(0), Pos(1), Pos(2)}, {Pos(0), Pos(3)}, {Pos(1), Pos(2)}});
+  EXPECT_EQ(canonical.lits, expected.lits);
+  EXPECT_EQ(canonical.ends, expected.ends);
+}
+
+// Search identity: decisions, cache hits, component splits, circuit size,
+// root id and model count, pinned from the vector-of-clauses compiler that
+// the flat subproblem representation replaced. Every transform of the
+// search is an order-preserving filter and the canonical clause order is
+// lexicographic, so the representation must not change the search: the
+// same nodes are created in the same order.
+
+// The servebench Bayesian network (servebench/serve_bench.cc,
+// BandedNetwork): 24 binary variables, parents among the 4 predecessors.
+Cnf BandedBnCnf() {
+  Rng shape(0x5e7eb0c4ull);
+  Rng params(1);
+  BayesianNetwork net;
+  for (size_t v = 0; v < 24; ++v) {
+    const size_t window = std::min<size_t>(v, 4);
+    const size_t count =
+        window == 0 ? 0 : shape.Below(std::min<size_t>(window, 3) + 1);
+    std::vector<BnVar> parents;
+    while (parents.size() < count) {
+      const BnVar p = static_cast<BnVar>(v - 1 - shape.Below(window));
+      if (std::find(parents.begin(), parents.end(), p) == parents.end()) {
+        parents.push_back(p);
+      }
+    }
+    std::vector<double> cpt_true(size_t{1} << parents.size());
+    for (double& x : cpt_true) x = 0.05 + 0.9 * params.Uniform();
+    net.AddBinary("x" + std::to_string(v), std::move(parents),
+                  std::move(cpt_true));
+  }
+  return WmcEncoding(net).cnf();
+}
+
+TEST(SearchIdentityTest, BandedBnEncoding) {
+  const Cnf cnf = BandedBnCnf();
+  ASSERT_EQ(cnf.num_vars(), 214u);
+  ASSERT_EQ(cnf.num_clauses(), 736u);
+  NnfManager m;
+  DdnnfCompiler compiler;
+  const NnfId root = compiler.Compile(cnf, m);
+  EXPECT_EQ(compiler.stats().decisions, 159u);
+  EXPECT_EQ(compiler.stats().cache_hits, 222u);
+  EXPECT_EQ(compiler.stats().components_split, 170u);
+  EXPECT_EQ(m.CircuitSize(root), 3402u);
+  EXPECT_EQ(root, 1224u);
+  EXPECT_EQ(ModelCount(m, root, cnf.num_vars()), BigUint::PowerOfTwo(24));
+}
+
+// Seeded random CNFs: 3-CNF at 1.6-3.2 clauses per variable and, every
+// fourth instance, an underconstrained 2-CNF that splits into many
+// components.
+Cnf IdentityCnf(size_t i) {
+  const size_t n = 12 + (i % 7) * 2;
+  const size_t k = i % 4 == 3 ? 2 : 3;
+  const size_t tenths = k == 2 ? 5 + (i % 5) * 2 : 16 + (i % 5) * 4;
+  return RandomCnf(n, n * tenths / 10, k, 7000 + i);
+}
+
+// Weights in quarters with W(x) + W(¬x) = 1: over at most 24 variables
+// every intermediate WMC is a multiple of 2^-48 in [0, 1], so each is
+// exact in a double and the pinned value does not depend on the order
+// the factors are multiplied in.
+WeightMap QuarterWeights(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  WeightMap w(n);
+  for (Var v = 0; v < n; ++v) {
+    const double p = 0.25 * static_cast<double>(1 + rng.Below(3));
+    w.Set(Pos(v), p);
+    w.Set(Neg(v), 1.0 - p);
+  }
+  return w;
+}
+
+struct GoldenCompile {
+  uint64_t decisions;
+  uint64_t cache_hits;
+  uint64_t components_split;
+  size_t circuit_size;
+  NnfId root;
+};
+
+struct GoldenInstance {
+  uint64_t models;
+  // DdnnfOptions {use_components, use_cache}: {F,F}, {F,T}, {T,F}, {T,T}.
+  GoldenCompile compile[4];
+  // ModelCounter: Count and Wmc run the same search.
+  uint64_t counter_decisions;
+  uint64_t counter_cache_hits;
+  double wmc;
+};
+
+constexpr GoldenInstance kGolden[] = {
+    {274,
+     {{22, 0, 0, 137, 97}, {22, 0, 0, 137, 97},
+      {21, 0, 1, 136, 97}, {21, 0, 1, 136, 97}},
+     21, 0, 0x1.f9ep-5},
+    {146,
+     {{28, 0, 0, 156, 106}, {25, 3, 0, 156, 106},
+      {27, 0, 1, 150, 102}, {24, 3, 1, 150, 102}},
+     24, 3, 0x1.0749p-8},
+    {380,
+     {{59, 0, 0, 316, 191}, {47, 10, 0, 316, 191},
+      {52, 0, 4, 296, 179}, {45, 7, 4, 296, 179}},
+     45, 7, 0x1.4ea28p-7},
+    {2920,
+     {{21, 0, 0, 109, 82}, {14, 6, 0, 109, 82},
+      {14, 0, 3, 81, 65}, {11, 2, 3, 81, 65}},
+     11, 2, 0x1.12e0cp-6},
+    {84,
+     {{33, 0, 0, 278, 134}, {31, 2, 0, 278, 134},
+      {33, 0, 0, 278, 134}, {31, 2, 0, 278, 134}},
+     31, 2, 0x1.1de9ap-16},
+    {84499,
+     {{971, 0, 0, 2645, 1413}, {372, 283, 0, 2645, 1413},
+      {442, 0, 93, 1600, 852}, {227, 168, 89, 1600, 852}},
+     227, 168, 0x1.774f551p-7},
+    {27465,
+     {{629, 0, 0, 2055, 1094}, {289, 181, 0, 2055, 1094},
+      {322, 0, 64, 1332, 692}, {192, 108, 64, 1332, 692}},
+     192, 108, 0x1.4f1e793p-12},
+    {112,
+     {{5, 0, 0, 25, 27}, {4, 1, 0, 25, 27},
+      {4, 0, 1, 24, 26}, {4, 0, 1, 24, 26}},
+     4, 0, 0x1.5p-8},
+    {20,
+     {{15, 0, 0, 69, 64}, {14, 1, 0, 69, 64},
+      {14, 0, 1, 67, 62}, {14, 0, 1, 67, 62}},
+     14, 0, 0x1.dep-11},
+    {17,
+     {{10, 0, 0, 76, 61}, {10, 0, 0, 76, 61},
+      {10, 0, 0, 76, 61}, {10, 0, 0, 76, 61}},
+     10, 0, 0x1.e0ccp-13},
+    {4909,
+     {{249, 0, 0, 1052, 583}, {152, 69, 0, 1052, 583},
+      {175, 0, 20, 878, 481}, {130, 43, 20, 878, 481}},
+     130, 43, 0x1.07e2324cp-5},
+    {12960,
+     {{95, 0, 0, 62, 60}, {8, 7, 0, 62, 60},
+      {8, 0, 1, 47, 50}, {7, 1, 1, 47, 50}},
+     7, 1, 0x1.753ep-8},
+    {4488,
+     {{314, 0, 0, 1466, 762}, {207, 80, 0, 1466, 762},
+      {210, 0, 31, 1162, 598}, {164, 44, 31, 1162, 598}},
+     164, 44, 0x1.48cd6c4p-12},
+    {955,
+     {{159, 0, 0, 980, 485}, {127, 28, 0, 980, 485},
+      {138, 0, 12, 907, 438}, {121, 17, 12, 907, 438}},
+     121, 17, 0x1.deaf866ep-13},
+    {11,
+     {{11, 0, 0, 78, 61}, {11, 0, 0, 78, 61},
+      {11, 0, 0, 78, 61}, {11, 0, 0, 78, 61}},
+     11, 0, 0x1.425p-10},
+    {2160,
+     {{15, 0, 0, 28, 31}, {4, 3, 0, 28, 31},
+      {4, 0, 1, 24, 28}, {4, 0, 1, 24, 28}},
+     4, 0, 0x1.5d2p-4},
+    {575,
+     {{93, 0, 0, 528, 295}, {72, 20, 0, 528, 295},
+      {78, 0, 6, 492, 274}, {69, 8, 6, 492, 274}},
+     69, 8, 0x1.cef5ap-8},
+    {732,
+     {{89, 0, 0, 433, 252}, {66, 16, 0, 433, 252},
+      {64, 0, 5, 374, 221}, {59, 5, 5, 374, 221}},
+     59, 5, 0x1.292dp-9},
+    {477,
+     {{97, 0, 0, 601, 314}, {83, 14, 0, 601, 314},
+      {92, 0, 6, 572, 301}, {81, 11, 6, 572, 301}},
+     81, 11, 0x1.46d85ep-14},
+    {384,
+     {{9, 0, 0, 57, 45}, {5, 2, 0, 57, 45},
+      {6, 0, 2, 51, 41}, {4, 2, 2, 51, 41}},
+     4, 2, 0x1.e2ap-16},
+    {112355,
+     {{1480, 0, 0, 3980, 2157}, {553, 434, 0, 3980, 2157},
+      {650, 0, 130, 2293, 1199}, {315, 250, 126, 2293, 1199}},
+     315, 250, 0x1.5494affb34p-6},
+    {221,
+     {{30, 0, 0, 156, 107}, {24, 4, 0, 156, 107},
+      {25, 0, 1, 152, 104}, {24, 1, 1, 152, 104}},
+     24, 1, 0x1.f298p-5},
+    {63,
+     {{27, 0, 0, 190, 114}, {24, 3, 0, 190, 114},
+      {25, 0, 1, 183, 111}, {23, 2, 1, 183, 111}},
+     23, 2, 0x1.e3aep-10},
+    {324,
+     {{9, 0, 0, 67, 56}, {8, 1, 0, 67, 56},
+      {8, 0, 1, 66, 55}, {8, 0, 1, 66, 55}},
+     8, 0, 0x1.a8c68p-7},
+    {316,
+     {{65, 0, 0, 453, 233}, {57, 8, 0, 453, 233},
+      {57, 0, 4, 431, 221}, {55, 2, 4, 431, 221}},
+     55, 2, 0x1.cac34p-12},
+    {12449,
+     {{300, 0, 0, 1090, 601}, {159, 84, 0, 1090, 601},
+      {172, 0, 31, 754, 415}, {111, 48, 31, 754, 415}},
+     111, 48, 0x1.6d18e6cp-7},
+    {2737,
+     {{339, 0, 0, 1607, 846}, {223, 87, 0, 1607, 846},
+      {260, 0, 29, 1366, 693}, {193, 57, 29, 1366, 693}},
+     193, 57, 0x1.ffeb142p-12},
+    {44320,
+     {{62, 0, 0, 149, 108}, {19, 13, 0, 149, 108},
+      {14, 0, 3, 73, 67}, {10, 3, 3, 73, 67}},
+     10, 3, 0x1.1a48a8p-11},
+    {13,
+     {{11, 0, 0, 35, 38}, {11, 0, 0, 35, 38},
+      {11, 0, 0, 35, 38}, {11, 0, 0, 35, 38}},
+     11, 0, 0x1.2318p-10},
+    {13,
+     {{17, 0, 0, 55, 53}, {17, 0, 0, 55, 53},
+      {17, 0, 0, 55, 53}, {17, 0, 0, 55, 53}},
+     17, 0, 0x1.023p-10},
+    {3336,
+     {{179, 0, 0, 677, 386}, {101, 51, 0, 677, 386},
+      {116, 0, 16, 502, 286}, {78, 30, 16, 502, 286}},
+     78, 30, 0x1.c116p-7},
+    {6720,
+     {{34, 0, 0, 84, 68}, {11, 6, 0, 84, 68},
+      {10, 0, 1, 51, 52}, {7, 2, 1, 51, 52}},
+     7, 2, 0x1.a7fcp-7},
+};
+
+TEST(SearchIdentityTest, RandomCnfsMatchPinnedSearch) {
+  for (size_t i = 0; i < std::size(kGolden); ++i) {
+    const GoldenInstance& g = kGolden[i];
+    const Cnf cnf = IdentityCnf(i);
+    for (int opt = 0; opt < 4; ++opt) {
+      NnfManager m;
+      DdnnfCompiler compiler({.use_components = (opt & 2) != 0,
+                              .use_cache = (opt & 1) != 0});
+      const NnfId root = compiler.Compile(cnf, m);
+      const GoldenCompile& want = g.compile[opt];
+      SCOPED_TRACE("instance " + std::to_string(i) + " options " +
+                   std::to_string(opt));
+      EXPECT_EQ(compiler.stats().decisions, want.decisions);
+      EXPECT_EQ(compiler.stats().cache_hits, want.cache_hits);
+      EXPECT_EQ(compiler.stats().components_split, want.components_split);
+      EXPECT_EQ(m.CircuitSize(root), want.circuit_size);
+      EXPECT_EQ(root, want.root);
+      EXPECT_EQ(ModelCount(m, root, cnf.num_vars()).ToU64(), g.models);
+    }
+    SCOPED_TRACE("instance " + std::to_string(i) + " counter");
+    ModelCounter counter;
+    EXPECT_EQ(counter.Count(cnf).ToU64(), g.models);
+    EXPECT_EQ(counter.stats().decisions, g.counter_decisions);
+    EXPECT_EQ(counter.stats().cache_hits, g.counter_cache_hits);
+    EXPECT_EQ(counter.Wmc(cnf, QuarterWeights(cnf.num_vars(), 8000 + i)),
+              g.wmc);
+    EXPECT_EQ(counter.stats().decisions, g.counter_decisions);
+    EXPECT_EQ(counter.stats().cache_hits, g.counter_cache_hits);
+  }
 }
 
 TEST(ModelCounterTest, CounterAgreesWithCompilerTrace) {

@@ -94,6 +94,38 @@ TEST(CnfTest, DimacsParsesCommentsAndMultilineClauses) {
   EXPECT_EQ(parsed.value().num_clauses(), 2u);
 }
 
+TEST(CnfTest, DimacsParseErrorMessagesAndBounds) {
+  // The typed refusals name the line and echo the offending text.
+  const auto message = [](const std::string& text) {
+    auto parsed = Cnf::ParseDimacs(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    return parsed.ok() ? std::string() : parsed.status().message();
+  };
+  EXPECT_EQ(message("c x\n\np dnf 2 1\n"),
+            "line 3: bad DIMACS header: p dnf 2 1");
+  EXPECT_EQ(message("p cnf 2\n"), "line 1: bad DIMACS header: p cnf 2");
+  EXPECT_EQ(message("p cnf 268435457 1\n"),
+            "line 1: bad variable count '268435457'");
+  EXPECT_EQ(message("p cnf -2 1\n"), "line 1: bad variable count '-2'");
+  EXPECT_EQ(message("p cnf 3 1\n1\r\n2 x3 0\n"),
+            "line 3: bad DIMACS token: x3");
+  EXPECT_EQ(message("p cnf 3 1\n268435457 0\n"),
+            "line 2: bad DIMACS token: 268435457");
+  EXPECT_EQ(message("1 2 0\n"), "missing DIMACS header");
+  // Bounds are inclusive, CRLF and tabs are whitespace, a clause may open
+  // before the header, and a trailing clause without its 0 still lands.
+  auto parsed = Cnf::ParseDimacs("-268435456 \t1 0\r\np cnf 5 2\r\n2 -3");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->num_vars(), 268435456u);
+  ASSERT_EQ(parsed->num_clauses(), 2u);
+  EXPECT_EQ(parsed->clause(1), (Clause{Pos(1), Neg(2)}));
+  // A lone 0 is the empty clause; the declared count only raises num_vars.
+  parsed = Cnf::ParseDimacs("p cnf 7 1\n0\n");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->num_vars(), 7u);
+  EXPECT_TRUE(parsed->HasEmptyClause());
+}
+
 TEST(SimplifyTest, UnitPropagationToFixpoint) {
   Cnf cnf(4);
   cnf.AddClauseDimacs({1});

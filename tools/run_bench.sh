@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Before/after kernel benchmark driver.
 #
-# Builds the pre-PR baseline in a detached git worktree and the current
+# Builds the pre-PR baseline from a `git archive` export and the current
 # tree side by side (both Release, -DTBC_BENCH=ON), runs the kernel
 # micro-benchmarks (bench/bench_kernels.cc, compiled from the SAME source
 # against both library versions) plus the three paper-figure benches the
@@ -34,10 +34,13 @@ BASE_SRC="$ROOT/build-bench-baseline-src"
 BASE_BUILD="$ROOT/build-bench-baseline"
 CUR_BUILD="$ROOT/build-release-bench"
 
-cleanup() { git worktree remove --force "$BASE_SRC" 2>/dev/null || true; }
+# A plain export of the baseline's committed files, not a worktree: nothing
+# is registered in the repository's git metadata.
+cleanup() { rm -rf "$BASE_SRC"; }
 trap cleanup EXIT
 cleanup
-git worktree add --force --detach "$BASE_SRC" "$BASE_REF" > /dev/null
+mkdir -p "$BASE_SRC"
+git archive "$BASE_REF" | tar -x -C "$BASE_SRC"
 
 # The kernel micro-bench is written against APIs present in both trees:
 # inject the current source (and its CMake registration) into the baseline
@@ -148,9 +151,10 @@ for name in kb:
         "before_runs_ms": kb[name]["runs_ms"],
         "after_runs_ms": kc[name]["runs_ms"],
     }
-    if "ns_per_edge" in kc[name]:
-        kernels[name]["before_ns_per_edge"] = kb[name].get("ns_per_edge")
-        kernels[name]["after_ns_per_edge"] = kc[name]["ns_per_edge"]
+    for unit in ("ns_per_edge", "ns_per_decision"):
+        if unit in kc[name]:
+            kernels[name]["before_" + unit] = kb[name].get(unit)
+            kernels[name]["after_" + unit] = kc[name][unit]
 
 with open(vtree_shapes_path) as f:
     vtree_shapes = json.load(f)
