@@ -5,12 +5,13 @@
 //
 // This file is deliberately restricted to APIs that exist both before and
 // after the kernel layer (compile, ModelCount/Wmc, MarginalWmc/MaxWmc,
-// Psdd evaluation, map compilation): tools/run_bench.sh compiles this
-// exact source against an export of the pre-PR baseline and against the
-// current tree, runs both, and writes the before/after medians to
-// BENCH_kernels.json. Seeds are pinned; every workload reports the median
-// of 5 runs, the query kernels also report ns per circuit edge, and the
-// BN compile ns per decision.
+// Psdd evaluation, map compilation, the serve codec's Serialize/Parse):
+// tools/run_bench.sh compiles this exact source against an export of the
+// pre-PR baseline and against the current tree, runs both, and writes the
+// before/after medians to BENCH_kernels.json. Seeds are pinned; every
+// workload reports the median of 5 runs, the query kernels also report ns
+// per circuit edge, the BN compile ns per decision, and the serve codec ns
+// per protocol line.
 //
 // Usage: bench_kernels [output.json]   (default: stdout)
 
@@ -44,6 +45,7 @@
 #include "sdd/compile.h"
 #include "sdd/minimize.h"
 #include "sdd/sdd.h"
+#include "serve/protocol.h"
 #include "spaces/hierarchical.h"
 #include "vtree/vtree.h"
 
@@ -101,11 +103,12 @@ void BenchDdnnfCountWmc() {
 // DPLL work, so it compares with ddnnf_count_wmc's random CNFs.
 constexpr int kBnCompileReps = 20;
 
-const Cnf& BandedBnCnf() {
-  static const Cnf* cnf = [] {
+const WmcEncoding& BandedBnEncoding() {
+  static const WmcEncoding* encoding = [] {
     Rng shape(0x5e7eb0c4ull);
     Rng params(1);
-    BayesianNetwork net;
+    // Never freed: the encoding keeps a reference to its network.
+    BayesianNetwork& net = *new BayesianNetwork;
     for (size_t v = 0; v < 24; ++v) {
       const size_t window = std::min<size_t>(v, 4);
       const size_t count =
@@ -122,10 +125,12 @@ const Cnf& BandedBnCnf() {
       net.AddBinary("x" + std::to_string(v), std::move(parents),
                     std::move(cpt_true));
     }
-    return new Cnf(WmcEncoding(net).cnf());
+    return new WmcEncoding(net);
   }();
-  return *cnf;
+  return *encoding;
 }
+
+const Cnf& BandedBnCnf() { return BandedBnEncoding().cnf(); }
 
 double BnCompileDecisionsPerRun() {
   NnfManager mgr;
@@ -200,6 +205,61 @@ void BenchNnfMpe() {
     for (int i = 0; i < kQueryReps; ++i) {
       g_sink += MaxWmc(c->mgr, c->root, c->w, c->n).weight;
     }
+  }
+}
+
+// The tbc_serve wire codec around a cache-hit query, in servebench's shape:
+// a `wmc` request carrying the banded BN's DIMACS text and its non-unit
+// weights, and a `mar` reply with one `marg` line per literal (428 lines).
+// Each run serializes and parses both kCodecReps times through the public
+// Serialize()/Parse() pair; reported per protocol line (the CNF blob's
+// own lines excluded: the codec copies the blob without reading it).
+constexpr int kCodecReps = 100;
+
+struct CodecMessages {
+  serve::Request request;
+  serve::Response reply;
+  double lines = 0.0;  // protocol lines in one request plus one reply
+};
+
+const CodecMessages& ServeCodecMessages() {
+  static const CodecMessages* messages = [] {
+    auto* m = new CodecMessages;
+    const WmcEncoding& enc = BandedBnEncoding();
+    const WeightMap& w = enc.weights();
+    const uint32_t num_lits = static_cast<uint32_t>(2 * enc.num_bool_vars());
+    m->request.op = serve::Op::kWmc;
+    m->request.cnf_text = enc.cnf().ToDimacs();
+    for (uint32_t code = 0; code < num_lits; ++code) {
+      const Lit l = Lit::FromCode(code);
+      if (w[l] != 1.0) m->request.weights.emplace_back(l.ToDimacs(), w[l]);
+    }
+    Rng rng(0xc0dec);
+    for (uint32_t code = 0; code < num_lits; ++code) {
+      m->reply.marginals.emplace_back(Lit::FromCode(code).ToDimacs(),
+                                      rng.Uniform());
+    }
+    m->reply.circuit_nodes = 2000;
+    m->reply.circuit_edges = 3000;
+    m->reply.artifact = "00112233445566778899aabbccddeeff";
+    m->reply.cache_hit = true;
+    const auto newlines = [](const std::string& text) {
+      return static_cast<double>(std::count(text.begin(), text.end(), '\n'));
+    };
+    m->lines = newlines(m->request.Serialize()) -
+               newlines(m->request.cnf_text) + newlines(m->reply.Serialize());
+    return m;
+  }();
+  return *messages;
+}
+
+void BenchServeCodec() {
+  const CodecMessages& m = ServeCodecMessages();
+  for (int i = 0; i < kCodecReps; ++i) {
+    const auto request = serve::Request::Parse(m.request.Serialize());
+    const auto reply = serve::Response::Parse(m.reply.Serialize());
+    g_sink += static_cast<double>(request->weights.size()) +
+              reply->marginals.back().second;
   }
 }
 
@@ -335,6 +395,7 @@ struct Entry {
   double median_ms = 0.0;
   double edges_per_run = 0.0;  // > 0: also report ns per circuit edge
   double decisions_per_run = 0.0;  // > 0: also report ns per decision
+  double lines_per_run = 0.0;  // > 0: also report ns per protocol line
 };
 
 template <typename Fn>
@@ -374,6 +435,9 @@ int main(int argc, char** argv) {
   entries.push_back(Measure("sdd_minimize", BenchSddMinimize));
   entries.push_back(Measure("sdd_compile_autominimize", BenchSddCompileAutoMinimize));
   entries.push_back(Measure("obdd_apply_count", BenchObddApply));
+  Entry codec = Measure("serve_codec", BenchServeCodec);
+  codec.lines_per_run = ServeCodecMessages().lines * kCodecReps;
+  entries.push_back(codec);
 
   std::FILE* out = stdout;
   if (argc > 1) {
@@ -399,6 +463,10 @@ int main(int argc, char** argv) {
     if (e.decisions_per_run > 0.0) {
       std::fprintf(out, ", \"ns_per_decision\": %.1f",
                    e.median_ms * 1e6 / e.decisions_per_run);
+    }
+    if (e.lines_per_run > 0.0) {
+      std::fprintf(out, ", \"ns_per_line\": %.2f",
+                   e.median_ms * 1e6 / e.lines_per_run);
     }
     std::fprintf(out, "}%s\n", i + 1 < entries.size() ? "," : "");
   }

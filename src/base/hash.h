@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace tbc {
 
@@ -41,6 +42,43 @@ inline ContentHash HashBytes(const void* data, size_t n) {
     b = (b ^ p[i]) * 0x00000100000001b3ull ^ (b >> 47);
   }
   return ContentHash{HashU64(a), HashU64(b ^ n)};
+}
+
+/// Fast 64-bit in-memory fingerprint of a byte string: 8-byte words fed
+/// round-robin into four independent multiply-rotate lanes (so the
+/// multiplies pipeline instead of forming one serial chain, as FNV's
+/// byte loop in HashBytes does), the lanes then folded with the length
+/// and splitmix-finalized. Reads words in native byte order, so its
+/// values are for in-process indexes only — never persist or transmit
+/// them. Users compare the full bytes on every match (ArtifactCache), so
+/// the width only sets how often that comparison fails.
+inline uint64_t FingerprintBytes(const void* data, size_t n) {
+  constexpr uint64_t kMul = 0xc2b2ae3d27d4eb4full;
+  constexpr uint64_t kPrime = 0x9e3779b185ebca87ull;
+  const auto round = [](uint64_t acc, uint64_t word) {
+    acc += word * kMul;
+    acc = (acc << 31) | (acc >> 33);
+    return acc * kPrime;
+  };
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t lane[4] = {0x60ea27eeadc0b5d6ull, 0xc2b2ae3d27d4eb4full,
+                      0x0000000000000001ull, 0x61c8864e7a143579ull};
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (size_t k = 0; k < 4; ++k) {
+      uint64_t word;
+      std::memcpy(&word, p + i + 8 * k, sizeof word);
+      lane[k] = round(lane[k], word);
+    }
+  }
+  for (size_t k = 0; i < n; i += 8, ++k) {
+    uint64_t word = 0;
+    std::memcpy(&word, p + i, n - i < 8 ? n - i : 8);
+    lane[k] = round(lane[k], word);
+  }
+  uint64_t h = HashU64(n);
+  for (uint64_t l : lane) h = HashU64(h ^ l);
+  return h;
 }
 
 }  // namespace tbc

@@ -3,6 +3,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace tbc {
@@ -80,17 +83,55 @@ bool ParseDouble(std::string_view token, double* out) {
   return true;
 }
 
+void AppendDoubleHex(double v, std::string* out) {
+  if (std::isnan(v)) {
+    out->append("nan");
+    return;
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  // Sign, "0x", leading digit, '.', 13 mantissa digits, 'p', exponent sign
+  // and at most four exponent digits: 24 bytes.
+  char buf[32];
+  char* p = buf;
+  if (bits >> 63) *p++ = '-';
+  if (std::isinf(v)) {
+    std::memcpy(p, "inf", 3);
+    out->append(buf, p + 3);
+    return;
+  }
+  const uint64_t biased = (bits >> 52) & 0x7ff;
+  uint64_t mantissa = bits & ((uint64_t{1} << 52) - 1);
+  *p++ = '0';
+  *p++ = 'x';
+  *p++ = biased == 0 ? '0' : '1';
+  // Zero prints its exponent as +0; a subnormal keeps the minimum normal
+  // exponent with a leading 0 digit.
+  const int exponent = biased == 0 ? (mantissa == 0 ? 0 : -1022)
+                                   : static_cast<int>(biased) - 1023;
+  if (mantissa != 0) {
+    *p++ = '.';
+    int digits = 13;
+    while ((mantissa & 0xf) == 0) {
+      mantissa >>= 4;
+      --digits;
+    }
+    for (int i = digits - 1; i >= 0; --i) {
+      p[i] = "0123456789abcdef"[mantissa & 0xf];
+      mantissa >>= 4;
+    }
+    p += digits;
+  }
+  *p++ = 'p';
+  *p++ = exponent < 0 ? '-' : '+';
+  p = std::to_chars(p, buf + sizeof(buf), std::abs(exponent)).ptr;
+  out->append(buf, p);
+}
+
 std::string FormatDoubleHex(double v) {
-  if (std::isnan(v)) return "nan";
-  if (std::isinf(v)) return v < 0.0 ? "-inf" : "inf";
-  // Shortest round-trippable hexfloat. to_chars never consults the locale
-  // (unlike "%a", whose output embeds the locale's radix character).
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::hex);
-  if (ec != std::errc()) return "nan";  // unreachable: 64 bytes suffice
-  const std::string digits(buf, ptr);
-  return digits[0] == '-' ? "-0x" + digits.substr(1) : "0x" + digits;
+  std::string out;
+  AppendDoubleHex(v, &out);
+  return out;
 }
 
 bool ParseDoubleAnyFormat(std::string_view token, double* out) {

@@ -27,10 +27,17 @@ bool ParseInt(std::string_view token, int* out);
 bool ParseDouble(std::string_view token, double* out);
 
 /// Shortest round-trippable hexfloat ("0x1.8p+1"; "inf"/"-inf"/"nan" for
-/// non-finite values). Locale-independent — unlike printf "%a", whose
-/// output embeds the run-time locale's radix character — so values travel
-/// bit-exactly between processes regardless of either side's locale
-/// (the wire protocol's WMC transport and kc_cli's `c wmc_hex:` line).
+/// non-finite values), appended to *out. Locale-independent — unlike
+/// printf "%a", whose output embeds the run-time locale's radix character
+/// — so values travel bit-exactly between processes regardless of either
+/// side's locale (the wire protocol's WMC transport and kc_cli's
+/// `c wmc_hex:` line). The digits are written here rather than by the C++
+/// runtime, whose hex std::to_chars spells subnormals differently across
+/// library versions: a subnormal is always "0x0.<13 digits, trailing
+/// zeros dropped>p-1022", as glibc's "%a" writes it.
+void AppendDoubleHex(double v, std::string* out);
+
+/// AppendDoubleHex into a fresh string.
 std::string FormatDoubleHex(double v);
 
 /// Locale-independent inverse of FormatDoubleHex, additionally accepting

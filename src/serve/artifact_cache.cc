@@ -122,11 +122,12 @@ size_t ArtifactCache::WarmStart() {
     auto artifact = RestoreFromStore(file.string(), file.stem().string());
     if (artifact == nullptr) continue;
     std::lock_guard<std::mutex> lock(mu_);
-    auto slot = std::make_shared<Slot>();
+    auto slot = std::make_shared<Slot>(artifact->cnf_text,
+                                       FingerprintOf(artifact->cnf_text));
     slot->artifact = std::move(artifact);
     slot->done = true;
     slot->last_use = ++use_clock_;
-    slots_.emplace(slot->artifact->key, std::move(slot));
+    InsertLocked(std::move(slot));
     ++restored;
   }
   return restored;
@@ -166,29 +167,51 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::Build(
   return std::shared_ptr<const Artifact>(std::move(artifact));
 }
 
+std::shared_ptr<ArtifactCache::Slot> ArtifactCache::FindLocked(
+    std::string_view cnf_text, uint64_t fingerprint) const {
+  const auto it = slots_.find(fingerprint);
+  if (it == slots_.end()) return nullptr;
+  for (const auto& slot : it->second) {
+    if (slot->cnf_text == cnf_text) return slot;
+  }
+  return nullptr;
+}
+
+void ArtifactCache::InsertLocked(std::shared_ptr<Slot> slot) {
+  const uint64_t fingerprint = slot->fingerprint;
+  slots_[fingerprint].push_back(std::move(slot));
+}
+
+void ArtifactCache::EraseLocked(const Slot* slot) {
+  const auto it = slots_.find(slot->fingerprint);
+  if (it == slots_.end()) return;
+  Bucket& bucket = it->second;
+  for (auto s = bucket.begin(); s != bucket.end(); ++s) {
+    if (s->get() != slot) continue;
+    bucket.erase(s);
+    if (bucket.empty()) slots_.erase(it);
+    return;
+  }
+}
+
 Result<std::shared_ptr<const Artifact>> ArtifactCache::GetOrCompile(
-    const std::string& cnf_text, Guard& guard, bool* cache_hit,
-    const Cnf* parsed) {
+    const std::string& cnf_text, uint64_t fingerprint, Guard& guard,
+    bool* cache_hit, const Cnf* parsed) {
   if (cache_hit != nullptr) *cache_hit = false;
-  const std::string key = KeyOf(cnf_text);
 
   std::shared_ptr<Slot> slot;
-  bool owner = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = slots_.find(key);
-    if (it == slots_.end()) {
-      slot = std::make_shared<Slot>();
-      slots_.emplace(key, slot);
-      owner = true;
+    slot = FindLocked(cnf_text, fingerprint);
+    if (slot == nullptr) {
+      slot = std::make_shared<Slot>(cnf_text, fingerprint);
+      InsertLocked(slot);
       TBC_COUNT("serve.cache.misses");
     } else {
-      slot = it->second;
+      // The bytes already matched, so this slot is this CNF's: join its
+      // in-flight compile (or read the finished slot), bounded by this
+      // request's own deadline/cancellation.
       if (!slot->done) TBC_COUNT("serve.cache.inflight_joins");
-    }
-    if (!owner) {
-      // Join the in-flight compile (or read the finished slot), bounded by
-      // this request's own deadline/cancellation.
       while (!slot->done) {
         const auto tick = std::chrono::milliseconds(20);
         done_cv_.wait_for(lock, tick);
@@ -196,14 +219,6 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::GetOrCompile(
         if (!s.ok()) return s;
       }
       if (slot->failed) return slot->error;
-      if (slot->artifact->cnf_text != cnf_text) {
-        // 128-bit hash collision: two different CNFs, one key. Degrade to
-        // an uncached compile — never alias.
-        TBC_COUNT("serve.cache.collisions");
-        lock.unlock();
-        compiles_.fetch_add(1, std::memory_order_relaxed);
-        return Build(cnf_text, guard, parsed);
-      }
       slot->last_use = ++use_clock_;
       TBC_COUNT("serve.cache.hits");
       if (slot->artifact->from_store) TBC_COUNT("serve.store.hits");
@@ -221,8 +236,8 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::GetOrCompile(
     if (!built.ok()) {
       slot->failed = true;
       slot->error = built.status();
-      // Not cached: the next request for this key retries the compile.
-      slots_.erase(key);
+      // Not cached: the next request for this CNF retries the compile.
+      EraseLocked(slot.get());
     } else {
       slot->artifact = *built;
       slot->last_use = ++use_clock_;
@@ -230,7 +245,7 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::GetOrCompile(
       if (TBC_FAULT_POINT("serve.cache.evict")) {
         TBC_COUNT("serve.faults.injected");
         TBC_COUNT("serve.cache.evictions");
-        slots_.erase(key);  // in-flight holders keep their shared_ptr
+        EraseLocked(slot.get());  // in-flight holders keep their shared_ptr
       }
     }
   }
@@ -240,23 +255,21 @@ Result<std::shared_ptr<const Artifact>> ArtifactCache::GetOrCompile(
 }
 
 std::shared_ptr<const Artifact> ArtifactCache::Lookup(
-    const std::string& cnf_text) {
-  const std::string key = KeyOf(cnf_text);
+    std::string_view cnf_text, uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = slots_.find(key);
-  if (it == slots_.end() || !it->second->done || it->second->failed) {
-    return nullptr;
-  }
-  if (it->second->artifact->cnf_text != cnf_text) return nullptr;  // collision
-  it->second->last_use = ++use_clock_;
-  return it->second->artifact;
+  const std::shared_ptr<Slot> slot = FindLocked(cnf_text, fingerprint);
+  if (slot == nullptr || !slot->done || slot->failed) return nullptr;
+  slot->last_use = ++use_clock_;
+  return slot->artifact;
 }
 
 size_t ArtifactCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [key, slot] : slots_) {
-    if (slot->done && !slot->failed) ++n;
+  for (const auto& [fingerprint, bucket] : slots_) {
+    for (const auto& slot : bucket) {
+      if (slot->done && !slot->failed) ++n;
+    }
   }
   return n;
 }
@@ -264,17 +277,17 @@ size_t ArtifactCache::size() const {
 void ArtifactCache::EvictIfOverCapacityLocked() {
   while (true) {
     size_t done_count = 0;
-    auto lru = slots_.end();
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (!it->second->done || it->second->failed) continue;
-      ++done_count;
-      if (lru == slots_.end() || it->second->last_use < lru->second->last_use) {
-        lru = it;
+    const Slot* lru = nullptr;
+    for (const auto& [fingerprint, bucket] : slots_) {
+      for (const auto& slot : bucket) {
+        if (!slot->done || slot->failed) continue;
+        ++done_count;
+        if (lru == nullptr || slot->last_use < lru->last_use) lru = slot.get();
       }
     }
-    if (done_count <= capacity_ || lru == slots_.end()) return;
+    if (done_count <= capacity_ || lru == nullptr) return;
     TBC_COUNT("serve.cache.evictions");
-    slots_.erase(lru);
+    EraseLocked(lru);
   }
 }
 

@@ -3,13 +3,17 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "base/bigint.h"
 #include "base/guard.h"
+#include "base/hash.h"
 #include "base/result.h"
 #include "nnf/nnf.h"
 
@@ -30,7 +34,7 @@ namespace tbc::serve {
 /// (asserted by the serve soak test under TSan).
 struct Artifact {
   std::string cnf_text;   // exact bytes the key was hashed from
-  std::string key;        // 32-hex content hash
+  std::string key;        // 32-hex content hash; names the store file
   std::unique_ptr<NnfManager> mgr;
   NnfId root = kInvalidNnf;
   size_t num_vars = 0;
@@ -40,14 +44,20 @@ struct Artifact {
   bool from_store = false;  // restored from the persistent store (not compiled)
 };
 
-/// Content-hash-keyed cache of compiled artifacts: the "compile once,
-/// answer unbounded linear-time queries" economics of the paper, behind a
-/// server (ROADMAP "KC-as-a-service").
+/// Cache of compiled artifacts keyed by their exact CNF bytes: the
+/// "compile once, answer unbounded linear-time queries" economics of the
+/// paper, behind a server (ROADMAP "KC-as-a-service").
 ///
-/// - Keys are the 128-bit hash of the raw CNF bytes; on a hit the full
-///   text is compared, so a hash collision degrades to an uncached compile
-///   instead of aliasing two CNFs.
-/// - Single-flight: concurrent requests for one key join the in-flight
+/// - Index: slots are bucketed by FingerprintOf(cnf_text), a 64-bit
+///   in-memory fingerprint, and every slot holds its exact CNF bytes from
+///   the moment it is created. A hit, a single-flight join and Lookup all
+///   compare those bytes in full, so a fingerprint collision only
+///   lengthens one bucket and never aliases two CNFs. A bucket holds at
+///   most capacity + in-flight slots.
+/// - The 128-bit content key (Artifact::key: the `artifact` response field
+///   and the store file name) is computed once per compile, in Build, and
+///   once per store restore; a hit never hashes the CNF with it.
+/// - Single-flight: concurrent requests for one CNF join the in-flight
 ///   compile instead of compiling twice; joiners wait under their own
 ///   Guard deadline. A failed compile is not cached — joiners receive the
 ///   failure, the next request retries.
@@ -78,25 +88,47 @@ class ArtifactCache {
   /// (injected allocation failure).
   Result<std::shared_ptr<const Artifact>> GetOrCompile(
       const std::string& cnf_text, Guard& guard, bool* cache_hit,
-      const Cnf* parsed = nullptr);
+      const Cnf* parsed = nullptr) {
+    return GetOrCompile(cnf_text, FingerprintOf(cnf_text), guard, cache_hit,
+                        parsed);
+  }
+
+  /// GetOrCompile with the index fingerprint supplied, for callers that
+  /// look one CNF up more than once. Entries are matched on their full
+  /// bytes, so any fingerprint is safe: one other than
+  /// FingerprintOf(cnf_text) only files the CNF in another bucket.
+  Result<std::shared_ptr<const Artifact>> GetOrCompile(
+      const std::string& cnf_text, uint64_t fingerprint, Guard& guard,
+      bool* cache_hit, const Cnf* parsed = nullptr);
 
   /// Peek: the completed artifact for `cnf_text` if one is cached, else
   /// nullptr. Never compiles, never blocks on an in-flight compile, but
   /// does refresh LRU recency. Used by admission control to let already-
   /// compiled CNFs bypass the width forecast (the compile cost the
   /// forecast prices has already been paid).
-  std::shared_ptr<const Artifact> Lookup(const std::string& cnf_text);
+  std::shared_ptr<const Artifact> Lookup(std::string_view cnf_text) {
+    return Lookup(cnf_text, FingerprintOf(cnf_text));
+  }
+  /// Lookup with the index fingerprint supplied (as for GetOrCompile).
+  std::shared_ptr<const Artifact> Lookup(std::string_view cnf_text,
+                                         uint64_t fingerprint);
+
+  /// The index fingerprint of a CNF's bytes (FingerprintBytes). In-memory
+  /// only: the store names files by Artifact::key.
+  static uint64_t FingerprintOf(std::string_view cnf_text) {
+    return FingerprintBytes(cnf_text.data(), cnf_text.size());
+  }
 
   /// Number of cached (completed) artifacts.
   size_t size() const;
 
-  /// Number of compiles this cache has started (misses plus collision
-  /// fallbacks; warm-start restores are not compiles). A plain atomic, so
-  /// it counts with observability compiled out too.
+  /// Number of compiles this cache has started (one per miss; warm-start
+  /// restores are not compiles). A plain atomic, so it counts with
+  /// observability compiled out too.
   uint64_t compiles() const { return compiles_.load(std::memory_order_relaxed); }
 
   /// Builds an artifact without touching the cache (also the compile step
-  /// of GetOrCompile). Exposed for tests and the collision fallback.
+  /// of GetOrCompile). Exposed for tests and benchmarks.
   /// `parsed`, when non-null, must be the parse of exactly `cnf_text`.
   static Result<std::shared_ptr<const Artifact>> Build(
       const std::string& cnf_text, Guard& guard, const Cnf* parsed = nullptr);
@@ -113,6 +145,10 @@ class ArtifactCache {
 
  private:
   struct Slot {
+    Slot(std::string_view text, uint64_t fp)
+        : cnf_text(text), fingerprint(fp) {}
+    const std::string cnf_text;  // the exact bytes this slot answers for
+    const uint64_t fingerprint;  // its bucket in slots_
     std::shared_ptr<const Artifact> artifact;  // set when done && !failed
     Status error;                              // set when done && failed
     bool done = false;
@@ -120,6 +156,17 @@ class ArtifactCache {
     uint64_t last_use = 0;
   };
 
+  /// The slots filed under one fingerprint, in insertion order.
+  using Bucket = std::vector<std::shared_ptr<Slot>>;
+
+  /// The slot (done or in flight) whose bytes are exactly `cnf_text`, in
+  /// the bucket of `fingerprint`; nullptr if none. Caller holds mu_.
+  std::shared_ptr<Slot> FindLocked(std::string_view cnf_text,
+                                   uint64_t fingerprint) const;
+  /// Files `slot` under its fingerprint. Caller holds mu_.
+  void InsertLocked(std::shared_ptr<Slot> slot);
+  /// Drops `slot` from the index if it is still there. Caller holds mu_.
+  void EraseLocked(const Slot* slot);
   void EvictIfOverCapacityLocked();
   /// Persists `artifact` under store_dir_/<key>.tbc (best-effort: spill
   /// failures are counted, not surfaced — the artifact still serves).
@@ -131,7 +178,7 @@ class ArtifactCache {
   std::condition_variable done_cv_;  // broadcast when any compile finishes
   uint64_t use_clock_ = 0;
   std::atomic<uint64_t> compiles_{0};
-  std::map<std::string, std::shared_ptr<Slot>> slots_;
+  std::unordered_map<uint64_t, Bucket> slots_;
 };
 
 }  // namespace tbc::serve

@@ -44,12 +44,16 @@ Result<Response> Client::CallOnce(const Request& req, double remaining_ms) {
   }
 
   // Deadline propagation: ask the server for at most what we will wait.
-  Request r = req;
+  double timeout_ms = req.timeout_ms;
   if (opts_.deadline_ms > 0) {
-    r.timeout_ms =
-        r.timeout_ms > 0 ? std::min(r.timeout_ms, remaining_ms) : remaining_ms;
+    timeout_ms =
+        timeout_ms > 0 ? std::min(timeout_ms, remaining_ms) : remaining_ms;
   }
-  std::string frame = EncodeFrame(r.Serialize());
+  std::string& frame = frame_;
+  frame.clear();
+  const size_t frame_start = BeginFrame(&frame);
+  req.AppendTo(timeout_ms, &frame);
+  FinishFrame(frame_start, &frame);
 
   Status sent = Status::Ok();
   if (TBC_FAULT_POINT("client.frame.garbage")) {
@@ -92,14 +96,13 @@ Result<Response> Client::CallOnce(const Request& req, double remaining_ms) {
   if (opts_.deadline_ms > 0) {
     idle_to = std::max(1, static_cast<int>(std::ceil(remaining_ms)));
   }
-  std::string payload;
   Status st = RecvFrame(conn_, opts_.max_frame_bytes, idle_to,
-                        opts_.io_timeout_ms, &payload);
+                        opts_.io_timeout_ms, &reply_);
   if (!st.ok()) {
     conn_.Close();
     return st;
   }
-  auto resp = Response::Parse(payload);
+  auto resp = Response::Parse(reply_);
   if (!resp.ok()) {
     conn_.Close();  // the stream can no longer be trusted
     return resp.status();

@@ -61,6 +61,10 @@ class Client {
   ClientOptions opts_;
   Socket conn_;
   int last_attempts_ = 0;
+  // Reused across calls: the outgoing frame, built in place, and the
+  // reply payload.
+  std::string frame_;
+  std::string reply_;
 };
 
 }  // namespace tbc::serve

@@ -1,8 +1,8 @@
 #include "serve/protocol.h"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "base/strings.h"
@@ -17,7 +17,70 @@ constexpr size_t kMaxWeights = 1u << 21;  // two per variable at the 2^20 cap
 constexpr size_t kMaxMpeLits = 1u << 21;
 constexpr size_t kMaxMarginals = 1u << 21;
 
+/// Reservation per repeated line ("weight"/"marg"): key, a literal of at
+/// most 11 characters, a hexfloat of at most 25, separators. An estimate
+/// only: appends grow the buffer past it if ever needed.
+constexpr size_t kRepeatedLineBytes = 48;
+
 Status Bad(const std::string& what) { return Status::InvalidInput(what); }
+
+/// Appends an integer's decimal digits through a stack buffer.
+template <typename T>
+void AppendDecimal(T v, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Appends "<key> <hexfloat>\n".
+void AppendDoubleLine(std::string_view key, double v, std::string* out) {
+  out->append(key);
+  out->push_back(' ');
+  AppendDoubleHex(v, out);
+  out->push_back('\n');
+}
+
+/// Appends "<key> <decimal>\n".
+template <typename T>
+void AppendDecimalLine(std::string_view key, T v, std::string* out) {
+  out->append(key);
+  out->push_back(' ');
+  AppendDecimal(v, out);
+  out->push_back('\n');
+}
+
+/// Appends "<key> <lit> <hexfloat>\n" (weight and marg lines).
+void AppendLiteralLine(std::string_view key, int lit, double v,
+                       std::string* out) {
+  out->append(key);
+  out->push_back(' ');
+  AppendDecimal(lit, out);
+  out->push_back(' ');
+  AppendDoubleHex(v, out);
+  out->push_back('\n');
+}
+
+/// Appends a byte-counted blob: "<key> <n>\n" and then the n bytes.
+void AppendBlob(std::string_view key, std::string_view blob,
+                std::string* out) {
+  AppendDecimalLine(key, blob.size(), out);
+  out->append(blob);
+}
+
+/// Pulls the next run of non-whitespace out of `rest` (whitespace as
+/// std::isspace); false once only whitespace is left.
+bool NextToken(std::string_view* rest, std::string_view* token) {
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  size_t b = 0;
+  while (b < rest->size() && space((*rest)[b])) ++b;
+  if (b == rest->size()) return false;
+  size_t e = b;
+  while (e < rest->size() && !space((*rest)[e])) ++e;
+  *token = rest->substr(b, e - b);
+  rest->remove_prefix(e);
+  return true;
+}
 
 /// Pulls the next '\n'-terminated line out of `rest`. Returns false at end
 /// of payload. A final line without a trailing newline is accepted.
@@ -92,28 +155,35 @@ bool OpFromName(std::string_view name, Op* out) {
   return false;
 }
 
-std::string EncodeDouble(double v) {
-  // Locale-independent hexfloat (base/strings.h): "%a"/strtod honour the
-  // run-time locale's radix character, so a server and client in different
-  // locales would disagree about "0x1.8p+1" — pinned by the
-  // LocaleIndependence protocol tests.
-  return FormatDoubleHex(v);
-}
+std::string EncodeDouble(double v) { return FormatDoubleHex(v); }
 
 bool DecodeDouble(std::string_view token, double* out) {
   if (token.empty() || token.size() > 63) return false;
   return ParseDoubleAnyFormat(token, out);
 }
 
+size_t BeginFrame(std::string* out) {
+  const size_t start = out->size();
+  out->append(kFrameMagic, sizeof(kFrameMagic));
+  out->append(kFrameHeaderBytes - sizeof(kFrameMagic), '\0');
+  return start;
+}
+
+void FinishFrame(size_t frame_start, std::string* out) {
+  const uint32_t len =
+      static_cast<uint32_t>(out->size() - frame_start - kFrameHeaderBytes);
+  for (size_t i = 0; i < 4; ++i) {
+    (*out)[frame_start + sizeof(kFrameMagic) + i] =
+        static_cast<char>((len >> (8 * i)) & 0xff);
+  }
+}
+
 std::string EncodeFrame(std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  frame.append(kFrameMagic, sizeof(kFrameMagic));
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  }
-  frame.append(payload.data(), payload.size());
+  const size_t start = BeginFrame(&frame);
+  frame.append(payload);
+  FinishFrame(start, &frame);
   return frame;
 }
 
@@ -134,23 +204,22 @@ Status DecodeFrameHeader(const unsigned char header[kFrameHeaderBytes],
   return Status::Ok();
 }
 
+void Request::AppendTo(double timeout, std::string* out) const {
+  out->reserve(out->size() + 96 + weights.size() * kRepeatedLineBytes +
+               cnf_text.size());
+  out->append("tbcq 1\nop ");
+  out->append(OpName(op));
+  out->push_back('\n');
+  if (timeout > 0.0) AppendDoubleLine("timeout_ms", timeout, out);
+  if (max_nodes > 0) AppendDecimalLine("max_nodes", max_nodes, out);
+  if (max_decisions > 0) AppendDecimalLine("max_decisions", max_decisions, out);
+  for (const auto& [lit, w] : weights) AppendLiteralLine("weight", lit, w, out);
+  if (!cnf_text.empty()) AppendBlob("cnf", cnf_text, out);
+}
+
 std::string Request::Serialize() const {
-  std::string out = "tbcq 1\n";
-  out += "op ";
-  out += OpName(op);
-  out += "\n";
-  if (timeout_ms > 0.0) out += "timeout_ms " + EncodeDouble(timeout_ms) + "\n";
-  if (max_nodes > 0) out += "max_nodes " + std::to_string(max_nodes) + "\n";
-  if (max_decisions > 0) {
-    out += "max_decisions " + std::to_string(max_decisions) + "\n";
-  }
-  for (const auto& [lit, w] : weights) {
-    out += "weight " + std::to_string(lit) + " " + EncodeDouble(w) + "\n";
-  }
-  if (!cnf_text.empty()) {
-    out += "cnf " + std::to_string(cnf_text.size()) + "\n";
-    out += cnf_text;
-  }
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 
@@ -226,37 +295,53 @@ Status Response::ToStatus() const {
   return Status::Error(status, message);
 }
 
-std::string Response::Serialize() const {
-  std::string out = "tbcr 1\n";
-  out += "status ";
-  out += StatusCodeName(status);
-  out += "\n";
+void Response::AppendTo(std::string* out) const {
+  out->reserve(out->size() + 128 + message.size() + count.size() +
+               marginals.size() * kRepeatedLineBytes + mpe.size() * 8 +
+               stats_json.size());
+  out->append("tbcr 1\nstatus ");
+  out->append(StatusCodeName(status));
+  out->push_back('\n');
   if (!message.empty()) {
-    std::string flat = message;
-    for (char& c : flat) {
-      if (c == '\n' || c == '\r') c = ' ';
+    out->append("message ");
+    const size_t at = out->size();
+    out->append(message);
+    // One line on the wire: fold embedded line breaks into spaces.
+    for (size_t i = at; i < out->size(); ++i) {
+      if ((*out)[i] == '\n' || (*out)[i] == '\r') (*out)[i] = ' ';
     }
-    out += "message " + flat + "\n";
+    out->push_back('\n');
   }
-  if (!count.empty()) out += "count " + count + "\n";
-  if (has_wmc) out += "wmc " + EncodeDouble(wmc) + "\n";
-  for (const auto& [lit, v] : marginals) {
-    out += "marg " + std::to_string(lit) + " " + EncodeDouble(v) + "\n";
+  if (!count.empty()) {
+    out->append("count ");
+    out->append(count);
+    out->push_back('\n');
   }
+  if (has_wmc) AppendDoubleLine("wmc", wmc, out);
+  for (const auto& [lit, v] : marginals) AppendLiteralLine("marg", lit, v, out);
   if (has_mpe) {
-    out += "mpe_weight " + EncodeDouble(mpe_weight) + "\n";
-    out += "mpe";
-    for (int l : mpe) out += " " + std::to_string(l);
-    out += "\n";
+    AppendDoubleLine("mpe_weight", mpe_weight, out);
+    out->append("mpe");
+    for (int l : mpe) {
+      out->push_back(' ');
+      AppendDecimal(l, out);
+    }
+    out->push_back('\n');
   }
-  if (circuit_nodes > 0) out += "nodes " + std::to_string(circuit_nodes) + "\n";
-  if (circuit_edges > 0) out += "edges " + std::to_string(circuit_edges) + "\n";
-  if (!artifact.empty()) out += "artifact " + artifact + "\n";
-  out += std::string("cache ") + (cache_hit ? "hit" : "miss") + "\n";
-  if (!stats_json.empty()) {
-    out += "stats " + std::to_string(stats_json.size()) + "\n";
-    out += stats_json;
+  if (circuit_nodes > 0) AppendDecimalLine("nodes", circuit_nodes, out);
+  if (circuit_edges > 0) AppendDecimalLine("edges", circuit_edges, out);
+  if (!artifact.empty()) {
+    out->append("artifact ");
+    out->append(artifact);
+    out->push_back('\n');
   }
+  out->append(cache_hit ? "cache hit\n" : "cache miss\n");
+  if (!stats_json.empty()) AppendBlob("stats", stats_json, out);
+}
+
+std::string Response::Serialize() const {
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 
@@ -267,7 +352,9 @@ Result<Response> Response::Parse(std::string_view payload) {
   if (!NextLine(&rest, &line) || line != "tbcr 1") {
     return Bad("response does not start with 'tbcr 1'");
   }
-  bool saw_status = false, saw_cache = false;
+  bool saw_status = false, saw_cache = false, saw_message = false,
+       saw_count = false, saw_mpe_weight = false, saw_nodes = false,
+       saw_edges = false;
   while (NextLine(&rest, &line)) {
     if (line.empty()) return Bad("empty line in response");
     std::string_view key, value;
@@ -279,8 +366,12 @@ Result<Response> Response::Parse(std::string_view payload) {
       }
       saw_status = true;
     } else if (key == "message") {
+      if (saw_message) return Bad("duplicate message");
       resp.message.assign(value.data(), value.size());
+      saw_message = true;
     } else if (key == "count") {
+      if (saw_count) return Bad("duplicate count");
+      saw_count = true;
       // Decimal digits only (BigUint::ToString output).
       if (value.empty() || value.size() > (1u << 20)) return Bad("bad count");
       for (char c : value) {
@@ -288,6 +379,7 @@ Result<Response> Response::Parse(std::string_view payload) {
       }
       resp.count.assign(value.data(), value.size());
     } else if (key == "wmc") {
+      if (resp.has_wmc) return Bad("duplicate wmc");
       if (!DecodeDouble(value, &resp.wmc)) {
         return Bad("bad wmc '" + std::string(value) + "'");
       }
@@ -304,9 +396,14 @@ Result<Response> Response::Parse(std::string_view payload) {
       if (!DecodeDouble(value.substr(sp + 1), &v)) return Bad("bad marg value");
       resp.marginals.emplace_back(lit, v);
     } else if (key == "mpe_weight") {
+      if (saw_mpe_weight) return Bad("duplicate mpe_weight");
       if (!DecodeDouble(value, &resp.mpe_weight)) return Bad("bad mpe_weight");
+      saw_mpe_weight = true;
     } else if (key == "mpe") {
-      for (const std::string& tok : SplitWhitespace(value)) {
+      if (resp.has_mpe) return Bad("duplicate mpe");
+      std::string_view tokens = value;
+      std::string_view tok;
+      while (NextToken(&tokens, &tok)) {
         if (resp.mpe.size() >= kMaxMpeLits) return Bad("too many mpe literals");
         int lit = 0;
         if (!ParseInt(tok, &lit) || lit == 0) return Bad("bad mpe literal");
@@ -314,10 +411,15 @@ Result<Response> Response::Parse(std::string_view payload) {
       }
       resp.has_mpe = true;
     } else if (key == "nodes") {
+      if (saw_nodes) return Bad("duplicate nodes");
       if (!ParseUint64(value, &resp.circuit_nodes)) return Bad("bad nodes");
+      saw_nodes = true;
     } else if (key == "edges") {
+      if (saw_edges) return Bad("duplicate edges");
       if (!ParseUint64(value, &resp.circuit_edges)) return Bad("bad edges");
+      saw_edges = true;
     } else if (key == "artifact") {
+      if (!resp.artifact.empty()) return Bad("duplicate artifact");
       if (value.size() != 32) return Bad("artifact key must be 32 hex chars");
       for (char c : value) {
         const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
@@ -337,6 +439,9 @@ Result<Response> Response::Parse(std::string_view payload) {
     }
   }
   if (!saw_status) return Bad("response missing status");
+  if (saw_mpe_weight != resp.has_mpe) {
+    return Bad("mpe_weight and mpe must appear together");
+  }
   return resp;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/guard.h"
@@ -71,6 +72,12 @@ struct Request {
   std::vector<std::pair<int, double>> weights;
   std::string cnf_text;
 
+  /// Appends the payload to *out in place (no per-line temporaries).
+  void AppendTo(std::string* out) const { AppendTo(timeout_ms, out); }
+  /// The same payload carrying `timeout_ms` in place of the field's own
+  /// value: the client's deadline propagation, without copying the CNF.
+  void AppendTo(double timeout_ms, std::string* out) const;
+  /// AppendTo into a fresh string.
   std::string Serialize() const;
   /// Strict parse of a request payload. Never throws; never aborts.
   static Result<Request> Parse(std::string_view payload);
@@ -98,11 +105,26 @@ struct Response {
   /// The response's status as a Status (for propagating into Result<T>).
   Status ToStatus() const;
 
+  /// Appends the payload to *out in place (no per-line temporaries).
+  void AppendTo(std::string* out) const;
+  /// AppendTo into a fresh string.
   std::string Serialize() const;
   /// Strict parse of a response payload (the client's trust boundary: the
-  /// server may be lying, truncated, or replaced by an attacker).
+  /// server may be lying, truncated, or replaced by an attacker). Every
+  /// key the serializer writes once may appear at most once, and
+  /// `mpe_weight` and `mpe` only together.
   static Result<Response> Parse(std::string_view payload);
 };
+
+/// In-place framing: BeginFrame appends the magic and a length
+/// placeholder and returns the frame's start offset in *out; once the
+/// payload has been appended after it, FinishFrame patches in its length.
+///
+///   const size_t start = BeginFrame(&buf);
+///   resp.AppendTo(&buf);
+///   FinishFrame(start, &buf);
+size_t BeginFrame(std::string* out);
+void FinishFrame(size_t frame_start, std::string* out);
 
 /// Encodes a payload into a full frame (header + payload).
 std::string EncodeFrame(std::string_view payload);

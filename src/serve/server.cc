@@ -181,6 +181,7 @@ void Server::Release() {
 void Server::HandleConnection(Socket conn) {
   int idle_ms = 0;
   std::string payload;
+  std::string frame;  // each reply is framed in place in this one buffer
   while (true) {
     if (stopping_.load(std::memory_order_acquire)) break;
     Status st = RecvFrame(conn, opts_.max_frame_bytes,
@@ -247,7 +248,10 @@ void Server::HandleConnection(Socket conn) {
       TBC_COUNT("serve.requests.refused");
     }
 
-    const std::string frame = EncodeFrame(resp.Serialize());
+    frame.clear();
+    const size_t frame_start = BeginFrame(&frame);
+    resp.AppendTo(&frame);
+    FinishFrame(frame_start, &frame);
     if (TBC_FAULT_POINT("serve.frame.truncate")) {
       // Simulate the server dying mid-response: half a frame, then close.
       TBC_COUNT("serve.faults.injected");
@@ -284,13 +288,14 @@ Response Server::Execute(const Request& req, Guard& guard) {
   bool cache_hit = false;
   std::shared_ptr<const Artifact> cached;
   std::optional<Cnf> parsed_cnf;  // reused by the compile path below
+  const uint64_t fingerprint = ArtifactCache::FingerprintOf(req.cnf_text);
   if (opts_.max_forecast_width > 0) {
     // Forecast admission (rule structure.width/structure.forecast): price
     // the compile with a bounded static pass and refuse hopeless requests
     // before they consume any compile Guard budget. Runs after Admit, so
     // at most num_workers analyses execute concurrently, and only on a
     // cache miss — a cached artifact's compile is sunk cost.
-    cached = cache_.Lookup(req.cnf_text);
+    cached = cache_.Lookup(req.cnf_text, fingerprint);
     if (cached == nullptr) {
       auto parsed = Cnf::ParseDimacs(req.cnf_text);
       if (!parsed.ok()) return ErrorResponse(parsed.status());
@@ -328,7 +333,7 @@ Response Server::Execute(const Request& req, Guard& guard) {
   auto artifact =
       cached != nullptr
           ? Result<std::shared_ptr<const Artifact>>(cached)
-          : cache_.GetOrCompile(req.cnf_text, guard, &cache_hit,
+          : cache_.GetOrCompile(req.cnf_text, fingerprint, guard, &cache_hit,
                                 parsed_cnf ? &*parsed_cnf : nullptr);
   if (cached != nullptr) cache_hit = true;
   if (!artifact.ok()) return ErrorResponse(artifact.status());

@@ -1,18 +1,16 @@
-// Serving-layer tests (DESIGN.md "Serving layer"): wire protocol
-// round-trips and adversarial parsing, the content-hash artifact cache
-// (single-flight, eviction, failed compiles), and the server end-to-end —
-// typed refusals for malformed input, admission control, deadline
-// propagation, and graceful drain. The fault-injection matrix and the
-// bit-identical soak live in serve_fault_test.cc.
+// Serving-layer tests (DESIGN.md "Serving layer"): the artifact cache
+// (single-flight, eviction, failed compiles, the byte-verified index), and
+// the server end-to-end — typed refusals for malformed input, admission
+// control, deadline propagation, and graceful drain. The wire codec lives
+// in protocol_test.cc; the fault-injection matrix and the bit-identical
+// soak in serve_fault_test.cc.
 
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <locale>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,170 +59,6 @@ ClientOptions ClientFor(const Server& server) {
   copts.retry.initial_backoff_ms = 1.0;
   copts.deadline_ms = 10'000.0;
   return copts;
-}
-
-// ---------------------------------------------------------------------------
-// Protocol round-trips.
-
-TEST(Protocol, RequestRoundTripPreservesEveryField) {
-  Request req;
-  req.op = Op::kWmc;
-  req.timeout_ms = 1234.5;
-  req.max_nodes = 77;
-  req.max_decisions = 88;
-  req.weights = {{1, 0.1}, {-2, 0x1.fffffffffffffp-2}, {3, 1e-300}};
-  req.cnf_text = kSmallCnf;
-
-  auto parsed = Request::Parse(req.Serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_EQ(parsed->op, Op::kWmc);
-  EXPECT_EQ(parsed->timeout_ms, 1234.5);
-  EXPECT_EQ(parsed->max_nodes, 77u);
-  EXPECT_EQ(parsed->max_decisions, 88u);
-  ASSERT_EQ(parsed->weights.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(parsed->weights[i].first, req.weights[i].first);
-    // Hexfloat wire encoding is bit-exact, so == is the right comparison.
-    EXPECT_EQ(parsed->weights[i].second, req.weights[i].second);
-  }
-  EXPECT_EQ(parsed->cnf_text, req.cnf_text);
-}
-
-TEST(Protocol, ResponseRoundTripPreservesEveryField) {
-  Response resp;
-  resp.status = StatusCode::kOk;
-  resp.count = "123456789123456789";
-  resp.has_wmc = true;
-  resp.wmc = 0x1.921fb54442d18p+1;
-  resp.marginals = {{1, 0.25}, {-1, 0.75}};
-  resp.has_mpe = true;
-  resp.mpe_weight = 0.5;
-  resp.mpe = {1, -2, 3};
-  resp.circuit_nodes = 42;
-  resp.circuit_edges = 41;
-  resp.artifact = "00112233445566778899aabbccddeeff";
-  resp.cache_hit = true;
-  resp.stats_json = "{\"version\": 1}\n";
-
-  auto parsed = Response::Parse(resp.Serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_EQ(parsed->status, StatusCode::kOk);
-  EXPECT_EQ(parsed->count, resp.count);
-  EXPECT_TRUE(parsed->has_wmc);
-  EXPECT_EQ(parsed->wmc, resp.wmc);
-  EXPECT_EQ(parsed->marginals, resp.marginals);
-  EXPECT_TRUE(parsed->has_mpe);
-  EXPECT_EQ(parsed->mpe_weight, resp.mpe_weight);
-  EXPECT_EQ(parsed->mpe, resp.mpe);
-  EXPECT_EQ(parsed->circuit_nodes, 42u);
-  EXPECT_EQ(parsed->circuit_edges, 41u);
-  EXPECT_EQ(parsed->artifact, resp.artifact);
-  EXPECT_TRUE(parsed->cache_hit);
-  EXPECT_EQ(parsed->stats_json, resp.stats_json);
-}
-
-TEST(Protocol, TypedRefusalRoundTrip) {
-  Response resp;
-  resp.status = StatusCode::kOverloaded;
-  resp.message = "queue full (16 waiting)";
-  auto parsed = Response::Parse(resp.Serialize());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->status, StatusCode::kOverloaded);
-  EXPECT_EQ(parsed->message, resp.message);
-  EXPECT_TRUE(parsed->ToStatus().IsRefusal());
-}
-
-// ---------------------------------------------------------------------------
-// Adversarial parsing: every wire byte is hostile.
-
-TEST(Protocol, FrameHeaderRejectsBadMagicAndOversizedLength) {
-  unsigned char header[kFrameHeaderBytes] = {'t', 'b', 'c', '1', 4, 0, 0, 0};
-  size_t len = 0;
-  EXPECT_TRUE(DecodeFrameHeader(header, 1024, &len).ok());
-  EXPECT_EQ(len, 4u);
-
-  header[0] = 'X';
-  EXPECT_EQ(DecodeFrameHeader(header, 1024, &len).code(),
-            StatusCode::kInvalidInput);
-
-  unsigned char big[kFrameHeaderBytes] = {'t',  'b',  'c',  '1',
-                                          0xff, 0xff, 0xff, 0x7f};
-  EXPECT_EQ(DecodeFrameHeader(big, 1024, &len).code(),
-            StatusCode::kInvalidInput);
-}
-
-TEST(Protocol, RequestParseRejectsMalformedPayloads) {
-  const char* bad[] = {
-      "",                                      // empty
-      "tbcq 2\nop ping\n",                     // wrong version
-      "nope 1\nop ping\n",                     // wrong magic line
-      "tbcq 1\n",                              // missing op
-      "tbcq 1\nop nonsense\n",                 // unknown op
-      "tbcq 1\nop ping\nop ping\n",            // duplicate key
-      "tbcq 1\nop ping\nmystery 3\n",          // unknown key
-      "tbcq 1\nop count\n",                    // op needs cnf, none given
-      "tbcq 1\nop count\ncnf 10\nshort",       // blob shorter than declared
-      "tbcq 1\nop count\ncnf 1\nab",           // blob longer than declared
-      "tbcq 1\nop wmc\nweight 0 0x1p0\ncnf 2\nxx",   // literal 0
-      "tbcq 1\nop wmc\nweight 1 nan\ncnf 2\nxx",     // NaN weight
-      "tbcq 1\nop ping\ntimeout_ms banana\n",  // unparseable number
-  };
-  for (const char* payload : bad) {
-    auto parsed = Request::Parse(payload);
-    EXPECT_FALSE(parsed.ok()) << "accepted: " << payload;
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidInput);
-  }
-}
-
-TEST(Protocol, RandomGarbageNeverCrashesTheParsers) {
-  Rng rng(20260807);
-  for (int i = 0; i < 2000; ++i) {
-    std::string junk(rng.Below(200), '\0');
-    for (char& c : junk) c = static_cast<char>(rng.Below(256));
-    (void)Request::Parse(junk);   // must return, not crash
-    (void)Response::Parse(junk);
-  }
-  // Mutations of a valid payload: flip one byte at a time.
-  Request req;
-  req.op = Op::kCount;
-  req.cnf_text = kSmallCnf;
-  const std::string good = req.Serialize();
-  for (size_t i = 0; i < good.size(); ++i) {
-    std::string mutant = good;
-    mutant[i] = static_cast<char>(mutant[i] ^ 0x20);
-    (void)Request::Parse(mutant);
-  }
-}
-
-TEST(Protocol, DoubleWireEncodingIsBitExact) {
-  const double values[] = {0.0,     -0.0,   1.0,    0.1,
-                           1e-300,  5e-324, 1e300,  0x1.fffffffffffffp+1023,
-                           -1e-42,  3.14159265358979};
-  for (double v : values) {
-    double back = 0.0;
-    ASSERT_TRUE(DecodeDouble(EncodeDouble(v), &back));
-    EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0) << v;
-  }
-  double out;
-  EXPECT_FALSE(DecodeDouble("nan", &out));
-  EXPECT_FALSE(DecodeDouble("", &out));
-  EXPECT_FALSE(DecodeDouble("0x1p0 trailing", &out));
-
-  // The WMC transport is locale-independent: a comma-radix locale on
-  // either end of the wire must not bend the encoding (the bug class the
-  // hexfloat codec in base/strings exists to rule out).
-  class CommaNumpunct : public std::numpunct<char> {
-   protected:
-    char do_decimal_point() const override { return ','; }
-  };
-  const std::locale saved = std::locale::global(
-      std::locale(std::locale::classic(), new CommaNumpunct));
-  for (double v : values) {
-    double back = 0.0;
-    ASSERT_TRUE(DecodeDouble(EncodeDouble(v), &back));
-    EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0) << v;
-  }
-  std::locale::global(saved);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,6 +130,149 @@ TEST(ArtifactCache, FailedCompilesAreNotCached) {
   EXPECT_EQ(cache.size(), 0u);
   // A valid CNF under the same cache still works afterwards.
   EXPECT_TRUE(cache.GetOrCompile(kSmallCnf, guard, nullptr).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Artifact index: slots are bucketed by a 64-bit in-memory fingerprint and
+// matched on their exact bytes. The fingerprint-taking overloads let these
+// tests force distinct CNFs into one bucket.
+
+// A random 3-CNF at the phase transition (250 vars, ratio 4.26): its
+// unbounded compile runs far longer than any test, so it stays in flight
+// until cancelled.
+std::string HardCnf() {
+  Rng rng(11);
+  std::string cnf = "p cnf 250 1065\n";
+  for (int i = 0; i < 1065; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      const int v = 1 + static_cast<int>(rng.Below(250));
+      cnf += std::to_string(rng.Flip(0.5) ? v : -v) + " ";
+    }
+    cnf += "0\n";
+  }
+  return cnf;
+}
+
+TEST(ArtifactCache, DistinctCnfsOnOneFingerprintNeverAlias) {
+  ArtifactCache cache(4);
+  Guard guard(Budget::Unlimited());
+  constexpr uint64_t kShared = 42;
+  const std::pair<std::string, std::string> cnfs[] = {
+      {kSmallCnf, "4"}, {"p cnf 1 0\n", "2"}, {"p cnf 2 1\n1 2 0\n", "3"}};
+  std::vector<std::shared_ptr<const Artifact>> built;
+  for (const auto& [text, count] : cnfs) {
+    bool hit = true;
+    auto a = cache.GetOrCompile(text, kShared, guard, &hit);
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    EXPECT_FALSE(hit) << text;
+    EXPECT_EQ((*a)->cnf_text, text);
+    EXPECT_EQ((*a)->count.ToString(), count);
+    built.push_back(*a);
+  }
+  EXPECT_EQ(cache.compiles(), 3u);
+  EXPECT_EQ(cache.size(), 3u);
+  // Every later probe of the shared bucket finds its own CNF's artifact.
+  for (size_t i = 0; i < built.size(); ++i) {
+    bool hit = false;
+    auto a = cache.GetOrCompile(cnfs[i].first, kShared, guard, &hit);
+    ASSERT_TRUE(a.ok());
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(a->get(), built[i].get());
+    EXPECT_EQ(cache.Lookup(cnfs[i].first, kShared).get(), built[i].get());
+  }
+  EXPECT_EQ(cache.Lookup("p cnf 5 0\n", kShared), nullptr);
+  EXPECT_EQ(cache.compiles(), 3u);
+}
+
+TEST(ArtifactCache, CnfsOneByteApartStaySeparate) {
+  // (1 v 2)(-1 v 3) has 4 models; dropping the '-' gives (1 v 2)(1 v 3),
+  // which has 5.
+  const std::string a = "p cnf 3 2\n1 2 0\n-1 3 0\n";
+  const std::string b = "p cnf 3 2\n1 2 0\n 1 3 0\n";
+  ASSERT_EQ(a.size(), b.size());
+  for (bool forced : {false, true}) {
+    ArtifactCache cache(4);
+    Guard guard(Budget::Unlimited());
+    const auto get = [&](const std::string& text) {
+      return forced ? cache.GetOrCompile(text, 7, guard, nullptr)
+                    : cache.GetOrCompile(text, guard, nullptr);
+    };
+    auto first = get(a);
+    auto second = get(b);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_NE(first->get(), second->get());
+    EXPECT_NE((*first)->key, (*second)->key);
+    EXPECT_EQ((*first)->count.ToString(), "4");
+    EXPECT_EQ((*second)->count.ToString(), "5");
+    EXPECT_EQ(get(a)->get(), first->get());
+    EXPECT_EQ(get(b)->get(), second->get());
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.compiles(), 2u);
+  }
+}
+
+TEST(ArtifactCache, SingleFlightJoinChecksBytesBeforeWaiting) {
+  ArtifactCache cache(4);
+  constexpr uint64_t kShared = 9;
+  Budget owner_budget;
+  owner_budget.timeout_ms = 60'000;  // bounds the test if cancel is lost
+  Guard owner_guard(owner_budget);
+  std::atomic<bool> owner_done{false};
+  Status owner_status;
+  std::thread owner([&] {
+    auto a = cache.GetOrCompile(HardCnf(), kShared, owner_guard, nullptr);
+    owner_status = a.status();
+    owner_done = true;
+  });
+  // The owner's slot is filed before its compile is counted.
+  while (cache.compiles() == 0) std::this_thread::yield();
+
+  // A different CNF on the same fingerprint must not join that compile:
+  // it compiles its own instead of waiting on someone else's bytes.
+  Budget budget;
+  budget.timeout_ms = 2'000;  // what a wrongful join would wait out
+  Guard guard(budget);
+  bool hit = true;
+  auto small = cache.GetOrCompile(kSmallCnf, kShared, guard, &hit);
+  ASSERT_TRUE(small.ok()) << small.status().message();
+  EXPECT_FALSE(hit);
+  EXPECT_EQ((*small)->count.ToString(), "4");
+  EXPECT_FALSE(owner_done.load());  // answered while the other was in flight
+  EXPECT_EQ(cache.compiles(), 2u);
+
+  owner_guard.Cancel();
+  owner.join();
+  EXPECT_FALSE(owner_status.ok());
+  EXPECT_EQ(cache.size(), 1u);  // the cancelled compile is not cached
+  EXPECT_EQ(cache.Lookup(kSmallCnf, kShared).get(), small->get());
+}
+
+TEST(ArtifactCache, ArtifactKeysAreTheContentHashOfTheBytes) {
+  // Pinned values of the 128-bit content key: the `artifact` response
+  // field and the store's file names, so they must never drift.
+  ArtifactCache cache(4);
+  Guard guard(Budget::Unlimited());
+  auto small = cache.GetOrCompile(kSmallCnf, guard, nullptr);
+  auto empty = cache.GetOrCompile("p cnf 1 0\n", guard, nullptr);
+  ASSERT_TRUE(small.ok() && empty.ok());
+  EXPECT_EQ((*small)->key, "622d5280d39182b43b8fa5de2219a002");
+  EXPECT_EQ((*empty)->key, "e13cfea723f0a005a22bc9c7c0a612e4");
+}
+
+TEST(ArtifactCache, CountsExactlyOneCompilePerMiss) {
+  ArtifactCache cache(1);
+  Guard guard(Budget::Unlimited());
+  ASSERT_TRUE(cache.GetOrCompile(kSmallCnf, guard, nullptr).ok());
+  EXPECT_EQ(cache.compiles(), 1u);
+  ASSERT_TRUE(cache.GetOrCompile(kSmallCnf, guard, nullptr).ok());  // hit
+  EXPECT_NE(cache.Lookup(kSmallCnf), nullptr);                      // peek
+  EXPECT_EQ(cache.compiles(), 1u);
+  EXPECT_FALSE(cache.GetOrCompile("not a cnf", guard, nullptr).ok());
+  EXPECT_EQ(cache.compiles(), 2u);  // a failed compile was still a miss
+  ASSERT_TRUE(cache.GetOrCompile("p cnf 1 0\n", guard, nullptr).ok());
+  EXPECT_EQ(cache.compiles(), 3u);
+  ASSERT_TRUE(cache.GetOrCompile(kSmallCnf, guard, nullptr).ok());  // evicted
+  EXPECT_EQ(cache.compiles(), 4u);
 }
 
 // ---------------------------------------------------------------------------

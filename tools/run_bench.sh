@@ -50,6 +50,11 @@ if ! grep -q bench_kernels "$BASE_SRC/bench/CMakeLists.txt"; then
   printf '\nif(TBC_BENCH)\n  tbc_bench(bench_kernels)\nendif()\n' \
     >> "$BASE_SRC/bench/CMakeLists.txt"
 fi
+# The serve_codec kernel links the serving library.
+if ! grep -q 'bench_kernels PRIVATE tbc_serve' "$BASE_SRC/bench/CMakeLists.txt"; then
+  printf '\nif(TBC_BENCH)\n  target_link_libraries(bench_kernels PRIVATE tbc_serve)\nendif()\n' \
+    >> "$BASE_SRC/bench/CMakeLists.txt"
+fi
 
 build_tree() { # src build
   # -DTBC_BENCH=ON is a plain cache variable: it gates the baseline's
@@ -151,7 +156,7 @@ for name in kb:
         "before_runs_ms": kb[name]["runs_ms"],
         "after_runs_ms": kc[name]["runs_ms"],
     }
-    for unit in ("ns_per_edge", "ns_per_decision"):
+    for unit in ("ns_per_edge", "ns_per_decision", "ns_per_line"):
         if unit in kc[name]:
             kernels[name]["before_" + unit] = kb[name].get(unit)
             kernels[name]["after_" + unit] = kc[name][unit]
