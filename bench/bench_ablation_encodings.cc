@@ -34,7 +34,7 @@ BayesianNetwork DeterministicNetwork(size_t n, double det_fraction,
       p = rng.Flip(det_fraction) ? (rng.Flip(0.5) ? 0.0 : 1.0)
                                  : 0.05 + 0.9 * rng.Uniform();
     }
-    net.AddBinary("x" + std::to_string(v), parents, cpt);
+    net.AddBinary(std::string("x").append(std::to_string(v)), parents, cpt);
   }
   return net;
 }

@@ -122,8 +122,8 @@ const WmcEncoding& BandedBnEncoding() {
       }
       std::vector<double> cpt_true(size_t{1} << parents.size());
       for (double& x : cpt_true) x = 0.05 + 0.9 * params.Uniform();
-      net.AddBinary("x" + std::to_string(v), std::move(parents),
-                    std::move(cpt_true));
+      net.AddBinary(std::string("x").append(std::to_string(v)),
+                    std::move(parents), std::move(cpt_true));
     }
     return new WmcEncoding(net);
   }();

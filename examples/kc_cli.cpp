@@ -24,7 +24,9 @@
 //
 // With --timeout-ms/--max-nodes the compilation runs under a resource
 // guard; if the budget is exhausted the tool prints the typed refusal and
-// exits with code 3 (distinct from usage errors and bad input).
+// exits with code 3 (distinct from usage errors and bad input). The budget
+// bounds each search on its own: the counter run of --wmc gets a fresh
+// guard with the same budget, so it never pays for the compile before it.
 //
 // Exit codes (unified across kc_cli / tbc_lint / tbc_certify, see the
 // README table): 0 = ok, 1 = usage or input/IO error, 2 = input rejected
@@ -478,7 +480,8 @@ int main(int argc, char** argv) {
       weights.Set(Neg(v), lit_weight);
     }
     ModelCounter counter;
-    auto wmc = counter.WmcBounded(cnf, weights, guard);
+    Guard wmc_guard(budget);
+    auto wmc = counter.WmcBounded(cnf, weights, wmc_guard);
     if (!wmc.ok()) return refuse(wmc.status());
     std::printf("c wmc: %.12g (decisions %llu, cache hits %llu, "
                 "underflow rescues %llu)\n",

@@ -12,7 +12,7 @@ std::string WriteNetwork(const BayesianNetwork& net) {
   for (BnVar v = 0; v < net.num_vars(); ++v) {
     out += "var " + net.name(v) + " " + std::to_string(net.cardinality(v)) +
            " " + std::to_string(net.parents(v).size());
-    for (BnVar p : net.parents(v)) out += " " + std::to_string(p);
+    for (BnVar p : net.parents(v)) out.append(" ").append(std::to_string(p));
     out += "\ncpt " + std::to_string(v);
     for (double theta : net.cpt(v)) {
       std::snprintf(buffer, sizeof(buffer), " %.17g", theta);

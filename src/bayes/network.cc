@@ -145,8 +145,8 @@ BayesianNetwork BayesianNetwork::RandomBinary(size_t num_vars,
     const size_t rows = 1ull << parents.size();
     std::vector<double> cpt_true(rows);
     for (double& x : cpt_true) x = 0.05 + 0.9 * rng.Uniform();
-    net.AddBinary("x" + std::to_string(v), std::move(parents),
-                  std::move(cpt_true));
+    net.AddBinary(std::string("x").append(std::to_string(v)),
+                  std::move(parents), std::move(cpt_true));
   }
   return net;
 }

@@ -9,10 +9,12 @@
 namespace tbc {
 
 /// Exact #SAT / WMC by exhaustive DPLL with component caching — the
-/// sharpSAT architecture (paper §2.1, footnote 3). Shares its search
-/// skeleton with DdnnfCompiler: keeping the trace of this search yields a
-/// Decision-DNNF [Huang & Darwiche 2007], which is exactly what
-/// DdnnfCompiler does. This direct counter skips circuit construction.
+/// sharpSAT architecture (paper §2.1, footnote 3). It runs the same search
+/// as DdnnfCompiler, the one Dpll driver (compiler/subproblem.h): keeping the
+/// trace of that search yields a Decision-DNNF [Huang & Darwiche 2007],
+/// which is what DdnnfCompiler does. This counter evaluates the search in a
+/// count or weight algebra instead and builds no circuit, so it makes the
+/// same decisions and cache hits as the compiler.
 class ModelCounter {
  public:
   struct Stats {

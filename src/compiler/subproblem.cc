@@ -274,11 +274,4 @@ void ConditionClauses(const ClauseSet& clauses, Lit l, ClauseSet* out) {
   out->ends.resize(kept);
 }
 
-size_t CountVars(const ClauseSet& clauses) {
-  static thread_local EpochMap vars;
-  vars.Clear();
-  for (const Lit l : clauses.lits) vars.Set(l.var(), 1);
-  return vars.touched().size();
-}
-
 }  // namespace tbc::compiler_internal

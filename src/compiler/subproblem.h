@@ -8,17 +8,22 @@
 #include <utility>
 #include <vector>
 
+#include "base/check.h"
 #include "base/flat_table.h"
+#include "base/guard.h"
+#include "base/observability.h"
+#include "base/result.h"
+#include "base/scratch.h"
+#include "compiler/ddnnf_compiler.h"
 #include "logic/cnf.h"
 #include "logic/lit.h"
 
 namespace tbc::compiler_internal {
 
 /// A subproblem of exhaustive DPLL: a set of reduced clauses (no satisfied
-/// clauses, no false literals). Shared by the Decision-DNNF compiler and
-/// the model counter — the paper's point that a model counter's trace *is*
-/// a d-DNNF [Huang & Darwiche 2007] shows up here as the two using the
-/// same search skeleton.
+/// clauses, no false literals). The Decision-DNNF compiler and the model
+/// counters search over it with one driver, Dpll below: the paper's point
+/// that a model counter's trace *is* a d-DNNF [Huang & Darwiche 2007].
 ///
 /// Stored flat: every clause's literals back to back in `lits`, and
 /// `ends[i]` one past clause i's last literal. Each DPLL node rewrites
@@ -104,7 +109,7 @@ template <typename V>
 class ComponentCache {
  public:
   /// The value stored under `key`, or nullptr. `fingerprint` is the one
-  /// the key was inserted under (Fingerprint(key) in the drivers). The
+  /// the key was inserted under (Fingerprint(key) in the driver). The
   /// pointer is valid until the next Insert.
   const V* Find(std::span<const uint32_t> key, uint64_t fingerprint) const {
     const uint32_t id = index_.Find(fingerprint, [&](uint32_t candidate) {
@@ -168,15 +173,13 @@ Var PickBranchVar(const ClauseSet& clauses);
 /// Writes `clauses` conditioned on a literal (no propagation) to `out`.
 void ConditionClauses(const ClauseSet& clauses, Lit l, ClauseSet* out);
 
-/// Number of distinct variables appearing in the clauses.
-size_t CountVars(const ClauseSet& clauses);
-
 /// The buffers one level of the DPLL recursion reuses: the work set it
 /// splits into components, and the canonical component it decides on
 /// together with that component's cache key and the conditioned branch
-/// handed to the next level. Driver-specific state sits in `extra`.
-template <typename Extra>
+/// handed to the next level. `work` and `dropped` serve only the algebras
+/// that weigh dropped variables (Dpll below).
 struct Frame {
+  ClauseSet work;                   // the canonicalized subproblem
   std::vector<Lit> implied;
   ClauseSet split;                  // SplitComponents scratch
   std::vector<uint32_t> comp_ends;  // component boundaries in the split
@@ -184,22 +187,198 @@ struct Frame {
   ClauseSet canonical;              // the component being decided
   std::vector<uint32_t> key;        // its cache key
   ClauseSet branch;                 // `canonical` conditioned on a decision
-  Extra extra;
+  std::vector<Var> dropped;         // variables the last step dropped
 };
 
 /// One Frame per recursion depth, created on first use and reused by every
 /// later node at that depth. A deque keeps outer frames in place while
 /// deeper ones are added.
-template <typename Extra>
 class FrameStack {
  public:
-  Frame<Extra>& at(size_t depth) {
+  Frame& at(size_t depth) {
     while (frames_.size() <= depth) frames_.emplace_back();
     return frames_[depth];
   }
 
  private:
-  std::deque<Frame<Extra>> frames_;
+  std::deque<Frame> frames_;
+};
+
+/// An algebra's observability names; a null `splits` is not counted.
+struct SearchCounters {
+  const char* decisions;
+  const char* cache_hits;
+  const char* cache_misses;
+  const char* splits;
+};
+
+/// The one exhaustive-DPLL search: propagate, split into components,
+/// canonicalize, probe the component cache, branch. It runs in a result
+/// algebra, since count, WMC and circuit construction are one sum-product
+/// evaluation over the same decision structure (PAPERS.md, arXiv
+/// 2202.02942); so the compiler and the counters make the same decisions
+/// and cache hits.
+///
+/// An Algebra has types Value (cached per component), Product (one
+/// conjunction's accumulator), Sink and Decision (trace records), the
+/// SearchCounters kCounters, and Top(), Zero(sink) for a BCP conflict,
+/// One(), Implied(product, lit), Times(product, value, sink),
+/// Finish(product, sink), Hi(decision), Lo(decision) and
+/// Decide(decision, var, hi, lo). An algebra with kFreeVars weighs the
+/// variables that drop out of a subproblem: Free(value, dropped) and
+/// Assume(lit, sub, dropped) for a branch, with Product = Value. Its
+/// subproblems are canonicalized before propagation, which fixes the order
+/// the factors multiply in. All of this is resolved at compile time, so the
+/// circuit's search pays nothing for the counters.
+template <typename Algebra>
+class Dpll {
+ public:
+  using Value = typename Algebra::Value;
+
+  /// Counts decisions, cache hits and splits into `stats`; each decision
+  /// charges `guard` one decision and one node.
+  Dpll(Algebra& algebra, DdnnfOptions options, DdnnfStats& stats,
+       Guard& guard)
+      : algebra_(algebra), options_(options), stats_(stats), guard_(guard) {}
+
+  /// Evaluates `cnf`; with kFreeVars its unmentioned variables too.
+  Result<Value> Run(const Cnf& cnf) {
+    ClauseSet clauses;
+    LoadCnf(cnf, &clauses);
+    if constexpr (!Algebra::kFreeVars) {
+      return Clauses(clauses, 0, algebra_.Top());
+    } else {
+      vars_.Clear();
+      for (Var v = 0; v < cnf.num_vars(); ++v) vars_.Set(v, 1);
+      std::vector<Var> unmentioned;
+      Dropped({}, clauses, &unmentioned);
+      TBC_ASSIGN_OR_RETURN(Value value, Clauses(clauses, 0, algebra_.Top()));
+      algebra_.Free(value, unmentioned);
+      return value;
+    }
+  }
+
+ private:
+  // Evaluates `input` at recursion depth `depth` into `sink`. Without
+  // kFreeVars propagation rewrites `input` in place: BCP closure and the
+  // component partition ignore clause order and duplicates, and Component
+  // canonicalizes before keying the cache.
+  Result<Value> Clauses(ClauseSet& input, size_t depth,
+                        typename Algebra::Sink sink) {
+    Frame& frame = frames_.at(depth);
+    ClauseSet* clauses = &input;
+    if constexpr (Algebra::kFreeVars) {
+      Canonicalize(AllOf(input), &frame.order, &frame.work);
+      clauses = &frame.work;
+      MarkVars(*clauses);
+    }
+    if (Propagate(clauses, &frame.implied) == BcpOutcome::kConflict) {
+      return algebra_.Zero(sink);
+    }
+    typename Algebra::Product product = algebra_.One();
+    for (const Lit l : frame.implied) algebra_.Implied(product, l);
+    if constexpr (Algebra::kFreeVars) {
+      // Variables that vanished with satisfied clauses are free.
+      algebra_.Free(product, Dropped(frame.implied, *clauses, &frame.dropped));
+    }
+    if (!clauses->empty()) {
+      const ClauseSet* groups = clauses;
+      if (options_.use_components) {
+        groups = &SplitComponents(*clauses, &frame.split, &frame.comp_ends);
+        if (frame.comp_ends.size() > 1) {
+          ++stats_.components_split;
+          if constexpr (Algebra::kCounters.splits != nullptr) {
+            TBC_COUNT(Algebra::kCounters.splits);
+          }
+        }
+      } else {
+        frame.comp_ends.assign(1, static_cast<uint32_t>(clauses->size()));
+      }
+      for (size_t k = 0; k < frame.comp_ends.size(); ++k) {
+        TBC_ASSIGN_OR_RETURN(
+            const Value sub,
+            Component(ComponentOf(*groups, frame.comp_ends, k), depth));
+        algebra_.Times(product, sub, sink);
+      }
+    }
+    return algebra_.Finish(product, sink);
+  }
+
+  // Evaluates a single component (no unit clauses after propagation).
+  Result<Value> Component(ClauseRange component, size_t depth) {
+    Frame& frame = frames_.at(depth);
+    Canonicalize(component, &frame.order, &frame.canonical);
+    uint64_t fingerprint = 0;
+    if (options_.use_cache) {
+      fingerprint = CacheKeyInto(frame.canonical, &frame.key);
+      if (const Value* hit = cache_.Find(frame.key, fingerprint)) {
+        ++stats_.cache_hits;
+        TBC_COUNT(Algebra::kCounters.cache_hits);
+        return *hit;
+      }
+      TBC_COUNT(Algebra::kCounters.cache_misses);
+    }
+    ++stats_.decisions;
+    TBC_COUNT(Algebra::kCounters.decisions);
+    // One decision = one decision node or cache entry: charge both budgets
+    // here, at the head of the exponential recursion, so a trip surfaces
+    // within one decision's work.
+    TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
+    TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
+    const Var v = PickBranchVar(frame.canonical);
+    TBC_DCHECK(v != kInvalidVar);
+    typename Algebra::Decision decision{};
+    TBC_ASSIGN_OR_RETURN(const Value hi,
+                         Branch(Pos(v), depth, algebra_.Hi(decision)));
+    TBC_ASSIGN_OR_RETURN(const Value lo,
+                         Branch(Neg(v), depth, algebra_.Lo(decision)));
+    Value result = algebra_.Decide(decision, v, hi, lo);
+    if (options_.use_cache) cache_.Insert(frame.key, fingerprint, result);
+    return result;
+  }
+
+  // The branch assuming `l` of the decision at `depth`. Both branches are
+  // conditioned into one per-depth buffer: the high branch is fully
+  // evaluated before the low one is built.
+  Result<Value> Branch(Lit l, size_t depth, typename Algebra::Sink sink) {
+    Frame& frame = frames_.at(depth);
+    ConditionClauses(frame.canonical, l, &frame.branch);
+    if constexpr (!Algebra::kFreeVars) {
+      return Clauses(frame.branch, depth + 1, sink);
+    } else {
+      // Component variables absent from the branch are free; collect them
+      // before the recursion reuses the marks.
+      MarkVars(frame.canonical);
+      Dropped({&l, 1}, frame.branch, &frame.dropped);
+      TBC_ASSIGN_OR_RETURN(Value sub, Clauses(frame.branch, depth + 1, sink));
+      return algebra_.Assume(l, std::move(sub), frame.dropped);
+    }
+  }
+
+  void MarkVars(const ClauseSet& before) {
+    vars_.Clear();
+    for (const Lit l : before.lits) vars_.Set(l.var(), 1);
+  }
+
+  // The marked variables in neither `fixed` nor `after`, in marking order.
+  std::span<const Var> Dropped(std::span<const Lit> fixed,
+                               const ClauseSet& after, std::vector<Var>* out) {
+    for (const Lit l : fixed) vars_.Set(l.var(), 0);
+    for (const Lit l : after.lits) vars_.Set(l.var(), 0);
+    out->clear();
+    for (const Var v : vars_.touched()) {
+      if (vars_.Get(v) != 0) out->push_back(v);
+    }
+    return *out;
+  }
+
+  Algebra& algebra_;
+  const DdnnfOptions options_;
+  DdnnfStats& stats_;
+  Guard& guard_;
+  FrameStack frames_;
+  ComponentCache<Value> cache_;
+  EpochMap vars_;  // MarkVars/Dropped marks, never held across recursion
 };
 
 }  // namespace tbc::compiler_internal

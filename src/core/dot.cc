@@ -9,11 +9,11 @@ namespace {
 
 std::string NameOf(Var v, const std::vector<std::string>& names) {
   if (v < names.size()) return names[v];
-  return "x" + std::to_string(v);
+  return std::string("x").append(std::to_string(v));
 }
 
 std::string LitLabel(Lit l, const std::vector<std::string>& names) {
-  return (l.positive() ? "" : "~") + NameOf(l.var(), names);
+  return std::string(l.positive() ? "" : "~").append(NameOf(l.var(), names));
 }
 
 }  // namespace
@@ -48,9 +48,9 @@ std::string DotObdd(const ObddManager& mgr, ObddId f,
     out += "  n" + std::to_string(g) + " [label=\"" +
            NameOf(mgr.var(g), names) + "\" shape=circle];\n";
     auto edge = [&](ObddId child, const char* style) {
-      const std::string target = mgr.IsTerminal(child)
-                                     ? "t" + std::to_string(child)
-                                     : "n" + std::to_string(child);
+      const std::string target =
+          std::string(mgr.IsTerminal(child) ? "t" : "n")
+              .append(std::to_string(child));
       out += "  n" + std::to_string(g) + " -> " + target + " [style=" + style +
              "];\n";
     };

@@ -260,9 +260,9 @@ std::string FormulaStore::ToString(FormulaId f) const {
     case Kind::kTrue:
       return "true";
     case Kind::kVar:
-      return "x" + std::to_string(n.var);
+      return std::string("x").append(std::to_string(n.var));
     case Kind::kNot:
-      return "~" + ToString(n.children[0]);
+      return std::string("~").append(ToString(n.children[0]));
     case Kind::kAnd:
     case Kind::kOr: {
       std::string sep = n.kind == Kind::kAnd ? " & " : " | ";

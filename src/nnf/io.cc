@@ -27,7 +27,7 @@ std::string WriteNnf(NnfManager& mgr, NnfId root, size_t num_vars) {
       case NnfManager::Kind::kAnd: {
         body += "A " + std::to_string(mgr.children(n).size());
         for (NnfId c : mgr.children(n)) {
-          body += " " + std::to_string(line_of.at(c));
+          body.append(" ").append(std::to_string(line_of.at(c)));
           ++num_edges;
         }
         body += "\n";
@@ -36,7 +36,7 @@ std::string WriteNnf(NnfManager& mgr, NnfId root, size_t num_vars) {
       case NnfManager::Kind::kOr: {
         body += "O 0 " + std::to_string(mgr.children(n).size());
         for (NnfId c : mgr.children(n)) {
-          body += " " + std::to_string(line_of.at(c));
+          body.append(" ").append(std::to_string(line_of.at(c)));
           ++num_edges;
         }
         body += "\n";

@@ -29,7 +29,8 @@ std::string WriteSdd(const SddManager& mgr, SddId f) {
       for (const auto& [p, s] : mgr.elements(g)) {
         const uint32_t pid = emit(p);
         const uint32_t sid = emit(s);
-        elems += " " + std::to_string(pid) + " " + std::to_string(sid);
+        elems.append(" ").append(std::to_string(pid));
+        elems.append(" ").append(std::to_string(sid));
         ++k;
       }
       id = next++;

@@ -165,7 +165,11 @@ std::vector<Var> Vtree::VarsBelow(VtreeId v) const {
 
 std::string Vtree::ToString(VtreeId v) const {
   if (IsLeaf(v)) return std::to_string(nodes_[v].var);
-  return "(" + ToString(nodes_[v].left) + " " + ToString(nodes_[v].right) + ")";
+  return std::string("(")
+      .append(ToString(nodes_[v].left))
+      .append(" ")
+      .append(ToString(nodes_[v].right))
+      .append(")");
 }
 
 std::string Vtree::ToFileString() const {

@@ -316,7 +316,8 @@ TEST(WmcEncodingTest, DeterminismRefinementOnRandomDeterministicNets) {
     for (int i = 1; i < 5; ++i) {
       double p1 = rng.Flip(0.5) ? (rng.Flip(0.5) ? 0.0 : 1.0) : rng.Uniform();
       double p2 = rng.Flip(0.5) ? (rng.Flip(0.5) ? 0.0 : 1.0) : rng.Uniform();
-      prev = net.AddBinary("x" + std::to_string(i), {prev}, {p1, p2});
+      prev = net.AddBinary(std::string("x").append(std::to_string(i)), {prev},
+                          {p1, p2});
     }
     WmcEncoding refined(net, {.exploit_determinism = true});
     ModelCounter counter;

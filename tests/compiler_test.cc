@@ -389,14 +389,15 @@ TEST(SubproblemTest, TransformsAreOrderPreservingFilters) {
 
 // Search identity: decisions, cache hits, component splits, circuit size,
 // root id and model count, pinned from the vector-of-clauses compiler that
-// the flat subproblem representation replaced. Every transform of the
+// the flat subproblem representation replaced. The counter runs the same
+// search, so its decisions and cache hits are the compiler's. Every transform of the
 // search is an order-preserving filter and the canonical clause order is
 // lexicographic, so the representation must not change the search: the
 // same nodes are created in the same order.
 
 // The servebench Bayesian network (servebench/serve_bench.cc,
 // BandedNetwork): 24 binary variables, parents among the 4 predecessors.
-Cnf BandedBnCnf() {
+BayesianNetwork BandedBn() {
   Rng shape(0x5e7eb0c4ull);
   Rng params(1);
   BayesianNetwork net;
@@ -413,14 +414,15 @@ Cnf BandedBnCnf() {
     }
     std::vector<double> cpt_true(size_t{1} << parents.size());
     for (double& x : cpt_true) x = 0.05 + 0.9 * params.Uniform();
-    net.AddBinary("x" + std::to_string(v), std::move(parents),
-                  std::move(cpt_true));
+    net.AddBinary(std::string("x").append(std::to_string(v)),
+                  std::move(parents), std::move(cpt_true));
   }
-  return WmcEncoding(net).cnf();
+  return net;
 }
 
 TEST(SearchIdentityTest, BandedBnEncoding) {
-  const Cnf cnf = BandedBnCnf();
+  const WmcEncoding encoding(BandedBn());
+  const Cnf& cnf = encoding.cnf();
   ASSERT_EQ(cnf.num_vars(), 214u);
   ASSERT_EQ(cnf.num_clauses(), 736u);
   NnfManager m;
@@ -432,6 +434,17 @@ TEST(SearchIdentityTest, BandedBnEncoding) {
   EXPECT_EQ(m.CircuitSize(root), 3402u);
   EXPECT_EQ(root, 1224u);
   EXPECT_EQ(ModelCount(m, root, cnf.num_vars()), BigUint::PowerOfTwo(24));
+
+  // The counter on the same encoding, with its real (non-dyadic) weights:
+  // the WMC pin is sensitive to the order factors multiply in.
+  ModelCounter counter;
+  EXPECT_EQ(counter.Count(cnf), BigUint::PowerOfTwo(24));
+  EXPECT_EQ(counter.stats().decisions, 159u);
+  EXPECT_EQ(counter.stats().cache_hits, 222u);
+  EXPECT_EQ(counter.Wmc(cnf, encoding.weights()), 0x1.ffffffffffffep-1);
+  EXPECT_EQ(counter.stats().decisions, 159u);
+  EXPECT_EQ(counter.stats().cache_hits, 222u);
+  EXPECT_EQ(counter.stats().underflow_rescues, 0u);
 }
 
 // Seeded random CNFs: 3-CNF at 1.6-3.2 clauses per variable and, every
@@ -640,8 +653,8 @@ TEST(SearchIdentityTest, RandomCnfsMatchPinnedSearch) {
 }
 
 TEST(ModelCounterTest, CounterAgreesWithCompilerTrace) {
-  // The paper's point: a model counter's trace is a d-DNNF; both paths
-  // must agree on every instance.
+  // The paper's point: a model counter's trace is a d-DNNF. Both run one
+  // search, so they agree on the count and on every decision and cache hit.
   for (uint64_t seed = 0; seed < 20; ++seed) {
     Cnf cnf = RandomCnf(13, 36, 3, seed + 2000);
     ModelCounter counter;
@@ -649,6 +662,10 @@ TEST(ModelCounterTest, CounterAgreesWithCompilerTrace) {
     DdnnfCompiler compiler;
     NnfId root = compiler.Compile(cnf, m);
     EXPECT_EQ(counter.Count(cnf), ModelCount(m, root, 13)) << "seed " << seed;
+    EXPECT_EQ(counter.stats().decisions, compiler.stats().decisions)
+        << "seed " << seed;
+    EXPECT_EQ(counter.stats().cache_hits, compiler.stats().cache_hits)
+        << "seed " << seed;
   }
 }
 

@@ -116,7 +116,8 @@ TEST(FlatMapTest, StringKeysMatchUnorderedMapUnderChurn) {
   std::unordered_map<std::string, uint32_t> reference;
   Rng rng(99);
   for (int step = 0; step < 20000; ++step) {
-    const std::string key = "k" + std::to_string(rng.Below(700));
+    const std::string key =
+        std::string("k").append(std::to_string(rng.Below(700)));
     const uint32_t action = static_cast<uint32_t>(rng.Below(4));
     if (action == 0) {
       EXPECT_EQ(map.Erase(key), reference.erase(key) > 0);

@@ -211,7 +211,9 @@ TEST(VtreeTest, InPlaceOpsReportInapplicableWithoutMutating) {
   EXPECT_FALSE(t.SwapChildrenAt(t.LeafOfVar(0)));
   // Right-linear internal nodes all have leaf left children: no rotate right.
   for (VtreeId v = 0; v < t.num_nodes(); ++v) {
-    if (!t.IsLeaf(v)) EXPECT_FALSE(t.RotateRightAt(v));
+    if (!t.IsLeaf(v)) {
+      EXPECT_FALSE(t.RotateRightAt(v));
+    }
   }
   EXPECT_EQ(t.ToString(), original);  // every refusal left the tree untouched
   ExpectWellFormed(t);

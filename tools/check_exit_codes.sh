@@ -77,6 +77,24 @@ expect 1 "kc_cli unknown target"        "$KC" "$TMP/good.cnf" --target=dnf
 expect 3 "kc_cli budget refusal"        "$KC" "$TMP/hard.cnf" --max-nodes=50
 expect 0 "kc_cli certify ok"            "$KC" "$TMP/good.cnf" --certify
 
+# --max-nodes bounds each search on its own. --wmc's counter run makes the
+# compile's decisions again, so a node budget that just fits the compile
+# (one node per decision) must fit the --wmc run too, not exit 3.
+python3 - "$TMP/r40.cnf" <<'PY'
+import random, sys
+random.seed(40)
+n, m = 40, 120
+with open(sys.argv[1], "w") as f:
+    f.write(f"p cnf {n} {m}\n")
+    for _ in range(m):
+        vs = random.sample(range(1, n + 1), 3)
+        f.write(" ".join(str(v if random.random() < 0.5 else -v) for v in vs) + " 0\n")
+PY
+DECISIONS="$("$KC" "$TMP/r40.cnf" 2>/dev/null |
+             sed -n 's/^c decisions: \([0-9]*\),.*/\1/p')"
+expect 0 "kc_cli wmc within compile's node budget" \
+           "$KC" "$TMP/r40.cnf" --max-nodes="${DECISIONS:-missing}" --wmc
+
 # In-place SDD minimization flags: bad mode / orphan threshold are usage
 # errors (1), valid modes compile fine (0), and a starved minimizing run
 # still answers with the typed budget refusal (3), not a crash.
