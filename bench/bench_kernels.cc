@@ -151,8 +151,8 @@ void BenchDdnnfCompileBn() {
 // region, then each run answers kQueryReps queries per circuit. The first
 // (untimed) run warms whatever the library caches per root, so the timed
 // runs price a cache-hit query, the serving path's steady state. Reported
-// per edge of the compiled circuit (before any smoothing), so the three
-// kernels compare on one scale across sizes.
+// per edge of the compiled circuit, so the three kernels compare on one
+// scale across sizes.
 constexpr int kQueryReps = 20;
 
 struct QueryCircuit {

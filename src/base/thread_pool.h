@@ -268,6 +268,27 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// Runs body(i) for i in [begin, end): over the pool's lanes when a pool
+/// with more than one lane is given and the range spans more than one
+/// `grain`, inline on the caller otherwise. Either way the guard is polled
+/// once per `grain` indices and a trip returns its typed status (some
+/// indices then never ran). The inline path calls `body` directly, with no
+/// std::function in between, so a serial kernel pays nothing for being
+/// poolable. `grain` must be positive.
+template <typename Body>
+Status ForRange(ThreadPool* pool, Guard& guard, size_t begin, size_t end,
+                size_t grain, Body&& body) {
+  if (pool != nullptr && pool->num_threads() > 1 && end - begin > grain) {
+    return pool->ParallelFor(begin, end, grain, body, &guard);
+  }
+  for (size_t i = begin; i < end; i += grain) {
+    TBC_RETURN_IF_ERROR(guard.Poll());
+    const size_t stop = std::min(end, i + grain);
+    for (size_t j = i; j < stop; ++j) body(j);
+  }
+  return Status::Ok();
+}
+
 }  // namespace tbc
 
 #endif  // TBC_BASE_THREAD_POOL_H_

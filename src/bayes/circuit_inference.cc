@@ -44,20 +44,13 @@ Result<std::vector<double>> CompiledBayesNet::ProbEvidenceBatch(
   // every WMC pass only reads the manager, so concurrent lanes are race-free.
   mgr_.GapPlanCached(root_);
   std::vector<double> out(evidence.size(), 0.0);
-  const std::function<void(size_t)> body = [&](size_t i) {
+  const auto body = [&](size_t i) {
     const Result<double> r =
         WmcBounded(mgr_, root_, encoding_.WeightsWithEvidence(evidence[i]), guard);
     // A failure implies the shared guard tripped; the final Check reports it.
     if (r.ok()) out[i] = *r;
   };
-  if (pool != nullptr && pool->num_threads() > 1 && evidence.size() > 1) {
-    TBC_RETURN_IF_ERROR(pool->ParallelFor(0, evidence.size(), 1, body, &guard));
-  } else {
-    for (size_t i = 0; i < evidence.size(); ++i) {
-      TBC_RETURN_IF_ERROR(guard.Poll());
-      body(i);
-    }
-  }
+  TBC_RETURN_IF_ERROR(ForRange(pool, guard, 0, evidence.size(), 1, body));
   TBC_RETURN_IF_ERROR(guard.Check());
   return out;
 }

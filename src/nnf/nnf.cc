@@ -135,23 +135,14 @@ LevelSchedule NnfManager::Schedule(NnfId root) const {
   });
 }
 
-const LevelSchedule& NnfManager::ScheduleCached(NnfId root) {
-  if (const uint32_t* slot = schedule_index_.Find(root)) {
-    return *schedules_[*slot];
-  }
-  schedules_.push_back(std::make_unique<LevelSchedule>(Schedule(root)));
-  schedule_index_.Insert(root, static_cast<uint32_t>(schedules_.size() - 1));
-  return *schedules_.back();
-}
-
 const GapPlan& NnfManager::GapPlanCached(NnfId root) {
   if (const uint32_t* slot = gap_plan_index_.Find(root)) {
     return *gap_plans_[*slot];
   }
   auto plan = std::make_unique<GapPlan>();
   plan->root_vars = VarSet(root);  // warms every varset below root
-  plan->schedule = &ScheduleCached(root);
-  const LevelSchedule& s = *plan->schedule;
+  plan->schedule = Schedule(root);
+  const LevelSchedule& s = plan->schedule;
   plan->edge_begin.reserve(s.order.size() + 1);
   plan->gap_begin.push_back(0);
   for (NnfId n : s.order) {
@@ -212,35 +203,29 @@ bool NnfManager::Evaluate(NnfId root, const Assignment& assignment) const {
 }
 
 NnfId NnfManager::Condition(NnfId root, Lit l) {
+  return RewriteLiterals(root, [&](NnfId n) {
+    const Lit x = lit(n);
+    return x == l ? True() : (x == ~l ? False() : n);
+  });
+}
+
+NnfId NnfManager::RewriteLiterals(NnfId root,
+                                  const std::function<NnfId(NnfId)>& rewrite) {
   // Dense memo indexed by original node id; And/Or below may append nodes,
   // but only pre-existing ids are ever looked up.
   std::vector<NnfId> memo(num_nodes(), kInvalidNnf);
-  const std::vector<NnfId> order = TopologicalOrder(root);
-  for (NnfId n : order) {
+  for (NnfId n : TopologicalOrder(root)) {
     const Kind k = kind(n);
-    NnfId result = kInvalidNnf;
-    switch (k) {
-      case Kind::kFalse:
-      case Kind::kTrue:
-        result = n;
-        break;
-      case Kind::kLiteral: {
-        const Lit x = lit(n);
-        result = x == l ? True() : (x == ~l ? False() : n);
-        break;
-      }
-      case Kind::kAnd:
-      case Kind::kOr: {
-        // Copy: And/Or below may reallocate the overlay under the view.
-        const std::vector<NnfId> kids_src = children(n).ToVector();
-        std::vector<NnfId> kids;
-        kids.reserve(kids_src.size());
-        for (NnfId c : kids_src) kids.push_back(memo[c]);
-        result = k == Kind::kAnd ? And(std::move(kids)) : Or(std::move(kids));
-        break;
-      }
+    if (k == Kind::kLiteral) {
+      memo[n] = rewrite(n);
+    } else if (k == Kind::kFalse || k == Kind::kTrue) {
+      memo[n] = n;
+    } else {
+      // Copy: And/Or below may reallocate the overlay under the view.
+      std::vector<NnfId> kids = children(n).ToVector();
+      for (NnfId& c : kids) c = memo[c];
+      memo[n] = k == Kind::kAnd ? And(std::move(kids)) : Or(std::move(kids));
     }
-    memo[n] = result;
   }
   return memo[root];
 }

@@ -2,6 +2,7 @@
 #define TBC_NNF_NNF_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -48,12 +49,12 @@ std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
                              const std::vector<uint64_t>& small);
 
 /// Per-root evaluation plan of the gap-factor kernels in nnf/queries.cc
-/// (counting, weighted counting, MPE and sampling): the root's level
-/// schedule plus the gap of every or-gate input edge, flattened into CSR
-/// arrays, so a query reads gaps without touching varsets or allocating.
+/// (counting, weighted counting, MPE, marginals and sampling): the root's
+/// level schedule plus the gap of every or-gate input edge, flattened into
+/// CSR arrays, so a query reads gaps without touching varsets or
+/// allocating.
 struct GapPlan {
-  /// Owned by the manager's schedule cache.
-  const LevelSchedule* schedule = nullptr;
+  LevelSchedule schedule;
   /// The or-gate at rank i owns edge slots [edge_begin[i], edge_begin[i+1]),
   /// one per child in child order; other gates own none.
   std::vector<uint32_t> edge_begin;
@@ -155,6 +156,12 @@ class NnfManager {
   /// of ~lit become ⊥, then gates simplify. Result is in this manager.
   NnfId Condition(NnfId root, Lit l);
 
+  /// Rebuilds the circuit at `root` bottom-up with every literal node n
+  /// replaced by `rewrite(n)`, a node of this manager; gates over the
+  /// rewritten inputs simplify as And()/Or() do. Condition() and Forget()
+  /// (nnf/queries.h) are this pass with two rewrites.
+  NnfId RewriteLiterals(NnfId root, const std::function<NnfId(NnfId)>& rewrite);
+
   /// Set of variables in the subcircuit at `root`, as a bitset of
   /// ceil(num_vars/64) words. Computed once per node and cached.
   const std::vector<uint64_t>& VarSet(NnfId root);
@@ -168,23 +175,15 @@ class NnfManager {
   /// level 0, each gate one level above its deepest input. The evaluation
   /// kernels in nnf/queries.cc walk the schedule's contiguous per-level
   /// ranges with dense rank-indexed value arrays (and, optionally, a
-  /// ThreadPool over each level).
+  /// ThreadPool over each level); they read it from GapPlanCached().
   LevelSchedule Schedule(NnfId root) const;
-
-  /// Cached variant of Schedule(). The store is append-only and children
-  /// are immutable, so a root's schedule never invalidates; repeated
-  /// queries on the same root (the common pattern: compile once, count /
-  /// WMC many times) pay the levelization once. The reference stays valid
-  /// for the manager's lifetime. Like VarSet(), the first call per root
-  /// writes the cache: warm single-threaded before sharing the manager
-  /// across lanes.
-  const LevelSchedule& ScheduleCached(NnfId root);
 
   /// Memoized unweighted model-count results (the classic BDD-package
   /// count cache): a circuit's count over a fixed variable universe is a
   /// pure function of the append-only store, so it never invalidates.
-  /// Returns nullptr on a miss; ModelCountBounded() populates it. Same
-  /// warm-before-sharing contract as VarSet()/ScheduleCached().
+  /// Returns nullptr on a miss; ModelCountBounded() populates it. Like
+  /// VarSet(), the first write happens on a query: warm single-threaded
+  /// before sharing the manager across lanes.
   const BigUint* FindModelCount(NnfId root, size_t num_vars) const {
     return count_cache_.Find(RootVarsKey(root, num_vars));
   }
@@ -192,24 +191,13 @@ class NnfManager {
     count_cache_.Insert(RootVarsKey(root, num_vars), count);
   }
 
-  /// Memoized Smooth() results (nnf/properties.h), keyed like the count
-  /// memo: a smoothed root over a fixed universe is a pure function of the
-  /// append-only store, so it never goes stale. FindSmoothed returns
-  /// kInvalidNnf on a miss; Smooth() populates the memo. Same
-  /// warm-before-sharing contract as VarSet()/ScheduleCached().
-  NnfId FindSmoothed(NnfId root, size_t num_vars) const {
-    const NnfId* hit = smooth_cache_.Find(RootVarsKey(root, num_vars));
-    return hit != nullptr ? *hit : kInvalidNnf;
-  }
-  void StoreSmoothed(NnfId root, size_t num_vars, NnfId smooth) {
-    smooth_cache_.Insert(RootVarsKey(root, num_vars), smooth);
-  }
-
   /// Cached GapPlan for `root`, built on the first call per root (which
-  /// also warms the subcircuit's varsets and schedule). Gaps are sets of
-  /// variables, so a plan never goes stale; the reference stays valid for
-  /// the manager's lifetime. Same warm-before-sharing contract as
-  /// ScheduleCached().
+  /// also warms the subcircuit's varsets). The store is append-only and
+  /// gaps are sets of variables, so a plan never goes stale; the reference
+  /// stays valid for the manager's lifetime. It is all the state the WMC,
+  /// marginal and MPE kernels read: after one call per root they perform
+  /// no write to the manager. Same warm-before-sharing contract as
+  /// FindModelCount().
   const GapPlan& GapPlanCached(NnfId root);
 
   /// Pre-sizes the unique table for `n` expected nodes.
@@ -243,12 +231,9 @@ class NnfManager {
     return (uint64_t{root} << 32) | static_cast<uint32_t>(num_vars);
   }
 
-  FlatMap<NnfId, uint32_t> schedule_index_;  // root -> schedules_ slot
-  std::vector<std::unique_ptr<LevelSchedule>> schedules_;
   FlatMap<NnfId, uint32_t> gap_plan_index_;  // root -> gap_plans_ slot
   std::vector<std::unique_ptr<GapPlan>> gap_plans_;
   FlatMap<uint64_t, BigUint> count_cache_;
-  FlatMap<uint64_t, NnfId> smooth_cache_;
   size_t num_vars_ = 0;
 };
 

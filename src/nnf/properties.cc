@@ -132,9 +132,6 @@ bool IsDecision(NnfManager& mgr, NnfId root) {
 }
 
 NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
-  // A memo hit only reads the manager, so a warmed smoothing is shareable.
-  const NnfId memo_hit = mgr.FindSmoothed(root, num_vars);
-  if (memo_hit != kInvalidNnf) return memo_hit;
   mgr.VarSet(root);
   // Dense memo indexed by original node id; And/Or below may append nodes,
   // but only pre-existing ids are ever looked up.
@@ -172,7 +169,6 @@ NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
     for (size_t v = 0; v < num_vars; ++v) all[v / 64] |= 1ull << (v % 64);
     result = AttachMissing(mgr, result, MissingVars(all, mgr.VarSet(root)));
   }
-  mgr.StoreSmoothed(root, num_vars, result);
   return result;
 }
 

@@ -34,16 +34,17 @@ BigUint ModelCount(NnfManager& mgr, NnfId root, size_t num_vars);
 /// Weighted model count with per-literal weights (paper §2.1, WMC).
 double Wmc(NnfManager& mgr, NnfId root, const WeightMap& weights);
 
-/// Resource-governed variants of the counting kernels. All three walk the
-/// circuit's level schedule over dense rank-indexed arrays and read their
-/// or-gate gaps from the root's cached GapPlan (NnfManager::GapPlanCached);
-/// when `pool` is non-null each level's node batch is distributed over its
-/// lanes. The
-/// per-node recurrences read only completed earlier levels and iterate
-/// children in a fixed order, so results are bit-identical to the serial
-/// pass at every thread count (the determinism contract of
-/// base/thread_pool.h). The guard is polled throughout; on a trip the
-/// partial pass is discarded and the guard's typed refusal is returned.
+/// Resource-governed variants of the counting kernels. Counting, WMC, MPE,
+/// the marginals' upward pass and sampling's counting pass are one
+/// level-scheduled pass over dense rank-indexed arrays, each in its own
+/// algebra, reading or-gate gaps from the root's cached GapPlan
+/// (NnfManager::GapPlanCached); when `pool` is non-null each level's node
+/// batch is distributed over its lanes. The per-node recurrences read only
+/// completed earlier levels and iterate children in a fixed order, so
+/// results are bit-identical to the serial pass at every thread count (the
+/// determinism contract of base/thread_pool.h). The guard is polled
+/// throughout; on a trip the partial pass is discarded and the guard's
+/// typed refusal is returned.
 Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
                                   Guard& guard, ThreadPool* pool = nullptr);
 Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
@@ -51,20 +52,17 @@ Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
 
 /// All marginal weighted model counts in one bottom-up + top-down pass
 /// [Darwiche 2001, 2003]: returns m with m[l.code()] = WMC(Δ ∧ l) for every
-/// literal l over 0..num_vars-1, where num_vars = weights.num_vars(). The
-/// passes run over Smooth(mgr, root, num_vars) and its cached schedule; the
-/// manager memoizes both, so only the first call per (root, num_vars)
-/// smooths.
+/// literal l over 0..num_vars-1, where num_vars = weights.num_vars(). Both
+/// passes run over the root's GapPlan, never a smoothed copy: the upward
+/// pass is WmcBounded's, and the downward pass sends dn·g(e) through each
+/// or-gate edge e with gap product g(e), while each gap variable (and each
+/// variable outside the root) collects its derivative of that product.
+/// The guard is polled in both passes.
+Result<std::vector<double>> MarginalWmcBounded(NnfManager& mgr, NnfId root,
+                                               const WeightMap& weights,
+                                               Guard& guard);
 std::vector<double> MarginalWmc(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights);
-
-/// Warms every lazily written manager cache that WmcBounded, MaxWmcBounded
-/// and MarginalWmc read for `root` with weights over `num_vars` variables:
-/// the root's GapPlan (with its varsets and schedule), the smoothing memo
-/// and the smoothed root's schedule. Afterwards those queries perform no
-/// write to `mgr`, so they may run concurrently on one shared manager.
-/// Call it single-threaded, before sharing.
-void WarmQueries(NnfManager& mgr, NnfId root, size_t num_vars);
 
 /// Minimum number of positive literals over models (minimum cardinality);
 /// returns SIZE_MAX if unsatisfiable. Variables not mentioned count 0.
@@ -94,8 +92,9 @@ void EnumerateModelsDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
 /// Draws a uniform random model of a satisfiable d-DNNF over variables
 /// 0..num_vars-1 (paper §3: "utilization of tractable circuits for uniform
 /// sampling" [Sharma et al. 2018]). One counting pass plus one top-down
-/// descent choosing or-inputs with probability proportional to their
-/// (gap-adjusted) model counts; free variables are fair coin flips.
+/// descent (MaxWmc's traceback with another chooser) choosing or-inputs
+/// with probability proportional to their (gap-adjusted) model counts;
+/// free variables are fair coin flips.
 Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
                            Rng& rng);
 

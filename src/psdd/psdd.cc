@@ -196,19 +196,12 @@ Result<std::vector<double>> Psdd::ProbabilityEvidenceBatch(
   TBC_RETURN_IF_ERROR(guard.Check());
   TBC_OBSERVE_VALUE("psdd.eval.batch_size", evidence.size());
   std::vector<double> out(evidence.size(), 0.0);
-  const std::function<void(size_t)> body = [&](size_t i) {
+  const auto body = [&](size_t i) {
     static thread_local std::vector<double> value;
     ValuePassInto(evidence[i], value);
     out[i] = value[root_];
   };
-  if (pool != nullptr && pool->num_threads() > 1 && evidence.size() > 1) {
-    TBC_RETURN_IF_ERROR(pool->ParallelFor(0, evidence.size(), 1, body, &guard));
-  } else {
-    for (size_t i = 0; i < evidence.size(); ++i) {
-      TBC_RETURN_IF_ERROR(guard.Poll());
-      body(i);
-    }
-  }
+  TBC_RETURN_IF_ERROR(ForRange(pool, guard, 0, evidence.size(), 1, body));
   TBC_RETURN_IF_ERROR(guard.Check());
   return out;
 }
@@ -459,7 +452,7 @@ Result<double> Psdd::LogLikelihoodBounded(const std::vector<Assignment>& data,
                                           Guard& guard, ThreadPool* pool) const {
   TBC_RETURN_IF_ERROR(guard.Check());
   std::vector<double> logp(data.size(), 0.0);
-  const std::function<void(size_t)> body = [&](size_t i) {
+  const auto body = [&](size_t i) {
     static thread_local std::vector<double> value;
     static thread_local PsddEvidence e;
     e.resize(num_vars());
@@ -469,14 +462,7 @@ Result<double> Psdd::LogLikelihoodBounded(const std::vector<Assignment>& data,
     ValuePassInto(e, value);
     logp[i] = std::log(value[root_]);
   };
-  if (pool != nullptr && pool->num_threads() > 1 && data.size() > 1) {
-    TBC_RETURN_IF_ERROR(pool->ParallelFor(0, data.size(), 1, body, &guard));
-  } else {
-    for (size_t i = 0; i < data.size(); ++i) {
-      TBC_RETURN_IF_ERROR(guard.Poll());
-      body(i);
-    }
-  }
+  TBC_RETURN_IF_ERROR(ForRange(pool, guard, 0, data.size(), 1, body));
   TBC_RETURN_IF_ERROR(guard.Check());
   // Serial index-order reduction: bit-identical across thread counts.
   double ll = 0.0;

@@ -28,8 +28,8 @@ std::string KeyOf(const std::string& cnf_text) {
 }
 
 /// Warms every lazily-written cache of a freshly built or restored
-/// artifact's manager single-threaded — the count memo, then WarmQueries'
-/// gap plan, smoothing memo and schedules — and fills the counts, so
+/// artifact's manager single-threaded — the count memo, then the root's
+/// gap plan (with its varsets and schedule) — and fills the counts, so
 /// queries on the shared artifact are pure reads (see the Artifact doc
 /// comment). `known_count` is the model count when the caller already has
 /// it (a store that embeds one); otherwise it is computed under `guard`.
@@ -44,7 +44,7 @@ Status WarmArtifact(Artifact& artifact, const BigUint* known_count,
         artifact.count,
         ModelCountBounded(mgr, artifact.root, artifact.num_vars, guard));
   }
-  WarmQueries(mgr, artifact.root, artifact.num_vars);
+  mgr.GapPlanCached(artifact.root);
   artifact.nodes = mgr.NumNodesBelow(artifact.root);
   artifact.edges = mgr.CircuitSize(artifact.root);
   return Status::Ok();
@@ -79,8 +79,8 @@ std::shared_ptr<const Artifact> RestoreFromStore(const std::string& path,
   const BigUint* stored_count = loaded->store->has_model_count()
                                     ? &loaded->store->model_count()
                                     : nullptr;
-  // Unbounded, like the rest of warm start. The smoothed circuit is
-  // appended to the overlay past the mapped range.
+  // Unbounded, like the rest of warm start. Warming creates no node, so
+  // the overlay past the mapped range stays empty.
   if (!WarmArtifact(*artifact, stored_count, Guard::Unlimited()).ok()) {
     return nullptr;
   }

@@ -27,11 +27,11 @@ namespace tbc::serve {
 ///
 /// Built once (single-threaded) by ArtifactCache::GetOrCompile, then only
 /// read. Build() warms every lazily-populated manager cache — the
-/// model-count memo, plus WarmQueries' gap plan, smoothing memo and level
-/// schedules (nnf/queries.h) — so the "warm single-threaded before
-/// sharing" contract of NnfManager holds: WMC/MAR/MPE queries perform no
-/// write to `mgr` and run concurrently on one artifact data-race-free
-/// (asserted by the serve soak test under TSan).
+/// model-count memo, plus the root's gap plan with its varsets and level
+/// schedule (NnfManager::GapPlanCached) — so the "warm single-threaded
+/// before sharing" contract of NnfManager holds: WMC/MAR/MPE queries
+/// perform no write to `mgr` and run concurrently on one artifact
+/// data-race-free (asserted by the serve soak test under TSan).
 struct Artifact {
   std::string cnf_text;   // exact bytes the key was hashed from
   std::string key;        // 32-hex content hash; names the store file

@@ -372,14 +372,12 @@ Response Server::Execute(const Request& req, Guard& guard) {
       return resp;
     }
     case Op::kMar: {
-      const std::vector<double> m =
-          MarginalWmc(*art.mgr, art.root, weights);
-      Status st = guard.Check();
-      if (!st.ok()) return ErrorResponse(st);
-      resp.marginals.reserve(m.size());
-      for (size_t code = 0; code < m.size(); ++code) {
+      auto m = MarginalWmcBounded(*art.mgr, art.root, weights, guard);
+      if (!m.ok()) return ErrorResponse(m.status());
+      resp.marginals.reserve(m->size());
+      for (size_t code = 0; code < m->size(); ++code) {
         resp.marginals.emplace_back(
-            Lit::FromCode(static_cast<uint32_t>(code)).ToDimacs(), m[code]);
+            Lit::FromCode(static_cast<uint32_t>(code)).ToDimacs(), (*m)[code]);
       }
       return resp;
     }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 #include <map>
 #include <set>
@@ -229,6 +231,49 @@ TEST(NnfQueriesTest, MarginalWmcMatchesConditionedWmc) {
       EXPECT_NEAR(marg[l.code()], brute, 1e-12)
           << "literal " << l.ToDimacs();
       (void)cond;
+    }
+  }
+}
+
+// Marginals run on the gap plan, never on a smoothed copy: a free
+// variable's factor W(x)+W(¬x) is differentiated in place. Signed weights
+// make that factor zero while W(x) is not, which is the only way the
+// derivative's zero-factor branches reach an answer. The circuit
+// (x0 ∧ x1 ∧ x2) ∨ (¬x0 ∧ x3) has gaps {x3} and {x1, x2}; x4 lies outside
+// the root.
+TEST(NnfQueriesTest, MarginalWmcDifferentiatesGapsWithZeroFactors) {
+  NnfManager m;
+  const NnfId root =
+      m.Or(m.And({m.Literal(Pos(0)), m.Literal(Pos(1)), m.Literal(Pos(2))}),
+           m.And(m.Literal(Neg(0)), m.Literal(Pos(3))));
+  constexpr size_t kVars = 5;
+  // Each case: the variables whose weights are (a, -a), so W(x)+W(¬x) = 0.
+  const std::vector<std::vector<Var>> zero_factor_cases = {
+      {}, {1}, {1, 2}, {3}, {4}, {3, 4}};
+  for (const std::vector<Var>& zeros : zero_factor_cases) {
+    WeightMap w(kVars);
+    for (Var v = 0; v < kVars; ++v) {
+      const double a = 0.3 + 0.25 * v;
+      const bool zero = std::find(zeros.begin(), zeros.end(), v) != zeros.end();
+      w.Set(Pos(v), a);
+      w.Set(Neg(v), zero ? -a : 1.7 - a);
+    }
+    const std::vector<double> marg = MarginalWmc(m, root, w);
+    ASSERT_EQ(marg.size(), 2 * kVars);
+    for (uint32_t code = 0; code < 2 * kVars; ++code) {
+      const Lit l = Lit::FromCode(code);
+      double brute = 0.0;
+      for (int bits = 0; bits < (1 << kVars); ++bits) {
+        Assignment asg(kVars);
+        for (Var v = 0; v < kVars; ++v) asg[v] = ((bits >> v) & 1) != 0;
+        if (!Eval(l, asg) || !m.Evaluate(root, asg)) continue;
+        double term = 1.0;
+        for (Var v = 0; v < kVars; ++v) term *= w[Lit(v, asg[v])];
+        brute += term;
+      }
+      EXPECT_NEAR(marg[code], brute, 1e-12)
+          << "literal " << l.ToDimacs() << ", " << zeros.size()
+          << " zero factors";
     }
   }
 }

@@ -214,6 +214,21 @@ TEST(ParallelEvalTest, PreCancelledGuardRefusesBeforeWork) {
   EXPECT_EQ(r.error_code(), StatusCode::kCancelled);
 }
 
+TEST(ParallelEvalTest, PreCancelledGuardRefusesMarginals) {
+  const size_t kVars = 16;
+  const Cnf cnf = RandomCnf(kVars, 40, 31);
+  NnfManager mgr;
+  DdnnfCompiler compiler;
+  const NnfId root = compiler.Compile(cnf, mgr);
+
+  Guard guard;
+  guard.Cancel();
+  const Result<std::vector<double>> r =
+      MarginalWmcBounded(mgr, root, RandomWeights(kVars, 32), guard);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error_code(), StatusCode::kCancelled);
+}
+
 TEST(ParallelEvalTest, MidRunCancellationStopsBatch) {
   // A deliberately large batch over a real circuit; a second thread flips
   // the guard mid-run. The batch must refuse with the typed status (or

@@ -5,8 +5,8 @@
 // agree to an ulp-scaled tolerance: the branch order changes, so the same
 // sum is accumulated in a different order). A third property covers the
 // compiled circuit's query kernels: their answers do not depend on whether
-// the manager's query caches (gap plan, smoothing memo, schedules) were
-// cold, warmed, or rebuilt over a store-restored manager. The validate
+// the manager's query cache (the root's gap plan) was cold, warmed, or
+// rebuilt over a store-restored manager. The validate
 // preset (TBC_VALIDATE=ON) runs this file unchanged with the
 // self-checking assertions compiled in.
 
@@ -14,12 +14,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "base/random.h"
+#include "bayes/network.h"
+#include "bayes/wmc_encoding.h"
 #include "compiler/ddnnf_compiler.h"
 #include "compiler/model_counter.h"
 #include "logic/cnf.h"
@@ -218,11 +222,11 @@ void ExpectBitIdentical(const KernelAnswers& got, const KernelAnswers& want,
 }
 
 // Seeded random CNFs (some variables never mentioned, so the root-level
-// gap and the smoothing over absent variables both run) with some zero
-// literal weights (so MarginalWmc's single-zero-factor derivative branch
-// runs). A cold manager, a manager warmed by WarmQueries and one restored
-// through the store must answer bit-identically, and warmed queries must
-// not grow the manager.
+// gap and its derivative both run) with some zero literal weights (so
+// MarginalWmc's single-zero-factor derivative branches run). A cold
+// manager, a manager warmed by GapPlanCached and one restored through the
+// store must answer bit-identically, and queries must not grow the
+// manager.
 TEST(WmcPropertyTest, QueryKernelsAreBitIdenticalColdWarmAndRestored) {
   size_t satisfiable = 0;
   size_t with_zero_marginals = 0;
@@ -265,12 +269,9 @@ TEST(WmcPropertyTest, QueryKernelsAreBitIdenticalColdWarmAndRestored) {
 
     NnfManager warm;
     const NnfId warm_root = compiler.Compile(cnf, warm);
-    WarmQueries(warm, warm_root, num_vars);
+    warm.GapPlanCached(warm_root);
     const size_t nodes = warm.num_nodes();
     const size_t vars = warm.num_vars();
-    const NnfId smooth = warm.FindSmoothed(warm_root, num_vars);
-    ASSERT_NE(smooth, kInvalidNnf) << where;  // WarmQueries filled the memo
-    EXPECT_EQ(Smooth(warm, warm_root, num_vars), smooth) << where;
     for (int round = 0; round < 2; ++round) {
       ExpectBitIdentical(Answer(warm, warm_root, w), want, true, where);
     }
@@ -285,29 +286,94 @@ TEST(WmcPropertyTest, QueryKernelsAreBitIdenticalColdWarmAndRestored) {
     auto restored = LoadCircuitStore(path);
     ASSERT_TRUE(restored.ok()) << restored.status().message();
     NnfManager& mapped = *restored->mgr;
-    const KernelAnswers first = Answer(mapped, restored->root, w);
-    // WMC and MPE are bit-identical to the in-memory manager. Marginals run
-    // over the smoothed circuit, which a mapped manager builds in its
-    // overlay without interning against the base, so gate inputs may
-    // multiply in another order: equal up to rounding, and bit-identical
-    // to themselves across calls.
-    ExpectBitIdentical(first, want, false, where + " restored");
-    ASSERT_EQ(first.marginals.size(), want.marginals.size());
-    for (size_t i = 0; i < want.marginals.size(); ++i) {
-      EXPECT_NEAR(first.marginals[i], want.marginals[i],
-                  std::ldexp(std::max(1.0, std::fabs(want.marginals[i])), -40))
-          << where << " restored literal " << i;
-    }
     const size_t mapped_nodes = mapped.num_nodes();
-    const NnfId mapped_smooth = Smooth(mapped, restored->root, num_vars);
-    EXPECT_EQ(Smooth(mapped, restored->root, num_vars), mapped_smooth) << where;
-    ExpectBitIdentical(Answer(mapped, restored->root, w), first, true,
+    // Every kernel, marginals included, reads only the gap plan, which the
+    // store's order-preserving remap leaves the same: bit-identical to the
+    // in-memory manager, and no query appends to the overlay.
+    ExpectBitIdentical(Answer(mapped, restored->root, w), want, true,
+                       where + " restored");
+    ExpectBitIdentical(Answer(mapped, restored->root, w), want, true,
                        where + " restored, second call");
     EXPECT_EQ(mapped.num_nodes(), mapped_nodes) << where;
     std::remove(path.c_str());
   }
   EXPECT_GE(satisfiable, 20u);
   EXPECT_GT(with_zero_marginals, 20u);
+}
+
+// servebench's banded Bayesian network (servebench/serve_bench.cc,
+// BandedNetwork): 24 binary variables, each with up to three parents among
+// its four predecessors. Its WMC encoding is the circuit every servebench
+// query runs on.
+BayesianNetwork BandedNetwork() {
+  Rng shape(0x5e7eb0c4ull);
+  Rng params(1);
+  BayesianNetwork net;
+  for (size_t v = 0; v < 24; ++v) {
+    const size_t window = std::min<size_t>(v, 4);
+    const size_t count =
+        window == 0 ? 0 : shape.Below(std::min<size_t>(window, 3) + 1);
+    std::vector<BnVar> parents;
+    while (parents.size() < count) {
+      const BnVar p = static_cast<BnVar>(v - 1 - shape.Below(window));
+      if (std::find(parents.begin(), parents.end(), p) == parents.end()) {
+        parents.push_back(p);
+      }
+    }
+    std::vector<double> cpt_true(size_t{1} << parents.size());
+    for (double& x : cpt_true) x = 0.05 + 0.9 * params.Uniform();
+    net.AddBinary(std::string("x").append(std::to_string(v)),
+                  std::move(parents), std::move(cpt_true));
+  }
+  return net;
+}
+
+// FNV-1a over the bit patterns of `xs`.
+uint64_t Digest(const std::vector<double>& xs) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (double x : xs) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    for (int b = 0; b < 64; b += 8) {
+      h = (h ^ ((bits >> b) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+std::string Hex(double x) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", x);
+  return buf;
+}
+
+// The banded BN's d-DNNF under evidence that zeroes some indicator weights
+// (so the and-gate derivative's zero-factor branches run). WMC, MPE and
+// every literal marginal are pinned to the bit: a kernel rewrite that
+// reorders a single multiplication shows here. The values were recorded
+// with the kernels that marginalized over the smoothed circuit.
+TEST(WmcPropertyTest, BandedBnAnswersArePinned) {
+  const BayesianNetwork net = BandedNetwork();
+  const WmcEncoding enc(net);
+  BnInstantiation evidence(net.num_vars(), kUnobserved);
+  evidence[3] = 1;
+  evidence[10] = 0;
+  evidence[17] = 1;
+  evidence[23] = 0;
+  const WeightMap w = enc.WeightsWithEvidence(evidence);
+  NnfManager mgr;
+  DdnnfCompiler compiler;
+  const NnfId root = compiler.Compile(enc.cnf(), mgr);
+
+  EXPECT_EQ(Hex(Wmc(mgr, root, w)), "0x1.8ca244cfdb444p-4");
+  const MpeResult mpe = MaxWmc(mgr, root, w, enc.num_bool_vars());
+  EXPECT_EQ(Hex(mpe.weight), "0x1.f6d0751d59cfap-14");
+  const std::vector<double> assignment(mpe.assignment.begin(),
+                                       mpe.assignment.end());
+  EXPECT_EQ(Digest(assignment), 0x5c3f050230682565ull);
+  const std::vector<double> marginals = MarginalWmc(mgr, root, w);
+  EXPECT_EQ(marginals.size(), 2 * enc.num_bool_vars());
+  EXPECT_EQ(Digest(marginals), 0x555dea45bbc70c36ull);
 }
 
 }  // namespace
