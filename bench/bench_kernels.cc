@@ -338,11 +338,9 @@ void BenchSddApply() {
   for (int i = 0; i < 10; ++i) g_sink += mgr.Wmc(f, w);
 }
 
-// Vtree minimization through the stable MinimizeVtree entry point: the
-// baseline library recompiles the CNF for every candidate neighbor, the
-// current one rotates/swaps the live SDD in place — so the before/after
-// ratio of this kernel IS the dynamic-minimization speedup (budget and
-// seed pinned; both searches walk the same seeded neighbor sequence).
+// Vtree minimization through the stable MinimizeVtree entry point: one
+// compile, one collect, then the in-place rotate/swap search (budget and
+// seed pinned, so both trees walk the same seeded neighbor sequence).
 void BenchSddMinimize() {
   for (size_t n : {12, 16, 20}) {
     const Cnf cnf = RandomCnf(n, n * 3, 7 + n);
@@ -353,25 +351,18 @@ void BenchSddMinimize() {
 }
 
 // Minimize-enabled SDD suite variant: the sdd_apply workload compiled with
-// the size-triggered auto-minimize hook armed. Trees that predate the hook
-// (no TBC_SDD_HAS_INPLACE_MINIMIZE in sdd/minimize.h) run the plain
-// compile, so the before/after ratio prices the hook against doing nothing.
+// the size-triggered auto-minimize hook armed (aggressive mode).
 void BenchSddCompileAutoMinimize() {
-#ifdef TBC_SDD_HAS_INPLACE_MINIMIZE
   const SddAutoMinimizeOptions saved = SddManager::DefaultAutoMinimize();
-  SddAutoMinimizeOptions opts =
-      SddAutoMinimizeOptions::ForMode(SddMinimizeMode::kAggressive);
-  SddManager::SetDefaultAutoMinimize(opts);
-#endif
+  SddManager::SetDefaultAutoMinimize(
+      SddAutoMinimizeOptions::ForMode(SddMinimizeMode::kAggressive));
   const size_t n = 22;
   const Cnf cnf = RandomCnf(n, n * 2, 61);
   SddManager mgr(Vtree::RightLinear(Vtree::IdentityOrder(n)));
   const SddId f = CompileCnf(mgr, cnf);
   const WeightMap w = RandomWeights(n, 62);
   for (int i = 0; i < 10; ++i) g_sink += mgr.Wmc(f, w);
-#ifdef TBC_SDD_HAS_INPLACE_MINIMIZE
   SddManager::SetDefaultAutoMinimize(saved);
-#endif
 }
 
 // Raw OBDD apply loop plus repeated counting passes.

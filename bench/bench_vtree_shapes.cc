@@ -28,6 +28,7 @@
 #include "sdd/compile.h"
 #include "sdd/minimize.h"
 #include "sdd/sdd.h"
+#include "sdd_recompile_oracle.h"
 #include "vtree/vtree.h"
 
 namespace {

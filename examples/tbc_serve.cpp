@@ -32,12 +32,6 @@
 //                          src/base/fault.h)
 //     --fault-prob=P       per-hit fire probability for every point under
 //                          --fault-seed (default 0.02)
-//     --sdd-minimize=MODE  off|auto|aggressive: process-wide size-triggered
-//                          in-place SDD minimization policy, picked up by
-//                          every SDD manager built in this process
-//     --sdd-minimize-threshold=R
-//                          auto-minimize growth ratio (>= 1; overrides the
-//                          mode default; requires --sdd-minimize)
 //     --stats[=json]       dump the observability registry on exit
 //
 // SIGTERM / SIGINT drain gracefully: stop accepting, refuse new requests
@@ -57,7 +51,6 @@
 #include "base/observability.h"
 #include "base/strings.h"
 #include "cli.h"
-#include "sdd/sdd.h"
 #include "serve/server.h"
 
 namespace {
@@ -107,9 +100,7 @@ int main(int argc, char** argv) {
           "                 [--max-timeout-ms=N] [--idle-timeout-ms=N]\n"
           "                 [--max-width=N]\n"
           "                 [--port-file=PATH] [--fault-seed=N]\n"
-          "                 [--fault-prob=P]\n"
-          "                 [--sdd-minimize=off|auto|aggressive]\n"
-          "                 [--sdd-minimize-threshold=R] [--stats[=json]]\n");
+          "                 [--fault-prob=P] [--stats[=json]]\n");
       return 0;
     }
   }
@@ -141,42 +132,6 @@ int main(int argc, char** argv) {
   opts.max_forecast_width = static_cast<uint32_t>(max_width);
   if (opts.num_workers == 0) {
     std::fprintf(stderr, "tbc_serve: --workers must be >= 1\n");
-    return 1;
-  }
-
-  // Process-wide SDD auto-minimize policy: every manager built while
-  // serving (any in-process SDD compile path) copies it at construction.
-  if (const char* m = Arg(argc, argv, "--sdd-minimize")) {
-    SddMinimizeMode mode;
-    if (std::strcmp(m, "off") == 0) {
-      mode = SddMinimizeMode::kOff;
-    } else if (std::strcmp(m, "auto") == 0) {
-      mode = SddMinimizeMode::kAuto;
-    } else if (std::strcmp(m, "aggressive") == 0) {
-      mode = SddMinimizeMode::kAggressive;
-    } else {
-      std::fprintf(stderr,
-                   "tbc_serve: --sdd-minimize must be off|auto|aggressive, "
-                   "got '%s'\n",
-                   m);
-      return 1;
-    }
-    SddAutoMinimizeOptions sdd_opts = SddAutoMinimizeOptions::ForMode(mode);
-    if (const char* t = Arg(argc, argv, "--sdd-minimize-threshold")) {
-      if (!ParseDouble(t, &sdd_opts.growth_ratio) ||
-          sdd_opts.growth_ratio < 1.0) {
-        std::fprintf(stderr,
-                     "tbc_serve: --sdd-minimize-threshold needs a ratio >= 1, "
-                     "got '%s'\n",
-                     t);
-        return 1;
-      }
-    }
-    SddManager::SetDefaultAutoMinimize(sdd_opts);
-  } else if (Arg(argc, argv, "--sdd-minimize-threshold") != nullptr) {
-    std::fprintf(stderr,
-                 "tbc_serve: --sdd-minimize-threshold requires "
-                 "--sdd-minimize\n");
     return 1;
   }
 

@@ -1,47 +1,38 @@
 #include "sdd/io.h"
 
-#include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "base/strings.h"
 
 namespace tbc {
 
 std::string WriteSdd(const SddManager& mgr, SddId f) {
-  std::unordered_map<SddId, uint32_t> file_id;
+  // File ids are postorder positions, elements taken first to last: the
+  // numbering a recursive emitter produces, without its stack depth.
+  std::vector<uint32_t> file_id(mgr.num_nodes());
   std::string body;
   uint32_t next = 0;
-  std::function<uint32_t(SddId)> emit = [&](SddId g) -> uint32_t {
-    auto it = file_id.find(g);
-    if (it != file_id.end()) return it->second;
-    uint32_t id;
+  mgr.ForEachPostorder(f, /*reverse=*/false, [&](SddId g) {
+    const uint32_t id = next++;
+    file_id[g] = id;
     if (mgr.IsConstant(g)) {
-      id = next++;
       body += std::string(g == mgr.True() ? "T " : "F ") + std::to_string(id) + "\n";
-    } else if (mgr.IsLiteral(g)) {
-      id = next++;
-      body += "L " + std::to_string(id) + " " +
-              std::to_string(mgr.vtree().position(mgr.vtree_node(g))) + " " +
-              std::to_string(mgr.literal(g).ToDimacs()) + "\n";
-    } else {
-      std::string elems;
-      size_t k = 0;
-      for (const auto& [p, s] : mgr.elements(g)) {
-        const uint32_t pid = emit(p);
-        const uint32_t sid = emit(s);
-        elems.append(" ").append(std::to_string(pid));
-        elems.append(" ").append(std::to_string(sid));
-        ++k;
-      }
-      id = next++;
-      body += "D " + std::to_string(id) + " " +
-              std::to_string(mgr.vtree().position(mgr.vtree_node(g))) + " " +
-              std::to_string(k) + elems + "\n";
+      return;
     }
-    file_id.emplace(g, id);
-    return id;
-  };
-  emit(f);
+    const std::string head = std::to_string(id) + " " +
+                             std::to_string(mgr.vtree().position(mgr.vtree_node(g)));
+    if (mgr.IsLiteral(g)) {
+      body += "L " + head + " " + std::to_string(mgr.literal(g).ToDimacs()) + "\n";
+      return;
+    }
+    body += "D " + head + " " + std::to_string(mgr.elements(g).size());
+    for (const auto& [p, s] : mgr.elements(g)) {
+      body.append(" ").append(std::to_string(file_id[mgr.Resolve(p)]));
+      body.append(" ").append(std::to_string(file_id[mgr.Resolve(s)]));
+    }
+    body += "\n";
+  });
   return "sdd " + std::to_string(next) + "\n" + body;
 }
 

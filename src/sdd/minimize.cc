@@ -4,6 +4,7 @@
 
 #include "base/check.h"
 #include "base/observability.h"
+#include "base/random.h"
 #include "sdd/compile.h"
 #include "sdd/sdd.h"
 
@@ -12,44 +13,6 @@
 #endif
 
 namespace tbc {
-
-namespace {
-
-// Bounded recompilation for candidate evaluation (recompile oracle path):
-// respects the outer deadline/cancellation and a node cap. Returns
-// SIZE_MAX (reject) when the compile was interrupted.
-size_t SddSizeUnderBounded(const Cnf& cnf, const Vtree& vt, Guard& outer,
-                           uint64_t node_cap) {
-  Budget inner_budget;
-  inner_budget.timeout_ms = outer.has_deadline() ? outer.RemainingMs() : 0.0;
-  inner_budget.max_nodes = node_cap;
-  if (inner_budget.timeout_ms == 0.0 && outer.has_deadline()) return SIZE_MAX;
-  Guard inner(inner_budget);
-  SddManager mgr(vt);
-  mgr.set_auto_minimize(SddAutoMinimizeOptions{});
-  mgr.set_guard(&inner);
-  const SddId f = CompileCnf(mgr, cnf);
-  if (mgr.interrupted() || outer.cancelled()) return static_cast<size_t>(-1);
-  return mgr.Size(f) + 1;
-}
-
-}  // namespace
-
-std::optional<Vtree> RotateRight(const Vtree& vtree, VtreeId at) {
-  Vtree copy = vtree;
-  if (!copy.RotateRightAt(at)) return std::nullopt;
-  return copy;
-}
-std::optional<Vtree> RotateLeft(const Vtree& vtree, VtreeId at) {
-  Vtree copy = vtree;
-  if (!copy.RotateLeftAt(at)) return std::nullopt;
-  return copy;
-}
-std::optional<Vtree> SwapChildren(const Vtree& vtree, VtreeId at) {
-  Vtree copy = vtree;
-  if (!copy.SwapChildrenAt(at)) return std::nullopt;
-  return copy;
-}
 
 SddInPlaceMinimizeResult MinimizeSddInPlace(SddManager& mgr, SddId root,
                                             size_t budget, uint64_t seed) {
@@ -64,6 +27,20 @@ SddInPlaceMinimizeResult MinimizeSddInPlace(SddManager& mgr, SddId root,
   result.initial_size = mgr.Size(result.root);
   result.size = result.initial_size;
   Guard* outer = mgr.guard();
+  // Per-edit work cap (Choi & Darwiche's "limited" operations): an edit
+  // that interns more nodes than the manager held live at pass start is no
+  // local move at all — it is a global restructuring priced like a
+  // recompile — so it is aborted (and rolled back) early. The cap counts
+  // nodes, as the edit's own charges do. The incumbent's Size() counts
+  // elements and runs larger; as a cap it let passes pay for costly edits
+  // they then rejected, making auto-minimize slower with no consistent
+  // gain in final size (DESIGN.md "The search"). Read ONCE: edits inflate
+  // the live count with their own rewrite and undo generations, and
+  // re-reading it per edit let that inflation raise the budget of every
+  // later edit — a feedback loop that once made aggressive auto-minimize
+  // ~100x slower than the compile itself.
+  const uint64_t edit_node_cap =
+      static_cast<uint64_t>(mgr.live_node_count()) + 256;
   Rng rng(seed);
   const size_t num_vt = mgr.vtree().num_nodes();
   const auto edit = [&mgr](int op, VtreeId at) {
@@ -89,17 +66,9 @@ SddInPlaceMinimizeResult MinimizeSddInPlace(SddManager& mgr, SddId root,
     const int op = static_cast<int>(rng.Below(3));
     ++result.iterations;
     TBC_COUNT("sdd.minimize.iterations");
-    // Per-edit work cap (Choi & Darwiche's "limited" operations): a
-    // fragment rewrite that interns more than a fraction of the incumbent
-    // SDD's size is no local move at all — it is a global restructuring
-    // priced like a recompile — so it is aborted (and rolled back) early.
-    // Empirically the cap can be this tight without changing the best
-    // size found: sweeping multipliers from 4x down to 0.25x of the
-    // incumbent left every best-size result identical while cutting
-    // wall-clock several-fold on root-adjacent rotations. The outer
-    // deadline, when there is one, bounds the edit as well.
+    // The outer deadline, when there is one, bounds the edit as well.
     Budget inner_budget;
-    inner_budget.max_nodes = static_cast<uint64_t>(result.size) + 256;
+    inner_budget.max_nodes = edit_node_cap;
     if (outer != nullptr && outer->has_deadline()) {
       inner_budget.timeout_ms = outer->RemainingMs();
       if (inner_budget.timeout_ms <= 0.0) {
@@ -135,12 +104,13 @@ SddInPlaceMinimizeResult MinimizeSddInPlace(SddManager& mgr, SddId root,
     const size_t size = mgr.Size(root);
 #ifdef TBC_VALIDATE
     {
-      // Analyzer-clean after every committed edit (guard detached: the
-      // validation pass must not charge the search budgets).
-      Guard* held = mgr.guard();
-      mgr.set_guard(nullptr);
-      ValidateSddOrDie(mgr, root, "MinimizeSddInPlace");
-      mgr.set_guard(held);
+      // Analyzer-clean after every committed edit. The partition check
+      // interns prime disjunctions, so it runs on a guard-free copy: the
+      // searched manager's live count — auto-minimize's trigger — must not
+      // depend on the build.
+      SddManager snapshot = mgr;
+      snapshot.set_guard(nullptr);
+      ValidateSddOrDie(snapshot, root, "MinimizeSddInPlace");
     }
 #endif
     if (size <= result.size) {  // accept sideways moves to escape plateaus
@@ -157,6 +127,11 @@ SddInPlaceMinimizeResult MinimizeSddInPlace(SddManager& mgr, SddId root,
     mgr.set_guard(outer);
     TBC_CHECK_MSG(undo.applied, "inverse vtree edit must always apply");
     result.root = mgr.Resolve(result.root);
+  }
+  if (result.initial_size > 0) {
+    TBC_OBSERVE_VALUE("sdd.minimize.size_reduction_pct",
+                      (100 * (result.initial_size - result.size)) /
+                          result.initial_size);
   }
   return result;
 }
@@ -216,72 +191,6 @@ MinimizeResult MinimizeVtree(const Cnf& cnf, const Vtree& initial,
   // Certify the winning vtree's circuit. (With TBC_VALIDATE on, the
   // recompile above already certifies through CompileCnf's guard-free
   // hook, so this block only exists when that one is compiled out.)
-  if (!result.interrupted) {
-    SddManager check(result.vtree);
-    CompileCnf(check, cnf);
-  }
-#endif
-  return result;
-}
-
-MinimizeResult MinimizeVtreeByRecompile(const Cnf& cnf, const Vtree& initial,
-                                        size_t budget, uint64_t seed,
-                                        Guard& guard) {
-  TBC_SPAN("sdd.minimize.recompile");
-  Rng rng(seed);
-  MinimizeResult result;
-  result.vtree = initial;
-  // The initial compilation runs under the full outer guard (deadline and
-  // cancellation, plus any caller-set node budget).
-  {
-    SddManager mgr(initial);
-    mgr.set_auto_minimize(SddAutoMinimizeOptions{});
-    mgr.set_guard(&guard);
-    const SddId f = CompileCnf(mgr, cnf);
-    mgr.set_guard(nullptr);
-    if (mgr.interrupted()) {
-      result.interrupted = true;
-      result.interrupt_status = mgr.interrupt_status();
-      return result;
-    }
-    result.initial_size = mgr.Size(f) + 1;
-  }
-  result.size = result.initial_size;
-  for (size_t i = 0; i < budget; ++i) {
-    Status s = guard.Check();
-    if (!s.ok()) {
-      result.interrupted = true;
-      result.interrupt_status = std::move(s);
-      break;
-    }
-    const VtreeId at = static_cast<VtreeId>(rng.Below(result.vtree.num_nodes()));
-    const int op = static_cast<int>(rng.Below(3));
-    ++result.iterations;
-    TBC_COUNT("sdd.minimize.iterations");
-    std::optional<Vtree> candidate =
-        op == 0   ? RotateRight(result.vtree, at)
-        : op == 1 ? RotateLeft(result.vtree, at)
-                  : SwapChildren(result.vtree, at);
-    if (!candidate.has_value()) continue;  // shape did not permit the move
-    // A neighbor larger than the incumbent can never be accepted, so cap
-    // its recompilation at a small multiple of the incumbent size. This
-    // also keeps one pathological neighbor from eating the whole deadline.
-    const uint64_t cap = 4 * static_cast<uint64_t>(result.size) + 256;
-    const size_t size = SddSizeUnderBounded(cnf, *candidate, guard, cap);
-    if (size <= result.size) {  // accept sideways moves to escape plateaus
-      if (size < result.size) TBC_COUNT("sdd.minimize.improvements");
-      result.size = size;
-      result.vtree = std::move(*candidate);
-    }
-  }
-#ifdef TBC_VALIDATE
-  // Re-verify the winning vtree's circuit (candidates are validated by the
-  // guard-free CompileCnf hook; the search above runs guarded and skips it).
-  if (!result.interrupted) {
-    SddManager check(result.vtree);
-    ValidateSddOrDie(check, CompileCnf(check, cnf), "MinimizeVtreeByRecompile");
-  }
-#elif defined(TBC_CERTIFY)
   if (!result.interrupted) {
     SddManager check(result.vtree);
     CompileCnf(check, cnf);

@@ -2,17 +2,11 @@
 #define TBC_SDD_MINIMIZE_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "base/guard.h"
-#include "base/random.h"
 #include "logic/cnf.h"
 #include "sdd/sdd.h"
 #include "vtree/vtree.h"
-
-/// Feature probe: this revision applies vtree operations in place on the
-/// live SDD (benches and tools built against older revisions test for it).
-#define TBC_SDD_HAS_INPLACE_MINIMIZE 1
 
 namespace tbc {
 
@@ -53,12 +47,14 @@ struct SddInPlaceMinimizeResult {
 /// than a full recompilation. A step is kept when the SDD does not grow
 /// and undone via its exact inverse otherwise.
 ///
-/// Each edit runs under a private node cap derived from the best size so
-/// far (a fragment rewrite that grows past the cap can never be accepted,
-/// so it is aborted and rolled back — counted in `aborted`). The manager's
-/// attached guard, if any, is the outer budget: its deadline/cancellation
-/// is polled between edits and bounds every edit, and on interruption the
-/// best-so-far root is returned with `interrupted` set.
+/// Each edit runs under a private node cap: the manager's live node count
+/// at pass start plus a small slack, read once (a fragment rewrite that
+/// grows past it is no local move; it is aborted and rolled back — counted
+/// in `aborted`). The manager's attached guard, if any, is the outer
+/// budget: its deadline/cancellation is checked before every edit and
+/// bounds every edit, and on interruption the best-so-far root is returned
+/// with `interrupted` set. This is the one search: MinimizeVtree and the
+/// manager's auto-minimize hook both run it.
 SddInPlaceMinimizeResult MinimizeSddInPlace(SddManager& mgr, SddId root,
                                             size_t budget, uint64_t seed);
 
@@ -77,24 +73,6 @@ MinimizeResult MinimizeVtree(const Cnf& cnf, const Vtree& initial,
 /// size == 0 and the initial vtree is returned unevaluated.
 MinimizeResult MinimizeVtree(const Cnf& cnf, const Vtree& initial,
                              size_t budget, uint64_t seed, Guard& guard);
-
-/// Recompilation-based search over the same neighborhood: every candidate
-/// vtree is evaluated by compiling the CNF from scratch. Kept as the
-/// cross-check oracle for the in-place path — tests and
-/// bench_vtree_shapes compare the two — and as the reference
-/// implementation of the search itself.
-MinimizeResult MinimizeVtreeByRecompile(const Cnf& cnf, const Vtree& initial,
-                                        size_t budget, uint64_t seed,
-                                        Guard& guard);
-
-/// One vtree operation applied functionally (returns the rotated copy), or
-/// std::nullopt when the shape does not permit the move — rotating at a
-/// leaf, or rotating a node whose relevant child is a leaf. (These used to
-/// return the *unchanged* vtree on a shape mismatch, which silently turned
-/// an inapplicable move into an expensive no-op candidate.)
-std::optional<Vtree> RotateRight(const Vtree& vtree, VtreeId at);
-std::optional<Vtree> RotateLeft(const Vtree& vtree, VtreeId at);
-std::optional<Vtree> SwapChildren(const Vtree& vtree, VtreeId at);
 
 }  // namespace tbc
 

@@ -1,13 +1,12 @@
 #include "sdd/sdd.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "base/check.h"
 #include "base/hash.h"
 #include "base/observability.h"
-#include "base/random.h"
 #include "nnf/queries.h"
+#include "sdd/minimize.h"
 
 namespace tbc {
 
@@ -592,52 +591,26 @@ SddId SddManager::GarbageCollect(SddId root) {
   const size_t live_before = live_node_count();
   SddManager fresh(vtree_);
   fresh.auto_minimize_ = auto_minimize_;
-  SddId new_root = root;
-  if (!IsConstant(root)) {
-    // Postorder over the resolved reachable DAG (0 = unseen, 1 = expanded,
-    // 2 = emitted), replaying each node into the fresh manager. Children
-    // are resolved before the visit so the walk only ever touches live
-    // nodes; replayed decisions are already canonical, so MakeDecision
-    // re-interns the identical node under a fresh id.
-    std::vector<uint8_t> state(nodes_.size(), 0);
-    std::vector<SddId> map(nodes_.size(), kInvalidSdd);
-    std::vector<SddId> stack = {root};
-    while (!stack.empty()) {
-      const SddId g = stack.back();
-      if (state[g] == 2) {
-        stack.pop_back();
-        continue;
-      }
-      if (state[g] == 0) {
-        state[g] = 1;
-        if (IsDecision(g)) {
-          for (const auto& [p, s] : nodes_[g].elements) {
-            const SddId rp = Resolve(p);
-            const SddId rs = Resolve(s);
-            if (!IsConstant(rp) && state[rp] == 0) stack.push_back(rp);
-            if (!IsConstant(rs) && state[rs] == 0) stack.push_back(rs);
-          }
-        }
-        continue;
-      }
-      state[g] = 2;
-      stack.pop_back();
-      if (IsLiteral(g)) {
-        map[g] = fresh.LiteralNode(literal(g));
-        continue;
-      }
-      std::vector<std::pair<SddId, SddId>> elems;
-      elems.reserve(nodes_[g].elements.size());
-      for (const auto& [p, s] : nodes_[g].elements) {
-        const SddId rp = Resolve(p);
-        const SddId rs = Resolve(s);
-        elems.push_back(
-            {IsConstant(rp) ? rp : map[rp], IsConstant(rs) ? rs : map[rs]});
-      }
-      map[g] = fresh.MakeDecision(nodes_[g].vtree, std::move(elems));
+  // Replay the reachable DAG into the fresh manager, children first;
+  // replayed decisions are already canonical, so MakeDecision re-interns
+  // the identical node under a fresh id.
+  std::vector<SddId> map(nodes_.size(), kInvalidSdd);
+  map[False()] = fresh.False();
+  map[True()] = fresh.True();
+  ForEachPostorder(root, /*reverse=*/true, [&](SddId g) {
+    if (IsConstant(g)) return;
+    if (IsLiteral(g)) {
+      map[g] = fresh.LiteralNode(literal(g));
+      return;
     }
-    new_root = map[root];
-  }
+    std::vector<std::pair<SddId, SddId>> elems;
+    elems.reserve(nodes_[g].elements.size());
+    for (const auto& [p, s] : nodes_[g].elements) {
+      elems.push_back({map[Resolve(p)], map[Resolve(s)]});
+    }
+    map[g] = fresh.MakeDecision(nodes_[g].vtree, std::move(elems));
+  });
+  const SddId new_root = map[root];
   const size_t fires = auto_minimize_fires_;
   Guard* const held = guard_;
   *this = std::move(fresh);
@@ -646,79 +619,6 @@ SddId SddManager::GarbageCollect(SddId root) {
   last_minimized_live_ = live_node_count();
   TBC_COUNT_N("sdd.gc.nodes_dropped", live_before - live_node_count());
   return new_root;
-}
-
-SddId SddManager::GreedyMinimizePass(SddId root, size_t ops, uint64_t seed) {
-  root = Resolve(root);
-  if (IsConstant(root) || interrupted_) return root;
-  const size_t initial = Size(root);
-  size_t best = initial;
-  Rng rng(seed);
-  const size_t num_vt = vtree_.num_nodes();
-  Guard* const outer = guard_;
-  // Per-edit work cap, mirroring MinimizeSddInPlace: an edit that interns
-  // more nodes than the manager held live at pass start cannot be a local
-  // improvement worth its cost; abort it and move on. Without this, one
-  // root-adjacent rotation can cost as much as a recompile. The cap is
-  // snapshotted ONCE: edits themselves inflate the live count (rewritten
-  // generations, undo generations), and recomputing the cap per edit lets
-  // that inflation raise the budget of every later edit — a feedback loop
-  // that made aggressive auto-minimize during compile ~100x slower than
-  // the compile itself. (Live count, not Size(root): mid-compile the
-  // table holds other intermediate SDDs whose v-labeled nodes the edit
-  // must rewrite too.)
-  const uint64_t edit_node_cap =
-      static_cast<uint64_t>(live_node_count()) + 256;
-  for (size_t i = 0; i < ops && !interrupted_; ++i) {
-    const VtreeId v = static_cast<VtreeId>(rng.Below(num_vt));
-    const EditKind kind = static_cast<EditKind>(rng.Below(3));
-    Budget inner_budget;
-    inner_budget.max_nodes = edit_node_cap;
-    if (outer != nullptr && outer->has_deadline()) {
-      inner_budget.timeout_ms = outer->RemainingMs();
-      if (inner_budget.timeout_ms <= 0.0) break;
-    }
-    Guard inner(inner_budget);
-    guard_ = &inner;
-    const bool applied = Edit(kind, v).applied;
-    guard_ = outer;
-    if (interrupted_) {
-      // The inner guard inherits the outer deadline; only a genuine outer
-      // trip (cancellation / deadline) should stop the whole pass.
-      ClearInterrupt();
-      if (outer != nullptr) {
-        Status s = outer->Check();
-        if (!s.ok()) {
-          interrupted_ = true;
-          interrupt_status_ = std::move(s);
-          break;
-        }
-      }
-      continue;
-    }
-    if (!applied) continue;
-    root = Resolve(root);
-    const size_t size = Size(root);
-    if (size <= best) {
-      best = size;
-      continue;
-    }
-    // Reject: every edit has an exact inverse at the same node. The undo
-    // runs unguarded — it shrinks back to a size the table already held.
-    const EditKind inverse = kind == EditKind::kRotateRight
-                                 ? EditKind::kRotateLeft
-                             : kind == EditKind::kRotateLeft
-                                 ? EditKind::kRotateRight
-                                 : EditKind::kSwap;
-    guard_ = nullptr;
-    if (Edit(inverse, v).applied) root = Resolve(root);
-    guard_ = outer;
-  }
-  if (initial > 0 && best <= initial) {
-    TBC_OBSERVE_VALUE("sdd.minimize.size_reduction_pct",
-                      (100 * (initial - best)) / initial);
-  }
-  return root;
 }
 
 SddId SddManager::MaybeAutoMinimize(SddId root) {
@@ -740,152 +640,74 @@ SddId SddManager::MaybeAutoMinimize(SddId root) {
   // spends its per-edit budget rewriting garbage, and its own rewrite
   // generations compound across firings.
   root = GarbageCollect(root);
-  root = GreedyMinimizePass(root, auto_minimize_.ops_per_pass,
-                            0x5ddau * 0x9e3779b9u + auto_minimize_fires_);
-  last_minimized_live_ = live_node_count();
-  return root;
-}
-
-namespace {
-
-// Reachable node ids in topological order (children strictly before
-// parents). Freshly compiled SDDs satisfy "child id < parent id", but
-// in-place vtree edits rewrite a node's elements without renumbering, so
-// a low-id decision node may reference higher-id children — the dense
-// passes below need an explicit postorder, not sorted ids.
-std::vector<SddId> ReachableAscending(SddId f, size_t num_nodes,
-                                      const std::function<bool(SddId)>& is_decision,
-                                      const std::function<const std::vector<std::pair<SddId, SddId>>&(SddId)>& elements) {
-  // 0 = unseen, 1 = expanded (children pushed), 2 = emitted.
-  std::vector<uint8_t> state(num_nodes, 0);
-  std::vector<SddId> order;
-  std::vector<SddId> stack = {f};
-  while (!stack.empty()) {
-    const SddId g = stack.back();
-    if (state[g] == 2) {  // duplicate stack entry; already emitted
-      stack.pop_back();
-      continue;
-    }
-    if (state[g] == 0) {
-      state[g] = 1;  // leave on the stack; emit after the children
-      if (is_decision(g)) {
-        for (const auto& [p, s] : elements(g)) {
-          if (state[p] == 0) stack.push_back(p);
-          if (state[s] == 0) stack.push_back(s);
-        }
-      }
-      continue;
-    }
-    state[g] = 2;  // second visit: every child above has been emitted
-    order.push_back(g);
-    stack.pop_back();
+  const SddInPlaceMinimizeResult pass =
+      MinimizeSddInPlace(*this, root, auto_minimize_.ops_per_pass,
+                         0x5ddau * 0x9e3779b9u + auto_minimize_fires_);
+  if (pass.interrupted) {
+    // The outer guard stopped the pass: latch it so the compile loop that
+    // called us refuses, exactly as if an Apply had tripped it.
+    interrupted_ = true;
+    interrupt_status_ = pass.interrupt_status;
   }
-  return order;
+  last_minimized_live_ = live_node_count();
+  return pass.root;
 }
-
-}  // namespace
 
 bool SddManager::Evaluate(SddId f, const Assignment& assignment) const {
-  if (f == False()) return false;
-  if (f == True()) return true;
-  const std::vector<SddId> order = ReachableAscending(
-      f, nodes_.size(), [this](SddId g) { return IsDecision(g); },
-      [this](SddId g) -> const std::vector<std::pair<SddId, SddId>>& {
-        return nodes_[g].elements;
-      });
   std::vector<int8_t> value(nodes_.size(), 0);
   value[True()] = 1;
-  for (const SddId g : order) {
-    if (IsConstant(g)) continue;
+  ForEachPostorder(f, /*reverse=*/true, [&](SddId g) {
+    if (IsConstant(g)) return;
     if (IsLiteral(g)) {
       value[g] = Eval(literal(g), assignment) ? 1 : 0;
-      continue;
+      return;
     }
     for (const auto& [p, s] : nodes_[g].elements) {
-      if (value[p]) {
-        value[g] = value[s];  // exactly one prime is high
-        break;
+      if (value[Resolve(p)]) {
+        value[g] = value[Resolve(s)];  // exactly one prime is high
+        return;
       }
     }
-  }
-  return value[f] == 1;
+  });
+  return value[Resolve(f)] == 1;
 }
 
 size_t SddManager::Size(SddId f) const {
   size_t size = 0;
-  std::vector<uint8_t> seen(nodes_.size(), 0);
-  std::vector<SddId> stack = {f};
-  seen[f] = 1;
-  while (!stack.empty()) {
-    const SddId g = stack.back();
-    stack.pop_back();
-    if (!IsConstant(g) && !nodes_[g].elements.empty()) {
-      size += nodes_[g].elements.size();
-      for (const auto& [p, s] : nodes_[g].elements) {
-        if (!seen[p]) {
-          seen[p] = 1;
-          stack.push_back(p);
-        }
-        if (!seen[s]) {
-          seen[s] = 1;
-          stack.push_back(s);
-        }
-      }
-    }
-  }
+  ForEachPostorder(f, /*reverse=*/true,
+                   [&](SddId g) { size += nodes_[g].elements.size(); });
   return size;
 }
 
 size_t SddManager::NumDecisionNodes(SddId f) const {
   size_t count = 0;
-  std::vector<uint8_t> seen(nodes_.size(), 0);
-  std::vector<SddId> stack = {f};
-  seen[f] = 1;
-  while (!stack.empty()) {
-    const SddId g = stack.back();
-    stack.pop_back();
-    if (IsDecision(g)) {
-      ++count;
-      for (const auto& [p, s] : nodes_[g].elements) {
-        if (!seen[p]) {
-          seen[p] = 1;
-          stack.push_back(p);
-        }
-        if (!seen[s]) {
-          seen[s] = 1;
-          stack.push_back(s);
-        }
-      }
-    }
-  }
+  ForEachPostorder(f, /*reverse=*/true,
+                   [&](SddId g) { count += IsDecision(g) ? 1 : 0; });
   return count;
 }
 
 NnfId SddManager::ToNnf(SddId f, NnfManager& nnf) const {
   if (f == False()) return nnf.False();
   if (f == True()) return nnf.True();
-  const std::vector<SddId> order = ReachableAscending(
-      f, nodes_.size(), [this](SddId g) { return IsDecision(g); },
-      [this](SddId g) -> const std::vector<std::pair<SddId, SddId>>& {
-        return nodes_[g].elements;
-      });
+  // The walk order is the NNF node-creation order, which fixes the NNF's
+  // ids and so the summation order of every query over it.
   std::vector<NnfId> memo(nodes_.size(), kInvalidNnf);
   memo[False()] = nnf.False();
   memo[True()] = nnf.True();
-  for (const SddId g : order) {
-    if (IsConstant(g)) continue;
+  ForEachPostorder(f, /*reverse=*/true, [&](SddId g) {
+    if (IsConstant(g)) return;
     if (IsLiteral(g)) {
       memo[g] = nnf.Literal(literal(g));
-      continue;
+      return;
     }
     std::vector<NnfId> parts;
     parts.reserve(nodes_[g].elements.size());
     for (const auto& [p, s] : nodes_[g].elements) {
-      parts.push_back(nnf.And(memo[p], memo[s]));
+      parts.push_back(nnf.And(memo[Resolve(p)], memo[Resolve(s)]));
     }
     memo[g] = nnf.Or(std::move(parts));
-  }
-  return memo[f];
+  });
+  return memo[Resolve(f)];
 }
 
 BigUint SddManager::ModelCount(SddId f) {

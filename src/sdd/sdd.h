@@ -107,6 +107,16 @@ class SddManager {
     return nodes_[f].elements;
   }
 
+  /// Visits every node reachable from `f` exactly once, children before
+  /// parents, in the order a recursive descent would: each decision
+  /// node's elements first to last, prime before sub — or, with `reverse`,
+  /// last to first, sub before prime. Constants are visited too. Children
+  /// are read through Resolve(), so the walk sees only live nodes after
+  /// in-place edits. Iterative: the depth of the SDD costs heap, not
+  /// thread stack.
+  template <class Visit>
+  void ForEachPostorder(SddId f, bool reverse, Visit&& visit) const;
+
   /// Truth value under a complete assignment.
   bool Evaluate(SddId f, const Assignment& assignment) const;
   /// SDD size: total number of elements over reachable decision nodes (the
@@ -205,9 +215,11 @@ class SddManager {
   /// SddId: when the live node count has grown past the configured
   /// multiple of the last-minimized count, the manager garbage-collects
   /// down to the root (invalidating every other id — see
-  /// GarbageCollect()), runs a bounded greedy pass of in-place edits, and
+  /// GarbageCollect()), runs a bounded MinimizeSddInPlace pass, and
   /// returns the (possibly re-homed) root. A no-op when the mode is kOff,
-  /// the manager is interrupted, or the trigger has not fired.
+  /// the manager is interrupted, or the trigger has not fired. When the
+  /// attached guard stops the pass, the manager is left interrupted with
+  /// the guard's status, like an interrupted Apply.
   SddId MaybeAutoMinimize(SddId root);
   void set_auto_minimize(const SddAutoMinimizeOptions& options) {
     auto_minimize_ = options;
@@ -228,9 +240,8 @@ class SddManager {
   SddId GarbageCollect(SddId root);
 
   /// Process-wide default auto-minimize policy, copied by every manager at
-  /// construction — how `kc_cli --sdd-minimize` / `tbc_serve
-  /// --sdd-minimize` reach managers created deep inside the portfolio and
-  /// compile paths without plumbing. Set once at startup (reads are
+  /// construction — how `kc_cli --sdd-minimize` reaches managers created
+  /// deep inside the portfolio and compile paths without plumbing. Set once at startup (reads are
   /// unsynchronized by design, like other process-wide configuration).
   static void SetDefaultAutoMinimize(const SddAutoMinimizeOptions& options);
   static const SddAutoMinimizeOptions& DefaultAutoMinimize();
@@ -333,8 +344,6 @@ class SddManager {
   // restores the relabeled nodes to `child` and undoes the vtree move.
   void AbortEdit(EditKind kind, VtreeId v, VtreeId child,
                  const std::vector<SddId>& relabeled, size_t mark);
-  // Bounded greedy pass over in-place edits (the auto-minimize worker).
-  SddId GreedyMinimizePass(SddId root, size_t ops, uint64_t seed);
 
   Vtree vtree_;
   std::vector<Node> nodes_;
@@ -358,6 +367,45 @@ class SddManager {
   size_t auto_minimize_fires_ = 0;
   size_t last_minimized_live_ = 0;
 };
+
+template <class Visit>
+void SddManager::ForEachPostorder(SddId f, bool reverse, Visit&& visit) const {
+  // 0 = unseen, 1 = expanded (its children are on the stack above it),
+  // 2 = visited. A node may be pushed more than once; its first pop
+  // expands it, and the pop that finds it expanded visits it.
+  std::vector<uint8_t> state(nodes_.size(), 0);
+  std::vector<SddId> stack = {Resolve(f)};
+  const auto push = [&](SddId id) {
+    if (state[id] != 0) return;  // seen live id: its node is not read
+    id = Resolve(id);
+    if (state[id] == 0) stack.push_back(id);
+  };
+  while (!stack.empty()) {
+    const SddId g = stack.back();
+    if (state[g] == 0) {
+      state[g] = 1;
+      // Pushed in the reverse of the order they are descended into.
+      const auto& elements = nodes_[g].elements;
+      if (reverse) {
+        for (const auto& [p, s] : elements) {
+          push(p);
+          push(s);
+        }
+      } else {
+        for (auto it = elements.rbegin(); it != elements.rend(); ++it) {
+          push(it->second);
+          push(it->first);
+        }
+      }
+      continue;
+    }
+    stack.pop_back();
+    if (state[g] == 1) {
+      state[g] = 2;
+      visit(g);
+    }
+  }
+}
 
 }  // namespace tbc
 

@@ -13,11 +13,14 @@
 
 #include "analysis/sdd_analyzer.h"
 #include "base/guard.h"
+#include "base/observability.h"
 #include "base/random.h"
+#include "nnf/io.h"
 #include "sdd/compile.h"
 #include "sdd/io.h"
 #include "sdd/minimize.h"
 #include "sdd/sdd.h"
+#include "sdd_recompile_oracle.h"
 #include "vtree/vtree.h"
 
 namespace tbc {
@@ -215,6 +218,130 @@ TEST(SddAutoMinimizeTest, TriggerFiresAndPreservesFunction) {
   ExpectAnalyzerClean(mgr, f, "after auto-minimize");
   // Auto-minimize must not *grow* the artifact the caller gets back.
   EXPECT_LE(mgr.Size(f), plain.Size(reference));
+}
+
+// Auto-minimize outcomes recorded before the auto hook and MinimizeVtree
+// shared one search: the merged search must walk the same edits, so the
+// final sizes and firing counts are unchanged.
+TEST(SddAutoMinimizeTest, PinnedSizesAndFires) {
+  struct Pin {
+    SddMinimizeMode mode;
+    size_t n;
+    uint64_t seed;
+    size_t size;
+    size_t fires;
+  };
+  const Pin pins[] = {
+      {SddMinimizeMode::kAuto, 18, 61, 580, 1},
+      {SddMinimizeMode::kAuto, 18, 62, 900, 2},
+      {SddMinimizeMode::kAuto, 22, 61, 3344, 4},
+      {SddMinimizeMode::kAuto, 22, 62, 2806, 3},
+      {SddMinimizeMode::kAggressive, 18, 61, 684, 3},
+      {SddMinimizeMode::kAggressive, 18, 62, 818, 3},
+      {SddMinimizeMode::kAggressive, 22, 61, 2966, 5},
+      {SddMinimizeMode::kAggressive, 22, 62, 1902, 6},
+  };
+  for (const Pin& pin : pins) {
+    SddManager mgr(Vtree::RightLinear(Vtree::IdentityOrder(pin.n)));
+    mgr.set_auto_minimize(SddAutoMinimizeOptions::ForMode(pin.mode));
+    const SddId f = CompileCnf(mgr, RandomCnf(pin.n, 2 * pin.n, 3, pin.seed));
+    EXPECT_EQ(mgr.Size(f), pin.size) << "n=" << pin.n << " seed=" << pin.seed;
+    EXPECT_EQ(mgr.auto_minimize_fires(), pin.fires)
+        << "n=" << pin.n << " seed=" << pin.seed;
+  }
+}
+
+// MinimizeVtree's best sizes, recorded before the per-edit cap became the
+// live node count at pass start.
+TEST(SddInPlaceMinimizeTest, PinnedBestSizes) {
+  struct Pin {
+    size_t n;
+    uint64_t seed;
+    size_t initial_size;
+    size_t size;
+  };
+  const Pin pins[] = {
+      {14, 101, 265, 233}, {20, 104, 199, 173}, {22, 105, 929, 662},
+      {20, 113, 1091, 797}, {26, 116, 2387, 1815},
+  };
+  for (const Pin& pin : pins) {
+    const MinimizeResult r =
+        MinimizeVtree(RandomCnf(pin.n, 3 * pin.n, 3, pin.seed),
+                      Vtree::RightLinear(Vtree::IdentityOrder(pin.n)), 120,
+                      pin.seed);
+    EXPECT_EQ(r.initial_size, pin.initial_size) << "seed " << pin.seed;
+    EXPECT_EQ(r.size, pin.size) << "seed " << pin.seed;
+  }
+}
+
+// The reachable walk fixes ToNnf's node-creation order, which fixes the
+// NNF's ids and so the summation order of Wmc: both are pinned bit for
+// bit, before and after in-place edits.
+TEST(SddInPlaceMinimizeTest, WmcAndNnfExportArePinned) {
+  const size_t n = 14;
+  SddManager mgr(Vtree::RightLinear(Vtree::IdentityOrder(n)));
+  SddId f = CompileCnf(mgr, RandomCnf(n, 40, 3, 2024));
+  const WeightMap weights = SkewedWeights(n);
+  EXPECT_EQ(mgr.Wmc(f, weights), 0x1.a38d496915177p-3);
+  f = MinimizeSddInPlace(mgr, f, 60, 7).root;
+  EXPECT_EQ(mgr.Size(f), 80u);
+  EXPECT_EQ(mgr.Wmc(f, weights), 0x1.a38d496915177p-3);
+
+  SddManager small(Vtree::Balanced(Vtree::IdentityOrder(6)));
+  SddId g = CompileCnf(small, RandomCnf(6, 10, 3, 5));
+  ASSERT_TRUE(small.RotateLeftInPlace(small.vtree().root()).applied);
+  ASSERT_TRUE(small.SwapChildrenInPlace(small.vtree().root()).applied);
+  g = small.Resolve(g);
+  NnfManager nnf;
+  const NnfId root = small.ToNnf(g, nnf);
+  EXPECT_EQ(WriteNnf(nnf, root, 6),
+            "nnf 27 45 6\n"
+            "L 5\nL -4\nL 4\nA 2 0 1\nL -3\nL 2\nL -2\nL -1\nL 1\nA 2 6 7\n"
+            "A 3 4 6 8\nO 0 2 9 10\nO 0 2 2 3\nL 3\nA 4 6 8 12 13\nA 2 0 11\n"
+            "A 4 0 1 4 5\nO 0 3 14 15 16\nL -6\nA 5 0 1 4 5 7\nA 4 4 5 8 12\n"
+            "A 3 2 8 13\nO 0 3 19 20 21\nL 6\nA 2 22 23\nA 2 17 18\n"
+            "O 0 2 24 25\n");
+}
+
+// A guard cancelled before auto-minimize fires must stop the pass before
+// its first edit and leave the manager interrupted with kCancelled, so the
+// compile loop that called the hook refuses.
+TEST(SddAutoMinimizeTest, CancelledGuardStopsPassBeforeAnyEdit) {
+  const size_t n = 16;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const Cnf cnf = RandomCnf(n, 40, 3, seed);
+    SddManager mgr(Vtree::RightLinear(Vtree::IdentityOrder(n)));
+    mgr.set_auto_minimize(SddAutoMinimizeOptions{});
+    const SddId f = CompileCnf(mgr, cnf);
+    const BigUint models = mgr.ModelCount(f);
+    const std::string vtree_before = mgr.vtree().ToString();
+    mgr.set_auto_minimize(
+        SddAutoMinimizeOptions::ForMode(SddMinimizeMode::kAggressive));
+    Guard cancelled(Budget{});
+    cancelled.Cancel();
+    mgr.set_guard(&cancelled);
+#if TBC_OBSERVE_ON
+    const auto edits = [] {
+      return Observability::Global().CounterValue("sdd.minimize.rotations") +
+             Observability::Global().CounterValue("sdd.minimize.swaps");
+    };
+    const uint64_t edits_before = edits();
+#endif
+    const SddId g = mgr.MaybeAutoMinimize(f);
+    mgr.set_guard(nullptr);
+    ASSERT_EQ(mgr.auto_minimize_fires(), 1u) << "seed " << seed;
+    EXPECT_TRUE(mgr.interrupted()) << "seed " << seed;
+    EXPECT_EQ(mgr.interrupt_status().code(), StatusCode::kCancelled)
+        << "seed " << seed;
+#if TBC_OBSERVE_ON
+    EXPECT_EQ(edits(), edits_before) << "seed " << seed;
+#endif
+    // No edit ran: the vtree is untouched and the collected manager holds
+    // exactly its live nodes (an edit leaves rewrite generations behind).
+    EXPECT_EQ(mgr.vtree().ToString(), vtree_before) << "seed " << seed;
+    EXPECT_EQ(mgr.num_nodes(), mgr.live_node_count() + 2) << "seed " << seed;
+    EXPECT_EQ(mgr.ModelCount(g), models) << "seed " << seed;
+  }
 }
 
 // Off mode never fires; the process-wide default reaches new managers.

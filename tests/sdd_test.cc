@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "base/random.h"
 #include "logic/formula.h"
@@ -12,6 +14,7 @@
 #include "sdd/io.h"
 #include "sdd/minimize.h"
 #include "sdd/sdd.h"
+#include "sdd_recompile_oracle.h"
 #include "vtree/vtree.h"
 
 namespace tbc {
@@ -290,6 +293,80 @@ TEST(SddIoTest, ConstantsAndErrors) {
   EXPECT_FALSE(ReadSdd(m, "L 0 0 1\n").ok());            // missing header
   EXPECT_FALSE(ReadSdd(m, "sdd 1\nD 0 1 1 5 6\n").ok()); // forward refs
   EXPECT_FALSE(ReadSdd(m, "sdd 1\nZ 0\n").ok());
+}
+
+// WriteSdd's bytes, recorded before the emitter became iterative: file
+// ids follow a recursive descent's postorder, elements first to last.
+TEST(SddIoTest, WriteSddBytesArePinned) {
+  SddManager paper(PaperVtree());
+  EXPECT_EQ(WriteSdd(paper, CompileCnf(paper, CourseConstraint())),
+            "sdd 15\n"
+            "L 0 0 3\nL 1 4 4\nT 2\nL 3 4 -4\nL 4 6 -1\nD 5 5 2 1 2 3 4\n"
+            "F 6\nL 7 0 -3\nL 8 2 -2\nD 9 1 2 0 6 7 8\nL 10 2 2\n"
+            "D 11 1 2 0 6 7 10\nL 12 6 1\nD 13 5 2 1 12 3 6\n"
+            "D 14 3 3 0 5 9 1 11 13\n");
+  // After in-place edits node ids no longer ascend from children to
+  // parents; the file order must not care.
+  SddManager m(Vtree::Balanced(Vtree::IdentityOrder(6)));
+  SddId f = CompileCnf(m, RandomCnf(6, 10, 3, 5));
+  ASSERT_TRUE(m.RotateLeftInPlace(m.vtree().root()).applied);
+  ASSERT_TRUE(m.SwapChildrenInPlace(m.vtree().root()).applied);
+  f = m.Resolve(f);
+  ASSERT_EQ(m.vtree().ToString(), "(5 (((0 1) 2) (3 4)))");
+  EXPECT_EQ(WriteSdd(m, f),
+            "sdd 33\n"
+            "L 0 0 6\nL 1 2 1\nF 2\nL 3 2 -1\nL 4 4 2\nD 5 3 2 1 2 3 4\n"
+            "L 6 6 -3\nT 7\nL 8 4 -2\nD 9 3 2 1 7 3 8\nD 10 5 2 5 6 9 2\n"
+            "L 11 8 4\nL 12 8 -4\nL 13 10 5\nD 14 9 2 11 2 12 13\n"
+            "D 15 3 2 1 4 3 2\nD 16 3 2 1 8 3 7\nD 17 5 2 15 6 16 2\n"
+            "D 18 9 2 11 7 12 13\nL 19 6 3\nD 20 5 2 1 19 3 2\n"
+            "D 21 3 2 1 2 3 8\nD 22 3 2 1 8 3 2\nD 23 5 4 21 7 22 6 15 2 5 19\n"
+            "D 24 7 4 10 14 17 18 20 11 23 2\nL 25 0 -6\nD 26 5 2 8 2 4 19\n"
+            "D 27 3 2 1 4 3 7\nD 28 5 2 22 19 27 2\nD 29 5 3 4 2 21 7 22 6\n"
+            "D 30 5 2 8 2 4 6\nD 31 7 4 26 2 28 18 29 13 30 14\n"
+            "D 32 1 2 0 24 25 31\n");
+  auto parsed = ReadSdd(m, WriteSdd(m, f));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed.value(), f);
+}
+
+// A 2,000-literal conjunction on a right-linear vtree is a 2,000-deep
+// chain of decision nodes. Writing it must not need stack proportional to
+// that depth: it runs on a thread with a 1 MB stack.
+TEST(SddIoTest, WriteSddOfDeepChainFitsASmallStack) {
+  constexpr size_t kVars = 2000;
+  SddManager m(Vtree::RightLinear(Vtree::IdentityOrder(kVars)));
+  SddId f = m.True();
+  for (size_t i = kVars; i-- > 0;) {  // innermost first: each Conjoin is O(1)
+    f = m.Conjoin(m.LiteralNode(Pos(static_cast<Var>(i))), f);
+  }
+  ASSERT_EQ(m.NumDecisionNodes(f), kVars - 1);
+  struct Job {
+    const SddManager* mgr;
+    SddId root;
+    std::string text;
+  } job{&m, f, {}};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  auto* j = static_cast<Job*>(arg);
+                  j->text = WriteSdd(*j->mgr, j->root);
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  // Every positive and negative literal, the chain's decisions and ⊥.
+  EXPECT_EQ(job.text.substr(0, job.text.find('\n')),
+            "sdd " + std::to_string(kVars + (kVars - 1) + (kVars - 1) + 1));
+  auto parsed = ReadSdd(m, job.text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed.value(), f);
 }
 
 TEST(SddMinimizeTest, VtreeOperationsPreserveVariables) {

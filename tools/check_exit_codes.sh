@@ -189,14 +189,14 @@ assert any("structure.io" in json.dumps(r["diagnostics"]) for r in reports)
   fi
 fi
 
-# tbc_serve: minimize-flag validation happens before binding the socket —
-# a bad mode or an orphan threshold is a usage error (1), never a hang.
+# tbc_serve: flag validation happens before binding the socket — a zero
+# worker count or a non-numeric width is a usage error (1), never a hang.
 SERVE="$ROOT/build/examples/tbc_serve"
 if [[ -x "$SERVE" ]]; then
-  expect 1 "tbc_serve bad sdd-minimize" "$SERVE" \
-             --listen=unix:"$TMP/serve.sock" --sdd-minimize=banana
-  expect 1 "tbc_serve orphan sdd threshold" "$SERVE" \
-             --listen=unix:"$TMP/serve.sock" --sdd-minimize-threshold=2.0
+  expect 1 "tbc_serve zero workers" "$SERVE" \
+             --listen=unix:"$TMP/serve.sock" --workers=0
+  expect 1 "tbc_serve bad max-width" "$SERVE" \
+             --listen=unix:"$TMP/serve.sock" --max-width=abc
 fi
 
 if [[ "$FAILED" != 0 ]]; then
