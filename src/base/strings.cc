@@ -1,5 +1,8 @@
 #include "base/strings.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -83,22 +86,17 @@ bool ParseDouble(std::string_view token, double* out) {
   return true;
 }
 
-void AppendDoubleHex(double v, std::string* out) {
+char* WriteDoubleHex(double v, char* p) {
   if (std::isnan(v)) {
-    out->append("nan");
-    return;
+    std::memcpy(p, "nan", 3);
+    return p + 3;
   }
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
-  // Sign, "0x", leading digit, '.', 13 mantissa digits, 'p', exponent sign
-  // and at most four exponent digits: 24 bytes.
-  char buf[32];
-  char* p = buf;
   if (bits >> 63) *p++ = '-';
   if (std::isinf(v)) {
     std::memcpy(p, "inf", 3);
-    out->append(buf, p + 3);
-    return;
+    return p + 3;
   }
   const uint64_t biased = (bits >> 52) & 0x7ff;
   uint64_t mantissa = bits & ((uint64_t{1} << 52) - 1);
@@ -111,11 +109,11 @@ void AppendDoubleHex(double v, std::string* out) {
                                    : static_cast<int>(biased) - 1023;
   if (mantissa != 0) {
     *p++ = '.';
-    int digits = 13;
-    while ((mantissa & 0xf) == 0) {
-      mantissa >>= 4;
-      --digits;
-    }
+    // Trailing zero digits are dropped: 13 digits less one per four
+    // trailing zero bits.
+    const int zeros = std::countr_zero(mantissa) / 4;
+    const int digits = 13 - zeros;
+    mantissa >>= 4 * zeros;
     for (int i = digits - 1; i >= 0; --i) {
       p[i] = "0123456789abcdef"[mantissa & 0xf];
       mantissa >>= 4;
@@ -124,8 +122,14 @@ void AppendDoubleHex(double v, std::string* out) {
   }
   *p++ = 'p';
   *p++ = exponent < 0 ? '-' : '+';
-  p = std::to_chars(p, buf + sizeof(buf), std::abs(exponent)).ptr;
-  out->append(buf, p);
+  // Sign, "0x", leading digit, '.', 13 digits, 'p' and exponent sign take
+  // 20 bytes: the exponent's at most four digits fit kMaxDoubleHexChars.
+  return std::to_chars(p, p + 4, std::abs(exponent)).ptr;
+}
+
+void AppendDoubleHex(double v, std::string* out) {
+  char buf[kMaxDoubleHexChars];
+  out->append(buf, WriteDoubleHex(v, buf));
 }
 
 std::string FormatDoubleHex(double v) {
@@ -134,8 +138,86 @@ std::string FormatDoubleHex(double v) {
   return out;
 }
 
+namespace {
+
+/// Value of each byte as a lower-case hex digit, kNotDigit for every other
+/// byte. One load per digit replaces a compare chain ('0'-'9' or 'a'-'f')
+/// whose outcome changes from digit to digit: live tokens carry random
+/// digits, so that chain mispredicts, while the table leaves only the
+/// digit loop's exit test.
+constexpr uint8_t kNotDigit = 0xff;
+constexpr std::array<uint8_t, 256> kHexDigitValue = [] {
+  std::array<uint8_t, 256> table{};
+  table.fill(kNotDigit);
+  for (int d = 0; d < 10; ++d) table['0' + d] = static_cast<uint8_t>(d);
+  for (int d = 0; d < 6; ++d) table['a' + d] = static_cast<uint8_t>(10 + d);
+  return table;
+}();
+
+uint8_t DigitValue(char c) {
+  return kHexDigitValue[static_cast<unsigned char>(c)];
+}
+
+}  // namespace
+
+size_t ReadDoubleHexCanonical(std::string_view text, double* out) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  uint64_t bits = 0;
+  if (p != end && *p == '-') {
+    bits = uint64_t{1} << 63;
+    ++p;
+  }
+  // "0x", the leading digit, and at least "p+0" after it.
+  if (end - p < 6 || p[0] != '0' || p[1] != 'x' ||
+      (p[2] != '0' && p[2] != '1')) {
+    return 0;
+  }
+  const bool normal = p[2] == '1';
+  p += 3;
+  uint64_t fraction = 0;
+  if (*p == '.') {
+    const char* const first = ++p;
+    const char* const last = p + std::min<ptrdiff_t>(13, end - p);
+    for (; p != last; ++p) {
+      const uint8_t d = DigitValue(*p);
+      if (d == kNotDigit) break;
+      fraction = fraction << 4 | d;
+    }
+    if (p == first) return 0;
+    fraction <<= 4 * (13 - (p - first));
+  }
+  if (end - p < 3 || p[0] != 'p' || (p[1] != '+' && p[1] != '-')) return 0;
+  const bool negative_exponent = p[1] == '-';
+  p += 2;
+  const char* const first = p;
+  const char* const last = p + std::min<ptrdiff_t>(4, end - p);
+  int exponent = 0;
+  for (; p != last; ++p) {
+    const uint8_t d = DigitValue(*p);
+    if (d > 9) break;
+    exponent = exponent * 10 + d;
+  }
+  if (p == first) return 0;
+  if (negative_exponent) exponent = -exponent;
+  if (normal) {
+    if (exponent < -1022 || exponent > 1023) return 0;
+    bits |= static_cast<uint64_t>(exponent + 1023) << 52;
+  } else if (exponent != -1022 && !(exponent == 0 && fraction == 0)) {
+    return 0;  // a leading 0 spells a subnormal (or zero) only here
+  }
+  bits |= fraction;
+  std::memcpy(out, &bits, sizeof bits);
+  return static_cast<size_t>(p - text.data());
+}
+
 bool ParseDoubleAnyFormat(std::string_view token, double* out) {
   if (token.empty()) return false;
+  double canonical = 0.0;
+  if (ReadDoubleHexCanonical(token, &canonical) == token.size()) {
+    *out = canonical;
+    return true;
+  }
   std::string_view t = token;
   bool negative = false;
   if (t[0] == '+' || t[0] == '-') {

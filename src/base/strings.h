@@ -1,6 +1,8 @@
 #ifndef TBC_BASE_STRINGS_H_
 #define TBC_BASE_STRINGS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,12 +39,32 @@ bool ParseDouble(std::string_view token, double* out);
 /// zeros dropped>p-1022", as glibc's "%a" writes it.
 void AppendDoubleHex(double v, std::string* out);
 
+/// The most bytes WriteDoubleHex writes ("-0x1.fffffffffffffp+1023").
+inline constexpr size_t kMaxDoubleHexChars = 24;
+
+/// AppendDoubleHex's bytes written at `out`, which must have room for
+/// kMaxDoubleHexChars; returns one past the last byte written. Lets a
+/// caller build a whole line in one buffer and append it with one write.
+char* WriteDoubleHex(double v, char* out);
+
 /// AppendDoubleHex into a fresh string.
 std::string FormatDoubleHex(double v);
 
+/// One-pass reader for the canonical hexfloats AppendDoubleHex writes:
+/// [-]0x[01][.h{1,13}]p(+|-)d{1,4}, lower-case hex digits, and a value the
+/// digits spell exactly (a leading 1 with an exponent in [-1022, 1023], a
+/// leading 0 with exponent -1022, or 0x0p+0). Reads such a token from the
+/// front of `text`, sets *out, and returns its length; returns 0, leaving
+/// *out alone, if `text` does not start with one; the caller checks what
+/// follows the token. std::from_chars reads the same bits from every token
+/// read here. 0 means only "not canonical": the token may still be a
+/// number that ParseDoubleAnyFormat reads.
+size_t ReadDoubleHexCanonical(std::string_view text, double* out);
+
 /// Locale-independent inverse of FormatDoubleHex, additionally accepting
 /// plain decimal ("1.5e3") for hand-written inputs. The whole token must
-/// parse; "nan" is rejected (no wire value is NaN).
+/// parse; "nan" is rejected (no wire value is NaN). Canonical tokens take
+/// ReadDoubleHexCanonical; every other token goes through std::from_chars.
 bool ParseDoubleAnyFormat(std::string_view token, double* out);
 
 }  // namespace tbc

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -17,19 +18,15 @@ constexpr size_t kMaxWeights = 1u << 21;  // two per variable at the 2^20 cap
 constexpr size_t kMaxMpeLits = 1u << 21;
 constexpr size_t kMaxMarginals = 1u << 21;
 
-/// Reservation per repeated line ("weight"/"marg"): key, a literal of at
-/// most 11 characters, a hexfloat of at most 25, separators. An estimate
-/// only: appends grow the buffer past it if ever needed.
-constexpr size_t kRepeatedLineBytes = 48;
+/// The longest "<lit> <hexfloat>\n" a weight or marg line ends with: an
+/// int of at most 11 characters, a space, a hexfloat, the newline.
+constexpr size_t kLiteralLineTailBytes = 11 + 1 + kMaxDoubleHexChars + 1;
+/// The longest weight line ("weight", the longer key, and a space first).
+constexpr size_t kLiteralLineBytes = 6 + 1 + kLiteralLineTailBytes;
+/// The longest literal on an mpe line, with the space before it.
+constexpr size_t kMpeLiteralBytes = 1 + 11;
 
 Status Bad(const std::string& what) { return Status::InvalidInput(what); }
-
-/// Appends an integer's decimal digits through a stack buffer.
-template <typename T>
-void AppendDecimal(T v, std::string* out) {
-  char buf[24];
-  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-}
 
 /// Appends "<key> <hexfloat>\n".
 void AppendDoubleLine(std::string_view key, double v, std::string* out) {
@@ -44,19 +41,29 @@ template <typename T>
 void AppendDecimalLine(std::string_view key, T v, std::string* out) {
   out->append(key);
   out->push_back(' ');
-  AppendDecimal(v, out);
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   out->push_back('\n');
 }
 
-/// Appends "<key> <lit> <hexfloat>\n" (weight and marg lines).
-void AppendLiteralLine(std::string_view key, int lit, double v,
-                       std::string* out) {
-  out->append(key);
-  out->push_back(' ');
-  AppendDecimal(lit, out);
-  out->push_back(' ');
-  AppendDoubleHex(v, out);
-  out->push_back('\n');
+/// Appends "<key> <lit> <hexfloat>\n" for each entry (weight and marg
+/// lines). Each line is written in one pass into a region of *out sized
+/// for the longest lines, and the region is trimmed to what was written.
+void AppendLiteralLines(std::string_view key,
+                        const std::vector<std::pair<int, double>>& entries,
+                        std::string* out) {
+  const size_t at = out->size();
+  out->resize(at + entries.size() * (key.size() + 1 + kLiteralLineTailBytes));
+  char* p = out->data() + at;
+  for (const auto& [lit, v] : entries) {
+    p = std::copy(key.begin(), key.end(), p);
+    *p++ = ' ';
+    p = std::to_chars(p, p + 11, lit).ptr;
+    *p++ = ' ';
+    p = WriteDoubleHex(v, p);
+    *p++ = '\n';
+  }
+  out->resize(static_cast<size_t>(p - out->data()));
 }
 
 /// Appends a byte-counted blob: "<key> <n>\n" and then the n bytes.
@@ -64,6 +71,97 @@ void AppendBlob(std::string_view key, std::string_view blob,
                 std::string* out) {
   AppendDecimalLine(key, blob.size(), out);
   out->append(blob);
+}
+
+/// The largest variable a literal on the wire may name, as the server's
+/// variable cap is far below it. The bound keeps each literal's negation
+/// and std::abs defined, also for a client reading a lying server.
+constexpr int kMaxWireVar = 1 << 28;
+
+/// A literal token: an int in [-kMaxWireVar, kMaxWireVar], not 0.
+bool ParseLiteral(std::string_view token, int* out) {
+  return ParseInt(token, out) && *out != 0 && *out >= -kMaxWireVar &&
+         *out <= kMaxWireVar;
+}
+
+/// Reads a literal as the serializer writes it, an optional '-' and one
+/// to nine decimal digits, starting at `p`; returns one past its last
+/// digit, or nullptr if the bytes there are no such literal or it is out
+/// of ParseLiteral's range. Where this reads a literal, ParseLiteral reads
+/// the same value from the same digits.
+const char* ScanLiteral(const char* p, const char* end, int* out) {
+  const bool negative = p != end && *p == '-';
+  if (negative) ++p;
+  const char* const first = p;
+  int value = 0;
+  while (p != end && p - first < 9) {
+    const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (d > 9) break;
+    value = value * 10 + static_cast<int>(d);
+    ++p;
+  }
+  if (p == first || value == 0 || value > kMaxWireVar) return nullptr;
+  *out = negative ? -value : value;
+  return p;
+}
+
+/// Length of the "<key><lit> <hexfloat>" line at the front of `rest`,
+/// its newline included, if the line is in the serializer's own form;
+/// 0 otherwise. `key` carries its trailing space. The line is read in one
+/// pass, its literal by ScanLiteral and its double by
+/// ReadDoubleHexCanonical, so there is no split into tokens. Any line this
+/// reads, ParseLiteralValue reads the same values from.
+size_t ReadLiteralLine(std::string_view key, std::string_view rest, int* lit,
+                       double* v) {
+  if (!rest.starts_with(key)) return 0;
+  const char* const end = rest.data() + rest.size();
+  const char* p = ScanLiteral(rest.data() + key.size(), end, lit);
+  if (p == nullptr || p == end || *p != ' ') return 0;
+  ++p;
+  const size_t n = ReadDoubleHexCanonical(std::string_view(p, end - p), v);
+  if (n == 0) return 0;
+  p += n;
+  if (p != end && *p++ != '\n') return 0;
+  return static_cast<size_t>(p - rest.data());
+}
+
+/// Reads a weight or marg line's value, "<lit> <double>", split on its
+/// first space, for any line ReadLiteralLine does not take. Refusals name
+/// `key`.
+Status ParseLiteralValue(std::string_view key, std::string_view value,
+                         int* lit, double* v) {
+  const size_t sp = value.find(' ');
+  if (sp == std::string_view::npos) {
+    return Bad(std::string(key) + " needs 'LIT W'");
+  }
+  if (!ParseLiteral(value.substr(0, sp), lit)) {
+    return Bad("bad " + std::string(key) + " literal '" +
+               std::string(value.substr(0, sp)) + "'");
+  }
+  if (!DecodeDouble(value.substr(sp + 1), v)) {
+    return Bad("bad " + std::string(key) + " value '" +
+               std::string(value.substr(sp + 1)) + "'");
+  }
+  return Status::Ok();
+}
+
+/// Reads an mpe line's literals into *out. The serializer's own form,
+/// ScanLiteral literals each after one space, is read in one pass without
+/// std::isspace; false means the caller reads the line again from its
+/// start, token by token.
+bool ReadMpeLine(std::string_view value, std::vector<int>* out) {
+  const char* p = value.data();
+  const char* const end = p + value.size();
+  while (p != end) {
+    if (out->size() >= kMaxMpeLits) return false;
+    int lit = 0;
+    p = ScanLiteral(p, end, &lit);
+    if (p == nullptr) return false;
+    out->push_back(lit);
+    if (p == end) break;
+    if (*p != ' ' || ++p == end) return false;
+  }
+  return true;
 }
 
 /// Pulls the next run of non-whitespace out of `rest` (whitespace as
@@ -205,7 +303,7 @@ Status DecodeFrameHeader(const unsigned char header[kFrameHeaderBytes],
 }
 
 void Request::AppendTo(double timeout, std::string* out) const {
-  out->reserve(out->size() + 96 + weights.size() * kRepeatedLineBytes +
+  out->reserve(out->size() + 96 + weights.size() * kLiteralLineBytes +
                cnf_text.size());
   out->append("tbcq 1\nop ");
   out->append(OpName(op));
@@ -213,7 +311,7 @@ void Request::AppendTo(double timeout, std::string* out) const {
   if (timeout > 0.0) AppendDoubleLine("timeout_ms", timeout, out);
   if (max_nodes > 0) AppendDecimalLine("max_nodes", max_nodes, out);
   if (max_decisions > 0) AppendDecimalLine("max_decisions", max_decisions, out);
-  for (const auto& [lit, w] : weights) AppendLiteralLine("weight", lit, w, out);
+  AppendLiteralLines("weight", weights, out);
   if (!cnf_text.empty()) AppendBlob("cnf", cnf_text, out);
 }
 
@@ -232,11 +330,31 @@ Result<Request> Request::Parse(std::string_view payload) {
   }
   bool saw_op = false, saw_timeout = false, saw_nodes = false,
        saw_decisions = false;
-  while (NextLine(&rest, &line)) {
+  while (!rest.empty()) {
+    // Weight lines outnumber all others: one in the serializer's own form
+    // is read in one pass. Any other line, and one this would refuse, is
+    // split into key and value below.
+    int lit = 0;
+    double w = 0.0;
+    if (const size_t n = ReadLiteralLine("weight ", rest, &lit, &w);
+        n != 0 && w >= 0.0 && req.weights.size() < kMaxWeights) {
+      req.weights.emplace_back(lit, w);
+      rest.remove_prefix(n);
+      continue;
+    }
+    NextLine(&rest, &line);
     if (line.empty()) return Bad("empty line in request");
     std::string_view key, value;
     SplitKey(line, &key, &value);
-    if (key == "op") {
+    if (key == "weight") {
+      if (req.weights.size() >= kMaxWeights) return Bad("too many weight lines");
+      TBC_RETURN_IF_ERROR(ParseLiteralValue(key, value, &lit, &w));
+      if (w < 0.0 || std::isinf(w)) {
+        return Bad("bad weight value '" +
+                   std::string(value.substr(value.find(' ') + 1)) + "'");
+      }
+      req.weights.emplace_back(lit, w);
+    } else if (key == "op") {
       if (saw_op) return Bad("duplicate op");
       if (!OpFromName(value, &req.op)) {
         return Bad("unknown op '" + std::string(value) + "'");
@@ -261,20 +379,6 @@ Result<Request> Request::Parse(std::string_view payload) {
         return Bad("bad max_decisions '" + std::string(value) + "'");
       }
       saw_decisions = true;
-    } else if (key == "weight") {
-      if (req.weights.size() >= kMaxWeights) return Bad("too many weight lines");
-      const size_t sp = value.find(' ');
-      if (sp == std::string_view::npos) return Bad("weight needs 'LIT W'");
-      int lit = 0;
-      double w = 0.0;
-      if (!ParseInt(value.substr(0, sp), &lit) || lit == 0 ||
-          lit < -(1 << 28) || lit > (1 << 28)) {
-        return Bad("bad weight literal '" + std::string(value.substr(0, sp)) + "'");
-      }
-      if (!DecodeDouble(value.substr(sp + 1), &w) || w < 0.0 || std::isinf(w)) {
-        return Bad("bad weight value '" + std::string(value.substr(sp + 1)) + "'");
-      }
-      req.weights.emplace_back(lit, w);
     } else if (key == "cnf") {
       TBC_RETURN_IF_ERROR(TakeBlob(rest, value, "cnf", &req.cnf_text));
       rest = std::string_view();
@@ -297,7 +401,8 @@ Status Response::ToStatus() const {
 
 void Response::AppendTo(std::string* out) const {
   out->reserve(out->size() + 128 + message.size() + count.size() +
-               marginals.size() * kRepeatedLineBytes + mpe.size() * 8 +
+               marginals.size() * kLiteralLineBytes +
+               mpe.size() * kMpeLiteralBytes +
                stats_json.size());
   out->append("tbcr 1\nstatus ");
   out->append(StatusCodeName(status));
@@ -318,15 +423,19 @@ void Response::AppendTo(std::string* out) const {
     out->push_back('\n');
   }
   if (has_wmc) AppendDoubleLine("wmc", wmc, out);
-  for (const auto& [lit, v] : marginals) AppendLiteralLine("marg", lit, v, out);
+  AppendLiteralLines("marg", marginals, out);
   if (has_mpe) {
     AppendDoubleLine("mpe_weight", mpe_weight, out);
-    out->append("mpe");
+    // One pass over a region sized for the longest literals, then trimmed.
+    const size_t at = out->size();
+    out->resize(at + 4 + mpe.size() * kMpeLiteralBytes);
+    char* p = std::copy_n("mpe", 3, out->data() + at);
     for (int l : mpe) {
-      out->push_back(' ');
-      AppendDecimal(l, out);
+      *p++ = ' ';
+      p = std::to_chars(p, p + 11, l).ptr;
     }
-    out->push_back('\n');
+    *p++ = '\n';
+    out->resize(static_cast<size_t>(p - out->data()));
   }
   if (circuit_nodes > 0) AppendDecimalLine("nodes", circuit_nodes, out);
   if (circuit_edges > 0) AppendDecimalLine("edges", circuit_edges, out);
@@ -355,11 +464,26 @@ Result<Response> Response::Parse(std::string_view payload) {
   bool saw_status = false, saw_cache = false, saw_message = false,
        saw_count = false, saw_mpe_weight = false, saw_nodes = false,
        saw_edges = false;
-  while (NextLine(&rest, &line)) {
+  while (!rest.empty()) {
+    // Marg lines outnumber all others: one in the serializer's own form is
+    // read in one pass. Any other line is split into key and value below.
+    int lit = 0;
+    double v = 0.0;
+    if (const size_t n = ReadLiteralLine("marg ", rest, &lit, &v);
+        n != 0 && resp.marginals.size() < kMaxMarginals) {
+      resp.marginals.emplace_back(lit, v);
+      rest.remove_prefix(n);
+      continue;
+    }
+    NextLine(&rest, &line);
     if (line.empty()) return Bad("empty line in response");
     std::string_view key, value;
     SplitKey(line, &key, &value);
-    if (key == "status") {
+    if (key == "marg") {
+      if (resp.marginals.size() >= kMaxMarginals) return Bad("too many marg lines");
+      TBC_RETURN_IF_ERROR(ParseLiteralValue(key, value, &lit, &v));
+      resp.marginals.emplace_back(lit, v);
+    } else if (key == "status") {
       if (saw_status) return Bad("duplicate status");
       if (!StatusCodeFromName(value, &resp.status)) {
         return Bad("unknown status '" + std::string(value) + "'");
@@ -384,30 +508,22 @@ Result<Response> Response::Parse(std::string_view payload) {
         return Bad("bad wmc '" + std::string(value) + "'");
       }
       resp.has_wmc = true;
-    } else if (key == "marg") {
-      if (resp.marginals.size() >= kMaxMarginals) return Bad("too many marg lines");
-      const size_t sp = value.find(' ');
-      if (sp == std::string_view::npos) return Bad("marg needs 'LIT W'");
-      int lit = 0;
-      double v = 0.0;
-      if (!ParseInt(value.substr(0, sp), &lit) || lit == 0) {
-        return Bad("bad marg literal");
-      }
-      if (!DecodeDouble(value.substr(sp + 1), &v)) return Bad("bad marg value");
-      resp.marginals.emplace_back(lit, v);
     } else if (key == "mpe_weight") {
       if (saw_mpe_weight) return Bad("duplicate mpe_weight");
       if (!DecodeDouble(value, &resp.mpe_weight)) return Bad("bad mpe_weight");
       saw_mpe_weight = true;
     } else if (key == "mpe") {
       if (resp.has_mpe) return Bad("duplicate mpe");
-      std::string_view tokens = value;
-      std::string_view tok;
-      while (NextToken(&tokens, &tok)) {
-        if (resp.mpe.size() >= kMaxMpeLits) return Bad("too many mpe literals");
-        int lit = 0;
-        if (!ParseInt(tok, &lit) || lit == 0) return Bad("bad mpe literal");
-        resp.mpe.push_back(lit);
+      if (!ReadMpeLine(value, &resp.mpe)) {
+        // Not the serializer's form: hand-written separators, or a refusal.
+        resp.mpe.clear();
+        std::string_view tokens = value;
+        std::string_view tok;
+        while (NextToken(&tokens, &tok)) {
+          if (resp.mpe.size() >= kMaxMpeLits) return Bad("too many mpe literals");
+          if (!ParseLiteral(tok, &lit)) return Bad("bad mpe literal");
+          resp.mpe.push_back(lit);
+        }
       }
       resp.has_mpe = true;
     } else if (key == "nodes") {

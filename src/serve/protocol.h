@@ -32,11 +32,15 @@ namespace tbc::serve {
 /// still be framed) or a closed connection — both observable, neither
 /// fatal.
 ///
-/// Doubles (weights, WMC results) travel as C hexfloats (emitted with
-/// std::to_chars, which unlike "%a" never embeds the run-time locale's
-/// radix character), so a
-/// value round-trips bit-exactly: the soak test's bit-identical assertion
-/// holds across the wire, not just in memory.
+/// Doubles (weights, WMC results) travel as C hexfloats written by
+/// AppendDoubleHex (base/strings.h), which writes the digits itself and so,
+/// unlike "%a", never embeds the run-time locale's radix character. A value
+/// round-trips bit-exactly: the soak test's bit-identical assertion holds
+/// across the wire, not just in memory. On the way in, a hexfloat in the
+/// form AppendDoubleHex writes is read in one pass by
+/// ParseDoubleHexCanonical, as are the literals of weight, marg and mpe
+/// lines (bounded to +-2^28); any other token takes the general
+/// std::from_chars path, which reads the same values.
 
 /// Frame header constants.
 inline constexpr char kFrameMagic[4] = {'t', 'b', 'c', '1'};
@@ -134,7 +138,8 @@ std::string EncodeFrame(std::string_view payload);
 Status DecodeFrameHeader(const unsigned char header[kFrameHeaderBytes],
                          size_t max_frame_bytes, size_t* payload_len);
 
-/// Hexfloat encode/decode used for every double on the wire.
+/// Hexfloat encode/decode used for every double on the wire. DecodeDouble
+/// refuses tokens over 63 bytes, then reads as ParseDoubleAnyFormat.
 std::string EncodeDouble(double v);
 bool DecodeDouble(std::string_view token, double* out);
 

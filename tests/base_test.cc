@@ -169,6 +169,58 @@ TEST(StringsTest, HexFloatCodecRoundTripsBitExactly) {
   EXPECT_FALSE(ParseDoubleAnyFormat("", &out));
 }
 
+// The one-pass reader takes exactly the canonical tokens: every finite
+// value's own token, bit for bit, and nothing else, while the general path
+// still reads the rest with the same value.
+bool WholeCanonicalToken(std::string_view token, double* out) {
+  return !token.empty() && ReadDoubleHexCanonical(token, out) == token.size();
+}
+
+TEST(StringsTest, CanonicalHexReaderTakesTheWriterTokensOnly) {
+  Rng rng(0xca11);
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t bits = rng.Next();
+    if (i % 4 == 1) bits &= 0x800fffffffffffffull;  // subnormals and zeros
+    if (i % 4 == 2) bits &= 0xfff000000000000full;  // one mantissa digit
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    if (!std::isfinite(v)) continue;
+    char buf[kMaxDoubleHexChars];
+    const std::string hex(buf, WriteDoubleHex(v, buf));
+    EXPECT_EQ(hex, FormatDoubleHex(v));
+    double back = 42.0;
+    ASSERT_TRUE(WholeCanonicalToken(hex, &back)) << hex;
+    EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0) << hex;
+  }
+  EXPECT_EQ(FormatDoubleHex(-0x1.fffffffffffffp+1023).size(),
+            kMaxDoubleHexChars);
+
+  double out = 0.0;
+  for (const char* other : {"0X1p+0", "0x1.ABCp+0", "0x1.8P+1", "0x1p0",
+                            "+0x1p+0", "0x1.00000000000000p+0", "0x1p+00001",
+                            "0x0.8p+0", "0x2p+0", "0x1p-1023", "0x1.p+0",
+                            "1.5e3", "inf"}) {
+    EXPECT_FALSE(WholeCanonicalToken(other, &out)) << other;
+    EXPECT_TRUE(ParseDoubleAnyFormat(other, &out)) << other;
+  }
+  for (const char* bad : {"", "-", "0x", "0x1p+", "0x1p+1024",
+                          "0x1 p+0", "0x1p+0 ", "0x1p+0\t", "nan"}) {
+    EXPECT_FALSE(WholeCanonicalToken(bad, &out)) << bad;
+    EXPECT_FALSE(ParseDoubleAnyFormat(bad, &out)) << bad;
+  }
+  ASSERT_TRUE(ParseDoubleAnyFormat("0x1.ABCp+0", &out));
+  EXPECT_EQ(out, 0x1.abcp+0);
+
+  // A token read from the front of a line: the caller checks what follows.
+  EXPECT_EQ(ReadDoubleHexCanonical("0x1.8p+1\nmarg", &out), 8u);
+  EXPECT_EQ(out, 3.0);
+  EXPECT_EQ(ReadDoubleHexCanonical("-0x1p-10000", &out), 10u);  // 4 digits
+  EXPECT_EQ(ReadDoubleHexCanonical("0x1.8p+1", &out), 8u);
+  out = 7.0;
+  EXPECT_EQ(ReadDoubleHexCanonical("0x1.8q+1", &out), 0u);
+  EXPECT_EQ(out, 7.0);  // untouched when nothing is read
+}
+
 // A numpunct facet whose radix character is ',' — what a de_DE/fr_FR
 // locale does to locale-sensitive numeric code.
 class CommaNumpunct : public std::numpunct<char> {

@@ -17,6 +17,7 @@
 #include "base/strings.h"
 #include "gtest/gtest.h"
 #include "serve/protocol.h"
+#include "wire_codec_oracle.h"
 
 namespace tbc::serve {
 namespace {
@@ -136,13 +137,82 @@ TEST(Protocol, RequestParseRejectsMalformedPayloads) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Differential checks against the oracle in wire_codec_oracle.h: the same
+// accept or refuse outcome, the same message, bit-identical values.
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool SameWeights(const std::vector<std::pair<int, double>>& a,
+                 const std::vector<std::pair<int, double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].first != b[i].first || !SameBits(a[i].second, b[i].second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SameFields(const Request& a, const Request& b) {
+  return a.op == b.op && SameBits(a.timeout_ms, b.timeout_ms) &&
+         a.max_nodes == b.max_nodes && a.max_decisions == b.max_decisions &&
+         SameWeights(a.weights, b.weights) && a.cnf_text == b.cnf_text;
+}
+
+bool SameFields(const Response& a, const Response& b) {
+  return a.status == b.status && a.message == b.message &&
+         a.count == b.count && a.has_wmc == b.has_wmc &&
+         SameBits(a.wmc, b.wmc) && SameWeights(a.marginals, b.marginals) &&
+         a.has_mpe == b.has_mpe && SameBits(a.mpe_weight, b.mpe_weight) &&
+         a.mpe == b.mpe && a.circuit_nodes == b.circuit_nodes &&
+         a.circuit_edges == b.circuit_edges && a.artifact == b.artifact &&
+         a.cache_hit == b.cache_hit && a.stats_json == b.stats_json;
+}
+
+template <typename T>
+void ExpectSameOutcome(const Result<T>& got, const Result<T>& want,
+                       const std::string& payload) {
+  ASSERT_EQ(got.ok(), want.ok())
+      << payload << "\ngot: " << got.status().message()
+      << "\noracle: " << want.status().message();
+  if (got.ok()) {
+    EXPECT_TRUE(SameFields(*got, *want)) << payload;
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << payload;
+    EXPECT_EQ(got.status().message(), want.status().message()) << payload;
+  }
+}
+
+void ExpectRequestMatchesOracle(const std::string& payload) {
+  ExpectSameOutcome(Request::Parse(payload), oracle::ParseRequest(payload),
+                    payload);
+}
+
+void ExpectResponseMatchesOracle(const std::string& payload) {
+  ExpectSameOutcome(Response::Parse(payload), oracle::ParseResponse(payload),
+                    payload);
+}
+
+void ExpectDecodeMatchesOracle(const std::string& token) {
+  double got = 0.0, want = 0.0;
+  const bool got_ok = DecodeDouble(token, &got);
+  ASSERT_EQ(got_ok, oracle::DecodeDouble(token, &want)) << "'" << token << "'";
+  if (got_ok) {
+    EXPECT_TRUE(SameBits(got, want)) << "'" << token << "'";
+  }
+}
+
 TEST(Protocol, RandomGarbageNeverCrashesTheParsers) {
   Rng rng(20260807);
   for (int i = 0; i < 2000; ++i) {
     std::string junk(rng.Below(200), '\0');
     for (char& c : junk) c = static_cast<char>(rng.Below(256));
-    (void)Request::Parse(junk);   // must return, not crash
-    (void)Response::Parse(junk);
+    ExpectRequestMatchesOracle(junk);  // must return, not crash
+    ExpectResponseMatchesOracle(junk);
+    // Past the header, the junk reaches the line readers.
+    ExpectRequestMatchesOracle("tbcq 1\nop wmc\nweight " + junk);
+    ExpectResponseMatchesOracle("tbcr 1\nstatus kOk\nmarg " + junk);
   }
   // Mutations of a valid payload: flip one byte at a time.
   Request req;
@@ -152,9 +222,13 @@ TEST(Protocol, RandomGarbageNeverCrashesTheParsers) {
   for (size_t i = 0; i < good.size(); ++i) {
     std::string mutant = good;
     mutant[i] = static_cast<char>(mutant[i] ^ 0x20);
-    (void)Request::Parse(mutant);
+    ExpectRequestMatchesOracle(mutant);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Number codec: the hexfloat round trip, and the one-pass readers against
+// the from_chars oracle.
 
 TEST(Protocol, DoubleWireEncodingIsBitExact) {
   const double values[] = {0.0,     -0.0,   1.0,    0.1,
@@ -185,6 +259,159 @@ TEST(Protocol, DoubleWireEncodingIsBitExact) {
     EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0) << v;
   }
   std::locale::global(saved);
+}
+
+TEST(Protocol, DecodeDoubleMatchesOracleOnRandomBitPatterns) {
+  const double specials[] = {0.0,
+                             -0.0,
+                             0x0.0000000000001p-1022,  // smallest subnormal
+                             -0x0.fffffffffffffp-1022,  // largest subnormal
+                             0x1p-1022,                 // smallest normal
+                             0x1.fffffffffffffp+1023,   // largest normal
+                             -0x1.fffffffffffffp+1023,
+                             1.0,
+                             0.1,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  for (double v : specials) ExpectDecodeMatchesOracle(FormatDoubleHex(v));
+
+  Rng rng(0x0dd5eed);
+  for (int i = 0; i < 120000; ++i) {
+    uint64_t bits = rng.Next();
+    if (i % 8 == 1) bits &= 0x800fffffffffffffull;  // zero exponent
+    if (i % 8 == 2) bits |= 0x7ff0000000000000ull;  // inf / nan
+    if (i % 8 == 3) bits &= 0x8000000000000000ull;  // +-0
+    if (i % 8 == 4) bits &= 0x800000000000000full;  // few mantissa digits
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    const std::string token = FormatDoubleHex(v);
+    ExpectDecodeMatchesOracle(token);
+    double fast = 0.0;
+    // Every finite value's own token takes the one-pass reader.
+    EXPECT_EQ(ReadDoubleHexCanonical(token, &fast) == token.size(),
+              std::isfinite(v)) << token;
+  }
+}
+
+TEST(Protocol, DecodeDoubleMatchesOracleOnMutatedTokens) {
+  const char* tokens[] = {
+      "0x1.8p+1",    "0X1.8P+1",     "0x1.8P+1",         "0x1.ABCp+0",
+      "0x1.abcdef0123456p+0",        "0x1.abcdef012345p+0",
+      "0x1.p+0",     "0x2p+0",       "0x3.8p-1",         "+0x1p+0",
+      "+-0x1p+0",    "--0x1p+0",     "-0x-1p+0",         "0x1p+1024",
+      "0x1p-1023",   "0x1p-1074",    "0x1p-1075",        "0x1.8p-1074",
+      "0x0.8p+0",    "0x0.0000000000001p-1021",          "0x0p-1022",
+      "0x0p+5",      "0x0.000p+0",   "0x1p+00001",       "0x1p+10000",
+      "0x1p-0",      "0x1p0",        "0x1p",             "0x1p+",
+      "0x1",         "0x",           "0x.8p+0",          "0x1.8p+1 ",
+      " 0x1.8p+1",   "0x1.8 p+1",    "0x1.8\tp+1",       "0x1.8p+1\t",
+      "0x1 .8p+1",   "1.5e3",        "1.5",              "1e-400",
+      "1e400",       "inf",          "-inf",             "infinity",
+      "-infinity",   "INF",          "Infinity",         "nan",
+      "-nan",        "NaN",          "nan(1)",           "",
+      "-",           "+",            "0",                "-0",
+      "0x1.8p+1junk", "0x1.fffffffffffffp+1023",
+      "0x1.fffffffffffff8p+1023",    "0x1.00000000000008p+0",
+      "0x1.00000000000018p+0",       "0x0.fffffffffffff8p-1022",
+  };
+  for (const char* token : tokens) ExpectDecodeMatchesOracle(token);
+  // The 63-byte cap, both sides of it.
+  const std::string padded = "0x1." + std::string(56, '0') + "p+0";
+  ASSERT_EQ(padded.size(), 63u);
+  ExpectDecodeMatchesOracle(padded);
+  ExpectDecodeMatchesOracle("0x1." + std::string(57, '0') + "p+0");
+
+  // Random edits of canonical tokens: replace, insert or delete one byte.
+  const std::string alphabet = "0123456789abcdefABCDEFxXpP+-. \t\r\nine";
+  Rng rng(0x70cce5);
+  for (int i = 0; i < 60000; ++i) {
+    double v = 0.0;
+    const uint64_t bits = rng.Next();
+    std::memcpy(&v, &bits, sizeof v);
+    std::string token = FormatDoubleHex(v);
+    const int edits = 1 + static_cast<int>(rng.Below(2));
+    for (int e = 0; e < edits; ++e) {
+      const size_t at = rng.Below(token.size() + 1);
+      const char c = alphabet[rng.Below(alphabet.size())];
+      switch (rng.Below(3)) {
+        case 0:
+          if (at < token.size()) token[at] = c;
+          break;
+        case 1:
+          token.insert(token.begin() + static_cast<std::ptrdiff_t>(at), c);
+          break;
+        default:
+          if (at < token.size()) token.erase(at, 1);
+      }
+    }
+    ExpectDecodeMatchesOracle(token);
+  }
+}
+
+// Literal and value tokens for weight, marg and mpe lines: the
+// serializer's forms, hand-written variants, and refusals.
+std::string RandomLiteral(Rng& rng) {
+  switch (rng.Below(10)) {
+    case 0: return "-2147483648";
+    case 1: return std::to_string((1 << 28) + static_cast<int>(rng.Below(3)) - 1);
+    case 2: return std::to_string(-(1 << 28) - static_cast<int>(rng.Below(3)) + 1);
+    case 3: return "00" + std::to_string(1 + rng.Below(99));
+    case 4: return rng.Flip(0.5) ? "+1" : "-0";
+    case 5: return rng.Flip(0.5) ? "1x" : "";
+    case 6: return "-000000001";
+    default: {
+      const int v = 1 + static_cast<int>(rng.Below(1u << 12));
+      return std::to_string(rng.Flip(0.5) ? -v : v);
+    }
+  }
+}
+
+std::string RandomValue(Rng& rng) {
+  double v = rng.Uniform();
+  if (rng.Below(8) == 0) {
+    const uint64_t bits = rng.Next();
+    std::memcpy(&v, &bits, sizeof v);
+  }
+  std::string token = FormatDoubleHex(v);
+  switch (rng.Below(8)) {
+    case 0: token[rng.Below(token.size())] = 'A'; break;
+    case 1: token += rng.Flip(0.5) ? " " : "\t"; break;
+    case 2: token = "1.5e3"; break;
+    case 3: token = rng.Flip(0.5) ? "inf" : "-0x1p+0"; break;
+    default: break;
+  }
+  return token;
+}
+
+std::string RandomSeparator(Rng& rng) {
+  switch (rng.Below(12)) {
+    case 0: return "  ";
+    case 1: return "\t";
+    case 2: return "";
+    default: return " ";
+  }
+}
+
+TEST(Protocol, ParseMatchesOracleOnWeightMargAndMpeLines) {
+  Rng rng(0x11e5);
+  for (int i = 0; i < 3000; ++i) {
+    std::string weights, margs, mpe = "mpe";
+    const int lines = 1 + static_cast<int>(rng.Below(6));
+    for (int l = 0; l < lines; ++l) {
+      const std::string entry = RandomLiteral(rng) + RandomSeparator(rng) +
+                                RandomValue(rng) +
+                                (rng.Below(16) == 0 ? "\r\n" : "\n");
+      weights += "weight " + entry;
+      margs += "marg " + entry;
+      mpe += RandomSeparator(rng) + RandomLiteral(rng);
+    }
+    if (rng.Below(4) == 0) mpe += RandomSeparator(rng);
+    ExpectRequestMatchesOracle("tbcq 1\nop wmc\n" + weights +
+                               "cnf 23\n" + kSmallCnf);
+    ExpectResponseMatchesOracle("tbcr 1\nstatus kOk\n" + margs +
+                                "mpe_weight 0x1p-1\n" + mpe + "\ncache hit\n");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -457,6 +684,56 @@ TEST(Protocol, ResponseParseReadsMpeTokensInPlace) {
   ASSERT_TRUE(empty.ok()) << empty.status().message();
   EXPECT_TRUE(empty->has_mpe);
   EXPECT_TRUE(empty->mpe.empty());
+}
+
+// A lying server must not hand a caller a literal whose negation or
+// std::abs overflows: marg and mpe literals are bounded as weight
+// literals are.
+TEST(Protocol, ResponseParseBoundsMargAndMpeLiterals) {
+  const char* bad[] = {
+      "tbcr 1\nstatus kOk\nmarg -2147483648 0x1p+0\n",
+      "tbcr 1\nstatus kOk\nmarg 268435457 0x1p+0\n",
+      "tbcr 1\nstatus kOk\nmarg -268435457 0x1p+0\n",
+      "tbcr 1\nstatus kOk\nmarg 2147483647 0x1p+0\n",
+      "tbcr 1\nstatus kOk\nmpe_weight 0x1p-1\nmpe 1 -2147483648\n",
+      "tbcr 1\nstatus kOk\nmpe_weight 0x1p-1\nmpe 268435457\n",
+      "tbcr 1\nstatus kOk\nmpe_weight 0x1p-1\nmpe 1\t-268435457\n",
+  };
+  for (const char* payload : bad) {
+    auto parsed = Response::Parse(payload);
+    EXPECT_FALSE(parsed.ok()) << "accepted: " << payload;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidInput) << payload;
+  }
+  auto edge = Response::Parse(
+      "tbcr 1\nstatus kOk\nmarg -268435456 0x1p+0\nmarg 268435456 0x1p+0\n"
+      "mpe_weight 0x1p-1\nmpe -268435456 268435456\n");
+  ASSERT_TRUE(edge.ok()) << edge.status().message();
+  EXPECT_EQ(edge->marginals.front().first, -(1 << 28));
+  EXPECT_EQ(edge->marginals.back().first, 1 << 28);
+  EXPECT_EQ(edge->mpe, (std::vector<int>{-(1 << 28), 1 << 28}));
+}
+
+TEST(Protocol, ParseMatchesOracleOnMutatedGoldenPayloads) {
+  const std::string request = GoldenWmcRequest().Serialize();
+  const std::string response = GoldenMarMpeResponse().Serialize();
+  const std::string alphabet = "0123456789abcdefAxp+-. \t\n";
+  Rng rng(0x90a1d);
+  for (int i = 0; i < 6000; ++i) {
+    const bool is_request = i % 2 == 0;
+    std::string mutant = is_request ? request : response;
+    const size_t at = rng.Below(mutant.size());
+    const char c = alphabet[rng.Below(alphabet.size())];
+    switch (rng.Below(3)) {
+      case 0: mutant[at] = c; break;
+      case 1: mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at), c); break;
+      default: mutant.erase(at, 1);
+    }
+    if (is_request) {
+      ExpectRequestMatchesOracle(mutant);
+    } else {
+      ExpectResponseMatchesOracle(mutant);
+    }
+  }
 }
 
 }  // namespace
