@@ -10,13 +10,14 @@
 // pre-PR baseline and against the current tree, runs both, and writes the
 // before/after medians to BENCH_kernels.json. Seeds are pinned; every
 // workload reports the median of 5 runs, the query kernels also report ns
-// per circuit edge, the BN compile ns per decision, and the serve codec ns
-// per protocol line.
+// per circuit edge, the BN compiles (at three network sizes) ns per
+// decision, and the serve codec ns per protocol line.
 //
 // Usage: bench_kernels [output.json]   (default: stdout)
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -98,52 +99,61 @@ void BenchDdnnfCountWmc() {
 
 // The compile behind every cold tbc_serve request: the WMC encoding of
 // servebench's banded Bayesian network (servebench/serve_bench.cc,
-// BandedNetwork: 24 binary variables, parents among the 4 predecessors;
-// 214 Boolean variables, 736 clauses). Reported per decision, the unit of
-// DPLL work, so it compares with ddnnf_count_wmc's random CNFs.
-constexpr int kBnCompileReps = 20;
+// BandedNetwork: binary variables, parents among the 4 predecessors; at
+// its 24 variables, 214 Boolean variables and 736 clauses). Run at three
+// network sizes from the same generator, so a per-decision cost that grows
+// with size shows as a trend, and reported per decision, the unit of DPLL
+// work, so it compares with ddnnf_count_wmc's random CNFs. Each size runs
+// kBnCompileWork / size compiles.
+constexpr size_t kBnSizes[] = {12, 24, 48};
+constexpr int kBnCompileWork = 480;
 
-const WmcEncoding& BandedBnEncoding() {
-  static const WmcEncoding* encoding = [] {
-    Rng shape(0x5e7eb0c4ull);
-    Rng params(1);
-    // Never freed: the encoding keeps a reference to its network.
-    BayesianNetwork& net = *new BayesianNetwork;
-    for (size_t v = 0; v < 24; ++v) {
-      const size_t window = std::min<size_t>(v, 4);
-      const size_t count =
-          window == 0 ? 0 : shape.Below(std::min<size_t>(window, 3) + 1);
-      std::vector<BnVar> parents;
-      while (parents.size() < count) {
-        const BnVar p = static_cast<BnVar>(v - 1 - shape.Below(window));
-        if (std::find(parents.begin(), parents.end(), p) == parents.end()) {
-          parents.push_back(p);
-        }
+const WmcEncoding& BandedBnEncoding(size_t bn_vars) {
+  static std::map<size_t, const WmcEncoding*> encodings;
+  const WmcEncoding*& encoding = encodings[bn_vars];
+  if (encoding != nullptr) return *encoding;
+  Rng shape(0x5e7eb0c4ull);
+  Rng params(1);
+  // Never freed: the encoding keeps a reference to its network.
+  BayesianNetwork& net = *new BayesianNetwork;
+  for (size_t v = 0; v < bn_vars; ++v) {
+    const size_t window = std::min<size_t>(v, 4);
+    const size_t count =
+        window == 0 ? 0 : shape.Below(std::min<size_t>(window, 3) + 1);
+    std::vector<BnVar> parents;
+    while (parents.size() < count) {
+      const BnVar p = static_cast<BnVar>(v - 1 - shape.Below(window));
+      if (std::find(parents.begin(), parents.end(), p) == parents.end()) {
+        parents.push_back(p);
       }
-      std::vector<double> cpt_true(size_t{1} << parents.size());
-      for (double& x : cpt_true) x = 0.05 + 0.9 * params.Uniform();
-      net.AddBinary(std::string("x").append(std::to_string(v)),
-                    std::move(parents), std::move(cpt_true));
     }
-    return new WmcEncoding(net);
-  }();
+    std::vector<double> cpt_true(size_t{1} << parents.size());
+    for (double& x : cpt_true) x = 0.05 + 0.9 * params.Uniform();
+    net.AddBinary(std::string("x").append(std::to_string(v)),
+                  std::move(parents), std::move(cpt_true));
+  }
+  encoding = new WmcEncoding(net);
   return *encoding;
 }
 
-const Cnf& BandedBnCnf() { return BandedBnEncoding().cnf(); }
-
-double BnCompileDecisionsPerRun() {
-  NnfManager mgr;
-  DdnnfCompiler compiler;
-  compiler.Compile(BandedBnCnf(), mgr);
-  return static_cast<double>(compiler.stats().decisions) * kBnCompileReps;
+int BnCompileReps(size_t bn_vars) {
+  return kBnCompileWork / static_cast<int>(bn_vars);
 }
 
-void BenchDdnnfCompileBn() {
-  for (int i = 0; i < kBnCompileReps; ++i) {
+double BnCompileDecisionsPerRun(size_t bn_vars) {
+  NnfManager mgr;
+  DdnnfCompiler compiler;
+  compiler.Compile(BandedBnEncoding(bn_vars).cnf(), mgr);
+  return static_cast<double>(compiler.stats().decisions) *
+         BnCompileReps(bn_vars);
+}
+
+void BenchDdnnfCompileBn(size_t bn_vars) {
+  const Cnf& cnf = BandedBnEncoding(bn_vars).cnf();
+  for (int i = 0; i < BnCompileReps(bn_vars); ++i) {
     NnfManager mgr;
     DdnnfCompiler compiler;
-    g_sink += static_cast<double>(compiler.Compile(BandedBnCnf(), mgr));
+    g_sink += static_cast<double>(compiler.Compile(cnf, mgr));
   }
 }
 
@@ -231,7 +241,7 @@ struct CodecMessages {
 const CodecMessages& ServeCodecMessages() {
   static const CodecMessages* messages = [] {
     auto* m = new CodecMessages;
-    const WmcEncoding& enc = BandedBnEncoding();
+    const WmcEncoding& enc = BandedBnEncoding(24);  // servebench's size
     const WeightMap& w = enc.weights();
     const uint32_t num_lits = static_cast<uint32_t>(2 * enc.num_bool_vars());
     const std::string cnf_text = enc.cnf().ToDimacs();
@@ -426,9 +436,13 @@ Entry Measure(const std::string& name, Fn&& fn, double edges_per_run = 0.0) {
 int main(int argc, char** argv) {
   std::vector<Entry> entries;
   entries.push_back(Measure("ddnnf_count_wmc", BenchDdnnfCountWmc));
-  Entry compile_bn = Measure("ddnnf_compile_bn", BenchDdnnfCompileBn);
-  compile_bn.decisions_per_run = BnCompileDecisionsPerRun();
-  entries.push_back(compile_bn);
+  for (const size_t bn_vars : kBnSizes) {
+    Entry compile_bn =
+        Measure("ddnnf_compile_bn" + std::to_string(bn_vars),
+                [bn_vars] { BenchDdnnfCompileBn(bn_vars); });
+    compile_bn.decisions_per_run = BnCompileDecisionsPerRun(bn_vars);
+    entries.push_back(compile_bn);
+  }
   const double query_edges = QueryEdgesPerRun();
   entries.push_back(Measure("nnf_wmc", BenchNnfWmc, query_edges));
   entries.push_back(Measure("nnf_marginals", BenchNnfMarginals, query_edges));

@@ -41,6 +41,36 @@ BigUint& BigUint::operator+=(const BigUint& other) {
   return *this;
 }
 
+BigUint& BigUint::AddShifted(const BigUint& x, unsigned k) {
+  TBC_DCHECK(&x != this);
+  if (x.IsZero()) return *this;
+  if (k == 0) return *this += x;
+  const size_t word = k / 64;
+  const unsigned bit = k % 64;
+  // x · 2^k spans limbs [word, word + x.size() + 1); add it limb by limb.
+  const size_t n = std::max(limbs_.size(), word + x.limbs_.size() + 1);
+  limbs_.resize(n, 0);
+  u128 carry = 0;
+  uint64_t spill = 0;  // x's bits shifted out of the previous limb
+  for (size_t i = word; i < n; ++i) {
+    const size_t j = i - word;
+    uint64_t part = spill;
+    if (j < x.limbs_.size()) {
+      part |= bit == 0 ? x.limbs_[j] : x.limbs_[j] << bit;
+      spill = bit == 0 ? 0 : x.limbs_[j] >> (64 - bit);
+    } else {
+      spill = 0;
+    }
+    const u128 sum = carry + limbs_[i] + part;
+    limbs_[i] = static_cast<uint64_t>(sum);
+    carry = sum >> 64;
+    if (j >= x.limbs_.size() && spill == 0 && carry == 0) break;
+  }
+  if (carry != 0) limbs_.push_back(static_cast<uint64_t>(carry));
+  Trim();
+  return *this;
+}
+
 BigUint& BigUint::operator-=(const BigUint& other) {
   TBC_CHECK_MSG(*this >= other, "BigUint subtraction underflow");
   u128 borrow = 0;
@@ -64,6 +94,20 @@ BigUint& BigUint::operator-=(const BigUint& other) {
 BigUint& BigUint::operator*=(const BigUint& other) {
   if (IsZero() || other.IsZero()) {
     limbs_.clear();
+    return *this;
+  }
+  if (limbs_.size() == 1 && other.limbs_.size() == 1) {
+    // The common case of counting: one limb each, multiplied in place.
+    const u128 product = static_cast<u128>(limbs_[0]) * other.limbs_[0];
+    const uint64_t low = static_cast<uint64_t>(product);
+    const uint64_t high = static_cast<uint64_t>(product >> 64);
+    // assign, not push_back: GCC 12 flags the latter's reallocation path
+    // with a false -Warray-bounds here.
+    if (high == 0) {
+      limbs_[0] = low;
+    } else {
+      limbs_.assign({low, high});
+    }
     return *this;
   }
   std::vector<uint64_t> result(limbs_.size() + other.limbs_.size(), 0);

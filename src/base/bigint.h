@@ -12,7 +12,7 @@ namespace tbc {
 /// Model counts routinely exceed 2^64 (e.g. counting the models of a circuit
 /// over hundreds of variables, or the 2^n instances of a compiled classifier),
 /// so all exact counting queries in the library return BigUint. Only the
-/// operations counting needs are provided: +, *, shifts, comparison,
+/// operations counting needs are provided: +, *, shifted add, comparison,
 /// and conversion to decimal string / double.
 class BigUint {
  public:
@@ -25,6 +25,9 @@ class BigUint {
   static BigUint PowerOfTwo(unsigned k);
 
   BigUint& operator+=(const BigUint& other);
+  /// *this += x · 2^k, with no temporary and no multiplication; k = 0 is
+  /// a plain sum. `x` must not be *this.
+  BigUint& AddShifted(const BigUint& x, unsigned k);
   BigUint& operator*=(const BigUint& other);
   friend BigUint operator+(BigUint a, const BigUint& b) { return a += b; }
   friend BigUint operator*(BigUint a, const BigUint& b) { return a *= b; }

@@ -1,7 +1,6 @@
 #include "compiler/subproblem.h"
 
 #include "base/check.h"
-#include "base/scratch.h"
 
 namespace tbc::compiler_internal {
 
@@ -16,8 +15,8 @@ void LoadCnf(const Cnf& cnf, ClauseSet* out) {
   }
 }
 
-void Canonicalize(ClauseRange in, std::vector<SortEntry>* order,
-                  ClauseSet* out) {
+uint64_t Canonicalize(ClauseRange in, std::vector<SortEntry>* order,
+                      ClauseSet* out, std::vector<uint32_t>* key) {
   const ClauseSet& set = *in.set;
   order->clear();
   for (uint32_t i = in.first; i < in.last; ++i) {
@@ -39,28 +38,34 @@ void Canonicalize(ClauseRange in, std::vector<SortEntry>* order,
               return std::lexicographical_compare(ca.begin(), ca.end(),
                                                   cb.begin(), cb.end());
             });
-  out->clear();
+  // Sized for the worst case (no duplicates) and trimmed at the end, so
+  // the clauses and the key are written through cursors.
+  const size_t num_lits = set.begin_of(in.last) - set.begin_of(in.first);
+  out->lits.resize(num_lits);
+  out->ends.resize(order->size());
+  if (key != nullptr) key->resize(order->size() + num_lits);
+  uint32_t write = 0;
+  size_t kept = 0;
+  size_t key_write = 0;
   std::span<const Lit> prev;
-  bool first = true;
   for (const SortEntry& e : *order) {
     const std::span<const Lit> c = set.clause(e.clause);
-    if (!first && std::equal(c.begin(), c.end(), prev.begin(), prev.end())) {
+    if (kept != 0 && std::equal(c.begin(), c.end(), prev.begin(), prev.end())) {
       continue;
     }
-    out->Append(c);
+    std::copy(c.begin(), c.end(), out->lits.begin() + write);
+    write += static_cast<uint32_t>(c.size());
+    out->ends[kept++] = write;
+    if (key != nullptr) {
+      (*key)[key_write++] = static_cast<uint32_t>(c.size());
+      for (const Lit l : c) (*key)[key_write++] = l.code();
+    }
     prev = c;
-    first = false;
   }
-}
-
-uint64_t CacheKeyInto(const ClauseSet& canonical, std::vector<uint32_t>* key) {
-  key->clear();
-  key->reserve(canonical.size() + canonical.lits.size());
-  for (size_t i = 0; i < canonical.size(); ++i) {
-    const std::span<const Lit> c = canonical.clause(i);
-    key->push_back(static_cast<uint32_t>(c.size()));
-    for (const Lit l : c) key->push_back(l.code());
-  }
+  out->lits.resize(write);
+  out->ends.resize(kept);
+  if (key == nullptr) return 0;
+  key->resize(key_write);
   return Fingerprint(*key);
 }
 
@@ -77,86 +82,142 @@ uint64_t Fingerprint(std::span<const uint32_t> key) {
   return HashU64(h);
 }
 
-BcpOutcome Propagate(ClauseSet* clauses, std::vector<Lit>* implied) {
-  implied->clear();
-  // Propagation runs once per DPLL node; the epoch-stamped scratch turns
-  // the per-call assignment map into two array probes. Scratch use is
-  // strictly within this call, so recursion-level reuse is safe.
-  static thread_local EpochMap value;
-  value.Clear();
-  std::vector<Lit>& lits = clauses->lits;
-  std::vector<uint32_t>& ends = clauses->ends;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Each pass compacts the kept clauses toward the front: the write
-    // cursors never pass the read cursors, so one buffer suffices.
-    uint32_t write = 0;
-    size_t kept = 0;
-    uint32_t begin = 0;
-    for (size_t i = 0; i < ends.size(); ++i) {
-      const uint32_t end = ends[i];
-      // Scan first: clauses untouched by the current assignment (the bulk
-      // of every pass) move through without a per-literal rebuild.
-      bool satisfied = false;
-      bool shrinks = false;
-      for (uint32_t j = begin; j < end; ++j) {
-        const Lit l = lits[j];
-        if (!value.Has(l.var())) continue;
-        if ((value.Get(l.var()) != 0) == l.positive()) {
-          satisfied = true;
-          break;
-        }
-        shrinks = true;
-      }
-      if (satisfied) {
-        begin = end;
-        continue;
-      }
-      const uint32_t start = write;
-      if (shrinks) {
-        for (uint32_t j = begin; j < end; ++j) {
-          if (!value.Has(lits[j].var())) lits[write++] = lits[j];
-        }
+namespace {
+
+// One propagation pass: reduces `in`'s clauses under `value`, in order,
+// and writes the survivors to `out`, which may be `in` (the write cursors
+// never pass the read cursors). A unit is assigned as soon as it is
+// found, so the clauses after it in the same pass see it. If the pass
+// reaches clause `bound` without having found a unit, the clauses from
+// there on were reduced under this same assignment by the pass before,
+// so they move down unread. Returns false on an empty clause (`out` then
+// holds garbage); else sets `*rescan` to the number of survivors before
+// the pass's last unit, 0 when it found none: the next pass's bound.
+bool ReducePass(const ClauseSet& in, size_t bound, ClauseSet& out,
+                VarMap& value, std::vector<Lit>& implied, size_t* rescan) {
+  const size_t n = in.size();
+  const uint32_t in_lits = in.begin_of(n);
+  bool found = false;
+  *rescan = 0;
+  uint32_t write = 0;
+  size_t kept = 0;
+  uint32_t begin = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == bound && !found) {
+      const uint32_t shift = begin - write;
+      if (&in == &out && shift == 0) {
+        TBC_DCHECK(kept == i);
+        kept = n;  // nothing dropped yet: the tail is already in place
       } else {
-        if (write != begin) {
-          std::copy(lits.begin() + begin, lits.begin() + end,
-                    lits.begin() + write);
-        }
-        write += end - begin;
+        std::copy(in.lits.begin() + begin, in.lits.begin() + in_lits,
+                  out.lits.begin() + write);
+        for (size_t j = i; j < n; ++j) out.ends[kept++] = in.ends[j] - shift;
       }
-      begin = end;
-      if (write == start) return BcpOutcome::kConflict;
-      if (write - start == 1) {
-        const Lit u = lits[start];
-        if (!value.Has(u.var())) {
-          value.Set(u.var(), u.positive() ? 1 : 0);
-          implied->push_back(u);
-          changed = true;
-        }
-        write = start;
-        continue;
-      }
-      ends[kept++] = write;
+      write += in_lits - begin;
+      break;
     }
-    lits.resize(write);
-    ends.resize(kept);
+    const uint32_t end = in.ends[i];
+    // Scan first: clauses untouched by the current assignment (the bulk
+    // of every pass) move through without a per-literal rebuild.
+    bool satisfied = false;
+    bool shrinks = false;
+    for (uint32_t j = begin; j < end; ++j) {
+      const Lit l = in.lits[j];
+      if (!value.Has(l.var())) continue;
+      if ((value.Get(l.var()) != 0) == l.positive()) {
+        satisfied = true;
+        break;
+      }
+      shrinks = true;
+    }
+    if (satisfied) {
+      begin = end;
+      continue;
+    }
+    const uint32_t start = write;
+    if (shrinks) {
+      for (uint32_t j = begin; j < end; ++j) {
+        if (!value.Has(in.lits[j].var())) out.lits[write++] = in.lits[j];
+      }
+    } else {
+      if (&in != &out || write != begin) {
+        std::copy(in.lits.begin() + begin, in.lits.begin() + end,
+                  out.lits.begin() + write);
+      }
+      write += end - begin;
+    }
+    begin = end;
+    if (write == start) return false;
+    if (write - start == 1) {
+      // The reduced clause's one literal is unassigned, so it is new.
+      const Lit u = out.lits[start];
+      TBC_DCHECK(!value.Has(u.var()));
+      value.Set(u.var(), u.positive() ? 1 : 0);
+      implied.push_back(u);
+      found = true;
+      *rescan = kept;
+      write = start;
+      continue;
+    }
+    out.ends[kept++] = write;
+  }
+  out.lits.resize(write);
+  out.ends.resize(kept);
+  return true;
+}
+
+// Runs bounded passes over `clauses`, each up to the last unit of the
+// one before, until a pass finds no unit there.
+BcpOutcome Settle(ClauseSet* clauses, size_t rescan, VarMap& value,
+                  std::vector<Lit>& implied) {
+  while (rescan != 0) {
+    if (!ReducePass(*clauses, rescan, *clauses, value, implied, &rescan)) {
+      return BcpOutcome::kConflict;
+    }
   }
   return BcpOutcome::kOk;
 }
 
+}  // namespace
+
+BcpOutcome Propagate(ClauseSet* clauses, std::vector<Lit>* implied,
+                     VarMap& value) {
+  implied->clear();
+  value.Clear();
+  size_t rescan = 0;
+  if (!ReducePass(*clauses, clauses->size(), *clauses, value, *implied,
+                  &rescan)) {
+    return BcpOutcome::kConflict;
+  }
+  return Settle(clauses, rescan, value, *implied);
+}
+
+BcpOutcome PropagateAssuming(const ClauseSet& clauses, Lit l, ClauseSet* out,
+                             std::vector<Lit>* implied, VarMap& value) {
+  implied->clear();
+  value.Clear();
+  value.Set(l.var(), l.positive() ? 1 : 0);
+  out->lits.resize(clauses.lits.size());
+  out->ends.resize(clauses.size());
+  size_t rescan = 0;
+  if (!ReducePass(clauses, clauses.size(), *out, value, *implied, &rescan)) {
+    return BcpOutcome::kConflict;
+  }
+  return Settle(out, rescan, value, *implied);
+}
+
 const ClauseSet& SplitComponents(const ClauseSet& clauses, ClauseSet* scratch,
-                                 std::vector<uint32_t>* comp_ends) {
-  static thread_local EpochMap parent;      // var -> union-find parent var
-  static thread_local EpochMap comp_index;  // root var -> component index
-  static thread_local std::vector<uint32_t> clause_comp;  // clause -> comp
-  static thread_local std::vector<uint32_t> lit_pos;      // comp -> cursor
-  static thread_local std::vector<uint32_t> clause_pos;   // comp -> cursor
+                                 std::vector<uint32_t>* comp_ends,
+                                 SplitScratch& split) {
+  VarMap& parent = split.parent;
   parent.Clear();
-  comp_index.Clear();
-  auto find = [](Var v) -> Var {
+  // Every variable starts as its own component and every merge joins
+  // two, so the union pass alone tells whether there is more than one.
+  size_t components = 0;
+  auto find = [&parent, &components](Var v) -> Var {
     if (!parent.Has(v)) {
       parent.Set(v, v);
+      ++components;
       return v;
     }
     Var root = v;
@@ -176,10 +237,19 @@ const ClauseSet& SplitComponents(const ClauseSet& clauses, ClauseSet* scratch,
       const Var rb = find(c[j].var());
       if (ra != rb) {
         parent.Set(ra, rb);
+        --components;
         ra = rb;  // the merged root, as find(c[0].var()) would now return
       }
     }
   }
+  comp_ends->clear();
+  if (components <= 1) {
+    if (n > 0) comp_ends->push_back(static_cast<uint32_t>(n));
+    return clauses;
+  }
+  VarMap& comp_index = split.comp_index;
+  comp_index.Clear();
+  std::vector<uint32_t>& clause_comp = split.clause_comp;
   clause_comp.resize(n);
   uint32_t num_roots = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -187,13 +257,10 @@ const ClauseSet& SplitComponents(const ClauseSet& clauses, ClauseSet* scratch,
     if (!comp_index.Has(root)) comp_index.Set(root, num_roots++);
     clause_comp[i] = comp_index.Get(root);
   }
-  comp_ends->clear();
-  if (num_roots <= 1) {
-    if (n > 0) comp_ends->push_back(static_cast<uint32_t>(n));
-    return clauses;
-  }
   // Counting sort by component: size each group, then scatter the clauses
   // in their original order.
+  std::vector<uint32_t>& lit_pos = split.lit_pos;
+  std::vector<uint32_t>& clause_pos = split.clause_pos;
   comp_ends->assign(num_roots, 0);
   lit_pos.assign(num_roots, 0);
   for (size_t i = 0; i < n; ++i) {
@@ -223,17 +290,16 @@ const ClauseSet& SplitComponents(const ClauseSet& clauses, ClauseSet* scratch,
   return *scratch;
 }
 
-Var PickBranchVar(const ClauseSet& clauses) {
-  static thread_local EpochMap occurrences;
+Var PickBranchVar(const ClauseSet& clauses, VarMap& occurrences) {
   occurrences.Clear();
+  // Counts only grow, so the running leader under (count, then smaller
+  // id) ends as the overall one.
+  Var best = kInvalidVar;
+  uint32_t best_count = 0;
   for (const Lit l : clauses.lits) {
     const Var v = l.var();
-    occurrences.Set(v, occurrences.Has(v) ? occurrences.Get(v) + 1 : 1);
-  }
-  Var best = kInvalidVar;
-  size_t best_count = 0;
-  for (const Var v : occurrences.touched()) {
-    const size_t count = occurrences.Get(v);
+    const uint32_t count = occurrences.Has(v) ? occurrences.Get(v) + 1 : 1;
+    occurrences.Set(v, count);
     if (count > best_count || (count == best_count && v < best)) {
       best = v;
       best_count = count;

@@ -13,7 +13,6 @@
 #include "base/guard.h"
 #include "base/observability.h"
 #include "base/result.h"
-#include "base/scratch.h"
 #include "compiler/ddnnf_compiler.h"
 #include "logic/cnf.h"
 #include "logic/lit.h"
@@ -80,20 +79,20 @@ struct SortEntry {
 /// Because every transform is an order-preserving filter and the canonical
 /// order depends only on the clause contents, the search visits exactly
 /// the subproblems a vector-of-clauses implementation would.
-void Canonicalize(ClauseRange in, std::vector<SortEntry>* order,
-                  ClauseSet* out);
-
-/// Serializes canonical clauses into `key` (reused buffer) and returns the
-/// key's Fingerprint.
 ///
-/// The encoding is length-prefixed — literal count, then the literal
+/// With a non-null `key`, the same output loop also writes the canonical
+/// clauses' component-cache key there (reused buffer) and returns its
+/// Fingerprint; with a null one it returns 0.
+///
+/// The key encoding is length-prefixed — literal count, then the literal
 /// codes, one uint32 each — which is injective for every clause set: a
 /// decoder always knows where each clause ends. A sentinel-terminated
 /// encoding is not, because every uint32 is a valid Lit code (0xFFFFFFFF
 /// is the negative literal of var 2^31 - 1), so clause sets containing
 /// that literal could collide and the component cache would serve a wrong
 /// count. Pinned by CacheKeyIsInjectiveOnSentinelLiteral in compiler_test.
-uint64_t CacheKeyInto(const ClauseSet& canonical, std::vector<uint32_t>* key);
+uint64_t Canonicalize(ClauseRange in, std::vector<SortEntry>* order,
+                      ClauseSet* out, std::vector<uint32_t>* key);
 
 /// 64-bit fingerprint of a cache key. ComponentCache compares the full key
 /// on every fingerprint match, so the width only sets how often that
@@ -142,21 +141,87 @@ class ComponentCache {
   std::vector<V> values_;         // entry id -> value
 };
 
+/// A map from the variables of one CNF to uint32 values: one {stamp,
+/// value} slot per variable, sized once from Cnf::num_vars() (Cnf's
+/// AddClause keeps every literal's variable below it), so a probe is one
+/// load with no bounds check or growth. Clear() is O(1): it bumps the
+/// epoch instead of touching the slots.
+class VarMap {
+ public:
+  /// Sizes the map for variables [0, num_vars) and empties it.
+  void Resize(size_t num_vars) {
+    slots_.assign(num_vars, Slot{});
+    epoch_ = 1;
+  }
+  bool Has(Var v) const {
+    TBC_DCHECK(v < slots_.size());
+    return slots_[v].stamp == epoch_;
+  }
+  /// Value of `v`; only meaningful when Has(v).
+  uint32_t Get(Var v) const { return slots_[v].value; }
+  void Set(Var v, uint32_t value) {
+    TBC_DCHECK(v < slots_.size());
+    slots_[v] = {epoch_, value};
+  }
+  void Clear() {
+    if (++epoch_ == 0) {
+      // Epoch wrap: stale stamps could alias. Reset once every 2^32 clears.
+      std::fill(slots_.begin(), slots_.end(), Slot{});
+      epoch_ = 1;
+    }
+  }
+
+ private:
+  struct Slot {
+    uint32_t stamp = 0;
+    uint32_t value = 0;
+  };
+  std::vector<Slot> slots_;
+  uint32_t epoch_ = 1;
+};
+
 enum class BcpOutcome { kOk, kConflict };
 
 /// Exhaustive unit propagation, in place: consumes unit clauses into
 /// `implied` and leaves the reduced rest in `clauses`, in their original
-/// order. After a conflict `clauses` holds garbage.
-BcpOutcome Propagate(ClauseSet* clauses, std::vector<Lit>* implied);
+/// order. After a conflict `clauses` holds garbage. `value` is scratch.
+///
+/// The units come out in the order of repeated full passes, each pass
+/// assigning a unit as soon as it finds it. A pass after the first scans
+/// only the clauses before the previous pass's last unit, and goes on to
+/// the end only if it finds another unit there: the clauses after that
+/// unit were already reduced under the same assignment, so they move down
+/// unread.
+BcpOutcome Propagate(ClauseSet* clauses, std::vector<Lit>* implied,
+                     VarMap& value);
+
+/// The branch of `clauses` that assumes `l`, in one step: the same
+/// `out` and `implied` as ConditionClauses(clauses, l, out) followed by
+/// Propagate(out, implied), with the first propagation pass reading
+/// `clauses` directly. `l` itself is not reported as implied.
+BcpOutcome PropagateAssuming(const ClauseSet& clauses, Lit l, ClauseSet* out,
+                             std::vector<Lit>* implied, VarMap& value);
+
+/// SplitComponents' scratch: union-find over variables, and the counting
+/// sort's per-clause and per-component cursors.
+struct SplitScratch {
+  VarMap parent;                      // var -> union-find parent var
+  VarMap comp_index;                  // root var -> component index
+  std::vector<uint32_t> clause_comp;  // clause -> component
+  std::vector<uint32_t> lit_pos;      // component -> literal cursor
+  std::vector<uint32_t> clause_pos;   // component -> clause cursor
+};
 
 /// Groups clauses into variable-connected components (union-find on vars),
 /// keeping clause order within each component and ordering components by
 /// their first clause. Returns the set that holds the groups — `clauses`
 /// itself when there is at most one component (the common case, which
-/// copies nothing), else `scratch` — and sets `comp_ends[k]` one past
-/// component k's last clause index in it.
+/// copies nothing and is decided by the union pass alone), else `scratch`
+/// — and sets `comp_ends[k]` one past component k's last clause index in
+/// it.
 const ClauseSet& SplitComponents(const ClauseSet& clauses, ClauseSet* scratch,
-                                 std::vector<uint32_t>* comp_ends);
+                                 std::vector<uint32_t>* comp_ends,
+                                 SplitScratch& split);
 
 /// Component k of a split: its clauses in `groups`, as SplitComponents
 /// returned and bounded them.
@@ -167,15 +232,18 @@ inline ClauseRange ComponentOf(const ClauseSet& groups,
 }
 
 /// Most frequently occurring variable (ties broken by smaller index so the
-/// search is deterministic).
-Var PickBranchVar(const ClauseSet& clauses);
+/// search is deterministic), tracked while counting. `occurrences` is
+/// scratch.
+Var PickBranchVar(const ClauseSet& clauses, VarMap& occurrences);
 
 /// Writes `clauses` conditioned on a literal (no propagation) to `out`.
+/// Only the algebras that weigh dropped variables condition separately;
+/// the others branch through PropagateAssuming.
 void ConditionClauses(const ClauseSet& clauses, Lit l, ClauseSet* out);
 
 /// The buffers one level of the DPLL recursion reuses: the work set it
 /// splits into components, and the canonical component it decides on
-/// together with that component's cache key and the conditioned branch
+/// together with that component's cache key and the propagated branch
 /// handed to the next level. `work` and `dropped` serve only the algebras
 /// that weigh dropped variables (Dpll below).
 struct Frame {
@@ -186,7 +254,7 @@ struct Frame {
   std::vector<SortEntry> order;     // Canonicalize scratch
   ClauseSet canonical;              // the component being decided
   std::vector<uint32_t> key;        // its cache key
-  ClauseSet branch;                 // `canonical` conditioned on a decision
+  ClauseSet branch;                 // `canonical` under a decision
   std::vector<Var> dropped;         // variables the last step dropped
 };
 
@@ -213,7 +281,11 @@ struct SearchCounters {
 };
 
 /// The one exhaustive-DPLL search: propagate, split into components,
-/// canonicalize, probe the component cache, branch. It runs in a result
+/// canonicalize (writing the cache key in the same loop), probe the
+/// component cache, branch. A branch is one pass that conditions the
+/// canonical component on the decision literal and propagates
+/// (PropagateAssuming). The search owns its per-variable scratch, sized
+/// once per Run from the CNF's variable count. It runs in a result
 /// algebra, since count, WMC and circuit construction are one sum-product
 /// evaluation over the same decision structure (PAPERS.md, arXiv
 /// 2202.02942); so the compiler and the counters make the same decisions
@@ -227,8 +299,9 @@ struct SearchCounters {
 /// Decide(decision, var, hi, lo). An algebra with kFreeVars weighs the
 /// variables that drop out of a subproblem: Free(value, dropped) and
 /// Assume(lit, sub, dropped) for a branch, with Product = Value. Its
-/// subproblems are canonicalized before propagation, which fixes the order
-/// the factors multiply in. All of this is resolved at compile time, so the
+/// branches are conditioned separately (ConditionClauses) and
+/// canonicalized before propagation, which fixes the order the factors
+/// multiply in. All of this is resolved at compile time, so the
 /// circuit's search pays nothing for the counters.
 template <typename Algebra>
 class Dpll {
@@ -243,13 +316,22 @@ class Dpll {
 
   /// Evaluates `cnf`; with kFreeVars its unmentioned variables too.
   Result<Value> Run(const Cnf& cnf) {
+    value_.Resize(cnf.num_vars());
+    occurrences_.Resize(cnf.num_vars());
+    split_.parent.Resize(cnf.num_vars());
+    split_.comp_index.Resize(cnf.num_vars());
     ClauseSet clauses;
     LoadCnf(cnf, &clauses);
     if constexpr (!Algebra::kFreeVars) {
-      return Clauses(clauses, 0, algebra_.Top());
+      if (Propagate(&clauses, &frames_.at(0).implied, value_) ==
+          BcpOutcome::kConflict) {
+        return algebra_.Zero(algebra_.Top());
+      }
+      return Propagated(clauses, 0, algebra_.Top());
     } else {
-      vars_.Clear();
-      for (Var v = 0; v < cnf.num_vars(); ++v) vars_.Set(v, 1);
+      vars_.Resize(cnf.num_vars());
+      marked_.clear();
+      for (Var v = 0; v < cnf.num_vars(); ++v) Mark(v);
       std::vector<Var> unmentioned;
       Dropped({}, clauses, &unmentioned);
       TBC_ASSIGN_OR_RETURN(Value value, Clauses(clauses, 0, algebra_.Top()));
@@ -259,32 +341,40 @@ class Dpll {
   }
 
  private:
-  // Evaluates `input` at recursion depth `depth` into `sink`. Without
-  // kFreeVars propagation rewrites `input` in place: BCP closure and the
-  // component partition ignore clause order and duplicates, and Component
-  // canonicalizes before keying the cache.
+  // kFreeVars only: evaluates the conditioned `input` at recursion depth
+  // `depth` into `sink`. It canonicalizes before it propagates, which
+  // fixes the order the factors multiply in.
   Result<Value> Clauses(ClauseSet& input, size_t depth,
                         typename Algebra::Sink sink) {
     Frame& frame = frames_.at(depth);
-    ClauseSet* clauses = &input;
-    if constexpr (Algebra::kFreeVars) {
-      Canonicalize(AllOf(input), &frame.order, &frame.work);
-      clauses = &frame.work;
-      MarkVars(*clauses);
-    }
-    if (Propagate(clauses, &frame.implied) == BcpOutcome::kConflict) {
+    Canonicalize(AllOf(input), &frame.order, &frame.work, nullptr);
+    MarkVars(frame.work);
+    if (Propagate(&frame.work, &frame.implied, value_) ==
+        BcpOutcome::kConflict) {
       return algebra_.Zero(sink);
     }
+    return Propagated(frame.work, depth, sink);
+  }
+
+  // Evaluates the propagated `clauses` at recursion depth `depth`, whose
+  // Frame holds the units propagation implied, into `sink`. BCP closure
+  // and the component partition ignore clause order and duplicates, and
+  // Component canonicalizes before keying the cache, so without kFreeVars
+  // `clauses` need not be canonical.
+  Result<Value> Propagated(const ClauseSet& clauses, size_t depth,
+                           typename Algebra::Sink sink) {
+    Frame& frame = frames_.at(depth);
     typename Algebra::Product product = algebra_.One();
     for (const Lit l : frame.implied) algebra_.Implied(product, l);
     if constexpr (Algebra::kFreeVars) {
       // Variables that vanished with satisfied clauses are free.
-      algebra_.Free(product, Dropped(frame.implied, *clauses, &frame.dropped));
+      algebra_.Free(product, Dropped(frame.implied, clauses, &frame.dropped));
     }
-    if (!clauses->empty()) {
-      const ClauseSet* groups = clauses;
+    if (!clauses.empty()) {
+      const ClauseSet* groups = &clauses;
       if (options_.use_components) {
-        groups = &SplitComponents(*clauses, &frame.split, &frame.comp_ends);
+        groups =
+            &SplitComponents(clauses, &frame.split, &frame.comp_ends, split_);
         if (frame.comp_ends.size() > 1) {
           ++stats_.components_split;
           if constexpr (Algebra::kCounters.splits != nullptr) {
@@ -292,7 +382,7 @@ class Dpll {
           }
         }
       } else {
-        frame.comp_ends.assign(1, static_cast<uint32_t>(clauses->size()));
+        frame.comp_ends.assign(1, static_cast<uint32_t>(clauses.size()));
       }
       for (size_t k = 0; k < frame.comp_ends.size(); ++k) {
         TBC_ASSIGN_OR_RETURN(
@@ -307,16 +397,18 @@ class Dpll {
   // Evaluates a single component (no unit clauses after propagation).
   Result<Value> Component(ClauseRange component, size_t depth) {
     Frame& frame = frames_.at(depth);
-    Canonicalize(component, &frame.order, &frame.canonical);
     uint64_t fingerprint = 0;
     if (options_.use_cache) {
-      fingerprint = CacheKeyInto(frame.canonical, &frame.key);
+      fingerprint = Canonicalize(component, &frame.order, &frame.canonical,
+                                 &frame.key);
       if (const Value* hit = cache_.Find(frame.key, fingerprint)) {
         ++stats_.cache_hits;
         TBC_COUNT(Algebra::kCounters.cache_hits);
         return *hit;
       }
       TBC_COUNT(Algebra::kCounters.cache_misses);
+    } else {
+      Canonicalize(component, &frame.order, &frame.canonical, nullptr);
     }
     ++stats_.decisions;
     TBC_COUNT(Algebra::kCounters.decisions);
@@ -325,7 +417,7 @@ class Dpll {
     // within one decision's work.
     TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
     TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
-    const Var v = PickBranchVar(frame.canonical);
+    const Var v = PickBranchVar(frame.canonical, occurrences_);
     TBC_DCHECK(v != kInvalidVar);
     typename Algebra::Decision decision{};
     TBC_ASSIGN_OR_RETURN(const Value hi,
@@ -338,14 +430,21 @@ class Dpll {
   }
 
   // The branch assuming `l` of the decision at `depth`. Both branches are
-  // conditioned into one per-depth buffer: the high branch is fully
-  // evaluated before the low one is built.
+  // built in one per-depth buffer: the high branch is fully evaluated
+  // before the low one is built.
   Result<Value> Branch(Lit l, size_t depth, typename Algebra::Sink sink) {
     Frame& frame = frames_.at(depth);
-    ConditionClauses(frame.canonical, l, &frame.branch);
     if constexpr (!Algebra::kFreeVars) {
-      return Clauses(frame.branch, depth + 1, sink);
+      // One pass conditions and propagates; the next level's units land
+      // in its own Frame.
+      if (PropagateAssuming(frame.canonical, l, &frame.branch,
+                            &frames_.at(depth + 1).implied,
+                            value_) == BcpOutcome::kConflict) {
+        return algebra_.Zero(sink);
+      }
+      return Propagated(frame.branch, depth + 1, sink);
     } else {
+      ConditionClauses(frame.canonical, l, &frame.branch);
       // Component variables absent from the branch are free; collect them
       // before the recursion reuses the marks.
       MarkVars(frame.canonical);
@@ -355,9 +454,15 @@ class Dpll {
     }
   }
 
+  void Mark(Var v) {
+    if (!vars_.Has(v)) marked_.push_back(v);
+    vars_.Set(v, 1);
+  }
+
   void MarkVars(const ClauseSet& before) {
     vars_.Clear();
-    for (const Lit l : before.lits) vars_.Set(l.var(), 1);
+    marked_.clear();
+    for (const Lit l : before.lits) Mark(l.var());
   }
 
   // The marked variables in neither `fixed` nor `after`, in marking order.
@@ -366,7 +471,7 @@ class Dpll {
     for (const Lit l : fixed) vars_.Set(l.var(), 0);
     for (const Lit l : after.lits) vars_.Set(l.var(), 0);
     out->clear();
-    for (const Var v : vars_.touched()) {
+    for (const Var v : marked_) {
       if (vars_.Get(v) != 0) out->push_back(v);
     }
     return *out;
@@ -378,7 +483,13 @@ class Dpll {
   Guard& guard_;
   FrameStack frames_;
   ComponentCache<Value> cache_;
-  EpochMap vars_;  // MarkVars/Dropped marks, never held across recursion
+  // Per-variable scratch, sized by Run; each is used within one call and
+  // never held across recursion.
+  VarMap value_;              // propagation's assignment
+  VarMap occurrences_;        // PickBranchVar's counts
+  SplitScratch split_;        // SplitComponents' union-find and cursors
+  VarMap vars_;               // kFreeVars: MarkVars/Dropped marks
+  std::vector<Var> marked_;   // the marked variables, in marking order
 };
 
 }  // namespace tbc::compiler_internal

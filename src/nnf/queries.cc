@@ -61,7 +61,9 @@ struct CountAlgebra {
   BigUint Literal(Lit) const { return BigUint(1); }
   void Times(BigUint& acc, const BigUint& x) const { acc *= x; }
   void Plus(BigUint& acc, const BigUint& x, Span<const Var> gap) const {
-    acc += x * BigUint::PowerOfTwo(static_cast<unsigned>(gap.size()));
+    // x·2^|gap| added in place: no power or product is built, and a
+    // gap-free edge is a plain sum, as in WmcAlgebra.
+    acc.AddShifted(x, static_cast<unsigned>(gap.size()));
   }
 };
 

@@ -29,10 +29,11 @@ std::string KeyOf(const std::string& cnf_text) {
 
 /// Warms every lazily-written cache of a freshly built or restored
 /// artifact's manager single-threaded — the count memo, then the root's
-/// gap plan (with its varsets and schedule) — and fills the counts, so
-/// queries on the shared artifact are pure reads (see the Artifact doc
-/// comment). `known_count` is the model count when the caller already has
-/// it (a store that embeds one); otherwise it is computed under `guard`.
+/// gap plan (with its varsets and schedule) — and fills the count and the
+/// sizes, so queries on the shared artifact are pure reads (see the
+/// Artifact doc comment). `known_count` is the model count when the caller
+/// already has it (a store that embeds one); otherwise it is computed
+/// under `guard`.
 Status WarmArtifact(Artifact& artifact, const BigUint* known_count,
                     Guard& guard) {
   NnfManager& mgr = *artifact.mgr;
@@ -44,9 +45,14 @@ Status WarmArtifact(Artifact& artifact, const BigUint* known_count,
         artifact.count,
         ModelCountBounded(mgr, artifact.root, artifact.num_vars, guard));
   }
-  mgr.GapPlanCached(artifact.root);
-  artifact.nodes = mgr.NumNodesBelow(artifact.root);
-  artifact.edges = mgr.CircuitSize(artifact.root);
+  // The plan's schedule already lists every node below the root, so the
+  // sizes need no walk of their own.
+  const GapPlan& plan = mgr.GapPlanCached(artifact.root);
+  artifact.nodes = plan.schedule.num_reachable();
+  artifact.edges = 0;
+  for (const uint32_t n : plan.schedule.order) {
+    artifact.edges += mgr.children(n).size();
+  }
   return Status::Ok();
 }
 

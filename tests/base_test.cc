@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "base/bigint.h"
 #include "base/random.h"
@@ -46,6 +47,78 @@ TEST(BigUintTest, MultiplicationMatchesU64) {
     uint64_t b = rng.Next() >> 33;
     EXPECT_EQ((BigUint(a) * BigUint(b)).ToU64(), a * b);
   }
+}
+
+TEST(BigUintTest, FullWidthProductsMatchU128) {
+  // Full 64-bit operands, so the product spills into a second limb: the
+  // in-place single-limb path against the compiler's 128-bit product.
+  __extension__ typedef unsigned __int128 u128;
+  Rng rng(3);
+  const auto check_canonical = [](const BigUint& x) {
+    EXPECT_TRUE(x.limbs().empty() || x.limbs().back() != 0);
+  };
+  for (int i = 0; i < 2000; ++i) {
+    // Every fourth operand is narrow, so some products fit one limb.
+    const uint64_t a = i % 4 == 1 ? rng.Next() >> 40 : rng.Next();
+    const uint64_t b = i % 4 == 2 ? rng.Next() >> 40 : rng.Next();
+    const u128 expected = static_cast<u128>(a) * b;
+    const uint64_t lo = static_cast<uint64_t>(expected);
+    const uint64_t hi = static_cast<uint64_t>(expected >> 64);
+    BigUint product(a);
+    product *= BigUint(b);
+    check_canonical(product);
+    EXPECT_EQ(product.FitsU64(), hi == 0) << a << " * " << b;
+    if (hi == 0) {
+      EXPECT_EQ(product.limbs(), std::vector<uint64_t>{lo});
+    } else {
+      EXPECT_EQ(product.limbs(), (std::vector<uint64_t>{lo, hi}));
+    }
+    // Two limbs times one goes through the general path: associativity
+    // ties the two paths together.
+    const uint64_t c = rng.Next();
+    const BigUint left = product * BigUint(c);
+    const BigUint right = BigUint(a) * (BigUint(b) * BigUint(c));
+    check_canonical(left);
+    EXPECT_EQ(left, right);
+  }
+  BigUint zero_times(~0ull);
+  zero_times *= BigUint(0);
+  EXPECT_TRUE(zero_times.IsZero());
+  EXPECT_TRUE(zero_times.limbs().empty());
+  BigUint max_square(~0ull);
+  max_square *= BigUint(~0ull);  // (2^64 - 1)^2 = 2^128 - 2^65 + 1
+  EXPECT_EQ(max_square.limbs(), (std::vector<uint64_t>{1, ~0ull - 1}));
+}
+
+TEST(BigUintTest, AddShiftedMatchesProductByPowerOfTwo) {
+  // acc + x·2^k by the general operators, against the in-place shifted
+  // add, over one- to three-limb values, shifts within and across limbs,
+  // and carries that run past x's top limb.
+  Rng rng(4);
+  const auto random_value = [&rng]() {
+    BigUint v(rng.Next());
+    for (size_t limbs = rng.Below(3); limbs > 0; --limbs) {
+      const uint64_t limb = rng.Flip(0.3) ? ~0ull : rng.Next();
+      v = v * BigUint::PowerOfTwo(64) + BigUint(limb);
+    }
+    return v;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const BigUint acc = rng.Flip(0.1) ? BigUint(0) : random_value();
+    const BigUint x = rng.Flip(0.05) ? BigUint(0) : random_value();
+    const unsigned k = i % 5 == 0 ? 0 : static_cast<unsigned>(rng.Below(200));
+    BigUint shifted = acc;
+    shifted.AddShifted(x, k);
+    EXPECT_EQ(shifted, acc + x * BigUint::PowerOfTwo(k)) << "k " << k;
+    EXPECT_TRUE(shifted.limbs().empty() || shifted.limbs().back() != 0);
+  }
+  BigUint all_ones(~0ull);
+  all_ones.AddShifted(BigUint(1), 0);  // carries into a new limb
+  EXPECT_EQ(all_ones, BigUint::PowerOfTwo(64));
+  BigUint wide = BigUint::PowerOfTwo(200) + BigUint(~0ull);
+  wide.AddShifted(BigUint(~0ull), 1);  // carry runs up through zero limbs
+  EXPECT_EQ(wide, BigUint::PowerOfTwo(200) + BigUint(~0ull) +
+                      BigUint(~0ull) * BigUint(2));
 }
 
 TEST(BigUintTest, CarryAcrossLimbs) {

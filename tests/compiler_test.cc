@@ -15,6 +15,7 @@
 #include "compiler/ddnnf_compiler.h"
 #include "compiler/model_counter.h"
 #include "compiler/subproblem.h"
+#include "dpll_oracle.h"
 #include "nnf/properties.h"
 #include "nnf/queries.h"
 
@@ -132,6 +133,20 @@ TEST(ModelCounterTest, MatchesBruteForce) {
     EXPECT_EQ(counter.Count(cnf).ToU64(), cnf.CountModelsBruteForce())
         << "seed " << seed;
   }
+}
+
+TEST(ModelCounterTest, CompiledCountBeyond64BitsMatchesCounter) {
+  // 120 variables under 40 random 3-clauses: about 2^112 models, so the
+  // circuit's count runs through multi-limb sums and products.
+  const Cnf cnf = RandomCnf(120, 40, 3, 9);
+  NnfManager m;
+  DdnnfCompiler compiler;
+  const NnfId root = compiler.Compile(cnf, m);
+  const BigUint count = ModelCount(m, root, cnf.num_vars());
+  EXPECT_FALSE(count.FitsU64());
+  EXPECT_GT(count, BigUint::PowerOfTwo(100));
+  ModelCounter counter;
+  EXPECT_EQ(count, counter.Count(cnf));
 }
 
 TEST(ModelCounterTest, FreeVariablesAndEmptyCnf) {
@@ -254,9 +269,17 @@ compiler_internal::ClauseSet MakeClauseSet(
   return set;
 }
 
+// The cache key Canonicalize writes for `clauses`, given sorted and in
+// canonical order.
 std::vector<uint32_t> KeyOf(const std::vector<std::vector<Lit>>& clauses) {
+  const compiler_internal::ClauseSet set = MakeClauseSet(clauses);
+  compiler_internal::ClauseSet canonical;
+  std::vector<compiler_internal::SortEntry> order;
   std::vector<uint32_t> key;
-  compiler_internal::CacheKeyInto(MakeClauseSet(clauses), &key);
+  compiler_internal::Canonicalize(compiler_internal::AllOf(set), &order,
+                                  &canonical, &key);
+  EXPECT_EQ(canonical.lits, set.lits);
+  EXPECT_EQ(canonical.ends, set.ends);
   return key;
 }
 
@@ -269,11 +292,20 @@ TEST(SubproblemTest, CacheKeyPinnedEncoding) {
       2, Pos(0).code(), Neg(1).code(), 1, Pos(2).code()};
   EXPECT_EQ(KeyOf({{Pos(0), Neg(1)}, {Pos(2)}}), expected);
   EXPECT_EQ(KeyOf({}), std::vector<uint32_t>());
-  // The fingerprint returned alongside is the key's.
+  // The fingerprint returned alongside is the key's; without a key
+  // buffer none is computed.
+  const compiler_internal::ClauseSet set =
+      MakeClauseSet({{Pos(2)}, {Pos(0), Neg(1)}, {Pos(2)}});
+  compiler_internal::ClauseSet canonical;
+  std::vector<compiler_internal::SortEntry> order;
   std::vector<uint32_t> key;
-  const uint64_t fingerprint = compiler_internal::CacheKeyInto(
-      MakeClauseSet({{Pos(0), Neg(1)}, {Pos(2)}}), &key);
+  const uint64_t fingerprint = compiler_internal::Canonicalize(
+      compiler_internal::AllOf(set), &order, &canonical, &key);
+  EXPECT_EQ(key, expected);
   EXPECT_EQ(fingerprint, compiler_internal::Fingerprint(expected));
+  EXPECT_EQ(compiler_internal::Canonicalize(compiler_internal::AllOf(set),
+                                            &order, &canonical, nullptr),
+            0u);
 }
 
 TEST(SubproblemTest, CacheKeyIsInjectiveOnSentinelLiteral) {
@@ -297,8 +329,14 @@ TEST(SubproblemTest, CacheKeyIsInjectiveOnSentinelLiteral) {
     }
     return key;
   };
-  EXPECT_EQ(sentinel_key(lhs), sentinel_key(rhs));  // the bug
-  EXPECT_NE(KeyOf(lhs), KeyOf(rhs));                // the fix
+  // The encoding, written by its own pass: rhs's second clause is not
+  // sorted, so Canonicalize would not take it.
+  const auto length_prefixed_key = [](const std::vector<std::vector<Lit>>& cs) {
+    return dpll_oracle::CacheKey(MakeClauseSet(cs));
+  };
+  EXPECT_EQ(sentinel_key(lhs), sentinel_key(rhs));                // the bug
+  EXPECT_NE(length_prefixed_key(lhs), length_prefixed_key(rhs));  // the fix
+  EXPECT_EQ(KeyOf(lhs), length_prefixed_key(lhs));
 }
 
 TEST(SubproblemTest, ComponentCacheVerifiesKeysOnFingerprintCollision) {
@@ -336,14 +374,16 @@ TEST(SubproblemTest, TransformsAreOrderPreservingFilters) {
                                  {Neg(0), Pos(2), Pos(3)},
                                  {Pos(4), Pos(5)}});
   std::vector<Lit> implied;
-  ASSERT_EQ(compiler_internal::Propagate(&set, &implied),
+  compiler_internal::VarMap value;
+  value.Resize(8);
+  ASSERT_EQ(compiler_internal::Propagate(&set, &implied, value),
             compiler_internal::BcpOutcome::kOk);
   EXPECT_EQ(implied, std::vector<Lit>{Pos(0)});
   ClauseSet expected = MakeClauseSet({{Pos(2), Pos(3)}, {Pos(4), Pos(5)}});
   EXPECT_EQ(set.lits, expected.lits);
   EXPECT_EQ(set.ends, expected.ends);
   ClauseSet conflict = MakeClauseSet({{Pos(0)}, {Neg(0)}});
-  EXPECT_EQ(compiler_internal::Propagate(&conflict, &implied),
+  EXPECT_EQ(compiler_internal::Propagate(&conflict, &implied, value),
             compiler_internal::BcpOutcome::kConflict);
 
   // SplitComponents: components ordered by their first clause, clause
@@ -354,8 +394,11 @@ TEST(SubproblemTest, TransformsAreOrderPreservingFilters) {
                                          {Neg(6), Pos(7)}});
   ClauseSet scratch;
   std::vector<uint32_t> comp_ends;
+  compiler_internal::SplitScratch split;
+  split.parent.Resize(8);
+  split.comp_index.Resize(8);
   const ClauseSet& groups =
-      compiler_internal::SplitComponents(mixed, &scratch, &comp_ends);
+      compiler_internal::SplitComponents(mixed, &scratch, &comp_ends, split);
   EXPECT_EQ(comp_ends, (std::vector<uint32_t>{2, 4}));
   expected = MakeClauseSet({{Pos(0), Pos(1)},
                             {Neg(1), Pos(2)},
@@ -364,11 +407,12 @@ TEST(SubproblemTest, TransformsAreOrderPreservingFilters) {
   EXPECT_EQ(groups.lits, expected.lits);
   EXPECT_EQ(groups.ends, expected.ends);
   EXPECT_EQ(&compiler_internal::SplitComponents(expected, &scratch,
-                                                &comp_ends),
+                                                &comp_ends, split),
             &scratch);  // two components: scattered into the scratch set
   const ClauseSet one = MakeClauseSet({{Pos(0), Pos(1)}, {Neg(1), Pos(2)}});
-  EXPECT_EQ(&compiler_internal::SplitComponents(one, &scratch, &comp_ends),
-            &one);  // one component: passed through
+  EXPECT_EQ(
+      &compiler_internal::SplitComponents(one, &scratch, &comp_ends, split),
+      &one);  // one component: passed through
   EXPECT_EQ(comp_ends, std::vector<uint32_t>{2});
 
   // Canonicalize: lexicographic clause order (a clause sorts before its
@@ -380,11 +424,159 @@ TEST(SubproblemTest, TransformsAreOrderPreservingFilters) {
                                          {Pos(0), Pos(1), Pos(2)}});
   std::vector<compiler_internal::SortEntry> order;
   ClauseSet canonical;
-  compiler_internal::Canonicalize({&messy, 0, 5}, &order, &canonical);
+  compiler_internal::Canonicalize({&messy, 0, 5}, &order, &canonical,
+                                  nullptr);
   expected = MakeClauseSet(
       {{Pos(0)}, {Pos(0), Pos(1), Pos(2)}, {Pos(0), Pos(3)}, {Pos(1), Pos(2)}});
   EXPECT_EQ(canonical.lits, expected.lits);
   EXPECT_EQ(canonical.ends, expected.ends);
+}
+
+// A seeded random subproblem over `num_vars` variables: sorted clauses of
+// one to four distinct variables, with units, repeated clauses and, on
+// some seeds, a literal shared by every clause (so conditioning on it
+// satisfies them all).
+compiler_internal::ClauseSet RandomClauseSet(Rng& rng, size_t num_vars) {
+  std::vector<std::vector<Lit>> clauses;
+  const size_t m = rng.Below(14);
+  const bool hub = rng.Flip(0.2);
+  for (size_t i = 0; i < m; ++i) {
+    if (!clauses.empty() && rng.Flip(0.15)) {
+      clauses.push_back(clauses[rng.Below(clauses.size())]);
+      continue;
+    }
+    std::set<Var> vars;
+    if (hub) vars.insert(0);
+    const size_t width = 1 + rng.Below(rng.Flip(0.3) ? 1 : 4);
+    while (vars.size() < std::min(width, num_vars)) {
+      vars.insert(static_cast<Var>(rng.Below(num_vars)));
+    }
+    std::vector<Lit> c;
+    for (const Var v : vars) {
+      c.push_back(Lit(v, (v == 0 && hub) || rng.Flip(0.5)));
+    }
+    clauses.push_back(std::move(c));
+  }
+  return MakeClauseSet(clauses);
+}
+
+TEST(SubproblemTest, PropagateMatchesPassBasedOracle) {
+  using compiler_internal::BcpOutcome;
+  using compiler_internal::ClauseSet;
+  constexpr size_t kVars = 7;
+  compiler_internal::VarMap value;
+  value.Resize(kVars);
+  size_t outcomes[2] = {0, 0};
+  size_t assuming_emptied = 0;
+  for (uint64_t seed = 0; seed < 3000; ++seed) {
+    Rng rng(seed);
+    const ClauseSet src = RandomClauseSet(rng, kVars);
+    // In place, against the oracle's full passes.
+    ClauseSet fused = src;
+    ClauseSet reference = src;
+    std::vector<Lit> fused_implied;
+    std::vector<Lit> reference_implied;
+    const BcpOutcome outcome =
+        compiler_internal::Propagate(&fused, &fused_implied, value);
+    ASSERT_EQ(outcome, dpll_oracle::Propagate(&reference, &reference_implied))
+        << "seed " << seed;
+    ++outcomes[outcome == BcpOutcome::kOk ? 0 : 1];
+    if (outcome == BcpOutcome::kOk) {
+      EXPECT_EQ(fused_implied, reference_implied) << "seed " << seed;
+      EXPECT_EQ(fused.lits, reference.lits) << "seed " << seed;
+      EXPECT_EQ(fused.ends, reference.ends) << "seed " << seed;
+    }
+    // One fused branch step per literal, against conditioning followed by
+    // the oracle.
+    for (Var v = 0; v < kVars; ++v) {
+      for (const Lit l : {Pos(v), Neg(v)}) {
+        ClauseSet branch;
+        ClauseSet conditioned;
+        compiler_internal::ConditionClauses(src, l, &conditioned);
+        const BcpOutcome expected =
+            dpll_oracle::Propagate(&conditioned, &reference_implied);
+        ASSERT_EQ(compiler_internal::PropagateAssuming(src, l, &branch,
+                                                       &fused_implied, value),
+                  expected)
+            << "seed " << seed << " literal " << l.ToDimacs();
+        if (expected != BcpOutcome::kOk) continue;
+        EXPECT_EQ(fused_implied, reference_implied)
+            << "seed " << seed << " literal " << l.ToDimacs();
+        EXPECT_EQ(branch.lits, conditioned.lits)
+            << "seed " << seed << " literal " << l.ToDimacs();
+        EXPECT_EQ(branch.ends, conditioned.ends)
+            << "seed " << seed << " literal " << l.ToDimacs();
+        if (!src.empty() && branch.empty()) ++assuming_emptied;
+      }
+    }
+  }
+  // The seeds reach both outcomes and branches that satisfy everything.
+  EXPECT_GT(outcomes[0], 100u);
+  EXPECT_GT(outcomes[1], 100u);
+  EXPECT_GT(assuming_emptied, 100u);
+}
+
+TEST(SubproblemTest, PropagateRescansBackwardChains) {
+  // x0 and x0 -> x1 -> ... -> x5, the implications listed last to first:
+  // every pass finds exactly one unit, at the end of what it rescans, and
+  // the clause after the chain is moved down unread each time.
+  using compiler_internal::ClauseSet;
+  std::vector<std::vector<Lit>> clauses;
+  for (Var v = 5; v >= 1; --v) clauses.push_back({Neg(v - 1), Pos(v)});
+  clauses.push_back({Pos(0)});
+  clauses.push_back({Pos(6), Pos(7)});
+  ClauseSet fused = MakeClauseSet(clauses);
+  ClauseSet reference = fused;
+  compiler_internal::VarMap value;
+  value.Resize(8);
+  std::vector<Lit> implied;
+  std::vector<Lit> expected;
+  ASSERT_EQ(compiler_internal::Propagate(&fused, &implied, value),
+            compiler_internal::BcpOutcome::kOk);
+  ASSERT_EQ(dpll_oracle::Propagate(&reference, &expected),
+            compiler_internal::BcpOutcome::kOk);
+  EXPECT_EQ(implied, (std::vector<Lit>{Pos(0), Pos(1), Pos(2), Pos(3),
+                                       Pos(4), Pos(5)}));
+  EXPECT_EQ(implied, expected);
+  EXPECT_EQ(fused.lits, reference.lits);
+  EXPECT_EQ(fused.ends, reference.ends);
+  EXPECT_EQ(fused.size(), 1u);
+}
+
+TEST(SubproblemTest, CanonicalizeKeyMatchesSeparatePass) {
+  constexpr size_t kVars = 6;
+  for (uint64_t seed = 0; seed < 500; ++seed) {
+    Rng rng(seed);
+    const compiler_internal::ClauseSet src = RandomClauseSet(rng, kVars);
+    compiler_internal::ClauseSet canonical;
+    std::vector<compiler_internal::SortEntry> order;
+    std::vector<uint32_t> key = {7, 7, 7};  // a reused buffer's leftovers
+    const uint64_t fingerprint = compiler_internal::Canonicalize(
+        compiler_internal::AllOf(src), &order, &canonical, &key);
+    EXPECT_EQ(key, dpll_oracle::CacheKey(canonical)) << "seed " << seed;
+    EXPECT_EQ(fingerprint, compiler_internal::Fingerprint(key));
+  }
+}
+
+TEST(SubproblemTest, PickBranchVarTakesMostFrequentThenSmallest) {
+  constexpr size_t kVars = 6;
+  compiler_internal::VarMap occurrences;
+  occurrences.Resize(kVars);
+  for (uint64_t seed = 0; seed < 500; ++seed) {
+    Rng rng(seed);
+    const compiler_internal::ClauseSet src = RandomClauseSet(rng, kVars);
+    std::vector<size_t> count(kVars, 0);
+    for (const Lit l : src.lits) ++count[l.var()];
+    Var expected = kInvalidVar;
+    for (Var v = 0; v < kVars; ++v) {
+      if (count[v] > 0 &&
+          (expected == kInvalidVar || count[v] > count[expected])) {
+        expected = v;
+      }
+    }
+    EXPECT_EQ(compiler_internal::PickBranchVar(src, occurrences), expected)
+        << "seed " << seed;
+  }
 }
 
 // Search identity: decisions, cache hits, component splits, circuit size,

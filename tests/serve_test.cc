@@ -19,7 +19,10 @@
 #include "base/observability.h"
 #include "base/random.h"
 #include "base/result.h"
+#include "compiler/ddnnf_compiler.h"
 #include "gtest/gtest.h"
+#include "logic/cnf.h"
+#include "nnf/nnf.h"
 #include "serve/artifact_cache.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -400,6 +403,53 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
             hits_before + 2);
 #endif
   (*server)->Shutdown();
+  std::filesystem::remove_all(store_dir);
+}
+
+// A compile reply reports the artifact's circuit size, which the warm-up
+// reads off the root's gap plan. It must equal the size walks of a fresh
+// compile of the same CNF, and again after a store warm-start restart,
+// where the plan is built over the mapped manager.
+TEST(Server, CompileReplySizesMatchFreshCompile) {
+  // Twelve variables, two unmentioned, and clauses that share structure,
+  // so the circuit has gap edges and shared nodes.
+  const std::string cnf_text =
+      "p cnf 12 9\n1 2 -3 0\n-1 4 0\n3 -4 5 0\n-5 6 0\n6 7 -8 0\n"
+      "-2 -7 0\n8 9 0\n-9 10 -1 0\n2 -10 0\n";
+  auto parsed = Cnf::ParseDimacs(cnf_text);
+  ASSERT_TRUE(parsed.ok());
+  NnfManager fresh;
+  DdnnfCompiler compiler;
+  const NnfId root = compiler.Compile(*parsed, fresh);
+  const uint64_t nodes = fresh.NumNodesBelow(root);
+  const uint64_t edges = fresh.CircuitSize(root);
+  ASSERT_GT(edges, nodes);
+
+  const std::string store_dir = testing::TempDir() + "sizes_store_" +
+                                std::to_string(::getpid());
+  std::filesystem::create_directories(store_dir);
+  ServerOptions opts = LoopbackOptions();
+  opts.store_dir = store_dir;
+  Request compile;
+  compile.op = Op::kCompile;
+  compile.cnf_text = cnf_text;
+  for (const bool restarted : {false, true}) {
+    auto server = Server::Start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    if (restarted) {
+      const auto restored = (*server)->LookupArtifact(cnf_text);
+      ASSERT_NE(restored, nullptr);
+      EXPECT_TRUE(restored->from_store);
+    }
+    Client client(ClientFor(**server));
+    auto reply = client.Call(compile);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply->ok()) << reply->message;
+    EXPECT_EQ(reply->cache_hit, restarted);
+    EXPECT_EQ(reply->circuit_nodes, nodes) << "restarted " << restarted;
+    EXPECT_EQ(reply->circuit_edges, edges) << "restarted " << restarted;
+    (*server)->Shutdown();
+  }
   std::filesystem::remove_all(store_dir);
 }
 

@@ -6,7 +6,11 @@
 # micro-benchmarks (bench/bench_kernels.cc, compiled from the SAME source
 # against both library versions) plus the three paper-figure benches the
 # kernel layer targets, median-of-5 each, and writes the combined
-# before/after report to BENCH_kernels.json at the repo root.
+# before/after report to BENCH_kernels.json at the repo root. Each run
+# also appends one JSON line to BENCH_history.jsonl: the refs, a machine
+# fingerprint (CPU model, nproc, compiler version), and each kernel's
+# median and MAD (median absolute deviation) over its runs, for both
+# trees, so runs accumulate into a history instead of overwriting it.
 #
 # Usage: tools/run_bench.sh [baseline-ref]
 #   baseline-ref defaults to HEAD when the working tree has uncommitted
@@ -115,6 +119,14 @@ echo "[run_bench] running vtree-shape bench (current tree only) ..." >&2
 "$CUR_BUILD/bench/bench_vtree_shapes" "$CUR_BUILD/vtree_shapes.json" \
   2> /dev/null
 
+# Machine fingerprint for the history record: history lines compare only
+# against lines with the same fingerprint.
+CPU_MODEL="$(grep -m1 '^model name' /proc/cpuinfo 2> /dev/null | cut -d: -f2- |
+  sed 's/^ *//' || true)"
+[[ -n "$CPU_MODEL" ]] || CPU_MODEL="$(uname -m)"
+CXX_BIN="$(grep -m1 '^CMAKE_CXX_COMPILER:' "$CUR_BUILD/CMakeCache.txt" | cut -d= -f2-)"
+CXX_VERSION="$("$CXX_BIN" --version | head -1)"
+
 SUITES_TSV="$CUR_BUILD/suites.tsv"
 : > "$SUITES_TSV"
 for b in "${FIG_BENCHES[@]}"; do
@@ -125,11 +137,12 @@ done
 
 python3 - "$BASE_SHA" "$CUR_SHA" "$SUITES_TSV" \
   "$BASE_BUILD/kernels.json" "$CUR_BUILD/kernels.json" \
-  "$ROOT/BENCH_kernels.json" "$CUR_BUILD/vtree_shapes.json" <<'PY'
-import json, sys
+  "$ROOT/BENCH_kernels.json" "$CUR_BUILD/vtree_shapes.json" \
+  "$ROOT/BENCH_history.jsonl" "$CPU_MODEL" "$(nproc)" "$CXX_VERSION" <<'PY'
+import datetime, json, statistics, sys
 
 base_sha, cur_sha, suites_tsv, base_kernels, cur_kernels, out_path = sys.argv[1:7]
-vtree_shapes_path = sys.argv[7]
+vtree_shapes_path, history_path, cpu, nproc, compiler = sys.argv[7:12]
 suites = {}
 for line in open(suites_tsv):
     name, before, after, bruns, aruns = line.strip().split("\t")
@@ -179,6 +192,31 @@ with open(out_path, "w") as f:
     json.dump(report, f, indent=2)
     f.write("\n")
 print(f"[run_bench] wrote {out_path}")
+
+def summary(entries):
+    out = {}
+    for name, k in entries.items():
+        runs = k["runs_ms"]
+        median = statistics.median(runs)
+        out[name] = {
+            "median_ms": round(median, 4),
+            "mad_ms": round(statistics.median(abs(x - median) for x in runs), 4),
+            "runs": len(runs),
+        }
+    return out
+
+record = {
+    "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    "baseline_ref": base_sha,
+    "current_ref": cur_sha,
+    "machine": {"cpu": cpu, "nproc": int(nproc), "compiler": compiler},
+    "build_type": "Release",
+    "kernels": summary(kc),
+    "baseline_kernels": summary(kb),
+}
+with open(history_path, "a") as f:
+    f.write(json.dumps(record, sort_keys=True) + "\n")
+print(f"[run_bench] appended a record to {history_path}")
 for name, s in {**suites, **kernels}.items():
     print(f"  {name:32s} {s['before_ms']:10.3f} -> {s['after_ms']:10.3f} ms"
           f"   x{s['speedup']}")
