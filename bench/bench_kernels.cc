@@ -13,14 +13,20 @@
 // per circuit edge, the BN compiles (at three network sizes) ns per
 // decision, and the serve codec ns per protocol line.
 //
-// Usage: bench_kernels [output.json]   (default: stdout)
+// Usage: bench_kernels [--kernel=NAME] [output.json]   (default: stdout)
+//        bench_kernels --list
+// --kernel runs that one kernel alone, so a kernel's timing does not
+// depend on which kernels ran before it in the same process; --list prints
+// the kernel names in report order.
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/random.h"
@@ -431,39 +437,87 @@ Entry Measure(const std::string& name, Fn&& fn, double edges_per_run = 0.0) {
   return e;
 }
 
+
+// Every kernel, in report order, each as the measurement that produces
+// its entry. The BN compile runs at each of kBnSizes.
+std::vector<std::pair<std::string, std::function<Entry()>>> Kernels() {
+  std::vector<std::pair<std::string, std::function<Entry()>>> kernels;
+  const auto add = [&kernels](const std::string& name, void (*fn)(),
+                              double (*edges)() = nullptr) {
+    kernels.emplace_back(name, [name, fn, edges] {
+      return Measure(name, fn, edges != nullptr ? edges() : 0.0);
+    });
+  };
+  add("ddnnf_count_wmc", BenchDdnnfCountWmc);
+  for (const size_t bn_vars : kBnSizes) {
+    const std::string name = "ddnnf_compile_bn" + std::to_string(bn_vars);
+    kernels.emplace_back(name, [name, bn_vars] {
+      Entry e = Measure(name, [bn_vars] { BenchDdnnfCompileBn(bn_vars); });
+      e.decisions_per_run = BnCompileDecisionsPerRun(bn_vars);
+      return e;
+    });
+  }
+  add("nnf_wmc", BenchNnfWmc, QueryEdgesPerRun);
+  add("nnf_marginals", BenchNnfMarginals, QueryEdgesPerRun);
+  add("nnf_mpe", BenchNnfMpe, QueryEdgesPerRun);
+  add("certify_fig8_plain", BenchCertifyFig8Plain);
+  add("certify_fig8_traced", BenchCertifyFig8Traced);
+  add("psdd_eval", BenchPsddEval);
+  add("hierarchical_map", BenchHierarchicalMap);
+  add("sdd_apply_wmc", BenchSddApply);
+  add("sdd_minimize", BenchSddMinimize);
+  add("sdd_compile_autominimize", BenchSddCompileAutoMinimize);
+  add("obdd_apply_count", BenchObddApply);
+  kernels.emplace_back("serve_codec", [] {
+    Entry e = Measure("serve_codec", BenchServeCodec);
+    e.lines_per_run = ServeCodecMessages().lines;
+    return e;
+  });
+  return kernels;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<Entry> entries;
-  entries.push_back(Measure("ddnnf_count_wmc", BenchDdnnfCountWmc));
-  for (const size_t bn_vars : kBnSizes) {
-    Entry compile_bn =
-        Measure("ddnnf_compile_bn" + std::to_string(bn_vars),
-                [bn_vars] { BenchDdnnfCompileBn(bn_vars); });
-    compile_bn.decisions_per_run = BnCompileDecisionsPerRun(bn_vars);
-    entries.push_back(compile_bn);
+  std::string only;
+  const char* path = nullptr;
+  bool list = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--kernel=", 0) == 0) {
+      only = arg.substr(std::string("--kernel=").size());
+    } else if (arg == "--list") {
+      list = true;
+    } else if (arg.rfind("--", 0) == 0 || path != nullptr) {
+      std::fprintf(stderr,
+                   "usage: bench_kernels [--list] [--kernel=NAME] "
+                   "[output.json]\n");
+      return 1;
+    } else {
+      path = argv[i];
+    }
   }
-  const double query_edges = QueryEdgesPerRun();
-  entries.push_back(Measure("nnf_wmc", BenchNnfWmc, query_edges));
-  entries.push_back(Measure("nnf_marginals", BenchNnfMarginals, query_edges));
-  entries.push_back(Measure("nnf_mpe", BenchNnfMpe, query_edges));
-  entries.push_back(Measure("certify_fig8_plain", BenchCertifyFig8Plain));
-  entries.push_back(Measure("certify_fig8_traced", BenchCertifyFig8Traced));
-  entries.push_back(Measure("psdd_eval", BenchPsddEval));
-  entries.push_back(Measure("hierarchical_map", BenchHierarchicalMap));
-  entries.push_back(Measure("sdd_apply_wmc", BenchSddApply));
-  entries.push_back(Measure("sdd_minimize", BenchSddMinimize));
-  entries.push_back(Measure("sdd_compile_autominimize", BenchSddCompileAutoMinimize));
-  entries.push_back(Measure("obdd_apply_count", BenchObddApply));
-  Entry codec = Measure("serve_codec", BenchServeCodec);
-  codec.lines_per_run = ServeCodecMessages().lines;
-  entries.push_back(codec);
+  std::vector<Entry> entries;
+  bool found = false;
+  for (const auto& [name, measure] : Kernels()) {
+    if (list) {
+      std::printf("%s\n", name.c_str());
+    } else if (only.empty() || only == name) {
+      found = true;
+      entries.push_back(measure());
+    }
+  }
+  if (list) return 0;
+  if (!found) {
+    std::fprintf(stderr, "bench_kernels: no kernel named %s\n", only.c_str());
+    return 1;
+  }
 
   std::FILE* out = stdout;
-  if (argc > 1) {
-    out = std::fopen(argv[1], "w");
+  if (path != nullptr) {
+    out = std::fopen(path, "w");
     if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
+      std::fprintf(stderr, "cannot open %s\n", path);
       return 1;
     }
   }

@@ -33,7 +33,6 @@ class CircuitAlgebra {
   using Product = size_t;  // where the conjunction starts in conjuncts_
   using Sink = CertBranch*;  // nullptr when not tracing
   using Decision = CertComp;
-  static constexpr bool kFreeVars = false;
   static constexpr compiler_internal::SearchCounters kCounters = {
       "ddnnf.decisions", "ddnnf.cache_hits", "ddnnf.cache_misses",
       "ddnnf.components_split"};
@@ -50,6 +49,8 @@ class CircuitAlgebra {
   }
   Product One() const { return conjuncts_.size(); }
   void Implied(Product, Lit l) { conjuncts_.push_back(mgr_.Literal(l)); }
+  // Free variables stay out of the circuit: the queries apply gap factors.
+  static void Free(Product, Var) {}
   void Times(Product, const Value& sub, Sink sink) {
     if (sink != nullptr) sink->comps.push_back(sub.comp);
     conjuncts_.push_back(sub.node);

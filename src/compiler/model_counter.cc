@@ -1,6 +1,5 @@
 #include "compiler/model_counter.h"
 
-#include <span>
 #include <utility>
 
 #include "base/logspace.h"
@@ -12,15 +11,13 @@ namespace tbc {
 namespace {
 
 // What the two counters share: a subproblem evaluates to a Number, its
-// (weighted) model count over the variables it mentions; each variable
-// that drops out multiplies in a factor; no trace is recorded.
+// (weighted) model count over the variables it holds; a decision adds its
+// two branches, each weighed by its literal; no trace is recorded.
 template <typename Number>
 struct CounterAlgebra {
   using Value = Number;
-  using Product = Number;
   struct Sink {};
   using Decision = Sink;
-  static constexpr bool kFreeVars = true;
   static constexpr compiler_internal::SearchCounters kCounters = {
       "counter.decisions", "counter.cache_hits", "counter.cache_misses",
       nullptr};
@@ -28,25 +25,25 @@ struct CounterAlgebra {
   static Sink Top() { return {}; }
   static Sink Hi(Decision&) { return {}; }
   static Sink Lo(Decision&) { return {}; }
-  static void Times(Number& product, const Number& sub, Sink) {
-    product *= sub;
-  }
 };
 
-// Exact counting: each dropped variable doubles the count.
+// Exact counting: each free variable doubles the count. A branch tallies
+// its free variables and applies them as one power of two.
 struct CountAlgebra : CounterAlgebra<BigUint> {
+  struct Product {
+    BigUint count;
+    unsigned free = 0;
+  };
   static BigUint Zero(Sink) { return BigUint(0); }
-  static BigUint One() { return BigUint(1); }
-  static void Implied(BigUint&, Lit) {}
-  static void Free(BigUint& value, std::span<const Var> dropped) {
-    if (!dropped.empty()) {
-      value *= BigUint::PowerOfTwo(static_cast<unsigned>(dropped.size()));
-    }
+  static Product One() { return {BigUint(1), 0}; }
+  static void Implied(Product&, Lit) {}
+  static void Free(Product& product, Var) { ++product.free; }
+  static void Times(Product& product, const BigUint& sub, Sink) {
+    product.count *= sub;
   }
-  static BigUint Finish(BigUint& product, Sink) { return std::move(product); }
-  static BigUint Assume(Lit, BigUint sub, std::span<const Var> dropped) {
-    Free(sub, dropped);
-    return sub;
+  static BigUint Finish(Product& product, Sink) {
+    if (product.free != 0) product.count *= BigUint::PowerOfTwo(product.free);
+    return std::move(product.count);
   }
   static BigUint Decide(Decision&, Var, const BigUint& hi,
                         const BigUint& lo) {
@@ -56,7 +53,7 @@ struct CountAlgebra : CounterAlgebra<BigUint> {
   }
 };
 
-// Weighted counting; a dropped variable x contributes W(x) + W(¬x). All
+// Weighted counting; a free variable x contributes W(x) + W(¬x). All
 // accumulation — including the component cache — is in ScaledDouble
 // (base/logspace.h): a chain of a few thousand 1e-3 weights produces
 // intermediates around 1e-6000, which plain double flushes to 0.0 and the
@@ -66,33 +63,35 @@ struct CountAlgebra : CounterAlgebra<BigUint> {
 // order the driver lists them, which fixes the rounding of every result.
 class WmcAlgebra : public CounterAlgebra<ScaledDouble> {
  public:
+  using Product = ScaledDouble;
+
   WmcAlgebra(const WeightMap& weights, uint64_t& rescues)
       : weights_(weights), rescues_(rescues) {}
 
   static ScaledDouble Zero(Sink) { return ScaledDouble::Zero(); }
   static ScaledDouble One() { return ScaledDouble::One(); }
-  void Implied(ScaledDouble& product, Lit l) const { product *= Weight(l); }
   // Long implied-literal chains are where naive products die first, so
   // the product is checked here; so is the whole CNF's, whose answer may
   // itself not fit a double (ToDouble() then saturates to 0.0 / inf).
-  void Free(ScaledDouble& value, std::span<const Var> dropped) {
-    for (const Var v : dropped) value *= Either(v);
-    NoteIfRescued(value);
+  void Implied(ScaledDouble& product, Lit l) {
+    product *= Weight(l);
+    NoteIfRescued(product);
+  }
+  void Free(ScaledDouble& product, Var v) {
+    product *= Either(v);
+    NoteIfRescued(product);
+  }
+  static void Times(ScaledDouble& product, const ScaledDouble& sub, Sink) {
+    product *= sub;
   }
   ScaledDouble Finish(ScaledDouble& product, Sink) {
     NoteIfRescued(product);
     return product;
   }
-  ScaledDouble Assume(Lit l, const ScaledDouble& sub,
-                      std::span<const Var> dropped) const {
-    ScaledDouble w = Weight(l) * sub;
-    for (const Var v : dropped) w *= Either(v);
-    return w;
-  }
-  ScaledDouble Decide(Decision&, Var, const ScaledDouble& hi,
+  ScaledDouble Decide(Decision&, Var v, const ScaledDouble& hi,
                       const ScaledDouble& lo) {
-    ScaledDouble total = lo;
-    total += hi;
+    ScaledDouble total = Weight(Neg(v)) * lo;
+    total += Weight(Pos(v)) * hi;
     NoteIfRescued(total);
     return total;
   }

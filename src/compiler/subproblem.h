@@ -19,90 +19,180 @@
 
 namespace tbc::compiler_internal {
 
-/// A subproblem of exhaustive DPLL: a set of reduced clauses (no satisfied
-/// clauses, no false literals). The Decision-DNNF compiler and the model
-/// counters search over it with one driver, Dpll below: the paper's point
-/// that a model counter's trace *is* a d-DNNF [Huang & Darwiche 2007].
-///
-/// Stored flat: every clause's literals back to back in `lits`, and
-/// `ends[i]` one past clause i's last literal. Each DPLL node rewrites
-/// these buffers in place or into a per-depth buffer it reuses (Frame
-/// below), so once the buffers have grown to the largest subproblem the
-/// search allocates nothing per clause.
-struct ClauseSet {
-  std::vector<Lit> lits;
-  std::vector<uint32_t> ends;
+/// Exhaustive DPLL over one static clause database, shared by the
+/// Decision-DNNF compiler and the model counters (Dpll below): the paper's
+/// point that a model counter's trace *is* a d-DNNF [Huang & Darwiche
+/// 2007]. As in c2d and sharpSAT, the CNF is loaded once and never copied:
+/// the search moves an assignment trail over it, and a subproblem is a
+/// list of variable and clause ids.
 
-  size_t size() const { return ends.size(); }
-  bool empty() const { return ends.empty(); }
-  uint32_t begin_of(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
-  std::span<const Lit> clause(size_t i) const {
-    const uint32_t b = begin_of(i);
-    return {lits.data() + b, ends[i] - b};
+/// The CNF's clauses, loaded once per search: each clause's literals,
+/// sorted, back to back in one arena, and for every literal the ids of the
+/// clauses that contain it, in increasing order. Nothing here changes
+/// while the search runs.
+class ClauseDb {
+ public:
+  void Load(const Cnf& cnf);
+
+  size_t num_vars() const { return num_vars_; }
+  uint32_t num_clauses() const {
+    return static_cast<uint32_t>(begins_.size() - 1);
   }
-  void clear() {
-    lits.clear();
-    ends.clear();
+  std::span<const Lit> clause(uint32_t c) const {
+    return {lits_.data() + begins_[c], lits_.data() + begins_[c + 1]};
   }
-  void Append(std::span<const Lit> c) {
-    lits.insert(lits.end(), c.begin(), c.end());
-    ends.push_back(static_cast<uint32_t>(lits.size()));
+  /// The ids of the clauses that contain `l`.
+  std::span<const uint32_t> occurrences(Lit l) const {
+    return {occ_.data() + occ_begins_[l.code()],
+            occ_.data() + occ_begins_[l.code() + 1]};
   }
+
+ private:
+  size_t num_vars_ = 0;
+  std::vector<Lit> lits_;
+  std::vector<uint32_t> begins_;      // clause id -> its first literal
+  std::vector<uint32_t> occ_begins_;  // literal code -> its first entry
+  std::vector<uint32_t> occ_;         // clause ids, grouped by literal
 };
 
-/// Clauses [first, last) of a ClauseSet: one component of a split.
-struct ClauseRange {
-  const ClauseSet* set;
-  uint32_t first;
-  uint32_t last;
+/// The search's assignment over a ClauseDb: a value per literal, and the
+/// trail of assigned literals in assignment order. Assume pushes a
+/// literal and the units it implies; Undo pops the trail back to a mark.
+/// Unit propagation visits only the occurrence lists of the literals it
+/// falsifies, so its cost does not grow with the clauses it leaves alone.
+class Trail {
+ public:
+  /// Sizes the trail for `db`'s variables, all unassigned.
+  void Reset(const ClauseDb& db);
+
+  bool IsTrue(Lit l) const { return value_[l.code()] == kTrue; }
+  bool IsFalse(Lit l) const { return value_[l.code()] == kFalse; }
+  bool Assigned(Var v) const { return value_[Pos(v).code()] != kUnassigned; }
+  /// The literal of the assigned variable `v` that is true.
+  Lit TrueLit(Var v) const { return IsTrue(Pos(v)) ? Pos(v) : Neg(v); }
+  size_t size() const { return lits_.size(); }
+
+  /// Assigns every unit clause of the database and propagates. False on a
+  /// conflict, an empty clause included.
+  bool AssumeUnits();
+  /// Assigns the unassigned literal `l` and propagates. False on a
+  /// conflict; the trail then keeps the partial propagation for Undo.
+  bool Assume(Lit l);
+  /// Unassigns every literal after the first `mark` of the trail.
+  void Undo(size_t mark);
+
+ private:
+  static constexpr uint8_t kUnassigned = 0;
+  static constexpr uint8_t kTrue = 1;
+  static constexpr uint8_t kFalse = 2;
+
+  void Push(Lit l) {
+    value_[l.code()] = kTrue;
+    value_[(~l).code()] = kFalse;
+    lits_.push_back(l);
+  }
+  // Propagates the literals from trail position `head` on.
+  bool Bcp(size_t head);
+
+  const ClauseDb* db_ = nullptr;
+  std::vector<uint8_t> value_;  // literal code -> kUnassigned/kTrue/kFalse
+  std::vector<Lit> lits_;
 };
 
-inline ClauseRange AllOf(const ClauseSet& set) {
-  return {&set, 0, static_cast<uint32_t>(set.size())};
-}
+/// The components of the search, on one stack of uint32 words. A
+/// component is `[nv, nc, var ids..., clause ids..., branch var]`, both id
+/// lists increasing. Its first 2 + nv + nc words are its cache key. The
+/// key is sound: a live clause's reduced form is its original literals
+/// restricted to the component's (unassigned) variables, so equal keys
+/// mean equal reduced clause sets over equal variables. The counts make
+/// the key injective. The branch variable is the component's most
+/// frequent variable over its clauses, ties broken by the smaller id, so
+/// the search is deterministic; it is a function of the key.
+class ComponentStack {
+ public:
+  /// Empties the stack and pushes the root: every variable and every
+  /// clause of `db`, at offset 0.
+  void Reset(const ClauseDb& db);
 
-/// Copies the CNF's clauses into `out` and sorts each clause. Every
-/// transform below only deletes literals or moves whole clauses, so this
-/// per-clause sortedness holds down the entire DPLL recursion and
-/// Canonicalize never needs to re-establish it.
-void LoadCnf(const Cnf& cnf, ClauseSet* out);
+  uint32_t size() const { return static_cast<uint32_t>(words_.size()); }
+  /// Drops every component at or above offset `size`.
+  void PopTo(uint32_t size) { words_.resize(size); }
 
-/// Canonicalize's sort entry: a clause index under its first two literal
-/// codes, which decide most comparisons without touching the literals.
-struct SortEntry {
-  uint64_t prefix;
-  uint32_t clause;
+  std::span<const uint32_t> Key(uint32_t at) const {
+    return {words_.data() + at, 2 + words_[at] + words_[at + 1]};
+  }
+  Var BranchVar(uint32_t at) const {
+    return words_[at + 2 + words_[at] + words_[at + 1]];
+  }
+  std::span<const uint32_t> VarsOf(uint32_t at) const {
+    return {words_.data() + at + 2, words_[at]};
+  }
+  std::span<const uint32_t> ClauseIdsOf(uint32_t at) const {
+    return {words_.data() + at + 2 + words_[at], words_[at + 1]};
+  }
+  /// Offset one past the component at `at`.
+  uint32_t End(uint32_t at) const {
+    return at + 3 + words_[at] + words_[at + 1];
+  }
+
+  /// Pushes the sub-components of the component at `parent` under the
+  /// trail's assignment: the variable-connected groups of its live
+  /// (unsatisfied) clauses, or one group of them all when `decompose` is
+  /// false. They come out in order of their smallest variable, each with
+  /// sorted id lists, from one pass over the parent's clauses (live test,
+  /// union-find and occurrence counts) and one ordered pass over its
+  /// variables and then its live clauses, so nothing is sorted. Writes to
+  /// `rest`, in increasing order, the parent's variables that no
+  /// sub-component holds: assigned ones, and unassigned ones in no live
+  /// clause (free). Returns the number of sub-components.
+  uint32_t Split(uint32_t parent, const Trail& trail, bool decompose,
+                 std::vector<Var>* rest);
+
+ private:
+  // A variable's union-find slot, with its occurrences in live clauses.
+  // At a root, `vars` and `clauses` count the group's ids until the group
+  // is placed on the stack, and then serve as its write cursors there;
+  // `best` is then the group's branch variable so far.
+  struct Slot {
+    uint32_t stamp = 0;
+    Var parent = 0;
+    uint32_t vars = 0;
+    uint32_t clauses = 0;
+    uint32_t count = 0;
+    Var best = kInvalidVar;
+    bool placed = false;
+  };
+  // A live clause of the split, and one of its unassigned variables.
+  struct Live {
+    uint32_t clause;
+    Var var;
+  };
+
+  bool Has(Var v) const { return slots_[v].stamp == epoch_; }
+  void Add(Var v);
+  Var Find(Var v);
+  Var Unite(Var a, Var b);
+
+  const ClauseDb* db_ = nullptr;
+  std::vector<uint32_t> words_;
+  std::vector<Slot> slots_;  // var -> union-find slot, live at epoch_
+  uint32_t epoch_ = 0;
+  uint32_t groups_ = 0;        // the split's union-find roots
+  uint32_t grouped_vars_ = 0;  // the split's variables in live clauses
+  std::vector<Live> live_;
+  std::vector<Var> unassigned_;  // one clause's unassigned variables
+  std::vector<Var> placed_;      // the split's roots, in placing order
 };
-
-/// Writes the canonical form of `in` to `out`: its clauses (each already
-/// sorted) in lexicographic order, duplicates dropped. `order` is scratch.
-/// Because every transform is an order-preserving filter and the canonical
-/// order depends only on the clause contents, the search visits exactly
-/// the subproblems a vector-of-clauses implementation would.
-///
-/// With a non-null `key`, the same output loop also writes the canonical
-/// clauses' component-cache key there (reused buffer) and returns its
-/// Fingerprint; with a null one it returns 0.
-///
-/// The key encoding is length-prefixed — literal count, then the literal
-/// codes, one uint32 each — which is injective for every clause set: a
-/// decoder always knows where each clause ends. A sentinel-terminated
-/// encoding is not, because every uint32 is a valid Lit code (0xFFFFFFFF
-/// is the negative literal of var 2^31 - 1), so clause sets containing
-/// that literal could collide and the component cache would serve a wrong
-/// count. Pinned by CacheKeyIsInjectiveOnSentinelLiteral in compiler_test.
-uint64_t Canonicalize(ClauseRange in, std::vector<SortEntry>* order,
-                      ClauseSet* out, std::vector<uint32_t>* key);
 
 /// 64-bit fingerprint of a cache key. ComponentCache compares the full key
 /// on every fingerprint match, so the width only sets how often that
 /// comparison fails, never whether an answer is right.
 uint64_t Fingerprint(std::span<const uint32_t> key);
 
-/// Component cache: canonical clause keys -> V. Each key is stored once,
-/// in an append-only arena, and indexed by its fingerprint; a probe
-/// hashes nothing itself and copies nothing, and every fingerprint match
-/// is confirmed by comparing the full key, so two components that share a
+/// Component cache: component keys -> V. Each key is stored once, in an
+/// append-only arena, and indexed by its fingerprint; a probe hashes
+/// nothing itself and copies nothing, and every fingerprint match is
+/// confirmed by comparing the full key, so two components that share a
 /// fingerprint never alias.
 template <typename V>
 class ComponentCache {
@@ -141,137 +231,6 @@ class ComponentCache {
   std::vector<V> values_;         // entry id -> value
 };
 
-/// A map from the variables of one CNF to uint32 values: one {stamp,
-/// value} slot per variable, sized once from Cnf::num_vars() (Cnf's
-/// AddClause keeps every literal's variable below it), so a probe is one
-/// load with no bounds check or growth. Clear() is O(1): it bumps the
-/// epoch instead of touching the slots.
-class VarMap {
- public:
-  /// Sizes the map for variables [0, num_vars) and empties it.
-  void Resize(size_t num_vars) {
-    slots_.assign(num_vars, Slot{});
-    epoch_ = 1;
-  }
-  bool Has(Var v) const {
-    TBC_DCHECK(v < slots_.size());
-    return slots_[v].stamp == epoch_;
-  }
-  /// Value of `v`; only meaningful when Has(v).
-  uint32_t Get(Var v) const { return slots_[v].value; }
-  void Set(Var v, uint32_t value) {
-    TBC_DCHECK(v < slots_.size());
-    slots_[v] = {epoch_, value};
-  }
-  void Clear() {
-    if (++epoch_ == 0) {
-      // Epoch wrap: stale stamps could alias. Reset once every 2^32 clears.
-      std::fill(slots_.begin(), slots_.end(), Slot{});
-      epoch_ = 1;
-    }
-  }
-
- private:
-  struct Slot {
-    uint32_t stamp = 0;
-    uint32_t value = 0;
-  };
-  std::vector<Slot> slots_;
-  uint32_t epoch_ = 1;
-};
-
-enum class BcpOutcome { kOk, kConflict };
-
-/// Exhaustive unit propagation, in place: consumes unit clauses into
-/// `implied` and leaves the reduced rest in `clauses`, in their original
-/// order. After a conflict `clauses` holds garbage. `value` is scratch.
-///
-/// The units come out in the order of repeated full passes, each pass
-/// assigning a unit as soon as it finds it. A pass after the first scans
-/// only the clauses before the previous pass's last unit, and goes on to
-/// the end only if it finds another unit there: the clauses after that
-/// unit were already reduced under the same assignment, so they move down
-/// unread.
-BcpOutcome Propagate(ClauseSet* clauses, std::vector<Lit>* implied,
-                     VarMap& value);
-
-/// The branch of `clauses` that assumes `l`, in one step: the same
-/// `out` and `implied` as ConditionClauses(clauses, l, out) followed by
-/// Propagate(out, implied), with the first propagation pass reading
-/// `clauses` directly. `l` itself is not reported as implied.
-BcpOutcome PropagateAssuming(const ClauseSet& clauses, Lit l, ClauseSet* out,
-                             std::vector<Lit>* implied, VarMap& value);
-
-/// SplitComponents' scratch: union-find over variables, and the counting
-/// sort's per-clause and per-component cursors.
-struct SplitScratch {
-  VarMap parent;                      // var -> union-find parent var
-  VarMap comp_index;                  // root var -> component index
-  std::vector<uint32_t> clause_comp;  // clause -> component
-  std::vector<uint32_t> lit_pos;      // component -> literal cursor
-  std::vector<uint32_t> clause_pos;   // component -> clause cursor
-};
-
-/// Groups clauses into variable-connected components (union-find on vars),
-/// keeping clause order within each component and ordering components by
-/// their first clause. Returns the set that holds the groups — `clauses`
-/// itself when there is at most one component (the common case, which
-/// copies nothing and is decided by the union pass alone), else `scratch`
-/// — and sets `comp_ends[k]` one past component k's last clause index in
-/// it.
-const ClauseSet& SplitComponents(const ClauseSet& clauses, ClauseSet* scratch,
-                                 std::vector<uint32_t>* comp_ends,
-                                 SplitScratch& split);
-
-/// Component k of a split: its clauses in `groups`, as SplitComponents
-/// returned and bounded them.
-inline ClauseRange ComponentOf(const ClauseSet& groups,
-                               const std::vector<uint32_t>& comp_ends,
-                               size_t k) {
-  return {&groups, k == 0 ? 0 : comp_ends[k - 1], comp_ends[k]};
-}
-
-/// Most frequently occurring variable (ties broken by smaller index so the
-/// search is deterministic), tracked while counting. `occurrences` is
-/// scratch.
-Var PickBranchVar(const ClauseSet& clauses, VarMap& occurrences);
-
-/// Writes `clauses` conditioned on a literal (no propagation) to `out`.
-/// Only the algebras that weigh dropped variables condition separately;
-/// the others branch through PropagateAssuming.
-void ConditionClauses(const ClauseSet& clauses, Lit l, ClauseSet* out);
-
-/// The buffers one level of the DPLL recursion reuses: the work set it
-/// splits into components, and the canonical component it decides on
-/// together with that component's cache key and the propagated branch
-/// handed to the next level. `work` and `dropped` serve only the algebras
-/// that weigh dropped variables (Dpll below).
-struct Frame {
-  ClauseSet work;                   // the canonicalized subproblem
-  std::vector<Lit> implied;
-  ClauseSet split;                  // SplitComponents scratch
-  std::vector<uint32_t> comp_ends;  // component boundaries in the split
-  std::vector<SortEntry> order;     // Canonicalize scratch
-  ClauseSet canonical;              // the component being decided
-  std::vector<uint32_t> key;        // its cache key
-  ClauseSet branch;                 // `canonical` under a decision
-  std::vector<Var> dropped;         // variables the last step dropped
-};
-
-/// One Frame per recursion depth, created on first use and reused by every
-/// later node at that depth. A deque keeps outer frames in place while
-/// deeper ones are added.
-class FrameStack {
- public:
-  Frame& at(size_t depth) {
-    while (frames_.size() <= depth) frames_.emplace_back();
-    return frames_[depth];
-  }
-
- private:
-  std::deque<Frame> frames_;
-};
-
 /// An algebra's observability names; a null `splits` is not counted.
 struct SearchCounters {
   const char* decisions;
@@ -280,29 +239,27 @@ struct SearchCounters {
   const char* splits;
 };
 
-/// The one exhaustive-DPLL search: propagate, split into components,
-/// canonicalize (writing the cache key in the same loop), probe the
-/// component cache, branch. A branch is one pass that conditions the
-/// canonical component on the decision literal and propagates
-/// (PropagateAssuming). The search owns its per-variable scratch, sized
-/// once per Run from the CNF's variable count. It runs in a result
-/// algebra, since count, WMC and circuit construction are one sum-product
-/// evaluation over the same decision structure (PAPERS.md, arXiv
-/// 2202.02942); so the compiler and the counters make the same decisions
-/// and cache hits.
+/// The one exhaustive-DPLL search. A branch assumes its literal on the
+/// trail (unit propagation included), splits the component into
+/// sub-components, and evaluates each: a cache hit, or a new decision on
+/// its branch variable, high branch first. The search runs as a
+/// loop over an explicit stack of Frames, one per open decision, so its
+/// depth never uses the C++ stack. It runs in a result algebra, since
+/// count, WMC and circuit construction are one sum-product evaluation over
+/// the same decision structure (PAPERS.md, arXiv 2202.02942); so the
+/// compiler and the counters make the same decisions and cache hits.
 ///
 /// An Algebra has types Value (cached per component), Product (one
 /// conjunction's accumulator), Sink and Decision (trace records), the
 /// SearchCounters kCounters, and Top(), Zero(sink) for a BCP conflict,
-/// One(), Implied(product, lit), Times(product, value, sink),
-/// Finish(product, sink), Hi(decision), Lo(decision) and
-/// Decide(decision, var, hi, lo). An algebra with kFreeVars weighs the
-/// variables that drop out of a subproblem: Free(value, dropped) and
-/// Assume(lit, sub, dropped) for a branch, with Product = Value. Its
-/// branches are conditioned separately (ConditionClauses) and
-/// canonicalized before propagation, which fixes the order the factors
-/// multiply in. All of this is resolved at compile time, so the
-/// circuit's search pays nothing for the counters.
+/// One(), Implied(product, lit), Free(product, var), Times(product, value,
+/// sink), Finish(product, sink), Hi(decision), Lo(decision) and
+/// Decide(decision, var, hi, lo). A branch's product takes, in increasing
+/// variable order, each literal its propagation implied and each variable
+/// it left in no live clause (free), and then its sub-components' values
+/// in order; so the order factors multiply in does not depend on the
+/// order of the clauses. The circuit ignores free variables (the query
+/// kernels apply gap factors); the counters weigh them.
 template <typename Algebra>
 class Dpll {
  public:
@@ -314,182 +271,138 @@ class Dpll {
        Guard& guard)
       : algebra_(algebra), options_(options), stats_(stats), guard_(guard) {}
 
-  /// Evaluates `cnf`; with kFreeVars its unmentioned variables too.
+  /// Evaluates `cnf` over all of its variables.
   Result<Value> Run(const Cnf& cnf) {
-    value_.Resize(cnf.num_vars());
-    occurrences_.Resize(cnf.num_vars());
-    split_.parent.Resize(cnf.num_vars());
-    split_.comp_index.Resize(cnf.num_vars());
-    ClauseSet clauses;
-    LoadCnf(cnf, &clauses);
-    if constexpr (!Algebra::kFreeVars) {
-      if (Propagate(&clauses, &frames_.at(0).implied, value_) ==
-          BcpOutcome::kConflict) {
-        return algebra_.Zero(algebra_.Top());
+    db_.Load(cnf);
+    trail_.Reset(db_);
+    stack_.Reset(db_);
+    depth_ = 0;
+    Open(Push(0, kInvalidVar, 0), Lit());
+    for (;;) {
+      Frame& f = frames_[depth_];
+      if (!f.conflict && f.next < stack_.size()) {
+        // The open branch's next sub-component: a cache hit, or a decision.
+        const uint32_t at = f.next;
+        f.next = stack_.End(at);
+        uint64_t fingerprint = 0;
+        if (options_.use_cache) {
+          fingerprint = Fingerprint(stack_.Key(at));
+          if (const Value* hit = cache_.Find(stack_.Key(at), fingerprint)) {
+            ++stats_.cache_hits;
+            TBC_COUNT(Algebra::kCounters.cache_hits);
+            algebra_.Times(f.product, *hit, SinkOf(depth_));
+            continue;
+          }
+          TBC_COUNT(Algebra::kCounters.cache_misses);
+        }
+        ++stats_.decisions;
+        TBC_COUNT(Algebra::kCounters.decisions);
+        // One decision = one decision node or cache entry: charge both
+        // budgets here, at the head of the exponential search, so a trip
+        // surfaces within one decision's work.
+        TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
+        TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
+        const Var v = stack_.BranchVar(at);
+        Open(Push(at, v, fingerprint), Pos(v));
+        continue;
       }
-      return Propagated(clauses, 0, algebra_.Top());
-    } else {
-      vars_.Resize(cnf.num_vars());
-      marked_.clear();
-      for (Var v = 0; v < cnf.num_vars(); ++v) Mark(v);
-      std::vector<Var> unmentioned;
-      Dropped({}, clauses, &unmentioned);
-      TBC_ASSIGN_OR_RETURN(Value value, Clauses(clauses, 0, algebra_.Top()));
-      algebra_.Free(value, unmentioned);
-      return value;
+      // The open branch is complete.
+      Value value = f.conflict ? algebra_.Zero(SinkOf(depth_))
+                               : algebra_.Finish(f.product, SinkOf(depth_));
+      stack_.PopTo(f.first);
+      trail_.Undo(f.mark);
+      if (depth_ == 0) return value;
+      if (!f.lo) {
+        f.hi = std::move(value);
+        f.lo = true;
+        Open(f, Neg(f.var));
+        continue;
+      }
+      const Value result = algebra_.Decide(f.decision, f.var, f.hi, value);
+      if (options_.use_cache) {
+        cache_.Insert(stack_.Key(f.comp), f.fingerprint, result);
+      }
+      --depth_;
+      algebra_.Times(frames_[depth_].product, result, SinkOf(depth_));
     }
   }
 
  private:
-  // kFreeVars only: evaluates the conditioned `input` at recursion depth
-  // `depth` into `sink`. It canonicalizes before it propagates, which
-  // fixes the order the factors multiply in.
-  Result<Value> Clauses(ClauseSet& input, size_t depth,
-                        typename Algebra::Sink sink) {
-    Frame& frame = frames_.at(depth);
-    Canonicalize(AllOf(input), &frame.order, &frame.work, nullptr);
-    MarkVars(frame.work);
-    if (Propagate(&frame.work, &frame.implied, value_) ==
-        BcpOutcome::kConflict) {
-      return algebra_.Zero(sink);
-    }
-    return Propagated(frame.work, depth, sink);
-  }
-
-  // Evaluates the propagated `clauses` at recursion depth `depth`, whose
-  // Frame holds the units propagation implied, into `sink`. BCP closure
-  // and the component partition ignore clause order and duplicates, and
-  // Component canonicalizes before keying the cache, so without kFreeVars
-  // `clauses` need not be canonical.
-  Result<Value> Propagated(const ClauseSet& clauses, size_t depth,
-                           typename Algebra::Sink sink) {
-    Frame& frame = frames_.at(depth);
-    typename Algebra::Product product = algebra_.One();
-    for (const Lit l : frame.implied) algebra_.Implied(product, l);
-    if constexpr (Algebra::kFreeVars) {
-      // Variables that vanished with satisfied clauses are free.
-      algebra_.Free(product, Dropped(frame.implied, clauses, &frame.dropped));
-    }
-    if (!clauses.empty()) {
-      const ClauseSet* groups = &clauses;
-      if (options_.use_components) {
-        groups =
-            &SplitComponents(clauses, &frame.split, &frame.comp_ends, split_);
-        if (frame.comp_ends.size() > 1) {
-          ++stats_.components_split;
-          if constexpr (Algebra::kCounters.splits != nullptr) {
-            TBC_COUNT(Algebra::kCounters.splits);
-          }
-        }
-      } else {
-        frame.comp_ends.assign(1, static_cast<uint32_t>(clauses.size()));
-      }
-      for (size_t k = 0; k < frame.comp_ends.size(); ++k) {
-        TBC_ASSIGN_OR_RETURN(
-            const Value sub,
-            Component(ComponentOf(*groups, frame.comp_ends, k), depth));
-        algebra_.Times(product, sub, sink);
-      }
-    }
-    return algebra_.Finish(product, sink);
-  }
-
-  // Evaluates a single component (no unit clauses after propagation).
-  Result<Value> Component(ClauseRange component, size_t depth) {
-    Frame& frame = frames_.at(depth);
-    uint64_t fingerprint = 0;
-    if (options_.use_cache) {
-      fingerprint = Canonicalize(component, &frame.order, &frame.canonical,
-                                 &frame.key);
-      if (const Value* hit = cache_.Find(frame.key, fingerprint)) {
-        ++stats_.cache_hits;
-        TBC_COUNT(Algebra::kCounters.cache_hits);
-        return *hit;
-      }
-      TBC_COUNT(Algebra::kCounters.cache_misses);
-    } else {
-      Canonicalize(component, &frame.order, &frame.canonical, nullptr);
-    }
-    ++stats_.decisions;
-    TBC_COUNT(Algebra::kCounters.decisions);
-    // One decision = one decision node or cache entry: charge both budgets
-    // here, at the head of the exponential recursion, so a trip surfaces
-    // within one decision's work.
-    TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
-    TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
-    const Var v = PickBranchVar(frame.canonical, occurrences_);
-    TBC_DCHECK(v != kInvalidVar);
+  // One open decision of the search (the root's frame has none): the
+  // component it decides, the branch it is in, that branch's trail mark,
+  // its open conjunction and the sub-components still to evaluate.
+  struct Frame {
+    uint32_t comp = 0;         // the component's offset on stack_
+    uint32_t first = 0;        // the open branch's sub-components start
+    uint32_t next = 0;         // the next one to evaluate
+    uint32_t mark = 0;         // trail size before the open branch
+    Var var = kInvalidVar;     // the decision variable
+    bool lo = false;           // the open branch is the low one
+    bool conflict = false;     // the open branch failed propagation
+    uint64_t fingerprint = 0;  // the component's cache fingerprint
+    typename Algebra::Product product{};
     typename Algebra::Decision decision{};
-    TBC_ASSIGN_OR_RETURN(const Value hi,
-                         Branch(Pos(v), depth, algebra_.Hi(decision)));
-    TBC_ASSIGN_OR_RETURN(const Value lo,
-                         Branch(Neg(v), depth, algebra_.Lo(decision)));
-    Value result = algebra_.Decide(decision, v, hi, lo);
-    if (options_.use_cache) cache_.Insert(frame.key, fingerprint, result);
-    return result;
+    Value hi{};  // the high branch's value, once the low one runs
+  };
+
+  // The frame at the next depth (depth 0 for the first call), reset to
+  // decide the component at `comp` on `var`. Frames are reused; a deque
+  // keeps the outer ones in place when a deeper one is added.
+  Frame& Push(uint32_t comp, Var var, uint64_t fingerprint) {
+    if (var != kInvalidVar) ++depth_;
+    if (frames_.size() <= depth_) frames_.emplace_back();
+    Frame& f = frames_[depth_];
+    f.comp = comp;
+    f.var = var;
+    f.lo = false;
+    f.fingerprint = fingerprint;
+    f.decision = {};
+    return f;
   }
 
-  // The branch assuming `l` of the decision at `depth`. Both branches are
-  // built in one per-depth buffer: the high branch is fully evaluated
-  // before the low one is built.
-  Result<Value> Branch(Lit l, size_t depth, typename Algebra::Sink sink) {
-    Frame& frame = frames_.at(depth);
-    if constexpr (!Algebra::kFreeVars) {
-      // One pass conditions and propagates; the next level's units land
-      // in its own Frame.
-      if (PropagateAssuming(frame.canonical, l, &frame.branch,
-                            &frames_.at(depth + 1).implied,
-                            value_) == BcpOutcome::kConflict) {
-        return algebra_.Zero(sink);
+  // Opens the branch of `f` that assumes `l` (the root's, with an invalid
+  // `l`, assumes the unit clauses): propagates and, unless that conflicts,
+  // splits the component and multiplies the implied literals and free
+  // variables into the branch's product.
+  void Open(Frame& f, Lit l) {
+    f.mark = static_cast<uint32_t>(trail_.size());
+    f.first = f.next = stack_.size();
+    f.conflict = !(l.valid() ? trail_.Assume(l) : trail_.AssumeUnits());
+    if (f.conflict) return;
+    f.product = algebra_.One();
+    if (stack_.Split(f.comp, trail_, options_.use_components, &rest_) > 1) {
+      ++stats_.components_split;
+      if constexpr (Algebra::kCounters.splits != nullptr) {
+        TBC_COUNT(Algebra::kCounters.splits);
       }
-      return Propagated(frame.branch, depth + 1, sink);
-    } else {
-      ConditionClauses(frame.canonical, l, &frame.branch);
-      // Component variables absent from the branch are free; collect them
-      // before the recursion reuses the marks.
-      MarkVars(frame.canonical);
-      Dropped({&l, 1}, frame.branch, &frame.dropped);
-      TBC_ASSIGN_OR_RETURN(Value sub, Clauses(frame.branch, depth + 1, sink));
-      return algebra_.Assume(l, std::move(sub), frame.dropped);
+    }
+    for (const Var v : rest_) {
+      if (v == f.var) continue;
+      if (trail_.Assigned(v)) {
+        algebra_.Implied(f.product, trail_.TrueLit(v));
+      } else {
+        algebra_.Free(f.product, v);
+      }
     }
   }
 
-  void Mark(Var v) {
-    if (!vars_.Has(v)) marked_.push_back(v);
-    vars_.Set(v, 1);
-  }
-
-  void MarkVars(const ClauseSet& before) {
-    vars_.Clear();
-    marked_.clear();
-    for (const Lit l : before.lits) Mark(l.var());
-  }
-
-  // The marked variables in neither `fixed` nor `after`, in marking order.
-  std::span<const Var> Dropped(std::span<const Lit> fixed,
-                               const ClauseSet& after, std::vector<Var>* out) {
-    for (const Lit l : fixed) vars_.Set(l.var(), 0);
-    for (const Lit l : after.lits) vars_.Set(l.var(), 0);
-    out->clear();
-    for (const Var v : marked_) {
-      if (vars_.Get(v) != 0) out->push_back(v);
-    }
-    return *out;
+  typename Algebra::Sink SinkOf(size_t depth) {
+    if (depth == 0) return algebra_.Top();
+    Frame& f = frames_[depth];
+    return f.lo ? algebra_.Lo(f.decision) : algebra_.Hi(f.decision);
   }
 
   Algebra& algebra_;
   const DdnnfOptions options_;
   DdnnfStats& stats_;
   Guard& guard_;
-  FrameStack frames_;
+  ClauseDb db_;
+  Trail trail_;
+  ComponentStack stack_;
+  std::deque<Frame> frames_;
+  size_t depth_ = 0;
   ComponentCache<Value> cache_;
-  // Per-variable scratch, sized by Run; each is used within one call and
-  // never held across recursion.
-  VarMap value_;              // propagation's assignment
-  VarMap occurrences_;        // PickBranchVar's counts
-  SplitScratch split_;        // SplitComponents' union-find and cursors
-  VarMap vars_;               // kFreeVars: MarkVars/Dropped marks
-  std::vector<Var> marked_;   // the marked variables, in marking order
+  std::vector<Var> rest_;  // Split's variables outside every sub-component
 };
 
 }  // namespace tbc::compiler_internal

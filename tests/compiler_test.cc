@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <cmath>
@@ -262,181 +263,38 @@ TEST(ModelCounterTest, WmcUnrepresentableResultSaturates) {
   EXPECT_GE(counter.stats().underflow_rescues, 1u);
 }
 
-compiler_internal::ClauseSet MakeClauseSet(
-    const std::vector<std::vector<Lit>>& clauses) {
-  compiler_internal::ClauseSet set;
-  for (const auto& c : clauses) set.Append(c);
-  return set;
+Cnf MakeCnf(size_t num_vars, const std::vector<std::vector<Lit>>& clauses) {
+  Cnf cnf(num_vars);
+  for (const auto& c : clauses) cnf.AddClause(c);
+  return cnf;
 }
 
-// The cache key Canonicalize writes for `clauses`, given sorted and in
-// canonical order.
-std::vector<uint32_t> KeyOf(const std::vector<std::vector<Lit>>& clauses) {
-  const compiler_internal::ClauseSet set = MakeClauseSet(clauses);
-  compiler_internal::ClauseSet canonical;
-  std::vector<compiler_internal::SortEntry> order;
-  std::vector<uint32_t> key;
-  compiler_internal::Canonicalize(compiler_internal::AllOf(set), &order,
-                                  &canonical, &key);
-  EXPECT_EQ(canonical.lits, set.lits);
-  EXPECT_EQ(canonical.ends, set.ends);
-  return key;
-}
-
-TEST(SubproblemTest, CacheKeyPinnedEncoding) {
-  // Pins the length-prefixed layout: literal count, then the literal
-  // codes, per clause. Changing the encoding silently invalidates nothing
-  // (the cache is per-run) but must be a conscious decision — it is the
-  // injectivity proof the component cache rests on.
-  const std::vector<uint32_t> expected = {
-      2, Pos(0).code(), Neg(1).code(), 1, Pos(2).code()};
-  EXPECT_EQ(KeyOf({{Pos(0), Neg(1)}, {Pos(2)}}), expected);
-  EXPECT_EQ(KeyOf({}), std::vector<uint32_t>());
-  // The fingerprint returned alongside is the key's; without a key
-  // buffer none is computed.
-  const compiler_internal::ClauseSet set =
-      MakeClauseSet({{Pos(2)}, {Pos(0), Neg(1)}, {Pos(2)}});
-  compiler_internal::ClauseSet canonical;
-  std::vector<compiler_internal::SortEntry> order;
-  std::vector<uint32_t> key;
-  const uint64_t fingerprint = compiler_internal::Canonicalize(
-      compiler_internal::AllOf(set), &order, &canonical, &key);
-  EXPECT_EQ(key, expected);
-  EXPECT_EQ(fingerprint, compiler_internal::Fingerprint(expected));
-  EXPECT_EQ(compiler_internal::Canonicalize(compiler_internal::AllOf(set),
-                                            &order, &canonical, nullptr),
-            0u);
-}
-
-TEST(SubproblemTest, CacheKeyIsInjectiveOnSentinelLiteral) {
-  // A sentinel scheme that terminated each clause with 0xFFFFFFFF is not
-  // injective: that is also the literal code of Neg(2^31 - 1), reachable
-  // through the public Lit constructor, so the two clause sets below
-  // serialized to identical words (A S S B S) and the component cache
-  // could serve one's count for the other. Length prefixes keep every
-  // distinct clause set distinct.
-  const Lit a = Pos(0);
-  const Lit b = Pos(1);
-  const Lit s = Neg(0x7FFFFFFFu);
-  ASSERT_EQ(s.code(), 0xFFFFFFFFu);
-  const std::vector<std::vector<Lit>> lhs = {{a, s}, {b}};
-  const std::vector<std::vector<Lit>> rhs = {{a}, {s, b}};
-  const auto sentinel_key = [](const std::vector<std::vector<Lit>>& cs) {
-    std::vector<uint32_t> key;
-    for (const auto& c : cs) {
-      for (const Lit l : c) key.push_back(l.code());
-      key.push_back(0xFFFFFFFFu);
-    }
-    return key;
+TEST(SubproblemTest, ClauseDbSortsClausesAndListsOccurrences) {
+  const Cnf cnf =
+      MakeCnf(4, {{Neg(2), Pos(0)}, {Pos(3)}, {Pos(2), Neg(0), Pos(1)}, {}});
+  compiler_internal::ClauseDb db;
+  db.Load(cnf);
+  ASSERT_EQ(db.num_clauses(), 4u);
+  EXPECT_EQ(std::vector<Lit>(db.clause(0).begin(), db.clause(0).end()),
+            (std::vector<Lit>{Pos(0), Neg(2)}));
+  EXPECT_EQ(std::vector<Lit>(db.clause(2).begin(), db.clause(2).end()),
+            (std::vector<Lit>{Neg(0), Pos(1), Pos(2)}));
+  EXPECT_TRUE(db.clause(3).empty());
+  const auto occ = [&db](Lit l) {
+    return std::vector<uint32_t>(db.occurrences(l).begin(),
+                                 db.occurrences(l).end());
   };
-  // The encoding, written by its own pass: rhs's second clause is not
-  // sorted, so Canonicalize would not take it.
-  const auto length_prefixed_key = [](const std::vector<std::vector<Lit>>& cs) {
-    return dpll_oracle::CacheKey(MakeClauseSet(cs));
-  };
-  EXPECT_EQ(sentinel_key(lhs), sentinel_key(rhs));                // the bug
-  EXPECT_NE(length_prefixed_key(lhs), length_prefixed_key(rhs));  // the fix
-  EXPECT_EQ(KeyOf(lhs), length_prefixed_key(lhs));
+  EXPECT_EQ(occ(Pos(0)), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(occ(Neg(0)), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(occ(Pos(3)), (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(occ(Neg(3)).empty());
 }
 
-TEST(SubproblemTest, ComponentCacheVerifiesKeysOnFingerprintCollision) {
-  // Three distinct keys forced onto one fingerprint, so they share one
-  // probe chain: every lookup must still answer by the full key.
-  compiler_internal::ComponentCache<int> cache;
-  const std::vector<uint32_t> k1 = KeyOf({{Pos(0), Neg(1)}});
-  const std::vector<uint32_t> k2 = KeyOf({{Pos(0), Pos(1)}});
-  const std::vector<uint32_t> k3 = KeyOf({{Pos(0)}, {Neg(1)}});
-  const std::vector<uint32_t> prefix_of_k3 = KeyOf({{Pos(0)}});
-  constexpr uint64_t kSlot = 42;
-  cache.Insert(k1, kSlot, 1);
-  EXPECT_EQ(cache.Find(k2, kSlot), nullptr);
-  cache.Insert(k2, kSlot, 2);
-  cache.Insert(k3, kSlot, 3);
-  ASSERT_NE(cache.Find(k1, kSlot), nullptr);
-  ASSERT_NE(cache.Find(k2, kSlot), nullptr);
-  ASSERT_NE(cache.Find(k3, kSlot), nullptr);
-  EXPECT_EQ(*cache.Find(k1, kSlot), 1);
-  EXPECT_EQ(*cache.Find(k2, kSlot), 2);
-  EXPECT_EQ(*cache.Find(k3, kSlot), 3);
-  EXPECT_EQ(cache.Find(prefix_of_k3, kSlot), nullptr);
-  EXPECT_EQ(cache.Find(std::vector<uint32_t>(), kSlot), nullptr);
-  // The fingerprint narrows the probe: a key under another one is absent.
-  EXPECT_EQ(cache.Find(k1, kSlot + 1), nullptr);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(SubproblemTest, TransformsAreOrderPreservingFilters) {
-  using compiler_internal::ClauseSet;
-  // Propagate: x0 is forced, which satisfies the second clause and
-  // shrinks the third; the survivors keep their order.
-  ClauseSet set = MakeClauseSet({{Pos(0)},
-                                 {Pos(0), Pos(1)},
-                                 {Neg(0), Pos(2), Pos(3)},
-                                 {Pos(4), Pos(5)}});
-  std::vector<Lit> implied;
-  compiler_internal::VarMap value;
-  value.Resize(8);
-  ASSERT_EQ(compiler_internal::Propagate(&set, &implied, value),
-            compiler_internal::BcpOutcome::kOk);
-  EXPECT_EQ(implied, std::vector<Lit>{Pos(0)});
-  ClauseSet expected = MakeClauseSet({{Pos(2), Pos(3)}, {Pos(4), Pos(5)}});
-  EXPECT_EQ(set.lits, expected.lits);
-  EXPECT_EQ(set.ends, expected.ends);
-  ClauseSet conflict = MakeClauseSet({{Pos(0)}, {Neg(0)}});
-  EXPECT_EQ(compiler_internal::Propagate(&conflict, &implied, value),
-            compiler_internal::BcpOutcome::kConflict);
-
-  // SplitComponents: components ordered by their first clause, clause
-  // order kept within each.
-  const ClauseSet mixed = MakeClauseSet({{Pos(0), Pos(1)},
-                                         {Pos(5), Pos(6)},
-                                         {Neg(1), Pos(2)},
-                                         {Neg(6), Pos(7)}});
-  ClauseSet scratch;
-  std::vector<uint32_t> comp_ends;
-  compiler_internal::SplitScratch split;
-  split.parent.Resize(8);
-  split.comp_index.Resize(8);
-  const ClauseSet& groups =
-      compiler_internal::SplitComponents(mixed, &scratch, &comp_ends, split);
-  EXPECT_EQ(comp_ends, (std::vector<uint32_t>{2, 4}));
-  expected = MakeClauseSet({{Pos(0), Pos(1)},
-                            {Neg(1), Pos(2)},
-                            {Pos(5), Pos(6)},
-                            {Neg(6), Pos(7)}});
-  EXPECT_EQ(groups.lits, expected.lits);
-  EXPECT_EQ(groups.ends, expected.ends);
-  EXPECT_EQ(&compiler_internal::SplitComponents(expected, &scratch,
-                                                &comp_ends, split),
-            &scratch);  // two components: scattered into the scratch set
-  const ClauseSet one = MakeClauseSet({{Pos(0), Pos(1)}, {Neg(1), Pos(2)}});
-  EXPECT_EQ(
-      &compiler_internal::SplitComponents(one, &scratch, &comp_ends, split),
-      &one);  // one component: passed through
-  EXPECT_EQ(comp_ends, std::vector<uint32_t>{2});
-
-  // Canonicalize: lexicographic clause order (a clause sorts before its
-  // extensions), duplicates dropped.
-  const ClauseSet messy = MakeClauseSet({{Pos(1), Pos(2)},
-                                         {Pos(0), Pos(3)},
-                                         {Pos(0)},
-                                         {Pos(1), Pos(2)},
-                                         {Pos(0), Pos(1), Pos(2)}});
-  std::vector<compiler_internal::SortEntry> order;
-  ClauseSet canonical;
-  compiler_internal::Canonicalize({&messy, 0, 5}, &order, &canonical,
-                                  nullptr);
-  expected = MakeClauseSet(
-      {{Pos(0)}, {Pos(0), Pos(1), Pos(2)}, {Pos(0), Pos(3)}, {Pos(1), Pos(2)}});
-  EXPECT_EQ(canonical.lits, expected.lits);
-  EXPECT_EQ(canonical.ends, expected.ends);
-}
-
-// A seeded random subproblem over `num_vars` variables: sorted clauses of
-// one to four distinct variables, with units, repeated clauses and, on
-// some seeds, a literal shared by every clause (so conditioning on it
-// satisfies them all).
-compiler_internal::ClauseSet RandomClauseSet(Rng& rng, size_t num_vars) {
+// Random small clause lists over `num_vars` variables: clauses of one to
+// four distinct variables, with units, repeated clauses and, on some
+// seeds, a literal shared by every clause (so assuming it satisfies them
+// all).
+std::vector<std::vector<Lit>> RandomClauses(Rng& rng, size_t num_vars) {
   std::vector<std::vector<Lit>> clauses;
   const size_t m = rng.Below(14);
   const bool hub = rng.Flip(0.2);
@@ -457,116 +315,174 @@ compiler_internal::ClauseSet RandomClauseSet(Rng& rng, size_t num_vars) {
     }
     clauses.push_back(std::move(c));
   }
-  return MakeClauseSet(clauses);
+  return clauses;
 }
 
-TEST(SubproblemTest, PropagateMatchesPassBasedOracle) {
-  using compiler_internal::BcpOutcome;
-  using compiler_internal::ClauseSet;
-  constexpr size_t kVars = 7;
-  compiler_internal::VarMap value;
-  value.Resize(kVars);
-  size_t outcomes[2] = {0, 0};
-  size_t assuming_emptied = 0;
-  for (uint64_t seed = 0; seed < 3000; ++seed) {
+TEST(SubproblemTest, TrailPropagatesLikeThePassBasedOracle) {
+  // The trail's propagation, which visits only the occurrence lists of
+  // falsified literals, must reach the same closure (or conflict) as
+  // conditioning by full passes, from the unit clauses and then from each
+  // assumed literal; and Undo must restore the assignment exactly.
+  constexpr size_t kVars = 6;
+  for (uint64_t seed = 0; seed < 1500; ++seed) {
     Rng rng(seed);
-    const ClauseSet src = RandomClauseSet(rng, kVars);
-    // In place, against the oracle's full passes.
-    ClauseSet fused = src;
-    ClauseSet reference = src;
-    std::vector<Lit> fused_implied;
-    std::vector<Lit> reference_implied;
-    const BcpOutcome outcome =
-        compiler_internal::Propagate(&fused, &fused_implied, value);
-    ASSERT_EQ(outcome, dpll_oracle::Propagate(&reference, &reference_implied))
+    const Cnf cnf = MakeCnf(kVars, RandomClauses(rng, kVars));
+    compiler_internal::ClauseDb db;
+    db.Load(cnf);
+    compiler_internal::Trail trail;
+    trail.Reset(db);
+    const auto assigned = [&trail] {
+      std::vector<Lit> lits;
+      for (Var v = 0; v < kVars; ++v) {
+        if (trail.Assigned(v)) lits.push_back(trail.TrueLit(v));
+      }
+      return lits;
+    };
+    dpll_oracle::ClauseList reference = cnf.clauses();
+    std::vector<Lit> implied;
+    const bool consistent = trail.AssumeUnits();
+    ASSERT_EQ(consistent, dpll_oracle::Propagate(&reference, &implied) ==
+                              dpll_oracle::BcpOutcome::kOk)
         << "seed " << seed;
-    ++outcomes[outcome == BcpOutcome::kOk ? 0 : 1];
-    if (outcome == BcpOutcome::kOk) {
-      EXPECT_EQ(fused_implied, reference_implied) << "seed " << seed;
-      EXPECT_EQ(fused.lits, reference.lits) << "seed " << seed;
-      EXPECT_EQ(fused.ends, reference.ends) << "seed " << seed;
-    }
-    // One fused branch step per literal, against conditioning followed by
-    // the oracle.
+    if (!consistent) continue;
+    std::sort(implied.begin(), implied.end());
+    ASSERT_EQ(assigned(), implied) << "seed " << seed;
+    const std::vector<Lit> units = assigned();
+    const size_t mark = trail.size();
     for (Var v = 0; v < kVars; ++v) {
+      if (trail.Assigned(v)) continue;
       for (const Lit l : {Pos(v), Neg(v)}) {
-        ClauseSet branch;
-        ClauseSet conditioned;
-        compiler_internal::ConditionClauses(src, l, &conditioned);
-        const BcpOutcome expected =
-            dpll_oracle::Propagate(&conditioned, &reference_implied);
-        ASSERT_EQ(compiler_internal::PropagateAssuming(src, l, &branch,
-                                                       &fused_implied, value),
-                  expected)
-            << "seed " << seed << " literal " << l.ToDimacs();
-        if (expected != BcpOutcome::kOk) continue;
-        EXPECT_EQ(fused_implied, reference_implied)
-            << "seed " << seed << " literal " << l.ToDimacs();
-        EXPECT_EQ(branch.lits, conditioned.lits)
-            << "seed " << seed << " literal " << l.ToDimacs();
-        EXPECT_EQ(branch.ends, conditioned.ends)
-            << "seed " << seed << " literal " << l.ToDimacs();
-        if (!src.empty() && branch.empty()) ++assuming_emptied;
+        dpll_oracle::ClauseList branch = dpll_oracle::Condition(reference, l);
+        std::vector<Lit> expected;
+        const bool ok = trail.Assume(l);
+        ASSERT_EQ(ok, dpll_oracle::Propagate(&branch, &expected) ==
+                          dpll_oracle::BcpOutcome::kOk)
+            << "seed " << seed << " lit " << l.ToDimacs();
+        if (ok) {
+          expected.push_back(l);
+          expected.insert(expected.end(), units.begin(), units.end());
+          std::sort(expected.begin(), expected.end());
+          EXPECT_EQ(assigned(), expected)
+              << "seed " << seed << " lit " << l.ToDimacs();
+        }
+        trail.Undo(mark);
+        EXPECT_EQ(assigned(), units) << "seed " << seed;
       }
     }
   }
-  // The seeds reach both outcomes and branches that satisfy everything.
-  EXPECT_GT(outcomes[0], 100u);
-  EXPECT_GT(outcomes[1], 100u);
-  EXPECT_GT(assuming_emptied, 100u);
 }
 
-TEST(SubproblemTest, PropagateRescansBackwardChains) {
-  // x0 and x0 -> x1 -> ... -> x5, the implications listed last to first:
-  // every pass finds exactly one unit, at the end of what it rescans, and
-  // the clause after the chain is moved down unread each time.
-  using compiler_internal::ClauseSet;
-  std::vector<std::vector<Lit>> clauses;
-  for (Var v = 5; v >= 1; --v) clauses.push_back({Neg(v - 1), Pos(v)});
-  clauses.push_back({Pos(0)});
-  clauses.push_back({Pos(6), Pos(7)});
-  ClauseSet fused = MakeClauseSet(clauses);
-  ClauseSet reference = fused;
-  compiler_internal::VarMap value;
-  value.Resize(8);
-  std::vector<Lit> implied;
-  std::vector<Lit> expected;
-  ASSERT_EQ(compiler_internal::Propagate(&fused, &implied, value),
-            compiler_internal::BcpOutcome::kOk);
-  ASSERT_EQ(dpll_oracle::Propagate(&reference, &expected),
-            compiler_internal::BcpOutcome::kOk);
-  EXPECT_EQ(implied, (std::vector<Lit>{Pos(0), Pos(1), Pos(2), Pos(3),
-                                       Pos(4), Pos(5)}));
-  EXPECT_EQ(implied, expected);
-  EXPECT_EQ(fused.lits, reference.lits);
-  EXPECT_EQ(fused.ends, reference.ends);
-  EXPECT_EQ(fused.size(), 1u);
+TEST(SubproblemTest, SplitOrdersComponentsBySmallestVariable) {
+  // Under x4 = false: clause 0 {x4, x5, x6} shrinks to {x5, x6}; clause 2
+  // {¬x4, x1} is satisfied; x3 is in no clause (free). Two groups remain:
+  // {x0, x2} over clauses 1 and 4, and {x5, x6} over clauses 0 and 3.
+  const Cnf cnf = MakeCnf(
+      7, {{Pos(4), Pos(5), Pos(6)}, {Pos(2), Neg(0)}, {Neg(4), Pos(1)},
+          {Neg(5), Neg(6)}, {Pos(0), Pos(2)}});
+  compiler_internal::ClauseDb db;
+  db.Load(cnf);
+  compiler_internal::Trail trail;
+  trail.Reset(db);
+  compiler_internal::ComponentStack stack;
+  stack.Reset(db);
+  ASSERT_TRUE(trail.AssumeUnits());
+  ASSERT_TRUE(trail.Assume(Neg(4)));
+  std::vector<Var> rest;
+  const uint32_t first = stack.size();
+  ASSERT_EQ(stack.Split(0, trail, true, &rest), 2u);
+  // Each sub-component's key is the variable and clause counts, then both
+  // id lists in increasing order; its branch variable follows. The counts
+  // make the key injective: without them, vars {0, 1} over clause {2} and
+  // var {0} over clauses {1, 2} would both read 0 1 2.
+  const uint32_t second = stack.End(first);
+  EXPECT_EQ(std::vector<uint32_t>(stack.Key(first).begin(),
+                                  stack.Key(first).end()),
+            (std::vector<uint32_t>{2, 2, 0, 2, 1, 4}));
+  EXPECT_EQ(std::vector<uint32_t>(stack.Key(second).begin(),
+                                  stack.Key(second).end()),
+            (std::vector<uint32_t>{2, 2, 5, 6, 0, 3}));
+  EXPECT_EQ(stack.End(second), stack.size());
+  // Each branch variable is a most frequent one, the smaller on a tie.
+  EXPECT_EQ(stack.BranchVar(first), 0u);
+  EXPECT_EQ(stack.BranchVar(second), 5u);
+  // The variables no sub-component holds: assigned x4 and free x1, x3.
+  EXPECT_EQ(rest, (std::vector<Var>{1, 3, 4}));
+  // Without decomposition, one group holds every live clause.
+  stack.PopTo(first);
+  ASSERT_EQ(stack.Split(0, trail, false, &rest), 1u);
+  EXPECT_EQ(std::vector<uint32_t>(stack.Key(first).begin(),
+                                  stack.Key(first).end()),
+            (std::vector<uint32_t>{4, 4, 0, 2, 5, 6, 0, 1, 3, 4}));
+  EXPECT_EQ(rest, (std::vector<Var>{1, 3, 4}));
+  // A split of a sub-component reads only its own lists: under x0 the
+  // first group's clauses are both satisfied or reduced to units, which
+  // propagation already assigned.
+  stack.PopTo(first);
+  ASSERT_EQ(stack.Split(0, trail, true, &rest), 2u);
+  const size_t mark = trail.size();
+  ASSERT_TRUE(trail.Assume(Pos(0)));
+  EXPECT_TRUE(trail.IsTrue(Pos(2)));
+  const uint32_t grandchildren = stack.size();
+  EXPECT_EQ(stack.Split(first, trail, true, &rest), 0u);
+  EXPECT_EQ(stack.size(), grandchildren);
+  EXPECT_EQ(rest, (std::vector<Var>{0, 2}));
+  trail.Undo(mark);
 }
 
-TEST(SubproblemTest, CanonicalizeKeyMatchesSeparatePass) {
+TEST(SubproblemTest, ComponentCacheVerifiesKeysOnFingerprintCollision) {
+  // Three distinct keys forced onto one fingerprint, so they share one
+  // probe chain: every lookup must still answer by the full key.
+  compiler_internal::ComponentCache<int> cache;
+  const std::vector<uint32_t> k1 = {2, 1, 0, 1, 7};
+  const std::vector<uint32_t> k2 = {2, 1, 0, 1, 8};
+  const std::vector<uint32_t> k3 = {3, 2, 0, 1, 2, 7, 8};
+  const std::vector<uint32_t> prefix_of_k3 = {3, 2, 0, 1, 2, 7};
+  constexpr uint64_t kSlot = 42;
+  cache.Insert(k1, kSlot, 1);
+  EXPECT_EQ(cache.Find(k2, kSlot), nullptr);
+  cache.Insert(k2, kSlot, 2);
+  cache.Insert(k3, kSlot, 3);
+  ASSERT_NE(cache.Find(k1, kSlot), nullptr);
+  ASSERT_NE(cache.Find(k2, kSlot), nullptr);
+  ASSERT_NE(cache.Find(k3, kSlot), nullptr);
+  EXPECT_EQ(*cache.Find(k1, kSlot), 1);
+  EXPECT_EQ(*cache.Find(k2, kSlot), 2);
+  EXPECT_EQ(*cache.Find(k3, kSlot), 3);
+  EXPECT_EQ(cache.Find(prefix_of_k3, kSlot), nullptr);
+  EXPECT_EQ(cache.Find(std::vector<uint32_t>(), kSlot), nullptr);
+  // The fingerprint narrows the probe: a key under another one is absent.
+  EXPECT_EQ(cache.Find(k1, kSlot + 1), nullptr);
+  EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(SubproblemTest, SplitPicksMostFrequentThenSmallest) {
+  // A sub-component's branch variable has the most unassigned occurrences
+  // over its live clauses, counting repeated clauses once per id; ties go
+  // to the smaller id.
   constexpr size_t kVars = 6;
   for (uint64_t seed = 0; seed < 500; ++seed) {
     Rng rng(seed);
-    const compiler_internal::ClauseSet src = RandomClauseSet(rng, kVars);
-    compiler_internal::ClauseSet canonical;
-    std::vector<compiler_internal::SortEntry> order;
-    std::vector<uint32_t> key = {7, 7, 7};  // a reused buffer's leftovers
-    const uint64_t fingerprint = compiler_internal::Canonicalize(
-        compiler_internal::AllOf(src), &order, &canonical, &key);
-    EXPECT_EQ(key, dpll_oracle::CacheKey(canonical)) << "seed " << seed;
-    EXPECT_EQ(fingerprint, compiler_internal::Fingerprint(key));
-  }
-}
-
-TEST(SubproblemTest, PickBranchVarTakesMostFrequentThenSmallest) {
-  constexpr size_t kVars = 6;
-  compiler_internal::VarMap occurrences;
-  occurrences.Resize(kVars);
-  for (uint64_t seed = 0; seed < 500; ++seed) {
-    Rng rng(seed);
-    const compiler_internal::ClauseSet src = RandomClauseSet(rng, kVars);
+    const Cnf cnf = MakeCnf(kVars, RandomClauses(rng, kVars));
+    compiler_internal::ClauseDb db;
+    db.Load(cnf);
+    compiler_internal::Trail trail;
+    trail.Reset(db);
+    compiler_internal::ComponentStack stack;
+    stack.Reset(db);
+    if (!trail.AssumeUnits()) continue;
+    const Var assumed = static_cast<Var>(rng.Below(kVars));
+    if (!trail.Assigned(assumed) && !trail.Assume(Pos(assumed))) continue;
     std::vector<size_t> count(kVars, 0);
-    for (const Lit l : src.lits) ++count[l.var()];
+    for (uint32_t c = 0; c < db.num_clauses(); ++c) {
+      const auto lits = db.clause(c);
+      if (std::any_of(lits.begin(), lits.end(),
+                      [&trail](Lit l) { return trail.IsTrue(l); })) {
+        continue;
+      }
+      for (const Lit l : lits) {
+        if (!trail.Assigned(l.var())) ++count[l.var()];
+      }
+    }
     Var expected = kInvalidVar;
     for (Var v = 0; v < kVars; ++v) {
       if (count[v] > 0 &&
@@ -574,9 +490,174 @@ TEST(SubproblemTest, PickBranchVarTakesMostFrequentThenSmallest) {
         expected = v;
       }
     }
-    EXPECT_EQ(compiler_internal::PickBranchVar(src, occurrences), expected)
-        << "seed " << seed;
+    std::vector<Var> rest;
+    const uint32_t at = stack.size();
+    const uint32_t groups = stack.Split(0, trail, false, &rest);
+    ASSERT_EQ(groups, expected == kInvalidVar ? 0u : 1u) << "seed " << seed;
+    if (groups == 1) {
+      EXPECT_EQ(stack.BranchVar(at), expected) << "seed " << seed;
+    }
   }
+}
+
+// Differential test CNFs: small random k-CNFs mixed with units, duplicate
+// and subsumed clauses, an occasional empty clause or contradictory unit
+// pair (UNSAT), over-constrained instances that are UNSAT on their own,
+// and, on every fifth seed, an underconstrained 2-CNF that splits into
+// many components.
+Cnf DifferentialCnf(uint64_t seed) {
+  Rng rng(seed);
+  const size_t n = 3 + rng.Below(14);
+  Cnf cnf(n);
+  const bool two_cnf = seed % 5 == 4;
+  const size_t m =
+      two_cnf ? rng.Below(n) : rng.Below(n * (rng.Flip(0.2) ? 7 : 4));
+  std::vector<Clause> added;
+  for (size_t i = 0; i < m; ++i) {
+    const double r = rng.Uniform();
+    Clause c;
+    if (!added.empty() && r < 0.08) {
+      c = added[rng.Below(added.size())];  // duplicate
+    } else if (!added.empty() && r < 0.16) {
+      c = added[rng.Below(added.size())];  // subsumed by it
+      const Var v = static_cast<Var>(rng.Below(n));
+      if (std::none_of(c.begin(), c.end(),
+                       [v](Lit l) { return l.var() == v; })) {
+        c.push_back(Lit(v, rng.Flip(0.5)));
+      }
+    } else {
+      const size_t k = two_cnf    ? 2
+                       : r < 0.24 ? 1
+                                  : 1 + rng.Below(std::min<size_t>(n, 4));
+      std::set<Var> vars;
+      while (vars.size() < k) vars.insert(static_cast<Var>(rng.Below(n)));
+      for (const Var v : vars) c.push_back(Lit(v, rng.Flip(0.5)));
+    }
+    added.push_back(c);
+    cnf.AddClause(c);
+  }
+  if (rng.Flip(0.03)) cnf.AddClause({});
+  if (rng.Flip(0.03)) {
+    const Var v = static_cast<Var>(rng.Below(n));
+    cnf.AddClause({Pos(v)});
+    cnf.AddClause({Neg(v)});
+  }
+  return cnf;
+}
+
+WeightMap RandomWeights(size_t n, Rng& rng) {
+  WeightMap w(n);
+  for (Var v = 0; v < n; ++v) {
+    w.Set(Pos(v), 0.05 + rng.Uniform());
+    w.Set(Neg(v), 0.05 + rng.Uniform());
+  }
+  return w;
+}
+
+bool Close(double got, double want) {
+  return std::abs(got - want) <= 1e-12 * std::max(std::abs(want), 1e-300);
+}
+
+TEST(DifferentialTest, TrailSearchMatchesCopyBasedOracle) {
+  // The trail-based driver against the copy-based search it replaced, on
+  // 3,000 seeded CNFs under all four technique switches: the circuit's
+  // count and WMC, and (every technique on) the counters'.
+  size_t unsat = 0;
+  size_t split = 0;
+  for (uint64_t seed = 0; seed < 3000; ++seed) {
+    const Cnf cnf = DifferentialCnf(seed);
+    Rng rng(seed + 1'000'000);
+    const WeightMap w = RandomWeights(cnf.num_vars(), rng);
+    const dpll_oracle::Counts want =
+        dpll_oracle::CopyDpll(DdnnfOptions(), w).Run(cnf);
+    unsat += want.models == BigUint(0) ? 1 : 0;
+    for (int opt = 0; opt < 4; ++opt) {
+      const DdnnfOptions options{.use_components = (opt & 2) != 0,
+                                 .use_cache = (opt & 1) != 0};
+      const dpll_oracle::Counts oracle =
+          dpll_oracle::CopyDpll(options, w).Run(cnf);
+      ASSERT_EQ(oracle.models, want.models) << "seed " << seed;
+      NnfManager m;
+      DdnnfCompiler compiler(options);
+      const NnfId root = compiler.Compile(cnf, m);
+      ASSERT_EQ(ModelCount(m, root, cnf.num_vars()), want.models)
+          << "seed " << seed << " options " << opt;
+      ASSERT_TRUE(Close(Wmc(m, root, w), oracle.wmc))
+          << "seed " << seed << " options " << opt << ": "
+          << Wmc(m, root, w) << " vs " << oracle.wmc;
+      if (opt == 3) split += compiler.stats().components_split > 1 ? 1 : 0;
+    }
+    ModelCounter counter;
+    ASSERT_EQ(counter.Count(cnf), want.models) << "seed " << seed;
+    ASSERT_TRUE(Close(counter.Wmc(cnf, w), want.wmc)) << "seed " << seed;
+  }
+  // The mix really covers both ends.
+  EXPECT_GT(unsat, 100u);
+  EXPECT_GT(split, 50u);
+}
+
+TEST(DifferentialTest, CacheOnAndOffAgree) {
+  // An unsound component key would serve one component's answer for
+  // another: with the cache off nothing is served, so both must agree.
+  for (uint64_t seed = 0; seed < 3000; ++seed) {
+    const Cnf cnf = DifferentialCnf(seed);
+    Rng rng(seed + 2'000'000);
+    const WeightMap w = RandomWeights(cnf.num_vars(), rng);
+    for (const bool components : {false, true}) {
+      NnfManager on_mgr;
+      NnfManager off_mgr;
+      DdnnfCompiler on({.use_components = components, .use_cache = true});
+      DdnnfCompiler off({.use_components = components, .use_cache = false});
+      const NnfId on_root = on.Compile(cnf, on_mgr);
+      const NnfId off_root = off.Compile(cnf, off_mgr);
+      ASSERT_EQ(ModelCount(on_mgr, on_root, cnf.num_vars()),
+                ModelCount(off_mgr, off_root, cnf.num_vars()))
+          << "seed " << seed;
+      ASSERT_TRUE(Close(Wmc(on_mgr, on_root, w), Wmc(off_mgr, off_root, w)))
+          << "seed " << seed;
+    }
+  }
+}
+
+TEST(DepthTest, WideClauseCompilesOnOneMegabyteStack) {
+  // One clause over 5,000 variables: the search decides it 5,000 deep.
+  // The decision stack lives on the heap, so a 1 MB thread stack is
+  // enough for both the compiler and the counter.
+  constexpr size_t kVars = 5000;
+  Cnf cnf(kVars);
+  Clause wide;
+  for (Var v = 0; v < kVars; ++v) wide.push_back(Pos(v));
+  cnf.AddClause(wide);
+  struct Job {
+    const Cnf* cnf;
+    BigUint circuit_count;
+    BigUint counter_count;
+    uint64_t decisions = 0;
+  } job{&cnf, {}, {}};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  auto* j = static_cast<Job*>(arg);
+                  NnfManager m;
+                  DdnnfCompiler compiler;
+                  const NnfId root = compiler.Compile(*j->cnf, m);
+                  j->decisions = compiler.stats().decisions;
+                  j->circuit_count = ModelCount(m, root, j->cnf->num_vars());
+                  j->counter_count = ModelCounter().Count(*j->cnf);
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  const BigUint expected = BigUint::PowerOfTwo(kVars) - BigUint(1);
+  EXPECT_EQ(job.decisions, kVars - 1);
+  EXPECT_EQ(job.circuit_count, expected);
+  EXPECT_EQ(job.counter_count, expected);
 }
 
 // Search identity: decisions, cache hits, component splits, circuit size,

@@ -4,8 +4,9 @@
 # Builds the pre-PR baseline from a `git archive` export and the current
 # tree side by side (both Release, -DTBC_BENCH=ON), runs the kernel
 # micro-benchmarks (bench/bench_kernels.cc, compiled from the SAME source
-# against both library versions) plus the three paper-figure benches the
-# kernel layer targets, median-of-5 each, and writes the combined
+# against both library versions; each kernel in its own process, baseline
+# and current alternating, PAIRS × 5 runs) plus the three paper-figure
+# benches the kernel layer targets, median-of-5 each, and writes the combined
 # before/after report to BENCH_kernels.json at the repo root. Each run
 # also appends one JSON line to BENCH_history.jsonl: the refs, a machine
 # fingerprint (CPU model, nproc, compiler version), and each kernel's
@@ -32,6 +33,7 @@ BASE_SHA="$(git rev-parse --short "$BASE_REF")"
 CUR_SHA="$(git rev-parse --short HEAD)$(git diff --quiet HEAD -- src bench 2>/dev/null || echo '+dirty')"
 
 RUNS=5
+PAIRS=3
 FIG_BENCHES=(bench_fig8_model_counting bench_fig14_psdd_eval bench_fig22_map_scaling)
 
 BASE_SRC="$ROOT/build-bench-baseline-src"
@@ -111,9 +113,50 @@ for b in "${FIG_BENCHES[@]}"; do
   AFTER[$b]="${out%%|*}"; AFTER_RUNS[$b]="${out##*|}"
 done
 
+# Each kernel runs in its own process (bench_kernels --kernel=NAME), so
+# adding or reordering kernels cannot move another kernel's timing. The
+# baseline and current binaries alternate per kernel, PAIRS times, so
+# drift on a shared host lands on both sides; each tree's runs of a kernel
+# merge into one median.
 echo "[run_bench] running kernel micro-benchmarks ..." >&2
-"$BASE_BUILD/bench/bench_kernels" "$BASE_BUILD/kernels.json" 2> /dev/null
-"$CUR_BUILD/bench/bench_kernels" "$CUR_BUILD/kernels.json" 2> /dev/null
+mapfile -t KERNELS < <("$CUR_BUILD/bench/bench_kernels" --list)
+for tree in "$BASE_BUILD" "$CUR_BUILD"; do
+  rm -rf "$tree/kernels"
+  mkdir -p "$tree/kernels"
+done
+for k in "${KERNELS[@]}"; do
+  echo "[run_bench]   $k" >&2
+  for p in $(seq "$PAIRS"); do
+    for tree in "$BASE_BUILD" "$CUR_BUILD"; do
+      "$tree/bench/bench_kernels" --kernel="$k" "$tree/kernels/$k.$p.json" \
+        2> /dev/null
+    done
+  done
+done
+for tree in "$BASE_BUILD" "$CUR_BUILD"; do
+  python3 - "$tree/kernels" "$tree/kernels.json" "${KERNELS[@]}" <<'PY'
+import glob, json, os, statistics, sys
+
+parts, out_path, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+merged = []
+for name in names:
+    runs, units = [], {}
+    for path in sorted(glob.glob(os.path.join(parts, name + ".*.json"))):
+        with open(path) as f:
+            (b,) = json.load(f)["benchmarks"]
+        runs += b["runs_ms"]
+        for unit in ("ns_per_edge", "ns_per_decision", "ns_per_line"):
+            if b.get(unit):  # the work per run behind the rate
+                units[unit] = b["median_ms"] * 1e6 / b[unit]
+    median = statistics.median(runs)
+    entry = {"name": name, "median_ms": round(median, 3), "runs_ms": runs}
+    for unit, work in units.items():
+        entry[unit] = round(median * 1e6 / work, 3)
+    merged.append(entry)
+with open(out_path, "w") as f:
+    json.dump({"median_of": len(runs), "benchmarks": merged}, f, indent=2)
+PY
+done
 
 echo "[run_bench] running vtree-shape bench (current tree only) ..." >&2
 "$CUR_BUILD/bench/bench_vtree_shapes" "$CUR_BUILD/vtree_shapes.json" \
@@ -182,6 +225,7 @@ report = {
     "generated_by": "tools/run_bench.sh",
     "build_type": "Release",
     "median_of": 5,
+    "kernel_median_of": json.load(open(cur_kernels))["median_of"],
     "baseline_ref": base_sha,
     "current_ref": cur_sha,
     "suites": suites,
