@@ -287,7 +287,7 @@ class NnfCertChecker : CheckerBase {
 
   void CheckCnfImpliesCircuit() {
     if (HaveTrace()) {
-      if (!ReplayBranch(cert_.ddnnf.top, 0)) return;
+      if (!ReplayTrace(cert_.ddnnf.top)) return;
       if (!engine_f_->root_conflict() &&
           cert_.ddnnf.top.node != cert_.root) {
         report_.Add(Severity::kError, rules::kCertifyReplay, cert_.root,
@@ -321,18 +321,92 @@ class NnfCertChecker : CheckerBase {
     engine_f_->Pop();
   }
 
-  // Establishes branch `b` under the engine's current trail: verifies the
-  // claimed conflict, or replays each component and then asserts the branch
-  // node's gate after a successful RUP probe. Returns false only on a
-  // certification failure (already reported).
-  bool ReplayBranch(const CertBranch& b, uint32_t depth) {
-    if (!Charge()) return false;
-    if (depth > options_.max_replay_depth) {
-      report_.Add(Severity::kError, rules::kCertifyBudget, 0, "",
-                  "trace replay exceeded the recursion depth cap "
-                  "(cyclic component references?)");
-      return false;
+  // One frame of the replay's explicit stack: a branch and the next of
+  // its components to replay, or a component and the side (0 = hi,
+  // 1 = lo) whose branch is being replayed.
+  struct ReplayFrame {
+    const CertBranch* branch = nullptr;  // set on a branch frame
+    const CertComp* comp = nullptr;      // set on a component frame
+    size_t next = 0;
+    Lit node;  // a component frame's node literal
+  };
+
+  // Establishes branch `top` under the engine's current trail, replaying
+  // the search tree below it on an explicit stack, so the depth of the
+  // search never uses the C++ stack. A branch verifies its claimed
+  // conflict, or replays each component and then asserts its node's gate
+  // after a successful RUP probe. A component replays each side under its
+  // decision literal, lifts the side's node to the decision node, and
+  // then asserts the merge. Returns false only on a certification failure
+  // (already reported).
+  bool ReplayTrace(const CertBranch& top) {
+    // A component's branches reference only components decided before it,
+    // so a path repeats none and holds at most 2·|comps| + 1 frames; a
+    // deeper stack means a component references itself.
+    const size_t max_depth = 2 * cert_.ddnnf.comps.size() + 1;
+    std::vector<ReplayFrame> stack;
+    // What the frame just finished returned to the one below it; empty
+    // while the top frame has only been entered.
+    std::optional<bool> ret = EnterBranch(top, stack, max_depth);
+    while (!stack.empty()) {
+      ReplayFrame& f = stack.back();
+      if (f.comp == nullptr) {
+        if (ret.has_value() && (!*ret || engine_f_->in_conflict())) {
+          stack.pop_back();  // failed, or stronger than claimed
+          continue;
+        }
+        if (f.next < f.branch->comps.size()) {
+          ret = EnterComp(f.branch->comps[f.next++], stack, max_depth);
+        } else {
+          ret = CloseBranch(*f.branch);
+          stack.pop_back();
+        }
+        continue;
+      }
+      // The branch of side f.next of component f.comp returned.
+      const CertComp& comp = *f.comp;
+      const Lit n = f.node;
+      const Lit assume = f.next == 0 ? Pos(comp.decision) : Neg(comp.decision);
+      const bool replayed = *ret;
+      bool established = false;
+      if (replayed && !engine_f_->in_conflict()) {
+        // The branch proved its own node; one more probe lifts that to the
+        // decision node (this is where "comp.node really is the decision
+        // gate over this branch" gets checked rather than trusted).
+        established = engine_f_->ProbeConflict({~n});
+      }
+      const bool vacuous = engine_f_->in_conflict();
+      engine_f_->Pop();
+      if (replayed && !established && !vacuous) {
+        report_.Add(Severity::kError, rules::kCertifyReplay, comp.node,
+                    "decision var " + std::to_string(comp.decision + 1),
+                    "decision branch does not derive the component node");
+      }
+      if (!replayed || (!established && !vacuous)) {
+        ret = false;
+        stack.pop_back();
+        continue;
+      }
+      engine_f_->AddScoped({~assume, n});
+      if (f.next++ == 0) {
+        engine_f_->Push();
+        engine_f_->Assume(Neg(comp.decision));
+        ret = EnterBranch(comp.lo, stack, max_depth);
+        continue;
+      }
+      stack.pop_back();
+      ret = CloseComp(comp, n);
     }
+    return *ret;
+  }
+
+  // Starts replaying branch `b`: settles a claimed or actual conflict at
+  // once, else pushes its frame and returns nothing.
+  std::optional<bool> EnterBranch(const CertBranch& b,
+                                  std::vector<ReplayFrame>& stack,
+                                  size_t max_depth) {
+    if (!Charge()) return false;
+    if (!CheckDepth(stack, max_depth)) return false;
     if (b.conflict) {
       if (!engine_f_->in_conflict()) {
         report_.Add(Severity::kError, rules::kCertifyReplay, 0, "",
@@ -342,10 +416,12 @@ class NnfCertChecker : CheckerBase {
       return true;
     }
     if (engine_f_->in_conflict()) return true;  // stronger than claimed
-    for (uint32_t id : b.comps) {
-      if (!ReplayComp(id, depth + 1)) return false;
-      if (engine_f_->in_conflict()) return true;
-    }
+    stack.push_back({&b, nullptr, 0, Lit()});
+    return std::nullopt;
+  }
+
+  // Asserts a replayed branch's node after a successful RUP probe.
+  bool CloseBranch(const CertBranch& b) {
     const Lit n = cc_->LitOf(b.node);
     if (!engine_f_->ProbeConflict({~n})) {
       report_.Add(Severity::kError, rules::kCertifyReplay, b.node, "",
@@ -356,14 +432,12 @@ class NnfCertChecker : CheckerBase {
     return true;
   }
 
-  bool ReplayComp(uint32_t id, uint32_t depth) {
+  // Starts replaying component `id`: pushes its frame and enters its high
+  // side.
+  std::optional<bool> EnterComp(uint32_t id, std::vector<ReplayFrame>& stack,
+                                size_t max_depth) {
     if (!Charge()) return false;
-    if (depth > options_.max_replay_depth) {
-      report_.Add(Severity::kError, rules::kCertifyBudget, 0, "",
-                  "trace replay exceeded the recursion depth cap "
-                  "(cyclic component references?)");
-      return false;
-    }
+    if (!CheckDepth(stack, max_depth)) return false;
     const CertComp& comp = cert_.ddnnf.comps[id];
     const Var v = comp.decision;
     if (v >= cert_.cnf.num_vars()) {
@@ -372,33 +446,14 @@ class NnfCertChecker : CheckerBase {
                   "decision variable outside the CNF universe");
       return false;
     }
-    const Lit n = cc_->LitOf(comp.node);
-    const struct {
-      const CertBranch& branch;
-      Lit assume;
-    } sides[2] = {{comp.hi, Pos(v)}, {comp.lo, Neg(v)}};
-    for (const auto& side : sides) {
-      engine_f_->Push();
-      engine_f_->Assume(side.assume);
-      const bool replayed = ReplayBranch(side.branch, depth + 1);
-      bool established = false;
-      if (replayed && !engine_f_->in_conflict()) {
-        // The branch proved its own node; one more probe lifts that to the
-        // decision node (this is where "comp.node really is the decision
-        // gate over this branch" gets checked rather than trusted).
-        established = engine_f_->ProbeConflict({~n});
-      }
-      const bool vacuous = engine_f_->in_conflict();
-      engine_f_->Pop();
-      if (!replayed) return false;
-      if (!established && !vacuous) {
-        report_.Add(Severity::kError, rules::kCertifyReplay, comp.node,
-                    "decision var " + std::to_string(v + 1),
-                    "decision branch does not derive the component node");
-        return false;
-      }
-      engine_f_->AddScoped({~side.assume, n});
-    }
+    stack.push_back({nullptr, &comp, 0, cc_->LitOf(comp.node)});
+    engine_f_->Push();
+    engine_f_->Assume(Pos(v));
+    return EnterBranch(comp.hi, stack, max_depth);
+  }
+
+  // Asserts a component's node once both sides derived it.
+  bool CloseComp(const CertComp& comp, Lit n) {
     if (engine_f_->in_conflict()) return true;
     if (!engine_f_->ProbeConflict({~n})) {
       report_.Add(Severity::kError, rules::kCertifyReplay, comp.node, "",
@@ -407,6 +462,14 @@ class NnfCertChecker : CheckerBase {
     }
     engine_f_->AddScoped({n});
     return true;
+  }
+
+  bool CheckDepth(const std::vector<ReplayFrame>& stack, size_t max_depth) {
+    if (stack.size() < max_depth) return true;
+    report_.Add(Severity::kError, rules::kCertifyBudget, 0, "",
+                "trace replay deeper than its components allow "
+                "(cyclic component references)");
+    return false;
   }
 
   bool CheckDeterministic() {

@@ -20,8 +20,6 @@ struct CertifyOptions {
   uint64_t max_solve_decisions = 1u << 20;
   /// Cap on total replay steps + probes across the whole check.
   uint64_t max_work = 1u << 22;
-  /// Cap on trace replay recursion depth (guards cyclic component refs).
-  uint32_t max_replay_depth = 4096;
 };
 
 struct CertifyResult {

@@ -3,6 +3,8 @@
 // checker; the certified count matches brute-force enumeration; and each
 // corpus mutation is rejected under its pinned rule id.
 
+#include <pthread.h>
+
 #include <cstdint>
 #include <fstream>
 #include <set>
@@ -251,6 +253,69 @@ TEST(CertifyChecker, BudgetTripReportsBudgetRule) {
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.report.HasRule("certify.budget"))
       << result.report.ToText("cert");
+}
+
+TEST(CertifyChecker, CyclicTraceIsRejected) {
+  // A component whose high branch references the component itself would
+  // replay forever; the replay's depth bound (2·|comps| + 1 frames)
+  // refuses it.
+  const Cnf cnf = ParseCnf(kCnfs[0]);
+  NnfManager mgr;
+  DdnnfCompiler compiler;
+  DdnnfTrace trace;
+  compiler.set_trace(&trace);
+  const NnfId root = compiler.Compile(cnf, mgr);
+  ASSERT_FALSE(trace.comps.empty());
+  const uint32_t last = static_cast<uint32_t>(trace.comps.size() - 1);
+  trace.comps[last].hi.comps.push_back(last);
+  const Certificate cert = BuildDdnnfCertificate(
+      cnf, mgr, root, &trace, ModelCount(mgr, root, cnf.num_vars()));
+  const CertifyResult result = CheckCertificate(cert);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.report.HasRule("certify.budget"))
+      << result.report.ToText("cert");
+}
+
+TEST(CertifyDdnnf, DeepTraceReplaysOnASmallStack) {
+  // One clause over 2,500 variables: the trace is 2,500 decisions deep.
+  // The replay runs on an explicit stack, so it verifies on a thread with
+  // a 1 MB stack.
+  constexpr size_t kVars = 2500;
+  Cnf cnf(kVars);
+  Clause wide;
+  for (Var v = 0; v < kVars; ++v) wide.push_back(Pos(v));
+  cnf.AddClause(wide);
+  NnfManager mgr;
+  DdnnfCompiler compiler;
+  DdnnfTrace trace;
+  compiler.set_trace(&trace);
+  const NnfId root = compiler.Compile(cnf, mgr);
+  ASSERT_EQ(trace.comps.size(), kVars - 1);
+  struct Job {
+    Certificate cert;
+    bool ok = false;
+    std::string report;
+  } job{BuildDdnnfCertificate(cnf, mgr, root, &trace,
+                              ModelCount(mgr, root, cnf.num_vars())),
+        false, {}};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  auto* j = static_cast<Job*>(arg);
+                  const CertifyResult result = CheckCertificate(j->cert);
+                  j->ok = result.ok();
+                  j->report = result.report.ToText("cert");
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  EXPECT_TRUE(job.ok) << job.report;
 }
 
 TEST(CertifyChecker, WrongClaimedCountIsRejected) {
