@@ -1,5 +1,7 @@
 #include "compiler/subproblem.h"
 
+#include <algorithm>
+
 #include "base/check.h"
 
 namespace tbc::compiler_internal {

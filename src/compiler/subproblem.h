@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/check.h"
 #include "base/flat_table.h"
 #include "base/guard.h"
 #include "base/observability.h"
