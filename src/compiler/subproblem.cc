@@ -101,6 +101,7 @@ void ComponentStack::Reset(const ClauseDb& db) {
   for (uint32_t v = 0; v < num_vars; ++v) words_.push_back(v);
   for (uint32_t c = 0; c < num_clauses; ++c) words_.push_back(c);
   words_.push_back(kInvalidVar);  // the root is never decided
+  top_ = static_cast<uint32_t>(words_.size());
   slots_.assign(num_vars, Slot{});
   epoch_ = 0;
   size_t width = 0;
@@ -110,16 +111,28 @@ void ComponentStack::Reset(const ClauseDb& db) {
   unassigned_.resize(width);
 }
 
-void ComponentStack::Add(Var v) {
-  slots_[v] = {epoch_, v, 1, 0, 1, kInvalidVar, false};
-  ++groups_;
+void ComponentStack::Add(Var v, Var root) {
   ++grouped_vars_;
+  if (root == v) {
+    slots_[v] = {epoch_, v, 1, 0, 1, kInvalidVar, false};
+    ++groups_;
+    return;
+  }
+  // Only a root's tallies are read, so a new member sets no others; the
+  // caller adds it to its root's tally.
+  Slot& slot = slots_[v];
+  slot.stamp = epoch_;
+  slot.parent = root;
+  slot.count = 1;
 }
 
 Var ComponentStack::Find(Var v) {
-  while (slots_[v].parent != v) {  // path halving
-    slots_[v].parent = slots_[slots_[v].parent].parent;
-    v = slots_[v].parent;
+  // Path halving; a variable whose parent is its root is left as it is.
+  for (Var p = slots_[v].parent; p != v; p = slots_[v].parent) {
+    const Var grandparent = slots_[p].parent;
+    if (grandparent == p) return p;
+    slots_[v].parent = grandparent;
+    v = grandparent;
   }
   return v;
 }
@@ -135,7 +148,7 @@ Var ComponentStack::Unite(Var a, Var b) {
 }
 
 uint32_t ComponentStack::Split(uint32_t parent, const Trail& trail,
-                               bool decompose, std::vector<Var>* rest) {
+                               bool decompose, std::span<const Var>* rest) {
   if (++epoch_ == 0) {
     // Epoch wrap: stale stamps could alias. Reset once every 2^32 splits.
     std::fill(slots_.begin(), slots_.end(), Slot{});
@@ -152,26 +165,33 @@ uint32_t ComponentStack::Split(uint32_t parent, const Trail& trail,
     size_t k = 0;
     bool satisfied = false;
     for (const Lit l : db_->clause(c)) {
-      if (trail.IsTrue(l)) {
+      const uint8_t value = trail.value(l);
+      if (value == Trail::kTrue) {
         satisfied = true;
         break;
       }
-      if (!trail.IsFalse(l)) unassigned_[k++] = l.var();
+      if (value == Trail::kUnassigned) unassigned_[k++] = l.var();
     }
     if (satisfied) continue;
     TBC_DCHECK(k >= 2);  // propagation left no unit or empty clause
     Var root = kInvalidVar;
+    uint32_t joined = 0;  // new variables added under `root`
     for (size_t i = 0; i < k; ++i) {
       const Var v = unassigned_[i];
-      Var r = v;
       if (Has(v)) {
         ++slots_[v].count;
-        r = Find(v);
+        const Var r = Find(v);
+        root = root == kInvalidVar ? r : Unite(root, r);
+      } else if (root == kInvalidVar) {
+        Add(v, v);
+        root = v;
       } else {
-        Add(v);
+        Add(v, root);  // a new variable joins the clause's group directly
+        ++joined;
       }
-      root = i == 0 ? r : Unite(root, r);
     }
+    // Tallies move with each union, so the final root takes the joined.
+    slots_[root].vars += joined;
     if (!decompose) {
       // Uniting this clause's variables may have moved the group's root.
       root = all = all == kInvalidVar ? root : Unite(Find(all), root);
@@ -179,18 +199,52 @@ uint32_t ComponentStack::Split(uint32_t parent, const Trail& trail,
     ++slots_[root].clauses;
     live_.push_back({c, unassigned_[0]});
   }
+  if (groups_ == 0) {  // no live clause: every variable is left out
+    *rest = VarsOf(parent);
+    return 0;
+  }
   // Pass 2, over the parent's variables in order: a group is placed on
   // the stack when its smallest variable comes up, so groups come out in
   // that order and every id list increasing; its branch variable is the
   // first of its most frequent ones.
-  const uint32_t base = size();
-  words_.resize(base + 3 * groups_ + grouped_vars_ + live_.size());
-  rest->clear();
+  const uint32_t base = top_;
+  top_ += 3 * groups_ + grouped_vars_ + static_cast<uint32_t>(live_.size());
+  if (words_.size() < top_) {
+    words_.resize(std::max<size_t>(top_, 2 * words_.size()));
+  }
+  const std::span<const uint32_t> vars = VarsOf(parent);
+  rest_.resize(vars.size() - grouped_vars_);
+  *rest = rest_;
+  size_t left_out = 0;
+  if (groups_ == 1) {
+    // The common case, without union-find lookups: every grouped
+    // variable and every live clause is the one group's.
+    words_[base] = grouped_vars_;
+    words_[base + 1] = static_cast<uint32_t>(live_.size());
+    uint32_t* out = words_.data() + base + 2;
+    Var best = kInvalidVar;
+    uint32_t best_count = 0;
+    for (const uint32_t v : vars) {
+      if (!Has(v)) {
+        rest_[left_out++] = v;
+        continue;
+      }
+      if (slots_[v].count > best_count) {
+        best = v;
+        best_count = slots_[v].count;
+      }
+      *out++ = v;
+    }
+    for (const Live& l : live_) *out++ = l.clause;
+    *out = best;
+    TBC_DCHECK(out + 1 == words_.data() + top_ && left_out == rest_.size());
+    return 1;
+  }
   placed_.clear();
   uint32_t cursor = base;
-  for (const uint32_t v : VarsOf(parent)) {
+  for (const uint32_t v : vars) {
     if (!Has(v)) {
-      rest->push_back(v);
+      rest_[left_out++] = v;
       continue;
     }
     const Var root = Find(v);
@@ -210,7 +264,7 @@ uint32_t ComponentStack::Split(uint32_t parent, const Trail& trail,
     }
     words_[group.vars++] = v;
   }
-  TBC_DCHECK(cursor == size());
+  TBC_DCHECK(cursor == size() && left_out == rest_.size());
   // Pass 3, over the live clauses in order; each group's clause cursor
   // ends on its branch-variable word.
   for (const Live& l : live_) words_[slots_[Find(l.var)].clauses++] = l.clause;

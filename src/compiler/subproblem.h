@@ -64,6 +64,12 @@ class Trail {
   /// Sizes the trail for `db`'s variables, all unassigned.
   void Reset(const ClauseDb& db);
 
+  static constexpr uint8_t kUnassigned = 0;
+  static constexpr uint8_t kTrue = 1;
+  static constexpr uint8_t kFalse = 2;
+
+  /// kUnassigned, kTrue or kFalse.
+  uint8_t value(Lit l) const { return value_[l.code()]; }
   bool IsTrue(Lit l) const { return value_[l.code()] == kTrue; }
   bool IsFalse(Lit l) const { return value_[l.code()] == kFalse; }
   bool Assigned(Var v) const { return value_[Pos(v).code()] != kUnassigned; }
@@ -81,10 +87,6 @@ class Trail {
   void Undo(size_t mark);
 
  private:
-  static constexpr uint8_t kUnassigned = 0;
-  static constexpr uint8_t kTrue = 1;
-  static constexpr uint8_t kFalse = 2;
-
   void Push(Lit l) {
     value_[l.code()] = kTrue;
     value_[(~l).code()] = kFalse;
@@ -113,9 +115,16 @@ class ComponentStack {
   /// clause of `db`, at offset 0.
   void Reset(const ClauseDb& db);
 
-  uint32_t size() const { return static_cast<uint32_t>(words_.size()); }
+  uint32_t size() const { return top_; }
   /// Drops every component at or above offset `size`.
-  void PopTo(uint32_t size) { words_.resize(size); }
+  void PopTo(uint32_t size) { top_ = size; }
+  /// Moves the components from offset `from` to the top down to offset
+  /// `to`, dropping the words between.
+  void MoveDown(uint32_t from, uint32_t to) {
+    std::copy(words_.begin() + from, words_.begin() + top_,
+              words_.begin() + to);
+    top_ -= from - to;
+  }
 
   std::span<const uint32_t> Key(uint32_t at) const {
     return {words_.data() + at, 2 + words_[at] + words_[at + 1]};
@@ -140,12 +149,13 @@ class ComponentStack {
   /// false. They come out in order of their smallest variable, each with
   /// sorted id lists, from one pass over the parent's clauses (live test,
   /// union-find and occurrence counts) and one ordered pass over its
-  /// variables and then its live clauses, so nothing is sorted. Writes to
-  /// `rest`, in increasing order, the parent's variables that no
-  /// sub-component holds: assigned ones, and unassigned ones in no live
-  /// clause (free). Returns the number of sub-components.
+  /// variables and then its live clauses, so nothing is sorted. Points
+  /// `rest`, until the next Split, at the parent's variables that no
+  /// sub-component holds, in increasing order: assigned ones, and
+  /// unassigned ones in no live clause (free). Returns the number of
+  /// sub-components.
   uint32_t Split(uint32_t parent, const Trail& trail, bool decompose,
-                 std::vector<Var>* rest);
+                 std::span<const Var>* rest);
 
  private:
   // A variable's union-find slot, with its occurrences in live clauses.
@@ -168,12 +178,14 @@ class ComponentStack {
   };
 
   bool Has(Var v) const { return slots_[v].stamp == epoch_; }
-  void Add(Var v);
+  // Starts `v`'s slot under the root `root`, or as a new group's root.
+  void Add(Var v, Var root);
   Var Find(Var v);
   Var Unite(Var a, Var b);
 
   const ClauseDb* db_ = nullptr;
-  std::vector<uint32_t> words_;
+  std::vector<uint32_t> words_;  // the stack; only grows, top_ marks its end
+  uint32_t top_ = 0;
   std::vector<Slot> slots_;  // var -> union-find slot, live at epoch_
   uint32_t epoch_ = 0;
   uint32_t groups_ = 0;        // the split's union-find roots
@@ -181,6 +193,7 @@ class ComponentStack {
   std::vector<Live> live_;
   std::vector<Var> unassigned_;  // one clause's unassigned variables
   std::vector<Var> placed_;      // the split's roots, in placing order
+  std::vector<Var> rest_;        // the split's variables in no group
 };
 
 /// 64-bit fingerprint of a cache key. ComponentCache compares the full key
@@ -207,14 +220,19 @@ class ComponentCache {
     return id == UniqueTable::kNpos ? nullptr : &values_[id];
   }
 
-  /// Stores `value` under `key`, which must not be present yet.
-  void Insert(std::span<const uint32_t> key, uint64_t fingerprint, V value) {
+  /// Stores `value` under `key`, which must not be present yet, and
+  /// returns the entry's id.
+  uint32_t Insert(std::span<const uint32_t> key, uint64_t fingerprint,
+                  V value) {
     const uint32_t id = static_cast<uint32_t>(values_.size());
     arena_.insert(arena_.end(), key.begin(), key.end());
     key_ends_.push_back(arena_.size());
     values_.push_back(std::move(value));
     index_.Insert(fingerprint, id);
+    return id;
   }
+  /// Replaces the value of entry `id`.
+  void Set(uint32_t id, V value) { values_[id] = std::move(value); }
 
   size_t size() const { return values_.size(); }
 
@@ -276,7 +294,7 @@ class Dpll {
     trail_.Reset(db_);
     stack_.Reset(db_);
     depth_ = 0;
-    Open(Push(0, kInvalidVar, 0), Lit());
+    Open(Push(0, kInvalidVar), Lit());
     for (;;) {
       Frame& f = frames_[depth_];
       if (!f.conflict && f.next < stack_.size()) {
@@ -302,7 +320,15 @@ class Dpll {
         TBC_RETURN_IF_ERROR(guard_.ChargeDecision());
         TBC_RETURN_IF_ERROR(guard_.ChargeNodes(1));
         const Var v = stack_.BranchVar(at);
-        Open(Push(at, v, fingerprint), Pos(v));
+        Frame& g = Push(at, v);
+        // The key goes into the cache now, its value when the decision
+        // completes. No component inside this one has the same key (each
+        // lacks the decision variable), so the entry is never read early,
+        // and the low branch need not keep the component on the stack.
+        if (options_.use_cache) {
+          g.entry = cache_.Insert(stack_.Key(at), fingerprint, Value{});
+        }
+        Open(g, Pos(v));
         continue;
       }
       // The open branch is complete.
@@ -318,9 +344,7 @@ class Dpll {
         continue;
       }
       const Value result = algebra_.Decide(f.decision, f.var, f.hi, value);
-      if (options_.use_cache) {
-        cache_.Insert(stack_.Key(f.comp), f.fingerprint, result);
-      }
+      if (options_.use_cache) cache_.Set(f.entry, result);
       --depth_;
       algebra_.Times(frames_[depth_].product, result, SinkOf(depth_));
     }
@@ -331,14 +355,14 @@ class Dpll {
   // component it decides, the branch it is in, that branch's trail mark,
   // its open conjunction and the sub-components still to evaluate.
   struct Frame {
-    uint32_t comp = 0;         // the component's offset on stack_
-    uint32_t first = 0;        // the open branch's sub-components start
-    uint32_t next = 0;         // the next one to evaluate
-    uint32_t mark = 0;         // trail size before the open branch
-    Var var = kInvalidVar;     // the decision variable
-    bool lo = false;           // the open branch is the low one
-    bool conflict = false;     // the open branch failed propagation
-    uint64_t fingerprint = 0;  // the component's cache fingerprint
+    uint32_t comp = 0;      // the component's offset on stack_
+    uint32_t first = 0;     // the open branch's sub-components start
+    uint32_t next = 0;      // the next one to evaluate
+    uint32_t mark = 0;      // trail size before the open branch
+    uint32_t entry = 0;     // the component's cache entry
+    Var var = kInvalidVar;  // the decision variable
+    bool lo = false;        // the open branch is the low one
+    bool conflict = false;  // the open branch failed propagation
     typename Algebra::Product product{};
     typename Algebra::Decision decision{};
     Value hi{};  // the high branch's value, once the low one runs
@@ -347,14 +371,13 @@ class Dpll {
   // The frame at the next depth (depth 0 for the first call), reset to
   // decide the component at `comp` on `var`. Frames are reused; a deque
   // keeps the outer ones in place when a deeper one is added.
-  Frame& Push(uint32_t comp, Var var, uint64_t fingerprint) {
+  Frame& Push(uint32_t comp, Var var) {
     if (var != kInvalidVar) ++depth_;
     if (frames_.size() <= depth_) frames_.emplace_back();
     Frame& f = frames_[depth_];
     f.comp = comp;
     f.var = var;
     f.lo = false;
-    f.fingerprint = fingerprint;
     f.decision = {};
     return f;
   }
@@ -369,19 +392,27 @@ class Dpll {
     f.conflict = !(l.valid() ? trail_.Assume(l) : trail_.AssumeUnits());
     if (f.conflict) return;
     f.product = algebra_.One();
-    if (stack_.Split(f.comp, trail_, options_.use_components, &rest_) > 1) {
+    std::span<const Var> rest;
+    if (stack_.Split(f.comp, trail_, options_.use_components, &rest) > 1) {
       ++stats_.components_split;
       if constexpr (Algebra::kCounters.splits != nullptr) {
         TBC_COUNT(Algebra::kCounters.splits);
       }
     }
-    for (const Var v : rest_) {
+    for (const Var v : rest) {
       if (v == f.var) continue;
       if (trail_.Assigned(v)) {
         algebra_.Implied(f.product, trail_.TrueLit(v));
       } else {
         algebra_.Free(f.product, v);
       }
+    }
+    // The low branch is the component's last use. When it is the top
+    // component below the new ones, they move down over it, so a chain of
+    // decisions keeps one component on the stack instead of all of them.
+    if (f.lo && stack_.End(f.comp) == f.first) {
+      stack_.MoveDown(f.first, f.comp);
+      f.first = f.next = f.comp;
     }
   }
 
@@ -401,7 +432,6 @@ class Dpll {
   std::deque<Frame> frames_;
   size_t depth_ = 0;
   ComponentCache<Value> cache_;
-  std::vector<Var> rest_;  // Split's variables outside every sub-component
 };
 
 }  // namespace tbc::compiler_internal

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -387,7 +388,10 @@ TEST(SubproblemTest, SplitOrdersComponentsBySmallestVariable) {
   stack.Reset(db);
   ASSERT_TRUE(trail.AssumeUnits());
   ASSERT_TRUE(trail.Assume(Neg(4)));
-  std::vector<Var> rest;
+  std::span<const Var> rest;
+  const auto ids = [](std::span<const Var> r) {
+    return std::vector<Var>(r.begin(), r.end());
+  };
   const uint32_t first = stack.size();
   ASSERT_EQ(stack.Split(0, trail, true, &rest), 2u);
   // Each sub-component's key is the variable and clause counts, then both
@@ -406,14 +410,14 @@ TEST(SubproblemTest, SplitOrdersComponentsBySmallestVariable) {
   EXPECT_EQ(stack.BranchVar(first), 0u);
   EXPECT_EQ(stack.BranchVar(second), 5u);
   // The variables no sub-component holds: assigned x4 and free x1, x3.
-  EXPECT_EQ(rest, (std::vector<Var>{1, 3, 4}));
+  EXPECT_EQ(ids(rest), (std::vector<Var>{1, 3, 4}));
   // Without decomposition, one group holds every live clause.
   stack.PopTo(first);
   ASSERT_EQ(stack.Split(0, trail, false, &rest), 1u);
   EXPECT_EQ(std::vector<uint32_t>(stack.Key(first).begin(),
                                   stack.Key(first).end()),
             (std::vector<uint32_t>{4, 4, 0, 2, 5, 6, 0, 1, 3, 4}));
-  EXPECT_EQ(rest, (std::vector<Var>{1, 3, 4}));
+  EXPECT_EQ(ids(rest), (std::vector<Var>{1, 3, 4}));
   // A split of a sub-component reads only its own lists: under x0 the
   // first group's clauses are both satisfied or reduced to units, which
   // propagation already assigned.
@@ -425,7 +429,7 @@ TEST(SubproblemTest, SplitOrdersComponentsBySmallestVariable) {
   const uint32_t grandchildren = stack.size();
   EXPECT_EQ(stack.Split(first, trail, true, &rest), 0u);
   EXPECT_EQ(stack.size(), grandchildren);
-  EXPECT_EQ(rest, (std::vector<Var>{0, 2}));
+  EXPECT_EQ(ids(rest), (std::vector<Var>{0, 2}));
   trail.Undo(mark);
 }
 
@@ -490,7 +494,7 @@ TEST(SubproblemTest, SplitPicksMostFrequentThenSmallest) {
         expected = v;
       }
     }
-    std::vector<Var> rest;
+    std::span<const Var> rest;
     const uint32_t at = stack.size();
     const uint32_t groups = stack.Split(0, trail, false, &rest);
     ASSERT_EQ(groups, expected == kInvalidVar ? 0u : 1u) << "seed " << seed;

@@ -110,9 +110,10 @@ TEST(WmcPropertyTest, InvariantUnderClauseReordering) {
     for (int round = 0; round < 4; ++round) {
       const Cnf shuffled = ShuffleClauses(cnf, rng);
       ModelCounter fresh;
-      // Bit-identical, not merely close: Canonicalize sorts the clause
-      // list before the search, so the presentation order never reaches
-      // the accumulator.
+      // Bit-identical, not merely close: every branch multiplies its
+      // factors in variable order and its components in order of their
+      // smallest variable, so the presentation order never reaches the
+      // accumulator.
       EXPECT_EQ(fresh.Wmc(shuffled, w), base)
           << "seed " << seed << " round " << round;
     }
