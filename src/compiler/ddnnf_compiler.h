@@ -17,7 +17,7 @@ struct DdnnfOptions {
   /// Partition clauses into variable-disjoint connected components and
   /// compile each independently (the key idea behind c2d/sharpSAT).
   bool use_components = true;
-  /// Cache compiled components keyed by their reduced clauses.
+  /// Cache compiled components, keyed by their variable and clause ids.
   bool use_cache = true;
 };
 
