@@ -565,7 +565,10 @@ bool Close(double got, double want) {
 TEST(DifferentialTest, TrailSearchMatchesCopyBasedOracle) {
   // The trail-based driver against the copy-based search it replaced, on
   // 3,000 seeded CNFs under all four technique switches: the circuit's
-  // count and WMC, and (every technique on) the counters'.
+  // count and WMC, and (every technique on) the counters'. Cache on and
+  // off must also agree with each other: an unsound component key would
+  // serve one component's answer for another, and with the cache off
+  // nothing is served.
   size_t unsat = 0;
   size_t split = 0;
   for (uint64_t seed = 0; seed < 3000; ++seed) {
@@ -575,6 +578,7 @@ TEST(DifferentialTest, TrailSearchMatchesCopyBasedOracle) {
     const dpll_oracle::Counts want =
         dpll_oracle::CopyDpll(DdnnfOptions(), w).Run(cnf);
     unsat += want.models == BigUint(0) ? 1 : 0;
+    double wmc[4];
     for (int opt = 0; opt < 4; ++opt) {
       const DdnnfOptions options{.use_components = (opt & 2) != 0,
                                  .use_cache = (opt & 1) != 0};
@@ -586,9 +590,14 @@ TEST(DifferentialTest, TrailSearchMatchesCopyBasedOracle) {
       const NnfId root = compiler.Compile(cnf, m);
       ASSERT_EQ(ModelCount(m, root, cnf.num_vars()), want.models)
           << "seed " << seed << " options " << opt;
-      ASSERT_TRUE(Close(Wmc(m, root, w), oracle.wmc))
-          << "seed " << seed << " options " << opt << ": "
-          << Wmc(m, root, w) << " vs " << oracle.wmc;
+      wmc[opt] = Wmc(m, root, w);
+      ASSERT_TRUE(Close(wmc[opt], oracle.wmc))
+          << "seed " << seed << " options " << opt << ": " << wmc[opt]
+          << " vs " << oracle.wmc;
+      if (opt % 2 == 1) {
+        ASSERT_TRUE(Close(wmc[opt], wmc[opt - 1]))
+            << "seed " << seed << ": cache on and off disagree";
+      }
       if (opt == 3) split += compiler.stats().components_split > 1 ? 1 : 0;
     }
     ModelCounter counter;
@@ -598,29 +607,6 @@ TEST(DifferentialTest, TrailSearchMatchesCopyBasedOracle) {
   // The mix really covers both ends.
   EXPECT_GT(unsat, 100u);
   EXPECT_GT(split, 50u);
-}
-
-TEST(DifferentialTest, CacheOnAndOffAgree) {
-  // An unsound component key would serve one component's answer for
-  // another: with the cache off nothing is served, so both must agree.
-  for (uint64_t seed = 0; seed < 3000; ++seed) {
-    const Cnf cnf = DifferentialCnf(seed);
-    Rng rng(seed + 2'000'000);
-    const WeightMap w = RandomWeights(cnf.num_vars(), rng);
-    for (const bool components : {false, true}) {
-      NnfManager on_mgr;
-      NnfManager off_mgr;
-      DdnnfCompiler on({.use_components = components, .use_cache = true});
-      DdnnfCompiler off({.use_components = components, .use_cache = false});
-      const NnfId on_root = on.Compile(cnf, on_mgr);
-      const NnfId off_root = off.Compile(cnf, off_mgr);
-      ASSERT_EQ(ModelCount(on_mgr, on_root, cnf.num_vars()),
-                ModelCount(off_mgr, off_root, cnf.num_vars()))
-          << "seed " << seed;
-      ASSERT_TRUE(Close(Wmc(on_mgr, on_root, w), Wmc(off_mgr, off_root, w)))
-          << "seed " << seed;
-    }
-  }
 }
 
 TEST(DepthTest, WideClauseCompilesOnOneMegabyteStack) {
