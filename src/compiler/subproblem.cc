@@ -216,30 +216,6 @@ uint32_t ComponentStack::Split(uint32_t parent, const Trail& trail,
   rest_.resize(vars.size() - grouped_vars_);
   *rest = rest_;
   size_t left_out = 0;
-  if (groups_ == 1) {
-    // The common case, without union-find lookups: every grouped
-    // variable and every live clause is the one group's.
-    words_[base] = grouped_vars_;
-    words_[base + 1] = static_cast<uint32_t>(live_.size());
-    uint32_t* out = words_.data() + base + 2;
-    Var best = kInvalidVar;
-    uint32_t best_count = 0;
-    for (const uint32_t v : vars) {
-      if (!Has(v)) {
-        rest_[left_out++] = v;
-        continue;
-      }
-      if (slots_[v].count > best_count) {
-        best = v;
-        best_count = slots_[v].count;
-      }
-      *out++ = v;
-    }
-    for (const Live& l : live_) *out++ = l.clause;
-    *out = best;
-    TBC_DCHECK(out + 1 == words_.data() + top_ && left_out == rest_.size());
-    return 1;
-  }
   placed_.clear();
   uint32_t cursor = base;
   for (const uint32_t v : vars) {
