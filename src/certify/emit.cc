@@ -115,35 +115,19 @@ void CertifyDdnnfOrDie(const Cnf& cnf, NnfManager& mgr, NnfId root,
 
 void CertifyObddOrDie(const Cnf& cnf, ObddManager& mgr, ObddTrace trace,
                       const char* site) {
-  BigUint claimed;
-  if (cnf.num_vars() >= mgr.num_vars()) {
-    claimed = mgr.ModelCount(trace.root) *
-              BigUint::PowerOfTwo(
-                  static_cast<unsigned>(cnf.num_vars() - mgr.num_vars()));
-  } else {
-    // Manager has variables outside the CNF's universe; recount over the
-    // CNF universe through the NNF export instead of dividing.
-    NnfManager scratch;
-    const NnfId nroot = mgr.ToNnf(trace.root, scratch);
-    claimed = ModelCount(scratch, nroot, cnf.num_vars());
-  }
+  NnfManager scratch;
+  BigUint claimed =
+      ModelCount(scratch, mgr.ToNnf(trace.root, scratch), cnf.num_vars());
   CertifyOrDie(BuildObddCertificate(cnf, std::move(trace), std::move(claimed)),
                site);
 }
 
 void CertifySddOrDie(const Cnf& cnf, SddManager& mgr, SddId root,
                      const char* site) {
-  BigUint claimed;
-  if (cnf.num_vars() >= mgr.num_vars()) {
-    claimed = mgr.ModelCount(root) *
-              BigUint::PowerOfTwo(
-                  static_cast<unsigned>(cnf.num_vars() - mgr.num_vars()));
-  } else {
-    NnfManager scratch;
-    const NnfId nroot = mgr.ToNnf(root, scratch);
-    claimed = ModelCount(scratch, nroot, cnf.num_vars());
-  }
-  CertifyOrDie(BuildSddCertificate(cnf, mgr, root, std::move(claimed)), site);
+  // The certificate carries the SDD's NNF export; count on it.
+  Certificate cert = BuildSddCertificate(cnf, mgr, root, BigUint(0));
+  cert.claimed_count = ModelCount(cert.nnf, cert.root, cnf.num_vars());
+  CertifyOrDie(cert, site);
 }
 
 }  // namespace tbc

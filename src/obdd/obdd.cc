@@ -5,6 +5,7 @@
 #include "base/check.h"
 #include "base/hash.h"
 #include "base/observability.h"
+#include "nnf/queries.h"
 
 #ifdef TBC_CERTIFY
 #include "certify/emit.h"
@@ -25,6 +26,8 @@ ObddManager::ObddManager(std::vector<Var> order) : order_(std::move(order)) {
                   "variable appears twice in OBDD order");
     level_of_var_[order_[i]] = i;
   }
+  TBC_CHECK_MSG(order_.empty() || max_var < order_.size(),
+                "OBDD order must be a permutation of 0..n-1");
   // Terminals occupy ids 0 and 1 with a sentinel variable.
   nodes_.push_back({kInvalidVar, 0, 0});
   nodes_.push_back({kInvalidVar, 1, 1});
@@ -192,81 +195,13 @@ std::vector<ObddId> ObddManager::ReachableAscending(ObddId f) const {
 }
 
 BigUint ObddManager::ModelCount(ObddId f) {
-  // count[g] = models of g over the variables strictly below g's level;
-  // combine with level gaps on the way up. One iterative dense pass in
-  // ascending id order (children precede parents).
-  const std::vector<ObddId> order = ReachableAscending(f);
-  std::vector<BigUint> count(nodes_.size());
-  const uint32_t num_levels = static_cast<uint32_t>(order_.size());
-  auto level_of = [&](ObddId g) {
-    return IsTerminal(g) ? num_levels : LevelOf(nodes_[g].var);
-  };
-  for (const ObddId g : order) {
-    if (g == 0) continue;  // stays 0
-    if (g == 1) {
-      count[g] = BigUint(1);
-      continue;
-    }
-    const Node& n = nodes_[g];
-    const uint32_t lv = LevelOf(n.var);
-    count[g] = count[n.lo] * BigUint::PowerOfTwo(level_of(n.lo) - lv - 1) +
-               count[n.hi] * BigUint::PowerOfTwo(level_of(n.hi) - lv - 1);
-  }
-  return count[f] * BigUint::PowerOfTwo(level_of(f));
+  return tbc::ModelCount(nnf_, Export(f, nnf_, nnf_of_), num_vars());
 }
 
 double ObddManager::Wmc(ObddId f, const WeightMap& weights) {
-  // Free variables at skipped levels contribute (W(x)+W(¬x)).
-  std::vector<double> free_factor(order_.size() + 1, 1.0);
-  // free_factor[i] = product over levels >= i of (W+W); computed suffix-wise.
-  for (size_t i = order_.size(); i-- > 0;) {
-    const Var v = order_[i];
-    free_factor[i] = free_factor[i + 1] * (weights[Pos(v)] + weights[Neg(v)]);
-  }
-  auto span_factor = [&](uint32_t from_level, uint32_t to_level) {
-    // Product of (W+W) for levels in [from_level, to_level).
-    return free_factor[to_level] == 0.0
-               ? 0.0
-               : free_factor[from_level] / free_factor[to_level];
-  };
-  // Guard against zero (W+W) factors making the suffix trick ill-defined:
-  // fall back to explicit products if any pair sums to zero.
-  bool any_zero = false;
-  for (Var v : order_) {
-    if (weights[Pos(v)] + weights[Neg(v)] == 0.0) any_zero = true;
-  }
-  std::function<double(uint32_t, uint32_t)> span_explicit =
-      [&](uint32_t a, uint32_t b) {
-        double r = 1.0;
-        for (uint32_t i = a; i < b; ++i) {
-          const Var v = order_[i];
-          r *= weights[Pos(v)] + weights[Neg(v)];
-        }
-        return r;
-      };
-  auto span = [&](uint32_t a, uint32_t b) {
-    return any_zero ? span_explicit(a, b) : span_factor(a, b);
-  };
-
-  const std::vector<ObddId> order = ReachableAscending(f);
-  std::vector<double> value(nodes_.size(), 0.0);
-  const uint32_t num_levels = static_cast<uint32_t>(order_.size());
-  auto level_of = [&](ObddId g) {
-    return IsTerminal(g) ? num_levels : LevelOf(nodes_[g].var);
-  };
-  for (const ObddId g : order) {
-    if (g == 0) continue;  // stays 0
-    if (g == 1) {
-      value[g] = 1.0;
-      continue;
-    }
-    const Node& n = nodes_[g];
-    const uint32_t lv = LevelOf(n.var);
-    value[g] =
-        weights[Neg(n.var)] * value[n.lo] * span(lv + 1, level_of(n.lo)) +
-        weights[Pos(n.var)] * value[n.hi] * span(lv + 1, level_of(n.hi));
-  }
-  return value[f] * span(0, level_of(f));
+  TBC_CHECK_MSG(weights.num_vars() == num_vars(),
+                "weight map must cover exactly the manager's variables");
+  return tbc::Wmc(nnf_, Export(f, nnf_, nnf_of_), weights);
 }
 
 void ObddManager::EnumerateModels(
@@ -307,12 +242,33 @@ size_t ObddManager::Size(ObddId f) const {
 }
 
 NnfId ObddManager::ToNnf(ObddId f, NnfManager& nnf) const {
-  const std::vector<ObddId> order = ReachableAscending(f);
-  std::vector<NnfId> memo(nodes_.size(), kInvalidNnf);
+  std::vector<NnfId> memo;
+  return Export(f, nnf, memo);
+}
+
+NnfId ObddManager::Export(ObddId f, NnfManager& nnf,
+                          std::vector<NnfId>& memo) const {
+  constexpr NnfId kQueued = kInvalidNnf - 1;
+  memo.resize(nodes_.size(), kInvalidNnf);
   memo[0] = nnf.False();
-  if (nodes_.size() > 1) memo[1] = nnf.True();
-  for (const ObddId g : order) {
-    if (IsTerminal(g)) continue;
+  memo[1] = nnf.True();
+  // The nodes below f not in `memo` yet; an exported node's children are
+  // exported too, so the walk stops there.
+  std::vector<ObddId> todo;
+  auto visit = [&](ObddId g) {
+    if (memo[g] != kInvalidNnf) return;
+    memo[g] = kQueued;
+    todo.push_back(g);
+  };
+  visit(f);
+  for (size_t i = 0; i < todo.size(); ++i) {
+    visit(nodes_[todo[i]].lo);
+    visit(nodes_[todo[i]].hi);
+  }
+  // lo/hi always reference earlier nodes, so ascending ids put children
+  // first.
+  std::sort(todo.begin(), todo.end());
+  for (const ObddId g : todo) {
     const Node& n = nodes_[g];
     memo[g] = nnf.Decision(n.var, memo[n.hi], memo[n.lo]);
   }

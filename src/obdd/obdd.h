@@ -33,10 +33,17 @@ using ObddId = uint32_t;
 /// existential and universal quantification, composition, exact model
 /// counting and WMC, model enumeration, export to NNF (yielding a
 /// Decision-DNNF), and compilation from CNF or formula ASTs.
+///
+/// Counting and WMC have no evaluator of their own: every OBDD is a
+/// Decision-DNNF, so they run the d-DNNF kernels of nnf/queries.h on an
+/// NNF export the manager keeps. A level an edge skips is an or-gate gap
+/// there. The export grows with the roots queried, by a few NNF nodes per
+/// OBDD node, and is never rebuilt.
 class ObddManager {
  public:
   /// Manager over variables 0..order.size()-1 tested in the given order
-  /// (order[0] is the root level).
+  /// (order[0] is the root level); `order` must be a permutation of them
+  /// (checked).
   explicit ObddManager(std::vector<Var> order);
 
   ObddId False() const { return 0; }
@@ -79,7 +86,8 @@ class ObddManager {
   bool Evaluate(ObddId f, const Assignment& assignment) const;
   /// Exact number of models over all manager variables.
   BigUint ModelCount(ObddId f);
-  /// Weighted model count over all manager variables.
+  /// Weighted model count over all manager variables. The weight map must
+  /// have exactly num_vars() variables (checked).
   double Wmc(ObddId f, const WeightMap& weights);
   /// Invokes on_model for every model over all manager variables
   /// (test/analysis oracle; exponential output).
@@ -127,6 +135,10 @@ class ObddManager {
   static bool TerminalCase(Op op, ObddId f, ObddId g, ObddId* out);
   // Reachable node ids in ascending (topological) order.
   std::vector<ObddId> ReachableAscending(ObddId f) const;
+  // Exports the nodes below f that `memo` (ObddId -> NnfId, kInvalidNnf
+  // when absent) does not hold yet into `nnf`, records them, and returns
+  // f's NNF node. ToNnf and the kept export share it.
+  NnfId Export(ObddId f, NnfManager& nnf, std::vector<NnfId>& memo) const;
 
   // Exact cache key: packed operands plus an operation tag (collision-free,
   // unlike keying on a hash value).
@@ -146,6 +158,11 @@ class ObddManager {
   UniqueTable unique_;
   LossyCache<OpKey, ObddId> op_cache_;
   ObddTraceSink* trace_ = nullptr;
+  // The kept export ModelCount and Wmc run the d-DNNF kernels on. The node
+  // store is append-only, so an exported node never goes stale and each
+  // query exports only the nodes it has not seen.
+  NnfManager nnf_;
+  std::vector<NnfId> nnf_of_;
 };
 
 }  // namespace tbc

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "base/check.h"
-
 namespace tbc {
 
 double WeightedData::TotalWeight() const {
@@ -62,17 +60,7 @@ Result<Psdd> LearnPsddBounded(SddManager& mgr, SddId constraint,
 }
 
 double EmpiricalKl(const WeightedData& data, const Psdd& psdd) {
-  const double total = data.TotalWeight();
-  TBC_CHECK(total > 0.0);
-  double kl = 0.0;
-  for (size_t i = 0; i < data.examples.size(); ++i) {
-    const double p = data.weights[i] / total;
-    if (p <= 0.0) continue;
-    const double q = psdd.Probability(data.examples[i]);
-    TBC_CHECK_MSG(q > 0.0, "PSDD assigns zero probability to a data row");
-    kl += p * std::log(p / q);
-  }
-  return kl;
+  return EmpiricalKlChecked(data, psdd).value();
 }
 
 Result<double> EmpiricalKlChecked(const WeightedData& data, const Psdd& psdd) {

@@ -41,7 +41,8 @@ Result<Psdd> LearnPsddBounded(SddManager& mgr, SddId constraint,
 
 /// Empirical KL divergence KL(data || psdd) over the distinct rows
 /// (test/evaluation metric; data weights are normalized internally).
-/// Aborts if the PSDD assigns zero probability to a data row.
+/// Aborts where EmpiricalKlChecked refuses, e.g. when the PSDD assigns
+/// zero probability to a data row.
 double EmpiricalKl(const WeightedData& data, const Psdd& psdd);
 
 /// Fallible variant: returns kInvalidInput when the data is empty or a row

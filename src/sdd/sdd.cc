@@ -718,15 +718,11 @@ BigUint SddManager::ModelCount(SddId f) {
 }
 
 double SddManager::Wmc(SddId f, const WeightMap& weights) {
+  TBC_CHECK_MSG(weights.num_vars() == num_vars(),
+                "weight map must cover exactly the manager's variables");
   if (f == False()) return 0.0;
   NnfManager nnf;
-  const NnfId root = ToNnf(f, nnf);
-  if (root == nnf.True()) {
-    double r = 1.0;
-    for (Var v = 0; v < num_vars(); ++v) r *= weights[Pos(v)] + weights[Neg(v)];
-    return r;
-  }
-  return tbc::Wmc(nnf, root, weights);
+  return tbc::Wmc(nnf, ToNnf(f, nnf), weights);
 }
 
 }  // namespace tbc

@@ -127,7 +127,8 @@ class SddManager {
 
   /// Exact model count over all vtree variables.
   BigUint ModelCount(SddId f);
-  /// Weighted model count over all vtree variables.
+  /// Weighted model count over all vtree variables. The weight map must
+  /// have exactly num_vars() variables (checked).
   double Wmc(SddId f, const WeightMap& weights);
 
   /// Exports as d-DNNF (structured decomposable, deterministic).

@@ -316,5 +316,26 @@ TEST(ThresholdTest, RespectsUnsortedVarInput) {
   EXPECT_EQ(f, g);
 }
 
+// The weight map covers exactly the manager's variables, so a variable
+// outside every root is weighed the same way in Wmc(⊤) and in the split
+// Wmc(x) + Wmc(¬x).
+TEST(ObddTest, WmcOfTrueSplitsOnAVariable) {
+  ObddManager m(Vtree::IdentityOrder(3));
+  WeightMap w(3);
+  w.Set(Pos(0), 0.25);
+  w.Set(Neg(0), 0.5);
+  w.Set(Pos(2), 3.0);
+  EXPECT_EQ(m.Wmc(m.True(), w), 6.0);
+  EXPECT_EQ(m.Wmc(m.True(), w), m.Wmc(m.LiteralNode(Pos(0)), w) +
+                                     m.Wmc(m.LiteralNode(Neg(0)), w));
+}
+
+TEST(ObddDeathTest, WmcRefusesAWeightMapOfAnotherSize) {
+  ObddManager m(Vtree::IdentityOrder(3));
+  const ObddId x = m.LiteralNode(Pos(0));
+  EXPECT_DEATH(m.Wmc(x, WeightMap(2)), "weight map");
+  EXPECT_DEATH(m.Wmc(x, WeightMap(4)), "weight map");
+}
+
 }  // namespace
 }  // namespace tbc

@@ -433,5 +433,26 @@ TEST(SddTest, UnsatisfiableCnfCompilesToFalse) {
   EXPECT_EQ(CompileCnf(m, cnf), m.False());
 }
 
+// The weight map covers exactly the manager's variables, so a variable
+// outside every root is weighed the same way in Wmc(⊤) and in the split
+// Wmc(x) + Wmc(¬x).
+TEST(SddTest, WmcOfTrueSplitsOnAVariable) {
+  SddManager m(Vtree::Balanced(Vtree::IdentityOrder(3)));
+  WeightMap w(3);
+  w.Set(Pos(0), 0.25);
+  w.Set(Neg(0), 0.5);
+  w.Set(Pos(2), 3.0);
+  EXPECT_EQ(m.Wmc(m.True(), w), 6.0);
+  EXPECT_EQ(m.Wmc(m.True(), w), m.Wmc(m.LiteralNode(Pos(0)), w) +
+                                     m.Wmc(m.LiteralNode(Neg(0)), w));
+}
+
+TEST(SddDeathTest, WmcRefusesAWeightMapOfAnotherSize) {
+  SddManager m(Vtree::Balanced(Vtree::IdentityOrder(3)));
+  const SddId x = m.LiteralNode(Pos(0));
+  EXPECT_DEATH(m.Wmc(x, WeightMap(2)), "weight map");
+  EXPECT_DEATH(m.Wmc(x, WeightMap(4)), "weight map");
+}
+
 }  // namespace
 }  // namespace tbc
