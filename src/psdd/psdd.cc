@@ -314,13 +314,11 @@ void Psdd::CountExample(const Assignment& x, double weight) {
   Descend(
       [&](PsddId n) {
         count_total_[n] += weight;
-        size_t i = 0;  // exactly one element is active
-        for (uint32_t k = elem_begin_[n];; ++k, ++i) {
-          if (sat[elems_[k].prime] && sat[elems_[k].sub]) {
-            elem_count_[k] += weight;
-            return i;
-          }
-        }
+        // A reached node is satisfied, so exactly one element is active.
+        uint32_t k = elem_begin_[n];
+        while (!(sat[elems_[k].prime] && sat[elems_[k].sub])) ++k;
+        elem_count_[k] += weight;
+        return k - elem_begin_[n];
       },
       [&](PsddId n) {
         count_total_[n] += weight;
