@@ -38,18 +38,19 @@ std::unique_ptr<NnfManager> NnfManager::FromMapped(MappedCircuit base) {
   return std::unique_ptr<NnfManager>(new NnfManager(std::move(base), 0));
 }
 
-NnfId NnfManager::Intern(Node node) {
+NnfId NnfManager::Intern(Kind kind, uint32_t payload,
+                         Span<const NnfId> children) {
   // Interning dedups against the overlay only: mapped-base nodes are never
   // indexed (see FromMapped). A duplicate of a base node costs one overlay
   // slot, never correctness.
-  uint64_t h = HashCombine(0, static_cast<size_t>(node.kind));
-  h = HashCombine(h, node.payload);
-  for (NnfId c : node.children) h = HashCombine(h, c);
+  uint64_t h = HashCombine(0, static_cast<size_t>(kind));
+  h = HashCombine(h, payload);
+  for (NnfId c : children) h = HashCombine(h, c);
   h = HashU64(h);
   const uint32_t found = index_.Find(h, [&](uint32_t id) {
     const Node& n = nodes_[id - base_.num_nodes];
-    return n.kind == node.kind && n.payload == node.payload &&
-           n.children == node.children;
+    return n.kind == kind && n.payload == payload &&
+           Span<const NnfId>(n.children) == children;
   });
   if (found != UniqueTable::kNpos) {
     TBC_COUNT("nnf.unique.hits");
@@ -57,7 +58,7 @@ NnfId NnfManager::Intern(Node node) {
   }
   TBC_COUNT("nnf.nodes.created");
   const NnfId id = static_cast<NnfId>(base_.num_nodes + nodes_.size());
-  nodes_.push_back(std::move(node));
+  nodes_.push_back({kind, payload, children.ToVector()});
   index_.Insert(h, id);
   return id;
 }
@@ -65,16 +66,19 @@ NnfId NnfManager::Intern(Node node) {
 NnfId NnfManager::Literal(Lit l) {
   TBC_DCHECK(l.valid());
   num_vars_ = std::max(num_vars_, static_cast<size_t>(l.var()) + 1);
-  return Intern({Kind::kLiteral, l.code(), {}});
+  return Intern(Kind::kLiteral, l.code(), {});
 }
 
-NnfId NnfManager::And(std::vector<NnfId> children) {
-  std::vector<NnfId> kids;
-  kids.reserve(children.size());
+NnfId NnfManager::Gate(Kind kind, Span<const NnfId> children) {
+  // ⊥ absorbs an and-gate and is dropped from an or-gate; ⊤ the reverse.
+  const NnfId absorbing = kind == Kind::kAnd ? False() : True();
+  const NnfId unit = kind == Kind::kAnd ? True() : False();
+  std::vector<NnfId>& kids = gate_scratch_;
+  kids.clear();
   for (NnfId c : children) {
-    if (c == False()) return False();
-    if (c == True()) continue;
-    if (kind(c) == Kind::kAnd) {
+    if (c == absorbing) return absorbing;
+    if (c == unit) continue;
+    if (this->kind(c) == kind) {
       for (NnfId g : this->children(c)) kids.push_back(g);
     } else {
       kids.push_back(c);
@@ -82,28 +86,9 @@ NnfId NnfManager::And(std::vector<NnfId> children) {
   }
   std::sort(kids.begin(), kids.end());
   kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
-  if (kids.empty()) return True();
+  if (kids.empty()) return unit;
   if (kids.size() == 1) return kids[0];
-  return Intern({Kind::kAnd, 0, std::move(kids)});
-}
-
-NnfId NnfManager::Or(std::vector<NnfId> children) {
-  std::vector<NnfId> kids;
-  kids.reserve(children.size());
-  for (NnfId c : children) {
-    if (c == True()) return True();
-    if (c == False()) continue;
-    if (kind(c) == Kind::kOr) {
-      for (NnfId g : this->children(c)) kids.push_back(g);
-    } else {
-      kids.push_back(c);
-    }
-  }
-  std::sort(kids.begin(), kids.end());
-  kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
-  if (kids.empty()) return False();
-  if (kids.size() == 1) return kids[0];
-  return Intern({Kind::kOr, 0, std::move(kids)});
+  return Intern(kind, 0, kids);
 }
 
 NnfId NnfManager::Decision(Var v, NnfId hi, NnfId lo) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -112,12 +113,12 @@ class NnfManager {
   /// gates collapse; nested same-kind gates are flattened; children are
   /// deduplicated. Note: `Or(x, ~x)` is NOT simplified to true (it is a
   /// legitimate deterministic or-gate).
-  NnfId And(std::vector<NnfId> children);
-  NnfId Or(std::vector<NnfId> children);
-  NnfId And(NnfId a, NnfId b) { return And(std::vector<NnfId>{a, b}); }
-  NnfId Or(NnfId a, NnfId b) { return Or(std::vector<NnfId>{a, b}); }
-  NnfId And(Span<const NnfId> children) { return And(children.ToVector()); }
-  NnfId Or(Span<const NnfId> children) { return Or(children.ToVector()); }
+  NnfId And(Span<const NnfId> children) { return Gate(Kind::kAnd, children); }
+  NnfId Or(Span<const NnfId> children) { return Gate(Kind::kOr, children); }
+  NnfId And(std::initializer_list<NnfId> c) { return And({c.begin(), c.size()}); }
+  NnfId Or(std::initializer_list<NnfId> c) { return Or({c.begin(), c.size()}); }
+  NnfId And(NnfId a, NnfId b) { return And({a, b}); }
+  NnfId Or(NnfId a, NnfId b) { return Or({a, b}); }
 
   /// Decision gate (x ∧ hi) ∨ (¬x ∧ lo): the OBDD multiplexer of Fig 11.
   NnfId Decision(Var v, NnfId hi, NnfId lo);
@@ -217,7 +218,10 @@ class NnfManager {
                                : nodes_[n - base_.num_nodes].payload;
   }
 
-  NnfId Intern(Node node);
+  // And/Or: the children simplified into gate_scratch_, then interned.
+  NnfId Gate(Kind kind, Span<const NnfId> children);
+  // Hash-conses a node; allocates its child list only when it is new.
+  NnfId Intern(Kind kind, uint32_t payload, Span<const NnfId> children);
 
   /// Mapped base node store; num_nodes == 0 for ordinary managers, in which
   /// case every accessor falls through to the overlay (`nodes_`, indexed
@@ -225,6 +229,7 @@ class NnfManager {
   MappedCircuit base_;
   std::vector<Node> nodes_;
   UniqueTable index_;
+  std::vector<NnfId> gate_scratch_;
   std::vector<std::vector<uint64_t>> varset_cache_;  // parallel to nodes_
   std::vector<int8_t> varset_ready_;
   static uint64_t RootVarsKey(NnfId root, size_t num_vars) {

@@ -5,7 +5,6 @@
 #include "base/check.h"
 #include "base/hash.h"
 #include "base/observability.h"
-#include "nnf/queries.h"
 
 #ifdef TBC_CERTIFY
 #include "certify/emit.h"
@@ -194,14 +193,52 @@ std::vector<ObddId> ObddManager::ReachableAscending(ObddId f) const {
   return order;
 }
 
+uint32_t ObddManager::NodeLevel(ObddId g) const {
+  return IsTerminal(g) ? static_cast<uint32_t>(order_.size()) : LevelOf(nodes_[g].var);
+}
+
 BigUint ObddManager::ModelCount(ObddId f) {
-  return tbc::ModelCount(nnf_, Export(f, nnf_, nnf_of_), num_vars());
+  // count[g] = models of g over the levels from g's own down; an edge that
+  // skips k levels doubles its child's count k times. Ascending ids put
+  // children first.
+  std::vector<BigUint> count(nodes_.size());
+  count[1] = BigUint(1);
+  for (const ObddId g : ReachableAscending(f)) {
+    if (IsTerminal(g)) continue;
+    const Node& n = nodes_[g];
+    const uint32_t below = LevelOf(n.var) + 1;
+    count[g].AddShifted(count[n.lo], NodeLevel(n.lo) - below);
+    count[g].AddShifted(count[n.hi], NodeLevel(n.hi) - below);
+  }
+  BigUint total;
+  total.AddShifted(count[f], NodeLevel(f));
+  return total;
 }
 
 double ObddManager::Wmc(ObddId f, const WeightMap& weights) {
   TBC_CHECK_MSG(weights.num_vars() == num_vars(),
                 "weight map must cover exactly the manager's variables");
-  return tbc::Wmc(nnf_, Export(f, nnf_, nnf_of_), weights);
+  // The variable of a level an edge skips is free: W(x) + W(¬x).
+  std::vector<double> level_sum(order_.size());
+  for (size_t i = 0; i < order_.size(); ++i) {
+    level_sum[i] = weights[Pos(order_[i])] + weights[Neg(order_[i])];
+  }
+  auto skip = [&](uint32_t from, uint32_t to) {
+    double r = 1.0;
+    for (uint32_t i = from; i < to; ++i) r *= level_sum[i];
+    return r;
+  };
+  // value[g] = weight of g over the levels from g's own down.
+  std::vector<double> value(nodes_.size(), 0.0);
+  value[1] = 1.0;
+  for (const ObddId g : ReachableAscending(f)) {
+    if (IsTerminal(g)) continue;
+    const Node& n = nodes_[g];
+    const uint32_t below = LevelOf(n.var) + 1;
+    value[g] = weights[Neg(n.var)] * value[n.lo] * skip(below, NodeLevel(n.lo)) +
+               weights[Pos(n.var)] * value[n.hi] * skip(below, NodeLevel(n.hi));
+  }
+  return value[f] * skip(0, NodeLevel(f));
 }
 
 void ObddManager::EnumerateModels(
@@ -242,33 +279,14 @@ size_t ObddManager::Size(ObddId f) const {
 }
 
 NnfId ObddManager::ToNnf(ObddId f, NnfManager& nnf) const {
-  std::vector<NnfId> memo;
-  return Export(f, nnf, memo);
-}
-
-NnfId ObddManager::Export(ObddId f, NnfManager& nnf,
-                          std::vector<NnfId>& memo) const {
-  constexpr NnfId kQueued = kInvalidNnf - 1;
-  memo.resize(nodes_.size(), kInvalidNnf);
+  const std::vector<ObddId> order = ReachableAscending(f);
+  // A decision node exports to one or-gate over at most two and-gates.
+  nnf.Reserve(nnf.num_nodes() + 2 * order.size());
+  std::vector<NnfId> memo(nodes_.size());
   memo[0] = nnf.False();
   memo[1] = nnf.True();
-  // The nodes below f not in `memo` yet; an exported node's children are
-  // exported too, so the walk stops there.
-  std::vector<ObddId> todo;
-  auto visit = [&](ObddId g) {
-    if (memo[g] != kInvalidNnf) return;
-    memo[g] = kQueued;
-    todo.push_back(g);
-  };
-  visit(f);
-  for (size_t i = 0; i < todo.size(); ++i) {
-    visit(nodes_[todo[i]].lo);
-    visit(nodes_[todo[i]].hi);
-  }
-  // lo/hi always reference earlier nodes, so ascending ids put children
-  // first.
-  std::sort(todo.begin(), todo.end());
-  for (const ObddId g : todo) {
+  for (const ObddId g : order) {
+    if (IsTerminal(g)) continue;
     const Node& n = nodes_[g];
     memo[g] = nnf.Decision(n.var, memo[n.hi], memo[n.lo]);
   }

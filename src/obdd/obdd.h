@@ -34,11 +34,12 @@ using ObddId = uint32_t;
 /// counting and WMC, model enumeration, export to NNF (yielding a
 /// Decision-DNNF), and compilation from CNF or formula ASTs.
 ///
-/// Counting and WMC have no evaluator of their own: every OBDD is a
-/// Decision-DNNF, so they run the d-DNNF kernels of nnf/queries.h on an
-/// NNF export the manager keeps. A level an edge skips is an or-gate gap
-/// there. The export grows with the roots queried, by a few NNF nodes per
-/// OBDD node, and is never rebuilt.
+/// Counting and WMC are each one ascending pass over the nodes, in which
+/// an edge that skips levels multiplies by the skipped variables' free
+/// factor. Every OBDD is a Decision-DNNF, so the d-DNNF kernels of
+/// nnf/queries.h could answer both on a ToNnf export, but every caller
+/// counts a root once, and a one-shot export plus gap plan measured about
+/// 1.7x the whole pass on a 3,494-node route OBDD (EXPERIMENTS.md).
 class ObddManager {
  public:
   /// Manager over variables 0..order.size()-1 tested in the given order
@@ -135,10 +136,8 @@ class ObddManager {
   static bool TerminalCase(Op op, ObddId f, ObddId g, ObddId* out);
   // Reachable node ids in ascending (topological) order.
   std::vector<ObddId> ReachableAscending(ObddId f) const;
-  // Exports the nodes below f that `memo` (ObddId -> NnfId, kInvalidNnf
-  // when absent) does not hold yet into `nnf`, records them, and returns
-  // f's NNF node. ToNnf and the kept export share it.
-  NnfId Export(ObddId f, NnfManager& nnf, std::vector<NnfId>& memo) const;
+  // Level of a node; the terminals sit below the last variable.
+  uint32_t NodeLevel(ObddId g) const;
 
   // Exact cache key: packed operands plus an operation tag (collision-free,
   // unlike keying on a hash value).
@@ -158,11 +157,6 @@ class ObddManager {
   UniqueTable unique_;
   LossyCache<OpKey, ObddId> op_cache_;
   ObddTraceSink* trace_ = nullptr;
-  // The kept export ModelCount and Wmc run the d-DNNF kernels on. The node
-  // store is append-only, so an exported node never goes stale and each
-  // query exports only the nodes it has not seen.
-  NnfManager nnf_;
-  std::vector<NnfId> nnf_of_;
 };
 
 }  // namespace tbc

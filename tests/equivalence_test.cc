@@ -188,10 +188,10 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-// OBDD counting runs the d-DNNF kernels on the manager's kept export.
+// OBDD counting and WMC are level-gap passes over the manager's nodes.
 // Over 200 seeded CNFs on shuffled orders, so that OBDD edges skip levels
 // and some variables occur in no clause, its counts and WMCs match the
-// DPLL counter, and a root re-queried after other roots were exported
+// DPLL counter, and a root re-queried after other roots were counted
 // answers bit for bit as it did before.
 TEST(ObddKernelTest, MatchesTheCounterOnShuffledOrders) {
   ModelCounter counter;
