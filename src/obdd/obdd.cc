@@ -219,11 +219,17 @@ double ObddManager::Wmc(ObddId f, const WeightMap& weights) {
   TBC_CHECK_MSG(weights.num_vars() == num_vars(),
                 "weight map must cover exactly the manager's variables");
   // The variable of a level an edge skips is free: W(x) + W(¬x).
-  std::vector<double> level_sum(order_.size());
-  for (size_t i = 0; i < order_.size(); ++i) {
+  // to_terminal[i] is the factor of levels i.. down to the terminals,
+  // which most long skips end at.
+  const size_t num_levels = order_.size();
+  std::vector<double> level_sum(num_levels);
+  std::vector<double> to_terminal(num_levels + 1, 1.0);
+  for (size_t i = num_levels; i-- > 0;) {
     level_sum[i] = weights[Pos(order_[i])] + weights[Neg(order_[i])];
+    to_terminal[i] = level_sum[i] * to_terminal[i + 1];
   }
   auto skip = [&](uint32_t from, uint32_t to) {
+    if (to == num_levels) return to_terminal[from];
     double r = 1.0;
     for (uint32_t i = from; i < to; ++i) r *= level_sum[i];
     return r;
