@@ -286,11 +286,9 @@ size_t ObddManager::Size(ObddId f) const {
 
 NnfId ObddManager::ToNnf(ObddId f, NnfManager& nnf) const {
   const std::vector<ObddId> order = ReachableAscending(f);
-  // A decision node exports to one or-gate over at most two and-gates.
-  nnf.Reserve(nnf.num_nodes() + 2 * order.size());
-  std::vector<NnfId> memo(nodes_.size());
+  std::vector<NnfId> memo(nodes_.size(), kInvalidNnf);
   memo[0] = nnf.False();
-  memo[1] = nnf.True();
+  if (nodes_.size() > 1) memo[1] = nnf.True();
   for (const ObddId g : order) {
     if (IsTerminal(g)) continue;
     const Node& n = nodes_[g];

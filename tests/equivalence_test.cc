@@ -193,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
 // and some variables occur in no clause, its counts and WMCs match the
 // DPLL counter, and a root re-queried after other roots were counted
 // answers bit for bit as it did before.
-TEST(ObddKernelTest, MatchesTheCounterOnShuffledOrders) {
+TEST(ObddCountTest, MatchesTheCounterOnShuffledOrders) {
   ModelCounter counter;
   for (uint64_t seed = 0; seed < 200; ++seed) {
     Rng rng(seed * 104729 + 3);
