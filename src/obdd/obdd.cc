@@ -194,7 +194,8 @@ std::vector<ObddId> ObddManager::ReachableAscending(ObddId f) const {
 }
 
 uint32_t ObddManager::NodeLevel(ObddId g) const {
-  return IsTerminal(g) ? static_cast<uint32_t>(order_.size()) : LevelOf(nodes_[g].var);
+  return IsTerminal(g) ? static_cast<uint32_t>(order_.size())
+                       : LevelOf(nodes_[g].var);
 }
 
 BigUint ObddManager::ModelCount(ObddId f) {
@@ -241,8 +242,9 @@ double ObddManager::Wmc(ObddId f, const WeightMap& weights) {
     if (IsTerminal(g)) continue;
     const Node& n = nodes_[g];
     const uint32_t below = LevelOf(n.var) + 1;
-    value[g] = weights[Neg(n.var)] * value[n.lo] * skip(below, NodeLevel(n.lo)) +
-               weights[Pos(n.var)] * value[n.hi] * skip(below, NodeLevel(n.hi));
+    value[g] =
+        weights[Neg(n.var)] * value[n.lo] * skip(below, NodeLevel(n.lo)) +
+        weights[Pos(n.var)] * value[n.hi] * skip(below, NodeLevel(n.hi));
   }
   return value[f] * skip(0, NodeLevel(f));
 }
