@@ -11,7 +11,8 @@
 // before/after medians to BENCH_kernels.json. Seeds are pinned; every
 // workload reports the median of 5 runs, the query kernels also report ns
 // per circuit edge, the BN compiles (at three network sizes) ns per
-// decision, and the serve codec ns per protocol line.
+// decision, their warm-ups (gap plan plus model count) ns per edge, and
+// the serve codec ns per protocol line.
 //
 // Usage: bench_kernels [--kernel=NAME] [output.json]   (default: stdout)
 //        bench_kernels --list
@@ -420,20 +421,59 @@ struct Entry {
   double lines_per_run = 0.0;  // > 0: also report ns per protocol line
 };
 
-template <typename Fn>
-Entry Measure(const std::string& name, Fn&& fn, double edges_per_run = 0.0) {
+// `timed_run()` performs one run and returns the milliseconds it counts.
+template <typename TimedRun>
+Entry MeasureTimed(const std::string& name, TimedRun&& timed_run,
+                   double edges_per_run = 0.0) {
   Entry e;
   e.name = name;
   e.edges_per_run = edges_per_run;
-  fn();  // warm-up: page in code, fill allocator pools
-  for (int r = 0; r < 5; ++r) {
-    Timer t;
-    fn();
-    e.runs_ms.push_back(t.Millis());
-  }
+  timed_run();  // warm-up: page in code, fill allocator pools
+  for (int r = 0; r < 5; ++r) e.runs_ms.push_back(timed_run());
   std::vector<double> sorted = e.runs_ms;
   std::sort(sorted.begin(), sorted.end());
   e.median_ms = sorted[sorted.size() / 2];
+  return e;
+}
+
+template <typename Fn>
+Entry Measure(const std::string& name, Fn&& fn, double edges_per_run = 0.0) {
+  return MeasureTimed(
+      name,
+      [&fn] {
+        Timer t;
+        fn();
+        return t.Millis();
+      },
+      edges_per_run);
+}
+
+// The warm-up every cold tbc_serve request pays after its compile
+// (serve/artifact_cache.cc, WarmArtifact): the root's gap plan, then its
+// model count, on a freshly compiled circuit of the banded BN. Each run
+// compiles BnCompileReps(size) circuits outside the timed region and
+// times their warm-ups; reported per circuit edge.
+Entry MeasureNnfWarmBn(const std::string& name, size_t bn_vars) {
+  const Cnf& cnf = BandedBnEncoding(bn_vars).cnf();
+  const int reps = BnCompileReps(bn_vars);
+  double edges = 0.0;
+  Entry e = MeasureTimed(name, [&] {
+    std::vector<NnfManager> mgrs(reps);
+    std::vector<NnfId> roots;
+    for (NnfManager& mgr : mgrs) {
+      DdnnfCompiler compiler;
+      roots.push_back(compiler.Compile(cnf, mgr));
+    }
+    edges = static_cast<double>(mgrs[0].CircuitSize(roots[0])) * reps;
+    Timer t;
+    for (int i = 0; i < reps; ++i) {
+      g_sink += static_cast<double>(
+          mgrs[i].GapPlanCached(roots[i]).schedule.num_reachable());
+      g_sink += ModelCount(mgrs[i], roots[i], cnf.num_vars()).ToDouble();
+    }
+    return t.Millis();
+  });
+  e.edges_per_run = edges;
   return e;
 }
 
@@ -455,6 +495,12 @@ std::vector<std::pair<std::string, std::function<Entry()>>> Kernels() {
       Entry e = Measure(name, [bn_vars] { BenchDdnnfCompileBn(bn_vars); });
       e.decisions_per_run = BnCompileDecisionsPerRun(bn_vars);
       return e;
+    });
+  }
+  for (const size_t bn_vars : kBnSizes) {
+    const std::string name = "nnf_warm_bn" + std::to_string(bn_vars);
+    kernels.emplace_back(name, [name, bn_vars] {
+      return MeasureNnfWarmBn(name, bn_vars);
     });
   }
   add("nnf_wmc", BenchNnfWmc, QueryEdgesPerRun);

@@ -43,8 +43,7 @@ namespace {
 std::string VarName(Var v) { return std::to_string(v + 1); }
 
 // First variable present in both bitsets, or kInvalidVar.
-Var FirstSharedVar(const std::vector<uint64_t>& a,
-                   const std::vector<uint64_t>& b) {
+Var FirstSharedVar(Span<const uint64_t> a, Span<const uint64_t> b) {
   const size_t words = a.size() < b.size() ? a.size() : b.size();
   for (size_t w = 0; w < words; ++w) {
     const uint64_t both = a[w] & b[w];
@@ -55,7 +54,7 @@ Var FirstSharedVar(const std::vector<uint64_t>& a,
   return kInvalidVar;
 }
 
-bool ContainsVar(const std::vector<uint64_t>& set, Var v) {
+bool ContainsVar(Span<const uint64_t> set, Var v) {
   const size_t w = v / 64;
   return w < set.size() && (set[w] >> (v % 64)) & 1u;
 }
@@ -203,7 +202,7 @@ class NnfAnalysis {
       if (mgr_.kind(n) != NnfManager::Kind::kAnd) continue;
       std::vector<uint64_t> seen(mgr_.VarSet(n).size(), 0);
       for (NnfId c : mgr_.children(n)) {
-        const std::vector<uint64_t> cs = mgr_.VarSet(c);
+        const Span<const uint64_t> cs = mgr_.VarSet(c);
         const Var shared = FirstSharedVar(seen, cs);
         if (shared != kInvalidVar) {
           report_.Add(Severity::kError, rules::kDnnfDecomposable, n,
@@ -254,8 +253,8 @@ class NnfAnalysis {
               {encoder_->LitOf(kids[i]), encoder_->LitOf(kids[j])});
           if (outcome == SatSolver::Outcome::kSat) {
             // Witness over the variables the two inputs mention.
-            std::vector<uint64_t> mask = mgr_.VarSet(kids[i]);
-            const std::vector<uint64_t>& other = mgr_.VarSet(kids[j]);
+            std::vector<uint64_t> mask = mgr_.VarSet(kids[i]).ToVector();
+            const Span<const uint64_t> other = mgr_.VarSet(kids[j]);
             if (other.size() > mask.size()) mask.resize(other.size(), 0);
             for (size_t w = 0; w < other.size(); ++w) mask[w] |= other[w];
             report_.Add(Severity::kError, rules::kDdnnfDeterministic, n,
@@ -278,8 +277,8 @@ class NnfAnalysis {
       for (size_t i = 1; i < kids.size(); ++i) {
         if (mgr_.VarSet(kids[i]) == mgr_.VarSet(kids[0])) continue;
         // Find one variable in the symmetric difference as the witness.
-        const std::vector<uint64_t> a = mgr_.VarSet(kids[0]);
-        const std::vector<uint64_t> b = mgr_.VarSet(kids[i]);
+        const Span<const uint64_t> a = mgr_.VarSet(kids[0]);
+        const Span<const uint64_t> b = mgr_.VarSet(kids[i]);
         Var miss = kInvalidVar;
         const size_t words = a.size() > b.size() ? a.size() : b.size();
         for (size_t w = 0; w < words && miss == kInvalidVar; ++w) {

@@ -42,50 +42,43 @@ template <typename ForEachChild>
 LevelSchedule Levelize(size_t num_nodes, uint32_t root,
                        ForEachChild&& for_each_child) {
   LevelSchedule s;
-  s.rank.assign(num_nodes, LevelSchedule::kNoRank);
+  constexpr uint32_t kNoRank = LevelSchedule::kNoRank;
+  s.rank.assign(num_nodes, kNoRank);
 
-  // Reachability (iterative; rank doubles as the visited mark).
-  std::vector<uint32_t> reachable;
-  std::vector<uint32_t> stack = {root};
+  // Reachability: children have smaller ids than parents, so one sweep
+  // down from the root marks every reachable node (rank 0 = marked).
   s.rank[root] = 0;
-  while (!stack.empty()) {
-    const uint32_t n = stack.back();
-    stack.pop_back();
-    reachable.push_back(n);
-    for_each_child(n, [&](uint32_t c) {
-      if (s.rank[c] == LevelSchedule::kNoRank) {
-        s.rank[c] = 0;
-        stack.push_back(c);
-      }
-    });
+  size_t count = 0;
+  for (uint32_t n = root + 1; n-- > 0;) {
+    if (s.rank[n] == kNoRank) continue;
+    ++count;
+    for_each_child(n, [&](uint32_t c) { s.rank[c] = 0; });
   }
-  std::sort(reachable.begin(), reachable.end());
 
-  // One forward pass assigns levels (children precede parents by id).
-  std::vector<uint32_t> level(reachable.size(), 0);
-  std::vector<uint32_t> level_of_id(num_nodes, 0);  // only reachable slots used
+  // One scan up the marks lists the reachable nodes in id order and
+  // assigns levels (children precede parents by id); until the final
+  // pass, rank[id] holds the level of a reachable id.
+  std::vector<uint32_t> reachable;
+  reachable.reserve(count);
   uint32_t max_level = 0;
-  for (size_t i = 0; i < reachable.size(); ++i) {
+  for (uint32_t n = 0; n <= root; ++n) {
+    if (s.rank[n] == kNoRank) continue;
     uint32_t lvl = 0;
-    for_each_child(reachable[i], [&](uint32_t c) {
-      lvl = std::max(lvl, level_of_id[c] + 1);
-    });
-    level[i] = lvl;
-    level_of_id[reachable[i]] = lvl;
+    for_each_child(n, [&](uint32_t c) { lvl = std::max(lvl, s.rank[c] + 1); });
+    s.rank[n] = lvl;
     max_level = std::max(max_level, lvl);
+    reachable.push_back(n);
   }
 
   // Counting sort by level; ascending id within a level (stable).
   s.level_begin.assign(max_level + 2, 0);
-  for (uint32_t lvl : level) ++s.level_begin[lvl + 1];
+  for (uint32_t n : reachable) ++s.level_begin[s.rank[n] + 1];
   for (size_t l = 1; l < s.level_begin.size(); ++l) {
     s.level_begin[l] += s.level_begin[l - 1];
   }
   s.order.resize(reachable.size());
   std::vector<uint32_t> cursor(s.level_begin.begin(), s.level_begin.end() - 1);
-  for (size_t i = 0; i < reachable.size(); ++i) {
-    s.order[cursor[level[i]]++] = reachable[i];
-  }
+  for (uint32_t n : reachable) s.order[cursor[s.rank[n]]++] = n;
   for (size_t i = 0; i < s.order.size(); ++i) {
     s.rank[s.order[i]] = static_cast<uint32_t>(i);
   }

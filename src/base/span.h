@@ -13,9 +13,9 @@ namespace tbc {
 /// library needs, with bounds-checked element access in debug builds).
 ///
 /// Introduced for NnfManager::children(): node child lists may live either
-/// in per-node heap vectors (owned managers) or directly inside a
-/// memory-mapped circuit store (src/store/), and a span serves both without
-/// copying. Spans never own: the viewed memory must outlive the span.
+/// in the manager's own child arena or directly inside a memory-mapped
+/// circuit store (src/store/), and a span serves both without copying.
+/// Spans never own: the viewed memory must outlive the span.
 template <typename T>
 class Span {
  public:

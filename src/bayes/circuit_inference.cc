@@ -40,7 +40,7 @@ Result<std::vector<double>> CompiledBayesNet::ProbEvidenceBatch(
     const std::vector<BnInstantiation>& evidence, Guard& guard,
     ThreadPool* pool) {
   TBC_RETURN_IF_ERROR(guard.Check());
-  // Warm the root's gap plan (varsets and schedule with it) once: afterwards
+  // Warm the root's gap plan (its schedule with it) once: afterwards
   // every WMC pass only reads the manager, so concurrent lanes are race-free.
   mgr_.GapPlanCached(root_);
   std::vector<double> out(evidence.size(), 0.0);

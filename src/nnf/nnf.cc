@@ -8,22 +8,41 @@
 
 namespace tbc {
 
-std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
-                             const std::vector<uint64_t>& small) {
-  std::vector<Var> out;
+void AppendMissingVars(Span<const uint64_t> big, Span<const uint64_t> small,
+                       std::vector<Var>& out) {
   for (size_t w = 0; w < big.size(); ++w) {
     uint64_t diff = big[w] & ~(w < small.size() ? small[w] : 0);
-    while (diff != 0) {
+    for (; diff != 0; diff &= diff - 1) {
       out.push_back(static_cast<Var>(64 * w + __builtin_ctzll(diff)));
-      diff &= diff - 1;
     }
   }
-  return out;
 }
 
+namespace {
+
+// Writes the variable set of node `n` into out[0 .. words): a literal's
+// own variable, or the union of the children's sets, each read at
+// set_of(child). The one bitset routine behind VarSet() and the gap plan.
+template <typename SetOf>
+void FillVarSet(const NnfManager& mgr, NnfId n, uint64_t* out, size_t words,
+                SetOf&& set_of) {
+  std::fill_n(out, words, 0);
+  if (mgr.kind(n) == NnfManager::Kind::kLiteral) {
+    const Var v = mgr.lit(n).var();
+    out[v / 64] |= 1ull << (v % 64);
+    return;
+  }
+  for (NnfId c : mgr.children(n)) {
+    const uint64_t* cs = set_of(c);
+    for (size_t w = 0; w < words; ++w) out[w] |= cs[w];
+  }
+}
+
+}  // namespace
+
 NnfManager::NnfManager() {
-  nodes_.push_back({Kind::kFalse, 0, {}});  // id 0
-  nodes_.push_back({Kind::kTrue, 0, {}});   // id 1
+  Append(Kind::kFalse, 0, {});  // id 0
+  Append(Kind::kTrue, 0, {});   // id 1
 }
 
 NnfManager::NnfManager(MappedCircuit base, int) : base_(std::move(base)) {
@@ -38,27 +57,32 @@ std::unique_ptr<NnfManager> NnfManager::FromMapped(MappedCircuit base) {
   return std::unique_ptr<NnfManager>(new NnfManager(std::move(base), 0));
 }
 
-NnfId NnfManager::Intern(Kind kind, uint32_t payload,
+NnfId NnfManager::Append(Kind kind, uint32_t payload,
                          Span<const NnfId> children) {
+  const NnfId id = static_cast<NnfId>(num_nodes());
+  kinds_.push_back(static_cast<uint8_t>(kind));
+  payloads_.push_back(payload);
+  children_.insert(children_.end(), children.begin(), children.end());
+  child_begin_.push_back(children_.size());
+  return id;
+}
+
+NnfId NnfManager::Intern(Kind kind, Span<const NnfId> children) {
   // Interning dedups against the overlay only: mapped-base nodes are never
   // indexed (see FromMapped). A duplicate of a base node costs one overlay
   // slot, never correctness.
   uint64_t h = HashCombine(0, static_cast<size_t>(kind));
-  h = HashCombine(h, payload);
   for (NnfId c : children) h = HashCombine(h, c);
   h = HashU64(h);
   const uint32_t found = index_.Find(h, [&](uint32_t id) {
-    const Node& n = nodes_[id - base_.num_nodes];
-    return n.kind == kind && n.payload == payload &&
-           Span<const NnfId>(n.children) == children;
+    return this->kind(id) == kind && this->children(id) == children;
   });
   if (found != UniqueTable::kNpos) {
     TBC_COUNT("nnf.unique.hits");
     return found;
   }
   TBC_COUNT("nnf.nodes.created");
-  const NnfId id = static_cast<NnfId>(base_.num_nodes + nodes_.size());
-  nodes_.push_back({kind, payload, children.ToVector()});
+  const NnfId id = Append(kind, 0, children);
   index_.Insert(h, id);
   return id;
 }
@@ -66,7 +90,17 @@ NnfId NnfManager::Intern(Kind kind, uint32_t payload,
 NnfId NnfManager::Literal(Lit l) {
   TBC_DCHECK(l.valid());
   num_vars_ = std::max(num_vars_, static_cast<size_t>(l.var()) + 1);
-  return Intern(Kind::kLiteral, l.code(), {});
+  if (l.code() >= literal_nodes_.size()) {
+    literal_nodes_.resize(2 * (static_cast<size_t>(l.var()) + 1), kInvalidNnf);
+  }
+  NnfId& node = literal_nodes_[l.code()];
+  if (node != kInvalidNnf) {
+    TBC_COUNT("nnf.unique.hits");
+    return node;
+  }
+  TBC_COUNT("nnf.nodes.created");
+  node = Append(Kind::kLiteral, l.code(), {});
+  return node;
 }
 
 NnfId NnfManager::Gate(Kind kind, Span<const NnfId> children) {
@@ -88,7 +122,7 @@ NnfId NnfManager::Gate(Kind kind, Span<const NnfId> children) {
   kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
   if (kids.empty()) return unit;
   if (kids.size() == 1) return kids[0];
-  return Intern(kind, 0, kids);
+  return Intern(kind, kids);
 }
 
 NnfId NnfManager::Decision(Var v, NnfId hi, NnfId lo) {
@@ -97,20 +131,22 @@ NnfId NnfManager::Decision(Var v, NnfId hi, NnfId lo) {
 }
 
 std::vector<NnfId> NnfManager::TopologicalOrder(NnfId root) const {
-  // Node ids grow children-before-parents by construction, so collecting
-  // the reachable set and sorting by id is a topological order.
-  std::vector<NnfId> order;
-  std::vector<int8_t> seen(num_nodes(), 0);
-  std::vector<NnfId> stack = {root};
-  while (!stack.empty()) {
-    NnfId cur = stack.back();
-    stack.pop_back();
-    if (seen[cur]) continue;
-    seen[cur] = 1;
-    order.push_back(cur);
-    for (NnfId c : children(cur)) stack.push_back(c);
+  // Node ids grow children-before-parents by construction, so one sweep
+  // down from the root marks the reachable set and one scan up lists it
+  // in id order, which is a topological order.
+  std::vector<int8_t> seen(static_cast<size_t>(root) + 1, 0);
+  seen[root] = 1;
+  size_t count = 0;
+  for (NnfId n = root + 1; n-- > 0;) {
+    if (!seen[n]) continue;
+    ++count;
+    for (NnfId c : children(n)) seen[c] = 1;
   }
-  std::sort(order.begin(), order.end());
+  std::vector<NnfId> order;
+  order.reserve(count);
+  for (NnfId n = 0; n <= root; ++n) {
+    if (seen[n]) order.push_back(n);
+  }
   return order;
 }
 
@@ -125,23 +161,30 @@ const GapPlan& NnfManager::GapPlanCached(NnfId root) {
     return *gap_plans_[*slot];
   }
   auto plan = std::make_unique<GapPlan>();
-  plan->root_vars = VarSet(root);  // warms every varset below root
   plan->schedule = Schedule(root);
   const LevelSchedule& s = plan->schedule;
+  const size_t words = (num_vars_ + 63) / 64;
+  // Rank-indexed variable sets: children sit on earlier levels, so one
+  // walk in schedule order fills every set before a parent reads it.
+  std::vector<uint64_t> sets(s.order.size() * words);
+  const auto set_of = [&](NnfId c) { return sets.data() + s.rank[c] * words; };
   plan->edge_begin.reserve(s.order.size() + 1);
   plan->gap_begin.push_back(0);
-  for (NnfId n : s.order) {
+  for (size_t i = 0; i < s.order.size(); ++i) {
+    const NnfId n = s.order[i];
+    uint64_t* set = sets.data() + i * words;
+    FillVarSet(*this, n, set, words, set_of);
     plan->edge_begin.push_back(static_cast<uint32_t>(plan->gap_begin.size() - 1));
     if (kind(n) != Kind::kOr) continue;
-    const std::vector<uint64_t>& gate_vars = VarSet(n);
     for (NnfId c : children(n)) {
-      const std::vector<Var> gap = MissingVars(gate_vars, VarSet(c));
-      plan->gap_vars.insert(plan->gap_vars.end(), gap.begin(), gap.end());
+      AppendMissingVars({set, words}, {set_of(c), words}, plan->gap_vars);
       TBC_CHECK_MSG(plan->gap_vars.size() <= UINT32_MAX, "gap plan too large");
       plan->gap_begin.push_back(static_cast<uint32_t>(plan->gap_vars.size()));
     }
   }
   plan->edge_begin.push_back(static_cast<uint32_t>(plan->gap_begin.size() - 1));
+  const uint64_t* root_set = set_of(root);
+  plan->root_vars.assign(root_set, root_set + words);
   gap_plans_.push_back(std::move(plan));
   gap_plan_index_.Insert(root, static_cast<uint32_t>(gap_plans_.size() - 1));
   return *gap_plans_.back();
@@ -215,31 +258,23 @@ NnfId NnfManager::RewriteLiterals(NnfId root,
   return memo[root];
 }
 
-const std::vector<uint64_t>& NnfManager::VarSet(NnfId root) {
-  if (varset_ready_.size() < num_nodes()) {
-    varset_ready_.resize(num_nodes(), 0);
-    varset_cache_.resize(num_nodes());
-  }
+Span<const uint64_t> NnfManager::VarSet(NnfId root) {
   const size_t words = (num_vars_ + 63) / 64;
-  if (varset_ready_[root] && varset_cache_[root].size() == words) {
-    return varset_cache_[root];
+  if (words != varset_words_) {
+    varset_words_ = words;
+    varsets_filled_ = 0;
   }
-  for (NnfId n : TopologicalOrder(root)) {
-    if (varset_ready_[n] && varset_cache_[n].size() == words) continue;
-    std::vector<uint64_t> set(words, 0);
-    if (kind(n) == Kind::kLiteral) {
-      const Var v = lit(n).var();
-      set[v / 64] |= 1ull << (v % 64);
-    } else {
-      for (NnfId c : children(n)) {
-        const std::vector<uint64_t>& cs = varset_cache_[c];
-        for (size_t w = 0; w < words; ++w) set[w] |= cs[w];
-      }
+  if (root >= varsets_filled_) {
+    // Fill every node created since, so views of filled sets survive until
+    // the next node creation.
+    varsets_.resize(num_nodes() * words);
+    for (size_t n = varsets_filled_; n < num_nodes(); ++n) {
+      FillVarSet(*this, static_cast<NnfId>(n), varsets_.data() + n * words,
+                 words, [&](NnfId c) { return varsets_.data() + c * words; });
     }
-    varset_cache_[n] = std::move(set);
-    varset_ready_[n] = 1;
+    varsets_filled_ = num_nodes();
   }
-  return varset_cache_[root];
+  return {varsets_.data() + static_cast<size_t>(root) * words, words};
 }
 
 size_t NnfManager::NumVarsBelow(NnfId root) {

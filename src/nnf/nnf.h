@@ -43,11 +43,12 @@ struct MappedCircuit {
   std::shared_ptr<const void> owner;
 };
 
-/// Variables present in bitset `big` but not in `small` (missing words of
-/// `small` count as empty), in ascending order. The "gap" of an or-gate
-/// input: the gate's variables the input does not mention.
-std::vector<Var> MissingVars(const std::vector<uint64_t>& big,
-                             const std::vector<uint64_t>& small);
+/// Appends to `out` the variables present in bitset `big` but not in
+/// `small` (missing words of `small` count as empty), in ascending order.
+/// The "gap" of an or-gate input: the gate's variables the input does not
+/// mention.
+void AppendMissingVars(Span<const uint64_t> big, Span<const uint64_t> small,
+                       std::vector<Var>& out);
 
 /// Per-root evaluation plan of the gap-factor kernels in nnf/queries.cc
 /// (counting, weighted counting, MPE, marginals and sampling): the root's
@@ -59,8 +60,8 @@ struct GapPlan {
   /// The or-gate at rank i owns edge slots [edge_begin[i], edge_begin[i+1]),
   /// one per child in child order; other gates own none.
   std::vector<uint32_t> edge_begin;
-  /// Edge slot e's gap is gap_vars[gap_begin[e] .. gap_begin[e+1]), in the
-  /// ascending order MissingVars() yields.
+  /// Edge slot e's gap is gap_vars[gap_begin[e] .. gap_begin[e+1]), in
+  /// ascending order.
   std::vector<uint32_t> gap_begin;
   std::vector<Var> gap_vars;
   /// Variables below the root, as a VarSet() bitset.
@@ -124,23 +125,30 @@ class NnfManager {
   NnfId Decision(Var v, NnfId hi, NnfId lo);
 
   Kind kind(NnfId n) const {
-    return n < base_.num_nodes ? static_cast<Kind>(base_.kinds[n])
-                               : nodes_[n - base_.num_nodes].kind;
+    return static_cast<Kind>(n < base_.num_nodes ? base_.kinds[n]
+                                                 : kinds_[n - base_.num_nodes]);
   }
-  Lit lit(NnfId n) const { return Lit::FromCode(payload(n)); }
+  Lit lit(NnfId n) const {
+    return Lit::FromCode(n < base_.num_nodes ? base_.payloads[n]
+                                             : payloads_[n - base_.num_nodes]);
+  }
   /// Children of `n`. The view stays valid for the manager's lifetime for
-  /// mapped-base nodes; for overlay nodes it is invalidated by the next
-  /// node creation (copy first when interleaving reads with And/Or).
+  /// mapped-base nodes. For overlay nodes it points into the one child
+  /// arena, which the next node creation may reallocate: copy first when
+  /// interleaving reads with Literal/And/Or/Decision.
   Span<const NnfId> children(NnfId n) const {
-    if (n < base_.num_nodes) {
-      const uint64_t b = base_.child_begin[n];
-      return Span<const NnfId>(base_.children + b,
-                               static_cast<size_t>(base_.child_begin[n + 1] - b));
+    const uint64_t* begin = base_.child_begin;
+    const NnfId* arena = base_.children;
+    if (n >= base_.num_nodes) {
+      n -= base_.num_nodes;
+      begin = child_begin_.data();
+      arena = children_.data();
     }
-    return Span<const NnfId>(nodes_[n - base_.num_nodes].children);
+    return Span<const NnfId>(arena + begin[n],
+                             static_cast<size_t>(begin[n + 1] - begin[n]));
   }
 
-  size_t num_nodes() const { return base_.num_nodes + nodes_.size(); }
+  size_t num_nodes() const { return base_.num_nodes + kinds_.size(); }
   /// Number of variables (max mentioned var + 1).
   size_t num_vars() const { return num_vars_; }
 
@@ -164,8 +172,11 @@ class NnfManager {
   NnfId RewriteLiterals(NnfId root, const std::function<NnfId(NnfId)>& rewrite);
 
   /// Set of variables in the subcircuit at `root`, as a bitset of
-  /// ceil(num_vars/64) words. Computed once per node and cached.
-  const std::vector<uint64_t>& VarSet(NnfId root);
+  /// ceil(num_vars/64) words. Sets live in one id-indexed arena: a call on
+  /// a node past the filled range fills every node up to num_nodes() in id
+  /// order, and a grown num_vars refills it. Like children(), the view
+  /// does not survive node creation.
+  Span<const uint64_t> VarSet(NnfId root);
   /// Number of distinct variables below `root`.
   size_t NumVarsBelow(NnfId root);
 
@@ -182,9 +193,9 @@ class NnfManager {
   /// Memoized unweighted model-count results (the classic BDD-package
   /// count cache): a circuit's count over a fixed variable universe is a
   /// pure function of the append-only store, so it never invalidates.
-  /// Returns nullptr on a miss; ModelCountBounded() populates it. Like
-  /// VarSet(), the first write happens on a query: warm single-threaded
-  /// before sharing the manager across lanes.
+  /// Returns nullptr on a miss; ModelCountBounded() populates it. The
+  /// first write happens on a query: warm single-threaded before sharing
+  /// the manager across lanes.
   const BigUint* FindModelCount(NnfId root, size_t num_vars) const {
     return count_cache_.Find(RootVarsKey(root, num_vars));
   }
@@ -192,46 +203,48 @@ class NnfManager {
     count_cache_.Insert(RootVarsKey(root, num_vars), count);
   }
 
-  /// Cached GapPlan for `root`, built on the first call per root (which
-  /// also warms the subcircuit's varsets). The store is append-only and
-  /// gaps are sets of variables, so a plan never goes stale; the reference
-  /// stays valid for the manager's lifetime. It is all the state the WMC,
+  /// Cached GapPlan for `root`, built on the first call per root in one
+  /// walk over the root's level schedule: each node's variable set is
+  /// OR-ed into a rank-indexed scratch arena, freed when the plan is done,
+  /// and every or-edge's gap is appended straight into the plan. It leaves
+  /// the VarSet() arena untouched. The store is append-only and gaps are
+  /// sets of variables, so a plan never goes stale; the reference stays
+  /// valid for the manager's lifetime. It is all the state the WMC,
   /// marginal and MPE kernels read: after one call per root they perform
   /// no write to the manager. Same warm-before-sharing contract as
   /// FindModelCount().
   const GapPlan& GapPlanCached(NnfId root);
 
-  /// Pre-sizes the unique table for `n` expected nodes.
-  void Reserve(size_t n) { index_.Reserve(n); }
-
  private:
-  struct Node {
-    Kind kind;
-    uint32_t payload = 0;  // literal code for kLiteral
-    std::vector<NnfId> children;
-  };
-
   NnfManager(MappedCircuit base, int);  // FromMapped; tag disambiguates
-
-  uint32_t payload(NnfId n) const {
-    return n < base_.num_nodes ? base_.payloads[n]
-                               : nodes_[n - base_.num_nodes].payload;
-  }
 
   // And/Or: the children simplified into gate_scratch_, then interned.
   NnfId Gate(Kind kind, Span<const NnfId> children);
-  // Hash-conses a node; allocates its child list only when it is new.
-  NnfId Intern(Kind kind, uint32_t payload, Span<const NnfId> children);
+  // Hash-conses a gate: appends it to the overlay only when it is new.
+  NnfId Intern(Kind kind, Span<const NnfId> children);
+  // Appends a node to the overlay's arrays.
+  NnfId Append(Kind kind, uint32_t payload, Span<const NnfId> children);
 
   /// Mapped base node store; num_nodes == 0 for ordinary managers, in which
-  /// case every accessor falls through to the overlay (`nodes_`, indexed
-  /// by id - base_.num_nodes).
+  /// case every accessor falls through to the overlay.
   MappedCircuit base_;
-  std::vector<Node> nodes_;
+  /// The overlay, in the base's CSR layout and indexed by id -
+  /// base_.num_nodes: node i's children are
+  /// children_[child_begin_[i] .. child_begin_[i+1]).
+  std::vector<uint8_t> kinds_;
+  std::vector<uint32_t> payloads_;  // literal code for kLiteral, else 0
+  std::vector<uint64_t> child_begin_ = {0};
+  std::vector<NnfId> children_;
+  /// Overlay literal node by literal code (kInvalidNnf until created);
+  /// literals never enter the unique table, which holds gates only.
+  std::vector<NnfId> literal_nodes_;
   UniqueTable index_;
   std::vector<NnfId> gate_scratch_;
-  std::vector<std::vector<uint64_t>> varset_cache_;  // parallel to nodes_
-  std::vector<int8_t> varset_ready_;
+  /// VarSet() arena: node n's set is varsets_[n * varset_words_ ..) for
+  /// every n < varsets_filled_.
+  std::vector<uint64_t> varsets_;
+  size_t varset_words_ = 0;
+  size_t varsets_filled_ = 0;
   static uint64_t RootVarsKey(NnfId root, size_t num_vars) {
     return (uint64_t{root} << 32) | static_cast<uint32_t>(num_vars);
   }

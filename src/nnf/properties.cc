@@ -26,7 +26,7 @@ bool IsDecomposable(NnfManager& mgr, NnfId root) {
     // Accumulate union; any overlap along the way violates decomposability.
     std::vector<uint64_t> seen(mgr.VarSet(n).size(), 0);
     for (NnfId c : kids) {
-      const std::vector<uint64_t>& cs = mgr.VarSet(c);
+      const Span<const uint64_t> cs = mgr.VarSet(c);
       for (size_t w = 0; w < cs.size(); ++w) {
         if ((seen[w] & cs[w]) != 0) return false;
         seen[w] |= cs[w];
@@ -151,11 +151,13 @@ NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
         break;
       }
       case NnfManager::Kind::kOr: {
-        const std::vector<uint64_t> full = mgr.VarSet(n);  // copy: mgr mutates
+        // Copies: And/Or below may reallocate what the views point into.
+        const std::vector<uint64_t> full = mgr.VarSet(n).ToVector();
         std::vector<NnfId> kids;
         const std::vector<NnfId> original = mgr.children(n).ToVector();
         for (NnfId c : original) {
-          const std::vector<Var> missing = MissingVars(full, mgr.VarSet(c));
+          std::vector<Var> missing;
+          AppendMissingVars(full, mgr.VarSet(c), missing);
           kids.push_back(AttachMissing(mgr, memo[c], missing));
         }
         memo[n] = mgr.Or(std::move(kids));
@@ -167,7 +169,9 @@ NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars) {
   if (num_vars > 0) {
     std::vector<uint64_t> all((num_vars + 63) / 64, 0);
     for (size_t v = 0; v < num_vars; ++v) all[v / 64] |= 1ull << (v % 64);
-    result = AttachMissing(mgr, result, MissingVars(all, mgr.VarSet(root)));
+    std::vector<Var> missing;
+    AppendMissingVars(all, mgr.VarSet(root), missing);
+    result = AttachMissing(mgr, result, missing);
   }
   return result;
 }

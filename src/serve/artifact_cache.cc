@@ -28,14 +28,18 @@ std::string KeyOf(const std::string& cnf_text) {
 }
 
 /// Warms every lazily-written cache of a freshly built or restored
-/// artifact's manager single-threaded — the count memo, then the root's
-/// gap plan (with its varsets and schedule) — and fills the count and the
-/// sizes, so queries on the shared artifact are pure reads (see the
-/// Artifact doc comment). `known_count` is the model count when the caller
-/// already has it (a store that embeds one); otherwise it is computed
-/// under `guard`.
+/// artifact's manager single-threaded, so queries on the shared artifact
+/// are pure reads (see the Artifact doc comment). It writes exactly:
+///   - the manager's count memo: one entry, (root, num_vars) -> count;
+///   - the manager's gap-plan cache: one GapPlan for the root (its level
+///     schedule and or-edge gap arrays, plus the root's variable bitset);
+///   - the artifact's `count`, `nodes` and `edges`.
+/// It creates no node and fills no VarSet() set. `known_count` is the
+/// model count when the caller already has it (a store that embeds one);
+/// otherwise it is computed under `guard`.
 Status WarmArtifact(Artifact& artifact, const BigUint* known_count,
                     Guard& guard) {
+  TBC_SPAN("serve.warm");
   NnfManager& mgr = *artifact.mgr;
   if (known_count != nullptr) {
     artifact.count = *known_count;

@@ -27,8 +27,8 @@ namespace tbc::serve {
 ///
 /// Built once (single-threaded) by ArtifactCache::GetOrCompile, then only
 /// read. Build() warms every lazily-populated manager cache — the
-/// model-count memo, plus the root's gap plan with its varsets and level
-/// schedule (NnfManager::GapPlanCached) — so the "warm single-threaded
+/// model-count memo, plus the root's gap plan with its level schedule
+/// (NnfManager::GapPlanCached) — so the "warm single-threaded
 /// before sharing" contract of NnfManager holds: WMC/MAR/MPE queries
 /// perform no write to `mgr` and run concurrently on one artifact
 /// data-race-free (asserted by the serve soak test under TSan).

@@ -151,6 +151,62 @@ TEST(ModelCounterTest, CompiledCountBeyond64BitsMatchesCounter) {
   EXPECT_EQ(count, counter.Count(cnf));
 }
 
+// The compiled count's 64-bit first pass at its edges, against the
+// counter. A 64-variable clause counts 2^64 - 1, which fits. A 65-variable
+// clause overflows inside the pass (its first decision's literal input
+// misses 64 variables: 1·2^64), so the count falls back to BigUint. Three
+// hand-built d-DNNFs reach exactly 2^64 one way each: an or-edge shift
+// 2·2^63, a sum 2^63 + 2^63 and a product of 64 factors 2.
+TEST(ModelCounterTest, CompiledCountAtThe64BitBoundary) {
+  ModelCounter counter;
+  for (const size_t n : {64, 65}) {
+    Cnf cnf(n);
+    Clause wide;
+    for (Var v = 0; v < n; ++v) wide.push_back(Pos(v));
+    cnf.AddClause(wide);
+    NnfManager m;
+    DdnnfCompiler compiler;
+    const NnfId root = compiler.Compile(cnf, m);
+    const BigUint want = BigUint::PowerOfTwo(static_cast<unsigned>(n)) - 1;
+    EXPECT_EQ(ModelCount(m, root, n), want) << n << " variables";
+    EXPECT_EQ(counter.Count(cnf), want) << n << " variables";
+  }
+
+  // Variables x0..x62, y = x63, z = x64; t(v) is the tautology v ∨ ¬v.
+  const Var y = 63, z = 64;
+  NnfManager m;
+  auto t = [&](Var v) { return m.Or(m.Literal(Pos(v)), m.Literal(Neg(v))); };
+  std::vector<NnfId> xs, ts;
+  for (Var v = 0; v < 63; ++v) {
+    xs.push_back(m.Literal(Pos(v)));
+    ts.push_back(t(v));
+  }
+  // z → (y ∧ x0 ∧ … ∧ x62) as (z ∧ y ∧ x0 ∧ … ∧ x62) ∨ (¬z ∧ t(y)): the
+  // second input counts 2 and misses x0..x62, so its edge adds 2·2^63.
+  Cnf implication(65);
+  implication.AddClause({Neg(z), Pos(y)});
+  for (Var v = 0; v < 63; ++v) implication.AddClause({Neg(z), Pos(v)});
+  std::vector<NnfId> conj = xs;
+  conj.push_back(m.Literal(Pos(y)));
+  conj.push_back(m.Literal(Pos(z)));
+  const NnfId shifted = m.Or(m.And(conj), m.And(m.Literal(Neg(z)), t(y)));
+  EXPECT_EQ(ModelCount(m, shifted, 65), BigUint::PowerOfTwo(64) + 1);
+  EXPECT_EQ(counter.Count(implication), BigUint::PowerOfTwo(64) + 1);
+  // (y ∧ t(x0) ∧ … ∧ t(x62)) ∨ (¬y ∧ t(x0) ∧ … ∧ t(x62)): 2^63 + 2^63.
+  std::vector<NnfId> pos = ts, neg = ts;
+  pos.push_back(m.Literal(Pos(y)));
+  neg.push_back(m.Literal(Neg(y)));
+  const NnfId sum = m.Or(m.And(pos), m.And(neg));
+  // t(x0) ∧ … ∧ t(x62) ∧ t(y): 64 factors 2.
+  std::vector<NnfId> all = ts;
+  all.push_back(t(y));
+  const NnfId product = m.And(all);
+  const Cnf free64(64);
+  EXPECT_EQ(counter.Count(free64), BigUint::PowerOfTwo(64));
+  EXPECT_EQ(ModelCount(m, sum, 64), BigUint::PowerOfTwo(64));
+  EXPECT_EQ(ModelCount(m, product, 64), BigUint::PowerOfTwo(64));
+}
+
 TEST(ModelCounterTest, FreeVariablesAndEmptyCnf) {
   Cnf cnf(5);
   cnf.AddClauseDimacs({1, 2});

@@ -511,6 +511,18 @@ TEST(NnfQueriesTest, ForgetMatchesExistentialQuantification) {
   EXPECT_TRUE(m.Evaluate(all_forgotten, {false, false, false, false}));
 }
 
+// A variable the manager has never numbered has no slot in the query's
+// variable bitset: both queries refuse it instead of writing past the set.
+TEST(NnfQueriesDeathTest, ForgetAndMaxSumRejectVariablesOutsideTheManager) {
+  NnfManager m;
+  const NnfId root = BuildPaperCircuit(m);
+  const Var outside = static_cast<Var>(m.num_vars() + 128);
+  EXPECT_DEATH(Forget(m, root, {outside}), "Forget: variable not below");
+  const WeightMap w(m.num_vars());
+  EXPECT_DEATH(MaxSumWmc(m, root, w, {outside}),
+               "MaxSumWmc: variable not below");
+}
+
 TEST(NnfIoTest, ConstantsRoundTrip) {
   NnfManager m;
   std::string t = WriteNnf(m, m.True(), 0);

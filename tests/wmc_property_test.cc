@@ -160,10 +160,11 @@ TEST(WmcPropertyTest, ExactCountInvariantUnderRenaming) {
 // order: each or-input's gap weights multiply in ascending variable
 // order. WmcBounded must match it bit for bit, whatever it caches.
 double ReferenceWmc(NnfManager& mgr, NnfId root, const WeightMap& w) {
-  auto gap = [&](const std::vector<uint64_t>& big,
-                 const std::vector<uint64_t>& small) {
+  auto gap = [&](Span<const uint64_t> big, Span<const uint64_t> small) {
+    std::vector<Var> missing;
+    AppendMissingVars(big, small, missing);
     double f = 1.0;
-    for (Var v : MissingVars(big, small)) f *= w[Pos(v)] + w[Neg(v)];
+    for (Var v : missing) f *= w[Pos(v)] + w[Neg(v)];
     return f;
   };
   mgr.VarSet(root);
