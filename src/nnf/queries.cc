@@ -586,7 +586,8 @@ MaxSumResult MaxSumWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,
   mgr.VarSet(root);  // fills every set below root: later calls only read
   std::vector<uint64_t> max_set((mgr.num_vars() + 63) / 64, 0);
   for (Var v : max_vars) {
-    TBC_CHECK_MSG(v < mgr.num_vars(), "MaxSumWmc: variable not below num_vars()");
+    TBC_CHECK_MSG(v < mgr.num_vars(),
+                  "MaxSumWmc: variable not below num_vars()");
     max_set[v / 64] |= 1ull << (v % 64);
   }
   auto touches_max = [&](NnfId n) {
