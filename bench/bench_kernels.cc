@@ -11,8 +11,8 @@
 // before/after medians to BENCH_kernels.json. Seeds are pinned; every
 // workload reports the median of 5 runs, the query kernels also report ns
 // per circuit edge, the BN compiles (at three network sizes) ns per
-// decision, their warm-ups (gap plan plus model count) ns per edge, and
-// the serve codec ns per protocol line.
+// decision, their warm-ups (gap plan plus model count) and a count past
+// 2^64 ns per edge, and the serve codec ns per protocol line.
 //
 // Usage: bench_kernels [--kernel=NAME] [output.json]   (default: stdout)
 //        bench_kernels --list
@@ -478,6 +478,34 @@ Entry MeasureNnfWarmBn(const std::string& name, size_t bn_vars) {
 }
 
 
+// The other side of ModelCountBounded's 64-bit first try: the banded BN
+// at 96 variables, whose encoding counts 2^96 (one model per network
+// instantiation). Each run compiles BnCompileReps(96) circuits and builds
+// their gap plans outside the timed region, then times their model
+// counts; reported per circuit edge.
+Entry MeasureNnfCountBn96(const std::string& name) {
+  const Cnf& cnf = BandedBnEncoding(96).cnf();
+  const int reps = BnCompileReps(96);
+  double edges = 0.0;
+  Entry e = MeasureTimed(name, [&] {
+    std::vector<NnfManager> mgrs(reps);
+    std::vector<NnfId> roots;
+    for (NnfManager& mgr : mgrs) {
+      DdnnfCompiler compiler;
+      roots.push_back(compiler.Compile(cnf, mgr));
+      mgr.GapPlanCached(roots.back());
+    }
+    edges = static_cast<double>(mgrs[0].CircuitSize(roots[0])) * reps;
+    Timer t;
+    for (int i = 0; i < reps; ++i) {
+      g_sink += ModelCount(mgrs[i], roots[i], cnf.num_vars()).ToDouble();
+    }
+    return t.Millis();
+  });
+  e.edges_per_run = edges;
+  return e;
+}
+
 // Every kernel, in report order, each as the measurement that produces
 // its entry. The BN compile runs at each of kBnSizes.
 std::vector<std::pair<std::string, std::function<Entry()>>> Kernels() {
@@ -503,6 +531,8 @@ std::vector<std::pair<std::string, std::function<Entry()>>> Kernels() {
       return MeasureNnfWarmBn(name, bn_vars);
     });
   }
+  kernels.emplace_back("nnf_count_bn96",
+                       [] { return MeasureNnfCountBn96("nnf_count_bn96"); });
   add("nnf_wmc", BenchNnfWmc, QueryEdgesPerRun);
   add("nnf_marginals", BenchNnfMarginals, QueryEdgesPerRun);
   add("nnf_mpe", BenchNnfMpe, QueryEdgesPerRun);
