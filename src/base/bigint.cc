@@ -12,71 +12,87 @@ namespace {
 __extension__ typedef unsigned __int128 u128;
 }  // namespace
 
-BigUint::BigUint(uint64_t value) {
-  if (value != 0) limbs_.push_back(value);
-}
-
 BigUint BigUint::PowerOfTwo(unsigned k) {
+  if (k < 64) return BigUint(1ull << k);
   BigUint r;
   r.limbs_.assign(k / 64 + 1, 0);
   r.limbs_.back() = 1ull << (k % 64);
   return r;
 }
 
-void BigUint::Trim() {
-  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+void BigUint::Widen() {
+  if (limbs_.empty() && small_ != 0) limbs_.assign(1, small_);
+  small_ = 0;
 }
 
-BigUint& BigUint::operator+=(const BigUint& other) {
-  const size_t n = std::max(limbs_.size(), other.limbs_.size());
+void BigUint::Narrow() {
+  while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
+  if (limbs_.size() <= 1) {
+    small_ = limbs_.empty() ? 0 : limbs_[0];
+    limbs_.clear();
+  }
+}
+
+BigUint& BigUint::AddWide(const BigUint& other) {
+  if (&other == this) return AddWide(BigUint(other));
+  Widen();
+  const Span<const uint64_t> y = other.View();
+  const size_t n = std::max(limbs_.size(), y.size());
   limbs_.resize(n, 0);
   u128 carry = 0;
   for (size_t i = 0; i < n; ++i) {
     u128 sum = carry + limbs_[i];
-    if (i < other.limbs_.size()) sum += other.limbs_[i];
+    if (i < y.size()) sum += y[i];
     limbs_[i] = static_cast<uint64_t>(sum);
     carry = sum >> 64;
   }
   if (carry != 0) limbs_.push_back(static_cast<uint64_t>(carry));
+  Narrow();
   return *this;
 }
 
-BigUint& BigUint::AddShifted(const BigUint& x, unsigned k) {
+BigUint& BigUint::AddShiftedWide(const BigUint& x, unsigned k) {
   TBC_DCHECK(&x != this);
-  if (x.IsZero()) return *this;
-  if (k == 0) return *this += x;
+  if (k == 0) return AddWide(x);
+  Widen();
+  const Span<const uint64_t> y = x.View();
   const size_t word = k / 64;
   const unsigned bit = k % 64;
-  // x · 2^k spans limbs [word, word + x.size() + 1); add it limb by limb.
-  const size_t n = std::max(limbs_.size(), word + x.limbs_.size() + 1);
+  // x · 2^k spans limbs [word, word + y.size() + 1); add it limb by limb.
+  const size_t n = std::max(limbs_.size(), word + y.size() + 1);
   limbs_.resize(n, 0);
   u128 carry = 0;
   uint64_t spill = 0;  // x's bits shifted out of the previous limb
   for (size_t i = word; i < n; ++i) {
     const size_t j = i - word;
     uint64_t part = spill;
-    if (j < x.limbs_.size()) {
-      part |= bit == 0 ? x.limbs_[j] : x.limbs_[j] << bit;
-      spill = bit == 0 ? 0 : x.limbs_[j] >> (64 - bit);
+    if (j < y.size()) {
+      part |= bit == 0 ? y[j] : y[j] << bit;
+      spill = bit == 0 ? 0 : y[j] >> (64 - bit);
     } else {
       spill = 0;
     }
     const u128 sum = carry + limbs_[i] + part;
     limbs_[i] = static_cast<uint64_t>(sum);
     carry = sum >> 64;
-    if (j >= x.limbs_.size() && spill == 0 && carry == 0) break;
+    if (j >= y.size() && spill == 0 && carry == 0) break;
   }
   if (carry != 0) limbs_.push_back(static_cast<uint64_t>(carry));
-  Trim();
+  Narrow();
   return *this;
 }
 
 BigUint& BigUint::operator-=(const BigUint& other) {
   TBC_CHECK_MSG(*this >= other, "BigUint subtraction underflow");
+  if (limbs_.empty()) {  // then other fits one limb too
+    small_ -= other.small_;
+    return *this;
+  }
+  const Span<const uint64_t> y = other.View();
   u128 borrow = 0;
   for (size_t i = 0; i < limbs_.size(); ++i) {
     u128 sub = borrow;
-    if (i < other.limbs_.size()) sub += other.limbs_[i];
+    if (i < y.size()) sub += y[i];
     if (static_cast<u128>(limbs_[i]) >= sub) {
       limbs_[i] = static_cast<uint64_t>(limbs_[i] - sub);
       borrow = 0;
@@ -87,40 +103,27 @@ BigUint& BigUint::operator-=(const BigUint& other) {
     }
   }
   TBC_DCHECK(borrow == 0);
-  Trim();
+  Narrow();
   return *this;
 }
 
-BigUint& BigUint::operator*=(const BigUint& other) {
+BigUint& BigUint::MulWide(const BigUint& other) {
   if (IsZero() || other.IsZero()) {
+    small_ = 0;
     limbs_.clear();
     return *this;
   }
-  if (limbs_.size() == 1 && other.limbs_.size() == 1) {
-    // The common case of counting: one limb each, multiplied in place.
-    const u128 product = static_cast<u128>(limbs_[0]) * other.limbs_[0];
-    const uint64_t low = static_cast<uint64_t>(product);
-    const uint64_t high = static_cast<uint64_t>(product >> 64);
-    // assign, not push_back: GCC 12 flags the latter's reallocation path
-    // with a false -Warray-bounds here.
-    if (high == 0) {
-      limbs_[0] = low;
-    } else {
-      limbs_.assign({low, high});
-    }
-    return *this;
-  }
-  std::vector<uint64_t> result(limbs_.size() + other.limbs_.size(), 0);
-  for (size_t i = 0; i < limbs_.size(); ++i) {
+  const Span<const uint64_t> a = View();
+  const Span<const uint64_t> b = other.View();
+  std::vector<uint64_t> result(a.size() + b.size(), 0);
+  for (size_t i = 0; i < a.size(); ++i) {
     u128 carry = 0;
-    for (size_t j = 0; j < other.limbs_.size(); ++j) {
-      u128 cur =
-          static_cast<u128>(limbs_[i]) * other.limbs_[j] +
-          result[i + j] + carry;
+    for (size_t j = 0; j < b.size(); ++j) {
+      u128 cur = static_cast<u128>(a[i]) * b[j] + result[i + j] + carry;
       result[i + j] = static_cast<uint64_t>(cur);
       carry = cur >> 64;
     }
-    size_t k = i + other.limbs_.size();
+    size_t k = i + b.size();
     while (carry != 0) {
       u128 cur = carry + result[k];
       result[k] = static_cast<uint64_t>(cur);
@@ -128,22 +131,24 @@ BigUint& BigUint::operator*=(const BigUint& other) {
       ++k;
     }
   }
+  small_ = 0;
   limbs_ = std::move(result);
-  Trim();
+  Narrow();
   return *this;
 }
 
 int BigUint::Compare(const BigUint& a, const BigUint& b) {
-  if (a.limbs_.size() != b.limbs_.size()) {
-    return a.limbs_.size() < b.limbs_.size() ? -1 : 1;
-  }
-  for (size_t i = a.limbs_.size(); i-- > 0;) {
-    if (a.limbs_[i] != b.limbs_[i]) return a.limbs_[i] < b.limbs_[i] ? -1 : 1;
+  const Span<const uint64_t> x = a.View();
+  const Span<const uint64_t> y = b.View();
+  if (x.size() != y.size()) return x.size() < y.size() ? -1 : 1;
+  for (size_t i = x.size(); i-- > 0;) {
+    if (x[i] != y[i]) return x[i] < y[i] ? -1 : 1;
   }
   return 0;
 }
 
 double BigUint::ToDouble() const {
+  if (limbs_.empty()) return static_cast<double>(small_);
   double result = 0.0;
   for (size_t i = limbs_.size(); i-- > 0;) {
     result = result * 0x1.0p64 + static_cast<double>(limbs_[i]);
@@ -153,7 +158,7 @@ double BigUint::ToDouble() const {
 
 uint64_t BigUint::ToU64() const {
   TBC_CHECK_MSG(FitsU64(), "BigUint does not fit in uint64_t");
-  return limbs_.empty() ? 0 : limbs_[0];
+  return small_;
 }
 
 std::string BigUint::ToString() const {
@@ -161,7 +166,7 @@ std::string BigUint::ToString() const {
   // Repeated division by 10^19 (largest power of ten in a limb).
   constexpr uint64_t kChunk = 10000000000000000000ull;  // 10^19
   std::vector<uint64_t> digits;  // base-10^19 digits, little-endian
-  std::vector<uint64_t> work = limbs_;
+  std::vector<uint64_t> work = limbs();
   while (!work.empty()) {
     u128 rem = 0;
     for (size_t i = work.size(); i-- > 0;) {

@@ -262,17 +262,21 @@ Span<const uint64_t> NnfManager::VarSet(NnfId root) {
   const size_t words = (num_vars_ + 63) / 64;
   if (words != varset_words_) {
     varset_words_ = words;
-    varsets_filled_ = 0;
+    varsets_.clear();
+    varset_filled_.clear();
   }
-  if (root >= varsets_filled_) {
-    // Fill every node created since, so views of filled sets survive until
-    // the next node creation.
+  if (root >= varset_filled_.size() || !varset_filled_[root]) {
+    // The arena grows only when nodes were created since the last fill, so
+    // views of filled sets survive until the next node creation. Only the
+    // unfilled part of root's subcircuit is filled, children first.
     varsets_.resize(num_nodes() * words);
-    for (size_t n = varsets_filled_; n < num_nodes(); ++n) {
-      FillVarSet(*this, static_cast<NnfId>(n), varsets_.data() + n * words,
+    varset_filled_.resize(num_nodes(), 0);
+    for (NnfId n : TopologicalOrder(root)) {
+      if (varset_filled_[n]) continue;
+      FillVarSet(*this, n, varsets_.data() + static_cast<size_t>(n) * words,
                  words, [&](NnfId c) { return varsets_.data() + c * words; });
+      varset_filled_[n] = 1;
     }
-    varsets_filled_ = num_nodes();
   }
   return {varsets_.data() + static_cast<size_t>(root) * words, words};
 }

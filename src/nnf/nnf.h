@@ -173,9 +173,9 @@ class NnfManager {
 
   /// Set of variables in the subcircuit at `root`, as a bitset of
   /// ceil(num_vars/64) words. Sets live in one id-indexed arena: a call on
-  /// a node past the filled range fills every node up to num_nodes() in id
-  /// order, and a grown num_vars refills it. Like children(), the view
-  /// does not survive node creation.
+  /// an unfilled node fills the unfilled nodes of its subcircuit, and a
+  /// grown num_vars empties it. Like children(), the view does not survive
+  /// node creation.
   Span<const uint64_t> VarSet(NnfId root);
   /// Number of distinct variables below `root`.
   size_t NumVarsBelow(NnfId root);
@@ -240,11 +240,11 @@ class NnfManager {
   std::vector<NnfId> literal_nodes_;
   UniqueTable index_;
   std::vector<NnfId> gate_scratch_;
-  /// VarSet() arena: node n's set is varsets_[n * varset_words_ ..) for
-  /// every n < varsets_filled_.
+  /// VarSet() arena: node n's set is varsets_[n * varset_words_ ..) once
+  /// varset_filled_[n] is set.
   std::vector<uint64_t> varsets_;
+  std::vector<uint8_t> varset_filled_;
   size_t varset_words_ = 0;
-  size_t varsets_filled_ = 0;
   static uint64_t RootVarsKey(NnfId root, size_t num_vars) {
     return (uint64_t{root} << 32) | static_cast<uint32_t>(num_vars);
   }

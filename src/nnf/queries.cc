@@ -1,7 +1,6 @@
 #include "nnf/queries.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -66,30 +65,6 @@ struct CountAlgebra {
     // gap-free edge is a plain sum, as in WmcAlgebra.
     acc.AddShifted(x, static_cast<unsigned>(gap.size()));
   }
-};
-
-// Exact model counts in 64 bits, the first try of ModelCountBounded: a
-// product or shifted sum that does not fit sets `overflow` (values are
-// garbage from then on), and the count reruns in CountAlgebra.
-struct Count64Algebra {
-  using Value = uint64_t;
-  std::atomic<bool>& overflow;
-  uint64_t Zero() const { return 0; }
-  uint64_t One() const { return 1; }
-  uint64_t Literal(Lit) const { return 1; }
-  void Times(uint64_t& acc, uint64_t x) const {
-    if (__builtin_mul_overflow(acc, x, &acc)) Overflow();
-  }
-  void Plus(uint64_t& acc, uint64_t x, Span<const Var> gap) const {
-    // x·2^k fits iff x < 2^(64-k); shifting by 63-k then 1 covers k == 0.
-    const size_t k = gap.size();
-    if (x != 0 && (k >= 64 || (x >> (63 - k)) >> 1 != 0)) {
-      Overflow();
-    } else if (__builtin_add_overflow(acc, x << k, &acc)) {
-      Overflow();
-    }
-  }
-  void Overflow() const { overflow.store(true, std::memory_order_relaxed); }
 };
 
 // Weighted model counts.
@@ -297,26 +272,13 @@ Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
   // changes; repeated counts on the same root hit the manager's cache.
   if (const BigUint* hit = mgr.FindModelCount(root, num_vars)) return *hit;
   const GapPlan& plan = mgr.GapPlanCached(root);
-  const uint32_t root_rank = plan.schedule.rank[root];
-  // Most counts fit 64 bits: count there first, and only on an overflow
-  // rerun the pass in BigUint, the one path for counts of 2^64 and above.
-  std::atomic<bool> overflow{false};
-  std::vector<uint64_t> count64;
-  TBC_RETURN_IF_ERROR(
-      Upward(mgr, plan, Count64Algebra{overflow}, guard, pool, count64));
-  BigUint count;
-  if (!overflow.load(std::memory_order_relaxed)) {
-    count = count64[root_rank];
-  } else {
-    std::vector<BigUint> big;
-    TBC_RETURN_IF_ERROR(Upward(mgr, plan, CountAlgebra{}, guard, pool, big));
-    count = std::move(big[root_rank]);
-  }
+  std::vector<BigUint> count;
+  TBC_RETURN_IF_ERROR(Upward(mgr, plan, CountAlgebra{}, guard, pool, count));
   size_t root_vars = 0;
   for (uint64_t w : plan.root_vars) root_vars += __builtin_popcountll(w);
   TBC_CHECK_MSG(root_vars <= num_vars, "num_vars smaller than circuit variables");
-  BigUint result = count * BigUint::PowerOfTwo(
-                               static_cast<unsigned>(num_vars - root_vars));
+  BigUint result = count[plan.schedule.rank[root]] *
+                   BigUint::PowerOfTwo(static_cast<unsigned>(num_vars - root_vars));
   mgr.StoreModelCount(root, num_vars, result);
   return result;
 }
@@ -572,8 +534,9 @@ bool EntailsClause(NnfManager& mgr, NnfId root, const Clause& clause) {
 NnfId Forget(NnfManager& mgr, NnfId root, const std::vector<Var>& vars) {
   std::vector<uint64_t> forget_set((mgr.num_vars() + 63) / 64, 0);
   for (Var v : vars) {
-    TBC_CHECK_MSG(v < mgr.num_vars(), "Forget: variable not below num_vars()");
-    forget_set[v / 64] |= 1ull << (v % 64);
+    // A variable the manager has never seen is mentioned nowhere, and
+    // ∃v.f = f when f does not mention v.
+    if (v < mgr.num_vars()) forget_set[v / 64] |= 1ull << (v % 64);
   }
   return mgr.RewriteLiterals(root, [&](NnfId n) {
     const Var v = mgr.lit(n).var();

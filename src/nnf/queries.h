@@ -44,8 +44,7 @@ double Wmc(NnfManager& mgr, NnfId root, const WeightMap& weights);
 /// results are bit-identical to the serial pass at every thread count (the
 /// determinism contract of base/thread_pool.h). The guard is polled
 /// throughout; on a trip the partial pass is discarded and the guard's
-/// typed refusal is returned. The model count runs in uint64_t first and
-/// reruns in BigUint only when a product or shifted sum overflows.
+/// typed refusal is returned.
 Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
                                   Guard& guard, ThreadPool* pool = nullptr);
 Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
@@ -107,8 +106,8 @@ bool EntailsClause(NnfManager& mgr, NnfId root, const Clause& clause);
 /// Forgetting (the FO transformation): ∃vars. root, polytime on DNNF —
 /// both literals of each forgotten variable are replaced by ⊤, which is
 /// sound exactly because and-gates are decomposable. The result is a DNNF
-/// (determinism is generally lost). Every variable must be below
-/// mgr.num_vars() (checked).
+/// (determinism is generally lost). A variable at or above mgr.num_vars()
+/// is mentioned nowhere in the manager, so forgetting it changes nothing.
 NnfId Forget(NnfManager& mgr, NnfId root, const std::vector<Var>& vars);
 
 /// Constrained max-sum query:  max_y Σ_z W(y, z)  over models of the

@@ -151,6 +151,38 @@ TEST(BigUintTest, Subtraction) {
   EXPECT_EQ(x - x, BigUint(0));
 }
 
+// Values below 2^64 are held inline and larger ones in limbs: a result
+// that comes back below 2^64 must equal, and serialize as, the inline
+// value, whichever operation produced it.
+TEST(BigUintTest, InlineAndLimbFormsMeetAt2To64) {
+  const BigUint two64 = BigUint::PowerOfTwo(64);
+  EXPECT_EQ((two64 + BigUint(5)) - two64, BigUint(5));
+  EXPECT_TRUE(((two64 + BigUint(5)) - two64).FitsU64());
+  EXPECT_EQ(two64 - BigUint(1), BigUint(~0ull));
+  EXPECT_EQ(two64 - two64, BigUint());
+  EXPECT_TRUE((BigUint(0) * BigUint::PowerOfTwo(100)).IsZero());
+  EXPECT_EQ(BigUint(5).limbs(), std::vector<uint64_t>{5});
+  EXPECT_TRUE(BigUint().limbs().empty());
+  EXPECT_EQ(two64.limbs(), (std::vector<uint64_t>{0, 1}));
+  BigUint restored;
+  ASSERT_TRUE(BigUint::FromLimbs({7}, &restored));
+  EXPECT_EQ(restored, BigUint(7));
+  ASSERT_TRUE(BigUint::FromLimbs({}, &restored));
+  EXPECT_EQ(restored, BigUint());
+  // A shifted add that crosses 2^64: 1 + 3·2^63 = 2^64 + 2^63 + 1.
+  BigUint crossed(1);
+  crossed.AddShifted(BigUint(3), 63);
+  EXPECT_EQ(crossed, two64 + BigUint::PowerOfTwo(63) + BigUint(1));
+  // A sum with itself that crosses 2^64: 2·(2^64 - 1).
+  BigUint doubled(~0ull);
+  doubled += doubled;
+  EXPECT_EQ(doubled.ToString(), "36893488147419103230");
+  BigUint squared(~0ull);
+  squared *= squared;
+  EXPECT_EQ(squared, BigUint::PowerOfTwo(128) - BigUint::PowerOfTwo(65) +
+                         BigUint(1));
+}
+
 TEST(BigUintTest, Comparisons) {
   EXPECT_LT(BigUint(3), BigUint(4));
   EXPECT_GT(BigUint::PowerOfTwo(70), BigUint(~0ull));

@@ -151,12 +151,13 @@ TEST(ModelCounterTest, CompiledCountBeyond64BitsMatchesCounter) {
   EXPECT_EQ(count, counter.Count(cnf));
 }
 
-// The compiled count's 64-bit first pass at its edges, against the
-// counter. A 64-variable clause counts 2^64 - 1, which fits. A 65-variable
-// clause overflows inside the pass (its first decision's literal input
-// misses 64 variables: 1·2^64), so the count falls back to BigUint. Three
-// hand-built d-DNNFs reach exactly 2^64 one way each: an or-edge shift
-// 2·2^63, a sum 2^63 + 2^63 and a product of 64 factors 2.
+// The compiled count where BigUint moves from its inline word to limbs,
+// against the counter. A 64-variable clause counts 2^64 - 1, which stays
+// inline. A 65-variable clause crosses inside the pass (its first
+// decision's literal input misses 64 variables: 1·2^64). Three hand-built
+// d-DNNFs reach exactly 2^64 one way each: an or-edge shift 2·2^63, a sum
+// 2^63 + 2^63 and a product of 64 factors 2; a fourth shifts a product of
+// 2^64 by 64.
 TEST(ModelCounterTest, CompiledCountAtThe64BitBoundary) {
   ModelCounter counter;
   for (const size_t n : {64, 65}) {
@@ -205,6 +206,26 @@ TEST(ModelCounterTest, CompiledCountAtThe64BitBoundary) {
   EXPECT_EQ(counter.Count(free64), BigUint::PowerOfTwo(64));
   EXPECT_EQ(ModelCount(m, sum, 64), BigUint::PowerOfTwo(64));
   EXPECT_EQ(ModelCount(m, product, 64), BigUint::PowerOfTwo(64));
+
+  // Variables a0..a63 = x0..x63, b0..b63 = x64..x127, c = x128:
+  // (c ∧ t(a0) ∧ … ∧ t(a63)) ∨ (¬c ∧ b0 ∧ … ∧ b63). The first input's 64
+  // factors 2 make 2^64, which a 64-bit word would wrap to 0, and its edge
+  // then misses all 64 b's: a shift by 64 of a value past one word.
+  NnfManager wide;
+  const Var c = 128;
+  Cnf guarded(129);
+  std::vector<NnfId> as, bs;
+  for (Var v = 0; v < 64; ++v) {
+    as.push_back(wide.Or(wide.Literal(Pos(v)), wide.Literal(Neg(v))));
+    bs.push_back(wide.Literal(Pos(64 + v)));
+    guarded.AddClause({Pos(c), Pos(64 + v)});
+  }
+  as.push_back(wide.Literal(Pos(c)));
+  bs.push_back(wide.Literal(Neg(c)));
+  const NnfId wrapped = wide.Or(wide.And(as), wide.And(bs));
+  const BigUint want = BigUint::PowerOfTwo(128) + BigUint::PowerOfTwo(64);
+  EXPECT_EQ(ModelCount(wide, wrapped, 129), want);
+  EXPECT_EQ(counter.Count(guarded), want);
 }
 
 TEST(ModelCounterTest, FreeVariablesAndEmptyCnf) {

@@ -511,13 +511,22 @@ TEST(NnfQueriesTest, ForgetMatchesExistentialQuantification) {
   EXPECT_TRUE(m.Evaluate(all_forgotten, {false, false, false, false}));
 }
 
-// A variable the manager has never numbered has no slot in the query's
-// variable bitset: both queries refuse it instead of writing past the set.
-TEST(NnfQueriesDeathTest, ForgetAndMaxSumRejectVariablesOutsideTheManager) {
+// A variable the manager has never numbered is mentioned nowhere, so
+// forgetting it returns the circuit itself.
+TEST(NnfQueriesTest, ForgetIgnoresVariablesOutsideTheManager) {
+  NnfManager m;
+  const NnfId root = BuildPaperCircuit(m);
+  EXPECT_EQ(Forget(m, root, {static_cast<Var>(m.num_vars())}), root);
+  EXPECT_EQ(Forget(m, root, {static_cast<Var>(m.num_vars() + 128)}), root);
+}
+
+// MaxSumWmc needs the circuit smooth over every max variable, so a max
+// variable the manager has never numbered has no slot in its bitset: the
+// query refuses it instead of writing past the set.
+TEST(NnfQueriesDeathTest, MaxSumRejectsVariablesOutsideTheManager) {
   NnfManager m;
   const NnfId root = BuildPaperCircuit(m);
   const Var outside = static_cast<Var>(m.num_vars() + 128);
-  EXPECT_DEATH(Forget(m, root, {outside}), "Forget: variable not below");
   const WeightMap w(m.num_vars());
   EXPECT_DEATH(MaxSumWmc(m, root, w, {outside}),
                "MaxSumWmc: variable not below");
