@@ -5,7 +5,8 @@
 //
 // This file is deliberately restricted to APIs that exist both before and
 // after the kernel layer (compile, ModelCount/Wmc, MarginalWmc/MaxWmc,
-// Psdd evaluation, map compilation, the serve codec's Serialize/Parse):
+// Psdd evaluation, map compilation, E-MAJSAT's MaxCountOverY, the serve
+// codec's Serialize/Parse):
 // tools/run_bench.sh compiles this exact source against an export of the
 // pre-PR baseline and against the current tree, runs both, and writes the
 // before/after medians to BENCH_kernels.json. Seeds are pinned; every
@@ -46,6 +47,7 @@
 #endif
 #include "certify/trace.h"
 #include "compiler/ddnnf_compiler.h"
+#include "core/solvers.h"
 #include "nnf/nnf.h"
 #include "nnf/queries.h"
 #include "obdd/obdd.h"
@@ -222,6 +224,21 @@ void BenchNnfMpe() {
     for (int i = 0; i < kQueryReps; ++i) {
       g_sink += MaxWmc(c->mgr, c->root, c->w, c->n).weight;
     }
+  }
+}
+
+// E-MAJSAT's counting half (paper Fig 10b), the MAP-family path:
+// CircuitSolvers::MaxCountOverY compiles each seeded random 3-CNF on a
+// vtree constrained for y|z, exports the SDD to NNF and runs one max-sum
+// pass, max over the first third of the variables and sum over the rest.
+// Unlike the d-DNNF compiler's BN encodings, these exports have or-gate
+// gaps.
+void BenchEMajSatCount() {
+  for (size_t n : {12, 16, 20}) {
+    const Cnf cnf = RandomCnf(n, 2 * n, 80 + n);
+    std::vector<Var> y(n / 3);
+    for (Var v = 0; v < y.size(); ++v) y[v] = v;
+    g_sink += CircuitSolvers::MaxCountOverY(cnf, y).ToDouble();
   }
 }
 
@@ -536,6 +553,7 @@ std::vector<std::pair<std::string, std::function<Entry()>>> Kernels() {
   add("nnf_wmc", BenchNnfWmc, QueryEdgesPerRun);
   add("nnf_marginals", BenchNnfMarginals, QueryEdgesPerRun);
   add("nnf_mpe", BenchNnfMpe, QueryEdgesPerRun);
+  add("emajsat_count", BenchEMajSatCount);
   add("certify_fig8_plain", BenchCertifyFig8Plain);
   add("certify_fig8_traced", BenchCertifyFig8Traced);
   add("psdd_eval", BenchPsddEval);
