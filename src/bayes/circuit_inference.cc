@@ -4,7 +4,6 @@
 
 #include "base/check.h"
 #include "compiler/ddnnf_compiler.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "sdd/compile.h"
 #include "sdd/sdd.h"
@@ -133,8 +132,7 @@ CompiledBayesNet::MapOutcome CompiledBayesNet::Map(
   SddManager sdd(Vtree::Constrained(top, bottom));
   const SddId f = CompileCnf(sdd, encoding_.cnf());
   NnfManager nnf;
-  NnfId root = sdd.ToNnf(f, nnf);
-  root = Smooth(nnf, root, encoding_.num_bool_vars());
+  const NnfId root = sdd.ToNnf(f, nnf);
 
   const WeightMap w = encoding_.WeightsWithEvidence(evidence);
   const MaxSumResult r = MaxSumWmc(nnf, root, w, top);
@@ -142,15 +140,12 @@ CompiledBayesNet::MapOutcome CompiledBayesNet::Map(
   MapOutcome out;
   out.probability = r.value;
   out.values.assign(map_vars.size(), kUnobserved);
-  for (Lit l : r.max_assignment) {
-    if (!l.positive()) continue;
-    for (size_t k = 0; k < map_vars.size(); ++k) {
-      const BnVar v = map_vars[k];
-      for (uint32_t x = 0; x < net_.cardinality(v); ++x) {
-        if (encoding_.IndicatorVar(v, static_cast<int>(x)) == l.var()) {
-          out.values[k] = static_cast<int>(x);
-        }
-      }
+  // The chosen literals follow `top`: each MAP variable's indicators in
+  // value order, of which the true one names the value.
+  size_t j = 0;
+  for (size_t k = 0; k < map_vars.size(); ++k) {
+    for (uint32_t x = 0; x < net_.cardinality(map_vars[k]); ++x) {
+      if (r.max_assignment[j++].positive()) out.values[k] = static_cast<int>(x);
     }
   }
   return out;

@@ -5,7 +5,6 @@
 
 #include "base/check.h"
 #include "compiler/ddnnf_compiler.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "sdd/compile.h"
 #include "sdd/sdd.h"
@@ -44,7 +43,7 @@ bool CircuitSolvers::DecideMajSat(const Cnf& cnf) {
 BigUint CircuitSolvers::MaxCountOverY(const Cnf& cnf,
                                       const std::vector<Var>& y_vars) {
   // Compile over a constrained vtree (y on the top spine, Fig 10b), then
-  // one max-sum pass on the smoothed export [Oztok, Choi & Darwiche 2016].
+  // one max-sum pass on the export [Oztok, Choi & Darwiche 2016].
   std::vector<Var> bottom;
   for (Var v = 0; v < cnf.num_vars(); ++v) {
     if (std::find(y_vars.begin(), y_vars.end(), v) == y_vars.end()) {
@@ -56,8 +55,7 @@ BigUint CircuitSolvers::MaxCountOverY(const Cnf& cnf,
   const SddId f = CompileCnf(sdd, cnf);
   if (f == sdd.False()) return BigUint(0);
   NnfManager nnf;
-  NnfId root = sdd.ToNnf(f, nnf);
-  root = Smooth(nnf, root, cnf.num_vars());
+  const NnfId root = sdd.ToNnf(f, nnf);
   WeightMap ones(cnf.num_vars());
   const MaxSumResult r = MaxSumWmc(nnf, root, ones, y_vars);
   // Counts are exact in double up to 2^53; our workloads stay far below.

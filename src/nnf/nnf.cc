@@ -5,6 +5,7 @@
 #include "base/check.h"
 #include "base/hash.h"
 #include "base/observability.h"
+#include "nnf/upward.h"
 
 namespace tbc {
 
@@ -201,33 +202,9 @@ size_t NnfManager::NumNodesBelow(NnfId root) const {
 }
 
 bool NnfManager::Evaluate(NnfId root, const Assignment& assignment) const {
-  std::vector<int8_t> value(num_nodes(), -1);
-  for (NnfId n : TopologicalOrder(root)) {
-    switch (kind(n)) {
-      case Kind::kFalse:
-        value[n] = 0;
-        break;
-      case Kind::kTrue:
-        value[n] = 1;
-        break;
-      case Kind::kLiteral:
-        value[n] = Eval(lit(n), assignment) ? 1 : 0;
-        break;
-      case Kind::kAnd: {
-        int8_t v = 1;
-        for (NnfId c : children(n)) v = static_cast<int8_t>(v & value[c]);
-        value[n] = v;
-        break;
-      }
-      case Kind::kOr: {
-        int8_t v = 0;
-        for (NnfId c : children(n)) v = static_cast<int8_t>(v | value[c]);
-        value[n] = v;
-        break;
-      }
-    }
-  }
-  return value[root] == 1;
+  return internal::Fold(*this, root, internal::TruthAlgebra{[&](Lit l) {
+           return Eval(l, assignment);
+         }}) == 1;
 }
 
 NnfId NnfManager::Condition(NnfId root, Lit l) {

@@ -51,10 +51,10 @@ void AppendMissingVars(Span<const uint64_t> big, Span<const uint64_t> small,
                        std::vector<Var>& out);
 
 /// Per-root evaluation plan of the gap-factor kernels in nnf/queries.cc
-/// (counting, weighted counting, MPE, marginals and sampling): the root's
-/// level schedule plus the gap of every or-gate input edge, flattened into
-/// CSR arrays, so a query reads gaps without touching varsets or
-/// allocating.
+/// (counting, weighted counting, MPE, marginals, sampling and max-sum):
+/// the root's level schedule plus the gap of every or-gate input edge,
+/// flattened into CSR arrays, so a query reads gaps without touching
+/// varsets or allocating.
 struct GapPlan {
   LevelSchedule schedule;
   /// The or-gate at rank i owns edge slots [edge_begin[i], edge_begin[i+1]),
@@ -187,7 +187,9 @@ class NnfManager {
   /// level 0, each gate one level above its deepest input. The evaluation
   /// kernels in nnf/queries.cc walk the schedule's contiguous per-level
   /// ranges with dense rank-indexed value arrays (and, optionally, a
-  /// ThreadPool over each level); they read it from GapPlanCached().
+  /// ThreadPool over each level); the gap-factor kernels read it from
+  /// GapPlanCached(), the folds that ignore gaps (IsSatDnnf,
+  /// MinCardinality, Evaluate) build it per call.
   LevelSchedule Schedule(NnfId root) const;
 
   /// Memoized unweighted model-count results (the classic BDD-package

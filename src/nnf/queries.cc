@@ -6,20 +6,17 @@
 #include <utility>
 
 #include "base/check.h"
+#include "nnf/upward.h"
 
 namespace tbc {
 
 namespace {
 
-// Nodes per chunk claimed off the pool; also the poll period of the
-// serial passes.
-constexpr size_t kGrain = 64;
-
-// Edge slot `e`'s gap variables, ascending.
-Span<const Var> Gap(const GapPlan& plan, uint32_t e) {
-  return Span<const Var>(plan.gap_vars.data() + plan.gap_begin[e],
-                         plan.gap_begin[e + 1] - plan.gap_begin[e]);
-}
+using internal::Descend;
+using internal::Fold;
+using internal::Gap;
+using internal::kGrain;
+using internal::Upward;
 
 // A variable free under a gate contributes W(x)+W(¬x) to a weighted count
 // and its heavier literal, max(W(x), W(¬x)), to a maximum.
@@ -49,9 +46,32 @@ std::vector<Var> OutsideRootVars(const GapPlan& plan, size_t num_vars) {
   return out;
 }
 
-// The algebras of the one upward pass (Upward below). Each gives the value
-// of ⊥, ⊤ and a literal, the and-gate product, and the or-gate sum, to
-// which an input adds its value scaled by its edge's gap.
+// Position of the input of the or-gate n at rank i whose value, scaled by
+// its edge's gap product of factor(v), is largest; ties break on child
+// order, and a negative value (MpeAlgebra's ⊥) never wins.
+template <typename Factor>
+size_t ArgmaxInput(const NnfManager& mgr, const GapPlan& plan,
+                   const std::vector<double>& value, NnfId n, uint32_t i,
+                   Factor&& factor) {
+  size_t best_k = 0;
+  double best = -1.0;
+  uint32_t e = plan.edge_begin[i];
+  const Span<const NnfId> kids = mgr.children(n);
+  for (size_t k = 0; k < kids.size(); ++k, ++e) {
+    const double vc = value[plan.schedule.rank[kids[k]]];
+    if (vc < 0.0) continue;
+    const double v = vc * GapProduct(Gap(plan, e), factor);
+    if (v > best) {
+      best = v;
+      best_k = k;
+    }
+  }
+  return best_k;
+}
+
+// The algebras of the one upward pass (internal::Upward). Each gives the
+// value of ⊥, ⊤ and a literal, the and-gate product, and the or-gate sum,
+// to which an input adds its value scaled by its edge's gap.
 
 // Exact model counts: a gap of k free variables multiplies by 2^k.
 struct CountAlgebra {
@@ -60,7 +80,8 @@ struct CountAlgebra {
   BigUint One() const { return BigUint(1); }
   BigUint Literal(Lit) const { return BigUint(1); }
   void Times(BigUint& acc, const BigUint& x) const { acc *= x; }
-  void Plus(BigUint& acc, const BigUint& x, Span<const Var> gap) const {
+  void Plus(BigUint& acc, const BigUint& x, Span<const Var> gap,
+            size_t) const {
     // x·2^|gap| added in place: no power or product is built, and a
     // gap-free edge is a plain sum, as in WmcAlgebra.
     acc.AddShifted(x, static_cast<unsigned>(gap.size()));
@@ -75,7 +96,7 @@ struct WmcAlgebra {
   double One() const { return 1.0; }
   double Literal(Lit l) const { return weights[l]; }
   void Times(double& acc, double x) const { acc *= x; }
-  void Plus(double& acc, double x, Span<const Var> gap) const {
+  void Plus(double& acc, double x, Span<const Var> gap, size_t) const {
     // x·1.0 == x: a gap-free edge skips the product, bit-identically.
     if (gap.size() == 0) {
       acc += x;
@@ -96,7 +117,7 @@ struct MpeAlgebra {
   void Times(double& acc, double x) const {
     acc = acc < 0.0 || x < 0.0 ? -1.0 : acc * x;
   }
-  void Plus(double& acc, double x, Span<const Var> gap) const {
+  void Plus(double& acc, double x, Span<const Var> gap, size_t) const {
     if (x < 0.0) return;
     acc = std::max(acc, x * GapProduct(gap, [&](Var v) {
                           return BestWeight(weights, v);
@@ -104,165 +125,100 @@ struct MpeAlgebra {
   }
 };
 
-// The one upward pass of the gap-factor kernels: slot i of `value` gets
-// the value of the node at rank i of the plan's schedule. A gate combines
-// its inputs' values in child order, and those all sit on earlier levels,
-// so with a pool each level's nodes run over its lanes; without one the
-// whole schedule is a single sweep. Either way the result is bit-identical.
-// A plan with no gaps at all (the common case for compiled BN encodings)
-// never reads its edge arrays. The guard is polled throughout; on a trip
-// the partial values are garbage.
-template <typename Algebra>
-Status Upward(const NnfManager& mgr, const GapPlan& plan, const Algebra& alg,
-              Guard& guard, ThreadPool* pool,
-              std::vector<typename Algebra::Value>& value) {
-  const LevelSchedule& s = plan.schedule;
-  const bool gapless = plan.gap_vars.empty();
-  value.resize(s.order.size());
-  auto eval = [&](size_t i) {
-    const NnfId n = s.order[i];
-    switch (mgr.kind(n)) {
-      case NnfManager::Kind::kFalse:
-        value[i] = alg.Zero();
-        break;
-      case NnfManager::Kind::kTrue:
-        value[i] = alg.One();
-        break;
-      case NnfManager::Kind::kLiteral:
-        value[i] = alg.Literal(mgr.lit(n));
-        break;
-      case NnfManager::Kind::kAnd: {
-        typename Algebra::Value prod = alg.One();
-        for (NnfId c : mgr.children(n)) alg.Times(prod, value[s.rank[c]]);
-        value[i] = std::move(prod);
-        break;
-      }
-      case NnfManager::Kind::kOr: {
-        typename Algebra::Value sum = alg.Zero();
-        uint32_t e = gapless ? 0 : plan.edge_begin[i];
-        for (NnfId c : mgr.children(n)) {
-          alg.Plus(sum, value[s.rank[c]],
-                   gapless ? Span<const Var>() : Gap(plan, e++));
-        }
-        value[i] = std::move(sum);
-        break;
-      }
-    }
-  };
-  if (pool == nullptr || pool->num_threads() == 1) {
-    return ForRange(nullptr, guard, 0, s.order.size(), kGrain, eval);
+// Max-sum values (paper Fig 10b): an or-gate marked in `max_gate` (by
+// rank) takes the max over its inputs, any other the sum, and a gap
+// variable v scales its edge by factor[v].
+struct MaxSumAlgebra {
+  using Value = double;
+  const WeightMap& weights;
+  const std::vector<double>& factor;
+  const std::vector<uint8_t>& max_gate;
+  double Zero() const { return 0.0; }
+  double One() const { return 1.0; }
+  double Literal(Lit l) const { return weights[l]; }
+  void Times(double& acc, double x) const { acc *= x; }
+  void Plus(double& acc, double x, Span<const Var> gap, size_t gate) const {
+    const double v = x * GapProduct(gap, [&](Var u) { return factor[u]; });
+    acc = max_gate[gate] ? std::max(acc, v) : acc + v;
   }
-  for (size_t l = 0; l < s.num_levels(); ++l) {
-    TBC_RETURN_IF_ERROR(ForRange(pool, guard, s.level_begin[l],
-                                 s.level_begin[l + 1], kGrain, eval));
-  }
-  return Status::Ok();
-}
+};
 
-// The one top-down descent of MPE and sampling: from `root`, follows every
-// input of an and-gate and, at the or-gate n of rank i, the input at
-// position choose(n, i) among n's children. Literals on the path fix their
-// variables; the chosen edges' gap variables, and then every variable the
-// path never reached, take free_value(v), called in that order.
-template <typename Choose, typename FreeValue>
-Assignment Descend(const NnfManager& mgr, const GapPlan& plan, NnfId root,
-                   size_t num_vars, Choose&& choose, FreeValue&& free_value) {
-  Assignment x(num_vars, false);
-  std::vector<int8_t> assigned(num_vars, 0);
-  auto set = [&](Var v, bool val) {
-    x[v] = val;
-    assigned[v] = 1;
-  };
-  std::vector<NnfId> stack = {root};
-  while (!stack.empty()) {
-    const NnfId n = stack.back();
-    stack.pop_back();
-    switch (mgr.kind(n)) {
-      case NnfManager::Kind::kFalse:
-      case NnfManager::Kind::kTrue:
-        break;
-      case NnfManager::Kind::kLiteral:
-        set(mgr.lit(n).var(), mgr.lit(n).positive());
-        break;
-      case NnfManager::Kind::kAnd:
-        for (NnfId c : mgr.children(n)) stack.push_back(c);
-        break;
-      case NnfManager::Kind::kOr: {
-        const uint32_t i = plan.schedule.rank[n];
-        const size_t k = choose(n, i);
-        for (Var v : Gap(plan, plan.edge_begin[i] + static_cast<uint32_t>(k))) {
-          set(v, free_value(v));
-        }
-        stack.push_back(mgr.children(n)[k]);
-        break;
-      }
-    }
+// 1 for a node that mentions a variable marked in `marked`. An or-gate's
+// gaps lie within its inputs' variables, so they add nothing.
+struct MentionsAlgebra {
+  using Value = uint8_t;
+  const std::vector<uint8_t>& marked;
+  uint8_t Zero() const { return 0; }
+  uint8_t One() const { return 0; }
+  uint8_t Literal(Lit l) const { return marked[l.var()]; }
+  void Times(uint8_t& acc, uint8_t x) const { acc |= x; }
+  void Plus(uint8_t& acc, uint8_t x, Span<const Var>, size_t) const {
+    acc |= x;
   }
-  for (Var v = 0; v < num_vars; ++v) {
-    if (!assigned[v]) set(v, free_value(v));
-  }
-  return x;
-}
+};
 
-// Derivative of the product F = Π_{x∈vars} FreeWeight(x) times `base`:
-// adds base·Π_{y∈vars, y≠x} FreeWeight(y) to d[l] for both literals l of
-// every x in vars (W(x)+W(¬x) has derivative 1 in each), handling zero
-// factors as the and-gate derivative does. Returns F, multiplied in the
-// order of `vars` (so for a gap it equals the upward pass's GapProduct).
-double AddGapDerivative(Span<const Var> vars, const WeightMap& w, double base,
-                        std::vector<double>& d) {
+// Minimum number of positive literals; SIZE_MAX is unsatisfiable. A gap
+// variable can always be set false, so gaps add nothing.
+struct MinCardAlgebra {
+  using Value = size_t;
+  static constexpr size_t kInf = std::numeric_limits<size_t>::max();
+  size_t Zero() const { return kInf; }
+  size_t One() const { return 0; }
+  size_t Literal(Lit l) const { return l.positive() ? 1 : 0; }
+  void Times(size_t& acc, size_t x) const {
+    acc = acc == kInf || x == kInf ? kInf : acc + x;
+  }
+  void Plus(size_t& acc, size_t x, Span<const Var>, size_t) const {
+    acc = std::min(acc, x);
+  }
+};
+
+// Derivative of base·Π_{k<count} factor(k): calls add(k, ∂/∂factor(k)),
+// that is base·Π_{j≠k} factor(j), for each k. A zero factor is never
+// divided out: with one, only it gets a nonzero derivative; with two or
+// more, none does. Returns Π factor(k), multiplied in order of k.
+template <typename Factor, typename Add>
+double AddProductDerivative(size_t count, Factor&& factor, double base,
+                            Add&& add) {
   size_t zeros = 0;
   double prod_nonzero = 1.0;
-  for (Var y : vars) {
-    const double f = FreeWeight(w, y);
+  for (size_t k = 0; k < count; ++k) {
+    const double f = factor(k);
     if (f == 0.0) {
       ++zeros;
     } else {
       prod_nonzero *= f;
     }
   }
-  auto add = [&](Var x, double dx) {
-    d[Pos(x).code()] += dx;
-    d[Neg(x).code()] += dx;
-  };
   if (base != 0.0 && zeros == 0) {
-    for (Var x : vars) add(x, base * prod_nonzero / FreeWeight(w, x));
+    for (size_t k = 0; k < count; ++k) add(k, base * prod_nonzero / factor(k));
   } else if (base != 0.0 && zeros == 1) {
-    for (Var x : vars) {
-      if (FreeWeight(w, x) == 0.0) add(x, base * prod_nonzero);
+    for (size_t k = 0; k < count; ++k) {
+      if (factor(k) == 0.0) add(k, base * prod_nonzero);
     }
   }
   return zeros == 0 ? prod_nonzero : 0.0;
 }
 
+// The product F = Π_{x∈vars} FreeWeight(x) times `base`, differentiated:
+// adds base·Π_{y∈vars, y≠x} FreeWeight(y) to d[l] for both literals l of
+// every x in vars (W(x)+W(¬x) has derivative 1 in each). Returns F, which
+// for a gap equals the upward pass's GapProduct.
+double AddGapDerivative(Span<const Var> vars, const WeightMap& w, double base,
+                        std::vector<double>& d) {
+  return AddProductDerivative(
+      vars.size(), [&](size_t k) { return FreeWeight(w, vars[k]); }, base,
+      [&](size_t k, double dx) {
+        d[Pos(vars[k]).code()] += dx;
+        d[Neg(vars[k]).code()] += dx;
+      });
+}
+
 }  // namespace
 
 bool IsSatDnnf(NnfManager& mgr, NnfId root) {
-  std::vector<int8_t> sat(mgr.num_nodes(), 0);
-  for (NnfId n : mgr.TopologicalOrder(root)) {
-    switch (mgr.kind(n)) {
-      case NnfManager::Kind::kFalse:
-        sat[n] = 0;
-        break;
-      case NnfManager::Kind::kTrue:
-      case NnfManager::Kind::kLiteral:
-        sat[n] = 1;
-        break;
-      case NnfManager::Kind::kAnd: {
-        int8_t v = 1;
-        for (NnfId c : mgr.children(n)) v = static_cast<int8_t>(v & sat[c]);
-        sat[n] = v;
-        break;
-      }
-      case NnfManager::Kind::kOr: {
-        int8_t v = 0;
-        for (NnfId c : mgr.children(n)) v = static_cast<int8_t>(v | sat[c]);
-        sat[n] = v;
-        break;
-      }
-    }
-  }
-  return sat[root] == 1;
+  // A DNNF is satisfiable iff ⊥ does not propagate to the root.
+  return Fold(mgr, root, internal::TruthAlgebra{[](Lit) { return true; }}) == 1;
 }
 
 Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
@@ -357,24 +313,11 @@ Result<std::vector<double>> MarginalWmcBounded(NnfManager& mgr, NnfId root,
         break;
       }
       case NnfManager::Kind::kAnd: {
-        // d/dc = dn * Π_{c'≠c} v(c'); handle zero factors explicitly.
-        const auto& kids = mgr.children(n);
-        size_t zeros = 0;
-        double prod_nonzero = 1.0;
-        for (NnfId c : kids) {
-          if (value[s.rank[c]] == 0.0) {
-            ++zeros;
-          } else {
-            prod_nonzero *= value[s.rank[c]];
-          }
-        }
-        if (zeros == 0) {
-          for (NnfId c : kids) deriv[s.rank[c]] += dn * prod_nonzero / value[s.rank[c]];
-        } else if (zeros == 1) {
-          for (NnfId c : kids) {
-            if (value[s.rank[c]] == 0.0) deriv[s.rank[c]] += dn * prod_nonzero;
-          }
-        }
+        // d/dc = dn·Π_{c'≠c} v(c').
+        const Span<const NnfId> kids = mgr.children(n);
+        AddProductDerivative(
+            kids.size(), [&](size_t k) { return value[s.rank[kids[k]]]; }, dn,
+            [&](size_t k, double dx) { deriv[s.rank[kids[k]]] += dx; });
         break;
       }
     }
@@ -394,42 +337,7 @@ std::vector<double> MarginalWmc(NnfManager& mgr, NnfId root,
 }
 
 size_t MinCardinality(NnfManager& mgr, NnfId root) {
-  constexpr size_t kInf = std::numeric_limits<size_t>::max();
-  std::vector<size_t> card(mgr.num_nodes(), 0);
-  for (NnfId n : mgr.TopologicalOrder(root)) {
-    switch (mgr.kind(n)) {
-      case NnfManager::Kind::kFalse:
-        card[n] = kInf;
-        break;
-      case NnfManager::Kind::kTrue:
-        card[n] = 0;
-        break;
-      case NnfManager::Kind::kLiteral:
-        card[n] = mgr.lit(n).positive() ? 1 : 0;
-        break;
-      case NnfManager::Kind::kAnd: {
-        size_t sum = 0;
-        for (NnfId c : mgr.children(n)) {
-          if (card[c] == kInf) {
-            sum = kInf;
-            break;
-          }
-          sum += card[c];
-        }
-        card[n] = sum;
-        break;
-      }
-      case NnfManager::Kind::kOr: {
-        size_t best = kInf;
-        // Missing variables can always be set false (cardinality 0), so no
-        // gap correction is needed for minimization.
-        for (NnfId c : mgr.children(n)) best = std::min(best, card[c]);
-        card[n] = best;
-        break;
-      }
-    }
-  }
-  return card[root];
+  return Fold(mgr, root, MinCardAlgebra{});
 }
 
 Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
@@ -448,23 +356,8 @@ Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
   result.assignment = Descend(
       mgr, plan, root, num_vars,
       [&](NnfId n, uint32_t i) {
-        size_t best_k = 0;
-        double best = -1.0;
-        uint32_t e = plan.edge_begin[i];
-        const Span<const NnfId> kids = mgr.children(n);
-        for (size_t k = 0; k < kids.size(); ++k, ++e) {
-          const double vc = value[s.rank[kids[k]]];
-          if (vc < 0.0) continue;
-          const double v = vc * GapProduct(Gap(plan, e), [&](Var x) {
-                             return BestWeight(weights, x);
-                           });
-          if (v > best) {
-            best = v;
-            best_k = k;
-          }
-        }
-        TBC_DCHECK(best >= 0.0);
-        return best_k;
+        return ArgmaxInput(mgr, plan, value, n, i,
+                           [&](Var x) { return BestWeight(weights, x); });
       },
       [&](Var v) { return weights[Pos(v)] >= weights[Neg(v)]; });
 
@@ -546,132 +439,45 @@ NnfId Forget(NnfManager& mgr, NnfId root, const std::vector<Var>& vars) {
 
 MaxSumResult MaxSumWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,
                        const std::vector<Var>& max_vars) {
-  mgr.VarSet(root);  // fills every set below root: later calls only read
-  std::vector<uint64_t> max_set((mgr.num_vars() + 63) / 64, 0);
+  const size_t num_vars = weights.num_vars();
+  std::vector<uint8_t> is_max(num_vars, 0);
   for (Var v : max_vars) {
-    TBC_CHECK_MSG(v < mgr.num_vars(),
-                  "MaxSumWmc: variable not below num_vars()");
-    max_set[v / 64] |= 1ull << (v % 64);
+    TBC_CHECK_MSG(v < num_vars, "MaxSumWmc: variable not below weights.num_vars()");
+    is_max[v] = 1;
   }
-  auto touches_max = [&](NnfId n) {
-    const Span<const uint64_t> vs = mgr.VarSet(n);
-    for (size_t w = 0; w < vs.size() && w < max_set.size(); ++w) {
-      if ((vs[w] & max_set[w]) != 0) return true;
-    }
-    return false;
-  };
-
-  const std::vector<NnfId> order = mgr.TopologicalOrder(root);
-  std::vector<double> value(mgr.num_nodes(), 0.0);
-  for (NnfId n : order) {
-    switch (mgr.kind(n)) {
-      case NnfManager::Kind::kFalse:
-        value[n] = 0.0;
-        break;
-      case NnfManager::Kind::kTrue:
-        value[n] = 1.0;
-        break;
-      case NnfManager::Kind::kLiteral:
-        value[n] = weights[mgr.lit(n)];
-        break;
-      case NnfManager::Kind::kAnd: {
-        double prod = 1.0;
-        for (NnfId c : mgr.children(n)) prod *= value[c];
-        value[n] = prod;
-        break;
-      }
-      case NnfManager::Kind::kOr: {
-        double best = 0.0;
-        if (touches_max(n)) {
-          best = -1.0;
-          for (NnfId c : mgr.children(n)) best = std::max(best, value[c]);
-        } else {
-          for (NnfId c : mgr.children(n)) best += value[c];
-        }
-        value[n] = best;
-        break;
-      }
-    }
+  // A variable free under a max gate, or outside the root, contributes its
+  // heavier literal if it is a max variable and both literals otherwise.
+  std::vector<double> factor(num_vars);
+  for (Var v = 0; v < num_vars; ++v) {
+    factor[v] = is_max[v] ? BestWeight(weights, v) : FreeWeight(weights, v);
   }
-
-  // Traceback: descend argmax branches of max-or gates, collecting max-var
-  // literals along the chosen paths.
+  const GapPlan& plan = mgr.GapPlanCached(root);
+  const LevelSchedule& s = plan.schedule;
+  // Or-gates that mention a max variable take the max, the rest the sum.
+  std::vector<uint8_t> max_gate;
+  TBC_CHECK(Upward(mgr, plan, MentionsAlgebra{is_max}, Guard::Unlimited(),
+                   nullptr, max_gate)
+                .ok());
+  std::vector<double> value;
+  TBC_CHECK(Upward(mgr, plan, MaxSumAlgebra{weights, factor, max_gate},
+                   Guard::Unlimited(), nullptr, value)
+                .ok());
   MaxSumResult result;
-  result.value = value[root];
-  std::vector<NnfId> stack = {root};
-  std::vector<int8_t> chosen(2 * mgr.num_vars(), 0);
-  while (!stack.empty()) {
-    const NnfId n = stack.back();
-    stack.pop_back();
-    if (!touches_max(n)) continue;
-    switch (mgr.kind(n)) {
-      case NnfManager::Kind::kFalse:
-      case NnfManager::Kind::kTrue:
-        break;
-      case NnfManager::Kind::kLiteral: {
-        const Lit l = mgr.lit(n);
-        if (!chosen[l.code()]) {
-          chosen[l.code()] = 1;
-          result.max_assignment.push_back(l);
-        }
-        break;
-      }
-      case NnfManager::Kind::kAnd:
-        for (NnfId c : mgr.children(n)) stack.push_back(c);
-        break;
-      case NnfManager::Kind::kOr: {
-        NnfId best_child = kInvalidNnf;
-        double best = -1.0;
-        for (NnfId c : mgr.children(n)) {
-          if (value[c] > best) {
-            best = value[c];
-            best_child = c;
-          }
-        }
-        if (best_child != kInvalidNnf) stack.push_back(best_child);
-        break;
-      }
-    }
-  }
-  return result;
-}
+  result.value = value[s.rank[root]];
+  for (Var v : OutsideRootVars(plan, num_vars)) result.value *= factor[v];
 
-void EnumerateModelsDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
-                         const std::function<void(const Assignment&)>& on_model) {
-  TBC_CHECK_MSG(num_vars <= 22, "model enumeration oracle limited to 22 vars");
-  const std::vector<NnfId> order = mgr.TopologicalOrder(root);
-  std::vector<int8_t> value(mgr.num_nodes(), 0);
-  Assignment a(num_vars, false);
-  const uint64_t total = 1ull << num_vars;
-  for (uint64_t bits = 0; bits < total; ++bits) {
-    for (size_t v = 0; v < num_vars; ++v) a[v] = (bits >> v) & 1u;
-    for (NnfId n : order) {
-      switch (mgr.kind(n)) {
-        case NnfManager::Kind::kFalse:
-          value[n] = 0;
-          break;
-        case NnfManager::Kind::kTrue:
-          value[n] = 1;
-          break;
-        case NnfManager::Kind::kLiteral:
-          value[n] = Eval(mgr.lit(n), a) ? 1 : 0;
-          break;
-        case NnfManager::Kind::kAnd: {
-          int8_t v = 1;
-          for (NnfId c : mgr.children(n)) v = static_cast<int8_t>(v & value[c]);
-          value[n] = v;
-          break;
-        }
-        case NnfManager::Kind::kOr: {
-          int8_t v = 0;
-          for (NnfId c : mgr.children(n)) v = static_cast<int8_t>(v | value[c]);
-          value[n] = v;
-          break;
-        }
-      }
-    }
-    if (value[root] == 1) on_model(a);
-  }
+  // Traceback: the argmax input of each max gate (ties break on child
+  // order); a sum gate's inputs mention no max variable, so any will do.
+  const Assignment x = Descend(
+      mgr, plan, root, num_vars,
+      [&](NnfId n, uint32_t i) {
+        if (!max_gate[i]) return size_t{0};
+        return ArgmaxInput(mgr, plan, value, n, i,
+                           [&](Var u) { return factor[u]; });
+      },
+      [&](Var v) { return weights[Pos(v)] >= weights[Neg(v)]; });
+  for (Var v : max_vars) result.max_assignment.push_back(Lit(v, x[v]));
+  return result;
 }
 
 }  // namespace tbc

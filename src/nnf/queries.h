@@ -1,7 +1,6 @@
 #ifndef TBC_NNF_QUERIES_H_
 #define TBC_NNF_QUERIES_H_
 
-#include <functional>
 #include <vector>
 
 #include "base/bigint.h"
@@ -85,10 +84,6 @@ Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights, size_t num_vars,
                                 Guard& guard, ThreadPool* pool = nullptr);
 
-/// Enumerates all models over 0..num_vars-1 (test oracle; d-DNNF).
-void EnumerateModelsDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
-                         const std::function<void(const Assignment&)>& on_model);
-
 /// Draws a uniform random model of a satisfiable d-DNNF over variables
 /// 0..num_vars-1 (paper §3: "utilization of tractable circuits for uniform
 /// sampling" [Sharma et al. 2018]). One counting pass plus one top-down
@@ -111,7 +106,8 @@ bool EntailsClause(NnfManager& mgr, NnfId root, const Clause& clause);
 NnfId Forget(NnfManager& mgr, NnfId root, const std::vector<Var>& vars);
 
 /// Constrained max-sum query:  max_y Σ_z W(y, z)  over models of the
-/// circuit, where y ranges over `max_vars` and z over the rest.
+/// circuit, where y ranges over `max_vars` and z over the rest of the
+/// variables 0..weights.num_vars()-1.
 ///
 /// This solves MAP / E-MAJSAT (classes NP^PP) in one linear pass, and is
 /// correct when the circuit is structured by a vtree *constrained* for the
@@ -119,13 +115,15 @@ NnfId Forget(NnfManager& mgr, NnfId root, const std::vector<Var>& vars);
 /// touching a max variable must be a decision on max variables only (then
 /// max over its inputs is exact), and no and-gate may multiply two inputs
 /// that both mention max variables mixed with sums in between. Circuits
-/// exported from an SDD over Vtree::Constrained(y, z) and then smoothed
-/// satisfy this. The circuit MUST be smooth over all num_vars variables
-/// (call Smooth() first); this is checked only lightly. Every max variable
-/// must be below mgr.num_vars() (checked).
+/// exported from an SDD over Vtree::Constrained(y, z) satisfy this; this is
+/// not checked. The pass runs on the root's GapPlan like WmcBounded: an
+/// or-edge's gap variable, and a variable outside the root, contributes
+/// max(W(x),W(¬x)) if it is a max variable and W(x)+W(¬x) otherwise, which
+/// is what smoothing would contribute, so the circuit need not be smooth.
+/// Every max variable must be below weights.num_vars() (checked).
 struct MaxSumResult {
   double value = 0.0;
-  /// Chosen literals for the max variables.
+  /// Chosen literals for the max variables, in `max_vars` order.
   std::vector<Lit> max_assignment;
 };
 MaxSumResult MaxSumWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,

@@ -17,9 +17,10 @@
 #include "compiler/ddnnf_compiler.h"
 #include "compiler/model_counter.h"
 #include "compiler/subproblem.h"
+#include "analysis/nnf_analyzer.h"
 #include "dpll_oracle.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
+#include "nnf_oracle.h"
 
 namespace tbc {
 namespace {
@@ -58,8 +59,11 @@ TEST(DdnnfCompilerTest, OutputIsDecisionDnnf) {
     NnfManager m;
     DdnnfCompiler compiler;
     NnfId root = compiler.Compile(cnf, m);
-    EXPECT_TRUE(IsDecomposable(m, root)) << "seed " << seed;
-    EXPECT_TRUE(IsDeterministicExhaustive(m, root, 10)) << "seed " << seed;
+    EXPECT_EQ(nnf_oracle::RuleIds(m, root, NnfDialect::kDnnf),
+              std::set<std::string>{})
+        << "seed " << seed;
+    EXPECT_TRUE(nnf_oracle::IsDeterministicExhaustive(m, root, 10))
+        << "seed " << seed;
   }
 }
 

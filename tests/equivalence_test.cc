@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "analysis/diagnostics.h"
@@ -18,8 +19,8 @@
 #include "base/random.h"
 #include "compiler/ddnnf_compiler.h"
 #include "compiler/model_counter.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
+#include "nnf_oracle.h"
 #include "obdd/obdd.h"
 #include "obdd/ordering.h"
 #include "sdd/compile.h"
@@ -139,14 +140,16 @@ TEST_P(CrossEngineTest, CompiledCircuitsAreDecomposableAndDeterministic) {
   NnfManager nnf;
   DdnnfCompiler compiler;
   const NnfId root = compiler.Compile(cnf, nnf);
-  EXPECT_TRUE(IsDecomposable(nnf, root));
-  EXPECT_TRUE(IsDeterministicExhaustive(nnf, root, n));
+  EXPECT_EQ(nnf_oracle::RuleIds(nnf, root, NnfDialect::kDnnf),
+            std::set<std::string>{});
+  EXPECT_TRUE(nnf_oracle::IsDeterministicExhaustive(nnf, root, n));
 
   SddManager sdd(Vtree::Balanced(Vtree::IdentityOrder(n)));
   NnfManager nnf2;
   const NnfId exported = sdd.ToNnf(CompileCnf(sdd, cnf), nnf2);
-  EXPECT_TRUE(IsDecomposable(nnf2, exported));
-  EXPECT_TRUE(IsDeterministicExhaustive(nnf2, exported, n));
+  EXPECT_EQ(nnf_oracle::RuleIds(nnf2, exported, NnfDialect::kDnnf),
+            std::set<std::string>{});
+  EXPECT_TRUE(nnf_oracle::IsDeterministicExhaustive(nnf2, exported, n));
 }
 
 TEST_P(CrossEngineTest, StaticAnalyzerAcceptsEveryEngineArtifact) {

@@ -5,15 +5,26 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
+#include "analysis/nnf_analyzer.h"
 #include "base/random.h"
 #include "nnf/io.h"
 #include "nnf/nnf.h"
 #include "nnf/properties.h"
 #include "nnf/queries.h"
+#include "nnf_oracle.h"
+#include "sdd/compile.h"
+#include "sdd/sdd.h"
+#include "vtree/vtree.h"
 
 namespace tbc {
 namespace {
+
+using nnf_oracle::EnumerateModelsDnnf;
+using nnf_oracle::IsDeterministicExhaustive;
+using nnf_oracle::RuleIds;
+using Rules = std::set<std::string>;
 
 // Builds the paper's running-example d-DNNF over variables A=0, K=1, L=2,
 // P=3 (Figures 5-9 and 13): the compilation of the course constraint
@@ -105,15 +116,14 @@ TEST(NnfManagerTest, VarSets) {
 TEST(NnfPropertiesTest, PaperCircuitIsDecomposableDeterministicSmooth) {
   NnfManager m;
   NnfId root = BuildPaperCircuit(m);
-  EXPECT_TRUE(IsDecomposable(m, root));
-  EXPECT_TRUE(IsSmooth(m, root));
+  EXPECT_EQ(RuleIds(m, root, NnfDialect::kSmoothDdnnf), Rules{});
   EXPECT_TRUE(IsDeterministicExhaustive(m, root, 4));
 }
 
 TEST(NnfPropertiesTest, DetectsNonDecomposable) {
   NnfManager m;
   NnfId bad = m.And(m.Literal(Pos(0)), m.Or(m.Literal(Neg(0)), m.Literal(Pos(1))));
-  EXPECT_FALSE(IsDecomposable(m, bad));
+  EXPECT_EQ(RuleIds(m, bad, NnfDialect::kDnnf), Rules{"dnnf.decomposable"});
 }
 
 TEST(NnfPropertiesTest, DetectsNonDeterministic) {
@@ -126,10 +136,9 @@ TEST(NnfPropertiesTest, SmoothingEnforcesSmoothness) {
   NnfManager m;
   // Non-smooth deterministic DNNF: x0 ∨ (¬x0 ∧ x1).
   NnfId f = m.Or(m.Literal(Pos(0)), m.And(m.Literal(Neg(0)), m.Literal(Pos(1))));
-  EXPECT_FALSE(IsSmooth(m, f));
+  EXPECT_EQ(RuleIds(m, f, NnfDialect::kSmoothDdnnf), Rules{"nnf.smooth"});
   NnfId s = Smooth(m, f, 2);
-  EXPECT_TRUE(IsSmooth(m, s));
-  EXPECT_TRUE(IsDecomposable(m, s));
+  EXPECT_EQ(RuleIds(m, s, NnfDialect::kSmoothDdnnf), Rules{});
   EXPECT_TRUE(IsDeterministicExhaustive(m, s, 2));
   // Equivalent: same models.
   for (int bits = 0; bits < 4; ++bits) {
@@ -141,10 +150,12 @@ TEST(NnfPropertiesTest, SmoothingEnforcesSmoothness) {
 TEST(NnfPropertiesTest, DecisionProperty) {
   NnfManager m;
   NnfId d = m.Decision(0, m.Literal(Pos(1)), m.Literal(Neg(1)));
-  EXPECT_TRUE(IsDecision(m, d));
+  EXPECT_EQ(RuleIds(m, d, NnfDialect::kDecisionDnnf), Rules{});
   NnfId not_decision = m.Or(m.And(m.Literal(Pos(0)), m.Literal(Pos(1))),
                             m.And(m.Literal(Pos(2)), m.Literal(Pos(3))));
-  EXPECT_FALSE(IsDecision(m, not_decision));
+  // Its inputs also mention different variables: a smoothness warning.
+  EXPECT_EQ(RuleIds(m, not_decision, NnfDialect::kDecisionDnnf),
+            (Rules{"nnf.decision", "nnf.smooth"}));
 }
 
 TEST(NnfQueriesTest, SatDnnf) {
@@ -511,6 +522,105 @@ TEST(NnfQueriesTest, ForgetMatchesExistentialQuantification) {
   EXPECT_TRUE(m.Evaluate(all_forgotten, {false, false, false, false}));
 }
 
+// MaxSumWmc on a raw SDD export over a constrained vtree, never smoothed:
+// its or-edges skip max and sum variables alike. The value matches brute
+// force max_y Σ_z W(y, z) and MaxSumWmc on the Smooth()ed copy, and the
+// returned y reaches it: WMC with the contradicted max literals zeroed.
+// The max variables are the last ones; every fourth instance keeps the
+// last variable out of every clause, so it lies outside the root, and
+// every third zeroes a weight. The tallies check that each case occurs.
+TEST(NnfQueriesTest, MaxSumWithoutSmoothingMatchesBruteForce) {
+  int max_in_gap = 0, sum_in_max_gate_gap = 0, max_outside = 0, zeroed = 0;
+  for (uint64_t seed = 0; seed < 48; ++seed) {
+    Rng rng(seed + 900);
+    const size_t n = 6 + seed % 9;  // 6..14 variables
+    const size_t num_y = 1 + rng.Below(n / 2);
+    const size_t used = seed % 4 == 0 ? n - 1 : n;
+    Cnf cnf(n);
+    for (size_t i = 0; i < 2 * used; ++i) {
+      std::set<Var> vars;
+      while (vars.size() < 3) vars.insert(static_cast<Var>(rng.Below(used)));
+      Clause c;
+      for (Var v : vars) c.push_back(Lit(v, rng.Flip(0.5)));
+      cnf.AddClause(c);
+    }
+    std::vector<Var> y, z;
+    std::vector<uint8_t> is_y(n, 0);
+    for (Var v = 0; v < n; ++v) {
+      if (v >= n - num_y) {
+        y.push_back(v);
+        is_y[v] = 1;
+      } else {
+        z.push_back(v);
+      }
+    }
+    WeightMap w(n);
+    for (Var v = 0; v < n; ++v) {
+      w.Set(Pos(v), 0.05 + 0.9 * rng.Uniform());
+      w.Set(Neg(v), 0.05 + 0.9 * rng.Uniform());
+    }
+    if (seed % 3 == 0) {
+      w.Set(Lit(static_cast<Var>(rng.Below(n)), rng.Flip(0.5)), 0.0);
+      ++zeroed;
+    }
+
+    SddManager sdd(Vtree::Constrained(y, z));
+    NnfManager m;
+    const NnfId root = sdd.ToNnf(CompileCnf(sdd, cnf), m);
+
+    // Tally the gap cases before Smooth() adds nodes.
+    auto mentions = [&](NnfId node, Var v) {
+      const Span<const uint64_t> set = m.VarSet(node);
+      return v / 64 < set.size() && ((set[v / 64] >> (v % 64)) & 1) != 0;
+    };
+    for (Var v : y) max_outside += mentions(root, v) ? 0 : 1;
+    for (NnfId g : m.TopologicalOrder(root)) {
+      if (m.kind(g) != NnfManager::Kind::kOr) continue;
+      bool max_gate = false;
+      for (Var v : y) max_gate = max_gate || mentions(g, v);
+      for (NnfId c : m.children(g)) {
+        for (Var v = 0; v < n; ++v) {
+          if (!mentions(g, v) || mentions(c, v)) continue;
+          if (is_y[v]) {
+            ++max_in_gap;
+          } else if (max_gate) {
+            ++sum_in_max_gate_gap;
+          }
+        }
+      }
+    }
+
+    double brute = 0.0;
+    for (uint64_t ybits = 0; ybits < (1ull << y.size()); ++ybits) {
+      double sum = 0.0;
+      for (uint64_t zbits = 0; zbits < (1ull << z.size()); ++zbits) {
+        Assignment a(n);
+        for (size_t k = 0; k < y.size(); ++k) a[y[k]] = (ybits >> k) & 1;
+        for (size_t k = 0; k < z.size(); ++k) a[z[k]] = (zbits >> k) & 1;
+        if (!cnf.Evaluate(a)) continue;
+        double p = 1.0;
+        for (Var v = 0; v < n; ++v) p *= w[Lit(v, a[v])];
+        sum += p;
+      }
+      brute = std::max(brute, sum);
+    }
+
+    const MaxSumResult r = MaxSumWmc(m, root, w, y);
+    EXPECT_NEAR(r.value, brute, 1e-12 * brute) << "seed " << seed;
+    const NnfId smooth = Smooth(m, root, n);
+    EXPECT_NEAR(r.value, MaxSumWmc(m, smooth, w, y).value, 1e-12 * brute)
+        << "seed " << seed;
+    ASSERT_EQ(r.max_assignment.size(), y.size()) << "seed " << seed;
+    WeightMap chosen = w;
+    for (Lit l : r.max_assignment) chosen.Set(~l, 0.0);
+    EXPECT_NEAR(Wmc(m, root, chosen), r.value, 1e-12 * brute) << "seed " << seed;
+  }
+  EXPECT_GT(max_in_gap, 0);
+  EXPECT_GT(sum_in_max_gate_gap, 0);
+  EXPECT_GT(max_outside, 0);
+  EXPECT_GT(zeroed, 0);
+}
+
 // A variable the manager has never numbered is mentioned nowhere, so
 // forgetting it returns the circuit itself.
 TEST(NnfQueriesTest, ForgetIgnoresVariablesOutsideTheManager) {
@@ -520,9 +630,9 @@ TEST(NnfQueriesTest, ForgetIgnoresVariablesOutsideTheManager) {
   EXPECT_EQ(Forget(m, root, {static_cast<Var>(m.num_vars() + 128)}), root);
 }
 
-// MaxSumWmc needs the circuit smooth over every max variable, so a max
-// variable the manager has never numbered has no slot in its bitset: the
-// query refuses it instead of writing past the set.
+// MaxSumWmc reads each max variable's weights and marks it in an array
+// sized by weights.num_vars(), so a max variable at or above that count is
+// refused instead of indexed past the weights.
 TEST(NnfQueriesDeathTest, MaxSumRejectsVariablesOutsideTheManager) {
   NnfManager m;
   const NnfId root = BuildPaperCircuit(m);

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 
+#include "analysis/nnf_analyzer.h"
 #include "base/random.h"
 #include "vtree/vtree.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
+#include "nnf_oracle.h"
 #include "obdd/obdd.h"
 #include "obdd/ordering.h"
 #include "obdd/threshold.h"
@@ -179,8 +181,10 @@ TEST(ObddTest, ToNnfIsDecisionDnnfWithSameCounts) {
   ObddId f = m.CompileCnf(cnf);
   NnfManager nnf;
   NnfId root = m.ToNnf(f, nnf);
-  EXPECT_TRUE(IsDecomposable(nnf, root));
-  EXPECT_TRUE(IsDecision(nnf, root));
+  const std::set<std::string> rules =
+      nnf_oracle::RuleIds(nnf, root, NnfDialect::kDecisionDnnf);
+  EXPECT_EQ(rules.count("dnnf.decomposable"), 0u);
+  EXPECT_EQ(rules.count("nnf.decision"), 0u);
   EXPECT_EQ(ModelCount(nnf, root, 9).ToU64(), cnf.CountModelsBruteForce());
 }
 

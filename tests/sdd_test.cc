@@ -8,8 +8,9 @@
 
 #include "base/random.h"
 #include "logic/formula.h"
-#include "nnf/properties.h"
+#include "analysis/nnf_analyzer.h"
 #include "nnf/queries.h"
+#include "nnf_oracle.h"
 #include "sdd/compile.h"
 #include "sdd/io.h"
 #include "sdd/minimize.h"
@@ -114,8 +115,9 @@ TEST(SddTest, ExportedNnfIsDecomposableAndDeterministic) {
   SddId f = CompileCnf(m, cnf);
   NnfManager nnf;
   NnfId root = m.ToNnf(f, nnf);
-  EXPECT_TRUE(IsDecomposable(nnf, root));
-  EXPECT_TRUE(IsDeterministicExhaustive(nnf, root, 8));
+  EXPECT_EQ(nnf_oracle::RuleIds(nnf, root, NnfDialect::kDnnf),
+            std::set<std::string>{});
+  EXPECT_TRUE(nnf_oracle::IsDeterministicExhaustive(nnf, root, 8));
 }
 
 TEST(SddTest, ConditionMatchesCnfCondition) {
