@@ -51,10 +51,10 @@ void AppendMissingVars(Span<const uint64_t> big, Span<const uint64_t> small,
                        std::vector<Var>& out);
 
 /// Per-root evaluation plan of the gap-factor kernels in nnf/queries.cc
-/// (counting, weighted counting, MPE, marginals, sampling and max-sum):
-/// the root's level schedule plus the gap of every or-gate input edge,
-/// flattened into CSR arrays, so a query reads gaps without touching
-/// varsets or allocating.
+/// and nnf/max_sum.cc (counting, weighted counting, MPE, marginals,
+/// sampling and max-sum): the root's level schedule plus the gap of every
+/// or-gate input edge, flattened into CSR arrays, so a query reads gaps
+/// without touching varsets or allocating.
 struct GapPlan {
   LevelSchedule schedule;
   /// The or-gate at rank i owns edge slots [edge_begin[i], edge_begin[i+1]),
@@ -79,8 +79,8 @@ struct GapPlan {
 ///   - + determinism (d-DNNF): or-gate inputs are pairwise inconsistent —
 ///     unlocks linear-time (weighted) model counting (class PP);
 ///   - smoothness: or-gate inputs mention the same variables (enforceable,
-///     see Smooth() in nnf/properties.h; the counting queries here handle
-///     non-smooth circuits by gap factors instead).
+///     see Smooth() in nnf/properties.h; the queries in nnf/queries.h
+///     handle non-smooth circuits by gap factors instead).
 ///
 /// The manager hash-conses nodes, so circuits are DAGs with sharing. It is
 /// the common target language: the top-down compiler emits Decision-DNNF

@@ -10,31 +10,8 @@
 
 namespace tbc {
 
-namespace {
-
-using internal::Descend;
-using internal::Fold;
-using internal::Gap;
-using internal::kGrain;
-using internal::Upward;
-
-// A variable free under a gate contributes W(x)+W(¬x) to a weighted count
-// and its heavier literal, max(W(x), W(¬x)), to a maximum.
-double FreeWeight(const WeightMap& w, Var v) { return w[Pos(v)] + w[Neg(v)]; }
-double BestWeight(const WeightMap& w, Var v) {
-  return std::max(w[Pos(v)], w[Neg(v)]);
-}
-
-// Product of factor(v) over a gap, multiplied in ascending variable order.
-template <typename Factor>
-double GapProduct(Span<const Var> gap, Factor&& factor) {
-  double f = 1.0;
-  for (Var v : gap) f *= factor(v);
-  return f;
-}
-
-// Variables 0..num_vars-1 that the root does not mention, ascending.
-std::vector<Var> OutsideRootVars(const GapPlan& plan, size_t num_vars) {
+std::vector<Var> internal::OutsideRootVars(const GapPlan& plan,
+                                           size_t num_vars) {
   std::vector<Var> out;
   for (size_t w = 0; 64 * w < num_vars; ++w) {
     uint64_t bits = w < plan.root_vars.size() ? ~plan.root_vars[w] : ~0ull;
@@ -46,28 +23,18 @@ std::vector<Var> OutsideRootVars(const GapPlan& plan, size_t num_vars) {
   return out;
 }
 
-// Position of the input of the or-gate n at rank i whose value, scaled by
-// its edge's gap product of factor(v), is largest; ties break on child
-// order, and a negative value (MpeAlgebra's ⊥) never wins.
-template <typename Factor>
-size_t ArgmaxInput(const NnfManager& mgr, const GapPlan& plan,
-                   const std::vector<double>& value, NnfId n, uint32_t i,
-                   Factor&& factor) {
-  size_t best_k = 0;
-  double best = -1.0;
-  uint32_t e = plan.edge_begin[i];
-  const Span<const NnfId> kids = mgr.children(n);
-  for (size_t k = 0; k < kids.size(); ++k, ++e) {
-    const double vc = value[plan.schedule.rank[kids[k]]];
-    if (vc < 0.0) continue;
-    const double v = vc * GapProduct(Gap(plan, e), factor);
-    if (v > best) {
-      best = v;
-      best_k = k;
-    }
-  }
-  return best_k;
-}
+namespace {
+
+using internal::ArgmaxInput;
+using internal::BestWeight;
+using internal::Descend;
+using internal::Fold;
+using internal::FreeWeight;
+using internal::Gap;
+using internal::GapProduct;
+using internal::kGrain;
+using internal::OutsideRootVars;
+using internal::Upward;
 
 // The algebras of the one upward pass (internal::Upward). Each gives the
 // value of ⊥, ⊤ and a literal, the and-gate product, and the or-gate sum,
@@ -122,38 +89,6 @@ struct MpeAlgebra {
     acc = std::max(acc, x * GapProduct(gap, [&](Var v) {
                           return BestWeight(weights, v);
                         }));
-  }
-};
-
-// Max-sum values (paper Fig 10b): an or-gate marked in `max_gate` (by
-// rank) takes the max over its inputs, any other the sum, and a gap
-// variable v scales its edge by factor[v].
-struct MaxSumAlgebra {
-  using Value = double;
-  const WeightMap& weights;
-  const std::vector<double>& factor;
-  const std::vector<uint8_t>& max_gate;
-  double Zero() const { return 0.0; }
-  double One() const { return 1.0; }
-  double Literal(Lit l) const { return weights[l]; }
-  void Times(double& acc, double x) const { acc *= x; }
-  void Plus(double& acc, double x, Span<const Var> gap, size_t gate) const {
-    const double v = x * GapProduct(gap, [&](Var u) { return factor[u]; });
-    acc = max_gate[gate] ? std::max(acc, v) : acc + v;
-  }
-};
-
-// 1 for a node that mentions a variable marked in `marked`. An or-gate's
-// gaps lie within its inputs' variables, so they add nothing.
-struct MentionsAlgebra {
-  using Value = uint8_t;
-  const std::vector<uint8_t>& marked;
-  uint8_t Zero() const { return 0; }
-  uint8_t One() const { return 0; }
-  uint8_t Literal(Lit l) const { return marked[l.var()]; }
-  void Times(uint8_t& acc, uint8_t x) const { acc |= x; }
-  void Plus(uint8_t& acc, uint8_t x, Span<const Var>, size_t) const {
-    acc |= x;
   }
 };
 
@@ -435,49 +370,6 @@ NnfId Forget(NnfManager& mgr, NnfId root, const std::vector<Var>& vars) {
     const Var v = mgr.lit(n).var();
     return (forget_set[v / 64] >> (v % 64)) & 1 ? mgr.True() : n;
   });
-}
-
-MaxSumResult MaxSumWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,
-                       const std::vector<Var>& max_vars) {
-  const size_t num_vars = weights.num_vars();
-  std::vector<uint8_t> is_max(num_vars, 0);
-  for (Var v : max_vars) {
-    TBC_CHECK_MSG(v < num_vars, "MaxSumWmc: variable not below weights.num_vars()");
-    is_max[v] = 1;
-  }
-  // A variable free under a max gate, or outside the root, contributes its
-  // heavier literal if it is a max variable and both literals otherwise.
-  std::vector<double> factor(num_vars);
-  for (Var v = 0; v < num_vars; ++v) {
-    factor[v] = is_max[v] ? BestWeight(weights, v) : FreeWeight(weights, v);
-  }
-  const GapPlan& plan = mgr.GapPlanCached(root);
-  const LevelSchedule& s = plan.schedule;
-  // Or-gates that mention a max variable take the max, the rest the sum.
-  std::vector<uint8_t> max_gate;
-  TBC_CHECK(Upward(mgr, plan, MentionsAlgebra{is_max}, Guard::Unlimited(),
-                   nullptr, max_gate)
-                .ok());
-  std::vector<double> value;
-  TBC_CHECK(Upward(mgr, plan, MaxSumAlgebra{weights, factor, max_gate},
-                   Guard::Unlimited(), nullptr, value)
-                .ok());
-  MaxSumResult result;
-  result.value = value[s.rank[root]];
-  for (Var v : OutsideRootVars(plan, num_vars)) result.value *= factor[v];
-
-  // Traceback: the argmax input of each max gate (ties break on child
-  // order); a sum gate's inputs mention no max variable, so any will do.
-  const Assignment x = Descend(
-      mgr, plan, root, num_vars,
-      [&](NnfId n, uint32_t i) {
-        if (!max_gate[i]) return size_t{0};
-        return ArgmaxInput(mgr, plan, value, n, i,
-                           [&](Var u) { return factor[u]; });
-      },
-      [&](Var v) { return weights[Pos(v)] >= weights[Neg(v)]; });
-  for (Var v : max_vars) result.max_assignment.push_back(Lit(v, x[v]));
-  return result;
 }
 
 }  // namespace tbc

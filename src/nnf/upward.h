@@ -1,11 +1,13 @@
 // The one bottom-up pass and the one top-down descent over NNF circuits
-// (DESIGN.md "One driver"). Internal to src/nnf/: every query in
-// queries.cc and NnfManager::Evaluate run on these two walks; nothing
-// outside the package includes this header.
+// (DESIGN.md "One driver"), with the gap helpers their algebras share.
+// Internal to src/nnf/: the queries (queries.cc, max_sum.cc) and
+// NnfManager::Evaluate run on these two walks; nothing outside the package
+// includes this header.
 
 #ifndef TBC_NNF_UPWARD_H_
 #define TBC_NNF_UPWARD_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -27,6 +29,51 @@ inline constexpr size_t kGrain = 64;
 inline Span<const Var> Gap(const GapPlan& plan, uint32_t e) {
   return Span<const Var>(plan.gap_vars.data() + plan.gap_begin[e],
                          plan.gap_begin[e + 1] - plan.gap_begin[e]);
+}
+
+// A variable free under a gate contributes W(x)+W(¬x) to a weighted count
+// and its heavier literal, max(W(x), W(¬x)), to a maximum.
+inline double FreeWeight(const WeightMap& w, Var v) {
+  return w[Pos(v)] + w[Neg(v)];
+}
+inline double BestWeight(const WeightMap& w, Var v) {
+  return std::max(w[Pos(v)], w[Neg(v)]);
+}
+
+// Product of factor(v) over a gap, multiplied in ascending variable order.
+template <typename Factor>
+double GapProduct(Span<const Var> gap, Factor&& factor) {
+  double f = 1.0;
+  for (Var v : gap) f *= factor(v);
+  return f;
+}
+
+// Variables 0..num_vars-1 that the root does not mention, ascending.
+// Defined in queries.cc, not inline here: GCC 12 would inline it into
+// WmcBounded, growing the served WMC kernel for no gain.
+std::vector<Var> OutsideRootVars(const GapPlan& plan, size_t num_vars);
+
+// Position of the input of the or-gate n at rank i whose value, scaled by
+// its edge's gap product of factor(v), is largest; ties break on child
+// order, and a negative value (MpeAlgebra's ⊥) never wins.
+template <typename Factor>
+size_t ArgmaxInput(const NnfManager& mgr, const GapPlan& plan,
+                   const std::vector<double>& value, NnfId n, uint32_t i,
+                   Factor&& factor) {
+  size_t best_k = 0;
+  double best = -1.0;
+  uint32_t e = plan.edge_begin[i];
+  const Span<const NnfId> kids = mgr.children(n);
+  for (size_t k = 0; k < kids.size(); ++k, ++e) {
+    const double vc = value[plan.schedule.rank[kids[k]]];
+    if (vc < 0.0) continue;
+    const double v = vc * GapProduct(Gap(plan, e), factor);
+    if (v > best) {
+      best = v;
+      best_k = k;
+    }
+  }
+  return best_k;
 }
 
 // The one upward pass: slot i of `value` gets the value of the node at
