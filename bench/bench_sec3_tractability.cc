@@ -2,7 +2,7 @@
 // behind the knowledge compilation map — DNNF satisfiability and d-DNNF
 // counting are linear in circuit size; SDD apply is polynomial (O(s·t));
 // SDD negation is linear; the constrained-vtree max-sum pass (E-MAJSAT /
-// MAP) is linear in the smoothed circuit.
+// MAP) is linear in the circuit.
 
 #include <benchmark/benchmark.h>
 
