@@ -44,24 +44,6 @@
 
 namespace {
 
-// A quoted JSON string (paths can hold quotes/backslashes/control bytes).
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
-}
-
 void Usage() {
   std::printf(
       "usage: tbc_analyze [options] FILE.cnf...\n"
@@ -173,7 +155,7 @@ int main(int argc, char** argv) {
 
     if (json) {
       if (!first_json) json_out += ",";
-      json_out += std::string("{\"file\":") + JsonString(path) +
+      json_out += "{\"file\":\"" + JsonEscape(path) + "\"" +
                   ",\"refused\":" + (refused ? "true" : "false") +
                   ",\"structure\":" + structure_json +
                   ",\"diagnostics\":" + diag.ToJson(path) + "}";

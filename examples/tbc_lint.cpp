@@ -57,22 +57,6 @@ void Usage() {
       "exit: 0 clean, 1 usage/io error, 2 violations\n");
 }
 
-// The declared variable count from a "nnf <nodes> <edges> <vars>" header,
-// or 0 when absent (the analyzer then derives it from the circuit).
-size_t NnfHeaderVars(const std::string& text) {
-  for (const std::string& raw : tbc::SplitChar(text, '\n')) {
-    std::string_view line = tbc::StripWhitespace(raw);
-    if (line.empty() || line[0] == 'c') continue;
-    const std::vector<std::string> tok = tbc::SplitWhitespace(line);
-    uint64_t vars = 0;
-    if (tok.size() == 4 && tok[0] == "nnf" && tbc::ParseUint64(tok[3], &vars)) {
-      return static_cast<size_t>(vars);
-    }
-    return 0;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,9 +166,8 @@ int main(int argc, char** argv) {
       }
       options.sat_determinism = !no_sat;
       options.max_sat_checks = static_cast<size_t>(max_sat_checks);
-      options.expected_num_vars = NnfHeaderVars(text);
       NnfManager mgr;
-      auto root = ReadNnf(mgr, text);
+      auto root = ReadNnf(mgr, text, &options.expected_num_vars);
       if (!root.ok()) {
         report.Add(Severity::kError, rules::kNnfParse, 0, "",
                    root.status().message());

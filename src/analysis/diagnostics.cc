@@ -1,36 +1,8 @@
 #include "analysis/diagnostics.h"
 
-#include <cstdio>
+#include "base/strings.h"
 
 namespace tbc {
-
-namespace {
-
-// Minimal JSON string escaping (quotes, backslashes, control characters).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* SeverityName(Severity s) {
   switch (s) {

@@ -21,6 +21,49 @@ std::string ThetaString(double theta) {
   return buffer;
 }
 
+// A ⊤-leaf's Bernoulli parameter lies in [0, 1]; 0 and 1 shrink the
+// support.
+void ReportBernoulli(double theta, uint64_t node, DiagnosticReport& report) {
+  if (!(theta >= 0.0 && theta <= 1.0)) {
+    report.Add(Severity::kError, rules::kPsddNormalized, node,
+               ThetaString(theta), "Bernoulli parameter outside [0, 1]");
+  } else if (theta == 0.0 || theta == 1.0) {
+    report.Add(Severity::kWarning, rules::kPsddSupport, node,
+               ThetaString(theta),
+               "degenerate Bernoulli parameter removes models from the "
+               "base's support");
+  }
+}
+
+// A decision's element parameters are non-negative and sum to 1; a zero
+// shrinks the support.
+void ReportDistribution(const std::vector<double>& thetas, uint64_t node,
+                        DiagnosticReport& report) {
+  double total = 0.0;
+  bool bad_theta = false;
+  for (size_t i = 0; i < thetas.size(); ++i) {
+    if (!(thetas[i] >= 0.0)) {
+      bad_theta = true;
+      report.Add(Severity::kError, rules::kPsddNormalized, node,
+                 "element " + std::to_string(i) + ": " + ThetaString(thetas[i]),
+                 "negative element parameter");
+    } else {
+      total += thetas[i];
+      if (thetas[i] == 0.0) {
+        report.Add(Severity::kWarning, rules::kPsddSupport, node,
+                   "element " + std::to_string(i),
+                   "zero element parameter removes the element's models "
+                   "from the base's support");
+      }
+    }
+  }
+  if (!bad_theta && std::abs(total - 1.0) > kSumTolerance) {
+    report.Add(Severity::kError, rules::kPsddNormalized, node,
+               "sum = " + ThetaString(total),
+               "element parameters do not sum to 1");
+  }
+}
+
 }  // namespace
 
 void AnalyzePsdd(const Psdd& psdd, DiagnosticReport& report) {
@@ -41,17 +84,7 @@ void AnalyzePsdd(const Psdd& psdd, DiagnosticReport& report) {
           report.Add(Severity::kError, rules::kPsddStructure, n, "",
                      "top node does not sit on a vtree leaf");
         }
-        const double theta = psdd.theta_true(n);
-        if (!(theta >= 0.0 && theta <= 1.0)) {
-          report.Add(Severity::kError, rules::kPsddNormalized, n,
-                     ThetaString(theta),
-                     "Bernoulli parameter outside [0, 1]");
-        } else if (theta == 0.0 || theta == 1.0) {
-          report.Add(Severity::kWarning, rules::kPsddSupport, n,
-                     ThetaString(theta),
-                     "degenerate Bernoulli parameter removes models from the "
-                     "base's support");
-        }
+        ReportBernoulli(psdd.theta_true(n), n, report);
         break;
       }
       case Psdd::Kind::kDecision: {
@@ -66,8 +99,7 @@ void AnalyzePsdd(const Psdd& psdd, DiagnosticReport& report) {
                      "decision node with an empty partition");
           break;
         }
-        double total = 0.0;
-        bool bad_theta = false;
+        std::vector<double> thetas;
         for (size_t i = 0; i < elements.size(); ++i) {
           const Psdd::Element& el = elements[i];
           // Normalized form: primes sit exactly on left(v), subs on
@@ -84,27 +116,9 @@ void AnalyzePsdd(const Psdd& psdd, DiagnosticReport& report) {
                        "sub is not normalized for the right vtree of its "
                        "decision node");
           }
-          if (!(el.theta >= 0.0)) {
-            bad_theta = true;
-            report.Add(Severity::kError, rules::kPsddNormalized, n,
-                       "element " + std::to_string(i) + ": " +
-                           ThetaString(el.theta),
-                       "negative element parameter");
-          } else {
-            total += el.theta;
-            if (el.theta == 0.0) {
-              report.Add(Severity::kWarning, rules::kPsddSupport, n,
-                         "element " + std::to_string(i),
-                         "zero element parameter removes the element's models "
-                         "from the base's support");
-            }
-          }
+          thetas.push_back(el.theta);
         }
-        if (!bad_theta && std::abs(total - 1.0) > kSumTolerance) {
-          report.Add(Severity::kError, rules::kPsddNormalized, n,
-                     "sum = " + ThetaString(total),
-                     "element parameters do not sum to 1");
-        }
+        ReportDistribution(thetas, n, report);
         break;
       }
     }
@@ -113,77 +127,35 @@ void AnalyzePsdd(const Psdd& psdd, DiagnosticReport& report) {
 
 void AnalyzePsddFile(const std::string& text, const Vtree& vtree,
                      DiagnosticReport& report) {
-  // The SDD body carries the structural invariants.
-  SddAnalysisOptions sdd_options;
-  AnalyzeSddFile(text, vtree, sdd_options, report);
+  // The SDD body carries the structural invariants. The parameter section
+  // (the psdd-params header and the P lines) is blanked out of what the
+  // SDD parser reads, which keeps the body's line numbers.
+  const std::vector<std::string> lines = SplitChar(text, '\n');
+  std::string body;
+  for (const std::string& raw : lines) {
+    const std::string_view line = StripWhitespace(raw);
+    if (line.rfind("psdd-params", 0) != 0 && line.rfind('P', 0) != 0) body += raw;
+    body += '\n';
+  }
+  AnalyzeSddFile(body, vtree, SddAnalysisOptions{}, report);
 
   // Parameter lines are checked as distributions in isolation — the
   // structure they attach to lives in the body above.
-  size_t line_no = 0;
-  for (const std::string& raw : SplitChar(text, '\n')) {
-    ++line_no;
-    std::string_view line = StripWhitespace(raw);
-    if (line.empty() || line[0] != 'P') continue;
-    const std::vector<std::string> tok = SplitWhitespace(line);
-    uint64_t node_id = 0;
-    if (tok.size() < 3 || !ParseUint64(tok[1], &node_id)) {
-      report.Add(Severity::kError, rules::kPsddParse, 0,
-                 "line " + std::to_string(line_no),
-                 "bad parameter line: " + std::string(line));
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string_view line = StripWhitespace(lines[i]);
+    if (line.rfind('P', 0) != 0) continue;
+    PsddParamLine params;
+    if (const Status read = ReadPsddParamLine(line, &params); !read.ok()) {
+      report.Add(Severity::kError, rules::kPsddParse, params.node,
+                 "line " + std::to_string(i + 1), read.message());
       continue;
     }
-    std::vector<double> thetas;
-    bool parse_ok = true;
-    for (size_t i = 2; i < tok.size(); ++i) {
-      double value = 0.0;
-      if (!ParseDouble(tok[i], &value)) {
-        report.Add(Severity::kError, rules::kPsddParse, node_id,
-                   "line " + std::to_string(line_no),
-                   "unreadable parameter: " + tok[i]);
-        parse_ok = false;
-        break;
-      }
-      thetas.push_back(value);
-    }
-    if (!parse_ok) continue;
-    if (thetas.size() == 1) {
-      // Single parameter: a ⊤-leaf Bernoulli or a 1-element decision —
-      // either way it must lie in [0, 1] (and equal 1 when a decision).
-      const double theta = thetas[0];
-      if (!(theta >= 0.0 && theta <= 1.0)) {
-        report.Add(Severity::kError, rules::kPsddNormalized, node_id,
-                   ThetaString(theta), "Bernoulli parameter outside [0, 1]");
-      } else if (theta == 0.0 || theta == 1.0) {
-        report.Add(Severity::kWarning, rules::kPsddSupport, node_id,
-                   ThetaString(theta),
-                   "degenerate Bernoulli parameter removes models from the "
-                   "base's support");
-      }
-      continue;
-    }
-    double total = 0.0;
-    bool bad_theta = false;
-    for (size_t i = 0; i < thetas.size(); ++i) {
-      if (!(thetas[i] >= 0.0)) {
-        bad_theta = true;
-        report.Add(Severity::kError, rules::kPsddNormalized, node_id,
-                   "element " + std::to_string(i) + ": " +
-                       ThetaString(thetas[i]),
-                   "negative element parameter");
-      } else {
-        total += thetas[i];
-        if (thetas[i] == 0.0) {
-          report.Add(Severity::kWarning, rules::kPsddSupport, node_id,
-                     "element " + std::to_string(i),
-                     "zero element parameter removes the element's models "
-                     "from the base's support");
-        }
-      }
-    }
-    if (!bad_theta && std::abs(total - 1.0) > kSumTolerance) {
-      report.Add(Severity::kError, rules::kPsddNormalized, node_id,
-                 "sum = " + ThetaString(total),
-                 "element parameters do not sum to 1");
+    // One parameter: a ⊤-leaf's Bernoulli or a 1-element decision's θ,
+    // which must lie in [0, 1] either way (and equal 1 for a decision).
+    if (params.thetas.size() == 1) {
+      ReportBernoulli(params.thetas[0], params.node, report);
+    } else {
+      ReportDistribution(params.thetas, params.node, report);
     }
   }
 }

@@ -1,13 +1,12 @@
 #include "analysis/sdd_analyzer.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/rules.h"
 #include "analysis/tseitin.h"
-#include "base/strings.h"
 #include "nnf/nnf.h"
 #include "sat/solver.h"
+#include "sdd/io.h"
 
 namespace tbc {
 
@@ -15,6 +14,45 @@ namespace {
 
 std::string ElementPair(size_t i, size_t j) {
   return "elements " + std::to_string(i) + " and " + std::to_string(j);
+}
+
+// Reports CheckSddElements' faults of decision `node` under the rule each
+// breaks.
+void ReportFaults(const std::vector<SddFaultAt>& faults, uint64_t node,
+                  DiagnosticReport& report) {
+  for (const SddFaultAt& fault : faults) {
+    report.Add(Severity::kError,
+               fault.fault <= SddFault::kSubNotRight ? rules::kSddStructured
+                                                     : rules::kSddPartition,
+               node, SddFaultWitness(fault), SddFaultMessage(fault.fault));
+  }
+}
+
+// Compression (subs pairwise distinct) and the trimming rules of decision
+// `node`, whose subs are given as ids that are equal iff the subs are.
+void ReportUncompressedOrUntrimmed(const std::vector<uint32_t>& subs,
+                                   uint32_t top, uint32_t bottom, uint64_t node,
+                                   DiagnosticReport& report) {
+  for (size_t i = 0; i < subs.size(); ++i) {
+    for (size_t j = i + 1; j < subs.size(); ++j) {
+      if (subs[i] == subs[j]) {
+        report.Add(Severity::kError, rules::kSddCompressed, node,
+                   ElementPair(i, j),
+                   "two elements share the same sub (node is not compressed)");
+      }
+    }
+  }
+  if (subs.size() == 1) {
+    report.Add(Severity::kError, rules::kSddTrimmed, node, "",
+               "single-element decision {(true, s)} should be replaced by "
+               "its sub");
+  } else if (subs.size() == 2 &&
+             ((subs[0] == top && subs[1] == bottom) ||
+              (subs[0] == bottom && subs[1] == top))) {
+    report.Add(Severity::kError, rules::kSddTrimmed, node, "",
+               "decision {(p, true), (~p, false)} should be replaced by its "
+               "prime");
+  }
 }
 
 // Renders a SAT model restricted to the variables below `v` in the vtree.
@@ -43,8 +81,7 @@ void AnalyzeSdd(SddManager& mgr, SddId root, const SddAnalysisOptions& options,
     stack.pop_back();
     if (mgr.IsConstant(f) || !seen.insert(f).second) continue;
     if (mgr.IsLiteral(f)) {
-      const VtreeId v = mgr.vtree_node(f);
-      if (!vtree.IsLeaf(v) || vtree.var(v) != mgr.literal(f).var()) {
+      if (mgr.vtree_node(f) != vtree.LeafOfVar(mgr.literal(f).var())) {
         report.Add(Severity::kError, rules::kSddStructured, f,
                    "variable " + std::to_string(mgr.literal(f).var() + 1),
                    "literal node does not sit on its variable's vtree leaf");
@@ -55,167 +92,22 @@ void AnalyzeSdd(SddManager& mgr, SddId root, const SddAnalysisOptions& options,
     // Copied, not referenced: the partition check below runs apply, which
     // may grow the manager's node table and invalidate references into it.
     const std::vector<std::pair<SddId, SddId>> elements = mgr.elements(f);
-    if (vtree.IsLeaf(v)) {
-      report.Add(Severity::kError, rules::kSddStructured, f, "",
-                 "decision node respects a vtree leaf");
-      continue;
+    std::vector<SddElementRef> refs;
+    for (const auto& [p, s] : elements) {
+      refs.push_back({mgr.vtree_node(p), mgr.vtree_node(s), p == mgr.False(), p});
     }
-    if (elements.empty()) {
-      report.Add(Severity::kError, rules::kSddStructured, f, "",
-                 "decision node with an empty partition");
-      continue;
-    }
-    // Vtree-respecting structure: primes under left(v), subs under right(v).
-    for (size_t i = 0; i < elements.size(); ++i) {
-      const auto& [p, s] = elements[i];
-      if (!mgr.IsConstant(p) &&
-          !vtree.IsAncestorOrSelf(vtree.left(v), mgr.vtree_node(p))) {
-        report.Add(Severity::kError, rules::kSddStructured, f,
-                   "element " + std::to_string(i),
-                   "prime is not over the left vtree of its decision node");
-      }
-      if (!mgr.IsConstant(s) &&
-          !vtree.IsAncestorOrSelf(vtree.right(v), mgr.vtree_node(s))) {
-        report.Add(Severity::kError, rules::kSddStructured, f,
-                   "element " + std::to_string(i),
-                   "sub is not over the right vtree of its decision node");
-      }
-      if (p == mgr.False()) {
-        report.Add(Severity::kError, rules::kSddPartition, f,
-                   "element " + std::to_string(i), "false prime");
-      }
+    ReportFaults(CheckSddElements(vtree, v, refs,
+                                  options.check_partition ? &mgr : nullptr),
+                 f, report);
+    if (vtree.IsLeaf(v)) continue;
+    std::vector<uint32_t> subs;
+    for (const auto& [p, s] : elements) {
       stack.push_back(p);
       stack.push_back(s);
+      subs.push_back(s);
     }
-    // Compression: subs pairwise distinct.
-    for (size_t i = 0; i < elements.size(); ++i) {
-      for (size_t j = i + 1; j < elements.size(); ++j) {
-        if (elements[i].second == elements[j].second) {
-          report.Add(Severity::kError, rules::kSddCompressed, f,
-                     ElementPair(i, j),
-                     "two elements share the same sub (node is not "
-                     "compressed)");
-        }
-      }
-    }
-    // Trimming rules.
-    if (elements.size() == 1) {
-      report.Add(Severity::kError, rules::kSddTrimmed, f, "",
-                 "single-element decision {(true, s)} should be replaced by "
-                 "its sub");
-    } else if (elements.size() == 2) {
-      const bool sub_true_false =
-          (elements[0].second == mgr.True() && elements[1].second == mgr.False()) ||
-          (elements[0].second == mgr.False() && elements[1].second == mgr.True());
-      if (sub_true_false) {
-        report.Add(Severity::kError, rules::kSddTrimmed, f, "",
-                   "decision {(p, true), (~p, false)} should be replaced by "
-                   "its prime");
-      }
-    }
-    // Strong determinism (Fig 9): primes disjoint and exhaustive. The
-    // manager is canonical, so apply decides both questions exactly.
-    if (options.check_partition) {
-      SddId prime_union = mgr.False();
-      for (size_t i = 0; i < elements.size(); ++i) {
-        for (size_t j = i + 1; j < elements.size(); ++j) {
-          if (mgr.Conjoin(elements[i].first, elements[j].first) != mgr.False()) {
-            report.Add(Severity::kError, rules::kSddPartition, f,
-                       ElementPair(i, j),
-                       "primes overlap (strong determinism broken)");
-          }
-        }
-        prime_union = mgr.Disjoin(prime_union, elements[i].first);
-      }
-      if (prime_union != mgr.True()) {
-        report.Add(Severity::kError, rules::kSddPartition, f, "",
-                   "primes are not exhaustive over the left vtree");
-      }
-    }
+    ReportUncompressedOrUntrimmed(subs, mgr.True(), mgr.False(), f, report);
   }
-}
-
-Result<std::vector<SddFileNode>> ParseSddFileGraph(const std::string& text,
-                                                   const Vtree& vtree) {
-  std::unordered_map<uint32_t, VtreeId> vtree_at;
-  for (VtreeId v = 0; v < vtree.num_nodes(); ++v) {
-    vtree_at[vtree.position(v)] = v;
-  }
-  std::vector<SddFileNode> graph;
-  std::unordered_map<uint32_t, uint32_t> index_of_file_id;
-  bool saw_header = false;
-  size_t line_no = 0;
-  auto bad = [&](const std::string& what) {
-    return Status::InvalidInput("line " + std::to_string(line_no) + ": " + what);
-  };
-  for (const std::string& raw : SplitChar(text, '\n')) {
-    ++line_no;
-    std::string_view line = StripWhitespace(raw);
-    if (line.empty() || line[0] == 'c' || line[0] == 'P') continue;
-    const std::vector<std::string> tok = SplitWhitespace(line);
-    if (tok[0] == "sdd" || tok[0] == "psdd-params") {
-      saw_header = true;
-      continue;
-    }
-    if (!saw_header) return bad("missing sdd header");
-    SddFileNode node;
-    uint64_t file_id = 0;
-    if (tok.size() < 2 || !ParseUint64(tok[1], &file_id) ||
-        file_id > UINT32_MAX) {
-      return bad("bad node id");
-    }
-    node.file_id = static_cast<uint32_t>(file_id);
-    if (tok[0] == "T" || tok[0] == "F") {
-      if (tok.size() != 2) return bad("bad constant line");
-      node.kind = tok[0][0];
-    } else if (tok[0] == "L") {
-      if (tok.size() != 4) return bad("bad literal line");
-      node.kind = 'L';
-      uint64_t pos = 0;
-      int dimacs = 0;
-      if (!ParseUint64(tok[2], &pos)) return bad("bad vtree position");
-      if (!ParseInt(tok[3], &dimacs) || dimacs == 0) return bad("bad literal");
-      node.lit = Lit::FromDimacs(dimacs);
-      if (node.lit.var() >= vtree.num_vars()) {
-        return bad("literal variable exceeds the vtree's " +
-                   std::to_string(vtree.num_vars()) + " variables");
-      }
-      auto it = vtree_at.find(static_cast<uint32_t>(pos));
-      if (it == vtree_at.end()) return bad("unknown vtree position");
-      node.vtree = it->second;
-    } else if (tok[0] == "D") {
-      if (tok.size() < 4) return bad("bad decision line");
-      node.kind = 'D';
-      uint64_t pos = 0, k = 0;
-      if (!ParseUint64(tok[2], &pos)) return bad("bad vtree position");
-      auto it = vtree_at.find(static_cast<uint32_t>(pos));
-      if (it == vtree_at.end()) return bad("unknown vtree position");
-      node.vtree = it->second;
-      if (!ParseUint64(tok[3], &k)) return bad("bad element count");
-      if (tok.size() != 4 + 2 * k) {
-        return bad("decision arity does not match element count");
-      }
-      for (size_t i = 0; i < k; ++i) {
-        uint64_t pid = 0, sid = 0;
-        if (!ParseUint64(tok[4 + 2 * i], &pid) ||
-            !ParseUint64(tok[5 + 2 * i], &sid)) {
-          return bad("bad element reference");
-        }
-        auto pit = index_of_file_id.find(static_cast<uint32_t>(pid));
-        auto sit = index_of_file_id.find(static_cast<uint32_t>(sid));
-        if (pit == index_of_file_id.end() || sit == index_of_file_id.end()) {
-          return bad("forward or dangling element reference");
-        }
-        node.elements.push_back({pit->second, sit->second});
-      }
-    } else {
-      return bad("unknown sdd line: " + std::string(line));
-    }
-    index_of_file_id[node.file_id] = static_cast<uint32_t>(graph.size());
-    graph.push_back(std::move(node));
-  }
-  if (graph.empty()) return Status::InvalidInput("empty sdd file");
-  return graph;
 }
 
 void AnalyzeSddFile(const std::string& text, const Vtree& vtree,
@@ -269,7 +161,7 @@ void AnalyzeSddFile(const std::string& text, const Vtree& vtree,
   for (size_t i = 0; i < graph.size(); ++i) {
     const SddFileNode& node = graph[i];
     if (node.kind == 'L') {
-      if (!vtree.IsLeaf(node.vtree) || vtree.var(node.vtree) != node.lit.var()) {
+      if (node.vtree != vtree.LeafOfVar(node.lit.var())) {
         report.Add(Severity::kError, rules::kSddStructured, node.file_id,
                    "variable " + std::to_string(node.lit.var() + 1),
                    "literal node does not sit on its variable's vtree leaf");
@@ -278,63 +170,19 @@ void AnalyzeSddFile(const std::string& text, const Vtree& vtree,
     }
     if (node.kind != 'D') continue;
     const VtreeId v = node.vtree;
-    if (vtree.IsLeaf(v)) {
-      report.Add(Severity::kError, rules::kSddStructured, node.file_id, "",
-                 "decision node respects a vtree leaf");
-      continue;
+    // Structure and false primes here; the partition by SAT below.
+    std::vector<SddElementRef> refs;
+    for (const auto& [p, s] : node.elements) {
+      refs.push_back({graph[p].vtree, graph[s].vtree,
+                      nnf_of[p] == nnf.False()});
     }
-    if (node.elements.empty()) {
-      report.Add(Severity::kError, rules::kSddStructured, node.file_id, "",
-                 "decision node with an empty partition");
-      continue;
-    }
-    for (size_t e = 0; e < node.elements.size(); ++e) {
-      const auto& [p, s] = node.elements[e];
-      const SddFileNode& prime = graph[p];
-      const SddFileNode& sub = graph[s];
-      if ((prime.kind == 'L' || prime.kind == 'D') &&
-          !vtree.IsAncestorOrSelf(vtree.left(v), prime.vtree)) {
-        report.Add(Severity::kError, rules::kSddStructured, node.file_id,
-                   "element " + std::to_string(e),
-                   "prime is not over the left vtree of its decision node");
-      }
-      if ((sub.kind == 'L' || sub.kind == 'D') &&
-          !vtree.IsAncestorOrSelf(vtree.right(v), sub.vtree)) {
-        report.Add(Severity::kError, rules::kSddStructured, node.file_id,
-                   "element " + std::to_string(e),
-                   "sub is not over the right vtree of its decision node");
-      }
-      if (prime.kind == 'F' || nnf_of[p] == nnf.False()) {
-        report.Add(Severity::kError, rules::kSddPartition, node.file_id,
-                   "element " + std::to_string(e), "false prime");
-      }
-    }
-    // Compression: structurally equal subs collapse to one NnfId.
-    for (size_t a = 0; a < node.elements.size(); ++a) {
-      for (size_t b = a + 1; b < node.elements.size(); ++b) {
-        if (nnf_of[node.elements[a].second] == nnf_of[node.elements[b].second]) {
-          report.Add(Severity::kError, rules::kSddCompressed, node.file_id,
-                     ElementPair(a, b),
-                     "two elements share the same sub (node is not "
-                     "compressed)");
-        }
-      }
-    }
-    // Trimming rules.
-    if (node.elements.size() == 1) {
-      report.Add(Severity::kError, rules::kSddTrimmed, node.file_id, "",
-                 "single-element decision {(true, s)} should be replaced by "
-                 "its sub");
-    } else if (node.elements.size() == 2) {
-      const NnfId s0 = nnf_of[node.elements[0].second];
-      const NnfId s1 = nnf_of[node.elements[1].second];
-      if ((s0 == nnf.True() && s1 == nnf.False()) ||
-          (s0 == nnf.False() && s1 == nnf.True())) {
-        report.Add(Severity::kError, rules::kSddTrimmed, node.file_id, "",
-                   "decision {(p, true), (~p, false)} should be replaced by "
-                   "its prime");
-      }
-    }
+    ReportFaults(CheckSddElements(vtree, v, refs, nullptr), node.file_id, report);
+    if (vtree.IsLeaf(v) || node.elements.empty()) continue;
+    // Structurally equal subs collapse to one NnfId.
+    std::vector<uint32_t> subs;
+    for (const auto& [p, s] : node.elements) subs.push_back(nnf_of[s]);
+    ReportUncompressedOrUntrimmed(subs, nnf.True(), nnf.False(), node.file_id,
+                                  report);
     // Partition semantics, SAT-backed on the structural translation.
     if (options.check_partition) {
       for (size_t a = 0; a < node.elements.size(); ++a) {

@@ -2,11 +2,8 @@
 #define TBC_ANALYSIS_SDD_ANALYZER_H_
 
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "analysis/diagnostics.h"
-#include "base/result.h"
 #include "sdd/sdd.h"
 #include "vtree/vtree.h"
 
@@ -23,33 +20,17 @@ struct SddAnalysisOptions {
 /// manager's vtree: vtree-respecting structure (sdd.structured), compressed
 /// and trimmed form (sdd.compressed / sdd.trimmed), and the strong
 /// determinism of Fig 9 — primes non-false, pairwise disjoint, exhaustive
-/// (sdd.primes-partition). Takes the manager non-const because partition
-/// checking uses (polytime, canonical) apply operations.
+/// (sdd.primes-partition). The structure and partition findings are
+/// CheckSddElements' (sdd/sdd.h), the check ReadSdd refuses on. Takes the
+/// manager non-const because partition checking uses (polytime, canonical)
+/// apply operations.
 void AnalyzeSdd(SddManager& mgr, SddId root, const SddAnalysisOptions& options,
                 DiagnosticReport& report);
 
-/// One node of a raw .sdd file, before any canonicalization. Element ids
-/// refer to earlier entries of the graph vector.
-struct SddFileNode {
-  char kind = '?';  // 'T', 'F', 'L', 'D'
-  Lit lit;          // for 'L'
-  VtreeId vtree = kInvalidVtree;
-  std::vector<std::pair<uint32_t, uint32_t>> elements;  // for 'D'
-  uint32_t file_id = 0;                                 // id used in the file
-};
-
-/// Parses the SDD-library exchange format into a flat graph WITHOUT
-/// rebuilding nodes through the manager (ReadSdd re-canonicalizes on the way
-/// in, which would mask exactly the violations a linter exists to find).
-/// The last node is the root. Fails only on unreadable syntax; structural
-/// violations are left for AnalyzeSddFile.
-Result<std::vector<SddFileNode>> ParseSddFileGraph(const std::string& text,
-                                                   const Vtree& vtree);
-
 /// Verifies the invariants of a raw .sdd file against `vtree`: everything
-/// AnalyzeSdd checks, plus file-only degeneracies (false primes, empty
-/// partitions). Partition semantics are decided by SAT on a structural NNF
-/// translation of the file graph.
+/// AnalyzeSdd checks, on the graph ParseSddFileGraph (sdd/io.h) reads, so
+/// nothing is canonicalized away. Partition semantics are decided by SAT on
+/// a structural NNF translation of the file graph.
 void AnalyzeSddFile(const std::string& text, const Vtree& vtree,
                     const SddAnalysisOptions& options, DiagnosticReport& report);
 

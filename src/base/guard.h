@@ -75,11 +75,7 @@ class Guard {
   /// Full check: cancellation + deadline. Call at loop heads that run at
   /// most a few thousand times per second.
   Status Check() const {
-    if (cancelled()) return Status::Cancelled("operation cancelled");
-    if (Clock::now() >= deadline_) {
-      return Status::DeadlineExceeded(Describe("deadline of ", budget_.timeout_ms,
-                                               " ms exceeded"));
-    }
+    if (cancelled() || Clock::now() >= deadline_) return SlowCheck(Over::kTime);
     return Status::Ok();
   }
 
@@ -93,8 +89,7 @@ class Guard {
   Status ChargeNodes(uint64_t n = 1) {
     const uint64_t total = nodes_.fetch_add(n, std::memory_order_relaxed) + n;
     if (budget_.max_nodes != 0 && total > budget_.max_nodes) {
-      return Status::BudgetExceeded(Describe("node budget of ", budget_.max_nodes,
-                                             " exceeded"));
+      return SlowCheck(Over::kNodes);
     }
     return AmortizedCheck();
   }
@@ -103,8 +98,7 @@ class Guard {
   Status ChargeConflict() {
     const uint64_t total = conflicts_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (budget_.max_conflicts != 0 && total > budget_.max_conflicts) {
-      return Status::BudgetExceeded(Describe("conflict budget of ",
-                                             budget_.max_conflicts, " exceeded"));
+      return SlowCheck(Over::kConflicts);
     }
     return AmortizedCheck();
   }
@@ -113,8 +107,7 @@ class Guard {
   Status ChargeDecision() {
     const uint64_t total = decisions_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (budget_.max_decisions != 0 && total > budget_.max_decisions) {
-      return Status::BudgetExceeded(Describe("decision budget of ",
-                                             budget_.max_decisions, " exceeded"));
+      return SlowCheck(Over::kDecisions);
     }
     return AmortizedCheck();
   }
@@ -140,18 +133,43 @@ class Guard {
   static constexpr uint64_t kCheckInterval = 256;
   static constexpr double kNoDeadlineMs = 1e18;
 
+  // Inline: the cancel test, the no-deadline test and the tick. The clock
+  // read every kCheckInterval polls and any refusal are SlowCheck's.
   Status AmortizedCheck() {
-    if (cancelled()) return Status::Cancelled("operation cancelled");
-    if (deadline_ == Clock::time_point::max()) return Status::Ok();
-    if (tick_.fetch_add(1, std::memory_order_relaxed) % kCheckInterval != 0) {
-      return Status::Ok();
+    if (!cancelled()) {
+      if (deadline_ == Clock::time_point::max()) return Status::Ok();
+      if (tick_.fetch_add(1, std::memory_order_relaxed) % kCheckInterval != 0) {
+        return Status::Ok();
+      }
     }
-    return Check();
+    return SlowCheck(Over::kTime);
   }
 
-  template <typename V>
-  static std::string Describe(const char* prefix, V limit, const char* suffix) {
-    return std::string(prefix) + std::to_string(limit) + suffix;
+  enum class Over : uint8_t { kTime, kNodes, kConflicts, kDecisions };
+  // The cold half of every check, never inlined, so that the fast paths
+  // stay a few instructions wherever the compiler inlines them. kTime: the
+  // cancellation, then the deadline, else OK; the others: that budget's
+  // refusal.
+  [[gnu::cold, gnu::noinline]] Status SlowCheck(Over over) const {
+    switch (over) {
+      case Over::kTime:
+        if (cancelled()) return Status::Cancelled("operation cancelled");
+        if (Clock::now() < deadline_) return Status::Ok();
+        return Status::DeadlineExceeded(
+            "deadline of " + std::to_string(budget_.timeout_ms) + " ms exceeded");
+      case Over::kNodes:
+        return Status::BudgetExceeded(
+            "node budget of " + std::to_string(budget_.max_nodes) + " exceeded");
+      case Over::kConflicts:
+        return Status::BudgetExceeded("conflict budget of " +
+                                      std::to_string(budget_.max_conflicts) +
+                                      " exceeded");
+      case Over::kDecisions:
+        return Status::BudgetExceeded("decision budget of " +
+                                      std::to_string(budget_.max_decisions) +
+                                      " exceeded");
+    }
+    return Status::Ok();
   }
 
   Budget budget_;

@@ -1,49 +1,15 @@
 #include "base/observability.h"
 
 #include <chrono>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 
+#include "base/strings.h"
+
 namespace tbc {
 
 namespace {
-
-/// JSON string escaping for metric names (names are ASCII identifiers by
-/// convention, but the sink must not emit invalid JSON for any input).
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::atomic<uint32_t> g_next_thread_index{0};
 

@@ -7,6 +7,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -50,6 +51,33 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   for (size_t i = 0; i < parts.size(); ++i) {
     if (i > 0) out += sep;
     out += parts[i];
+  }
+  return out;
+}
+
+Status BadLine(size_t line_no, const std::string& what) {
+  return Status::InvalidInput("line " + std::to_string(line_no) + ": " + what);
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
   return out;
 }

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "base/result.h"
+
 namespace tbc {
 
 /// Splits on any run of whitespace; no empty tokens are produced.
@@ -20,6 +22,14 @@ std::string_view StripWhitespace(std::string_view text);
 
 /// Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// The refusal every line-oriented file reader gives: kInvalidInput with
+/// "line <line_no>: <what>".
+Status BadLine(size_t line_no, const std::string& what);
+
+/// `s` escaped for the inside of a JSON string: quote, backslash, \n, \t
+/// and \r get their short escapes, other control bytes \u00XX.
+std::string JsonEscape(std::string_view s);
 
 /// Strict numeric parsing for the file-format parsers: the whole token must
 /// be a valid number (no trailing junk, no empty token, no overflow).

@@ -23,14 +23,6 @@ std::string WriteNetwork(const BayesianNetwork& net) {
   return out;
 }
 
-namespace {
-
-Status BadLine(size_t line_no, const std::string& what) {
-  return Status::InvalidInput("line " + std::to_string(line_no) + ": " + what);
-}
-
-}  // namespace
-
 Result<BayesianNetwork> ParseNetwork(const std::string& text) {
   BayesianNetwork net;
   // Pending declaration awaiting its CPT.

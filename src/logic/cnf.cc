@@ -125,15 +125,12 @@ Result<Cnf> Cnf::ParseDimacs(const std::string& text) {
       size_t count = 0;
       while (count < 4 && !(tok[count] = NextToken(rest)).empty()) ++count;
       if (count < 4 || tok[1] != "cnf") {
-        return Status::InvalidInput("line " + std::to_string(line_no) +
-                                    ": bad DIMACS header: " +
-                                    std::string(line));
+        return BadLine(line_no, "bad DIMACS header: " + std::string(line));
       }
       if (!ParseUint64(tok[2], &declared_vars) ||
           declared_vars > (1u << 28)) {
-        return Status::InvalidInput("line " + std::to_string(line_no) +
-                                    ": bad variable count '" +
-                                    std::string(tok[2]) + "'");
+        return BadLine(line_no,
+                       "bad variable count '" + std::string(tok[2]) + "'");
       }
       saw_header = true;
       continue;
@@ -142,8 +139,7 @@ Result<Cnf> Cnf::ParseDimacs(const std::string& text) {
          tok = NextToken(rest)) {
       int v = 0;
       if (!ParseInt(tok, &v) || v < -(1 << 28) || v > (1 << 28)) {
-        return Status::InvalidInput("line " + std::to_string(line_no) +
-                                    ": bad DIMACS token: " + std::string(tok));
+        return BadLine(line_no, "bad DIMACS token: " + std::string(tok));
       }
       if (v == 0) {
         cnf.AddClause(pending);

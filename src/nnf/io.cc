@@ -50,10 +50,6 @@ std::string WriteNnf(NnfManager& mgr, NnfId root, size_t num_vars) {
 
 namespace {
 
-Status BadLine(size_t line_no, const std::string& what) {
-  return Status::InvalidInput("line " + std::to_string(line_no) + ": " + what);
-}
-
 // Parses the child references of an A/O line starting at token `first`.
 Status ParseChildren(const std::vector<std::string>& tok, size_t first,
                      size_t count, const std::vector<NnfId>& node_of_line,

@@ -152,8 +152,8 @@ double AddGapDerivative(Span<const Var> vars, const WeightMap& w, double base,
 }  // namespace
 
 bool IsSatDnnf(NnfManager& mgr, NnfId root) {
-  // A DNNF is satisfiable iff ⊥ does not propagate to the root.
-  return Fold(mgr, root, internal::TruthAlgebra{[](Lit) { return true; }}) == 1;
+  // A DNNF is satisfiable iff it does not entail the empty clause.
+  return !EntailsClause(mgr, root, {});
 }
 
 Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
@@ -353,10 +353,19 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
 }
 
 bool EntailsClause(NnfManager& mgr, NnfId root, const Clause& clause) {
-  // root ⊨ clause  iff  root ∧ ¬clause is unsatisfiable.
-  NnfId conditioned = root;
-  for (Lit l : clause) conditioned = mgr.Condition(conditioned, ~l);
-  return !IsSatDnnf(mgr, conditioned);
+  // root ⊨ clause iff root ∧ ¬clause is unsatisfiable, which on a DNNF is
+  // ⊥ reaching the root once the clause's literals are false and every
+  // other literal is true. A clause with both x and ¬x is valid.
+  std::vector<uint8_t> in_clause;
+  for (Lit l : clause) {
+    if (in_clause.size() <= (l.code() | 1)) in_clause.resize((l.code() | 1) + 1, 0);
+    in_clause[l.code()] = 1;
+    if (in_clause[(~l).code()] != 0) return true;
+  }
+  auto literal_true = [&](Lit l) {
+    return l.code() >= in_clause.size() || in_clause[l.code()] == 0;
+  };
+  return Fold(mgr, root, internal::TruthAlgebra{literal_true}) == 0;
 }
 
 NnfId Forget(NnfManager& mgr, NnfId root, const std::vector<Var>& vars) {

@@ -94,8 +94,9 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
                            Rng& rng);
 
 /// Clausal entailment (the CE query of the KC map): does the DNNF entail
-/// the clause? Decided in linear time by conditioning on the clause's
-/// negation and checking satisfiability.
+/// the clause? Decided in linear time by the satisfiability fold with the
+/// clause's literals false, which builds nothing; a clause holding both x
+/// and ¬x is entailed by anything.
 bool EntailsClause(NnfManager& mgr, NnfId root, const Clause& clause);
 
 /// Forgetting (the FO transformation): ∃vars. root, polytime on DNNF —

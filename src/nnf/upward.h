@@ -136,8 +136,8 @@ Status Upward(const NnfManager& mgr, const GapPlan& plan, const Algebra& alg,
 
 // Truth values, 1 for true: ⊥ is 0, ⊤ is 1, a literal l is
 // literal_value(l), and-gates AND their inputs and or-gates OR them (gaps
-// add nothing). IsSatDnnf makes every literal true, Evaluate reads an
-// assignment.
+// add nothing). EntailsClause (and with it IsSatDnnf) makes every literal
+// outside its clause true, Evaluate reads an assignment.
 template <typename LiteralValue>
 struct TruthAlgebra {
   using Value = uint8_t;

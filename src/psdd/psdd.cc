@@ -1,15 +1,13 @@
 #include "psdd/psdd.h"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 
 #include "base/check.h"
 #include "base/observability.h"
+#include "base/strings.h"
 
 #ifdef TBC_VALIDATE
 #include "analysis/validate.h"
@@ -441,71 +439,77 @@ std::string Psdd::SerializeParameters() const {
 }
 
 Status Psdd::LoadParameters(const std::string& text) {
-  size_t line_start = 0;
+  // Written into copies, kept only once the whole text has been read.
+  std::vector<double> theta_true = theta_true_;
+  std::vector<Element> elems = elems_;
   bool saw_header = false;
-  while (line_start < text.size()) {
-    size_t line_end = text.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = text.size();
-    const std::string line = text.substr(line_start, line_end - line_start);
-    line_start = line_end + 1;
+  size_t line_no = 0;
+  auto bad = [&](const std::string& what) { return BadLine(line_no, what); };
+  for (const std::string& raw : SplitChar(text, '\n')) {
+    ++line_no;
+    const std::string_view line = StripWhitespace(raw);
     if (line.empty() || line[0] == 'c') continue;
-    if (line.rfind("psdd-params", 0) == 0) {
-      const size_t count = std::strtoull(line.c_str() + 11, nullptr, 10);
-      if (count != num_nodes()) return Status::Error("node count mismatch");
+    if (!saw_header) {
+      const std::vector<std::string> tok = SplitWhitespace(line);
+      uint64_t count = 0;
+      if (tok.size() != 2 || tok[0] != "psdd-params" ||
+          !ParseUint64(tok[1], &count)) {
+        return bad("missing psdd-params header");
+      }
+      if (count != num_nodes()) return bad("node count mismatch");
       saw_header = true;
       continue;
     }
-    if (!saw_header) return Status::Error("missing psdd-params header");
-    if (line[0] != 'P') return Status::Error("unknown line: " + line);
-    char* cursor = nullptr;
-    const PsddId n = static_cast<PsddId>(std::strtoul(line.c_str() + 1, &cursor, 10));
-    if (n >= num_nodes()) return Status::Error("node id out of range");
-    std::vector<double> thetas;
-    const char* scan = cursor;
-    const char* line_last = line.c_str() + line.size();
-    while (true) {
-      while (scan < line_last &&
-             std::isspace(static_cast<unsigned char>(*scan))) {
-        ++scan;
-      }
-      if (scan == line_last) break;
-      // from_chars, not strtod: theta parsing must not depend on the
-      // run-time locale's radix character.
-      double value = 0.0;
-      const auto [next, ec] = std::from_chars(scan, line_last, value,
-                                              std::chars_format::general);
-      if (ec != std::errc() || next == scan) break;
-      thetas.push_back(value);
-      scan = next;
+    PsddParamLine p;
+    if (const Status read = ReadPsddParamLine(line, &p); !read.ok()) {
+      return bad(read.message());
     }
+    if (p.node >= num_nodes()) return bad("node id out of range");
+    const PsddId n = static_cast<PsddId>(p.node);
     if (kind_[n] == Kind::kTop) {
-      if (thetas.size() != 1 || thetas[0] < 0.0 || thetas[0] > 1.0) {
-        return Status::Error("bad Bernoulli parameter");
+      if (p.thetas.size() != 1 || !(p.thetas[0] >= 0.0 && p.thetas[0] <= 1.0)) {
+        return bad("bad Bernoulli parameter");
       }
-      theta_true_[n] = thetas[0];
+      theta_true[n] = p.thetas[0];
     } else if (kind_[n] == Kind::kDecision) {
-      if (thetas.size() != elements(n).size()) {
-        return Status::Error("element count mismatch");
+      if (p.thetas.size() != elements(n).size()) {
+        return bad("element count mismatch");
       }
       double total = 0.0;
-      for (double t : thetas) {
-        if (t < 0.0) return Status::Error("negative parameter");
-        total += t;
+      for (size_t i = 0; i < p.thetas.size(); ++i) {
+        if (p.thetas[i] < 0.0) return bad("negative parameter");
+        total += p.thetas[i];
+        elems[elem_begin_[n] + i].theta = p.thetas[i];
       }
       if (std::abs(total - 1.0) > 1e-6) {
-        return Status::Error("element parameters do not sum to 1");
-      }
-      for (size_t i = 0; i < thetas.size(); ++i) {
-        elems_[elem_begin_[n] + i].theta = thetas[i];
+        return bad("element parameters do not sum to 1");
       }
     } else {
-      return Status::Error("parameters on a literal node");
+      return bad("parameters on a literal node");
     }
   }
-  if (!saw_header) return Status::Error("missing psdd-params header");
+  if (!saw_header) return Status::InvalidInput("missing psdd-params header");
+  theta_true_ = std::move(theta_true);
+  elems_ = std::move(elems);
 #ifdef TBC_VALIDATE
   ValidatePsddOrDie(*this, "Psdd::LoadParameters");
 #endif
+  return Status::Ok();
+}
+
+Status ReadPsddParamLine(std::string_view line, PsddParamLine* out) {
+  const std::vector<std::string> tok = SplitWhitespace(line);
+  uint64_t node = 0;
+  if (tok.size() < 3 || tok[0] != "P" || !ParseUint64(tok[1], &node)) {
+    return Status::InvalidInput("bad parameter line: " + std::string(line));
+  }
+  out->node = node;
+  out->thetas.resize(tok.size() - 2);
+  for (size_t i = 2; i < tok.size(); ++i) {
+    if (!ParseDouble(tok[i], &out->thetas[i - 2])) {
+      return Status::InvalidInput("unreadable parameter: " + tok[i]);
+    }
+  }
   return Status::Ok();
 }
 

@@ -1,5 +1,6 @@
 #include "sdd/io.h"
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -36,32 +37,36 @@ std::string WriteSdd(const SddManager& mgr, SddId f) {
   return "sdd " + std::to_string(next) + "\n" + body;
 }
 
-namespace {
-
-Status BadLine(size_t line_no, const std::string& what) {
-  return Status::InvalidInput("line " + std::to_string(line_no) + ": " + what);
-}
-
-// Strict uint32 file-id parse shared by every node line.
-bool ParseFileId(const std::string& tok, uint32_t* out) {
-  uint64_t wide = 0;
-  if (!ParseUint64(tok, &wide) || wide > UINT32_MAX) return false;
-  *out = static_cast<uint32_t>(wide);
-  return true;
-}
-
-}  // namespace
-
-Result<SddId> ReadSdd(SddManager& mgr, const std::string& text) {
-  // Map in-order vtree positions back to vtree nodes.
-  std::unordered_map<uint32_t, VtreeId> vtree_at;
-  for (VtreeId v = 0; v < mgr.vtree().num_nodes(); ++v) {
-    vtree_at[mgr.vtree().position(v)] = v;
-  }
-  std::unordered_map<uint32_t, SddId> node_of;
+Result<std::vector<SddFileNode>> ParseSddFileGraph(const std::string& text,
+                                                   const Vtree& vtree) {
+  // In-order positions are a permutation of the vtree's node ids.
+  std::vector<VtreeId> vtree_at(vtree.num_nodes());
+  for (VtreeId v = 0; v < vtree.num_nodes(); ++v) vtree_at[vtree.position(v)] = v;
+  std::vector<SddFileNode> graph;
+  std::unordered_map<uint32_t, uint32_t> index_of_file_id;
   bool saw_header = false;
-  SddId last = kInvalidSdd;
   size_t line_no = 0;
+  auto bad = [&](const std::string& what) { return BadLine(line_no, what); };
+  auto read_u32 = [](const std::string& tok, uint32_t* out) {
+    uint64_t wide = 0;
+    if (!ParseUint64(tok, &wide) || wide > UINT32_MAX) return false;
+    *out = static_cast<uint32_t>(wide);
+    return true;
+  };
+  auto read_vtree = [&](const std::string& tok, VtreeId* out) {
+    uint32_t pos = 0;
+    if (!read_u32(tok, &pos) || pos >= vtree_at.size()) return false;
+    *out = vtree_at[pos];
+    return true;
+  };
+  auto read_ref = [&](const std::string& tok, uint32_t* out) {
+    uint32_t id = 0;
+    if (!read_u32(tok, &id)) return false;
+    auto it = index_of_file_id.find(id);
+    if (it == index_of_file_id.end()) return false;
+    *out = it->second;
+    return true;
+  };
   for (const std::string& raw : SplitChar(text, '\n')) {
     ++line_no;
     std::string_view line = StripWhitespace(raw);
@@ -71,80 +76,91 @@ Result<SddId> ReadSdd(SddManager& mgr, const std::string& text) {
       saw_header = true;
       continue;
     }
-    if (!saw_header) return BadLine(line_no, "missing sdd header");
-    uint32_t file_id = 0;
-    if (tok.size() >= 2 && !ParseFileId(tok[1], &file_id)) {
-      return BadLine(line_no, "bad node id '" + tok[1] + "'");
+    if (!saw_header) return bad("missing sdd header");
+    SddFileNode node;
+    node.line = line_no;
+    if (tok.size() < 2 || !read_u32(tok[1], &node.file_id)) {
+      return bad("bad node id");
     }
-    if (tok[0] == "F" || tok[0] == "T") {
-      if (tok.size() != 2) return BadLine(line_no, "bad constant line");
-      last = tok[0] == "T" ? mgr.True() : mgr.False();
-      node_of[file_id] = last;
+    if (tok[0] == "T" || tok[0] == "F") {
+      if (tok.size() != 2) return bad("bad constant line");
+      node.kind = tok[0][0];
     } else if (tok[0] == "L") {
-      if (tok.size() != 4) return BadLine(line_no, "bad literal line");
+      if (tok.size() != 4) return bad("bad literal line");
+      node.kind = 'L';
+      if (!read_vtree(tok[2], &node.vtree)) return bad("bad vtree position");
       int dimacs = 0;
-      if (!ParseInt(tok[3], &dimacs) || dimacs == 0 || dimacs < -(1 << 28) ||
-          dimacs > (1 << 28)) {
-        return BadLine(line_no, "bad literal '" + tok[3] + "'");
+      if (!ParseInt(tok[3], &dimacs) || dimacs == 0) return bad("bad literal");
+      const int64_t var = dimacs < 0 ? -int64_t{dimacs} : dimacs;
+      if (static_cast<uint64_t>(var) > vtree.num_vars()) {
+        return bad("literal variable exceeds the vtree's " +
+                   std::to_string(vtree.num_vars()) + " variables");
       }
-      const Lit l = Lit::FromDimacs(dimacs);
-      if (l.var() >= mgr.num_vars()) {
-        return BadLine(line_no, "literal variable " + std::to_string(l.var() + 1) +
-                                    " exceeds manager's " +
-                                    std::to_string(mgr.num_vars()) + " variables");
-      }
-      last = mgr.LiteralNode(l);
-      node_of[file_id] = last;
+      node.lit = Lit::FromDimacs(dimacs);
     } else if (tok[0] == "D") {
-      if (tok.size() < 4) return BadLine(line_no, "bad decision line");
-      uint32_t pos = 0;
-      if (!ParseFileId(tok[2], &pos)) {
-        return BadLine(line_no, "bad vtree position '" + tok[2] + "'");
-      }
-      auto vit = vtree_at.find(pos);
-      if (vit == vtree_at.end()) {
-        return BadLine(line_no, "unknown vtree position " + std::to_string(pos));
-      }
+      if (tok.size() < 4) return bad("bad decision line");
+      node.kind = 'D';
+      if (!read_vtree(tok[2], &node.vtree)) return bad("bad vtree position");
       uint64_t k = 0;
-      if (!ParseUint64(tok[3], &k) || k == 0) {
-        return BadLine(line_no, "bad element count '" + tok[3] + "'");
+      if (!ParseUint64(tok[3], &k)) return bad("bad element count");
+      if (tok.size() % 2 != 0 || k != (tok.size() - 4) / 2) {
+        return bad("decision arity does not match element count");
       }
-      if (tok.size() != 4 + 2 * k) {
-        return BadLine(line_no, "decision arity does not match element count");
-      }
-      std::vector<std::pair<SddId, SddId>> elements;
       for (size_t i = 0; i < k; ++i) {
-        uint32_t pid = 0, sid = 0;
-        if (!ParseFileId(tok[4 + 2 * i], &pid) ||
-            !ParseFileId(tok[5 + 2 * i], &sid)) {
-          return BadLine(line_no, "bad element reference");
+        uint32_t p = 0, s = 0;
+        if (!read_ref(tok[4 + 2 * i], &p) || !read_ref(tok[5 + 2 * i], &s)) {
+          return bad("element names no earlier node");
         }
-        auto pit = node_of.find(pid);
-        auto sit = node_of.find(sid);
-        if (pit == node_of.end() || sit == node_of.end()) {
-          return BadLine(line_no, "sdd forward reference");
-        }
-        elements.push_back({pit->second, sit->second});
+        node.elements.push_back({p, s});
       }
-      // MakeDecision requires the primes to form a partition; check
-      // exhaustiveness here so a malformed file cannot trip its internal
-      // invariants (all-⊥ primes abort; a lone non-⊤ prime violates
-      // trimming rule 1).
-      SddId prime_union = mgr.False();
-      for (const auto& [p, s] : elements) {
-        prime_union = mgr.Disjoin(prime_union, p);
-      }
-      if (prime_union != mgr.True()) {
-        return BadLine(line_no, "decision primes are not exhaustive");
-      }
-      last = mgr.MakeDecision(vit->second, std::move(elements));
-      node_of[file_id] = last;
     } else {
-      return BadLine(line_no, "unknown sdd line: " + std::string(line));
+      return bad("unknown sdd line: " + std::string(line));
+    }
+    index_of_file_id[node.file_id] = static_cast<uint32_t>(graph.size());
+    graph.push_back(std::move(node));
+  }
+  if (graph.empty()) return Status::InvalidInput("empty sdd file");
+  return graph;
+}
+
+Result<SddId> ReadSdd(SddManager& mgr, const std::string& text) {
+  const Vtree& vtree = mgr.vtree();
+  TBC_ASSIGN_OR_RETURN(const std::vector<SddFileNode> graph,
+                       ParseSddFileGraph(text, vtree));
+  std::vector<SddId> built(graph.size());
+  for (size_t n = 0; n < graph.size(); ++n) {
+    const SddFileNode& node = graph[n];
+    switch (node.kind) {
+      case 'T': built[n] = mgr.True(); break;
+      case 'F': built[n] = mgr.False(); break;
+      case 'L':
+        if (node.vtree != vtree.LeafOfVar(node.lit.var())) {
+          return BadLine(node.line,
+                         "literal node does not sit on its variable's vtree leaf");
+        }
+        built[n] = mgr.LiteralNode(node.lit);
+        break;
+      default: {
+        std::vector<SddElementRef> refs;
+        std::vector<std::pair<SddId, SddId>> elements;
+        for (const auto& [p, s] : node.elements) {
+          refs.push_back({graph[p].vtree, graph[s].vtree,
+                          built[p] == mgr.False(), built[p]});
+          elements.push_back({built[p], built[s]});
+        }
+        // MakeDecision assumes an SDD node: refuse anything else first.
+        const std::vector<SddFaultAt> faults =
+            CheckSddElements(vtree, node.vtree, refs, &mgr);
+        if (!faults.empty()) {
+          const std::string witness = SddFaultWitness(faults.front());
+          const char* what = SddFaultMessage(faults.front().fault);
+          return BadLine(node.line, witness.empty() ? what : witness + ": " + what);
+        }
+        built[n] = mgr.MakeDecision(node.vtree, std::move(elements));
+      }
     }
   }
-  if (last == kInvalidSdd) return Status::InvalidInput("empty sdd file");
-  return last;
+  return built.back();
 }
 
 }  // namespace tbc

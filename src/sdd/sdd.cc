@@ -725,4 +725,66 @@ double SddManager::Wmc(SddId f, const WeightMap& weights) {
   return tbc::Wmc(nnf, ToNnf(f, nnf), weights);
 }
 
+std::vector<SddFaultAt> CheckSddElements(const Vtree& vtree, VtreeId v,
+                                         const std::vector<SddElementRef>& elements,
+                                         SddManager* partition) {
+  if (vtree.IsLeaf(v)) return {{SddFault::kOnLeaf}};
+  if (elements.empty()) return {{SddFault::kNoElements}};
+  std::vector<SddFaultAt> faults;
+  auto outside = [&](VtreeId under, VtreeId w) {
+    return w != kInvalidVtree && !vtree.IsAncestorOrSelf(under, w);
+  };
+  for (size_t i = 0; i < elements.size(); ++i) {
+    const SddElementRef& e = elements[i];
+    if (outside(vtree.left(v), e.prime_vtree)) {
+      faults.push_back({SddFault::kPrimeNotLeft, i});
+    }
+    if (outside(vtree.right(v), e.sub_vtree)) {
+      faults.push_back({SddFault::kSubNotRight, i});
+    }
+    if (e.false_prime) faults.push_back({SddFault::kFalsePrime, i});
+  }
+  if (partition == nullptr) return faults;
+  SddManager& mgr = *partition;
+  // Strong determinism: each prime misses the union of those before it
+  // (pairs are named only when it does not), and the union is ⊤.
+  SddId seen = mgr.False();
+  for (size_t j = 0; j < elements.size(); ++j) {
+    const SddId p = elements[j].prime;
+    if (mgr.Conjoin(seen, p) != mgr.False()) {
+      for (size_t i = 0; i < j; ++i) {
+        if (mgr.Conjoin(elements[i].prime, p) != mgr.False()) {
+          faults.push_back({SddFault::kPrimesOverlap, i, j});
+        }
+      }
+    }
+    seen = mgr.Disjoin(seen, p);
+  }
+  if (seen != mgr.True()) faults.push_back({SddFault::kPrimesNotExhaustive});
+  return faults;
+}
+
+const char* SddFaultMessage(SddFault fault) {
+  static constexpr const char* kText[] = {
+      "decision node respects a vtree leaf",
+      "decision node with an empty partition",
+      "prime is not over the left vtree of its decision node",
+      "sub is not over the right vtree of its decision node",
+      "false prime",
+      "primes overlap (strong determinism broken)",
+      "primes are not exhaustive over the left vtree",
+  };
+  return kText[static_cast<size_t>(fault)];
+}
+
+std::string SddFaultWitness(const SddFaultAt& f) {
+  if (f.fault == SddFault::kPrimesOverlap) {
+    return "elements " + std::to_string(f.i) + " and " + std::to_string(f.j);
+  }
+  if (f.fault >= SddFault::kPrimeNotLeft && f.fault <= SddFault::kFalsePrime) {
+    return "element " + std::to_string(f.i);
+  }
+  return "";
+}
+
 }  // namespace tbc

@@ -2,6 +2,7 @@
 #define TBC_SDD_SDD_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -407,6 +408,50 @@ void SddManager::ForEachPostorder(SddId f, bool reverse, Visit&& visit) const {
     }
   }
 }
+
+/// How a decision's elements can fail to form an SDD node at vtree node v
+/// (paper §3, Fig 9), in a fixed order: the first four break the vtree
+/// structure, the last three the partition.
+enum class SddFault : uint8_t {
+  kOnLeaf,               // v is a leaf
+  kNoElements,
+  kPrimeNotLeft,         // element i's prime is not over left(v)
+  kSubNotRight,          // element i's sub is not over right(v)
+  kFalsePrime,           // element i's prime is ⊥
+  kPrimesOverlap,        // the primes of elements i < j meet
+  kPrimesNotExhaustive,  // the primes do not cover ⊤
+};
+
+struct SddFaultAt {
+  SddFault fault;
+  size_t i = 0;
+  size_t j = 0;
+};
+
+/// A decision's element under check: the vtree nodes its prime and sub
+/// claim to respect (kInvalidVtree for ⊥ and ⊤; a file's node claims the
+/// vtree node the file puts it at), whether the prime is ⊥, and the prime
+/// as a node of the manager that decides the partition, if there is one.
+struct SddElementRef {
+  VtreeId prime_vtree;
+  VtreeId sub_vtree;
+  bool false_prime;
+  SddId prime = kInvalidSdd;
+};
+
+/// The one element check of an SDD decision, shared by ReadSdd and the
+/// analyzers: every fault of `elements` as a decision at `v`, in order. A
+/// leaf `v` or an empty list ends the check. Whether the primes partition
+/// ⊤ is decided exactly by apply on `partition`'s canonical nodes, which
+/// may add nodes to it; a null `partition` skips that question.
+std::vector<SddFaultAt> CheckSddElements(const Vtree& vtree, VtreeId v,
+                                         const std::vector<SddElementRef>& elements,
+                                         SddManager* partition);
+
+/// A fault's fixed text ("false prime", ...), and the elements it names
+/// ("element 2", "elements 0 and 1"; empty for the decision as a whole).
+const char* SddFaultMessage(SddFault fault);
+std::string SddFaultWitness(const SddFaultAt& fault);
 
 }  // namespace tbc
 

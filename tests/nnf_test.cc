@@ -501,6 +501,39 @@ TEST(NnfQueriesTest, ClausalEntailment) {
   EXPECT_FALSE(EntailsClause(m, root, {Neg(3)}));
 }
 
+// A clause holding x and ¬x is valid, so every circuit entails it, whether
+// it mentions x or not; and answering any number of distinct clauses
+// builds nothing.
+TEST(NnfQueriesTest, ClausalEntailmentBuildsNothing) {
+  NnfManager m;
+  EXPECT_TRUE(EntailsClause(m, m.And({m.Literal(Pos(0)), m.Literal(Pos(1))}),
+                            {Pos(2), Neg(2)}));
+  EXPECT_TRUE(EntailsClause(m, m.Or({m.Literal(Pos(0)), m.Literal(Pos(1))}),
+                            {Pos(1), Neg(1)}));
+  const NnfId root = BuildPaperCircuit(m);
+  const size_t nodes = m.num_nodes();
+  size_t asked = 0;
+  for (uint32_t a = 0; a < 8; ++a) {
+    for (uint32_t b = a; b < 8 && asked < 30; ++b) {
+      if (b != a && (a >> 1) == (b >> 1)) continue;  // x ∨ ¬x: above
+      Clause clause = {Lit::FromCode(a)};
+      if (b != a) clause.push_back(Lit::FromCode(b));
+      bool entailed = true;
+      for (int bits = 0; bits < 16; ++bits) {
+        Assignment x(4);
+        for (Var v = 0; v < 4; ++v) x[v] = (bits >> v) & 1;
+        bool satisfied = false;
+        for (Lit l : clause) satisfied |= x[l.var()] == l.positive();
+        if (m.Evaluate(root, x) && !satisfied) entailed = false;
+      }
+      EXPECT_EQ(EntailsClause(m, root, clause), entailed) << a << " " << b;
+      ++asked;
+    }
+  }
+  EXPECT_EQ(asked, 30u);
+  EXPECT_EQ(m.num_nodes(), nodes);
+}
+
 TEST(NnfQueriesTest, ForgetMatchesExistentialQuantification) {
   NnfManager m;
   NnfId root = BuildPaperCircuit(m);

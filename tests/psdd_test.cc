@@ -339,6 +339,28 @@ TEST(PsddTest, LoadParametersRejectsBadInput) {
       break;
     }
   }
+  // Every token is read whole: trailing junk on a θ or on the header's
+  // count, or a stray token after the θs, is malformed text.
+  PsddId top = kInvalidPsdd;
+  for (PsddId n = 0; n < psdd.num_nodes() && top == kInvalidPsdd; ++n) {
+    if (psdd.kind(n) == Psdd::Kind::kTop) top = n;
+  }
+  ASSERT_NE(top, kInvalidPsdd);
+  const std::string t = "P " + std::to_string(top);
+  const double before = psdd.theta_true(top);
+  for (const std::string& bad :
+       {header + t + " 0.25junk\n", header + t + " 0.25 hello\n",
+        "psdd-params " + std::to_string(psdd.num_nodes()) + "xyz\n" + t +
+            " 0.25\n",
+        // A refused load writes no θ, not even those of its good lines.
+        header + t + " 0.125\nP 99999 0.5\n"}) {
+    const Status status = psdd.LoadParameters(bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidInput) << bad;
+    EXPECT_NE(status.message().find("line "), std::string::npos) << bad;
+    EXPECT_EQ(psdd.theta_true(top), before) << bad;
+  }
+  ASSERT_TRUE(psdd.LoadParameters(header + t + " 0.25\n").ok());
+  EXPECT_EQ(psdd.theta_true(top), 0.25);
 }
 
 TEST(PsddTest, KlDivergenceMatchesBruteForce) {

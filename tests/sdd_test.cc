@@ -2,13 +2,20 @@
 #include <pthread.h>
 
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "base/random.h"
+#include "base/strings.h"
 #include "logic/formula.h"
 #include "analysis/nnf_analyzer.h"
+#include "analysis/rules.h"
+#include "analysis/sdd_analyzer.h"
 #include "nnf/queries.h"
 #include "nnf_oracle.h"
 #include "sdd/compile.h"
@@ -295,6 +302,145 @@ TEST(SddIoTest, ConstantsAndErrors) {
   EXPECT_FALSE(ReadSdd(m, "L 0 0 1\n").ok());            // missing header
   EXPECT_FALSE(ReadSdd(m, "sdd 1\nD 0 1 1 5 6\n").ok()); // forward refs
   EXPECT_FALSE(ReadSdd(m, "sdd 1\nZ 0\n").ok());
+}
+
+std::string ReadCorpusFile(const std::string& name) {
+  std::ifstream in(std::string(TBC_CORPUS_DIR) + "/" + name);
+  EXPECT_TRUE(in) << "missing corpus file " << name;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Files that are not SDDs for balanced vtrees, each of which an earlier
+// ReadSdd loaded (and then counted wrongly): the line ReadSdd must refuse
+// and the rule the linter reports.
+struct NotAnSdd {
+  const char* name;
+  size_t num_vars;
+  std::string text;
+  size_t line;
+  const char* rule;
+};
+
+std::vector<NotAnSdd> NotAnSddFiles() {
+  return {
+      {"literal at a vtree position that does not exist", 2,
+       "sdd 1\nL 0 999 1\n", 2, rules::kSddParse},
+      {"decision at a vtree leaf, denoting ⊥", 4,
+       "sdd 3\nL 0 0 1\nL 1 0 -1\nD 2 0 2 0 1 1 0\n", 4, rules::kSddStructured},
+      {"primes over x3 at the node over {x1, x2}", 4,
+       "sdd 5\nL 0 4 3\nL 1 4 -3\nL 2 2 2\nL 3 2 -2\nD 4 1 2 0 2 1 3\n", 6,
+       rules::kSddStructured},
+      {"primes x1 and ⊤ overlap", 2,
+       "sdd 4\nL 0 0 1\nT 1\nL 2 2 2\nD 3 1 2 0 1 1 2\n", 5,
+       rules::kSddPartition},
+      {"invalid_circuits/sdd_bad_partition.sdd", 2,
+       ReadCorpusFile("invalid_circuits/sdd_bad_partition.sdd"), 7,
+       rules::kSddPartition},
+      // 4 + 2k wraps to 6 in 64 bits: the element loop would read past the
+      // line's tokens.
+      {"element count that wraps the arity check", 2,
+       "sdd 2\nT 0\nD 1 1 9223372036854775809 0 0\n", 3, rules::kSddParse},
+  };
+}
+
+TEST(SddIoTest, RefusesWhatIsNotAnSdd) {
+  for (const NotAnSdd& file : NotAnSddFiles()) {
+    const Vtree vtree = Vtree::Balanced(Vtree::IdentityOrder(file.num_vars));
+    SddManager m(vtree);
+    auto r = ReadSdd(m, file.text);
+    ASSERT_FALSE(r.ok()) << file.name;
+    EXPECT_EQ(r.error_code(), StatusCode::kInvalidInput) << file.name;
+    EXPECT_EQ(r.status().message().rfind("line " + std::to_string(file.line) + ":", 0),
+              0u)
+        << file.name << ": " << r.status().message();
+    DiagnosticReport report;
+    AnalyzeSddFile(file.text, vtree, SddAnalysisOptions{}, report);
+    EXPECT_TRUE(report.HasRule(file.rule))
+        << file.name << ": " << report.ToText(file.name);
+  }
+}
+
+// The loader and the linter read .sdd text through one parser and judge
+// decisions by one element check, so they agree: a file the linter calls
+// clean loads and counts right, and a file that loads breaks no rule the
+// loader is meant to enforce. Inputs: the .sdd corpus, WriteSdd exports of
+// compiled CNFs, the files above, and seeded one-token mutations of each.
+TEST(SddIoTest, ReaderAgreesWithTheLinter) {
+  std::vector<std::pair<std::string, size_t>> inputs;  // text, num_vars
+  for (const char* name :
+       {"sdd_bad_literal_var.sdd", "sdd_bad_node_id.sdd",
+        "sdd_empty_partition.sdd", "sdd_forward_ref.sdd",
+        "sdd_nonexhaustive_primes.sdd", "crlf/crlf.sdd",
+        "valid_circuits/clean_sdd.sdd", "invalid_circuits/sdd_bad_partition.sdd",
+        "invalid_circuits/sdd_nonexhaustive.sdd",
+        "invalid_circuits/sdd_uncompressed.sdd",
+        "invalid_circuits/sdd_untrimmed.sdd"}) {
+    for (size_t n : {2, 3, 4}) inputs.push_back({ReadCorpusFile(name), n});
+  }
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    const size_t n = 3 + seed % 3;
+    SddManager m(Vtree::Balanced(Vtree::IdentityOrder(n)));
+    inputs.push_back({WriteSdd(m, CompileCnf(m, RandomCnf(n, n + 1, 2, seed + 900))), n});
+  }
+  for (const NotAnSdd& file : NotAnSddFiles()) {
+    inputs.push_back({file.text, file.num_vars});
+  }
+
+  const std::vector<std::string> replacements = {
+      "0", "1", "2", "3", "4", "5", "6", "-1", "-2", "-3", "T", "F", "L", "D", "x"};
+  Rng rng(2025);
+  size_t clean = 0, loaded = 0, checked = 0;
+  auto check = [&](const std::string& text, size_t num_vars) {
+    ++checked;
+    const Vtree vtree = Vtree::Balanced(Vtree::IdentityOrder(num_vars));
+    DiagnosticReport report;
+    AnalyzeSddFile(text, vtree, SddAnalysisOptions{}, report);
+    SddManager m(vtree);
+    auto r = ReadSdd(m, text);
+    if (report.clean()) {
+      ++clean;
+      ASSERT_TRUE(r.ok()) << text << r.status().message();
+    }
+    if (!r.ok()) {
+      EXPECT_EQ(r.error_code(), StatusCode::kInvalidInput) << text;
+      return;
+    }
+    ++loaded;
+    for (const char* rule :
+         {rules::kSddParse, rules::kSddStructured, rules::kSddPartition}) {
+      EXPECT_FALSE(report.HasRule(rule)) << text << report.ToText("loaded");
+    }
+    uint64_t models = 0;
+    for (uint64_t bits = 0; bits < (uint64_t{1} << num_vars); ++bits) {
+      Assignment a(num_vars);
+      for (Var v = 0; v < num_vars; ++v) a[v] = (bits >> v) & 1;
+      models += m.Evaluate(*r, a) ? 1 : 0;
+    }
+    EXPECT_EQ(m.ModelCount(*r), BigUint(models)) << text;
+  };
+  for (const auto& [text, num_vars] : inputs) {
+    check(text, num_vars);
+    std::vector<std::vector<std::string>> lines;
+    for (const std::string& line : SplitChar(text, '\n')) {
+      lines.push_back(SplitWhitespace(line));
+    }
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<std::vector<std::string>> mutated = lines;
+      std::vector<std::string>* line = &mutated[rng.Below(mutated.size())];
+      if (line->empty()) continue;
+      (*line)[rng.Below(line->size())] = replacements[rng.Below(replacements.size())];
+      std::string out;
+      for (const std::vector<std::string>& tokens : mutated) {
+        out += Join(tokens, " ") + "\n";
+      }
+      check(out, num_vars);
+    }
+  }
+  // The mutations must reach both sides of the agreement.
+  EXPECT_GT(clean, 50u);
+  EXPECT_LT(loaded, checked / 2);
 }
 
 // WriteSdd's bytes, recorded before the emitter became iterative: file
