@@ -72,10 +72,9 @@ void AnalyzePsdd(const Psdd& psdd, DiagnosticReport& report) {
     const VtreeId v = psdd.vtree_node(n);
     switch (psdd.kind(n)) {
       case Psdd::Kind::kLiteral: {
-        if (!vtree.IsLeaf(v) || vtree.var(v) != psdd.literal(n).var()) {
+        for (const SddFaultAt& f : CheckSddLiteral(vtree, v, psdd.literal(n))) {
           report.Add(Severity::kError, rules::kPsddStructure, n,
-                     "variable " + std::to_string(psdd.literal(n).var() + 1),
-                     "literal node does not sit on its variable's vtree leaf");
+                     SddFaultWitness(f), SddFaultMessage(f.fault));
         }
         break;
       }

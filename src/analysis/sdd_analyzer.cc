@@ -16,8 +16,8 @@ std::string ElementPair(size_t i, size_t j) {
   return "elements " + std::to_string(i) + " and " + std::to_string(j);
 }
 
-// Reports CheckSddElements' faults of decision `node` under the rule each
-// breaks.
+// Reports CheckSddLiteral's or CheckSddElements' faults of `node` under
+// the rule each breaks.
 void ReportFaults(const std::vector<SddFaultAt>& faults, uint64_t node,
                   DiagnosticReport& report) {
   for (const SddFaultAt& fault : faults) {
@@ -81,11 +81,7 @@ void AnalyzeSdd(SddManager& mgr, SddId root, const SddAnalysisOptions& options,
     stack.pop_back();
     if (mgr.IsConstant(f) || !seen.insert(f).second) continue;
     if (mgr.IsLiteral(f)) {
-      if (mgr.vtree_node(f) != vtree.LeafOfVar(mgr.literal(f).var())) {
-        report.Add(Severity::kError, rules::kSddStructured, f,
-                   "variable " + std::to_string(mgr.literal(f).var() + 1),
-                   "literal node does not sit on its variable's vtree leaf");
-      }
+      ReportFaults(CheckSddLiteral(vtree, mgr.vtree_node(f), mgr.literal(f)), f, report);
       continue;
     }
     const VtreeId v = mgr.vtree_node(f);
@@ -148,24 +144,20 @@ void AnalyzeSddFile(const std::string& text, const Vtree& vtree,
   CircuitCnf encoder(vtree.num_vars());
   SatSolver solver;
   size_t encoded_clauses = 0;
-  auto solve_pair = [&](NnfId a, NnfId b, bool* both_sat) {
-    const Lit la = encoder.Encode(nnf, a);
-    const Lit lb = encoder.Encode(nnf, b);
+  // Tseitin-encodes `f` and hands the solver the clauses that added.
+  auto encode = [&](NnfId f) {
+    const Lit out = encoder.Encode(nnf, f);
     for (; encoded_clauses < encoder.cnf().num_clauses(); ++encoded_clauses) {
       solver.AddClause(encoder.cnf().clause(encoded_clauses));
     }
     solver.EnsureVars(encoder.cnf().num_vars());
-    *both_sat = solver.SolveAssuming({la, lb}) == SatSolver::Outcome::kSat;
+    return out;
   };
 
   for (size_t i = 0; i < graph.size(); ++i) {
     const SddFileNode& node = graph[i];
     if (node.kind == 'L') {
-      if (node.vtree != vtree.LeafOfVar(node.lit.var())) {
-        report.Add(Severity::kError, rules::kSddStructured, node.file_id,
-                   "variable " + std::to_string(node.lit.var() + 1),
-                   "literal node does not sit on its variable's vtree leaf");
-      }
+      ReportFaults(CheckSddLiteral(vtree, node.vtree, node.lit), node.file_id, report);
       continue;
     }
     if (node.kind != 'D') continue;
@@ -187,10 +179,9 @@ void AnalyzeSddFile(const std::string& text, const Vtree& vtree,
     if (options.check_partition) {
       for (size_t a = 0; a < node.elements.size(); ++a) {
         for (size_t b = a + 1; b < node.elements.size(); ++b) {
-          bool overlap = false;
-          solve_pair(nnf_of[node.elements[a].first],
-                     nnf_of[node.elements[b].first], &overlap);
-          if (overlap) {
+          if (solver.SolveAssuming({encode(nnf_of[node.elements[a].first]),
+                                    encode(nnf_of[node.elements[b].first])}) ==
+              SatSolver::Outcome::kSat) {
             report.Add(Severity::kError, rules::kSddPartition, node.file_id,
                        ModelOverVtree(solver.model(), vtree, vtree.left(v)),
                        ElementPair(a, b) +
@@ -201,13 +192,8 @@ void AnalyzeSddFile(const std::string& text, const Vtree& vtree,
       std::vector<NnfId> primes;
       primes.reserve(node.elements.size());
       for (const auto& [p, s] : node.elements) primes.push_back(nnf_of[p]);
-      const NnfId all = nnf.Or(std::move(primes));
-      const Lit out = encoder.Encode(nnf, all);
-      for (; encoded_clauses < encoder.cnf().num_clauses(); ++encoded_clauses) {
-        solver.AddClause(encoder.cnf().clause(encoded_clauses));
-      }
-      solver.EnsureVars(encoder.cnf().num_vars());
-      if (solver.SolveAssuming({~out}) == SatSolver::Outcome::kSat) {
+      if (solver.SolveAssuming({~encode(nnf.Or(std::move(primes)))}) ==
+          SatSolver::Outcome::kSat) {
         report.Add(Severity::kError, rules::kSddPartition, node.file_id,
                    ModelOverVtree(solver.model(), vtree, vtree.left(v)),
                    "primes are not exhaustive over the left vtree");

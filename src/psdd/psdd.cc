@@ -497,22 +497,6 @@ Status Psdd::LoadParameters(const std::string& text) {
   return Status::Ok();
 }
 
-Status ReadPsddParamLine(std::string_view line, PsddParamLine* out) {
-  const std::vector<std::string> tok = SplitWhitespace(line);
-  uint64_t node = 0;
-  if (tok.size() < 3 || tok[0] != "P" || !ParseUint64(tok[1], &node)) {
-    return Status::InvalidInput("bad parameter line: " + std::string(line));
-  }
-  out->node = node;
-  out->thetas.resize(tok.size() - 2);
-  for (size_t i = 2; i < tok.size(); ++i) {
-    if (!ParseDouble(tok[i], &out->thetas[i - 2])) {
-      return Status::InvalidInput("unreadable parameter: " + tok[i]);
-    }
-  }
-  return Status::Ok();
-}
-
 double Psdd::KlDivergence(const Psdd& other) const {
   TBC_CHECK_MSG(sdd_ == other.sdd_ && num_nodes() == other.num_nodes() &&
                     root_ == other.root_,

@@ -11,6 +11,7 @@
 #include "base/random.h"
 #include "base/result.h"
 #include "base/span.h"
+#include "base/strings.h"
 #include "base/thread_pool.h"
 #include "sdd/sdd.h"
 
@@ -228,8 +229,24 @@ struct PsddParamLine {
 /// The one reader of a parameter line: "P", a node id and at least one θ,
 /// each a whole token (ParseUint64, ParseDouble: locale-free, no trailing
 /// junk). Sets out->node as soon as the id reads, so a caller can name the
-/// node of a line whose θ does not. kInvalidInput otherwise.
-Status ReadPsddParamLine(std::string_view line, PsddParamLine* out);
+/// node of a line whose θ does not. kInvalidInput otherwise. Inline, so
+/// the analyzers that validation builds link into tbc_psdd need no call
+/// back into it.
+inline Status ReadPsddParamLine(std::string_view line, PsddParamLine* out) {
+  const std::vector<std::string> tok = SplitWhitespace(line);
+  uint64_t node = 0;
+  if (tok.size() < 3 || tok[0] != "P" || !ParseUint64(tok[1], &node)) {
+    return Status::InvalidInput("bad parameter line: " + std::string(line));
+  }
+  out->node = node;
+  out->thetas.resize(tok.size() - 2);
+  for (size_t i = 2; i < tok.size(); ++i) {
+    if (!ParseDouble(tok[i], &out->thetas[i - 2])) {
+      return Status::InvalidInput("unreadable parameter: " + tok[i]);
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace tbc
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/check.h"
 #include "base/strings.h"
 
 namespace tbc {
@@ -39,9 +40,13 @@ std::string WriteSdd(const SddManager& mgr, SddId f) {
 
 Result<std::vector<SddFileNode>> ParseSddFileGraph(const std::string& text,
                                                    const Vtree& vtree) {
-  // In-order positions are a permutation of the vtree's node ids.
+  // In-order positions are a permutation of the vtree's node ids: every
+  // Vtree is a tree (Vtree::Parse refuses a node under two parents).
   std::vector<VtreeId> vtree_at(vtree.num_nodes());
-  for (VtreeId v = 0; v < vtree.num_nodes(); ++v) vtree_at[vtree.position(v)] = v;
+  for (VtreeId v = 0; v < vtree.num_nodes(); ++v) {
+    TBC_CHECK(vtree.position(v) < vtree_at.size());
+    vtree_at[vtree.position(v)] = v;
+  }
   std::vector<SddFileNode> graph;
   std::unordered_map<uint32_t, uint32_t> index_of_file_id;
   bool saw_header = false;
@@ -130,34 +135,28 @@ Result<SddId> ReadSdd(SddManager& mgr, const std::string& text) {
   std::vector<SddId> built(graph.size());
   for (size_t n = 0; n < graph.size(); ++n) {
     const SddFileNode& node = graph[n];
-    switch (node.kind) {
-      case 'T': built[n] = mgr.True(); break;
-      case 'F': built[n] = mgr.False(); break;
-      case 'L':
-        if (node.vtree != vtree.LeafOfVar(node.lit.var())) {
-          return BadLine(node.line,
-                         "literal node does not sit on its variable's vtree leaf");
-        }
-        built[n] = mgr.LiteralNode(node.lit);
-        break;
-      default: {
-        std::vector<SddElementRef> refs;
-        std::vector<std::pair<SddId, SddId>> elements;
-        for (const auto& [p, s] : node.elements) {
-          refs.push_back({graph[p].vtree, graph[s].vtree,
-                          built[p] == mgr.False(), built[p]});
-          elements.push_back({built[p], built[s]});
-        }
-        // MakeDecision assumes an SDD node: refuse anything else first.
-        const std::vector<SddFaultAt> faults =
-            CheckSddElements(vtree, node.vtree, refs, &mgr);
-        if (!faults.empty()) {
-          const std::string witness = SddFaultWitness(faults.front());
-          const char* what = SddFaultMessage(faults.front().fault);
-          return BadLine(node.line, witness.empty() ? what : witness + ": " + what);
-        }
-        built[n] = mgr.MakeDecision(node.vtree, std::move(elements));
+    std::vector<SddFaultAt> faults;
+    if (node.kind == 'T' || node.kind == 'F') {
+      built[n] = node.kind == 'T' ? mgr.True() : mgr.False();
+    } else if (node.kind == 'L') {
+      faults = CheckSddLiteral(vtree, node.vtree, node.lit);
+      if (faults.empty()) built[n] = mgr.LiteralNode(node.lit);
+    } else {
+      std::vector<SddElementRef> refs;
+      std::vector<std::pair<SddId, SddId>> elements;
+      for (const auto& [p, s] : node.elements) {
+        refs.push_back({graph[p].vtree, graph[s].vtree, built[p] == mgr.False(),
+                        built[p]});
+        elements.push_back({built[p], built[s]});
       }
+      // MakeDecision assumes an SDD node: refuse anything else first.
+      faults = CheckSddElements(vtree, node.vtree, refs, &mgr);
+      if (faults.empty()) built[n] = mgr.MakeDecision(node.vtree, std::move(elements));
+    }
+    if (!faults.empty()) {
+      const std::string witness = SddFaultWitness(faults.front());
+      const char* what = SddFaultMessage(faults.front().fault);
+      return BadLine(node.line, witness.empty() ? what : witness + ": " + what);
     }
   }
   return built.back();

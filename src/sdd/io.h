@@ -46,8 +46,8 @@ Result<std::vector<SddFileNode>> ParseSddFileGraph(const std::string& text,
 /// Loads the format above into `mgr`, whose vtree must match the one the
 /// file was written against: ParseSddFileGraph, then a build in file order
 /// that refuses, with a line-numbered kInvalidInput, every node that is
-/// not an SDD node for the vtree (a literal off its variable's leaf, or a
-/// decision CheckSddElements faults). Elements are re-canonicalized on the
+/// not an SDD node for the vtree (one CheckSddLiteral or CheckSddElements
+/// faults). Elements are re-canonicalized on the
 /// way in, so the result is the manager's canonical form of the function.
 Result<SddId> ReadSdd(SddManager& mgr, const std::string& text);
 

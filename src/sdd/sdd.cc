@@ -764,8 +764,14 @@ std::vector<SddFaultAt> CheckSddElements(const Vtree& vtree, VtreeId v,
   return faults;
 }
 
+std::vector<SddFaultAt> CheckSddLiteral(const Vtree& vtree, VtreeId v, Lit lit) {
+  if (v == vtree.LeafOfVar(lit.var())) return {};
+  return {{SddFault::kLiteralOffLeaf, size_t{lit.var()} + 1}};
+}
+
 const char* SddFaultMessage(SddFault fault) {
   static constexpr const char* kText[] = {
+      "literal node does not sit on its variable's vtree leaf",
       "decision node respects a vtree leaf",
       "decision node with an empty partition",
       "prime is not over the left vtree of its decision node",
@@ -778,6 +784,7 @@ const char* SddFaultMessage(SddFault fault) {
 }
 
 std::string SddFaultWitness(const SddFaultAt& f) {
+  if (f.fault == SddFault::kLiteralOffLeaf) return "variable " + std::to_string(f.i);
   if (f.fault == SddFault::kPrimesOverlap) {
     return "elements " + std::to_string(f.i) + " and " + std::to_string(f.j);
   }

@@ -409,10 +409,11 @@ void SddManager::ForEachPostorder(SddId f, bool reverse, Visit&& visit) const {
   }
 }
 
-/// How a decision's elements can fail to form an SDD node at vtree node v
-/// (paper §3, Fig 9), in a fixed order: the first four break the vtree
-/// structure, the last three the partition.
+/// How a literal or a decision's elements can fail to form an SDD node at
+/// vtree node v (paper §3, Fig 9), in a fixed order: the first five break
+/// the vtree structure, the last three the partition.
 enum class SddFault : uint8_t {
+  kLiteralOffLeaf,       // a literal of variable i - 1 whose leaf is not v
   kOnLeaf,               // v is a leaf
   kNoElements,
   kPrimeNotLeft,         // element i's prime is not over left(v)
@@ -448,8 +449,13 @@ std::vector<SddFaultAt> CheckSddElements(const Vtree& vtree, VtreeId v,
                                          const std::vector<SddElementRef>& elements,
                                          SddManager* partition);
 
+/// The literal counterpart of CheckSddElements: a literal node at `v` is
+/// an SDD node only on its variable's leaf. Empty or one fault.
+std::vector<SddFaultAt> CheckSddLiteral(const Vtree& vtree, VtreeId v, Lit lit);
+
 /// A fault's fixed text ("false prime", ...), and the elements it names
-/// ("element 2", "elements 0 and 1"; empty for the decision as a whole).
+/// ("variable 3", "element 2", "elements 0 and 1"; empty for the
+/// decision as a whole).
 const char* SddFaultMessage(SddFault fault);
 std::string SddFaultWitness(const SddFaultAt& fault);
 

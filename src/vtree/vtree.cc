@@ -1,11 +1,11 @@
 #include "vtree/vtree.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <unordered_map>
 
 #include "base/check.h"
+#include "base/strings.h"
 
 namespace tbc {
 
@@ -205,53 +205,62 @@ std::string Vtree::ToFileString() const {
 
 Result<Vtree> Vtree::Parse(const std::string& text) {
   Vtree t;
-  std::unordered_map<uint32_t, VtreeId> node_of_file_id;
+  std::unordered_map<uint64_t, VtreeId> node_of_file_id;
   bool saw_header = false;
   VtreeId last = kInvalidVtree;
-  size_t line_start = 0;
-  while (line_start <= text.size()) {
-    size_t line_end = text.find('\n', line_start);
-    if (line_end == std::string::npos) line_end = text.size();
-    const std::string line = text.substr(line_start, line_end - line_start);
-    line_start = line_end + 1;
+  size_t line_no = 0;
+  for (const std::string& raw : SplitChar(text, '\n')) {
+    ++line_no;
+    const std::string_view line = StripWhitespace(raw);
     if (line.empty() || line[0] == 'c') continue;
-    char kind = 0;
-    long a = 0, b = 0, c = 0;
-    if (std::sscanf(line.c_str(), "%c %ld %ld %ld", &kind, &a, &b, &c) < 1) {
-      continue;
-    }
-    if (kind == 'v') {
+    const std::vector<std::string> tok = SplitWhitespace(line);
+    uint64_t id = 0, a = 0, b = 0;
+    const bool numeric =
+        tok.size() >= 3 && ParseUint64(tok[1], &id) && ParseUint64(tok[2], &a) &&
+        (tok.size() == 3 || ParseUint64(tok[3], &b));
+    if (tok[0] == "vtree") {
       saw_header = true;
-    } else if (kind == 'L') {
-      if (b < 1) return Status::InvalidInput("bad vtree leaf line: " + line);
-      const Var var = static_cast<Var>(b - 1);
+    } else if (tok[0] == "L") {
+      // Variables are capped as in DIMACS: the leaf table is sized by the
+      // largest one.
+      if (!numeric || tok.size() != 3 || a < 1 || a > (1u << 28)) {
+        return BadLine(line_no, "bad vtree leaf line");
+      }
+      const Var var = static_cast<Var>(a - 1);
       // AddLeaf aborts on a repeated variable; adversarial files must get
       // a typed rejection instead.
       if (var < t.leaf_of_var_.size() && t.leaf_of_var_[var] != kInvalidVtree) {
-        return Status::InvalidInput("variable appears in two vtree leaves: " +
-                                    line);
+        return BadLine(line_no, "variable appears in two vtree leaves");
       }
       last = t.AddLeaf(var);
-      node_of_file_id[static_cast<uint32_t>(a)] = last;
-    } else if (kind == 'I') {
-      auto lit = node_of_file_id.find(static_cast<uint32_t>(b));
-      auto rit = node_of_file_id.find(static_cast<uint32_t>(c));
+      node_of_file_id[id] = last;
+    } else if (tok[0] == "I") {
+      if (!numeric || tok.size() != 4) {
+        return BadLine(line_no, "bad vtree internal line");
+      }
+      auto lit = node_of_file_id.find(a);
+      auto rit = node_of_file_id.find(b);
       if (lit == node_of_file_id.end() || rit == node_of_file_id.end()) {
-        return Status::InvalidInput("vtree forward reference: " + line);
+        return BadLine(line_no, "vtree forward reference");
+      }
+      // Every node has one parent, so in-order positions are a
+      // permutation of the node ids (ParseSddFileGraph indexes by them).
+      if (lit->second == rit->second || t.nodes_[lit->second].parent != kInvalidVtree ||
+          t.nodes_[rit->second].parent != kInvalidVtree) {
+        return BadLine(line_no, "vtree node used twice as a child");
       }
       last = t.AddInternal(lit->second, rit->second);
-      node_of_file_id[static_cast<uint32_t>(a)] = last;
+      node_of_file_id[id] = last;
     } else {
-      return Status::InvalidInput("unknown vtree line: " + line);
+      return BadLine(line_no, "unknown vtree line");
     }
   }
   if (!saw_header) return Status::InvalidInput("missing vtree header");
   if (last == kInvalidVtree) return Status::InvalidInput("empty vtree");
   t.root_ = last;
   // The last-defined node is the root only if every other node hangs off
-  // it. A file defining a forest (or reusing one node under two parents,
-  // which orphans the first parent) used to be accepted silently, with
-  // whole subtrees invisible to position/LCA queries.
+  // it. A file defining a forest used to be accepted silently, with whole
+  // subtrees invisible to position/LCA queries.
   for (VtreeId v = 0; v < t.nodes_.size(); ++v) {
     if (v != t.root_ && t.nodes_[v].parent == kInvalidVtree) {
       return Status::InvalidInput(

@@ -100,6 +100,11 @@ TEST(MalformedInput, ErrorsCarryLineNumbers) {
   ASSERT_FALSE(nnf.ok());
   EXPECT_NE(nnf.status().message().find("line 2"), std::string::npos)
       << nnf.status().message();
+
+  auto vtree = Vtree::Parse("vtree 2\nL 0 1\nI 1 0 0\n");
+  ASSERT_FALSE(vtree.ok());
+  EXPECT_NE(vtree.status().message().find("line 3"), std::string::npos)
+      << vtree.status().message();
 }
 
 // Well-formed files must still parse after the hardening.

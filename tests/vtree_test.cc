@@ -128,7 +128,15 @@ TEST(VtreeTest, ParseRejectsForest) {
 TEST(VtreeTest, ParseErrorsAreTypedInvalidInput) {
   for (const char* text :
        {"", "L 0 1\n", "vtree 3\nI 0 1 2\n", "vtree 1\nL 0 0\n",
-        "vtree 1\nX 0 1\n"}) {
+        "vtree 1\nX 0 1\n",
+        // A node under two parents, or twice under one, is not a tree: its
+        // in-order walk would hand out positions past the node count.
+        "vtree 2\nL 0 1\nI 1 0 0\n",
+        "vtree 4\nL 0 1\nL 1 2\nI 2 0 1\nI 3 2 2\n",
+        "vtree 4\nL 0 1\nL 1 2\nI 2 0 1\nI 3 2 0\n",
+        // Trailing junk, and a variable past DIMACS's 2^28.
+        "vtree 1\nL 0 1x\n", "vtree 3\nL 0 1\nL 1 2\nI 2 0 1junk\n",
+        "vtree 1\nL 0 268435457\n"}) {
     auto parsed = Vtree::Parse(text);
     ASSERT_FALSE(parsed.ok()) << text;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidInput) << text;
