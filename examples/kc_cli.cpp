@@ -12,7 +12,7 @@
 //          [--save-circuit=OUT.tbc]
 //          [--wmc[=W]] [--stats[=json]]
 //   kc_cli --load-circuit=STORE.tbc [--wmc[=W]] [--samples=N]
-//          [--stats[=json]]
+//          [--timeout-ms=N] [--max-nodes=N] [--stats[=json]]
 //
 // --save-circuit persists the compiled Decision-DNNF (with the source CNF
 // and exact model count) in the memory-mapped `.tbc` store format;
@@ -22,23 +22,29 @@
 // prints the WMC as a locale-independent hexfloat for exact cross-process
 // comparison.
 //
-// With --timeout-ms/--max-nodes the compilation runs under a resource
-// guard; if the budget is exhausted the tool prints the typed refusal and
-// exits with code 3 (distinct from usage errors and bad input). The budget
-// bounds each search on its own: the counter run of --wmc gets a fresh
-// guard with the same budget, so it never pays for the compile before it.
+// With --timeout-ms/--max-nodes the compilation, and the queries on a
+// compiled or loaded circuit, run under a resource guard; if the budget is
+// exhausted the tool prints the typed refusal and exits with code 3
+// (distinct from usage errors and bad input). The budget bounds each
+// search on its own: the compile, the circuit queries (SAT, count, --wmc,
+// --samples) and the counter run of --wmc each get a fresh guard with the
+// same budget, so none pays for the one before it. (The OBDD compiler
+// takes no guard yet and says so.)
 //
-// Exit codes (unified across kc_cli / tbc_lint / tbc_certify, see the
-// README table): 0 = ok, 1 = usage or input/IO error, 2 = input rejected
-// (unparseable CNF, including an empty file, or a circuit store that
-// failed validation: corrupt, truncated, or foreign bytes), 3 = typed
-// resource refusal, 4 = certificate rejected by the checker.
+// Exit codes (unified across the tbc tools, see the README table): 0 = ok,
+// 1 = usage or input/IO error (a malformed numeric flag and a failed
+// output write included), 2 = input rejected (unparseable CNF, including
+// an empty file, or a circuit store that failed validation: corrupt,
+// truncated, or foreign bytes), 3 = typed resource refusal,
+// 4 = certificate rejected by the checker.
 //
-// --wmc runs an exact weighted model count after compilation (every
-// literal weighted W, default 1.0) and reports the log-space rescue
-// counter. --stats dumps the observability registry (counters, peak-memory
-// gauges, timing histograms, trace spans) as text; --stats=json emits the
-// machine-readable schema pinned by tools/stats_schema.json.
+// --wmc answers an exact weighted model count (every literal weighted W,
+// default 1.0): a d-DNNF, compiled or loaded, prints its circuit WMC as
+// `c wmc_hex:`, and a compile additionally runs the DPLL counter, which
+// prints `c wmc:` and the log-space rescue counter. --stats dumps the
+// observability registry (counters, peak-memory gauges, timing histograms,
+// trace spans) as text; --stats=json emits the machine-readable schema
+// pinned by tools/stats_schema.json.
 //
 // --certify verifies the compilation in-process through the independent
 // certificate checker (src/certify/) and exits 4 if the certificate is
@@ -48,12 +54,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "analysis/structure/forecast.h"
 #include "base/guard.h"
-#include "base/observability.h"
 #include "base/strings.h"
 #include "base/timer.h"
 #include "certify/certificate.h"
@@ -73,22 +77,9 @@
 #include "store/store.h"
 #include "vtree/vtree.h"
 
-namespace {
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  out << content;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   tbc::cli::IgnoreSigpipe();
   using namespace tbc;
-  // argv[1] is the input (a CNF path or --load-circuit=), never an option.
-  auto arg = [&](const char* name) { return cli::Arg(argc, argv, name, 2); };
-  auto flag = [&](const char* name) { return cli::Flag(argc, argv, name, 2); };
   if (argc < 2) {
     std::printf(
         "usage: kc_cli FILE.cnf [--target=ddnnf|sdd|obdd]\n"
@@ -103,27 +94,115 @@ int main(int argc, char** argv) {
         "              [--certify] [--certify-out=OUT]\n");
     return 1;
   }
-
-  // Shared by compile and load modes: uniform literal weight for --wmc.
-  auto parse_wmc_weight = [&](double* lit_weight) -> bool {
-    *lit_weight = 1.0;
-    if (const char* ws = arg("--wmc")) {
-      if (!ParseDouble(ws, lit_weight)) {
-        std::fprintf(stderr, "kc_cli: --wmc needs a number, got '%s'\n", ws);
-        return false;
-      }
+  // argv[1] is the input (a CNF path or --load-circuit=), never an option.
+  // Every flag is read here, once, for both modes, before any work.
+  const cli::Args args("kc_cli", argc, argv, 2);
+  Budget budget;
+  size_t samples = 0;
+  size_t minimize_iters = 0;
+  double lit_weight = 1.0;
+  if (!args.Read("--timeout-ms", &budget.timeout_ms, 0.0) ||
+      !args.Read("--max-nodes", &budget.max_nodes) ||
+      !args.Read("--samples", &samples) ||
+      !args.Read("--minimize", &minimize_iters) ||
+      !args.Read("--wmc", &lit_weight)) {
+    return 1;
+  }
+  const bool wmc = args.Has("--wmc") || args.Get("--wmc") != nullptr;
+  const char* target_arg = args.Get("--target");
+  const std::string target = target_arg != nullptr ? target_arg : "ddnnf";
+  if (target != "ddnnf" && target != "sdd" && target != "obdd") {
+    std::fprintf(stderr, "kc_cli: unknown target %s\n", target.c_str());
+    return 1;
+  }
+  if (args.Get("--save-circuit") != nullptr && target != "ddnnf") {
+    std::fprintf(stderr,
+                 "kc_cli: --save-circuit is only supported for "
+                 "--target=ddnnf\n");
+    return 1;
+  }
+  // Size-triggered in-place SDD minimization: set the process-wide default
+  // so every manager the run creates (direct compiles, portfolio arms)
+  // picks the policy up at construction.
+  if (const char* m = args.Get("--sdd-minimize")) {
+    const char* const modes[] = {"off", "auto", "aggressive"};  // enum order
+    int mode = 0;
+    while (mode < 3 && std::strcmp(m, modes[mode]) != 0) ++mode;
+    if (mode == 3) {
+      std::fprintf(stderr,
+                   "kc_cli: --sdd-minimize must be off|auto|aggressive, "
+                   "got '%s'\n",
+                   m);
+      return 1;
     }
+    SddAutoMinimizeOptions opts =
+        SddAutoMinimizeOptions::ForMode(static_cast<SddMinimizeMode>(mode));
+    if (!args.Read("--sdd-minimize-threshold", &opts.growth_ratio, 1.0)) {
+      return 1;
+    }
+    SddManager::SetDefaultAutoMinimize(opts);
+  } else if (args.Get("--sdd-minimize-threshold") != nullptr) {
+    std::fprintf(stderr,
+                 "kc_cli: --sdd-minimize-threshold requires --sdd-minimize\n");
+    return 1;
+  }
+
+  // Typed refusal (deadline/budget): report and exit 3 so scripts can tell
+  // "ran out of resources" from "bad input / bad usage" (1).
+  auto refuse = [](const Status& s) -> int {
+    std::fprintf(stderr, "kc_cli: refused [%s]: %s\n", StatusCodeName(s.code()),
+                 s.message().c_str());
+    return 3;
+  };
+  auto uniform_weights = [&](size_t num_vars) {
+    WeightMap weights(num_vars);
+    for (Var v = 0; v < num_vars; ++v) {
+      weights.Set(Pos(v), lit_weight);
+      weights.Set(Neg(v), lit_weight);
+    }
+    return weights;
+  };
+  // Writes an output file and reports it; false (exit 1) when it fails.
+  auto write = [&](const char* what, const char* path,
+                   const std::string& content) {
+    if (!cli::WriteFile(args, path, content)) return false;
+    std::printf("c wrote %s%s\n", what, path);
     return true;
   };
-  auto dump_stats = [&]() -> int {
-    if (const char* mode = arg("--stats")) {
-      if (std::strcmp(mode, "json") != 0) {
-        std::fprintf(stderr, "kc_cli: unknown stats mode '%s'\n", mode);
-        return 1;
+
+  // The queries a d-DNNF answers, compiled or loaded: SAT, the model count
+  // (`known` when the store carries it), --wmc and --samples, on a fresh
+  // guard. Sets *models; returns 0 or the refusal's exit code.
+  auto answer = [&](NnfManager& mgr, NnfId root, size_t num_vars,
+                    const BigUint* known, BigUint* models) -> int {
+    Guard guard(budget);
+    const bool sat = IsSatDnnf(mgr, root);
+    std::printf("s %s\n", sat ? "SATISFIABLE" : "UNSATISFIABLE");
+    if (known != nullptr) {
+      *models = *known;
+    } else {
+      auto count = ModelCountBounded(mgr, root, num_vars, guard);
+      if (!count.ok()) return refuse(count.status());
+      *models = *std::move(count);
+    }
+    std::printf("c models: %s\n", models->ToString().c_str());
+    if (wmc) {
+      // Circuit-evaluated WMC in exact hexfloat: the cross-process anchor
+      // a --load-circuit run of the saved store reproduces bit-identically
+      // (the store's id compaction preserves evaluation order).
+      auto w = WmcBounded(mgr, root, uniform_weights(num_vars), guard);
+      if (!w.ok()) return refuse(w.status());
+      std::printf("c wmc_hex: %s\n", FormatDoubleHex(*w).c_str());
+    }
+    Rng rng(2026);
+    for (size_t i = 0; i < samples && sat; ++i) {
+      if (Status s = guard.Check(); !s.ok()) return refuse(s);
+      const Assignment x = SampleModelDnnf(mgr, root, num_vars, rng);
+      std::printf("v");
+      for (Var v = 0; v < num_vars; ++v) {
+        std::printf(" %d", Lit(v, x[v]).ToDimacs());
       }
-      std::fputs(Observability::Global().RenderJson().c_str(), stdout);
-    } else if (flag("--stats")) {
-      std::fputs(Observability::Global().RenderText().c_str(), stdout);
+      std::printf(" 0\n");
     }
     return 0;
   };
@@ -142,46 +221,21 @@ int main(int argc, char** argv) {
     }
     NnfManager& mgr = *loaded->mgr;
     const NnfId root = loaded->root;
-    const size_t num_vars = mgr.num_vars();
+    const MappedStore& store = *loaded->store;
     std::printf("c loaded circuit store %s in %.2f ms (mmap, zero-copy)\n",
                 store_path, load_timer.Millis());
     std::printf("c circuit: %zu edges, %zu nodes, %zu vars\n",
-                mgr.CircuitSize(root), mgr.NumNodesBelow(root), num_vars);
-    if (!loaded->store->cnf_text().empty()) {
-      std::printf("c embedded cnf: %zu bytes\n",
-                  loaded->store->cnf_text().size());
+                mgr.CircuitSize(root), mgr.NumNodesBelow(root),
+                mgr.num_vars());
+    if (!store.cnf_text().empty()) {
+      std::printf("c embedded cnf: %zu bytes\n", store.cnf_text().size());
     }
-    std::printf("s %s\n",
-                IsSatDnnf(mgr, root) ? "SATISFIABLE" : "UNSATISFIABLE");
-    const BigUint models = loaded->store->has_model_count()
-                               ? loaded->store->model_count()
-                               : ModelCount(mgr, root, num_vars);
-    std::printf("c models: %s\n", models.ToString().c_str());
-    if (flag("--wmc") || arg("--wmc") != nullptr) {
-      double lit_weight = 1.0;
-      if (!parse_wmc_weight(&lit_weight)) return 1;
-      WeightMap weights(num_vars);
-      for (Var v = 0; v < num_vars; ++v) {
-        weights.Set(Pos(v), lit_weight);
-        weights.Set(Neg(v), lit_weight);
-      }
-      const double wmc = Wmc(mgr, root, weights);
-      std::printf("c wmc: %.12g\n", wmc);
-      std::printf("c wmc_hex: %s\n", FormatDoubleHex(wmc).c_str());
-    }
-    const char* samples_arg = arg("--samples");
-    const size_t samples =
-        samples_arg != nullptr ? std::strtoull(samples_arg, nullptr, 10) : 0;
-    Rng rng(2026);
-    for (size_t i = 0; i < samples && IsSatDnnf(mgr, root); ++i) {
-      const Assignment x = SampleModelDnnf(mgr, root, num_vars, rng);
-      std::printf("v");
-      for (Var v = 0; v < num_vars; ++v) {
-        std::printf(" %d", Lit(v, x[v]).ToDimacs());
-      }
-      std::printf(" 0\n");
-    }
-    return dump_stats();
+    BigUint models;
+    const int rc =
+        answer(mgr, root, mgr.num_vars(),
+               store.has_model_count() ? &store.model_count() : nullptr,
+               &models);
+    return rc != 0 ? rc : cli::DumpStats(args, stdout);
   }
 
   std::string text;
@@ -195,94 +249,26 @@ int main(int argc, char** argv) {
     return 2;
   }
   const Cnf cnf = std::move(parsed).value();
-  std::printf("c input: %zu vars, %zu clauses\n", cnf.num_vars(),
-              cnf.num_clauses());
+  const size_t num_vars = cnf.num_vars();
+  std::printf("c input: %zu vars, %zu clauses\n", num_vars, cnf.num_clauses());
 
-  const char* target_arg = arg("--target");
-  const std::string target = target_arg != nullptr ? target_arg : "ddnnf";
-  if (arg("--save-circuit") != nullptr && target != "ddnnf") {
-    std::fprintf(stderr,
-                 "kc_cli: --save-circuit is only supported for "
-                 "--target=ddnnf\n");
-    return 1;
-  }
-  const char* samples_arg = arg("--samples");
-  const size_t samples = samples_arg != nullptr ? std::strtoull(samples_arg, nullptr, 10) : 0;
-
-  std::vector<Var> order = flag("--force-order")
+  std::vector<Var> order = args.Has("--force-order")
                                ? ForceOrder(cnf, 20)
-                               : Vtree::IdentityOrder(cnf.num_vars());
-
-  Budget budget;
-  if (const char* t = arg("--timeout-ms")) {
-    if (!ParseDouble(t, &budget.timeout_ms) || budget.timeout_ms < 0.0) {
-      std::fprintf(stderr, "kc_cli: --timeout-ms needs a number, got '%s'\n", t);
-      return 1;
-    }
-  }
-  if (const char* n = arg("--max-nodes")) {
-    if (!ParseUint64(n, &budget.max_nodes)) {
-      std::fprintf(stderr, "kc_cli: --max-nodes needs an integer, got '%s'\n", n);
-      return 1;
-    }
-  }
-  // Size-triggered in-place SDD minimization: set the process-wide default
-  // so every manager the run creates (direct compiles, portfolio arms)
-  // picks the policy up at construction.
-  if (const char* m = arg("--sdd-minimize")) {
-    SddMinimizeMode mode;
-    if (std::strcmp(m, "off") == 0) {
-      mode = SddMinimizeMode::kOff;
-    } else if (std::strcmp(m, "auto") == 0) {
-      mode = SddMinimizeMode::kAuto;
-    } else if (std::strcmp(m, "aggressive") == 0) {
-      mode = SddMinimizeMode::kAggressive;
-    } else {
-      std::fprintf(stderr,
-                   "kc_cli: --sdd-minimize must be off|auto|aggressive, "
-                   "got '%s'\n",
-                   m);
-      return 1;
-    }
-    SddAutoMinimizeOptions opts = SddAutoMinimizeOptions::ForMode(mode);
-    if (const char* t = arg("--sdd-minimize-threshold")) {
-      if (!ParseDouble(t, &opts.growth_ratio) || opts.growth_ratio < 1.0) {
-        std::fprintf(stderr,
-                     "kc_cli: --sdd-minimize-threshold needs a ratio >= 1, "
-                     "got '%s'\n",
-                     t);
-        return 1;
-      }
-    }
-    SddManager::SetDefaultAutoMinimize(opts);
-  } else if (arg("--sdd-minimize-threshold") != nullptr) {
-    std::fprintf(stderr,
-                 "kc_cli: --sdd-minimize-threshold requires --sdd-minimize\n");
-    return 1;
-  }
-
-  const bool governed = budget.timeout_ms > 0.0 || budget.max_nodes > 0;
+                               : Vtree::IdentityOrder(num_vars);
   Guard guard(budget);
-  // Typed refusal (deadline/budget): report and exit 3 so scripts can tell
-  // "ran out of resources" from "bad input / bad usage" (1).
-  auto refuse = [](const Status& s) -> int {
-    std::fprintf(stderr, "kc_cli: refused [%s]: %s\n", StatusCodeName(s.code()),
-                 s.message().c_str());
-    return 3;
-  };
 
-  const char* certify_out = arg("--certify-out");
-  const bool certifying =
-      flag("--certify") || certify_out != nullptr;
-  // Writes and/or checks a freshly built certificate; returns 0, or 4 when
-  // the checker rejects it (distinct from usage/input/refusal codes).
+  const char* certify_out = args.Get("--certify-out");
+  const bool certifying = args.Has("--certify") || certify_out != nullptr;
+  // Writes and/or checks a freshly built certificate; returns 0, 1 when
+  // the write fails, or 4 when the checker rejects it (distinct from
+  // usage/input/refusal codes).
   auto finish_cert = [&](const Certificate& cert) -> int {
     const std::string cert_text = WriteCertificate(cert);
-    if (certify_out != nullptr) {
-      WriteFile(certify_out, cert_text);
-      std::printf("c wrote certificate %s\n", certify_out);
+    if (certify_out != nullptr &&
+        !write("certificate ", certify_out, cert_text)) {
+      return 1;
     }
-    if (flag("--certify")) {
+    if (args.Has("--certify")) {
       // Check what would be written, not the in-memory struct: the text
       // round-trip is part of what is being verified.
       auto reparsed = ParseCertificate(cert_text);
@@ -309,37 +295,32 @@ int main(int argc, char** argv) {
     DdnnfCompiler compiler;
     DdnnfTrace trace;
     if (certifying) compiler.set_trace(&trace);
-    NnfId root = kInvalidNnf;
-    if (governed) {
-      auto compiled = compiler.CompileBounded(cnf, mgr, guard);
-      if (!compiled.ok()) return refuse(compiled.status());
-      root = *compiled;
-    } else {
-      root = compiler.Compile(cnf, mgr);
-    }
+    auto compiled = compiler.CompileBounded(cnf, mgr, guard);
+    if (!compiled.ok()) return refuse(compiled.status());
+    const NnfId root = *compiled;
     std::printf("c compiled Decision-DNNF: %zu edges, %zu nodes in %.2f ms\n",
                 mgr.CircuitSize(root), mgr.NumNodesBelow(root), timer.Millis());
     std::printf("c decisions: %llu, cache hits: %llu\n",
                 static_cast<unsigned long long>(compiler.stats().decisions),
                 static_cast<unsigned long long>(compiler.stats().cache_hits));
-    std::printf("s %s\n", IsSatDnnf(mgr, root) ? "SATISFIABLE" : "UNSATISFIABLE");
-    std::printf("c models: %s\n",
-                ModelCount(mgr, root, cnf.num_vars()).ToString().c_str());
+    BigUint models;
+    if (int rc = answer(mgr, root, num_vars, nullptr, &models); rc != 0) {
+      return rc;
+    }
     if (certifying) {
-      const int rc = finish_cert(BuildDdnnfCertificate(
-          cnf, mgr, root, &trace, ModelCount(mgr, root, cnf.num_vars())));
+      const int rc =
+          finish_cert(BuildDdnnfCertificate(cnf, mgr, root, &trace, models));
       if (rc != 0) return rc;
     }
-    if (const char* out = arg("--write-nnf")) {
-      WriteFile(out, WriteNnf(mgr, root, cnf.num_vars()));
-      std::printf("c wrote %s\n", out);
+    if (const char* out = args.Get("--write-nnf");
+        out != nullptr && !write("", out, WriteNnf(mgr, root, num_vars))) {
+      return 1;
     }
-    if (const char* out = arg("--save-circuit")) {
-      const BigUint count = ModelCount(mgr, root, cnf.num_vars());
+    if (const char* out = args.Get("--save-circuit")) {
       StoreWriteOptions wopts;
       wopts.cnf_text = text;
-      wopts.model_count = &count;
-      wopts.num_vars = cnf.num_vars();
+      wopts.model_count = &models;
+      wopts.num_vars = num_vars;
       const Status st = WriteCircuitStore(mgr, root, out, wopts);
       if (!st.ok()) {
         std::fprintf(stderr, "kc_cli: %s\n", st.message().c_str());
@@ -347,31 +328,8 @@ int main(int argc, char** argv) {
       }
       std::printf("c wrote circuit store %s\n", out);
     }
-    if (flag("--wmc") || arg("--wmc") != nullptr) {
-      // Circuit-evaluated WMC in exact hexfloat: the cross-process anchor
-      // a --load-circuit run of the saved store reproduces bit-identically
-      // (the store's id compaction preserves evaluation order).
-      double lit_weight = 1.0;
-      if (!parse_wmc_weight(&lit_weight)) return 1;
-      WeightMap weights(cnf.num_vars());
-      for (Var v = 0; v < cnf.num_vars(); ++v) {
-        weights.Set(Pos(v), lit_weight);
-        weights.Set(Neg(v), lit_weight);
-      }
-      std::printf("c wmc_hex: %s\n",
-                  FormatDoubleHex(Wmc(mgr, root, weights)).c_str());
-    }
-    Rng rng(2026);
-    for (size_t i = 0; i < samples && IsSatDnnf(mgr, root); ++i) {
-      const Assignment x = SampleModelDnnf(mgr, root, cnf.num_vars(), rng);
-      std::printf("v");
-      for (Var v = 0; v < cnf.num_vars(); ++v) {
-        std::printf(" %d", Lit(v, x[v]).ToDimacs());
-      }
-      std::printf(" 0\n");
-    }
   } else if (target == "sdd") {
-    const char* shape_arg = arg("--vtree");
+    const char* shape_arg = args.Get("--vtree");
     const std::string shape = shape_arg != nullptr ? shape_arg : "balanced";
     Rng rng(1);
     Vtree vt;
@@ -394,10 +352,9 @@ int main(int argc, char** argv) {
            : shape == "random" ? Vtree::Random(order, rng)
                                : Vtree::Balanced(order);
     }
-    if (const char* iters = arg("--minimize")) {
+    if (args.Get("--minimize") != nullptr) {
       // Vtree search by in-place edits on the live SDD.
-      const size_t iter_budget = std::strtoull(iters, nullptr, 10);
-      const MinimizeResult r = MinimizeVtree(cnf, vt, iter_budget, 7, guard);
+      const MinimizeResult r = MinimizeVtree(cnf, vt, minimize_iters, 7, guard);
       if (r.interrupted && r.size == 0) return refuse(r.interrupt_status);
       if (r.interrupted) {
         std::printf("c vtree search stopped early [%s]\n",
@@ -409,14 +366,9 @@ int main(int argc, char** argv) {
       vt = r.vtree;
     }
     SddManager mgr(vt);
-    SddId f = kInvalidSdd;
-    if (governed) {
-      auto compiled = CompileCnfBounded(mgr, cnf, guard);
-      if (!compiled.ok()) return refuse(compiled.status());
-      f = *compiled;
-    } else {
-      f = CompileCnf(mgr, cnf);
-    }
+    auto compiled = CompileCnfBounded(mgr, cnf, guard);
+    if (!compiled.ok()) return refuse(compiled.status());
+    const SddId f = *compiled;
     if (mgr.auto_minimize_fires() > 0) {
       std::printf("c auto-minimize: fired %zu times (%zu nodes live)\n",
                   mgr.auto_minimize_fires(), mgr.live_node_count());
@@ -429,19 +381,19 @@ int main(int argc, char** argv) {
       NnfManager scratch;
       const NnfId nroot = mgr.ToNnf(f, scratch);
       const int rc = finish_cert(BuildSddCertificate(
-          cnf, mgr, f, ModelCount(scratch, nroot, cnf.num_vars())));
+          cnf, mgr, f, ModelCount(scratch, nroot, num_vars)));
       if (rc != 0) return rc;
     }
-    if (const char* out = arg("--write-sdd")) {
-      WriteFile(out, WriteSdd(mgr, f));
-      std::printf("c wrote %s\n", out);
+    if (const char* out = args.Get("--write-sdd");
+        out != nullptr && !write("", out, WriteSdd(mgr, f))) {
+      return 1;
     }
-    if (const char* out = arg("--write-vtree")) {
-      WriteFile(out, mgr.vtree().ToFileString());
-      std::printf("c wrote %s\n", out);
+    if (const char* out = args.Get("--write-vtree");
+        out != nullptr && !write("", out, mgr.vtree().ToFileString())) {
+      return 1;
     }
-  } else if (target == "obdd") {
-    if (governed) {
+  } else {
+    if (budget.timeout_ms > 0.0 || budget.max_nodes > 0) {
       std::printf("c warning: --timeout-ms/--max-nodes are not yet wired "
                   "into the OBDD compiler; running unbounded\n");
     }
@@ -456,36 +408,25 @@ int main(int argc, char** argv) {
     if (certifying) {
       NnfManager scratch;
       const NnfId nroot = mgr.ToNnf(f, scratch);
-      const BigUint claimed = ModelCount(scratch, nroot, cnf.num_vars());
-      const int rc =
-          finish_cert(BuildObddCertificate(cnf, std::move(obdd_trace), claimed));
+      const BigUint claimed = ModelCount(scratch, nroot, num_vars);
+      const int rc = finish_cert(
+          BuildObddCertificate(cnf, std::move(obdd_trace), claimed));
       if (rc != 0) return rc;
     }
-    if (const char* out = arg("--write-nnf")) {
+    if (const char* out = args.Get("--write-nnf")) {
       NnfManager nnf;
-      WriteFile(out, WriteNnf(nnf, mgr.ToNnf(f, nnf), cnf.num_vars()));
-      std::printf("c wrote %s\n", out);
+      if (!write("", out, WriteNnf(nnf, mgr.ToNnf(f, nnf), num_vars))) return 1;
     }
-  } else {
-    std::fprintf(stderr, "kc_cli: unknown target %s\n", target.c_str());
-    return 1;
   }
 
-  if (flag("--wmc") || arg("--wmc") != nullptr) {
-    double lit_weight = 1.0;
-    if (!parse_wmc_weight(&lit_weight)) return 1;
-    WeightMap weights(cnf.num_vars());
-    for (Var v = 0; v < cnf.num_vars(); ++v) {
-      weights.Set(Pos(v), lit_weight);
-      weights.Set(Neg(v), lit_weight);
-    }
+  if (wmc) {
     ModelCounter counter;
     Guard wmc_guard(budget);
-    auto wmc = counter.WmcBounded(cnf, weights, wmc_guard);
-    if (!wmc.ok()) return refuse(wmc.status());
+    auto w = counter.WmcBounded(cnf, uniform_weights(num_vars), wmc_guard);
+    if (!w.ok()) return refuse(w.status());
     std::printf("c wmc: %.12g (decisions %llu, cache hits %llu, "
                 "underflow rescues %llu)\n",
-                *wmc,
+                *w,
                 static_cast<unsigned long long>(counter.stats().decisions),
                 static_cast<unsigned long long>(counter.stats().cache_hits),
                 static_cast<unsigned long long>(
@@ -493,5 +434,5 @@ int main(int argc, char** argv) {
   }
 
   // Stats last, so the dump covers everything the invocation did.
-  return dump_stats();
+  return cli::DumpStats(args, stdout);
 }

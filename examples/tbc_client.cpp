@@ -16,24 +16,22 @@
 //                        (default 30000; 0 = none)
 //     --retries=N        max attempts (default 4)
 //
-// Exit codes: 0 = answer received, 1 = usage/IO error or the server's
-// typed kInvalidInput (the input is wrong; retrying cannot help),
-// 3 = typed refusal (budget exhausted, overloaded, draining, deadline).
+// Exit codes: 0 = answer received, 1 = usage/IO error (a malformed numeric
+// flag or --weight included) or the server's typed kInvalidInput (the
+// input is wrong; retrying cannot help), 3 = typed refusal (budget
+// exhausted, overloaded, draining, deadline).
 
 #include <cstdio>
 #include <cstring>
-#include <iostream>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "base/result.h"
-#include "base/strings.h"
 #include "cli.h"
 #include "serve/client.h"
 
 namespace {
-
-using tbc::cli::Arg;
 
 void Usage() {
   std::fprintf(
@@ -44,24 +42,16 @@ void Usage() {
       "                  [--deadline-ms=N] [--retries=N]\n");
 }
 
-// Reads the CNF from `path`, or from stdin when `path` is "-".
-bool ReadInput(const char* path, std::string* out) {
-  if (std::strcmp(path, "-") != 0) return tbc::cli::ReadFile(path, out);
-  std::stringstream buffer;
-  buffer << std::cin.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace tbc;
   using namespace tbc::serve;
   cli::IgnoreSigpipe();  // `tbc_client ... | head` must not abort
+  const cli::Args args("tbc_client", argc, argv);
 
-  const char* connect_arg = Arg(argc, argv, "--connect");
-  const char* op_arg = Arg(argc, argv, "--op");
+  const char* connect_arg = args.Get("--connect");
+  const char* op_arg = args.Get("--op");
   if (connect_arg == nullptr || op_arg == nullptr) {
     Usage();
     return 1;
@@ -79,78 +69,48 @@ int main(int argc, char** argv) {
   }
 
   // The CNF file is the only positional argument.
-  const char* cnf_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-' || std::strcmp(argv[i], "-") == 0) {
-      if (cnf_path != nullptr) {
-        Usage();
-        return 1;
-      }
-      cnf_path = argv[i];
-    }
+  const std::vector<const char*> inputs = args.Positionals();
+  if (inputs.size() > 1) {
+    Usage();
+    return 1;
   }
   const bool needs_cnf = req.op != Op::kPing && req.op != Op::kStats;
   if (needs_cnf) {
-    if (cnf_path == nullptr) {
+    if (inputs.empty()) {
       std::fprintf(stderr, "tbc_client: --op=%s needs a CNF file\n", op_arg);
       return 1;
     }
-    if (!ReadInput(cnf_path, &req.cnf_text)) {
-      std::fprintf(stderr, "tbc_client: cannot read %s\n", cnf_path);
+    // "-" is stdin.
+    const bool from_stdin = std::strcmp(inputs[0], "-") == 0;
+    if (!cli::ReadFile(from_stdin ? "/dev/stdin" : inputs[0], &req.cnf_text)) {
+      std::fprintf(stderr, "tbc_client: cannot read %s\n", inputs[0]);
       return 1;
     }
-  }
-
-  if (const char* t = Arg(argc, argv, "--timeout-ms")) {
-    if (!ParseDouble(t, &req.timeout_ms) || req.timeout_ms < 0.0) {
-      std::fprintf(stderr, "tbc_client: bad --timeout-ms '%s'\n", t);
-      return 1;
-    }
-  }
-  if (const char* n = Arg(argc, argv, "--max-nodes")) {
-    if (!ParseUint64(n, &req.max_nodes)) {
-      std::fprintf(stderr, "tbc_client: bad --max-nodes '%s'\n", n);
-      return 1;
-    }
-  }
-  if (const char* n = Arg(argc, argv, "--max-decisions")) {
-    if (!ParseUint64(n, &req.max_decisions)) {
-      std::fprintf(stderr, "tbc_client: bad --max-decisions '%s'\n", n);
-      return 1;
-    }
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--weight=", 9) != 0) continue;
-    const char* spec = argv[i] + 9;
-    const char* colon = std::strchr(spec, ':');
-    double w = 0.0;
-    long lit = 0;
-    char* end = nullptr;
-    if (colon != nullptr) lit = std::strtol(spec, &end, 10);
-    if (colon == nullptr || end != colon || lit == 0 ||
-        !ParseDouble(colon + 1, &w)) {
-      std::fprintf(stderr, "tbc_client: bad --weight '%s' (want LIT:W)\n",
-                   spec);
-      return 1;
-    }
-    req.weights.emplace_back(static_cast<int>(lit), w);
   }
 
   ClientOptions copts;
   copts.address = *addr;
-  if (const char* d = Arg(argc, argv, "--deadline-ms")) {
-    if (!ParseDouble(d, &copts.deadline_ms) || copts.deadline_ms < 0.0) {
-      std::fprintf(stderr, "tbc_client: bad --deadline-ms '%s'\n", d);
-      return 1;
-    }
+  if (!args.Read("--timeout-ms", &req.timeout_ms, 0.0) ||
+      !args.Read("--max-nodes", &req.max_nodes) ||
+      !args.Read("--max-decisions", &req.max_decisions) ||
+      !args.Read("--deadline-ms", &copts.deadline_ms, 0.0) ||
+      !args.Read("--retries", &copts.retry.max_attempts, 1, 1000)) {
+    return 1;
   }
-  if (const char* r = Arg(argc, argv, "--retries")) {
-    uint64_t n = 0;
-    if (!ParseUint64(r, &n) || n == 0 || n > 1000) {
-      std::fprintf(stderr, "tbc_client: bad --retries '%s'\n", r);
+  for (const char* spec : args.All("--weight")) {
+    const char* colon = std::strchr(spec, ':');
+    int lit = 0;
+    double w = 0.0;
+    if (colon == nullptr ||
+        !cli::Parse(std::string_view(spec, colon - spec), &lit) || lit == 0 ||
+        !cli::Parse(colon + 1, &w)) {
+      std::fprintf(stderr,
+                   "tbc_client: --weight needs LIT:W with a nonzero int LIT "
+                   "and a number W, got '%s'\n",
+                   spec);
       return 1;
     }
-    copts.retry.max_attempts = static_cast<int>(n);
+    req.weights.emplace_back(lit, w);
   }
 
   Client client(copts);

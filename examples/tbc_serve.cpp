@@ -8,7 +8,7 @@
 // Usage:
 //   tbc_serve [options]
 //     --listen=ADDR        unix:PATH, tcp:HOST:PORT or :PORT (port 0 =
-//                          ephemeral; default unix:/tmp/tbc_serve.sock)
+//                          ephemeral; required)
 //     --workers=N          max concurrently executing requests (default 4)
 //     --queue=N            admitted-but-waiting cap; beyond = typed
 //                          kOverloaded shed (default 16)
@@ -37,51 +37,25 @@
 // SIGTERM / SIGINT drain gracefully: stop accepting, refuse new requests
 // with typed kUnavailable, let in-flight requests finish, then exit 0.
 //
-// Exit codes: 0 = clean shutdown, 1 = usage or bind/IO error.
+// Exit codes: 0 = clean shutdown, 1 = usage or bind/IO error. A missing
+// --listen, a malformed numeric flag and a failed --port-file write are
+// usage/IO errors; every flag is checked before the socket is bound.
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "base/fault.h"
-#include "base/observability.h"
-#include "base/strings.h"
 #include "cli.h"
 #include "serve/server.h"
 
 namespace {
 
-using tbc::cli::Arg;
-using tbc::cli::Flag;
-
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
-
-bool ParseSizeFlag(int argc, char** argv, const char* name, size_t* out) {
-  const char* v = Arg(argc, argv, name);
-  if (v == nullptr) return true;
-  uint64_t n = 0;
-  if (!tbc::ParseUint64(v, &n)) {
-    std::fprintf(stderr, "tbc_serve: %s needs a number, got '%s'\n", name, v);
-    return false;
-  }
-  *out = static_cast<size_t>(n);
-  return true;
-}
-
-bool ParseDoubleFlag(int argc, char** argv, const char* name, double* out) {
-  const char* v = Arg(argc, argv, name);
-  if (v == nullptr) return true;
-  if (!tbc::ParseDouble(v, out) || *out < 0.0) {
-    std::fprintf(stderr, "tbc_serve: %s needs a number, got '%s'\n", name, v);
-    return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -89,64 +63,54 @@ int main(int argc, char** argv) {
   using namespace tbc;
   using namespace tbc::serve;
   cli::IgnoreSigpipe();  // broken pipes are typed errors, not death
+  const cli::Args args("tbc_serve", argc, argv);
 
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "usage: tbc_serve [--listen=unix:PATH|tcp:HOST:PORT|:PORT]\n"
-          "                 [--workers=N] [--queue=N] [--max-connections=N]\n"
-          "                 [--cache=N] [--store-dir=DIR]\n"
-          "                 [--default-timeout-ms=N]\n"
-          "                 [--max-timeout-ms=N] [--idle-timeout-ms=N]\n"
-          "                 [--max-width=N]\n"
-          "                 [--port-file=PATH] [--fault-seed=N]\n"
-          "                 [--fault-prob=P] [--stats[=json]]\n");
-      return 0;
-    }
+  if (args.Has("--help")) {
+    std::printf(
+        "usage: tbc_serve --listen=unix:PATH|tcp:HOST:PORT|:PORT\n"
+        "                 [--workers=N] [--queue=N] [--max-connections=N]\n"
+        "                 [--cache=N] [--store-dir=DIR]\n"
+        "                 [--default-timeout-ms=N]\n"
+        "                 [--max-timeout-ms=N] [--idle-timeout-ms=N]\n"
+        "                 [--max-width=N]\n"
+        "                 [--port-file=PATH] [--fault-seed=N]\n"
+        "                 [--fault-prob=P] [--stats[=json]]\n");
+    return 0;
   }
 
   ServerOptions opts;
-  const char* listen_arg = Arg(argc, argv, "--listen");
-  auto addr = ParseAddress(listen_arg != nullptr ? listen_arg
-                                                 : "unix:/tmp/tbc_serve.sock");
+  const char* listen_arg = args.Get("--listen");
+  if (listen_arg == nullptr) {
+    std::fprintf(stderr, "tbc_serve: --listen=ADDR is required\n");
+    return 1;
+  }
+  auto addr = ParseAddress(listen_arg);
   if (!addr.ok()) {
     std::fprintf(stderr, "tbc_serve: %s\n", addr.status().message().c_str());
     return 1;
   }
   opts.address = *addr;
-  size_t idle_ms = 0;
-  if (!ParseSizeFlag(argc, argv, "--workers", &opts.num_workers) ||
-      !ParseSizeFlag(argc, argv, "--queue", &opts.max_queue) ||
-      !ParseSizeFlag(argc, argv, "--max-connections", &opts.max_connections) ||
-      !ParseSizeFlag(argc, argv, "--cache", &opts.cache_capacity) ||
-      !ParseSizeFlag(argc, argv, "--idle-timeout-ms", &idle_ms) ||
-      !ParseDoubleFlag(argc, argv, "--default-timeout-ms",
-                       &opts.default_timeout_ms) ||
-      !ParseDoubleFlag(argc, argv, "--max-timeout-ms", &opts.max_timeout_ms)) {
+  uint64_t fault_seed = 0;
+  double fault_prob = 0.02;
+  if (!args.Read("--workers", &opts.num_workers, 1) ||
+      !args.Read("--queue", &opts.max_queue) ||
+      !args.Read("--max-connections", &opts.max_connections) ||
+      !args.Read("--cache", &opts.cache_capacity) ||
+      !args.Read("--idle-timeout-ms", &opts.idle_timeout_ms, 0) ||
+      !args.Read("--default-timeout-ms", &opts.default_timeout_ms, 0.0) ||
+      !args.Read("--max-timeout-ms", &opts.max_timeout_ms, 0.0) ||
+      !args.Read("--max-width", &opts.max_forecast_width) ||
+      !args.Read("--fault-seed", &fault_seed) ||
+      !args.Read("--fault-prob", &fault_prob, 0.0)) {
     return 1;
   }
-  opts.idle_timeout_ms = static_cast<int>(idle_ms);
-  if (const char* dir = Arg(argc, argv, "--store-dir")) opts.store_dir = dir;
-  size_t max_width = 0;
-  if (!ParseSizeFlag(argc, argv, "--max-width", &max_width)) return 1;
-  opts.max_forecast_width = static_cast<uint32_t>(max_width);
-  if (opts.num_workers == 0) {
-    std::fprintf(stderr, "tbc_serve: --workers must be >= 1\n");
-    return 1;
-  }
+  if (const char* dir = args.Get("--store-dir")) opts.store_dir = dir;
 
   // Deterministic fault plan for soak/chaos runs from the command line.
   std::unique_ptr<fault::FaultPlan> fault_plan;
   std::unique_ptr<fault::ScopedFaultPlan> plan_scope;
-  if (const char* seed_arg = Arg(argc, argv, "--fault-seed")) {
-    uint64_t seed = 0;
-    if (!ParseUint64(seed_arg, &seed)) {
-      std::fprintf(stderr, "tbc_serve: --fault-seed needs a number\n");
-      return 1;
-    }
-    double prob = 0.02;
-    if (!ParseDoubleFlag(argc, argv, "--fault-prob", &prob)) return 1;
-    fault_plan = std::make_unique<fault::FaultPlan>(seed, prob);
+  if (args.Get("--fault-seed") != nullptr) {
+    fault_plan = std::make_unique<fault::FaultPlan>(fault_seed, fault_prob);
     plan_scope = std::make_unique<fault::ScopedFaultPlan>(fault_plan.get());
   }
 
@@ -165,14 +129,11 @@ int main(int argc, char** argv) {
                 (*server)->port(), opts.num_workers);
   }
   std::fflush(stdout);
-  if (const char* port_file = Arg(argc, argv, "--port-file")) {
-    std::FILE* f = std::fopen(port_file, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "tbc_serve: cannot write %s\n", port_file);
+  if (const char* port_file = args.Get("--port-file")) {
+    if (!cli::WriteFile(args, port_file,
+                        std::to_string((*server)->port()) + "\n")) {
       return 1;
     }
-    std::fprintf(f, "%d\n", (*server)->port());
-    std::fclose(f);
   }
 
   std::signal(SIGTERM, OnSignal);
@@ -185,15 +146,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   (*server)->Shutdown();
 
-  if (const char* mode = Arg(argc, argv, "--stats")) {
-    if (std::strcmp(mode, "json") != 0) {
-      std::fprintf(stderr, "tbc_serve: unknown stats mode '%s'\n", mode);
-      return 1;
-    }
-    std::fputs(Observability::Global().RenderJson().c_str(), stdout);
-  } else if (Flag(argc, argv, "--stats")) {
-    std::fputs(Observability::Global().RenderText().c_str(), stdout);
-  }
+  if (cli::DumpStats(args, stdout) != 0) return 1;
   std::printf("tbc_serve: clean shutdown\n");
   return 0;
 }

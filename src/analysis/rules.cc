@@ -5,6 +5,8 @@ namespace tbc {
 namespace {
 
 constexpr RuleInfo kRules[] = {
+    {rules::kCircuitIo,
+     "circuit file could not be read (missing or I/O error)"},
     {rules::kNnfParse, "file is not parseable as a c2d .nnf circuit"},
     {rules::kNnfWellFormed,
      "NNF well-formedness: literal variables in range, gates non-degenerate"},
@@ -50,6 +52,7 @@ constexpr RuleInfo kRules[] = {
      "unit propagation fixes literals (or refutes the CNF outright)"},
     {rules::kStructurePure,
      "pure literals: variables occurring with a single polarity"},
+    {rules::kCertifyIo, "file could not be read (missing or I/O error)"},
     {rules::kCertifyParse,
      "file is not parseable as a tbc-cert compilation certificate"},
     {rules::kCertifyFormat,

@@ -16,6 +16,9 @@ namespace tbc {
 /// top; PSDD adds normalized local distributions over an SDD base.
 namespace rules {
 
+// --- Any circuit file tbc_lint is given ---
+inline constexpr char kCircuitIo[] = "circuit.io";
+
 // --- NNF family (analysis/nnf_analyzer.h) ---
 inline constexpr char kNnfParse[] = "nnf.parse";
 inline constexpr char kNnfWellFormed[] = "nnf.well-formed";
@@ -52,6 +55,7 @@ inline constexpr char kStructureBackbone[] = "structure.backbone";
 inline constexpr char kStructurePure[] = "structure.pure";
 
 // --- Certification (certify/checker.h; reported by tbc_certify) ---
+inline constexpr char kCertifyIo[] = "certify.io";
 inline constexpr char kCertifyParse[] = "certify.parse";
 inline constexpr char kCertifyFormat[] = "certify.format";
 inline constexpr char kCertifyDecomposable[] = "certify.decomposable";

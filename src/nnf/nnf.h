@@ -78,9 +78,10 @@ struct GapPlan {
 ///     linear-time SAT (class NP);
 ///   - + determinism (d-DNNF): or-gate inputs are pairwise inconsistent —
 ///     unlocks linear-time (weighted) model counting (class PP);
-///   - smoothness: or-gate inputs mention the same variables (enforceable,
-///     see Smooth() in nnf/properties.h; the queries in nnf/queries.h
-///     handle non-smooth circuits by gap factors instead).
+///   - smoothness: or-gate inputs mention the same variables (enforceable
+///     by an explicit transform, kept as a test oracle in
+///     tests/nnf_oracle.h; the queries in nnf/queries.h handle non-smooth
+///     circuits by gap factors instead).
 ///
 /// The manager hash-conses nodes, so circuits are DAGs with sharing. It is
 /// the common target language: the top-down compiler emits Decision-DNNF

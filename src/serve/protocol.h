@@ -38,7 +38,7 @@ namespace tbc::serve {
 /// round-trips bit-exactly: the soak test's bit-identical assertion holds
 /// across the wire, not just in memory. On the way in, a hexfloat in the
 /// form AppendDoubleHex writes is read in one pass by
-/// ParseDoubleHexCanonical, as are the literals of weight, marg and mpe
+/// ReadDoubleHexCanonical, as are the literals of weight, marg and mpe
 /// lines (bounded to +-2^28); any other token takes the general
 /// std::from_chars path, which reads the same values.
 

@@ -335,7 +335,12 @@ Response Server::Execute(const Request& req, Guard& guard) {
           ? Result<std::shared_ptr<const Artifact>>(cached)
           : cache_.GetOrCompile(req.cnf_text, fingerprint, guard, &cache_hit,
                                 parsed_cnf ? &*parsed_cnf : nullptr);
-  if (cached != nullptr) cache_hit = true;
+  if (cached != nullptr) {
+    // Answered off the admission peek: the same hit GetOrCompile counts.
+    cache_hit = true;
+    TBC_COUNT("serve.cache.hits");
+    if (cached->from_store) TBC_COUNT("serve.store.hits");
+  }
   if (!artifact.ok()) return ErrorResponse(artifact.status());
   const Artifact& art = **artifact;
   resp.artifact = art.key;

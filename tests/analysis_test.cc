@@ -23,7 +23,6 @@
 #include "logic/cnf.h"
 #include "nnf/io.h"
 #include "nnf/nnf.h"
-#include "nnf/properties.h"
 #include "obdd/obdd.h"
 #include "psdd/psdd.h"
 #include "sat/solver.h"
@@ -31,6 +30,8 @@
 #include "sdd/io.h"
 #include "sdd/sdd.h"
 #include "vtree/vtree.h"
+
+#include "nnf_oracle.h"
 
 namespace tbc {
 namespace {
@@ -238,7 +239,7 @@ TEST(AnalyzerOnArtifacts, CompilerOutputIsCleanDecisionDnnf) {
   EXPECT_TRUE(ddnnf_report.clean()) << ddnnf_report.ToText("compiler output");
 
   // And after smoothing, the strictest dialect is diagnostic-free.
-  const NnfId smooth = Smooth(mgr, root, cnf.num_vars());
+  const NnfId smooth = nnf_oracle::Smooth(mgr, root, cnf.num_vars());
   DiagnosticReport smooth_report;
   options.dialect = NnfDialect::kSmoothDdnnf;
   AnalyzeNnf(mgr, smooth, options, smooth_report);

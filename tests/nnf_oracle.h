@@ -1,7 +1,9 @@
 // Test-only checks of NNF circuits. Two exhaustive oracles, which
 // evaluate the circuit under every assignment and so share no code with
-// the library's linear-time queries, and RuleIds, the property checks of
-// the static analyzer (analysis/nnf_analyzer.h) as a set of rule ids.
+// the library's linear-time queries; RuleIds, the property checks of
+// the static analyzer (analysis/nnf_analyzer.h) as a set of rule ids; and
+// Smooth, the explicit smoothing transform that the gap-factor kernels
+// (nnf/queries.h) make unnecessary in the library itself.
 // Test code only; instances stay small.
 
 #ifndef TBC_TESTS_NNF_ORACLE_H_
@@ -118,6 +120,64 @@ inline std::set<std::string> RuleIds(NnfManager& mgr, NnfId root,
   std::set<std::string> ids;
   for (const Diagnostic& d : report.diagnostics()) ids.insert(d.rule_id);
   return ids;
+}
+
+/// Returns an equivalent smooth circuit (paper §3): each or-gate input is
+/// conjoined with (x ∨ ¬x) gates for its missing variables. If
+/// `num_vars > 0`, the root is additionally smoothed over variables
+/// 0..num_vars-1. Preserves decomposability and determinism.
+inline NnfId Smooth(NnfManager& mgr, NnfId root, size_t num_vars = 0) {
+  // Conjunction of (x ∨ ¬x) for every variable in `missing` with `node`.
+  auto attach_missing = [&mgr](NnfId node, const std::vector<Var>& missing) {
+    if (missing.empty()) return node;
+    std::vector<NnfId> parts = {node};
+    for (Var v : missing) {
+      parts.push_back(mgr.Or(mgr.Literal(Pos(v)), mgr.Literal(Neg(v))));
+    }
+    return mgr.And(std::move(parts));
+  };
+  mgr.VarSet(root);
+  // Dense memo indexed by original node id; And/Or below may append nodes,
+  // but only pre-existing ids are ever looked up.
+  std::vector<NnfId> memo(mgr.num_nodes(), kInvalidNnf);
+  for (NnfId n : mgr.TopologicalOrder(root)) {
+    switch (mgr.kind(n)) {
+      case NnfManager::Kind::kFalse:
+      case NnfManager::Kind::kTrue:
+      case NnfManager::Kind::kLiteral:
+        memo[n] = n;
+        break;
+      case NnfManager::Kind::kAnd: {
+        std::vector<NnfId> kids;
+        const std::vector<NnfId> original = mgr.children(n).ToVector();
+        for (NnfId c : original) kids.push_back(memo[c]);
+        memo[n] = mgr.And(std::move(kids));
+        break;
+      }
+      case NnfManager::Kind::kOr: {
+        // Copies: And/Or below may reallocate what the views point into.
+        const std::vector<uint64_t> full = mgr.VarSet(n).ToVector();
+        std::vector<NnfId> kids;
+        const std::vector<NnfId> original = mgr.children(n).ToVector();
+        for (NnfId c : original) {
+          std::vector<Var> missing;
+          AppendMissingVars(full, mgr.VarSet(c), missing);
+          kids.push_back(attach_missing(memo[c], missing));
+        }
+        memo[n] = mgr.Or(std::move(kids));
+        break;
+      }
+    }
+  }
+  NnfId result = memo[root];
+  if (num_vars > 0) {
+    std::vector<uint64_t> all((num_vars + 63) / 64, 0);
+    for (size_t v = 0; v < num_vars; ++v) all[v / 64] |= 1ull << (v % 64);
+    std::vector<Var> missing;
+    AppendMissingVars(all, mgr.VarSet(root), missing);
+    result = attach_missing(result, missing);
+  }
+  return result;
 }
 
 }  // namespace tbc::nnf_oracle

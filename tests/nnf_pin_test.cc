@@ -25,9 +25,10 @@
 #include "logic/cnf.h"
 #include "nnf/io.h"
 #include "nnf/nnf.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "store/store.h"
+
+#include "nnf_oracle.h"
 
 namespace tbc {
 namespace {
@@ -215,7 +216,7 @@ TEST(NnfPinTest, StoreRestoredManagerWithOverlay) {
   const NnfId a = mgr.Literal(Pos(3));
   EXPECT_EQ(mgr.Literal(Pos(3)), a);
   EXPECT_GE(a, mgr.mapped_nodes());
-  const NnfId smooth = Smooth(mgr, root, num_vars + 2);
+  const NnfId smooth = nnf_oracle::Smooth(mgr, root, num_vars + 2);
   out += Fingerprint(mgr, smooth, num_vars + 2, w);
   const NnfId conditioned = mgr.Condition(smooth, Neg(5));
   out += Fingerprint(mgr, conditioned, num_vars + 2, w);

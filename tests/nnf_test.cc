@@ -11,7 +11,6 @@
 #include "base/random.h"
 #include "nnf/io.h"
 #include "nnf/nnf.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "nnf_oracle.h"
 #include "sdd/compile.h"
@@ -137,7 +136,7 @@ TEST(NnfPropertiesTest, SmoothingEnforcesSmoothness) {
   // Non-smooth deterministic DNNF: x0 ∨ (¬x0 ∧ x1).
   NnfId f = m.Or(m.Literal(Pos(0)), m.And(m.Literal(Neg(0)), m.Literal(Pos(1))));
   EXPECT_EQ(RuleIds(m, f, NnfDialect::kSmoothDdnnf), Rules{"nnf.smooth"});
-  NnfId s = Smooth(m, f, 2);
+  NnfId s = nnf_oracle::Smooth(m, f, 2);
   EXPECT_EQ(RuleIds(m, s, NnfDialect::kSmoothDdnnf), Rules{});
   EXPECT_TRUE(IsDeterministicExhaustive(m, s, 2));
   // Equivalent: same models.
@@ -640,7 +639,7 @@ TEST(NnfQueriesTest, MaxSumWithoutSmoothingMatchesBruteForce) {
 
     const MaxSumResult r = MaxSumWmc(m, root, w, y);
     EXPECT_NEAR(r.value, brute, 1e-12 * brute) << "seed " << seed;
-    const NnfId smooth = Smooth(m, root, n);
+    const NnfId smooth = nnf_oracle::Smooth(m, root, n);
     EXPECT_NEAR(r.value, MaxSumWmc(m, smooth, w, y).value, 1e-12 * brute)
         << "seed " << seed;
     ASSERT_EQ(r.max_assignment.size(), y.size()) << "seed " << seed;

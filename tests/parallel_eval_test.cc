@@ -27,7 +27,6 @@
 #include "gtest/gtest.h"
 #include "logic/cnf.h"
 #include "nnf/nnf.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "psdd/psdd.h"
 #include "sdd/compile.h"

@@ -599,6 +599,69 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   (*server)->Shutdown();
 }
 
+// With admission control on, a repeat request is answered off the
+// forecast's cache peek, not GetOrCompile. It is still a cache hit, and a
+// hit on a restored artifact is still a store hit: both counters tick
+// once per answered repeat, exactly as they do with the forecast off.
+TEST(Server, ForecastAdmissionCountsCacheAndStoreHits) {
+  const std::string store_dir = testing::TempDir() + "forecast_hits_store_" +
+                                std::to_string(::getpid());
+  std::filesystem::create_directories(store_dir);
+  ServerOptions opts = LoopbackOptions();
+  opts.max_forecast_width = 10;
+  opts.store_dir = store_dir;
+  Request count;
+  count.op = Op::kCount;
+  count.cnf_text = kSmallCnf;
+
+  auto hits = [] {
+    return Observability::Global().CounterValue("serve.cache.hits");
+  };
+  auto store_hits = [] {
+    return Observability::Global().CounterValue("serve.store.hits");
+  };
+  {
+    auto server = Server::Start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    Client client(ClientFor(**server));
+    auto first = client.Call(count);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(first->ok()) << first->message;
+    EXPECT_FALSE(first->cache_hit);
+    [[maybe_unused]] const uint64_t hits_before = hits();
+    [[maybe_unused]] const uint64_t store_hits_before = store_hits();
+    for (int i = 0; i < 2; ++i) {
+      auto again = client.Call(count);
+      ASSERT_TRUE(again.ok());
+      ASSERT_TRUE(again->ok()) << again->message;
+      EXPECT_TRUE(again->cache_hit);
+    }
+#if TBC_OBSERVE_ON
+    EXPECT_EQ(hits(), hits_before + 2);
+    EXPECT_EQ(store_hits(), store_hits_before);  // compiled, not restored
+#endif
+    (*server)->Shutdown();
+  }
+
+  // Restarted over the same directory: the artifact comes from the store.
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  Client client(ClientFor(**server));
+  [[maybe_unused]] const uint64_t hits_before = hits();
+  [[maybe_unused]] const uint64_t store_hits_before = store_hits();
+  auto restored = client.Call(count);
+  ASSERT_TRUE(restored.ok());
+  ASSERT_TRUE(restored->ok()) << restored->message;
+  EXPECT_TRUE(restored->cache_hit);
+  EXPECT_EQ((*server)->compiles(), 0u);
+#if TBC_OBSERVE_ON
+  EXPECT_EQ(hits(), hits_before + 1);
+  EXPECT_EQ(store_hits(), store_hits_before + 1);
+#endif
+  (*server)->Shutdown();
+  std::filesystem::remove_all(store_dir);
+}
+
 TEST(Server, ForecastAdmissionAdmitsWhenAnalysisOverBudget) {
   ServerOptions opts = LoopbackOptions();
   opts.max_forecast_width = 10;

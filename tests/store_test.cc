@@ -14,9 +14,10 @@
 #include "compiler/ddnnf_compiler.h"
 #include "gtest/gtest.h"
 #include "logic/cnf.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "store/format.h"
+
+#include "nnf_oracle.h"
 
 namespace tbc {
 namespace {
@@ -114,8 +115,9 @@ TEST(StoreTest, MappedManagerSupportsOverlayMutation) {
 
   // Smoothing and conditioning append overlay nodes past the mapped range
   // and must agree with the same operations on the owned manager.
-  const NnfId smooth_owned = Smooth(c.mgr, c.root, num_vars);
-  const NnfId smooth_mapped = Smooth(mapped, loaded->root, num_vars);
+  const NnfId smooth_owned = nnf_oracle::Smooth(c.mgr, c.root, num_vars);
+  const NnfId smooth_mapped =
+      nnf_oracle::Smooth(mapped, loaded->root, num_vars);
   EXPECT_GE(mapped.num_nodes(), mapped.mapped_nodes());
   EXPECT_EQ(ModelCount(mapped, smooth_mapped, num_vars),
             ModelCount(c.mgr, smooth_owned, num_vars));

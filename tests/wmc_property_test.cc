@@ -28,7 +28,6 @@
 #include "compiler/model_counter.h"
 #include "logic/cnf.h"
 #include "logic/lit.h"
-#include "nnf/properties.h"
 #include "nnf/queries.h"
 #include "store/store.h"
 

@@ -10,8 +10,11 @@
 #   3  typed resource refusal (budget/deadline/overload/unavailable)
 #   4  certificate reject during an in-process kc_cli --certify run
 #
+# A malformed numeric flag and a failed output write are usage/IO errors
+# (1) in every tool.
+#
 # Usage: tools/check_exit_codes.sh \
-#          [kc_cli [tbc_lint [tbc_certify [tbc_client [tbc_analyze]]]]]
+#     [kc_cli [tbc_lint [tbc_certify [tbc_client [tbc_analyze [tbc_serve]]]]]]
 #   Binaries default to build/examples/<name>.
 
 set -uo pipefail
@@ -22,6 +25,7 @@ LINT="${2:-$ROOT/build/examples/tbc_lint}"
 CERTIFY="${3:-$ROOT/build/examples/tbc_certify}"
 CLIENT="${4:-$ROOT/build/examples/tbc_client}"
 ANALYZE="${5:-$ROOT/build/examples/tbc_analyze}"
+SERVE="${6:-$ROOT/build/examples/tbc_serve}"
 
 for bin in "$KC" "$LINT" "$CERTIFY"; do
   if [[ ! -x "$bin" ]]; then
@@ -44,6 +48,30 @@ expect() {
     FAILED=1
   else
     echo "check_exit_codes: ok   $label (exit $got)"
+  fi
+}
+
+# expect_json_array LABEL RULE CMD...: given an unreadable file and a good
+# one, CMD must exit 1 and still print one complete JSON array, with an
+# entry per listed file and RULE on the unreadable one.
+expect_json_array() {
+  local label="$1" rule="$2"
+  shift 2
+  # Capture first: the command exits 1 here by design, which would trip
+  # pipefail even when the JSON itself is fine.
+  "$@" > "$TMP/array.json" 2>/dev/null
+  local got=$?
+  if [[ "$got" == 1 ]] && python3 -c '
+import json, sys
+reports = json.load(sys.stdin)
+assert len(reports) == 2, "expected one entry per listed file"
+assert sys.argv[1] in json.dumps(reports[0])
+' "$rule" < "$TMP/array.json" 2>/dev/null; then
+    echo "check_exit_codes: ok   $label (exit 1, complete array)"
+  else
+    echo "check_exit_codes: FAIL $label: want exit 1 and a complete JSON" \
+         "array, got exit $got: $*" >&2
+    FAILED=1
   fi
 }
 
@@ -75,6 +103,17 @@ expect 2 "kc_cli bad cnf"               "$KC" "$TMP/bad.cnf"
 expect 1 "kc_cli bad flag value"        "$KC" "$TMP/good.cnf" --timeout-ms=banana
 expect 1 "kc_cli unknown target"        "$KC" "$TMP/good.cnf" --target=dnf
 expect 3 "kc_cli budget refusal"        "$KC" "$TMP/hard.cnf" --max-nodes=50
+# Numeric flags are read strictly: a sign, junk or a value out of range is
+# a usage error, never a silent 0 or a wrapped 2^64-1. --samples=-1 once
+# meant 2^64-1 samples, so it runs under a timeout.
+expect 1 "kc_cli negative samples"      timeout 10 "$KC" "$TMP/good.cnf" \
+           --samples=-1
+expect 1 "kc_cli junk samples"          "$KC" "$TMP/good.cnf" --samples=abc
+expect 1 "kc_cli junk minimize"         "$KC" "$TMP/good.cnf" --target=sdd \
+           --minimize=xyz
+# A failed output write is an IO error, not a "c wrote" line and exit 0.
+expect 1 "kc_cli write into missing dir" "$KC" "$TMP/good.cnf" \
+           --write-nnf="$TMP/no/such/dir/x.nnf"
 expect 0 "kc_cli certify ok"            "$KC" "$TMP/good.cnf" --certify
 
 # --max-nodes bounds each search on its own. --wmc's counter run makes the
@@ -121,6 +160,8 @@ expect 0 "kc_cli load-circuit"          "$KC" --load-circuit="$TMP/good.tbc"
 head -c 100 "$TMP/good.tbc" > "$TMP/cut.tbc"
 expect 2 "kc_cli corrupt store reject"  "$KC" --load-circuit="$TMP/cut.tbc"
 expect 1 "kc_cli missing store"         "$KC" --load-circuit="$TMP/nope.tbc"
+expect 1 "kc_cli load bad flag value"   "$KC" --load-circuit="$TMP/good.tbc" \
+           --timeout-ms=abc
 expect 1 "kc_cli save non-ddnnf"        "$KC" "$TMP/good.cnf" --target=sdd \
            --save-circuit="$TMP/bad.tbc"
 
@@ -132,6 +173,8 @@ expect 1 "tbc_lint no args"             "$LINT"
 expect 1 "tbc_lint missing file"        "$LINT" "$TMP/nope.nnf"
 expect 2 "tbc_lint empty file"          "$LINT" "$TMP/empty"
 expect 2 "tbc_lint determinism reject"  "$LINT" "$TMP/nondet.nnf"
+expect_json_array "tbc_lint json with unreadable file" circuit.io \
+  "$LINT" --format=json "$TMP/nope.nnf" "$TMP/good.nnf"
 
 # tbc_certify: 0 / 1 / 2 (tampered certificate must be *rejected*, not
 # crash and not pass).
@@ -142,6 +185,8 @@ expect 1 "tbc_certify no args"          "$CERTIFY"
 expect 1 "tbc_certify missing file"     "$CERTIFY" "$TMP/nope.txt"
 expect 2 "tbc_certify empty file"       "$CERTIFY" "$TMP/empty"
 expect 2 "tbc_certify tampered cert"    "$CERTIFY" "$TMP/tampered.txt"
+expect_json_array "tbc_certify json with unreadable file" certify.io \
+  "$CERTIFY" --format=json "$TMP/nope.txt" "$TMP/cert.txt"
 
 # tbc_client: 0 ok / 1 usage / 3 typed refusal. A dead server is a typed
 # kUnavailable refusal after retries — scripts can tell "retry later" (3)
@@ -151,6 +196,10 @@ if [[ -x "$CLIENT" ]]; then
   expect 1 "tbc_client bad op"          "$CLIENT" --connect=:1 --op=nonsense
   expect 3 "tbc_client dead server"     "$CLIENT" --connect=tcp:127.0.0.1:1 \
              --op=ping --retries=1 --deadline-ms=2000
+  # A literal past int's range is refused, not wrapped to literal 1.
+  expect 1 "tbc_client weight literal out of range" "$CLIENT" \
+             --connect=tcp:127.0.0.1:1 --op=wmc --weight=4294967297:1 \
+             --retries=1 --deadline-ms=2000 "$TMP/good.cnf"
 fi
 
 # tbc_analyze: 0 clean / 1 usage-IO / 2 unparseable CNF / 3 over the
@@ -169,34 +218,24 @@ if [[ -x "$ANALYZE" ]]; then
   # (1); an unreadable file among good ones still exits 1 but must not
   # truncate the JSON array mid-list.
   expect 2 "tbc_analyze empty file"     "$ANALYZE" "$TMP/empty"
-  expect 1 "tbc_analyze missing among good" \
+  expect_json_array "tbc_analyze json with unreadable file" structure.io \
     "$ANALYZE" --format=json "$TMP/nope.cnf" "$TMP/good.cnf"
-  # Capture first: tbc_analyze exits 1 here by design, which would trip
-  # pipefail even when the JSON itself is fine.
-  "$ANALYZE" --format=json "$TMP/nope.cnf" "$TMP/good.cnf" \
-    > "$TMP/io.json" 2>/dev/null
-  if ! python3 -c '
-import json, sys
-reports = json.load(sys.stdin)
-assert len(reports) == 2, "expected one entry per listed file"
-assert any("structure.io" in json.dumps(r["diagnostics"]) for r in reports)
-' < "$TMP/io.json"; then
-    echo "check_exit_codes: FAIL tbc_analyze json with unreadable file is" \
-         "not a complete array" >&2
-    FAILED=1
-  else
-    echo "check_exit_codes: ok   tbc_analyze json array complete on IO error"
-  fi
 fi
 
-# tbc_serve: flag validation happens before binding the socket — a zero
-# worker count or a non-numeric width is a usage error (1), never a hang.
-SERVE="$ROOT/build/examples/tbc_serve"
+# tbc_serve: flag validation happens before binding the socket — a
+# missing --listen, a zero or non-numeric worker count and a width that
+# is not a number or does not fit 32 bits are usage errors (1), never a
+# hang. The timeouts bound the cases a server that binds would serve.
 if [[ -x "$SERVE" ]]; then
-  expect 1 "tbc_serve zero workers" "$SERVE" \
+  expect 1 "tbc_serve no listen"     timeout 10 "$SERVE" --workers=2
+  expect 1 "tbc_serve zero workers"  "$SERVE" \
              --listen=unix:"$TMP/serve.sock" --workers=0
+  expect 1 "tbc_serve junk workers"  "$SERVE" \
+             --listen=unix:"$TMP/serve.sock" --workers=abc
   expect 1 "tbc_serve bad max-width" "$SERVE" \
              --listen=unix:"$TMP/serve.sock" --max-width=abc
+  expect 1 "tbc_serve max-width past 32 bits" timeout 10 "$SERVE" \
+             --listen=unix:"$TMP/serve.sock" --max-width=4294967297
 fi
 
 if [[ "$FAILED" != 0 ]]; then
