@@ -160,20 +160,26 @@ inline bool WriteFile(const Args& args, const char* path,
   return false;
 }
 
-/// `--stats` dumps the observability registry to `out` as text,
-/// `--stats=json` as the JSON pinned by tools/stats_schema.json. Returns 0,
-/// or 1 after a message for any other mode.
-inline int DumpStats(const Args& args, std::FILE* out) {
-  if (const char* mode = args.Get("--stats")) {
-    if (std::strcmp(mode, "json") != 0) {
-      std::fprintf(stderr, "%s: unknown stats mode '%s'\n", args.tool(), mode);
-      return 1;
-    }
+/// `--stats` dumps the observability registry as text, `--stats=json` as
+/// the JSON pinned by tools/stats_schema.json. Every tool checks the mode
+/// with its other flags, before any work: any other mode prints
+/// "<tool>: unknown stats mode '<mode>'" and returns false, and the tool
+/// exits 1.
+inline bool CheckStats(const Args& args) {
+  const char* mode = args.Get("--stats");
+  if (mode == nullptr || std::strcmp(mode, "json") == 0) return true;
+  std::fprintf(stderr, "%s: unknown stats mode '%s'\n", args.tool(), mode);
+  return false;
+}
+
+/// Dumps the registry to `out` in the mode CheckStats accepted; prints
+/// nothing without `--stats`.
+inline void DumpStats(const Args& args, std::FILE* out) {
+  if (args.Get("--stats") != nullptr) {
     std::fputs(Observability::Global().RenderJson().c_str(), out);
   } else if (args.Has("--stats")) {
     std::fputs(Observability::Global().RenderText().c_str(), out);
   }
-  return 0;
 }
 
 /// Piping output into a closed reader (`tool ... | head`) must surface as
@@ -214,9 +220,9 @@ using FileCheck = std::function<void(const char* path, const std::string* text,
 /// when an earlier one fails; an unreadable file gets an `io_rule` error.
 /// `--format=text` (the default) prints each report to stdout as it is
 /// made; `--format=json` prints one array with an entry per file.
-/// `--stats[=json]` goes to stderr, so stdout stays parseable. Returns the
-/// worst exit over the files (WorseExit); no file listed prints `usage`
-/// and returns 1.
+/// `--stats[=json]` (checked by the tool, CheckStats) goes to stderr, so
+/// stdout stays parseable. Returns the worst exit over the files
+/// (WorseExit); no file listed prints `usage` and returns 1.
 inline int RunReportTool(const Args& args, const char* usage,
                          const char* rule_prefix, const char* io_rule,
                          const FileCheck& check) {
@@ -269,7 +275,8 @@ inline int RunReportTool(const Args& args, const char* usage,
     }
   }
   if (json) std::printf("[%s]\n", entries.c_str());
-  return WorseExit(exit, DumpStats(args, stderr));
+  DumpStats(args, stderr);
+  return exit;
 }
 
 }  // namespace tbc::cli

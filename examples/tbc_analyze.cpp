@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   StructureOptions options;
   options.try_minfill = !args.Has("--no-minfill");
   if (!args.Read("--max-width", &max_width) ||
-      !args.Read("--minfill-max-vars", &options.minfill_max_vars)) {
+      !args.Read("--minfill-max-vars", &options.minfill_max_vars) ||
+      !cli::CheckStats(args)) {
     return 1;
   }
   const char* usage =

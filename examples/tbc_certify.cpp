@@ -36,7 +36,9 @@ int main(int argc, char** argv) {
   const cli::Args args("tbc_certify", argc, argv);
   CertifyOptions options;
   options.check_count = !args.Has("--no-count");
-  if (!args.Read("--max-work", &options.max_work)) return 1;
+  if (!args.Read("--max-work", &options.max_work) || !cli::CheckStats(args)) {
+    return 1;
+  }
   const char* usage =
       "usage: tbc_certify [options] FILE...\n"
       "  --format=text|json\n"

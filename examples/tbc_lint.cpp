@@ -62,7 +62,10 @@ int main(int argc, char** argv) {
   const cli::Args args("tbc_lint", argc, argv);
   const bool no_sat = args.Has("--no-sat");
   size_t max_sat_checks = 4096;
-  if (!args.Read("--max-sat-checks", &max_sat_checks)) return 1;
+  if (!args.Read("--max-sat-checks", &max_sat_checks) ||
+      !cli::CheckStats(args)) {
+    return 1;
+  }
   const char* forced_lang = args.Get("--lang");
   NnfDialect dialect{};
   if (forced_lang != nullptr && std::strcmp(forced_lang, "sdd") != 0 &&

@@ -30,8 +30,8 @@
 //                          this with :0 ephemeral listening)
 //     --fault-seed=N       arm the deterministic fault plan (see
 //                          src/base/fault.h)
-//     --fault-prob=P       per-hit fire probability for every point under
-//                          --fault-seed (default 0.02)
+//     --fault-prob=P       per-hit fire probability in [0, 1] for every
+//                          point under --fault-seed (default 0.02)
 //     --stats[=json]       dump the observability registry on exit
 //
 // SIGTERM / SIGINT drain gracefully: stop accepting, refuse new requests
@@ -44,8 +44,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "base/fault.h"
@@ -101,10 +103,19 @@ int main(int argc, char** argv) {
       !args.Read("--max-timeout-ms", &opts.max_timeout_ms, 0.0) ||
       !args.Read("--max-width", &opts.max_forecast_width) ||
       !args.Read("--fault-seed", &fault_seed) ||
-      !args.Read("--fault-prob", &fault_prob, 0.0)) {
+      !args.Read("--fault-prob", &fault_prob, 0.0, 1.0) ||
+      !cli::CheckStats(args)) {
     return 1;
   }
-  if (const char* dir = args.Get("--store-dir")) opts.store_dir = dir;
+  if (const char* dir = args.Get("--store-dir")) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec)) {
+      std::fprintf(stderr, "tbc_serve: --store-dir=%s is not a directory\n",
+                   dir);
+      return 1;
+    }
+    opts.store_dir = dir;
+  }
 
   // Deterministic fault plan for soak/chaos runs from the command line.
   std::unique_ptr<fault::FaultPlan> fault_plan;
@@ -146,7 +157,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   (*server)->Shutdown();
 
-  if (cli::DumpStats(args, stdout) != 0) return 1;
+  cli::DumpStats(args, stdout);
   std::printf("tbc_serve: clean shutdown\n");
   return 0;
 }

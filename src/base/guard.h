@@ -1,8 +1,10 @@
 #ifndef TBC_BASE_GUARD_H_
 #define TBC_BASE_GUARD_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -180,6 +182,21 @@ class Guard {
   std::atomic<uint64_t> decisions_{0};
   std::atomic<uint64_t> tick_{0};
 };
+
+/// The one guarded loop: runs body(i) for i in [begin, end) on the caller,
+/// polling the guard once per `grain` indices. A trip returns the guard's
+/// typed status, and the indices after it never run. `body` is called
+/// directly, so the loop inlines into its kernel. `grain` must be positive.
+template <typename Body>
+Status ForRange(Guard& guard, size_t begin, size_t end, size_t grain,
+                Body&& body) {
+  for (size_t i = begin; i < end; i += grain) {
+    TBC_RETURN_IF_ERROR(guard.Poll());
+    const size_t stop = std::min(end, i + grain);
+    for (size_t j = i; j < stop; ++j) body(j);
+  }
+  return Status::Ok();
+}
 
 }  // namespace tbc
 

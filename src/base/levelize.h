@@ -11,13 +11,11 @@ namespace tbc {
 /// "Kernel layer").
 ///
 /// Level 0 holds the leaves; a node's level is 1 + the maximum level of its
-/// children, so every node's inputs are fully computed once all earlier
-/// levels are done. Evaluation passes walk `order` level by level through
-/// contiguous per-level ranges; within a level nodes are independent, which
-/// is exactly the parallelism ThreadPool::ParallelFor exploits. Within each
-/// level nodes appear in ascending id order, so the schedule — and any pass
-/// that writes result i to slot i — is deterministic regardless of thread
-/// count.
+/// children, so every node's inputs come before it in `order`. Evaluation
+/// passes sweep `order` front to back (the upward pass) or back to front
+/// (the marginals' downward pass). Within each level nodes appear in
+/// ascending id order, so the schedule, and with it the order in which a
+/// pass adds into shared slots, is a pure function of the circuit.
 struct LevelSchedule {
   static constexpr uint32_t kNoRank = static_cast<uint32_t>(-1);
 
@@ -30,7 +28,6 @@ struct LevelSchedule {
   /// subcircuit of a large manager allocates O(reachable), not O(manager).
   std::vector<uint32_t> rank;
 
-  size_t num_levels() const { return level_begin.size() - 1; }
   size_t num_reachable() const { return order.size(); }
 };
 

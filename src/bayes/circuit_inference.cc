@@ -35,25 +35,6 @@ double CompiledBayesNet::ProbEvidence(const BnInstantiation& evidence) {
   return Wmc(mgr_, root_, encoding_.WeightsWithEvidence(evidence));
 }
 
-Result<std::vector<double>> CompiledBayesNet::ProbEvidenceBatch(
-    const std::vector<BnInstantiation>& evidence, Guard& guard,
-    ThreadPool* pool) {
-  TBC_RETURN_IF_ERROR(guard.Check());
-  // Warm the root's gap plan (its schedule with it) once: afterwards
-  // every WMC pass only reads the manager, so concurrent lanes are race-free.
-  mgr_.GapPlanCached(root_);
-  std::vector<double> out(evidence.size(), 0.0);
-  const auto body = [&](size_t i) {
-    const Result<double> r =
-        WmcBounded(mgr_, root_, encoding_.WeightsWithEvidence(evidence[i]), guard);
-    // A failure implies the shared guard tripped; the final Check reports it.
-    if (r.ok()) out[i] = *r;
-  };
-  TBC_RETURN_IF_ERROR(ForRange(pool, guard, 0, evidence.size(), 1, body));
-  TBC_RETURN_IF_ERROR(guard.Check());
-  return out;
-}
-
 double CompiledBayesNet::Marginal(BnVar v, int value,
                                   const BnInstantiation& evidence) {
   BnInstantiation extended = evidence;

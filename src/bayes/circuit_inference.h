@@ -6,7 +6,6 @@
 
 #include "base/guard.h"
 #include "base/result.h"
-#include "base/thread_pool.h"
 #include "bayes/network.h"
 #include "bayes/wmc_encoding.h"
 #include "nnf/nnf.h"
@@ -37,16 +36,6 @@ class CompiledBayesNet {
 
   /// Pr(evidence).
   double ProbEvidence(const BnInstantiation& evidence);
-
-  /// Pr(evidence) for a batch of instantiations (multi-evidence MAR, the
-  /// inner loop of SDP-style sweeps). The compiled circuit is shared and
-  /// read-only during the batch (its var-set cache is warmed up front), so
-  /// with a pool of >1 threads the instantiations evaluate concurrently;
-  /// each output is produced by exactly one lane, making the vector
-  /// bit-identical across thread counts. Refuses when `guard` trips.
-  Result<std::vector<double>> ProbEvidenceBatch(
-      const std::vector<BnInstantiation>& evidence, Guard& guard,
-      ThreadPool* pool = nullptr);
 
   /// Unnormalized marginal Pr(v = value, evidence).
   double Marginal(BnVar v, int value, const BnInstantiation& evidence);

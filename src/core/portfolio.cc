@@ -2,10 +2,8 @@
 
 #include <array>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <numeric>
-#include <optional>
+#include <string>
 #include <utility>
 
 #include "analysis/structure/forecast.h"
@@ -123,7 +121,7 @@ constexpr std::array<Stage, 3> kStages = {
 
 // Above this predicted induced width, the compile arms are forecast to be
 // hopeless within any reasonable budget (nodes scale with 2^w), so the
-// serial portfolio runs variable elimination first — same 2^w core cost,
+// portfolio runs variable elimination first — same 2^w core cost,
 // none of the circuit-construction constant factor — and demotes the
 // compilers to fallbacks. The forecast only *routes*; each arm's Guard
 // remains the enforcer (DESIGN.md "Structure analysis & cost forecasting").
@@ -175,76 +173,7 @@ StagePlan PlanStages(const Query& q, const Guard& outer) {
   return plan;
 }
 
-// Runs arm i and records its wall time under "portfolio.arm.<engine>.us"
-// plus a refusal counter when it fails. Dynamic-name metrics: at most
-// three registry lookups per query, far off any hot path.
-Result<double> RunStageTimed(size_t i, const Query& q, Guard& guard) {
-  const Timer timer;
-  Result<double> r = kStages[i].second(q, guard);
-  const std::string arm =
-      std::string("portfolio.arm.") + PortfolioEngineName(kStages[i].first);
-  TBC_OBSERVE_VALUE_DYN(arm + ".us", timer.Millis() * 1e3);
-  if (!r.ok()) TBC_COUNT_DYN(arm + ".refusals");
-  return r;
-}
-
-void CountWin(size_t i) {
-  TBC_COUNT_DYN(std::string("portfolio.arm.") +
-                PortfolioEngineName(kStages[i].first) + ".wins");
-}
-
-// Racing mode: every arm runs concurrently with the full budget under its
-// own pre-created guard. An arm that finishes successfully cancels all the
-// arms it outranks (they can no longer win); arms that outrank it keep
-// running, because they would take priority if they succeed. The winner is
-// then selected serially in fixed engine order, so the selection rule is
-// deterministic even though completion order is not.
-Result<PortfolioAnswer> RunPortfolioParallel(const Query& q,
-                                             const Budget& budget,
-                                             ThreadPool& pool) {
-  std::array<std::unique_ptr<Guard>, kStages.size()> guards;
-  for (auto& g : guards) g = std::make_unique<Guard>(budget);
-  std::array<std::optional<Result<double>>, kStages.size()> results;
-  std::mutex mu;
-  const std::function<void(size_t)> body = [&](size_t i) {
-    Result<double> r = RunStageTimed(i, q, *guards[i]);
-    std::lock_guard<std::mutex> lock(mu);
-    if (r.ok()) {
-      for (size_t j = i + 1; j < kStages.size(); ++j) {
-        guards[j]->Cancel();
-        TBC_COUNT("portfolio.cancellations");
-      }
-    }
-    results[i] = std::move(r);
-  };
-  // No pool-level guard: each arm is already bounded by its own guard, and
-  // a late trip must not discard an earlier arm's success.
-  (void)pool.ParallelFor(0, kStages.size(), 1, body, nullptr);
-
-  PortfolioAnswer answer;
-  Status last_refusal = Status::DeadlineExceeded("no engine attempted");
-  for (size_t i = 0; i < kStages.size(); ++i) {
-    if (results[i].has_value() && results[i]->ok()) {
-      answer.value = **results[i];
-      answer.engine = kStages[i].first;
-      CountWin(i);
-      return answer;
-    }
-    if (results[i].has_value() &&
-        results[i]->error_code() == StatusCode::kInvalidInput) {
-      return results[i]->status();
-    }
-    const Status s = results[i].has_value() ? results[i]->status()
-                                            : Status::Cancelled("arm skipped");
-    answer.attempts.push_back(
-        std::string(PortfolioEngineName(kStages[i].first)) + ": " + s.message());
-    last_refusal = s;
-  }
-  return last_refusal;
-}
-
-Result<PortfolioAnswer> RunPortfolio(const Query& q, const Budget& budget,
-                                     ThreadPool* pool) {
+Result<PortfolioAnswer> RunPortfolio(const Query& q, const Budget& budget) {
   TBC_SPAN("portfolio.run");
   // The outer guard is armed *before* planning, so the static analysis is
   // charged to the caller's deadline like every other cost — stage guards
@@ -253,12 +182,6 @@ Result<PortfolioAnswer> RunPortfolio(const Query& q, const Budget& budget,
   const StagePlan plan = PlanStages(q, outer);
   Query planned = q;
   planned.plan = plan.valid ? &plan.report : nullptr;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // Racing mode runs every arm regardless of the forecast — the race
-    // discovers the cheapest arm empirically, and reordering would change
-    // the deterministic ranking. The plan still supplies the SDD vtree.
-    return RunPortfolioParallel(planned, budget, *pool);
-  }
   // Each stage gets a fresh guard with a slice of whatever deadline is
   // left: 1/3 for the first engine, 1/2 of the remainder for the second,
   // everything for the last (shares shift under a varelim-first plan). The
@@ -277,13 +200,21 @@ Result<PortfolioAnswer> RunPortfolio(const Query& q, const Budget& budget,
     stage_budget.max_conflicts = budget.max_conflicts;
     stage_budget.max_decisions = budget.max_decisions;
     Guard stage_guard(stage_budget);
-    Result<double> r = RunStageTimed(i, planned, stage_guard);
+    // Each arm's wall time goes to "portfolio.arm.<engine>.us", with a
+    // refusal or win counter: dynamic-name metrics, at most three registry
+    // lookups per query, far off any hot path.
+    const std::string arm =
+        std::string("portfolio.arm.") + PortfolioEngineName(kStages[i].first);
+    const Timer timer;
+    Result<double> r = kStages[i].second(planned, stage_guard);
+    TBC_OBSERVE_VALUE_DYN(arm + ".us", timer.Millis() * 1e3);
     if (r.ok()) {
+      TBC_COUNT_DYN(arm + ".wins");
       answer.value = *r;
       answer.engine = kStages[i].first;
-      CountWin(i);
       return answer;
     }
+    TBC_COUNT_DYN(arm + ".refusals");
     if (r.error_code() == StatusCode::kInvalidInput) return r.status();
     answer.attempts.push_back(std::string(PortfolioEngineName(kStages[i].first)) +
                               ": " + r.status().message());
@@ -316,39 +247,36 @@ Status ValidateQueryVar(const BayesianNetwork& net, BnVar v, int value,
 
 Result<PortfolioAnswer> ProbEvidenceWithFallback(const BayesianNetwork& net,
                                                  const BnInstantiation& evidence,
-                                                 const Budget& budget,
-                                                 ThreadPool* pool) {
+                                                 const Budget& budget) {
   if (net.num_vars() == 0) return Status::InvalidInput("empty network");
   Query q{net, evidence, evidence};
-  return RunPortfolio(q, budget, pool);
+  return RunPortfolio(q, budget);
 }
 
 Result<PortfolioAnswer> MarginalWithFallback(const BayesianNetwork& net,
                                              BnVar v, int value,
                                              const BnInstantiation& evidence,
-                                             const Budget& budget,
-                                             ThreadPool* pool) {
+                                             const Budget& budget) {
   TBC_RETURN_IF_ERROR(ValidateQueryVar(net, v, value, evidence));
   BnInstantiation extended = evidence;
   extended.resize(net.num_vars(), kUnobserved);
   extended[v] = value;
   Query q{net, evidence, extended, v, value};
   q.wants_marginal = true;
-  return RunPortfolio(q, budget, pool);
+  return RunPortfolio(q, budget);
 }
 
 Result<PortfolioAnswer> PosteriorWithFallback(const BayesianNetwork& net,
                                               BnVar v, int value,
                                               const BnInstantiation& evidence,
-                                              const Budget& budget,
-                                              ThreadPool* pool) {
+                                              const Budget& budget) {
   TBC_RETURN_IF_ERROR(ValidateQueryVar(net, v, value, evidence));
   BnInstantiation extended = evidence;
   extended.resize(net.num_vars(), kUnobserved);
   extended[v] = value;
   Query q{net, evidence, extended, v, value};
   q.wants_posterior = true;
-  return RunPortfolio(q, budget, pool);
+  return RunPortfolio(q, budget);
 }
 
 }  // namespace tbc

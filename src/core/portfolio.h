@@ -7,7 +7,6 @@
 
 #include "base/guard.h"
 #include "base/result.h"
-#include "base/thread_pool.h"
 #include "bayes/network.h"
 
 namespace tbc {
@@ -44,32 +43,23 @@ struct PortfolioAnswer {
 /// ones. A kInvalidInput from any engine aborts the cascade (the input
 /// will not get better); refusals (deadline/budget/cancel) fall through.
 /// If every engine refuses, the last refusal is returned.
-///
-/// With a pool of >1 threads the engines *race* instead of cascading: each
-/// arm gets the full budget under its own guard, a finishing arm cancels
-/// every arm it outranks, and the winner is selected by the same fixed
-/// engine order — so the selection rule (lowest-index success) is
-/// deterministic even though arm completion order is not.
 Result<PortfolioAnswer> ProbEvidenceWithFallback(const BayesianNetwork& net,
                                                  const BnInstantiation& evidence,
-                                                 const Budget& budget,
-                                                 ThreadPool* pool = nullptr);
+                                                 const Budget& budget);
 
 /// Unnormalized marginal Pr(v = value, evidence) with the same cascade.
 /// Evidence contradicting v = value is kInvalidInput.
 Result<PortfolioAnswer> MarginalWithFallback(const BayesianNetwork& net,
                                              BnVar v, int value,
                                              const BnInstantiation& evidence,
-                                             const Budget& budget,
-                                             ThreadPool* pool = nullptr);
+                                             const Budget& budget);
 
 /// Pr(v = value | evidence) with the same cascade; zero-probability
 /// evidence is kInvalidInput.
 Result<PortfolioAnswer> PosteriorWithFallback(const BayesianNetwork& net,
                                               BnVar v, int value,
                                               const BnInstantiation& evidence,
-                                              const Budget& budget,
-                                              ThreadPool* pool = nullptr);
+                                              const Budget& budget);
 
 }  // namespace tbc
 

@@ -76,12 +76,12 @@ MaxSumResult MaxSumWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,
   const LevelSchedule& s = plan.schedule;
   // Or-gates that mention a max variable take the max, the rest the sum.
   std::vector<uint8_t> max_gate;
-  TBC_CHECK(Upward(mgr, plan, MentionsAlgebra{is_max}, Guard::Unlimited(),
-                   nullptr, max_gate)
-                .ok());
+  TBC_CHECK(
+      Upward(mgr, plan, MentionsAlgebra{is_max}, Guard::Unlimited(), max_gate)
+          .ok());
   std::vector<double> value;
   TBC_CHECK(Upward(mgr, plan, MaxSumAlgebra{weights, factor, max_gate},
-                   Guard::Unlimited(), nullptr, value)
+                   Guard::Unlimited(), value)
                 .ok());
   MaxSumResult result;
   result.value = value[s.rank[root]];

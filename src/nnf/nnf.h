@@ -186,9 +186,8 @@ class NnfManager {
 
   /// Topological level schedule of the subcircuit at `root`: leaves at
   /// level 0, each gate one level above its deepest input. The evaluation
-  /// kernels in nnf/queries.cc walk the schedule's contiguous per-level
-  /// ranges with dense rank-indexed value arrays (and, optionally, a
-  /// ThreadPool over each level); the gap-factor kernels read it from
+  /// kernels in nnf/queries.cc sweep the schedule's order with dense
+  /// rank-indexed value arrays; the gap-factor kernels read it from
   /// GapPlanCached(), the folds that ignore gaps (IsSatDnnf,
   /// MinCardinality, Evaluate) build it per call.
   LevelSchedule Schedule(NnfId root) const;
@@ -198,7 +197,7 @@ class NnfManager {
   /// pure function of the append-only store, so it never invalidates.
   /// Returns nullptr on a miss; ModelCountBounded() populates it. The
   /// first write happens on a query: warm single-threaded before sharing
-  /// the manager across lanes.
+  /// the manager across threads.
   const BigUint* FindModelCount(NnfId root, size_t num_vars) const {
     return count_cache_.Find(RootVarsKey(root, num_vars));
   }

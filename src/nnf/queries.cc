@@ -157,14 +157,14 @@ bool IsSatDnnf(NnfManager& mgr, NnfId root) {
 }
 
 Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
-                                  Guard& guard, ThreadPool* pool) {
+                                  Guard& guard) {
   TBC_RETURN_IF_ERROR(guard.Check());
   // The store is append-only, so a root's count over a fixed universe never
   // changes; repeated counts on the same root hit the manager's cache.
   if (const BigUint* hit = mgr.FindModelCount(root, num_vars)) return *hit;
   const GapPlan& plan = mgr.GapPlanCached(root);
   std::vector<BigUint> count;
-  TBC_RETURN_IF_ERROR(Upward(mgr, plan, CountAlgebra{}, guard, pool, count));
+  TBC_RETURN_IF_ERROR(Upward(mgr, plan, CountAlgebra{}, guard, count));
   size_t root_vars = 0;
   for (uint64_t w : plan.root_vars) root_vars += __builtin_popcountll(w);
   TBC_CHECK_MSG(root_vars <= num_vars, "num_vars smaller than circuit variables");
@@ -180,12 +180,11 @@ BigUint ModelCount(NnfManager& mgr, NnfId root, size_t num_vars) {
 }
 
 Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
-                          Guard& guard, ThreadPool* pool) {
+                          Guard& guard) {
   TBC_RETURN_IF_ERROR(guard.Check());
   const GapPlan& plan = mgr.GapPlanCached(root);
   std::vector<double> value;
-  TBC_RETURN_IF_ERROR(
-      Upward(mgr, plan, WmcAlgebra{weights}, guard, pool, value));
+  TBC_RETURN_IF_ERROR(Upward(mgr, plan, WmcAlgebra{weights}, guard, value));
   // Variables outside the circuit contribute (W(x)+W(¬x)) each.
   double outside = 1.0;
   for (Var v : OutsideRootVars(plan, weights.num_vars())) {
@@ -205,8 +204,7 @@ Result<std::vector<double>> MarginalWmcBounded(NnfManager& mgr, NnfId root,
   const GapPlan& plan = mgr.GapPlanCached(root);
   const LevelSchedule& s = plan.schedule;
   std::vector<double> value;
-  TBC_RETURN_IF_ERROR(
-      Upward(mgr, plan, WmcAlgebra{weights}, guard, nullptr, value));
+  TBC_RETURN_IF_ERROR(Upward(mgr, plan, WmcAlgebra{weights}, guard, value));
 
   // Downward pass: partial derivatives [Darwiche 2003] of the circuit's
   // polynomial, value(root)·Π_{x outside the root}(W(x)+W(¬x)). d[l] first
@@ -257,7 +255,7 @@ Result<std::vector<double>> MarginalWmcBounded(NnfManager& mgr, NnfId root,
       }
     }
   };
-  TBC_RETURN_IF_ERROR(ForRange(nullptr, guard, 0, num_nodes, kGrain, step));
+  TBC_RETURN_IF_ERROR(ForRange(guard, 0, num_nodes, kGrain, step));
   // WMC(Δ ∧ l) = W(l)·∂/∂W(l): the polynomial is multilinear.
   for (uint32_t code = 0; code < d.size(); ++code) {
     d[code] *= weights[Lit::FromCode(code)];
@@ -277,16 +275,15 @@ size_t MinCardinality(NnfManager& mgr, NnfId root) {
 
 Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights, size_t num_vars,
-                                Guard& guard, ThreadPool* pool) {
+                                Guard& guard) {
   TBC_RETURN_IF_ERROR(guard.Check());
   const GapPlan& plan = mgr.GapPlanCached(root);
   const LevelSchedule& s = plan.schedule;
   std::vector<double> value;
-  TBC_RETURN_IF_ERROR(
-      Upward(mgr, plan, MpeAlgebra{weights}, guard, pool, value));
+  TBC_RETURN_IF_ERROR(Upward(mgr, plan, MpeAlgebra{weights}, guard, value));
   TBC_CHECK_MSG(value[s.rank[root]] >= 0.0, "MaxWmc on unsatisfiable circuit");
 
-  // Traceback (serial; ties break on child order, independent of threads).
+  // Traceback: ties break on child order.
   MpeResult result;
   result.assignment = Descend(
       mgr, plan, root, num_vars,
@@ -317,8 +314,7 @@ Assignment SampleModelDnnf(NnfManager& mgr, NnfId root, size_t num_vars,
   const GapPlan& plan = mgr.GapPlanCached(root);
   const LevelSchedule& s = plan.schedule;
   std::vector<BigUint> count;
-  TBC_CHECK(
-      Upward(mgr, plan, CountAlgebra{}, Guard::Unlimited(), nullptr, count).ok());
+  TBC_CHECK(Upward(mgr, plan, CountAlgebra{}, Guard::Unlimited(), count).ok());
   TBC_CHECK_MSG(!count[s.rank[root]].IsZero(),
                 "cannot sample an unsatisfiable circuit");
   // Descent. Branch probabilities use double ratios of the exact counts;

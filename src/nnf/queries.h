@@ -7,7 +7,6 @@
 #include "base/guard.h"
 #include "base/random.h"
 #include "base/result.h"
-#include "base/thread_pool.h"
 #include "logic/cnf.h"
 #include "nnf/nnf.h"
 
@@ -34,20 +33,17 @@ BigUint ModelCount(NnfManager& mgr, NnfId root, size_t num_vars);
 double Wmc(NnfManager& mgr, NnfId root, const WeightMap& weights);
 
 /// Resource-governed variants of the counting kernels. Counting, WMC, MPE,
-/// the marginals' upward pass and sampling's counting pass are one
-/// level-scheduled pass over dense rank-indexed arrays, each in its own
-/// algebra, reading or-gate gaps from the root's cached GapPlan
-/// (NnfManager::GapPlanCached); when `pool` is non-null each level's node
-/// batch is distributed over its lanes. The per-node recurrences read only
-/// completed earlier levels and iterate children in a fixed order, so
-/// results are bit-identical to the serial pass at every thread count (the
-/// determinism contract of base/thread_pool.h). The guard is polled
+/// the marginals' upward pass and sampling's counting pass are one pass in
+/// schedule order over dense rank-indexed arrays, each in its own algebra,
+/// reading or-gate gaps from the root's cached GapPlan
+/// (NnfManager::GapPlanCached). Each node reads only inputs of lower rank
+/// and iterates its children in a fixed order. The guard is polled
 /// throughout; on a trip the partial pass is discarded and the guard's
 /// typed refusal is returned.
 Result<BigUint> ModelCountBounded(NnfManager& mgr, NnfId root, size_t num_vars,
-                                  Guard& guard, ThreadPool* pool = nullptr);
+                                  Guard& guard);
 Result<double> WmcBounded(NnfManager& mgr, NnfId root, const WeightMap& weights,
-                          Guard& guard, ThreadPool* pool = nullptr);
+                          Guard& guard);
 
 /// All marginal weighted model counts in one bottom-up + top-down pass
 /// [Darwiche 2001, 2003]: returns m with m[l.code()] = WMC(Δ ∧ l) for every
@@ -77,12 +73,10 @@ struct MpeResult {
 MpeResult MaxWmc(NnfManager& mgr, NnfId root, const WeightMap& weights,
                  size_t num_vars);
 
-/// Resource-governed MaxWmc; see the Bounded counting kernels above. The
-/// maximizing assignment is bit-identical across thread counts: the upward
-/// max pass is order-independent per node and the traceback is serial.
+/// Resource-governed MaxWmc; see the Bounded counting kernels above.
 Result<MpeResult> MaxWmcBounded(NnfManager& mgr, NnfId root,
                                 const WeightMap& weights, size_t num_vars,
-                                Guard& guard, ThreadPool* pool = nullptr);
+                                Guard& guard);
 
 /// Draws a uniform random model of a satisfiable d-DNNF over variables
 /// 0..num_vars-1 (paper §3: "utilization of tractable circuits for uniform

@@ -16,13 +16,11 @@
 #include "base/guard.h"
 #include "base/result.h"
 #include "base/span.h"
-#include "base/thread_pool.h"
 #include "nnf/nnf.h"
 
 namespace tbc::internal {
 
-// Nodes per chunk claimed off the pool; also the poll period of the
-// serial passes.
+// Nodes between two guard polls of the upward and downward passes.
 inline constexpr size_t kGrain = 64;
 
 // Edge slot `e`'s gap variables, ascending.
@@ -81,16 +79,14 @@ size_t ArgmaxInput(const NnfManager& mgr, const GapPlan& plan,
 // literal, the and-gate product Times, and the or-gate sum Plus, to which
 // an input adds its value scaled by its edge's gap; Plus also gets the
 // gate's rank, for algebras whose or-gates differ by gate. A gate combines
-// its inputs' values in child order, and those all sit on earlier levels,
-// so with a pool each level's nodes run over its lanes; without one the
-// whole schedule is a single sweep. Either way the result is bit-identical.
-// A plan with no gaps at all (the common case for compiled BN encodings)
-// never reads its edge arrays. The guard is polled throughout; on a trip
-// the partial values are garbage.
+// its inputs' values in child order, and those all sit at lower ranks, so
+// the whole schedule is one sweep in rank order. A plan with no gaps at
+// all (the common case for compiled BN encodings) never reads its edge
+// arrays. The guard is polled throughout; on a trip the partial values are
+// garbage.
 template <typename Algebra>
 Status Upward(const NnfManager& mgr, const GapPlan& plan, const Algebra& alg,
-              Guard& guard, ThreadPool* pool,
-              std::vector<typename Algebra::Value>& value) {
+              Guard& guard, std::vector<typename Algebra::Value>& value) {
   const LevelSchedule& s = plan.schedule;
   const bool gapless = plan.gap_vars.empty();
   value.resize(s.order.size());
@@ -124,14 +120,7 @@ Status Upward(const NnfManager& mgr, const GapPlan& plan, const Algebra& alg,
       }
     }
   };
-  if (pool == nullptr || pool->num_threads() == 1) {
-    return ForRange(nullptr, guard, 0, s.order.size(), kGrain, eval);
-  }
-  for (size_t l = 0; l < s.num_levels(); ++l) {
-    TBC_RETURN_IF_ERROR(ForRange(pool, guard, s.level_begin[l],
-                                 s.level_begin[l + 1], kGrain, eval));
-  }
-  return Status::Ok();
+  return ForRange(guard, 0, s.order.size(), kGrain, eval);
 }
 
 // Truth values, 1 for true: ⊥ is 0, ⊤ is 1, a literal l is
@@ -161,7 +150,7 @@ typename Algebra::Value Fold(const NnfManager& mgr, NnfId root,
   GapPlan plan;
   plan.schedule = mgr.Schedule(root);
   std::vector<typename Algebra::Value> value;
-  TBC_CHECK(Upward(mgr, plan, alg, Guard::Unlimited(), nullptr, value).ok());
+  TBC_CHECK(Upward(mgr, plan, alg, Guard::Unlimited(), value).ok());
   return std::move(value[plan.schedule.rank[root]]);
 }
 

@@ -190,18 +190,6 @@ double Psdd::ProbabilityEvidence(const PsddEvidence& e) const {
   return value[root_];
 }
 
-Result<std::vector<double>> Psdd::ProbabilityEvidenceBatch(
-    const std::vector<PsddEvidence>& evidence, Guard& guard,
-    ThreadPool* pool) const {
-  TBC_RETURN_IF_ERROR(guard.Check());
-  TBC_OBSERVE_VALUE("psdd.eval.batch_size", evidence.size());
-  std::vector<double> out(evidence.size(), 0.0);
-  const auto body = [&](size_t i) { out[i] = ProbabilityEvidence(evidence[i]); };
-  TBC_RETURN_IF_ERROR(ForRange(pool, guard, 0, evidence.size(), 1, body));
-  TBC_RETURN_IF_ERROR(guard.Check());
-  return out;
-}
-
 std::vector<double> Psdd::Marginals(const PsddEvidence& e, bool normalized) const {
   std::vector<double> value;
   ValuePass(e, value);
@@ -358,15 +346,13 @@ double Psdd::LogLikelihood(const std::vector<Assignment>& data) const {
 }
 
 Result<double> Psdd::LogLikelihoodBounded(const std::vector<Assignment>& data,
-                                          Guard& guard, ThreadPool* pool) const {
+                                          Guard& guard) const {
   TBC_RETURN_IF_ERROR(guard.Check());
-  std::vector<double> logp(data.size(), 0.0);
-  const auto body = [&](size_t i) { logp[i] = std::log(Probability(data[i])); };
-  TBC_RETURN_IF_ERROR(ForRange(pool, guard, 0, data.size(), 1, body));
-  TBC_RETURN_IF_ERROR(guard.Check());
-  // Serial index-order reduction: bit-identical across thread counts.
   double ll = 0.0;
-  for (double lp : logp) ll += lp;
+  TBC_RETURN_IF_ERROR(ForRange(guard, 0, data.size(), 1, [&](size_t i) {
+    ll += std::log(Probability(data[i]));
+  }));
+  TBC_RETURN_IF_ERROR(guard.Check());
   return ll;
 }
 

@@ -12,7 +12,6 @@
 #include "base/result.h"
 #include "base/span.h"
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "sdd/sdd.h"
 
 namespace tbc {
@@ -69,16 +68,6 @@ class Psdd {
   /// Pr(e) of partial evidence (MAR query; linear time).
   double ProbabilityEvidence(const PsddEvidence& e) const;
 
-  /// Pr(e) for a batch of evidence vectors. With a pool of >1 threads the
-  /// instances evaluate concurrently (one value array per lane); each
-  /// output double is computed by exactly one lane from the shared
-  /// read-only node store, so results are bit-identical across thread
-  /// counts.
-  /// Refuses (without partial output) when the guard trips.
-  Result<std::vector<double>> ProbabilityEvidenceBatch(
-      const std::vector<PsddEvidence>& evidence, Guard& guard,
-      ThreadPool* pool = nullptr) const;
-
   /// Marginals Pr(X=1, e) for every variable X, in one up+down pass;
   /// normalized by Pr(e) when `normalized`.
   std::vector<double> Marginals(const PsddEvidence& e, bool normalized) const;
@@ -103,12 +92,10 @@ class Psdd {
   /// Log-likelihood of complete data under current parameters.
   double LogLikelihood(const std::vector<Assignment>& data) const;
 
-  /// Guard- and pool-aware log-likelihood. Per-instance log-probabilities
-  /// are independent (parallelized across pool lanes) and reduced serially
-  /// in index order, so the sum is bit-identical for 1, 2, or N threads.
+  /// Guarded log-likelihood: the guard is polled before each instance, and
+  /// the per-instance log-probabilities are summed in index order.
   Result<double> LogLikelihoodBounded(const std::vector<Assignment>& data,
-                                      Guard& guard,
-                                      ThreadPool* pool = nullptr) const;
+                                      Guard& guard) const;
 
   /// EM parameter learning from *incomplete* data (paper §4.1; [Choi, Van
   /// den Broeck & Darwiche 2015] extends Fig 15's learning to incomplete

@@ -359,9 +359,9 @@ Response Server::Execute(const Request& req, Guard& guard) {
     weights.Set(Lit::FromDimacs(dimacs), w);
   }
 
-  // Queries run serially on the warmed immutable artifact (no ThreadPool):
-  // concurrency lives at the request level, and serial kernels make the
-  // response trivially bit-identical at every worker count.
+  // Each query is one pass on this worker thread over the warmed immutable
+  // artifact: concurrency lives at the request level, so the response is
+  // bit-identical at every worker count.
   switch (req.op) {
     case Op::kCompile:
       resp.count = art.count.ToString();

@@ -66,9 +66,9 @@ struct ServerOptions {
 ///   - Graceful drain: Shutdown() stops accepting, refuses new requests
 ///     with kUnavailable, lets in-flight requests finish, joins every
 ///     thread. SIGTERM handling in the daemon binary calls Shutdown().
-///   - Queries never share a ThreadPool across requests: parallelism is
-///     across requests (worker threads), each query runs serially on the
-///     warmed artifact, so results are bit-identical at any worker count.
+///   - Concurrency is across requests (worker threads): each query runs
+///     on its worker thread, in one pass over the warmed immutable
+///     artifact, so results are bit-identical at any worker count.
 class Server {
  public:
   /// Binds, starts the acceptor, returns the running server. Typed errors

@@ -5,6 +5,7 @@
 // compile correctly once the budget is lifted.
 
 #include <thread>
+#include <vector>
 
 #include "base/guard.h"
 #include "base/random.h"
@@ -78,6 +79,24 @@ TEST(Guard, CancelIsSticky) {
   EXPECT_EQ(guard.Check().code(), StatusCode::kCancelled);
   EXPECT_EQ(guard.ChargeNodes().code(), StatusCode::kCancelled);
   EXPECT_EQ(guard.Poll().code(), StatusCode::kCancelled);
+}
+
+TEST(Guard, ForRangePollsOncePerGrain) {
+  Guard guard;
+  std::vector<int> hits(103, 0);
+  ASSERT_TRUE(ForRange(guard, 3, hits.size(), 7, [&](size_t i) { hits[i]++; })
+                  .ok());
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], i < 3 ? 0 : 1);
+
+  // A cancel inside the grain [8, 12) lets that grain finish; the poll
+  // before the next grain refuses, and no later index runs.
+  size_t ran = 0;
+  const Status s = ForRange(guard, 0, 100, 4, [&](size_t i) {
+    ++ran;
+    if (i == 10) guard.Cancel();
+  });
+  EXPECT_EQ(s.code(), StatusCode::kCancelled);
+  EXPECT_EQ(ran, 12u);
 }
 
 TEST(Guard, ConflictAndDecisionBudgets) {

@@ -75,6 +75,22 @@ assert sys.argv[1] in json.dumps(reports[0])
   fi
 }
 
+# expect_refused_up_front LABEL CMD...: CMD must exit 1 with nothing on
+# stdout, i.e. refuse a flag before doing any work.
+expect_refused_up_front() {
+  local label="$1"
+  shift
+  "$@" > "$TMP/stdout.txt" 2>/dev/null
+  local got=$?
+  if [[ "$got" == 1 && ! -s "$TMP/stdout.txt" ]]; then
+    echo "check_exit_codes: ok   $label (exit 1, empty stdout)"
+  else
+    echo "check_exit_codes: FAIL $label: want exit 1 and empty stdout," \
+         "got exit $got and $(wc -c < "$TMP/stdout.txt") stdout bytes: $*" >&2
+    FAILED=1
+  fi
+}
+
 printf 'p cnf 3 2\n1 2 0\n-1 3 0\n' > "$TMP/good.cnf"
 # Empty but readable: every tool must call it unparseable input (2), not
 # an I/O error (1).
@@ -115,6 +131,9 @@ expect 1 "kc_cli junk minimize"         "$KC" "$TMP/good.cnf" --target=sdd \
 expect 1 "kc_cli write into missing dir" "$KC" "$TMP/good.cnf" \
            --write-nnf="$TMP/no/such/dir/x.nnf"
 expect 0 "kc_cli certify ok"            "$KC" "$TMP/good.cnf" --certify
+# The --stats mode is checked with the other flags, before the compile.
+expect_refused_up_front "kc_cli unknown stats mode" \
+  "$KC" "$TMP/good.cnf" --stats=xml
 
 # --max-nodes bounds each search on its own. --wmc's counter run makes the
 # compile's decisions again, so a node budget that just fits the compile
@@ -175,6 +194,8 @@ expect 2 "tbc_lint empty file"          "$LINT" "$TMP/empty"
 expect 2 "tbc_lint determinism reject"  "$LINT" "$TMP/nondet.nnf"
 expect_json_array "tbc_lint json with unreadable file" circuit.io \
   "$LINT" --format=json "$TMP/nope.nnf" "$TMP/good.nnf"
+expect_refused_up_front "tbc_lint unknown stats mode" \
+  "$LINT" --stats=xml "$TMP/good.nnf"
 
 # tbc_certify: 0 / 1 / 2 (tampered certificate must be *rejected*, not
 # crash and not pass).
@@ -223,9 +244,11 @@ if [[ -x "$ANALYZE" ]]; then
 fi
 
 # tbc_serve: flag validation happens before binding the socket — a
-# missing --listen, a zero or non-numeric worker count and a width that
-# is not a number or does not fit 32 bits are usage errors (1), never a
-# hang. The timeouts bound the cases a server that binds would serve.
+# missing --listen, a zero or non-numeric worker count, a width that is
+# not a number or does not fit 32 bits, a fault probability outside
+# [0, 1], a --store-dir that is not a directory and an unknown --stats
+# mode are usage errors (1), never a hang. The timeouts bound the cases a
+# server that binds would serve.
 if [[ -x "$SERVE" ]]; then
   expect 1 "tbc_serve no listen"     timeout 10 "$SERVE" --workers=2
   expect 1 "tbc_serve zero workers"  "$SERVE" \
@@ -236,6 +259,13 @@ if [[ -x "$SERVE" ]]; then
              --listen=unix:"$TMP/serve.sock" --max-width=abc
   expect 1 "tbc_serve max-width past 32 bits" timeout 10 "$SERVE" \
              --listen=unix:"$TMP/serve.sock" --max-width=4294967297
+  expect 1 "tbc_serve fault-prob above 1" timeout 10 "$SERVE" \
+             --listen=unix:"$TMP/serve.sock" --fault-seed=1 --fault-prob=7
+  expect 1 "tbc_serve missing store dir" timeout 10 "$SERVE" \
+             --listen=unix:"$TMP/serve.sock" --store-dir="$TMP/no/such/dir"
+  # Empty stdout: the "listening on" line never printed, so it never bound.
+  expect_refused_up_front "tbc_serve unknown stats mode" timeout 10 "$SERVE" \
+             --listen=unix:"$TMP/serve.sock" --stats=xml
 fi
 
 if [[ "$FAILED" != 0 ]]; then
