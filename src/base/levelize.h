@@ -31,10 +31,34 @@ struct LevelSchedule {
   size_t num_reachable() const { return order.size(); }
 };
 
-/// Computes the level schedule of the subgraph reachable from `root`.
+/// The nodes reachable from `root` in ascending id order, children before
+/// parents: the one walk of the NNF, OBDD and formula stores (DESIGN.md).
 /// `for_each_child(id, fn)` must invoke fn(child_id) for every child of
-/// `id`; children must have smaller ids than their parents (true for every
-/// manager in the library — nodes are created bottom-up).
+/// `id`, and children must have smaller ids than their parents (nodes are
+/// created bottom-up), so one sweep down from the root marks the reachable
+/// set and one scan up lists it.
+template <typename ForEachChild>
+std::vector<uint32_t> ReachableAscending(uint32_t root,
+                                         ForEachChild&& for_each_child) {
+  std::vector<uint8_t> seen(size_t{root} + 1, 0);
+  seen[root] = 1;
+  size_t count = 0;
+  for (uint32_t n = root + 1; n-- > 0;) {
+    if (!seen[n]) continue;
+    ++count;
+    for_each_child(n, [&](uint32_t c) { seen[c] = 1; });
+  }
+  std::vector<uint32_t> order;
+  order.reserve(count);
+  for (uint32_t n = 0; n <= root; ++n) {
+    if (seen[n]) order.push_back(n);
+  }
+  return order;
+}
+
+/// Computes the level schedule of the subgraph reachable from `root`.
+/// `for_each_child` and the children-first ids are as for
+/// ReachableAscending.
 template <typename ForEachChild>
 LevelSchedule Levelize(size_t num_nodes, uint32_t root,
                        ForEachChild&& for_each_child) {
@@ -42,8 +66,11 @@ LevelSchedule Levelize(size_t num_nodes, uint32_t root,
   constexpr uint32_t kNoRank = LevelSchedule::kNoRank;
   s.rank.assign(num_nodes, kNoRank);
 
-  // Reachability: children have smaller ids than parents, so one sweep
-  // down from the root marks every reachable node (rank 0 = marked).
+  // Reachability: the sweep of ReachableAscending, but marking in the
+  // rank array this schedule returns anyway (rank 0 = marked). Routing
+  // it through ReachableAscending costs a second array and a second scan
+  // on the served compile path: servebench `cold` p10 read 1.00-1.11x
+  // slower in 8 of 8 alternated pairs that way (DESIGN.md).
   s.rank[root] = 0;
   size_t count = 0;
   for (uint32_t n = root + 1; n-- > 0;) {

@@ -12,18 +12,10 @@ namespace tbc {
 
 namespace {
 
-// Signed DIMACS token; false on garbage or overflow-ish input.
-bool ParseInt(std::string_view token, int64_t* out) {
-  bool negative = false;
-  if (!token.empty() && token[0] == '-') {
-    negative = true;
-    token.remove_prefix(1);
-  }
-  uint64_t magnitude = 0;
-  if (!ParseUint64(token, &magnitude) || magnitude > (1ull << 62)) return false;
-  *out = negative ? -static_cast<int64_t>(magnitude)
-                  : static_cast<int64_t>(magnitude);
-  return true;
+// A DIMACS integer token whose magnitude is within the variable cap.
+bool ParseDimacsInt(std::string_view token, int* out) {
+  return ParseInt(token, out) && *out >= -kMaxDimacsVar &&
+         *out <= kMaxDimacsVar;
 }
 
 void AppendBranch(const CertBranch& branch, const char* keyword,
@@ -86,6 +78,12 @@ class LineReader {
     return false;
   }
 
+  // Reads a declared record count, refusing one above the number of lines
+  // left: no count sizes an allocation beyond what the text can fill.
+  bool ReadCount(std::string_view token, uint64_t* count) const {
+    return ParseUint64(token, count) && *count <= lines_.size() - pos_;
+  }
+
   Status Err(const std::string& message) const {
     return Status::InvalidInput("certificate line " +
                                 std::to_string(line_number_) + ": " + message);
@@ -142,11 +140,11 @@ Status ParseNnfSection(LineReader& reader, std::vector<std::string>& tokens,
     } else if (tokens[0] == "T" && tokens.size() == 1) {
       got = cert->nnf.True();
     } else if (tokens[0] == "L" && tokens.size() == 2) {
-      int64_t dimacs = 0;
-      if (!ParseInt(tokens[1], &dimacs) || dimacs == 0) {
+      int dimacs = 0;
+      if (!ParseDimacsInt(tokens[1], &dimacs) || dimacs == 0) {
         return reader.Err("bad literal node");
       }
-      got = cert->nnf.Literal(Lit::FromDimacs(static_cast<int>(dimacs)));
+      got = cert->nnf.Literal(Lit::FromDimacs(dimacs));
     } else if ((tokens[0] == "A" || tokens[0] == "O") && tokens.size() >= 2) {
       uint64_t count = 0;
       if (!ParseUint64(tokens[1], &count) || tokens.size() != 2 + count) {
@@ -180,8 +178,9 @@ Status ParseDdnnfTrace(LineReader& reader, std::vector<std::string>& tokens,
   if (tokens[0] == "notrace" && tokens.size() == 1) return Status::Ok();
   uint64_t num_comps = 0;
   if (tokens.size() != 2 || tokens[0] != "trace" ||
-      !ParseUint64(tokens[1], &num_comps)) {
-    return reader.Err("expected 'trace <comps>' or 'notrace'");
+      !reader.ReadCount(tokens[1], &num_comps)) {
+    return reader.Err("expected 'trace <comps>' or 'notrace' (<comps> at "
+                      "most the lines that follow)");
   }
   cert->ddnnf.comps.resize(num_comps);
   for (uint64_t i = 0; i < num_comps; ++i) {
@@ -236,9 +235,10 @@ Status ParseObddSection(LineReader& reader, std::vector<std::string>& tokens,
   uint64_t num_nodes = 0;
   uint64_t root = 0;
   if (!reader.Next(&tokens) || tokens.size() != 3 || tokens[0] != "obdd" ||
-      !ParseUint64(tokens[1], &num_nodes) || !ParseUint64(tokens[2], &root) ||
-      num_nodes < 2 || root >= num_nodes) {
-    return reader.Err("expected 'obdd <nodes> <root>'");
+      !reader.ReadCount(tokens[1], &num_nodes) ||
+      !ParseUint64(tokens[2], &root) || num_nodes < 2 || root >= num_nodes) {
+    return reader.Err("expected 'obdd <nodes> <root>' (<nodes> at most the "
+                      "lines that follow)");
   }
   trace.root = static_cast<uint32_t>(root);
   trace.nodes.resize(num_nodes);
@@ -258,8 +258,9 @@ Status ParseObddSection(LineReader& reader, std::vector<std::string>& tokens,
   }
   uint64_t num_steps = 0;
   if (!reader.Next(&tokens) || tokens.size() != 2 || tokens[0] != "steps" ||
-      !ParseUint64(tokens[1], &num_steps)) {
-    return reader.Err("expected 'steps <n>'");
+      !reader.ReadCount(tokens[1], &num_steps)) {
+    return reader.Err("expected 'steps <n>' (<n> at most the lines that "
+                      "follow)");
   }
   trace.steps.reserve(num_steps);
   for (uint64_t i = 0; i < num_steps; ++i) {
@@ -277,8 +278,9 @@ Status ParseObddSection(LineReader& reader, std::vector<std::string>& tokens,
   }
   uint64_t num_links = 0;
   if (!reader.Next(&tokens) || tokens.size() != 2 || tokens[0] != "chain" ||
-      !ParseUint64(tokens[1], &num_links)) {
-    return reader.Err("expected 'chain <n>'");
+      !reader.ReadCount(tokens[1], &num_links)) {
+    return reader.Err("expected 'chain <n>' (<n> at most the lines that "
+                      "follow)");
   }
   trace.chain.reserve(num_links);
   for (uint64_t i = 0; i < num_links; ++i) {
@@ -426,23 +428,28 @@ Result<Certificate> ParseCertificate(const std::string& text) {
       !ParseUint64(tokens[2], &num_clauses)) {
     return reader.Err("expected 'cnf <vars> <clauses>'");
   }
+  if (num_vars > kMaxDimacsVar) {
+    return reader.Err("cnf variable count over the 2^28 cap");
+  }
   cert.cnf.EnsureVars(num_vars);
   for (uint64_t i = 0; i < num_clauses; ++i) {
     if (!reader.Next(&tokens)) return reader.Err("truncated clause list");
     Clause clause;
     bool terminated = false;
     for (const std::string& tok : tokens) {
-      int64_t d = 0;
-      if (terminated || !ParseInt(tok, &d)) {
+      int d = 0;
+      if (terminated || !ParseDimacsInt(tok, &d)) {
         return reader.Err("malformed clause line");
       }
       if (d == 0) {
         terminated = true;
         continue;
       }
-      const uint64_t var = static_cast<uint64_t>(d < 0 ? -d : d) - 1;
-      if (var >= num_vars) return reader.Err("clause literal out of range");
-      clause.push_back(Lit::FromDimacs(static_cast<int>(d)));
+      const Lit lit = Lit::FromDimacs(d);
+      if (lit.var() >= num_vars) {
+        return reader.Err("clause literal out of range");
+      }
+      clause.push_back(lit);
     }
     if (!terminated) return reader.Err("clause line missing trailing 0");
     cert.cnf.AddClause(std::move(clause));

@@ -1,8 +1,5 @@
 #include "core/dot.h"
 
-#include <functional>
-#include <unordered_map>
-
 namespace tbc {
 
 namespace {
@@ -41,10 +38,8 @@ std::string DotObdd(const ObddManager& mgr, ObddId f,
   std::string out =
       "digraph obdd {\n  t0 [label=\"0\" shape=box];\n  t1 [label=\"1\" "
       "shape=box];\n";
-  std::unordered_map<ObddId, bool> seen;
-  std::function<void(ObddId)> rec = [&](ObddId g) {
-    if (mgr.IsTerminal(g) || seen[g]) return;
-    seen[g] = true;
+  for (const ObddId g : mgr.ReachableAscending(f)) {
+    if (mgr.IsTerminal(g)) continue;
     out += "  n" + std::to_string(g) + " [label=\"" +
            NameOf(mgr.var(g), names) + "\" shape=circle];\n";
     auto edge = [&](ObddId child, const char* style) {
@@ -56,10 +51,7 @@ std::string DotObdd(const ObddManager& mgr, ObddId f,
     };
     edge(mgr.lo(g), "dashed");
     edge(mgr.hi(g), "solid");
-    rec(mgr.lo(g));
-    rec(mgr.hi(g));
-  };
-  rec(f);
+  }
   if (mgr.IsTerminal(f)) {
     out += "  root -> t" + std::to_string(f) + ";\n";
   }
@@ -69,48 +61,40 @@ std::string DotObdd(const ObddManager& mgr, ObddId f,
 std::string DotSdd(const SddManager& mgr, SddId f,
                    const std::vector<std::string>& names) {
   std::string out = "digraph sdd {\n  node [shape=record];\n";
-  std::unordered_map<SddId, bool> seen;
-  std::function<std::string(SddId)> label = [&](SddId g) -> std::string {
+  const auto label = [&](SddId g) -> std::string {
     if (g == mgr.False()) return "F";
     if (g == mgr.True()) return "T";
     if (mgr.IsLiteral(g)) return LitLabel(mgr.literal(g), names);
-    return "";  // decision nodes get their own record node
+    return "*";  // decision nodes get their own record node
   };
-  std::function<void(SddId)> rec = [&](SddId g) {
-    if (!mgr.IsDecision(g) || seen[g]) return;
-    seen[g] = true;
-    // One record with an element cell per (prime, sub).
+  f = mgr.Resolve(f);
+  if (!mgr.IsDecision(f)) return out + "  n [label=\"" + label(f) + "\"];\n}\n";
+  // One record per decision node with an element cell per (prime, sub).
+  // Children are named by their Resolve()d ids, the ids the walk visits.
+  mgr.ForEachPostorder(f, /*reverse=*/false, [&](SddId g) {
+    if (!mgr.IsDecision(g)) return;
+    const std::string node = "  n" + std::to_string(g);
     std::string cells;
+    std::string edges;
     size_t idx = 0;
-    for (const auto& [p, s] : mgr.elements(g)) {
+    for (const auto& [prime, sub] : mgr.elements(g)) {
+      const SddId p = mgr.Resolve(prime);
+      const SddId s = mgr.Resolve(sub);
       if (idx > 0) cells += "|";
-      const std::string pl = mgr.IsDecision(p) ? "*" : label(p);
-      const std::string sl = mgr.IsDecision(s) ? "*" : label(s);
-      cells += "{<p" + std::to_string(idx) + "> " + pl + "|<s" +
-               std::to_string(idx) + "> " + sl + "}";
-      ++idx;
-    }
-    out += "  n" + std::to_string(g) + " [label=\"" + cells + "\"];\n";
-    idx = 0;
-    for (const auto& [p, s] : mgr.elements(g)) {
+      cells += "{<p" + std::to_string(idx) + "> " + label(p) + "|<s" +
+               std::to_string(idx) + "> " + label(s) + "}";
       if (mgr.IsDecision(p)) {
-        out += "  n" + std::to_string(g) + ":p" + std::to_string(idx) +
-               " -> n" + std::to_string(p) + ";\n";
-        rec(p);
+        edges += node + ":p" + std::to_string(idx) + " -> n" +
+                 std::to_string(p) + ";\n";
       }
       if (mgr.IsDecision(s)) {
-        out += "  n" + std::to_string(g) + ":s" + std::to_string(idx) +
-               " -> n" + std::to_string(s) + ";\n";
-        rec(s);
+        edges += node + ":s" + std::to_string(idx) + " -> n" +
+                 std::to_string(s) + ";\n";
       }
       ++idx;
     }
-  };
-  if (mgr.IsDecision(f)) {
-    rec(f);
-  } else {
-    out += "  n [label=\"" + label(f) + "\"];\n";
-  }
+    out += node + " [label=\"" + cells + "\"];\n" + edges;
+  });
   return out + "}\n";
 }
 

@@ -128,7 +128,7 @@ Result<Cnf> Cnf::ParseDimacs(const std::string& text) {
         return BadLine(line_no, "bad DIMACS header: " + std::string(line));
       }
       if (!ParseUint64(tok[2], &declared_vars) ||
-          declared_vars > (1u << 28)) {
+          declared_vars > kMaxDimacsVar) {
         return BadLine(line_no,
                        "bad variable count '" + std::string(tok[2]) + "'");
       }
@@ -138,7 +138,7 @@ Result<Cnf> Cnf::ParseDimacs(const std::string& text) {
     for (std::string_view tok = NextToken(rest); !tok.empty();
          tok = NextToken(rest)) {
       int v = 0;
-      if (!ParseInt(tok, &v) || v < -(1 << 28) || v > (1 << 28)) {
+      if (!ParseInt(tok, &v) || v < -kMaxDimacsVar || v > kMaxDimacsVar) {
         return BadLine(line_no, "bad DIMACS token: " + std::string(tok));
       }
       if (v == 0) {

@@ -4,6 +4,7 @@
 
 #include "base/check.h"
 #include "base/hash.h"
+#include "base/levelize.h"
 
 namespace tbc {
 
@@ -127,85 +128,33 @@ FormulaId FormulaStore::AtLeastK(const std::vector<FormulaId>& fs, size_t k) {
   return reach[k];
 }
 
+std::vector<FormulaId> FormulaStore::ReachableAscending(FormulaId f) const {
+  return tbc::ReachableAscending(f, [this](FormulaId g, auto&& visit) {
+    for (const FormulaId c : nodes_[g].children) visit(c);
+  });
+}
+
 bool FormulaStore::Evaluate(FormulaId f, const Assignment& assignment) const {
-  // Iterative DAG evaluation with memoization.
-  std::vector<int8_t> memo(nodes_.size(), -1);
-  std::vector<FormulaId> stack = {f};
-  while (!stack.empty()) {
-    FormulaId cur = stack.back();
-    if (memo[cur] != -1) {
-      stack.pop_back();
-      continue;
-    }
-    const Node& n = nodes_[cur];
-    switch (n.kind) {
-      case Kind::kFalse:
-        memo[cur] = 0;
-        stack.pop_back();
-        break;
-      case Kind::kTrue:
-        memo[cur] = 1;
-        stack.pop_back();
-        break;
-      case Kind::kVar:
-        TBC_DCHECK(n.var < assignment.size());
-        memo[cur] = assignment[n.var] ? 1 : 0;
-        stack.pop_back();
-        break;
-      default: {
-        bool ready = true;
-        for (FormulaId c : n.children) {
-          if (memo[c] == -1) {
-            stack.push_back(c);
-            ready = false;
-          }
-        }
-        if (!ready) break;
-        stack.pop_back();
-        if (n.kind == Kind::kNot) {
-          memo[cur] = memo[n.children[0]] ? 0 : 1;
-        } else if (n.kind == Kind::kAnd) {
-          int8_t v = 1;
-          for (FormulaId c : n.children) v = static_cast<int8_t>(v & memo[c]);
-          memo[cur] = v;
-        } else {
-          int8_t v = 0;
-          for (FormulaId c : n.children) v = static_cast<int8_t>(v | memo[c]);
-          memo[cur] = v;
-        }
-      }
-    }
-  }
-  return memo[f] == 1;
+  return Fold<bool>(
+      f,
+      [&](FormulaId g) {
+        if (kind(g) != Kind::kVar) return g == True();
+        TBC_DCHECK(var(g) < assignment.size());
+        return static_cast<bool>(assignment[var(g)]);
+      },
+      [](bool v) { return !v; },
+      [](Kind k, bool acc, bool v) {
+        return k == Kind::kAnd ? acc && v : acc || v;
+      });
 }
 
 Cnf FormulaStore::ToCnfTseitin(FormulaId f) const {
   Cnf cnf(num_vars_);
   // Gate literal for each node, computed bottom-up over reachable nodes.
-  std::vector<Lit> gate(nodes_.size(), Lit());
-  std::vector<int8_t> visited(nodes_.size(), 0);
+  // Constants get dedicated auxiliary variables asserted to their value.
+  std::vector<Lit> gate(size_t{f} + 1, Lit());
   size_t next_aux = num_vars_;
-
-  // Constants get dedicated auxiliary variables asserted to their value the
-  // first time they are needed.
-  std::vector<FormulaId> order;
-  std::vector<FormulaId> stack = {f};
-  while (!stack.empty()) {
-    FormulaId cur = stack.back();
-    stack.pop_back();
-    if (visited[cur]) continue;
-    visited[cur] = 1;
-    order.push_back(cur);
-    for (FormulaId c : nodes_[cur].children) stack.push_back(c);
-  }
-  // Process children before parents.
-  std::reverse(order.begin(), order.end());
-  // Reverse DFS preorder does not guarantee topological order for DAGs;
-  // sort by id instead (children always have smaller ids than parents by
-  // construction of the store).
-  std::sort(order.begin(), order.end());
-
-  for (FormulaId cur : order) {
+  for (const FormulaId cur : ReachableAscending(f)) {
     const Node& n = nodes_[cur];
     switch (n.kind) {
       case Kind::kFalse:

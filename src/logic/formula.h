@@ -65,6 +65,18 @@ class FormulaStore {
   size_t num_vars() const { return num_vars_; }
   size_t num_nodes() const { return nodes_.size(); }
 
+  /// The nodes reachable from f in ascending id order. A node's children
+  /// are interned before it, so children come first.
+  std::vector<FormulaId> ReachableAscending(FormulaId f) const;
+
+  /// Folds the formula at f bottom-up over ReachableAscending(f), one value
+  /// per node: leaf(g) for a constant or variable node g, negate(value)
+  /// for a negation, and for an and/or node its children's values folded
+  /// in order by join(kind, acc, value), starting from leaf(True()) for an
+  /// and and leaf(False()) for an or.
+  template <typename T, typename Leaf, typename Negate, typename Join>
+  T Fold(FormulaId f, Leaf&& leaf, Negate&& negate, Join&& join) const;
+
   /// Truth value under a complete assignment.
   bool Evaluate(FormulaId f, const Assignment& assignment) const;
 
@@ -92,6 +104,25 @@ class FormulaStore {
   std::unordered_map<uint64_t, std::vector<FormulaId>> index_;
   size_t num_vars_ = 0;
 };
+
+template <typename T, typename Leaf, typename Negate, typename Join>
+T FormulaStore::Fold(FormulaId f, Leaf&& leaf, Negate&& negate,
+                     Join&& join) const {
+  std::vector<T> value(size_t{f} + 1);
+  for (const FormulaId g : ReachableAscending(f)) {
+    const Node& n = nodes_[g];
+    if (n.kind == Kind::kNot) {
+      value[g] = negate(value[n.children[0]]);
+    } else if (n.kind == Kind::kAnd || n.kind == Kind::kOr) {
+      T acc = leaf(n.kind == Kind::kAnd ? True() : False());
+      for (const FormulaId c : n.children) acc = join(n.kind, acc, value[c]);
+      value[g] = acc;
+    } else {
+      value[g] = leaf(g);
+    }
+  }
+  return value[f];
+}
 
 }  // namespace tbc
 

@@ -15,6 +15,11 @@ using Var = uint32_t;
 
 constexpr Var kInvalidVar = static_cast<Var>(-1);
 
+/// The largest DIMACS variable number any reader accepts (2^28). Readers
+/// size tables by the largest variable they see, and within this cap a
+/// literal's negation, std::abs and its 2*var+sign code all stay in range.
+constexpr int kMaxDimacsVar = 1 << 28;
+
 /// A literal: a variable together with a sign. Encoded minisat-style as
 /// 2*var + (negative ? 1 : 0), so literals index arrays directly.
 class Lit {

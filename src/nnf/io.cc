@@ -1,6 +1,6 @@
 #include "nnf/io.h"
 
-#include <unordered_map>
+#include <vector>
 
 #include "base/strings.h"
 
@@ -8,12 +8,12 @@ namespace tbc {
 
 std::string WriteNnf(NnfManager& mgr, NnfId root, size_t num_vars) {
   const std::vector<NnfId> order = mgr.TopologicalOrder(root);
-  std::unordered_map<NnfId, size_t> line_of;
+  std::vector<size_t> line_of(size_t{root} + 1);
   size_t num_edges = 0;
   std::string body;
-  for (NnfId n : order) {
-    const size_t line = line_of.size();
-    line_of.emplace(n, line);
+  for (size_t line = 0; line < order.size(); ++line) {
+    const NnfId n = order[line];
+    line_of[n] = line;
     switch (mgr.kind(n)) {
       case NnfManager::Kind::kFalse:
         body += "O 0 0\n";
@@ -27,7 +27,7 @@ std::string WriteNnf(NnfManager& mgr, NnfId root, size_t num_vars) {
       case NnfManager::Kind::kAnd: {
         body += "A " + std::to_string(mgr.children(n).size());
         for (NnfId c : mgr.children(n)) {
-          body.append(" ").append(std::to_string(line_of.at(c)));
+          body.append(" ").append(std::to_string(line_of[c]));
           ++num_edges;
         }
         body += "\n";
@@ -36,7 +36,7 @@ std::string WriteNnf(NnfManager& mgr, NnfId root, size_t num_vars) {
       case NnfManager::Kind::kOr: {
         body += "O 0 " + std::to_string(mgr.children(n).size());
         for (NnfId c : mgr.children(n)) {
-          body.append(" ").append(std::to_string(line_of.at(c)));
+          body.append(" ").append(std::to_string(line_of[c]));
           ++num_edges;
         }
         body += "\n";
@@ -88,7 +88,7 @@ Result<NnfId> ReadNnf(NnfManager& mgr, const std::string& text,
       if (saw_header) return BadLine(line_no, "duplicate nnf header");
       if (tok.size() != 4 || !ParseUint64(tok[1], &decl_nodes) ||
           !ParseUint64(tok[2], &decl_edges) ||
-          !ParseUint64(tok[3], &decl_vars) || decl_vars > (1u << 28)) {
+          !ParseUint64(tok[3], &decl_vars) || decl_vars > kMaxDimacsVar) {
         return BadLine(line_no, "bad nnf header");
       }
       saw_header = true;
@@ -101,8 +101,8 @@ Result<NnfId> ReadNnf(NnfManager& mgr, const std::string& text,
     if (tok[0] == "L") {
       if (tok.size() != 2) return BadLine(line_no, "bad L line");
       int dimacs = 0;
-      if (!ParseInt(tok[1], &dimacs) || dimacs == 0 || dimacs < -(1 << 28) ||
-          dimacs > (1 << 28)) {
+      if (!ParseInt(tok[1], &dimacs) || dimacs == 0 ||
+          dimacs < -kMaxDimacsVar || dimacs > kMaxDimacsVar) {
         return BadLine(line_no, "bad literal '" + tok[1] + "'");
       }
       if (static_cast<uint64_t>(dimacs < 0 ? -dimacs : dimacs) > decl_vars) {

@@ -132,23 +132,9 @@ NnfId NnfManager::Decision(Var v, NnfId hi, NnfId lo) {
 }
 
 std::vector<NnfId> NnfManager::TopologicalOrder(NnfId root) const {
-  // Node ids grow children-before-parents by construction, so one sweep
-  // down from the root marks the reachable set and one scan up lists it
-  // in id order, which is a topological order.
-  std::vector<int8_t> seen(static_cast<size_t>(root) + 1, 0);
-  seen[root] = 1;
-  size_t count = 0;
-  for (NnfId n = root + 1; n-- > 0;) {
-    if (!seen[n]) continue;
-    ++count;
-    for (NnfId c : children(n)) seen[c] = 1;
-  }
-  std::vector<NnfId> order;
-  order.reserve(count);
-  for (NnfId n = 0; n <= root; ++n) {
-    if (seen[n]) order.push_back(n);
-  }
-  return order;
+  return ReachableAscending(root, [this](uint32_t n, auto&& visit) {
+    for (NnfId c : children(n)) visit(c);
+  });
 }
 
 LevelSchedule NnfManager::Schedule(NnfId root) const {

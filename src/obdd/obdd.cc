@@ -4,6 +4,7 @@
 
 #include "base/check.h"
 #include "base/hash.h"
+#include "base/levelize.h"
 #include "base/observability.h"
 
 #ifdef TBC_CERTIFY
@@ -169,28 +170,11 @@ bool ObddManager::Evaluate(ObddId f, const Assignment& assignment) const {
 }
 
 std::vector<ObddId> ObddManager::ReachableAscending(ObddId f) const {
-  // lo/hi always reference previously created nodes, so ascending id order
-  // is topological (children before parents).
-  std::vector<uint8_t> seen(nodes_.size(), 0);
-  std::vector<ObddId> order;
-  std::vector<ObddId> stack = {f};
-  seen[f] = 1;
-  while (!stack.empty()) {
-    const ObddId g = stack.back();
-    stack.pop_back();
-    order.push_back(g);
-    if (IsTerminal(g)) continue;
-    if (!seen[nodes_[g].lo]) {
-      seen[nodes_[g].lo] = 1;
-      stack.push_back(nodes_[g].lo);
-    }
-    if (!seen[nodes_[g].hi]) {
-      seen[nodes_[g].hi] = 1;
-      stack.push_back(nodes_[g].hi);
-    }
-  }
-  std::sort(order.begin(), order.end());
-  return order;
+  // A terminal's lo and hi are the terminal itself.
+  return tbc::ReachableAscending(f, [this](ObddId g, auto&& visit) {
+    visit(nodes_[g].lo);
+    visit(nodes_[g].hi);
+  });
 }
 
 uint32_t ObddManager::NodeLevel(ObddId g) const {
@@ -287,11 +271,10 @@ size_t ObddManager::Size(ObddId f) const {
 }
 
 NnfId ObddManager::ToNnf(ObddId f, NnfManager& nnf) const {
-  const std::vector<ObddId> order = ReachableAscending(f);
   std::vector<NnfId> memo(nodes_.size(), kInvalidNnf);
   memo[0] = nnf.False();
-  if (nodes_.size() > 1) memo[1] = nnf.True();
-  for (const ObddId g : order) {
+  memo[1] = nnf.True();
+  for (const ObddId g : ReachableAscending(f)) {
     if (IsTerminal(g)) continue;
     const Node& n = nodes_[g];
     memo[g] = nnf.Decision(n.var, memo[n.hi], memo[n.lo]);
@@ -357,42 +340,18 @@ ObddId ObddManager::CompileCnfTraced(const Cnf& cnf, ObddTrace* trace) {
 }
 
 ObddId ObddManager::CompileFormula(const FormulaStore& store, FormulaId f) {
-  FlatMap<FormulaId, ObddId> memo;
-  std::function<ObddId(FormulaId)> rec = [&](FormulaId g) -> ObddId {
-    if (const ObddId* hit = memo.Find(g)) return *hit;
-    ObddId r = 0;
-    switch (store.kind(g)) {
-      case FormulaStore::Kind::kFalse:
-        r = False();
-        break;
-      case FormulaStore::Kind::kTrue:
-        r = True();
-        break;
-      case FormulaStore::Kind::kVar:
-        r = LiteralNode(Pos(store.var(g)));
-        break;
-      case FormulaStore::Kind::kNot:
-        r = Not(rec(store.child(g, 0)));
-        break;
-      case FormulaStore::Kind::kAnd: {
-        r = True();
-        for (size_t i = 0; i < store.num_children(g); ++i) {
-          r = And(r, rec(store.child(g, i)));
+  return store.Fold<ObddId>(
+      f,
+      [&](FormulaId g) {
+        if (store.kind(g) == FormulaStore::Kind::kVar) {
+          return LiteralNode(Pos(store.var(g)));
         }
-        break;
-      }
-      case FormulaStore::Kind::kOr: {
-        r = False();
-        for (size_t i = 0; i < store.num_children(g); ++i) {
-          r = Or(r, rec(store.child(g, i)));
-        }
-        break;
-      }
-    }
-    memo.Insert(g, r);
-    return r;
-  };
-  return rec(f);
+        return g == store.True() ? True() : False();
+      },
+      [&](ObddId g) { return Not(g); },
+      [&](FormulaStore::Kind kind, ObddId acc, ObddId g) {
+        return kind == FormulaStore::Kind::kAnd ? And(acc, g) : Or(acc, g);
+      });
 }
 
 bool ObddManager::IsMonotoneIn(ObddId f, Var v) {

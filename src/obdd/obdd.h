@@ -97,6 +97,10 @@ class ObddManager {
 
   /// Nodes reachable from f (including terminals).
   size_t Size(ObddId f) const;
+  /// The nodes reachable from f, terminals included, in ascending id
+  /// order: lo and hi are created before their parent, so children come
+  /// first. Every bottom-up pass over an OBDD is a loop over this list.
+  std::vector<ObddId> ReachableAscending(ObddId f) const;
   /// Total nodes ever created in the manager.
   size_t num_nodes() const { return nodes_.size(); }
 
@@ -134,8 +138,6 @@ class ObddManager {
 
   ObddId Apply(Op op, ObddId f, ObddId g);
   static bool TerminalCase(Op op, ObddId f, ObddId g, ObddId* out);
-  // Reachable node ids in ascending (topological) order.
-  std::vector<ObddId> ReachableAscending(ObddId f) const;
   // Level of a node; the terminals sit below the last variable.
   uint32_t NodeLevel(ObddId g) const;
 

@@ -1,9 +1,6 @@
 #include "sdd/compile.h"
 
 #include <algorithm>
-#include <functional>
-
-#include "base/flat_table.h"
 
 #ifdef TBC_VALIDATE
 #include "analysis/validate.h"
@@ -92,43 +89,19 @@ Result<SddId> CompileCnfBounded(SddManager& mgr, const Cnf& cnf, Guard& guard) {
 }
 
 SddId CompileFormula(SddManager& mgr, const FormulaStore& store, FormulaId f) {
-  FlatMap<FormulaId, SddId> memo;
-  memo.reserve(store.num_nodes());
-  std::function<SddId(FormulaId)> rec = [&](FormulaId g) -> SddId {
-    if (const SddId* hit = memo.Find(g)) return *hit;
-    SddId r = mgr.False();
-    switch (store.kind(g)) {
-      case FormulaStore::Kind::kFalse:
-        r = mgr.False();
-        break;
-      case FormulaStore::Kind::kTrue:
-        r = mgr.True();
-        break;
-      case FormulaStore::Kind::kVar:
-        r = mgr.LiteralNode(Pos(store.var(g)));
-        break;
-      case FormulaStore::Kind::kNot:
-        r = mgr.Negate(rec(store.child(g, 0)));
-        break;
-      case FormulaStore::Kind::kAnd: {
-        r = mgr.True();
-        for (size_t i = 0; i < store.num_children(g); ++i) {
-          r = mgr.Conjoin(r, rec(store.child(g, i)));
+  return store.Fold<SddId>(
+      f,
+      [&](FormulaId g) {
+        if (store.kind(g) == FormulaStore::Kind::kVar) {
+          return mgr.LiteralNode(Pos(store.var(g)));
         }
-        break;
-      }
-      case FormulaStore::Kind::kOr: {
-        r = mgr.False();
-        for (size_t i = 0; i < store.num_children(g); ++i) {
-          r = mgr.Disjoin(r, rec(store.child(g, i)));
-        }
-        break;
-      }
-    }
-    memo.Insert(g, r);
-    return r;
-  };
-  return rec(f);
+        return g == store.True() ? mgr.True() : mgr.False();
+      },
+      [&](SddId g) { return mgr.Negate(g); },
+      [&](FormulaStore::Kind kind, SddId acc, SddId g) {
+        return kind == FormulaStore::Kind::kAnd ? mgr.Conjoin(acc, g)
+                                                : mgr.Disjoin(acc, g);
+      });
 }
 
 }  // namespace tbc

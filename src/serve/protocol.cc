@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "base/strings.h"
+#include "logic/lit.h"
 
 namespace tbc::serve {
 
@@ -73,15 +74,13 @@ void AppendBlob(std::string_view key, std::string_view blob,
   out->append(blob);
 }
 
-/// The largest variable a literal on the wire may name, as the server's
-/// variable cap is far below it. The bound keeps each literal's negation
-/// and std::abs defined, also for a client reading a lying server.
-constexpr int kMaxWireVar = 1 << 28;
-
-/// A literal token: an int in [-kMaxWireVar, kMaxWireVar], not 0.
+/// A literal token: an int in [-kMaxDimacsVar, kMaxDimacsVar], not 0.
+/// The server's variable cap is far below the bound; it keeps each
+/// literal's negation and std::abs defined, also for a client reading a
+/// lying server.
 bool ParseLiteral(std::string_view token, int* out) {
-  return ParseInt(token, out) && *out != 0 && *out >= -kMaxWireVar &&
-         *out <= kMaxWireVar;
+  return ParseInt(token, out) && *out != 0 && *out >= -kMaxDimacsVar &&
+         *out <= kMaxDimacsVar;
 }
 
 /// Reads a literal as the serializer writes it, an optional '-' and one
@@ -100,7 +99,7 @@ const char* ScanLiteral(const char* p, const char* end, int* out) {
     value = value * 10 + static_cast<int>(d);
     ++p;
   }
-  if (p == first || value == 0 || value > kMaxWireVar) return nullptr;
+  if (p == first || value == 0 || value > kMaxDimacsVar) return nullptr;
   *out = negative ? -value : value;
   return p;
 }

@@ -223,7 +223,7 @@ Result<Vtree> Vtree::Parse(const std::string& text) {
     } else if (tok[0] == "L") {
       // Variables are capped as in DIMACS: the leaf table is sized by the
       // largest one.
-      if (!numeric || tok.size() != 3 || a < 1 || a > (1u << 28)) {
+      if (!numeric || tok.size() != 3 || a < 1 || a > kMaxDimacsVar) {
         return BadLine(line_no, "bad vtree leaf line");
       }
       const Var var = static_cast<Var>(a - 1);

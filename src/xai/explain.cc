@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <set>
 #include <unordered_map>
 
@@ -147,22 +146,18 @@ NnfId ReasonCircuit(ObddManager& mgr, ObddId f, const Assignment& x,
   // Consensus transform [Darwiche & Hirth 2020]: at a decision node on X
   // with instance literal ℓ and consistent child c (other child o),
   //   R(node) = (ℓ ∧ R(c)) ∨ (R(c) ∧ R(o)).
-  std::unordered_map<ObddId, NnfId> memo;
-  std::function<NnfId(ObddId)> rec = [&](ObddId g) -> NnfId {
-    if (g == mgr.False()) return nnf.False();
-    if (g == mgr.True()) return nnf.True();
-    auto it = memo.find(g);
-    if (it != memo.end()) return it->second;
+  std::vector<NnfId> reason(mgr.num_nodes());
+  reason[mgr.False()] = nnf.False();
+  reason[mgr.True()] = nnf.True();
+  for (const ObddId g : mgr.ReachableAscending(target)) {
+    if (mgr.IsTerminal(g)) continue;
     const Var v = mgr.var(g);
-    const NnfId consistent = rec(x[v] ? mgr.hi(g) : mgr.lo(g));
-    const NnfId other = rec(x[v] ? mgr.lo(g) : mgr.hi(g));
+    const NnfId consistent = reason[x[v] ? mgr.hi(g) : mgr.lo(g)];
+    const NnfId other = reason[x[v] ? mgr.lo(g) : mgr.hi(g)];
     const NnfId lit = nnf.Literal(Lit(v, x[v]));
-    const NnfId r =
-        nnf.Or(nnf.And(lit, consistent), nnf.And(consistent, other));
-    memo.emplace(g, r);
-    return r;
-  };
-  return rec(target);
+    reason[g] = nnf.Or(nnf.And(lit, consistent), nnf.And(consistent, other));
+  }
+  return reason[target];
 }
 
 bool ReasonHoldsWithout(NnfManager& nnf, NnfId reason, const Assignment& x,

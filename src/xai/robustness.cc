@@ -1,7 +1,7 @@
 #include "xai/robustness.h"
 
-#include <functional>
-#include <unordered_map>
+#include <algorithm>
+#include <vector>
 
 #include "base/check.h"
 
@@ -10,22 +10,18 @@ namespace tbc {
 namespace {
 
 // Minimum Hamming distance from x to a model of g; SIZE_MAX if g is ⊥.
-size_t MinDistanceToModel(ObddManager& mgr, ObddId g, const Assignment& x) {
-  std::unordered_map<ObddId, size_t> memo;
-  std::function<size_t(ObddId)> rec = [&](ObddId h) -> size_t {
-    if (h == mgr.False()) return SIZE_MAX;
-    if (h == mgr.True()) return 0;  // free vars keep their x values
-    auto it = memo.find(h);
-    if (it != memo.end()) return it->second;
+size_t MinDistanceToModel(const ObddManager& mgr, ObddId g,
+                          const Assignment& x) {
+  std::vector<size_t> dist(mgr.num_nodes(), SIZE_MAX);
+  dist[mgr.True()] = 0;  // free vars keep their x values
+  for (const ObddId h : mgr.ReachableAscending(g)) {
+    if (mgr.IsTerminal(h)) continue;
     const Var v = mgr.var(h);
-    const size_t keep = rec(x[v] ? mgr.hi(h) : mgr.lo(h));
-    const size_t flip = rec(x[v] ? mgr.lo(h) : mgr.hi(h));
-    size_t best = keep;
-    if (flip != SIZE_MAX) best = std::min(best, flip + 1);
-    memo.emplace(h, best);
-    return best;
-  };
-  return rec(g);
+    const size_t keep = dist[x[v] ? mgr.hi(h) : mgr.lo(h)];
+    const size_t flip = dist[x[v] ? mgr.lo(h) : mgr.hi(h)];
+    dist[h] = flip == SIZE_MAX ? keep : std::min(keep, flip + 1);
+  }
+  return dist[g];
 }
 
 // g with variable v complemented.

@@ -3,8 +3,6 @@
 // checker; the certified count matches brute-force enumeration; and each
 // corpus mutation is rejected under its pinned rule id.
 
-#include <pthread.h>
-
 #include <cstdint>
 #include <fstream>
 #include <set>
@@ -27,6 +25,7 @@
 #include "obdd/obdd.h"
 #include "sdd/compile.h"
 #include "sdd/sdd.h"
+#include "small_stack.h"
 #include "vtree/vtree.h"
 
 namespace tbc {
@@ -291,31 +290,16 @@ TEST(CertifyDdnnf, DeepTraceReplaysOnASmallStack) {
   compiler.set_trace(&trace);
   const NnfId root = compiler.Compile(cnf, mgr);
   ASSERT_EQ(trace.comps.size(), kVars - 1);
-  struct Job {
-    Certificate cert;
-    bool ok = false;
-    std::string report;
-  } job{BuildDdnnfCertificate(cnf, mgr, root, &trace,
-                              ModelCount(mgr, root, cnf.num_vars())),
-        false, {}};
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
-  pthread_t thread;
-  ASSERT_EQ(pthread_create(
-                &thread, &attr,
-                [](void* arg) -> void* {
-                  auto* j = static_cast<Job*>(arg);
-                  const CertifyResult result = CheckCertificate(j->cert);
-                  j->ok = result.ok();
-                  j->report = result.report.ToText("cert");
-                  return nullptr;
-                },
-                &job),
-            0);
-  ASSERT_EQ(pthread_join(thread, nullptr), 0);
-  pthread_attr_destroy(&attr);
-  EXPECT_TRUE(job.ok) << job.report;
+  const Certificate cert = BuildDdnnfCertificate(
+      cnf, mgr, root, &trace, ModelCount(mgr, root, cnf.num_vars()));
+  bool ok = false;
+  std::string report;
+  RunOnSmallStack([&] {
+    const CertifyResult result = CheckCertificate(cert);
+    ok = result.ok();
+    report = result.report.ToText("cert");
+  });
+  EXPECT_TRUE(ok) << report;
 }
 
 TEST(CertifyChecker, WrongClaimedCountIsRejected) {
@@ -350,6 +334,15 @@ const CorpusCase kCorpus[] = {
     {"obdd_bogus_step.cert", "certify.replay"},
     {"obdd_extra_clause.cert", "certify.circuit-implies-cnf"},
     {"sdd_missing_model.cert", "certify.cnf-implies-circuit"},
+    // Declared counts past the lines that follow, a variable count past
+    // 2^28 and a literal past int: refused before anything is sized by
+    // them or a literal wraps.
+    {"ddnnf_huge_trace_count.cert", "certify.parse"},
+    {"obdd_huge_node_count.cert", "certify.parse"},
+    {"obdd_huge_step_count.cert", "certify.parse"},
+    {"obdd_huge_chain_count.cert", "certify.parse"},
+    {"ddnnf_huge_var_count.cert", "certify.parse"},
+    {"ddnnf_wrapped_literal.cert", "certify.parse"},
 };
 
 std::string ReadCorpusFile(const std::string& name) {

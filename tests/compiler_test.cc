@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <algorithm>
 #include <cmath>
@@ -21,6 +20,7 @@
 #include "dpll_oracle.h"
 #include "nnf/queries.h"
 #include "nnf_oracle.h"
+#include "small_stack.h"
 
 namespace tbc {
 namespace {
@@ -699,36 +699,21 @@ TEST(DepthTest, WideClauseCompilesOnOneMegabyteStack) {
   Clause wide;
   for (Var v = 0; v < kVars; ++v) wide.push_back(Pos(v));
   cnf.AddClause(wide);
-  struct Job {
-    const Cnf* cnf;
-    BigUint circuit_count;
-    BigUint counter_count;
-    uint64_t decisions = 0;
-  } job{&cnf, {}, {}};
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
-  pthread_t thread;
-  ASSERT_EQ(pthread_create(
-                &thread, &attr,
-                [](void* arg) -> void* {
-                  auto* j = static_cast<Job*>(arg);
-                  NnfManager m;
-                  DdnnfCompiler compiler;
-                  const NnfId root = compiler.Compile(*j->cnf, m);
-                  j->decisions = compiler.stats().decisions;
-                  j->circuit_count = ModelCount(m, root, j->cnf->num_vars());
-                  j->counter_count = ModelCounter().Count(*j->cnf);
-                  return nullptr;
-                },
-                &job),
-            0);
-  ASSERT_EQ(pthread_join(thread, nullptr), 0);
-  pthread_attr_destroy(&attr);
+  BigUint circuit_count;
+  BigUint counter_count;
+  uint64_t decisions = 0;
+  RunOnSmallStack([&] {
+    NnfManager m;
+    DdnnfCompiler compiler;
+    const NnfId root = compiler.Compile(cnf, m);
+    decisions = compiler.stats().decisions;
+    circuit_count = ModelCount(m, root, cnf.num_vars());
+    counter_count = ModelCounter().Count(cnf);
+  });
   const BigUint expected = BigUint::PowerOfTwo(kVars) - BigUint(1);
-  EXPECT_EQ(job.decisions, kVars - 1);
-  EXPECT_EQ(job.circuit_count, expected);
-  EXPECT_EQ(job.counter_count, expected);
+  EXPECT_EQ(decisions, kVars - 1);
+  EXPECT_EQ(circuit_count, expected);
+  EXPECT_EQ(counter_count, expected);
 }
 
 // Search identity: decisions, cache hits, component splits, circuit size,

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "base/random.h"
 #include "bayes/io.h"
 #include "bayes/network.h"
 #include "bayes/varelim.h"
 #include "core/dot.h"
 #include "sdd/compile.h"
+#include "sdd/from_obdd.h"
+#include "small_stack.h"
 #include "vtree/vtree.h"
 #include "xai/bn_classifier.h"
 
@@ -124,10 +130,90 @@ TEST(DotTest, ExportsAreWellFormed) {
   EXPECT_NE(ndot.find("\"or\""), std::string::npos);
 }
 
+// DotSdd declares one record per decision node and every edge ends at one
+// of them, also after in-place vtree edits (children are named by the
+// Resolve()d ids the walk visits).
+TEST(DotTest, SddEdgesEndAtRecordsAfterInPlaceEdits) {
+  constexpr Var kVars = 8;
+  Cnf cnf(kVars);
+  Rng rng(3);
+  for (int i = 0; i < 18; ++i) {
+    Clause clause;
+    for (Var v = 0; v < kVars; ++v) {
+      if (clause.size() < 3 && rng.Below(kVars - v) < 3 - clause.size()) {
+        clause.push_back(Lit(v, rng.Flip(0.5)));
+      }
+    }
+    cnf.AddClause(clause);
+  }
+  SddManager sdd(Vtree::Balanced(Vtree::IdentityOrder(kVars)));
+  SddId f = CompileCnf(sdd, cnf);
+  size_t edits = 0;
+  for (VtreeId v = 0; v < sdd.vtree().num_nodes(); ++v) {
+    if (!sdd.RotateRightInPlace(v).applied &&
+        !sdd.SwapChildrenInPlace(v).applied) {
+      continue;
+    }
+    ++edits;
+    f = sdd.Resolve(f);
+    const std::string dot = DotSdd(sdd, f);
+    std::set<std::string> records;
+    std::set<std::string> targets;
+    for (size_t at = dot.find("\n  n"); at != std::string::npos;
+         at = dot.find("\n  n", at + 1)) {
+      const size_t begin = at + 4;
+      const size_t end = dot.find_first_of(" :", begin);
+      if (dot.compare(end, 8, " [label=") == 0) {
+        records.insert(dot.substr(begin, end - begin));
+      }
+      const size_t arrow = dot.find(" -> n", begin);
+      if (arrow < dot.find('\n', begin)) {
+        targets.insert(dot.substr(arrow + 5, dot.find(';', arrow) - arrow - 5));
+      }
+    }
+    EXPECT_EQ(records.size(), sdd.NumDecisionNodes(f));
+    EXPECT_FALSE(targets.empty());
+    for (const std::string& t : targets) EXPECT_EQ(records.count(t), 1u) << t;
+  }
+  EXPECT_GT(edits, 0u);
+}
+
 TEST(DotTest, ConstantObdd) {
   ObddManager obdd(Vtree::IdentityOrder(1));
   const std::string dot = DotObdd(obdd, obdd.True());
   EXPECT_NE(dot.find("t1"), std::string::npos);
+}
+
+// The number of edges in a DOT graph.
+size_t DotEdges(const std::string& dot) {
+  size_t n = 0;
+  for (size_t at = dot.find(" -> "); at != std::string::npos;
+       at = dot.find(" -> ", at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// DOT exports are loops over the diagrams' reachable walks, so the export
+// of a 10,000-deep OBDD, and of its SDD, fits a 1 MB stack.
+TEST(DotTest, DeepObddExportsOnOneMegabyteStack) {
+  constexpr size_t kVars = 10000;
+  ObddManager obdd(Vtree::IdentityOrder(kVars));
+  const ObddId f = DeepObddChain(obdd);
+  std::string dot;
+  RunOnSmallStack([&] { dot = DotObdd(obdd, f); });
+  EXPECT_EQ(DotEdges(dot), 2 * kVars);
+}
+
+TEST(DotTest, DeepSddExportsOnOneMegabyteStack) {
+  constexpr size_t kVars = 10000;
+  ObddManager obdd(Vtree::IdentityOrder(kVars));
+  SddManager sdd(Vtree::RightLinear(Vtree::IdentityOrder(kVars)));
+  const SddId g = ObddToSdd(obdd, DeepObddChain(obdd), sdd);
+  std::string dot;
+  RunOnSmallStack([&] { dot = DotSdd(sdd, g); });
+  // Each decision but the last has one decision sub.
+  EXPECT_EQ(DotEdges(dot), kVars - 2);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "obdd/obdd.h"
 #include "obdd/ordering.h"
 #include "obdd/threshold.h"
+#include "small_stack.h"
 
 namespace tbc {
 namespace {
@@ -339,6 +340,26 @@ TEST(ObddDeathTest, WmcRefusesAWeightMapOfAnotherSize) {
   const ObddId x = m.LiteralNode(Pos(0));
   EXPECT_DEATH(m.Wmc(x, WeightMap(2)), "weight map");
   EXPECT_DEATH(m.Wmc(x, WeightMap(4)), "weight map");
+}
+
+// A formula DAG 20,000 deep: compiling it and evaluating it are loops over
+// its ascending reachable list, so both fit a 1 MB stack.
+TEST(ObddTest, DeepFormulaCompilesOnOneMegabyteStack) {
+  FormulaStore store;
+  const FormulaId f = DeepFormulaChain(store, 10000);
+  ObddManager m(Vtree::IdentityOrder(3));
+  ObddId g = m.False();
+  bool all_true = false;
+  bool only_x0 = true;
+  RunOnSmallStack([&] {
+    g = m.CompileFormula(store, f);
+    all_true = store.Evaluate(f, {true, true, true});
+    only_x0 = store.Evaluate(f, {true, false, false});
+  });
+  EXPECT_EQ(m.Size(g), 4u);  // x1 ∨ x2
+  EXPECT_EQ(m.ModelCount(g), BigUint(6));
+  EXPECT_TRUE(all_true);
+  EXPECT_FALSE(only_x0);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <cstdint>
 #include <fstream>
@@ -19,10 +18,12 @@
 #include "nnf/queries.h"
 #include "nnf_oracle.h"
 #include "sdd/compile.h"
+#include "sdd/from_obdd.h"
 #include "sdd/io.h"
 #include "sdd/minimize.h"
 #include "sdd/sdd.h"
 #include "sdd_recompile_oracle.h"
+#include "small_stack.h"
 #include "vtree/vtree.h"
 
 namespace tbc {
@@ -489,30 +490,12 @@ TEST(SddIoTest, WriteSddOfDeepChainFitsASmallStack) {
     f = m.Conjoin(m.LiteralNode(Pos(static_cast<Var>(i))), f);
   }
   ASSERT_EQ(m.NumDecisionNodes(f), kVars - 1);
-  struct Job {
-    const SddManager* mgr;
-    SddId root;
-    std::string text;
-  } job{&m, f, {}};
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
-  pthread_t thread;
-  ASSERT_EQ(pthread_create(
-                &thread, &attr,
-                [](void* arg) -> void* {
-                  auto* j = static_cast<Job*>(arg);
-                  j->text = WriteSdd(*j->mgr, j->root);
-                  return nullptr;
-                },
-                &job),
-            0);
-  ASSERT_EQ(pthread_join(thread, nullptr), 0);
-  pthread_attr_destroy(&attr);
+  std::string text;
+  RunOnSmallStack([&] { text = WriteSdd(m, f); });
   // Every positive and negative literal, the chain's decisions and ⊥.
-  EXPECT_EQ(job.text.substr(0, job.text.find('\n')),
+  EXPECT_EQ(text.substr(0, text.find('\n')),
             "sdd " + std::to_string(kVars + (kVars - 1) + (kVars - 1) + 1));
-  auto parsed = ReadSdd(m, job.text);
+  auto parsed = ReadSdd(m, text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   EXPECT_EQ(parsed.value(), f);
 }
@@ -600,6 +583,32 @@ TEST(SddDeathTest, WmcRefusesAWeightMapOfAnotherSize) {
   const SddId x = m.LiteralNode(Pos(0));
   EXPECT_DEATH(m.Wmc(x, WeightMap(2)), "weight map");
   EXPECT_DEATH(m.Wmc(x, WeightMap(4)), "weight map");
+}
+
+// A formula DAG 20,000 deep compiles on a 1 MB stack: the compile is a
+// fold over the formula's ascending reachable list.
+TEST(SddTest, DeepFormulaCompilesOnOneMegabyteStack) {
+  FormulaStore store;
+  const FormulaId f = DeepFormulaChain(store, 10000);
+  SddManager m(Vtree::Balanced({0, 1, 2}));
+  SddId g = m.False();
+  RunOnSmallStack([&] { g = CompileFormula(m, store, f); });
+  EXPECT_EQ(g, CompileClause(m, {Pos(1), Pos(2)}));
+  EXPECT_EQ(m.ModelCount(g), BigUint(6));
+}
+
+// A 20,000-deep OBDD converts on a 1 MB stack; over a right-linear vtree
+// the SDD keeps the OBDD's shape, two elements per decision. (Each apply
+// walks the vtree up from a leaf, so the conversion is quadratic on this
+// vtree: 100,000 variables take minutes.)
+TEST(SddTest, DeepObddConvertsOnOneMegabyteStack) {
+  constexpr size_t kVars = 20000;
+  ObddManager obdd(Vtree::IdentityOrder(kVars));
+  const ObddId f = DeepObddChain(obdd);
+  SddManager m(Vtree::RightLinear(Vtree::IdentityOrder(kVars)));
+  SddId g = m.False();
+  RunOnSmallStack([&] { g = ObddToSdd(obdd, f, m); });
+  EXPECT_EQ(m.Size(g), 2 * (kVars - 1));
 }
 
 }  // namespace

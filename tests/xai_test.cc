@@ -5,6 +5,7 @@
 #include <set>
 
 #include "base/random.h"
+#include "small_stack.h"
 #include "vtree/vtree.h"
 #include "xai/bnn.h"
 #include "xai/compile.h"
@@ -431,6 +432,35 @@ TEST(RobustnessTest, HistogramTotalsAllInstances) {
   BigUint total(0);
   for (const BigUint& h : result.histogram) total += h;
   EXPECT_EQ(total, BigUint::PowerOfTwo(8));
+}
+
+// A 100,000-deep OBDD: the all-false instance is n flips from the one
+// model. The distance pass is a loop over the reachable list, so it fits
+// a 1 MB stack.
+TEST(RobustnessTest, DeepObddOnOneMegabyteStack) {
+  constexpr size_t kVars = 100000;
+  ObddManager mgr(Vtree::IdentityOrder(kVars));
+  const ObddId f = DeepObddChain(mgr);
+  size_t robustness = 0;
+  RunOnSmallStack([&] {
+    robustness = DecisionRobustness(mgr, f, Assignment(kVars, false));
+  });
+  EXPECT_EQ(robustness, kVars);
+}
+
+// The reason circuit of a 10,000-deep conjunction at its one model needs
+// every characteristic. (At 100,000 the flattened NNF conjunctions make the
+// circuit quadratic in n, so the test stays at 10,000.)
+TEST(ExplainTest, ReasonCircuitOfDeepObddOnOneMegabyteStack) {
+  constexpr size_t kVars = 10000;
+  ObddManager mgr(Vtree::IdentityOrder(kVars));
+  const ObddId f = DeepObddChain(mgr);
+  const Assignment x(kVars, true);
+  NnfManager nnf;
+  NnfId reason = nnf.False();
+  RunOnSmallStack([&] { reason = ReasonCircuit(mgr, f, x, nnf); });
+  EXPECT_TRUE(nnf.Evaluate(reason, x));
+  EXPECT_FALSE(ReasonHoldsWithout(nnf, reason, x, {kVars / 2}));
 }
 
 }  // namespace

@@ -201,11 +201,14 @@ expect_refused_up_front "tbc_lint unknown stats mode" \
 # crash and not pass).
 "$KC" "$TMP/good.cnf" --certify-out="$TMP/cert.txt" >/dev/null 2>&1
 sed 's/^count 4$/count 5/' "$TMP/cert.txt" > "$TMP/tampered.txt"
+sed 's/^trace [0-9]*$/trace 1000000000000000/' "$TMP/cert.txt" \
+  > "$TMP/oversized.txt"
 expect 0 "tbc_certify valid cert"       "$CERTIFY" "$TMP/cert.txt"
 expect 1 "tbc_certify no args"          "$CERTIFY"
 expect 1 "tbc_certify missing file"     "$CERTIFY" "$TMP/nope.txt"
 expect 2 "tbc_certify empty file"       "$CERTIFY" "$TMP/empty"
 expect 2 "tbc_certify tampered cert"    "$CERTIFY" "$TMP/tampered.txt"
+expect 2 "tbc_certify oversized count"  "$CERTIFY" "$TMP/oversized.txt"
 expect_json_array "tbc_certify json with unreadable file" certify.io \
   "$CERTIFY" --format=json "$TMP/nope.txt" "$TMP/cert.txt"
 
