@@ -56,9 +56,8 @@ class CircuitAlgebra {
     conjuncts_.push_back(sub.node);
   }
   Value Finish(Product first, Sink sink) {
-    const NnfId node = mgr_.And(std::vector<NnfId>(
-        conjuncts_.begin() + static_cast<std::ptrdiff_t>(first),
-        conjuncts_.end()));
+    const NnfId node = mgr_.And(Span<const NnfId>(conjuncts_.data() + first,
+                                                  conjuncts_.size() - first));
     conjuncts_.resize(first);
     if (sink != nullptr) sink->node = node;
     return {node, 0};

@@ -10,25 +10,35 @@ void ClauseDb::Load(const Cnf& cnf) {
   num_vars_ = cnf.num_vars();
   lits_.clear();
   begins_.assign(1, 0);
+  // Implication and occurrence lists by one counting sort over the
+  // literal codes: count each list's entries at its literal, turn the
+  // counts into list ends, and fill back to front, which leaves each list
+  // in clause order and each literal's entry at its list's start.
+  imp_begins_.assign(2 * num_vars_ + 1, 0);
+  occ_begins_.assign(2 * num_vars_ + 1, 0);
   for (const Clause& c : cnf.clauses()) {
     TBC_CHECK_MSG(lits_.size() + c.size() <= UINT32_MAX,
                   "CNF too large for 32-bit clause offsets");
+    TBC_DCHECK(std::is_sorted(c.begin(), c.end()));  // as Cnf keeps them
     lits_.insert(lits_.end(), c.begin(), c.end());
-    std::sort(lits_.end() - static_cast<std::ptrdiff_t>(c.size()),
-              lits_.end());
     begins_.push_back(static_cast<uint32_t>(lits_.size()));
+    std::vector<uint32_t>& count = Binary(c) ? imp_begins_ : occ_begins_;
+    for (const Lit l : c) ++count[l.code()];
   }
-  // Occurrence lists by a counting sort over the literal codes; filling
-  // them in clause order keeps each list increasing.
-  occ_begins_.assign(2 * num_vars_ + 1, 0);
-  for (const Lit l : lits_) ++occ_begins_[l.code() + 1];
   for (size_t i = 1; i < occ_begins_.size(); ++i) {
+    imp_begins_[i] += imp_begins_[i - 1];
     occ_begins_[i] += occ_begins_[i - 1];
   }
-  std::vector<uint32_t> cursor(occ_begins_.begin(), occ_begins_.end() - 1);
-  occ_.resize(lits_.size());
-  for (uint32_t c = 0; c < num_clauses(); ++c) {
-    for (const Lit l : clause(c)) occ_[cursor[l.code()]++] = c;
+  imp_.resize(imp_begins_.back());
+  occ_.resize(occ_begins_.back());
+  for (uint32_t c = num_clauses(); c-- > 0;) {
+    const std::span<const Lit> lits = clause(c);
+    if (Binary(lits)) {
+      imp_[--imp_begins_[lits[0].code()]] = lits[1];
+      imp_[--imp_begins_[lits[1].code()]] = lits[0];
+    } else {
+      for (const Lit l : lits) occ_[--occ_begins_[l.code()]] = c;
+    }
   }
 }
 
@@ -59,6 +69,13 @@ bool Trail::Assume(Lit l) {
 bool Trail::Bcp(size_t head) {
   while (head < lits_.size()) {
     const Lit falsified = ~lits_[head++];
+    // A binary clause's partner is implied, unless it is already decided.
+    for (const Lit m : db_->implications(falsified)) {
+      const uint8_t value = value_[m.code()];
+      if (value == kTrue) continue;
+      if (value == kFalse) return false;
+      Push(m);
+    }
     for (const uint32_t c : db_->occurrences(falsified)) {
       // A clause with a true literal or two unassigned ones is neither
       // unit nor conflicting, so the scan stops at the first of either.
@@ -162,33 +179,38 @@ uint32_t ComponentStack::Split(uint32_t parent, const Trail& trail,
   // tallying each group's variables and clauses at its root.
   Var all = kInvalidVar;  // without decomposition, the one group's root
   for (const uint32_t c : ClauseIdsOf(parent)) {
-    size_t k = 0;
-    bool satisfied = false;
-    for (const Lit l : db_->clause(c)) {
-      const uint8_t value = trail.value(l);
-      if (value == Trail::kTrue) {
-        satisfied = true;
-        break;
-      }
-      if (value == Trail::kUnassigned) unassigned_[k++] = l.var();
-    }
-    if (satisfied) continue;
-    TBC_DCHECK(k >= 2);  // propagation left no unit or empty clause
+    const std::span<const Lit> lits = db_->clause(c);
     Var root = kInvalidVar;
     uint32_t joined = 0;  // new variables added under `root`
-    for (size_t i = 0; i < k; ++i) {
-      const Var v = unassigned_[i];
-      if (Has(v)) {
-        ++slots_[v].count;
-        const Var r = Find(v);
-        root = root == kInvalidVar ? r : Unite(root, r);
-      } else if (root == kInvalidVar) {
-        Add(v, v);
-        root = v;
-      } else {
-        Add(v, root);  // a new variable joins the clause's group directly
-        ++joined;
+    Var first = kInvalidVar;  // the clause's first unassigned variable
+    if (lits.size() == 2) {
+      // Propagation leaves no two-literal clause with one literal false
+      // and the other unassigned, so it is satisfied iff a literal is
+      // true, and live with both literals unassigned otherwise. Most
+      // clauses of a BN encoding are binary, and this step, not the
+      // generic scan, is what keeps their split cheap (DESIGN.md).
+      const uint8_t values =
+          static_cast<uint8_t>(trail.value(lits[0]) | trail.value(lits[1]));
+      if ((values & Trail::kTrue) != 0) continue;
+      TBC_DCHECK(values == Trail::kUnassigned);
+      first = lits[0].var();
+      Join(first, &root, &joined);
+      Join(lits[1].var(), &root, &joined);
+    } else {
+      size_t k = 0;
+      bool satisfied = false;
+      for (const Lit l : lits) {
+        const uint8_t value = trail.value(l);
+        if (value == Trail::kTrue) {
+          satisfied = true;
+          break;
+        }
+        if (value == Trail::kUnassigned) unassigned_[k++] = l.var();
       }
+      if (satisfied) continue;
+      TBC_DCHECK(k >= 2);  // propagation left no unit or empty clause
+      first = unassigned_[0];
+      for (size_t i = 0; i < k; ++i) Join(unassigned_[i], &root, &joined);
     }
     // Tallies move with each union, so the final root takes the joined.
     slots_[root].vars += joined;
@@ -197,7 +219,7 @@ uint32_t ComponentStack::Split(uint32_t parent, const Trail& trail,
       root = all = all == kInvalidVar ? root : Unite(Find(all), root);
     }
     ++slots_[root].clauses;
-    live_.push_back({c, unassigned_[0]});
+    live_.push_back({c, first});
   }
   if (groups_ == 0) {  // no live clause: every variable is left out
     *rest = VarsOf(parent);

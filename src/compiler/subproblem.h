@@ -26,9 +26,11 @@ namespace tbc::compiler_internal {
 /// list of variable and clause ids.
 
 /// The CNF's clauses, loaded once per search: each clause's literals,
-/// sorted, back to back in one arena, and for every literal the ids of the
-/// clauses that contain it, in increasing order. Nothing here changes
-/// while the search runs.
+/// sorted, back to back in one arena. A binary clause (two distinct
+/// variables) is also filed once under each of its literals as an
+/// implication: for `l ∨ m`, `m` under `l`. Every other clause is listed,
+/// by id in increasing order, under each literal it contains. Nothing here
+/// changes while the search runs.
 class ClauseDb {
  public:
   void Load(const Cnf& cnf);
@@ -40,16 +42,28 @@ class ClauseDb {
   std::span<const Lit> clause(uint32_t c) const {
     return {lits_.data() + begins_[c], lits_.data() + begins_[c + 1]};
   }
-  /// The ids of the clauses that contain `l`.
+  /// The other literal of each binary clause that contains `l`, in clause
+  /// order: each must be true once `l` is false.
+  std::span<const Lit> implications(Lit l) const {
+    return {imp_.data() + imp_begins_[l.code()],
+            imp_.data() + imp_begins_[l.code() + 1]};
+  }
+  /// The ids of the clauses other than binary ones that contain `l`.
   std::span<const uint32_t> occurrences(Lit l) const {
     return {occ_.data() + occ_begins_[l.code()],
             occ_.data() + occ_begins_[l.code() + 1]};
   }
 
  private:
+  static bool Binary(std::span<const Lit> c) {
+    return c.size() == 2 && c[0].var() != c[1].var();
+  }
+
   size_t num_vars_ = 0;
   std::vector<Lit> lits_;
   std::vector<uint32_t> begins_;      // clause id -> its first literal
+  std::vector<uint32_t> imp_begins_;  // literal code -> its first partner
+  std::vector<Lit> imp_;              // binary partners, grouped by literal
   std::vector<uint32_t> occ_begins_;  // literal code -> its first entry
   std::vector<uint32_t> occ_;         // clause ids, grouped by literal
 };
@@ -57,8 +71,9 @@ class ClauseDb {
 /// The search's assignment over a ClauseDb: a value per literal, and the
 /// trail of assigned literals in assignment order. Assume pushes a
 /// literal and the units it implies; Undo pops the trail back to a mark.
-/// Unit propagation visits only the occurrence lists of the literals it
-/// falsifies, so its cost does not grow with the clauses it leaves alone.
+/// Unit propagation visits only the implication and occurrence lists of
+/// the literals it falsifies, so its cost does not grow with the clauses
+/// it leaves alone.
 class Trail {
  public:
   /// Sizes the trail for `db`'s variables, all unassigned.
@@ -148,12 +163,12 @@ class ComponentStack {
   /// (unsatisfied) clauses, or one group of them all when `decompose` is
   /// false. They come out in order of their smallest variable, each with
   /// sorted id lists, from one pass over the parent's clauses (live test,
-  /// union-find and occurrence counts) and one ordered pass over its
-  /// variables and then its live clauses, so nothing is sorted. Points
-  /// `rest`, until the next Split, at the parent's variables that no
-  /// sub-component holds, in increasing order: assigned ones, and
-  /// unassigned ones in no live clause (free). Returns the number of
-  /// sub-components.
+  /// in one step for a two-literal clause, union-find and occurrence
+  /// counts) and one ordered pass over its variables and then its live
+  /// clauses, so nothing is sorted. Points `rest`, until the next Split,
+  /// at the parent's variables that no sub-component holds, in increasing
+  /// order: assigned ones, and unassigned ones in no live clause (free).
+  /// Returns the number of sub-components.
   uint32_t Split(uint32_t parent, const Trail& trail, bool decompose,
                  std::span<const Var>* rest);
 
@@ -182,6 +197,23 @@ class ComponentStack {
   void Add(Var v, Var root);
   Var Find(Var v);
   Var Unite(Var a, Var b);
+  // The union step of a live clause, once per unassigned variable `v`:
+  // counts the occurrence and unites `v`'s group with the clause's group
+  // so far, rooted at `*root` (kInvalidVar before the first variable). A
+  // new variable joins that group directly and is tallied in `*joined`.
+  void Join(Var v, Var* root, uint32_t* joined) {
+    if (Has(v)) {
+      ++slots_[v].count;
+      const Var r = Find(v);
+      *root = *root == kInvalidVar ? r : Unite(*root, r);
+    } else if (*root == kInvalidVar) {
+      Add(v, v);
+      *root = v;
+    } else {
+      Add(v, *root);
+      ++*joined;
+    }
+  }
 
   const ClauseDb* db_ = nullptr;
   std::vector<uint32_t> words_;  // the stack; only grows, top_ marks its end

@@ -22,8 +22,9 @@ class Cnf {
   /// An empty (trivially true) CNF over `num_vars` variables.
   explicit Cnf(size_t num_vars = 0) : num_vars_(num_vars) {}
 
-  /// Adds a clause. Duplicate literals are removed; tautological clauses
-  /// (containing both x and ~x) are dropped. Grows num_vars if needed.
+  /// Adds a clause, its literals sorted. Duplicate literals are removed;
+  /// tautological clauses (containing both x and ~x) are dropped. Grows
+  /// num_vars if needed. Every clause of a Cnf is sorted this way.
   void AddClause(Clause clause);
 
   /// Adds a clause from DIMACS-style signed ints, e.g. {1, -3}.

@@ -352,30 +352,49 @@ Cnf MakeCnf(size_t num_vars, const std::vector<std::vector<Lit>>& clauses) {
 }
 
 TEST(SubproblemTest, ClauseDbSortsClausesAndListsOccurrences) {
-  const Cnf cnf =
-      MakeCnf(4, {{Neg(2), Pos(0)}, {Pos(3)}, {Pos(2), Neg(0), Pos(1)}, {}});
+  const Cnf cnf = MakeCnf(4, {{Neg(2), Pos(0)},
+                              {Pos(3)},
+                              {Pos(2), Neg(0), Pos(1)},
+                              {},
+                              {Pos(0), Pos(3)}});
   compiler_internal::ClauseDb db;
   db.Load(cnf);
-  ASSERT_EQ(db.num_clauses(), 4u);
+  ASSERT_EQ(db.num_clauses(), 5u);
   EXPECT_EQ(std::vector<Lit>(db.clause(0).begin(), db.clause(0).end()),
             (std::vector<Lit>{Pos(0), Neg(2)}));
   EXPECT_EQ(std::vector<Lit>(db.clause(2).begin(), db.clause(2).end()),
             (std::vector<Lit>{Neg(0), Pos(1), Pos(2)}));
   EXPECT_TRUE(db.clause(3).empty());
+  // Binary clauses 0 and 4 are filed once per literal, as the partner
+  // that literal's falsification implies, in clause order.
+  const auto imp = [&db](Lit l) {
+    return std::vector<Lit>(db.implications(l).begin(),
+                            db.implications(l).end());
+  };
+  EXPECT_EQ(imp(Pos(0)), (std::vector<Lit>{Neg(2), Pos(3)}));
+  EXPECT_EQ(imp(Neg(2)), (std::vector<Lit>{Pos(0)}));
+  EXPECT_EQ(imp(Pos(3)), (std::vector<Lit>{Pos(0)}));
+  EXPECT_TRUE(imp(Neg(0)).empty());
+  EXPECT_TRUE(imp(Pos(2)).empty());
+  EXPECT_TRUE(imp(Pos(1)).empty());
+  // The occurrence lists hold the other clauses only.
   const auto occ = [&db](Lit l) {
     return std::vector<uint32_t>(db.occurrences(l).begin(),
                                  db.occurrences(l).end());
   };
-  EXPECT_EQ(occ(Pos(0)), (std::vector<uint32_t>{0}));
+  EXPECT_TRUE(occ(Pos(0)).empty());
+  EXPECT_TRUE(occ(Neg(2)).empty());
   EXPECT_EQ(occ(Neg(0)), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(occ(Pos(1)), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(occ(Pos(2)), (std::vector<uint32_t>{2}));
   EXPECT_EQ(occ(Pos(3)), (std::vector<uint32_t>{1}));
   EXPECT_TRUE(occ(Neg(3)).empty());
 }
 
 // Random small clause lists over `num_vars` variables: clauses of one to
-// four distinct variables, with units, repeated clauses and, on some
-// seeds, a literal shared by every clause (so assuming it satisfies them
-// all).
+// four distinct variables, with units, repeated clauses, binary pairs
+// (x ∨ y), (x ∨ ¬y) whose implications meet on x, and, on some seeds, a
+// literal shared by every clause (so assuming it satisfies them all).
 std::vector<std::vector<Lit>> RandomClauses(Rng& rng, size_t num_vars) {
   std::vector<std::vector<Lit>> clauses;
   const size_t m = rng.Below(14);
@@ -383,6 +402,17 @@ std::vector<std::vector<Lit>> RandomClauses(Rng& rng, size_t num_vars) {
   for (size_t i = 0; i < m; ++i) {
     if (!clauses.empty() && rng.Flip(0.15)) {
       clauses.push_back(clauses[rng.Below(clauses.size())]);
+      continue;
+    }
+    if (!hub && num_vars >= 2 && rng.Flip(0.15)) {
+      // Falsifying x implies y and ¬y: a conflict in the implication lists.
+      const Var x = static_cast<Var>(rng.Below(num_vars));
+      const Var y = static_cast<Var>((x + 1 + rng.Below(num_vars - 1)) %
+                                     num_vars);
+      const Lit lx(x, rng.Flip(0.5));
+      clauses.push_back({lx, Pos(y)});
+      clauses.push_back({lx, Neg(y)});
+      if (rng.Flip(0.5)) clauses.push_back(clauses.back());
       continue;
     }
     std::set<Var> vars;

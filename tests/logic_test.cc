@@ -124,6 +124,19 @@ TEST(CnfTest, DimacsParseErrorMessagesAndBounds) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->num_vars(), 7u);
   EXPECT_TRUE(parsed->HasEmptyClause());
+  // Space, \t, \v, \f and \r separate tokens anywhere on a line, a
+  // comment or header may follow leading whitespace, and a header echoes
+  // its whole line; any other byte, 0xA0 included, is part of a token.
+  parsed = Cnf::ParseDimacs(
+      " \v c note\n\f\tp\vcnf 4\f2\r\n1\v-2\f0 \t3 4\r0\n\r\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->num_vars(), 4u);
+  ASSERT_EQ(parsed->num_clauses(), 2u);
+  EXPECT_EQ(parsed->clause(0), (Clause{Pos(0), Neg(1)}));
+  EXPECT_EQ(parsed->clause(1), (Clause{Pos(2), Pos(3)}));
+  EXPECT_EQ(message("p cnf 2 1\n1\xa0 0\n"), "line 2: bad DIMACS token: 1\xa0");
+  EXPECT_EQ(message("\n \tp\vdnf 2 1 \r\n"),
+            "line 2: bad DIMACS header:  \tp\vdnf 2 1 \r");
 }
 
 TEST(SimplifyTest, UnitPropagationToFixpoint) {
