@@ -18,17 +18,12 @@ namespace tbc {
 /// to the "base.flat_table.bytes" gauge (current + peak), giving every
 /// compile/count run a peak-memory figure in `--stats` output. Heap owned
 /// by the keys themselves (e.g. std::string cache keys) is not counted —
-/// this is the container footprint, not a full allocator. Compiles to
-/// nothing with TBC_OBSERVE=OFF.
+/// this is the container footprint, not a full allocator.
 inline void AccountFlatTableBytes(int64_t delta) {
-#if TBC_OBSERVE_ON
   if (delta == 0) return;
   static ObsGauge& gauge =
       Observability::Global().Gauge("base.flat_table.bytes");
   gauge.Add(delta);
-#else
-  (void)delta;
-#endif
 }
 
 /// Tracks the bytes a table has reported so far; the value-semantics
@@ -70,10 +65,12 @@ class TableFootprint {
 /// here are open-addressing, power-of-two capacity, linear probing, with
 /// all slots in one contiguous array:
 ///   - UniqueTable: hash-consing index (64-bit content hash -> node id)
-///     with chained-equality resolution through a caller callback. No
-///     erase, so no tombstones: probes stop at the first empty slot.
+///     with chained-equality resolution through a caller callback.
+///     Erase shifts entries back, so no tombstones: probes stop at the
+///     first empty slot.
 ///   - FlatMap<K, V>: exact open-addressing map with per-slot cached
-///     hashes, tombstone-based erase, and reserve().
+///     hashes and reserve(); insert-only, so probes stop at the first
+///     empty slot.
 ///   - LossyCache<K, V>: bounded direct-mapped cache (tagged slots,
 ///     overwrite-on-collision) for apply/op caches that must keep memory
 ///     flat under TBC budgets. Lookups may miss spuriously; callers
@@ -167,11 +164,6 @@ class UniqueTable {
     return false;
   }
 
-  void Clear() {
-    size_ = 0;
-    std::fill(ids_.begin(), ids_.end(), kNpos);
-  }
-
  private:
   static constexpr size_t kMinCapacity = 16;
   // Max load factor 7/8: linear probing stays short and the table is two
@@ -205,8 +197,7 @@ class UniqueTable {
 /// Open-addressing map with power-of-two capacity and linear probing.
 /// Slots cache the key's hash, so probing long keys (e.g. the compiler's
 /// serialized-clauses cache keys) compares 8 bytes before touching the key.
-/// Erase uses tombstones; Reserve() kills rehash storms on known-size
-/// workloads.
+/// No erase; reserve() kills rehash storms on known-size workloads.
 template <typename K, typename V>
 class FlatMap {
  public:
@@ -241,7 +232,7 @@ class FlatMap {
       return;
     }
     MaybeGrow();
-    const size_t i = InsertSlot(key, hash);
+    const size_t i = InsertSlot(hash);
     slots_[i].key = key;
     slots_[i].value = std::move(value);
   }
@@ -252,29 +243,10 @@ class FlatMap {
     const size_t found = FindSlot(key, hash);
     if (found != kNoSlot) return slots_[found].value;
     MaybeGrow();
-    const size_t i = InsertSlot(key, hash);
+    const size_t i = InsertSlot(hash);
     slots_[i].key = key;
     slots_[i].value = V();
     return slots_[i].value;
-  }
-
-  /// Removes `key`; returns true if it was present.
-  bool Erase(const K& key) {
-    const size_t i = FindSlot(key, HashValue(key));
-    if (i == kNoSlot) return false;
-    ctrl_[i] = kTombstone;
-    slots_[i].key = K();
-    slots_[i].value = V();
-    --size_;
-    ++tombstones_;
-    return true;
-  }
-
-  void Clear() {
-    std::fill(ctrl_.begin(), ctrl_.end(), kEmpty);
-    for (Slot& s : slots_) s = Slot();
-    size_ = 0;
-    tombstones_ = 0;
   }
 
  private:
@@ -282,7 +254,7 @@ class FlatMap {
   static constexpr size_t kMaxLoadNum = 3;
   static constexpr size_t kMaxLoadDen = 4;
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
-  static constexpr uint8_t kEmpty = 0, kFull = 1, kTombstone = 2;
+  static constexpr uint8_t kEmpty = 0, kFull = 1;
 
   struct Slot {
     uint64_t hash = 0;
@@ -293,7 +265,7 @@ class FlatMap {
   size_t FindSlot(const K& key, uint64_t hash) const {
     size_t i = hash & mask_;
     while (ctrl_[i] != kEmpty) {
-      if (ctrl_[i] == kFull && slots_[i].hash == hash && slots_[i].key == key) {
+      if (slots_[i].hash == hash && slots_[i].key == key) {
         return i;
       }
       i = (i + 1) & mask_;
@@ -301,12 +273,10 @@ class FlatMap {
     return kNoSlot;
   }
 
-  // Claims a slot for a key known to be absent; reuses tombstones.
-  size_t InsertSlot(const K& key, uint64_t hash) {
-    (void)key;
+  // Claims a slot for a key known to be absent.
+  size_t InsertSlot(uint64_t hash) {
     size_t i = hash & mask_;
     while (ctrl_[i] == kFull) i = (i + 1) & mask_;
-    if (ctrl_[i] == kTombstone) --tombstones_;
     ctrl_[i] = kFull;
     slots_[i].hash = hash;
     ++size_;
@@ -314,13 +284,8 @@ class FlatMap {
   }
 
   void MaybeGrow() {
-    if ((size_ + tombstones_ + 1) * kMaxLoadDen > slots_.size() * kMaxLoadNum) {
-      // Growing also drops tombstones; stay at the same capacity when the
-      // live load alone is under half (erase-heavy workloads).
-      const size_t target = (size_ + 1) * kMaxLoadDen > slots_.size() * kMaxLoadNum / 2
-                                ? slots_.size() * 2
-                                : slots_.size();
-      Rehash(target);
+    if ((size_ + 1) * kMaxLoadDen > slots_.size() * kMaxLoadNum) {
+      Rehash(slots_.size() * 2);
     }
   }
 
@@ -330,7 +295,6 @@ class FlatMap {
     slots_.assign(new_capacity, Slot());
     ctrl_.assign(new_capacity, kEmpty);
     mask_ = new_capacity - 1;
-    tombstones_ = 0;
     footprint_.Set(new_capacity * (sizeof(Slot) + sizeof(uint8_t)));
     for (size_t i = 0; i < old_slots.size(); ++i) {
       if (old_ctrl[i] != kFull) continue;
@@ -345,7 +309,6 @@ class FlatMap {
   std::vector<uint8_t> ctrl_;
   size_t mask_ = 0;
   size_t size_ = 0;
-  size_t tombstones_ = 0;
   TableFootprint footprint_;
 };
 

@@ -207,8 +207,8 @@ std::string Observability::RenderText() const {
 std::string Observability::RenderJson() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   std::string out = "{\n  \"version\": 1,\n";
-  out += std::string("  \"observe_enabled\": ") +
-         (TBC_OBSERVE_ON ? "true" : "false") + ",\n";
+  // Instrumentation is always compiled in; the pinned schema keeps the key.
+  out += "  \"observe_enabled\": true,\n";
   out += "  \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : impl_->counters) {

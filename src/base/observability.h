@@ -24,13 +24,11 @@ namespace tbc {
 ///                   event (thread, depth, start, duration) for the sinks.
 ///
 /// Overhead contract: instrumentation sites go through the TBC_COUNT /
-/// TBC_OBSERVE_VALUE / TBC_GAUGE_ADD / TBC_SPAN macros below. With the
-/// CMake option TBC_OBSERVE=OFF the macros compile to no-ops — zero code,
-/// zero data — so production binaries that opt out pay nothing (<2%
-/// overhead acceptance gate, ISSUE 4). With observability ON, counters
+/// TBC_OBSERVE_VALUE / TBC_GAUGE_ADD / TBC_SPAN macros below. Counters
 /// and histograms are single relaxed atomic RMWs, and every macro caches
 /// its registry lookup in a function-local static, so steady-state cost
-/// is one atomic add per event with no locks.
+/// is one atomic add per event with no locks. Hot loops keep plain local
+/// counts and publish them once per run (TBC_COUNT_N).
 ///
 /// Naming scheme: "<subsystem>.<object>.<event>", lowercase, dot-
 /// separated, e.g. "sdd.apply.cache_hits", "counter.wmc.rescues",
@@ -231,16 +229,8 @@ class TraceSpan {
 // Instrumentation macros — the only interface hot paths should use.
 // ---------------------------------------------------------------------------
 
-#if defined(TBC_OBSERVE_ENABLED) && TBC_OBSERVE_ENABLED
-#define TBC_OBSERVE_ON 1
-#else
-#define TBC_OBSERVE_ON 0
-#endif
-
 #define TBC_OBS_CONCAT_INNER(a, b) a##b
 #define TBC_OBS_CONCAT(a, b) TBC_OBS_CONCAT_INNER(a, b)
-
-#if TBC_OBSERVE_ON
 
 /// Increments counter `name` by n / by 1. `name` must be a string literal.
 #define TBC_COUNT_N(name, n)                                          \
@@ -278,39 +268,5 @@ class TraceSpan {
 #define TBC_OBSERVE_VALUE_DYN(name, value) \
   ::tbc::Observability::Global().Histogram(name).Observe( \
       static_cast<uint64_t>(value))
-
-#else  // !TBC_OBSERVE_ON — the compile-time kill switch: all no-ops.
-
-// sizeof() keeps the value operand formally "used" (silencing -Werror
-// unused warnings at call sites) without ever evaluating it.
-#define TBC_COUNT_N(name, n) \
-  do {                       \
-    (void)sizeof(n);         \
-  } while (0)
-#define TBC_COUNT(name) \
-  do {                  \
-  } while (0)
-#define TBC_OBSERVE_VALUE(name, value) \
-  do {                                 \
-    (void)sizeof(value);               \
-  } while (0)
-#define TBC_GAUGE_ADD(name, delta) \
-  do {                             \
-    (void)sizeof(delta);           \
-  } while (0)
-#define TBC_SPAN(name) \
-  do {                 \
-  } while (0)
-#define TBC_COUNT_DYN(name) \
-  do {                      \
-    (void)sizeof(name);     \
-  } while (0)
-#define TBC_OBSERVE_VALUE_DYN(name, value) \
-  do {                                     \
-    (void)sizeof(name);                    \
-    (void)sizeof(value);                   \
-  } while (0)
-
-#endif  // TBC_OBSERVE_ON
 
 #endif  // TBC_BASE_OBSERVABILITY_H_

@@ -106,10 +106,7 @@ class WmcAlgebra : public CounterAlgebra<ScaledDouble> {
   // A nonzero value outside the normal double range is exactly what the
   // pre-log-space accumulator destroyed; count each sighting.
   void NoteIfRescued(const ScaledDouble& v) {
-    if (!v.IsZero() && !v.FitsDouble()) {
-      ++rescues_;
-      TBC_COUNT("counter.wmc.rescues");
-    }
+    if (!v.IsZero() && !v.FitsDouble()) ++rescues_;
   }
 
   const WeightMap& weights_;
@@ -128,6 +125,9 @@ Result<typename Algebra::Value> Search(Algebra& algebra, const Cnf& cnf,
                    .Run(cnf);
   stats->decisions = search.decisions;
   stats->cache_hits = search.cache_hits;
+  if (stats->underflow_rescues != 0) {
+    TBC_COUNT_N("counter.wmc.rescues", stats->underflow_rescues);
+  }
   return value;
 }
 

@@ -314,14 +314,23 @@ class Dpll {
  public:
   using Value = typename Algebra::Value;
 
-  /// Counts decisions, cache hits and splits into `stats`; each decision
-  /// charges `guard` one decision and one node.
+  /// Counts decisions, cache hits and splits into `stats`, which starts
+  /// at zero; each decision charges `guard` one decision and one node.
   Dpll(Algebra& algebra, DdnnfOptions options, DdnnfStats& stats,
        Guard& guard)
       : algebra_(algebra), options_(options), stats_(stats), guard_(guard) {}
 
-  /// Evaluates `cnf` over all of its variables.
+  /// Evaluates `cnf` over all of its variables. The counts reach the
+  /// registry once, on every exit (a guard refusal included), so the
+  /// search loop pays no atomic per event.
   Result<Value> Run(const Cnf& cnf) {
+    Result<Value> value = Search(cnf);
+    Publish();
+    return value;
+  }
+
+ private:
+  Result<Value> Search(const Cnf& cnf) {
     db_.Load(cnf);
     trail_.Reset(db_);
     stack_.Reset(db_);
@@ -338,14 +347,11 @@ class Dpll {
           fingerprint = Fingerprint(stack_.Key(at));
           if (const Value* hit = cache_.Find(stack_.Key(at), fingerprint)) {
             ++stats_.cache_hits;
-            TBC_COUNT(Algebra::kCounters.cache_hits);
             algebra_.Times(f.product, *hit, SinkOf(depth_));
             continue;
           }
-          TBC_COUNT(Algebra::kCounters.cache_misses);
         }
         ++stats_.decisions;
-        TBC_COUNT(Algebra::kCounters.decisions);
         // One decision = one decision node or cache entry: charge both
         // budgets here, at the head of the exponential search, so a trip
         // surfaces within one decision's work.
@@ -382,7 +388,25 @@ class Dpll {
     }
   }
 
- private:
+  // Adds the run's counts to the registry. With the cache on, every
+  // decision follows a cache miss. A zero count registers no name.
+  void Publish() const {
+    if (stats_.decisions != 0) {
+      TBC_COUNT_N(Algebra::kCounters.decisions, stats_.decisions);
+      if (options_.use_cache) {
+        TBC_COUNT_N(Algebra::kCounters.cache_misses, stats_.decisions);
+      }
+    }
+    if (stats_.cache_hits != 0) {
+      TBC_COUNT_N(Algebra::kCounters.cache_hits, stats_.cache_hits);
+    }
+    if constexpr (Algebra::kCounters.splits != nullptr) {
+      if (stats_.components_split != 0) {
+        TBC_COUNT_N(Algebra::kCounters.splits, stats_.components_split);
+      }
+    }
+  }
+
   // One open decision of the search (the root's frame has none): the
   // component it decides, the branch it is in, that branch's trail mark,
   // its open conjunction and the sub-components still to evaluate.
@@ -427,9 +451,6 @@ class Dpll {
     std::span<const Var> rest;
     if (stack_.Split(f.comp, trail_, options_.use_components, &rest) > 1) {
       ++stats_.components_split;
-      if constexpr (Algebra::kCounters.splits != nullptr) {
-        TBC_COUNT(Algebra::kCounters.splits);
-      }
     }
     for (const Var v : rest) {
       if (v == f.var) continue;

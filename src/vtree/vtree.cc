@@ -113,28 +113,18 @@ std::vector<Var> Vtree::IdentityOrder(size_t n) {
 }
 
 bool Vtree::IsAncestorOrSelf(VtreeId a, VtreeId b) const {
-  // Walk up from b; vtrees are shallow enough that this beats precomputing
-  // Euler tours at our scales.
-  for (VtreeId v = b; v != kInvalidVtree; v = nodes_[v].parent) {
-    if (v == a) return true;
-  }
-  return false;
+  // A subtree with k leaves holds 2k - 1 nodes in one contiguous in-order
+  // range; an internal node sits right after its left subtree's range.
+  const Node& n = nodes_[a];
+  const uint32_t first =
+      IsLeaf(a) ? n.position
+                : n.position - (2 * nodes_[n.left].num_vars_below - 1);
+  const uint32_t pos = nodes_[b].position;
+  return first <= pos && pos <= first + 2 * (n.num_vars_below - 1);
 }
 
 VtreeId Vtree::Lca(VtreeId a, VtreeId b) const {
-  uint32_t da = Depth(a), db = Depth(b);
-  while (da > db) {
-    a = nodes_[a].parent;
-    --da;
-  }
-  while (db > da) {
-    b = nodes_[b].parent;
-    --db;
-  }
-  while (a != b) {
-    a = nodes_[a].parent;
-    b = nodes_[b].parent;
-  }
+  while (!IsAncestorOrSelf(a, b)) a = nodes_[a].parent;
   return a;
 }
 

@@ -60,9 +60,10 @@ class Vtree {
   /// Leaf node for a variable.
   VtreeId LeafOfVar(Var v) const { return leaf_of_var_[v]; }
 
-  /// True iff `a` is `b` or an ancestor of `b`.
+  /// True iff `a` is `b` or an ancestor of `b`. Constant time: a range
+  /// test on in-order positions.
   bool IsAncestorOrSelf(VtreeId a, VtreeId b) const;
-  /// Lowest common ancestor.
+  /// Lowest common ancestor, climbing from `a` only as far as it.
   VtreeId Lca(VtreeId a, VtreeId b) const;
 
   /// Variables in the subtree rooted at v, in leaf order.

@@ -322,10 +322,8 @@ TEST(ModelCounterTest, WmcSurvivesDeepUnderflow) {
   EXPECT_GT(wmc, 0.0);
   EXPECT_NEAR(wmc, expected, expected * 1e-9);
   EXPECT_GE(counter.stats().underflow_rescues, 1u);
-#if TBC_OBSERVE_ON
   // The rescue is also surfaced through the observability registry.
   EXPECT_GE(Observability::Global().CounterValue("counter.wmc.rescues"), 1u);
-#endif
 }
 
 TEST(ModelCounterTest, WmcUnrepresentableResultSaturates) {
@@ -1028,6 +1026,93 @@ TEST(ModelCounterTest, CounterAgreesWithCompilerTrace) {
     EXPECT_EQ(counter.stats().cache_hits, compiler.stats().cache_hits)
         << "seed " << seed;
   }
+}
+
+// The registry counters one engine's search feeds, read together so a
+// test can take deltas around a run.
+struct SearchCounts {
+  uint64_t decisions, cache_hits, cache_misses, splits, rescues;
+};
+
+SearchCounts ReadSearchCounts(const std::string& engine) {
+  const Observability& obs = Observability::Global();
+  return {obs.CounterValue(engine + ".decisions"),
+          obs.CounterValue(engine + ".cache_hits"),
+          obs.CounterValue(engine + ".cache_misses"),
+          obs.CounterValue(engine + ".components_split"),
+          obs.CounterValue("counter.wmc.rescues")};
+}
+
+// Runs the compiler and both counters on `cnf` under `budget` and checks
+// that each run's registry deltas equal its own stats. Every decision
+// follows a cache miss, so the miss delta equals the decisions.
+void ExpectRegistryDeltasEqualStats(const Cnf& cnf, const WeightMap& w,
+                                    const Budget& budget, bool refused) {
+  {
+    const SearchCounts before = ReadSearchCounts("ddnnf");
+    NnfManager m;
+    DdnnfCompiler compiler;
+    Guard guard(budget);
+    const Result<NnfId> root = compiler.CompileBounded(cnf, m, guard);
+    ASSERT_EQ(root.ok(), !refused);
+    if (refused) {
+      EXPECT_EQ(root.status().code(), StatusCode::kBudgetExceeded);
+    }
+    const DdnnfStats& s = compiler.stats();
+    ASSERT_GT(s.decisions, 0u);
+    const SearchCounts after = ReadSearchCounts("ddnnf");
+    EXPECT_EQ(after.decisions - before.decisions, s.decisions);
+    EXPECT_EQ(after.cache_misses - before.cache_misses, s.decisions);
+    EXPECT_EQ(after.cache_hits - before.cache_hits, s.cache_hits);
+    EXPECT_EQ(after.splits - before.splits, s.components_split);
+  }
+  for (const bool weighted : {false, true}) {
+    const SearchCounts before = ReadSearchCounts("counter");
+    ModelCounter counter;
+    Guard guard(budget);
+    const bool ok = weighted ? counter.WmcBounded(cnf, w, guard).ok()
+                             : counter.CountBounded(cnf, guard).ok();
+    ASSERT_EQ(ok, !refused) << "weighted " << weighted;
+    const ModelCounter::Stats& s = counter.stats();
+    ASSERT_GT(s.decisions, 0u);
+    EXPECT_EQ(s.underflow_rescues > 0, weighted);
+    const SearchCounts after = ReadSearchCounts("counter");
+    EXPECT_EQ(after.decisions - before.decisions, s.decisions);
+    EXPECT_EQ(after.cache_misses - before.cache_misses, s.decisions);
+    EXPECT_EQ(after.cache_hits - before.cache_hits, s.cache_hits);
+    EXPECT_EQ(after.rescues - before.rescues, s.underflow_rescues);
+  }
+}
+
+// The search keeps its counts locally and adds them to the registry once
+// per run, on every exit: a completed run and one that the decision budget
+// refuses both leave deltas equal to their stats.
+TEST(SearchCountersTest, RegistryDeltasEqualStatsOnEveryExit) {
+  // A random 3-CNF, which splits and hits the cache, beside 200 unit
+  // clauses of weight 1e-3, whose product leaves the double range at the
+  // root, so the weighted run counts rescues before its first decision.
+  constexpr size_t kVars = 24;
+  constexpr size_t kUnits = 200;
+  const Cnf random = RandomCnf(kVars, 50, 3, 31);
+  Cnf cnf(kVars + kUnits);
+  for (const Clause& c : random.clauses()) cnf.AddClause(c);
+  WeightMap w(kVars + kUnits);
+  for (size_t i = 0; i < kUnits; ++i) {
+    const Var v = static_cast<Var>(kVars + i);
+    cnf.AddClause({Pos(v)});
+    w.Set(Pos(v), 1e-3);
+  }
+
+  DdnnfCompiler full;
+  NnfManager m;
+  full.Compile(cnf, m);
+  ASSERT_GT(full.stats().cache_hits, 0u);
+  ASSERT_GT(full.stats().components_split, 0u);
+  ExpectRegistryDeltasEqualStats(cnf, w, Budget::Unlimited(), false);
+
+  Budget half;
+  half.max_decisions = full.stats().decisions / 2;
+  ExpectRegistryDeltasEqualStats(cnf, w, half, true);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the flat open-addressing kernel tables: the hash-consing
-// UniqueTable, the general FlatMap (with tombstoned erase), and the bounded
+// UniqueTable, the general insert-only FlatMap, and the bounded
 // lossy apply cache. These structures back every manager's hot path, so the
 // tests pin down the exact semantics the managers rely on — notably that
 // FlatMap::Find pointers stay valid until the next mutation, and that
@@ -59,16 +59,12 @@ TEST(UniqueTableTest, GrowthPreservesEntries) {
   }
 }
 
-TEST(UniqueTableTest, ReserveAndClear) {
+TEST(UniqueTableTest, ReservePreemptsGrowth) {
   UniqueTable table;
   table.Reserve(5000);
   const size_t cap = table.capacity();
   for (uint32_t i = 0; i < 5000; ++i) table.Insert(HashU64(i), i);
   EXPECT_EQ(table.capacity(), cap) << "Reserve must preempt growth";
-  table.Clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(UniqueTable::kNpos,
-            table.Find(HashU64(3), [](uint32_t) { return true; }));
 }
 
 TEST(FlatMapTest, InsertFindOverwrite) {
@@ -86,29 +82,6 @@ TEST(FlatMapTest, InsertFindOverwrite) {
   EXPECT_EQ(*map.Find(9), 91);
 }
 
-TEST(FlatMapTest, EraseLeavesTombstonesProbeChainsIntact) {
-  FlatMap<uint64_t, int> map;
-  // Dense keys guarantee probe-chain collisions at small capacities, so
-  // erasing an early element exercises the tombstone path: later elements
-  // in the same chain must stay findable.
-  for (uint64_t k = 0; k < 512; ++k) map.Insert(k, static_cast<int>(k));
-  for (uint64_t k = 0; k < 512; k += 2) EXPECT_TRUE(map.Erase(k));
-  EXPECT_FALSE(map.Erase(0)) << "double-erase reports absence";
-  EXPECT_EQ(map.size(), 256u);
-  for (uint64_t k = 0; k < 512; ++k) {
-    if (k % 2 == 0) {
-      EXPECT_EQ(map.Find(k), nullptr);
-    } else {
-      ASSERT_NE(map.Find(k), nullptr);
-      EXPECT_EQ(*map.Find(k), static_cast<int>(k));
-    }
-  }
-  // Reinserting over a tombstone works and is findable.
-  map.Insert(0, -1);
-  ASSERT_NE(map.Find(0), nullptr);
-  EXPECT_EQ(*map.Find(0), -1);
-}
-
 TEST(FlatMapTest, StringKeysMatchUnorderedMapUnderChurn) {
   // Randomized differential test against std::unordered_map, mirroring the
   // compiler's serialized-clauses cache keys.
@@ -118,14 +91,9 @@ TEST(FlatMapTest, StringKeysMatchUnorderedMapUnderChurn) {
   for (int step = 0; step < 20000; ++step) {
     const std::string key =
         std::string("k").append(std::to_string(rng.Below(700)));
-    const uint32_t action = static_cast<uint32_t>(rng.Below(4));
-    if (action == 0) {
-      EXPECT_EQ(map.Erase(key), reference.erase(key) > 0);
-    } else {
-      const uint32_t value = static_cast<uint32_t>(step);
-      map.Insert(key, value);
-      reference[key] = value;
-    }
+    const uint32_t value = static_cast<uint32_t>(step);
+    map.Insert(key, value);
+    reference[key] = value;
   }
   EXPECT_EQ(map.size(), reference.size());
   for (const auto& [key, value] : reference) {
@@ -134,17 +102,12 @@ TEST(FlatMapTest, StringKeysMatchUnorderedMapUnderChurn) {
   }
 }
 
-TEST(FlatMapTest, ClearAndReserve) {
+TEST(FlatMapTest, ReservePreemptsGrowth) {
   FlatMap<uint32_t, uint32_t> map;
   map.reserve(1000);
   const size_t cap = map.capacity();
   for (uint32_t k = 0; k < 1000; ++k) map.Insert(k, k + 1);
   EXPECT_EQ(map.capacity(), cap);
-  map.Clear();
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_EQ(map.Find(1), nullptr);
-  map.Insert(1, 2);  // usable after Clear
-  EXPECT_EQ(*map.Find(1), 2u);
 }
 
 TEST(LossyCacheTest, FindAfterInsert) {

@@ -175,19 +175,12 @@ TEST_F(ObservabilityTest, MacrosFeedTheGlobalRegistry) {
   { TBC_SPAN("test.macro.span"); }
   TBC_COUNT_DYN(std::string("test.macro.") + "dyn");
   Observability& obs = Observability::Global();
-#if TBC_OBSERVE_ON
   EXPECT_EQ(obs.CounterValue("test.macro.count"), 5u);
   EXPECT_EQ(obs.HistogramCount("test.macro.value"), 1u);
   EXPECT_EQ(obs.HistogramSum("test.macro.value"), 123u);
   EXPECT_EQ(obs.GaugeCurrent("test.macro.gauge"), 17);
   EXPECT_EQ(obs.HistogramCount("span.test.macro.span"), 1u);
   EXPECT_EQ(obs.CounterValue("test.macro.dyn"), 1u);
-#else
-  // Kill switch thrown: every macro above must have been a no-op.
-  EXPECT_EQ(obs.CounterValue("test.macro.count"), 0u);
-  EXPECT_EQ(obs.HistogramCount("test.macro.value"), 0u);
-  EXPECT_EQ(obs.GaugeCurrent("test.macro.gauge"), 0);
-#endif
 }
 
 TEST_F(ObservabilityTest, ThreadIndexIsStablePerThread) {

@@ -320,22 +320,18 @@ TEST(SddAutoMinimizeTest, CancelledGuardStopsPassBeforeAnyEdit) {
     Guard cancelled(Budget{});
     cancelled.Cancel();
     mgr.set_guard(&cancelled);
-#if TBC_OBSERVE_ON
     const auto edits = [] {
       return Observability::Global().CounterValue("sdd.minimize.rotations") +
              Observability::Global().CounterValue("sdd.minimize.swaps");
     };
     const uint64_t edits_before = edits();
-#endif
     const SddId g = mgr.MaybeAutoMinimize(f);
     mgr.set_guard(nullptr);
     ASSERT_EQ(mgr.auto_minimize_fires(), 1u) << "seed " << seed;
     EXPECT_TRUE(mgr.interrupted()) << "seed " << seed;
     EXPECT_EQ(mgr.interrupt_status().code(), StatusCode::kCancelled)
         << "seed " << seed;
-#if TBC_OBSERVE_ON
     EXPECT_EQ(edits(), edits_before) << "seed " << seed;
-#endif
     // No edit ran: the vtree is untouched and the collected manager holds
     // exactly its live nodes (an edit leaves rewrite generations behind).
     EXPECT_EQ(mgr.vtree().ToString(), vtree_before) << "seed " << seed;

@@ -597,12 +597,11 @@ TEST(SddTest, DeepFormulaCompilesOnOneMegabyteStack) {
   EXPECT_EQ(m.ModelCount(g), BigUint(6));
 }
 
-// A 20,000-deep OBDD converts on a 1 MB stack; over a right-linear vtree
-// the SDD keeps the OBDD's shape, two elements per decision. (Each apply
-// walks the vtree up from a leaf, so the conversion is quadratic on this
-// vtree: 100,000 variables take minutes.)
+// A 100,000-deep OBDD converts on a 1 MB stack; over a right-linear vtree
+// the SDD keeps the OBDD's shape, two elements per decision. Vtree
+// ancestry is a position-range test, so the conversion stays linear.
 TEST(SddTest, DeepObddConvertsOnOneMegabyteStack) {
-  constexpr size_t kVars = 20000;
+  constexpr size_t kVars = 100000;
   ObddManager obdd(Vtree::IdentityOrder(kVars));
   const ObddId f = DeepObddChain(obdd);
   SddManager m(Vtree::RightLinear(Vtree::IdentityOrder(kVars)));

@@ -361,11 +361,11 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
   }
   ASSERT_EQ(spilled, 1u);
 
-  [[maybe_unused]] const uint64_t misses_before =
+  const uint64_t misses_before =
       Observability::Global().CounterValue("serve.cache.misses");
-  [[maybe_unused]] const uint64_t restores_before =
+  const uint64_t restores_before =
       Observability::Global().CounterValue("serve.store.restores");
-  [[maybe_unused]] const uint64_t hits_before =
+  const uint64_t hits_before =
       Observability::Global().CounterValue("serve.store.hits");
 
   // "Restart": a brand-new server process image over the same directory.
@@ -375,10 +375,8 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
   const auto restored = (*server)->LookupArtifact(kSmallCnf);
   ASSERT_NE(restored, nullptr);
   EXPECT_TRUE(restored->from_store);
-#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.store.restores"),
             restores_before + 1);
-#endif
 
   Client client(ClientFor(**server));
   auto c = client.Call(count);
@@ -392,16 +390,13 @@ TEST(Server, WarmStartsFromStoreWithZeroCompileActivity) {
   EXPECT_EQ(w->wmc, first_wmc);  // bit-identical, not just approximately
 
   // Zero compile activity after restart: the cache never compiled, and
-  // both queries were served off the restored (mapped) artifact. The
-  // compile count is a plain atomic, so this holds with TBC_OBSERVE=OFF.
+  // both queries were served off the restored (mapped) artifact.
   EXPECT_EQ((*server)->compiles(), 0u);
   EXPECT_EQ((*server)->LookupArtifact(kSmallCnf), restored);
-#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.cache.misses"),
             misses_before);
   EXPECT_EQ(Observability::Global().CounterValue("serve.store.hits"),
             hits_before + 2);
-#endif
   (*server)->Shutdown();
   std::filesystem::remove_all(store_dir);
 }
@@ -548,9 +543,9 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   for (int v = 1; v <= 30; ++v) wide += std::to_string(v) + " ";
   wide += "0\n";
 
-  [[maybe_unused]] const uint64_t misses_before =
+  const uint64_t misses_before =
       Observability::Global().CounterValue("serve.cache.misses");
-  [[maybe_unused]] const uint64_t refused_before =
+  const uint64_t refused_before =
       Observability::Global().CounterValue("serve.requests.forecast_refused");
 
   Request req;
@@ -566,13 +561,11 @@ TEST(Server, ForecastAdmissionRefusesHighWidthWithoutCompiling) {
   // cached, the cache never even saw a miss, and the typed counter ticked.
   EXPECT_EQ((*server)->compiles(), 0u);
   EXPECT_EQ((*server)->cached_artifacts(), 0u);
-#if TBC_OBSERVE_ON
   EXPECT_EQ(Observability::Global().CounterValue("serve.cache.misses"),
             misses_before);
   EXPECT_EQ(
       Observability::Global().CounterValue("serve.requests.forecast_refused"),
       refused_before + 1);
-#endif
 
   // Retrying the identical request is deterministic: refused again.
   auto again = client.Call(req);
@@ -628,18 +621,16 @@ TEST(Server, ForecastAdmissionCountsCacheAndStoreHits) {
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(first->ok()) << first->message;
     EXPECT_FALSE(first->cache_hit);
-    [[maybe_unused]] const uint64_t hits_before = hits();
-    [[maybe_unused]] const uint64_t store_hits_before = store_hits();
+    const uint64_t hits_before = hits();
+    const uint64_t store_hits_before = store_hits();
     for (int i = 0; i < 2; ++i) {
       auto again = client.Call(count);
       ASSERT_TRUE(again.ok());
       ASSERT_TRUE(again->ok()) << again->message;
       EXPECT_TRUE(again->cache_hit);
     }
-#if TBC_OBSERVE_ON
     EXPECT_EQ(hits(), hits_before + 2);
     EXPECT_EQ(store_hits(), store_hits_before);  // compiled, not restored
-#endif
     (*server)->Shutdown();
   }
 
@@ -647,17 +638,15 @@ TEST(Server, ForecastAdmissionCountsCacheAndStoreHits) {
   auto server = Server::Start(opts);
   ASSERT_TRUE(server.ok()) << server.status().message();
   Client client(ClientFor(**server));
-  [[maybe_unused]] const uint64_t hits_before = hits();
-  [[maybe_unused]] const uint64_t store_hits_before = store_hits();
+  const uint64_t hits_before = hits();
+  const uint64_t store_hits_before = store_hits();
   auto restored = client.Call(count);
   ASSERT_TRUE(restored.ok());
   ASSERT_TRUE(restored->ok()) << restored->message;
   EXPECT_TRUE(restored->cache_hit);
   EXPECT_EQ((*server)->compiles(), 0u);
-#if TBC_OBSERVE_ON
   EXPECT_EQ(hits(), hits_before + 1);
   EXPECT_EQ(store_hits(), store_hits_before + 1);
-#endif
   (*server)->Shutdown();
   std::filesystem::remove_all(store_dir);
 }

@@ -247,5 +247,43 @@ TEST(VtreeTest, InPlaceRandomWalkStaysWellFormed) {
   EXPECT_EQ(below, Vtree::IdentityOrder(9));
 }
 
+// The parent-pointer walks that IsAncestorOrSelf and Lca replaced: the
+// oracle for their position-range versions.
+bool WalkIsAncestorOrSelf(const Vtree& t, VtreeId a, VtreeId b) {
+  for (VtreeId v = b; v != kInvalidVtree; v = t.parent(v)) {
+    if (v == a) return true;
+  }
+  return false;
+}
+
+VtreeId WalkLca(const Vtree& t, VtreeId a, VtreeId b) {
+  while (!WalkIsAncestorOrSelf(t, a, b)) a = t.parent(a);
+  return a;
+}
+
+TEST(VtreeTest, AncestryMatchesParentWalkUnderRandomEdits) {
+  Rng rng(57);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t n = 1 + rng.Below(12);
+    Vtree t = Vtree::Random(Vtree::IdentityOrder(n), rng);
+    for (int step = 0; step < 30; ++step) {
+      for (VtreeId a = 0; a < t.num_nodes(); ++a) {
+        for (VtreeId b = 0; b < t.num_nodes(); ++b) {
+          ASSERT_EQ(t.IsAncestorOrSelf(a, b), WalkIsAncestorOrSelf(t, a, b))
+              << t.ToString() << " a=" << a << " b=" << b;
+          ASSERT_EQ(t.Lca(a, b), WalkLca(t, a, b))
+              << t.ToString() << " a=" << a << " b=" << b;
+        }
+      }
+      const VtreeId v = static_cast<VtreeId>(rng.Below(t.num_nodes()));
+      switch (rng.Below(3)) {
+        case 0: t.RotateRightAt(v); break;
+        case 1: t.RotateLeftAt(v); break;
+        default: t.SwapChildrenAt(v); break;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tbc

@@ -5,9 +5,8 @@
 # output (kc_cli prints human-readable "c ..." lines first; the dump starts
 # at the first line that is exactly "{"), and checks it against
 # tools/stats_schema.json with a small stdlib-only validator (no jsonschema
-# dependency). ctest runs this as check_stats_schema (builds with
-# TBC_OBSERVE=ON), so the schema and RenderJson can only change together,
-# deliberately.
+# dependency). ctest runs this as check_stats_schema in every build, so the
+# schema and RenderJson can only change together, deliberately.
 #
 # Usage: tools/check_stats_schema.sh [kc_cli_binary [file.cnf]]
 #   kc_cli_binary defaults to the first of build/examples/kc_cli,
